@@ -78,7 +78,7 @@ from .matcat import (
     aleph0_compose,
     aleph0_embed,
     homset_semiring,
-    mat_add,
+    mat_add_biproduct,
     mat_compose,
     mat_coproj1,
     mat_coproj2,
@@ -1143,7 +1143,7 @@ def _suite_matcat(config: SuiteConfig, rng: random.Random) -> list:
                 f.cols,
                 tuple(S.add(a, b) for a, b in zip(f.entries, g.entries)),
             )
-            return mat_add(f, g) == expected
+            return mat_add_biproduct(f, g) == expected
 
         _sampled_law(
             entries, subject, "add-entrywise", rng, cases, s_parallel, add_entrywise

@@ -6,7 +6,8 @@ tropical matrix powers into a bounded-hop distance table, and
 ``roundtrip`` drives the adjunction transposes there and back.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
-error. Results go to stdout, diagnostics to stderr.
+error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``.
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .adjunctions import (
     run_suite,
 )
 from .algebra import TROPICAL, parse_scalar, render_scalar
-from .errors import FormatError, SemicatError
+from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
     mat_add,
@@ -36,7 +37,27 @@ from .matcat import (
     render_mat_text,
 )
 
-__all__ = ["GraphSpec", "parse_graph_text", "graph_matrix", "bounded_paths", "main"]
+__all__ = [
+    "MAX_TABLE_ENTRIES",
+    "GraphSpec",
+    "parse_graph_text",
+    "graph_matrix",
+    "bounded_paths",
+    "main",
+]
+
+# The most entries a dense table built by a command may have: the n x n
+# distance table of ``shortest-path``, or the result of ``matmul``. Larger
+# inputs exit 2 before any table is allocated.
+MAX_TABLE_ENTRIES = 1_000_000
+
+
+def _check_table_size(what: str, rows: int, cols: int) -> None:
+    if rows * cols > MAX_TABLE_ENTRIES:
+        raise SizeLimitExceeded(
+            f"{what} would have {rows}x{cols} = {rows * cols} entries,"
+            f" above the cap of {MAX_TABLE_ENTRIES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,14 +117,27 @@ def graph_matrix(spec: GraphSpec) -> Matrix:
 
 
 def bounded_paths(a: Matrix, hops: int) -> Matrix:
-    """Fold of a^0 + a^1 + ... + a^hops using only categorical composition
-    and hom-set addition. Over the tropical semiring this is the table of
-    cheapest paths with at most ``hops`` edges."""
-    acc = mat_identity(a.semiring, a.rows)
-    power = mat_identity(a.semiring, a.rows)
-    for _ in range(hops):
-        power = mat_compose(power, a)
-        acc = mat_add(acc, power)
+    """The sum S_h = a^0 + a^1 + ... + a^hops. Over the tropical semiring
+    this is the table of cheapest paths with at most ``hops`` edges.
+
+    Doubling over the bits of ``hops + 1``, as in Mohri's generic semiring
+    shortest-distance framework: each bit after the first doubles the sum,
+    S_(2k+1) = S_k + a^(k+1) S_k, and a 1 bit then appends the next power,
+    S_(k+1) = S_k + a^(k+1). Before each level it stops when I + a S_k = S_k:
+    the left side is S_(k+1), so by distributivity every later sum repeats,
+    in any semiring. At most four compositions per bit, so the cost is
+    O(n^3 log hops); negative weights and negative cycles are allowed.
+    """
+    eye = mat_identity(a.semiring, a.rows)
+    acc, power = eye, a  # acc = S_k, power = a^(k+1), starting at k = 0
+    for bit in bin(hops + 1)[3:]:
+        if mat_add(eye, mat_compose(a, acc)) == acc:
+            break
+        acc = mat_add(acc, mat_compose(power, acc))
+        power = mat_compose(power, power)
+        if bit == "1":
+            acc = mat_add(acc, power)
+            power = mat_compose(power, a)
     return acc
 
 
@@ -130,13 +164,19 @@ def _cmd_matmul(args) -> int:
         if args.b is None:
             raise FormatError(f"{args.op} needs a second matrix via -B")
         b = parse_mat_text(Path(args.b).read_text())
-        result = mat_compose(a, b) if args.op == "compose" else mat_tensor(a, b)
+        if args.op == "compose":
+            _check_table_size("the composite", a.rows, b.cols)
+            result = mat_compose(a, b)
+        else:
+            _check_table_size("the tensor", a.rows * b.rows, a.cols * b.cols)
+            result = mat_tensor(a, b)
     sys.stdout.write(render_mat_text(result))
     return 0
 
 
 def _cmd_shortest_path(args) -> int:
     spec = parse_graph_text(Path(args.graph).read_text())
+    _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
     lines = []
     for i in range(table.rows):

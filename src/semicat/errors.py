@@ -27,6 +27,7 @@ __all__ = [
     "NotASemiringMap",
     "UnknownSuite",
     "UnknownSemiring",
+    "SizeLimitExceeded",
     "FormatError",
 ]
 
@@ -97,6 +98,10 @@ class UnknownSuite(SemicatError):
 
 class UnknownSemiring(SemicatError):
     """A semiring (or monoid) name is not in the registry."""
+
+
+class SizeLimitExceeded(SemicatError):
+    """An input asks for a table larger than the command's documented cap."""
 
 
 class FormatError(SemicatError):

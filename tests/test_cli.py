@@ -1,6 +1,7 @@
 """Command-line behavior: graph parsing, bounded path search, matrix
 operations, law suites, and exit codes."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,32 @@ def test_shortest_path_bad_inputs(capsys, tmp_path):
     assert main(["shortest-path", "--graph", str(bad), "--max-hops", "2"]) == 2
     assert "line 2" in capsys.readouterr().err
     assert main(["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops", "-1"]) == 2
+
+
+def test_shortest_path_size_cap(capsys, tmp_path):
+    huge = tmp_path / "huge.graph"
+    huge.write_text("100000000\n")
+    assert main(["shortest-path", "--graph", str(huge), "--max-hops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the distance table would have")
+    assert f"cap of {cli.MAX_TABLE_ENTRIES}" in captured.err
+
+
+def test_matmul_size_cap(capsys, tmp_path):
+    # 1xk tensor 1xk is 1 x k^2, just over the cap; the inputs stay small.
+    k = math.isqrt(cli.MAX_TABLE_ENTRIES) + 1
+    row = tmp_path / "row.mat"
+    row.write_text(f"semiring nat 1 {k}\n" + " ".join(["1"] * k) + "\n")
+    col = tmp_path / "col.mat"
+    col.write_text(f"semiring nat {k} 1\n" + "1\n" * k)
+    assert main(["matmul", "--op", "tensor", "-A", str(row), "-B", str(row)]) == 2
+    assert main(["matmul", "--op", "compose", "-A", str(col), "-B", str(row)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"above the cap of {cli.MAX_TABLE_ENTRIES}") == 2
+    assert "error: the tensor would have" in captured.err
+    assert "error: the composite would have" in captured.err
 
 
 def test_laws_pass(capsys):

@@ -1,11 +1,24 @@
 """Matrices over a semiring: composition, biproduct structure, tensor,
 dagger, and the text format."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semicat.algebra import GAUSSIAN, NAT, RATNN, TROPICAL, gaussian, nat, tropical
+from semicat.algebra import (
+    GAUSSIAN,
+    NAT,
+    RATNN,
+    SEMIRINGS,
+    TROPICAL,
+    boolean,
+    gaussian,
+    nat,
+    rational,
+    tropical,
+)
 from semicat.errors import (
     DimensionMismatch,
     FormatError,
@@ -20,6 +33,7 @@ from semicat.matcat import (
     coord,
     homset_semiring,
     mat_add,
+    mat_add_biproduct,
     mat_compose,
     mat_cotuple,
     mat_dagger,
@@ -94,7 +108,7 @@ def test_cotuple_needs_matching_cols():
 def test_add_is_entrywise_via_structure():
     f = matrix(NAT, nats((1, 2), (3, 4)))
     g = matrix(NAT, nats((10, 20), (30, 40)))
-    assert mat_add(f, g) == matrix(NAT, nats((11, 22), (33, 44)))
+    assert mat_add_biproduct(f, g) == matrix(NAT, nats((11, 22), (33, 44)))
 
 
 def test_zero_through_the_empty_object():
@@ -210,18 +224,27 @@ def test_parse_errors_carry_positions():
         parse_mat_text("semiring nat 1 1\n1\nextra\n")
 
 
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+
 scalar_strategies = {
     "nat": st.integers(0, 99).map(nat),
+    "bool": st.booleans().map(boolean),
     "tropical": st.one_of(st.none(), st.integers(-99, 99)).map(tropical),
+    "ratnn": fractions.map(abs).map(rational),
+    "gaussian": st.tuples(fractions, fractions).map(lambda p: gaussian(*p)),
 }
 
 
 @st.composite
-def small_matrices(draw):
-    name = draw(st.sampled_from(sorted(scalar_strategies)))
-    S = {"nat": NAT, "tropical": TROPICAL}[name]
-    rows = draw(st.integers(0, 3))
-    cols = draw(st.integers(0, 3))
+def small_matrices(draw, like=None):
+    """A matrix of at most 3x3 over a built-in semiring; with ``like``,
+    one over the same semiring and of the same shape."""
+    if like is None:
+        name = draw(st.sampled_from(sorted(scalar_strategies)))
+        rows = draw(st.integers(0, 3))
+        cols = draw(st.integers(0, 3))
+    else:
+        name, rows, cols = like.tag, like.rows, like.cols
     entries = draw(
         st.lists(
             scalar_strategies[name],
@@ -229,7 +252,7 @@ def small_matrices(draw):
             max_size=rows * cols,
         )
     )
-    return Matrix(S, rows, cols, tuple(entries))
+    return Matrix(SEMIRINGS[name], rows, cols, tuple(entries))
 
 
 @given(small_matrices())
@@ -244,3 +267,19 @@ def test_add_commutes_with_itself(m):
     assert doubled == Matrix(
         S, m.rows, m.cols, tuple(S.add(e, e) for e in m.entries)
     )
+
+
+@given(st.data())
+def test_add_equals_the_biproduct_composite(data):
+    f = data.draw(small_matrices())
+    g = data.draw(small_matrices(like=f))
+    assert mat_add(f, g) == mat_add_biproduct(f, g)
+
+
+def test_add_checks_tags_and_shapes():
+    f = matrix(NAT, nats((1, 2)))
+    for add in (mat_add, mat_add_biproduct):
+        with pytest.raises(DimensionMismatch):
+            add(f, matrix(NAT, nats((1,), (2,))))
+        with pytest.raises(TagMismatch):
+            add(f, matrix(TROPICAL, [[tropical(1), tropical(2)]]))
