@@ -119,15 +119,19 @@ def tropical(v: int | None) -> Scalar:
     return Scalar("tropical", v)
 
 
+def _fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def rational(value) -> Scalar:
-    q = Fraction(value)
+    q = _fraction(value)
     if q < 0:
         raise ValueError(f"nonnegative rational expected, got {q}")
     return Scalar("ratnn", q)
 
 
 def gaussian(re_part=0, im_part=0) -> Scalar:
-    return Scalar("gaussian", (Fraction(re_part), Fraction(im_part)))
+    return Scalar("gaussian", (_fraction(re_part), _fraction(im_part)))
 
 
 @dataclass(frozen=True)
@@ -584,9 +588,9 @@ def canonical_from_nat(desc: SemiringDescriptor, n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # Scalar text grammar
 
-_NAT_RE = re.compile(r"\d+$")
-_INT_RE = re.compile(r"-?\d+$")
-_RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?$")
+_NAT_RE = re.compile(r"\d+\Z", re.ASCII)
+_INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
+_RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
 def _parse_fraction(text: str, original: str) -> Fraction:

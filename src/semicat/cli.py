@@ -24,7 +24,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import TROPICAL, parse_scalar, render_scalar
+from .algebra import NAT, TROPICAL, parse_scalar, render_scalar
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -70,7 +70,9 @@ class GraphSpec:
 
 def parse_graph_text(text: str) -> GraphSpec:
     """Parse the line-oriented graph format: a node count line, then one
-    ``src dst weight`` line per edge. Blank lines are ignored."""
+    ``src dst weight`` line per edge. Blank lines are ignored. Node counts
+    and indices are ``nat`` literals (ASCII digits), weights ``tropical``
+    literals."""
     count = None
     edges = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -82,17 +84,15 @@ def parse_graph_text(text: str) -> GraphSpec:
             if len(fields) != 1:
                 raise FormatError(f"line {ln}: expected the node count alone")
             try:
-                count = int(fields[0])
-            except ValueError:
+                count = parse_scalar(NAT, fields[0]).payload
+            except FormatError:
                 raise FormatError(f"line {ln}: bad node count {fields[0]!r}") from None
-            if count < 0:
-                raise FormatError(f"line {ln}: negative node count")
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
         try:
-            src, dst = int(fields[0]), int(fields[1])
-        except ValueError:
+            src, dst = (parse_scalar(NAT, f).payload for f in fields[:2])
+        except FormatError:
             raise FormatError(f"line {ln}: bad node index in {line!r}") from None
         if not 0 <= src < count or not 0 <= dst < count:
             raise FormatError(f"line {ln}: node index out of range (n = {count})")

@@ -13,16 +13,46 @@ composite, and the hom-set semiring of endomaps of 1
 (:func:`homset_semiring`) adds with it, so the law suites check the
 derived construction against entrywise addition. :func:`mat_add` is the
 entrywise sum that other callers, such as the shortest-path command, use.
+
+Compose, tensor, dagger and entrywise add run on payload kernels over the
+five built-in descriptor objects (``NAT``, ``BOOL``, ``TROPICAL``,
+``RATNN``, ``GAUSSIAN``). A kernel unwraps each input entry once to its
+bare payload, raising :class:`TagMismatch` on an entry without the
+semiring's tag, computes on payloads, and wraps each output entry once:
+int sums of products for nat, any/and for bool, and min-plus on ints for
+tropical, with infinity replaced by a stand-in larger than any finite sum
+can reach. For ratnn and gaussian, compose scales each row of the left
+factor by the lcm D of its denominators and each column of the right
+factor by the lcm E of its own. Every scaled entry is an integer, or an
+(re, im) pair of integers, so a row-by-column sum of products is an exact
+integer sum over D*E; one ``Fraction`` built from it per output part is the
+exact value, and since ``Fraction`` reduces to lowest terms it is the same
+canonical value, rendering to the same bytes, as a sum of ``Fraction``
+products. Scaling per row and per column, not per matrix, keeps the
+integers as small as the denominators one output entry combines. Any other
+descriptor (``tag=None`` ones such as hom-set and evaluation semirings, or
+one that merely carries a built-in's tag) computes with its own
+``add``/``mul``/``star``, one call per scalar step; the ``compose-oracle``
+law compares the kernels with a triple loop over the descriptor's
+operations.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from math import lcm
+from operator import add, and_, mul, or_
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
+    BOOL,
+    GAUSSIAN,
+    NAT,
+    RATNN,
     SEMIRINGS,
+    TROPICAL,
     Scalar,
     SemiringDescriptor,
     parse_scalar,
@@ -140,6 +170,151 @@ def _same_theory(g: Matrix, h: Matrix) -> SemiringDescriptor:
     return g.semiring
 
 
+# ---------------------------------------------------------------------------
+# Payload kernels for the built-in semirings
+
+
+def _nat_products(rows: list, cols: list) -> list:
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
+def _bool_products(rows: list, cols: list) -> list:
+    return [any(map(and_, r, c)) for r in rows for c in cols]
+
+
+def _tropical_products(rows: list, cols: list) -> list:
+    # Infinity (None) becomes big = 3M + 1, where M bounds every finite
+    # |weight|. A sum of two finite weights stays within [-2M, 2M] and a sum
+    # with big in it is at least 2M + 1, so min-plus runs on ints alone.
+    bound = max((abs(x) for v in rows + cols for x in v if x is not None), default=0)
+    big = 3 * bound + 1
+    rows = [[big if x is None else x for x in r] for r in rows]
+    cols = [[big if x is None else x for x in c] for c in cols]
+    sums = [min(map(add, r, c), default=big) for r in rows for c in cols]
+    return [None if x > 2 * bound else x for x in sums]
+
+
+def _over_lcm(qs: list) -> tuple[int, list[int]]:
+    """(d, [q * d for q in qs]), d the lcm of the denominators of qs."""
+    d = lcm(*[q.denominator for q in qs])
+    return d, [q.numerator * (d // q.denominator) for q in qs]
+
+
+def _ratnn_products(rows: list, cols: list) -> list:
+    rows = [_over_lcm(r) for r in rows]
+    cols = [_over_lcm(c) for c in cols]
+    return [
+        Fraction(sum(map(mul, rn, cn)), rd * cd) for rd, rn in rows for cd, cn in cols
+    ]
+
+
+def _gaussian_over_lcm(pairs: list) -> tuple[int, list[int], list[int]]:
+    d, ints = _over_lcm([q for pair in pairs for q in pair])
+    return d, ints[0::2], ints[1::2]
+
+
+def _gaussian_products(rows: list, cols: list) -> list:
+    rows = [_gaussian_over_lcm(r) for r in rows]
+    cols = [_gaussian_over_lcm(c) for c in cols]
+    return [
+        (
+            Fraction(sum(map(mul, rre, cre)) - sum(map(mul, rim, cim)), d * e),
+            Fraction(sum(map(mul, rre, cim)) + sum(map(mul, rim, cre)), d * e),
+        )
+        for d, rre, rim in rows
+        for e, cre, cim in cols
+    ]
+
+
+def _tropical_add(x, y):
+    return y if x is None else x if y is None else min(x, y)
+
+
+def _tropical_mul(x, y):
+    return None if x is None or y is None else x + y
+
+
+def _gaussian_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _gaussian_mul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+def _gaussian_star(x):
+    return (x[0], -x[1])
+
+
+def _same(x):
+    return x
+
+
+class _Kernel(NamedTuple):
+    """What the matrix operations compute with. ``products`` takes the rows
+    of one matrix and the columns of another and returns every row-by-column
+    sum of products, row major; the rest are the scalar operations."""
+
+    products: Callable[[list, list], list]
+    add: Callable
+    mul: Callable
+    star: Callable | None
+
+
+# Keyed on the descriptor objects, which hash by identity: a descriptor
+# that merely shares a built-in's tag keeps its own operations.
+_KERNELS: dict[SemiringDescriptor, _Kernel] = {
+    NAT: _Kernel(_nat_products, add, mul, _same),
+    BOOL: _Kernel(_bool_products, or_, and_, _same),
+    TROPICAL: _Kernel(_tropical_products, _tropical_add, _tropical_mul, _same),
+    RATNN: _Kernel(_ratnn_products, add, mul, _same),
+    GAUSSIAN: _Kernel(_gaussian_products, _gaussian_add, _gaussian_mul, _gaussian_star),
+}
+
+
+def _generic(S: SemiringDescriptor) -> _Kernel:
+    """S's own operations, one descriptor call per scalar step."""
+
+    def products(rows: list, cols: list) -> list:
+        out = []
+        for r in rows:
+            for c in cols:
+                acc = S.zero
+                for x, y in zip(r, c):
+                    acc = S.add(acc, S.mul(x, y))
+                out.append(acc)
+        return out
+
+    return _Kernel(products, S.add, S.mul, S.star)
+
+
+def _open(S: SemiringDescriptor, *ms: Matrix) -> tuple:
+    """The kernel to compute with over S, then the entries of each of ms as
+    it takes them: for a built-in semiring, the bare payloads, each checked
+    to carry S's tag; for any other descriptor, the entries themselves."""
+    kernel = _KERNELS.get(S)
+    if kernel is None:
+        return (_generic(S), *(m.entries for m in ms))
+    tag = S.tag
+    opened = [kernel]
+    for m in ms:
+        for e in m.entries:
+            if not isinstance(e, Scalar) or e.tag != tag:
+                raise TagMismatch(f"expected a {tag} scalar, got {e!r}")
+        opened.append([e.payload for e in m.entries])
+    return tuple(opened)
+
+
+def _close(S: SemiringDescriptor, rows: int, cols: int, values: list) -> Matrix:
+    """The matrix of values computed by the kernel of :func:`_open`, each
+    payload wrapped once as a scalar."""
+    if S in _KERNELS:
+        tag = S.tag
+        values = [Scalar(tag, v) for v in values]
+    return Matrix(S, rows, cols, tuple(values))
+
+
 def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
     return Matrix(
         S, n, n, tuple(S.one if i == j else S.zero for i in range(n) for j in range(n))
@@ -153,14 +328,11 @@ def mat_compose(g: Matrix, h: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot compose {g.rows}x{g.cols} with {h.rows}x{h.cols}"
         )
-    entries = []
-    for i in range(g.rows):
-        for k in range(h.cols):
-            acc = S.zero
-            for j in range(g.cols):
-                acc = S.add(acc, S.mul(g.entry(i, j), h.entry(j, k)))
-            entries.append(acc)
-    return Matrix(S, g.rows, h.cols, tuple(entries))
+    ops, a, b = _open(S, g, h)
+    m, p = g.cols, h.cols
+    rows = [a[i * m : (i + 1) * m] for i in range(g.rows)]
+    cols = [b[k::p] for k in range(p)]
+    return _close(S, g.rows, p, ops.products(rows, cols))
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
@@ -240,7 +412,8 @@ def mat_add(f: Matrix, g: Matrix) -> Matrix:
     :func:`mat_add_biproduct`, the paper's derived addition, which the
     ``add-entrywise`` law checks against entrywise sums."""
     S = _parallel(f, g)
-    return Matrix(S, f.rows, f.cols, tuple(map(S.add, f.entries, g.entries)))
+    ops, a, b = _open(S, f, g)
+    return _close(S, f.rows, f.cols, list(map(ops.add, a, b)))
 
 
 def mat_add_biproduct(f: Matrix, g: Matrix) -> Matrix:
@@ -278,15 +451,16 @@ def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
     """Tensor of g: m -> p with h: n -> q, flattened by the fixed
     coordinatisation on rows (inner factor n) and columns (inner factor q)."""
     S = _same_theory(g, h)
+    ops, a, b = _open(S, g, h)
     m, p = g.rows, g.cols
     n, q = h.rows, h.cols
-    entries = []
-    for c in range(m * n):
-        i0, i1 = coord(m, n, "split", c)
-        for d in range(p * q):
-            j0, j1 = coord(p, q, "split", d)
-            entries.append(S.mul(g.entry(i0, j0), h.entry(i1, j1)))
-    return Matrix(S, m * n, p * q, tuple(entries))
+    g_rows = [a[i * p : (i + 1) * p] for i in range(m)]
+    h_rows = [b[i * q : (i + 1) * q] for i in range(n)]
+    times = ops.mul
+    return _close(
+        S, m * n, p * q,
+        [times(x, y) for r in g_rows for s in h_rows for x in r for y in s],
+    )
 
 
 def mat_dagger(f: Matrix) -> Matrix:
@@ -294,10 +468,9 @@ def mat_dagger(f: Matrix) -> Matrix:
     S = f.semiring
     if S.star is None:
         raise NoInvolution(f"semiring {S.name} has no star")
-    entries = tuple(
-        S.star(f.entry(i, j)) for j in range(f.cols) for i in range(f.rows)
-    )
-    return Matrix(S, f.cols, f.rows, entries)
+    ops, a = _open(S, f)
+    n = f.cols
+    return _close(S, n, f.rows, [ops.star(x) for j in range(n) for x in a[j::n]])
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +567,10 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 def parse_mat_text(text: str) -> Matrix:
     """Parse the matrix file format.
 
-    Line 1 is ``semiring <name> <rows> <cols>``; each following line holds
-    one row of scalars in the semiring's text grammar. Errors carry the
-    offending line and column.
+    Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols ``nat``
+    literals (ASCII digits); each following line holds one row of scalars
+    in the semiring's text grammar. Errors carry the offending line and
+    column.
     """
     lines = text.splitlines()
     if not lines:
@@ -409,10 +583,8 @@ def parse_mat_text(text: str) -> Matrix:
         raise FormatError(f"line 1, column {header[1][1]}: unknown semiring {name!r}")
     S = SEMIRINGS[name]
     try:
-        rows, cols = int(header[2][0]), int(header[3][0])
-        if rows < 0 or cols < 0:
-            raise ValueError
-    except ValueError:
+        rows, cols = (parse_scalar(NAT, tok).payload for tok, _ in header[2:])
+    except FormatError:
         raise FormatError(
             f"line 1, column {header[2][1]}: rows and cols must be naturals"
         ) from None

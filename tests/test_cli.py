@@ -198,3 +198,37 @@ def test_roundtrip_reports_violations(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_roundtrip", lambda *a, **kw: broken)
     assert main(["roundtrip", "--adjunction", "srng-e", "--semiring", "nat"]) == 1
     assert "FAIL s :: unit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "semiring nat 1 1\n٣\n",
+        "semiring ratnn 1 1\n١/٢\n",
+        "semiring tropical 1 1\n-٣\n",
+        "semiring nat +1 1_0\n" + " ".join(["1"] * 10) + "\n",
+        "semiring nat ٣ 1\n1\n1\n1\n",
+    ],
+    ids=["nat-entry", "ratnn-entry", "tropical-entry", "signed-underscored-header", "header"],
+)
+def test_matmul_accepts_ascii_numerals_only(capsys, tmp_path, text):
+    path = tmp_path / "m.mat"
+    path.write_text(text, encoding="utf-8")
+    assert main(["matmul", "--op", "dagger", "-A", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["٣\n", "+3\n", "1_0\n", "3\n0 ١ 1\n", "3\n0 1 ٢\n"],
+    ids=["count", "signed-count", "underscored-count", "index", "weight"],
+)
+def test_shortest_path_accepts_ascii_numerals_only(capsys, tmp_path, text):
+    path = tmp_path / "g.graph"
+    path.write_text(text, encoding="utf-8")
+    assert main(["shortest-path", "--graph", str(path), "--max-hops", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ")

@@ -1,0 +1,192 @@
+"""The payload kernels of compose, tensor, dagger and entrywise add over the
+five built-in semirings, against oracles that use only the descriptor's
+``add``/``mul``/``star`` in plain loops."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from semicat.algebra import (
+    NAT,
+    SEMIRINGS,
+    SemiringDescriptor,
+    boolean,
+    gaussian,
+    nat,
+    rational,
+    tropical,
+)
+from semicat.errors import TagMismatch
+from semicat.matcat import (
+    Matrix,
+    mat_add,
+    mat_compose,
+    mat_dagger,
+    mat_tensor,
+    render_mat_text,
+)
+
+
+def at(f: Matrix, i: int, j: int):
+    return f.entries[i * f.cols + j]
+
+
+def compose_oracle(S, g, h):
+    entries = []
+    for i in range(g.rows):
+        for k in range(h.cols):
+            acc = S.zero
+            for j in range(g.cols):
+                acc = S.add(acc, S.mul(at(g, i, j), at(h, j, k)))
+            entries.append(acc)
+    return Matrix(S, g.rows, h.cols, tuple(entries))
+
+
+def tensor_oracle(S, g, h):
+    entries = []
+    for i0 in range(g.rows):
+        for i1 in range(h.rows):
+            for j0 in range(g.cols):
+                for j1 in range(h.cols):
+                    entries.append(S.mul(at(g, i0, j0), at(h, i1, j1)))
+    return Matrix(S, g.rows * h.rows, g.cols * h.cols, tuple(entries))
+
+
+def dagger_oracle(S, f):
+    entries = []
+    for j in range(f.cols):
+        for i in range(f.rows):
+            entries.append(S.star(at(f, i, j)))
+    return Matrix(S, f.cols, f.rows, tuple(entries))
+
+
+def add_oracle(S, f, g):
+    entries = []
+    for i in range(f.rows):
+        for j in range(f.cols):
+            entries.append(S.add(at(f, i, j), at(g, i, j)))
+    return Matrix(S, f.rows, f.cols, tuple(entries))
+
+
+# Large primes and products of small ones give lcms far beyond one entry's
+# denominator; the numerators reach past 64 bits.
+denominators = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([999_983, 1_000_003, 2**61 - 1, 7919 * 7927, 30_030]),
+)
+big_ints = st.integers(-(2**70), 2**70)
+fractions = st.builds(Fraction, st.one_of(st.integers(-30, 30), big_ints), denominators)
+
+scalars = {
+    "nat": st.one_of(st.integers(0, 50), st.integers(0, 2**70)).map(nat),
+    "bool": st.booleans().map(boolean),
+    "tropical": st.one_of(
+        st.none(), st.integers(-30, 30), big_ints
+    ).map(tropical),
+    "ratnn": fractions.map(abs).map(rational),
+    "gaussian": st.tuples(fractions, fractions).map(lambda p: gaussian(*p)),
+}
+
+
+def draw_matrix(data, name, rows, cols):
+    entries = data.draw(
+        st.lists(scalars[name], min_size=rows * cols, max_size=rows * cols)
+    )
+    return Matrix(SEMIRINGS[name], rows, cols, tuple(entries))
+
+
+names = st.sampled_from(sorted(scalars))
+dims = st.integers(0, 4)
+
+
+def assert_same(got: Matrix, want: Matrix):
+    assert got == want
+    assert render_mat_text(got) == render_mat_text(want)
+
+
+@given(st.data(), names, dims, dims, dims)
+def test_compose_kernel(data, name, n, m, p):
+    g = draw_matrix(data, name, n, m)
+    h = draw_matrix(data, name, m, p)
+    assert_same(mat_compose(g, h), compose_oracle(SEMIRINGS[name], g, h))
+
+
+@given(st.data(), names, dims, dims, dims, dims)
+def test_tensor_kernel(data, name, m, p, n, q):
+    g = draw_matrix(data, name, m, p)
+    h = draw_matrix(data, name, n, q)
+    assert_same(mat_tensor(g, h), tensor_oracle(SEMIRINGS[name], g, h))
+
+
+@given(st.data(), names, dims, dims)
+def test_dagger_kernel(data, name, n, m):
+    f = draw_matrix(data, name, n, m)
+    assert_same(mat_dagger(f), dagger_oracle(SEMIRINGS[name], f))
+
+
+@given(st.data(), names, dims, dims)
+def test_add_kernel(data, name, n, m):
+    f = draw_matrix(data, name, n, m)
+    g = draw_matrix(data, name, n, m)
+    assert_same(mat_add(f, g), add_oracle(SEMIRINGS[name], f, g))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+@pytest.mark.parametrize("n, m, p", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+def test_empty_shapes(name, n, m, p):
+    S = SEMIRINGS[name]
+    g = Matrix(S, n, m, (S.one,) * (n * m))
+    h = Matrix(S, m, p, (S.one,) * (m * p))
+    assert_same(mat_compose(g, h), compose_oracle(S, g, h))
+    assert_same(mat_tensor(g, h), tensor_oracle(S, g, h))
+    assert_same(mat_dagger(g), dagger_oracle(S, g))
+    assert_same(mat_add(h, h), add_oracle(S, h, h))
+
+
+def test_tropical_infinity_and_negative_weights():
+    # 7 + 7 is the largest finite sum the weights allow; it must stay finite.
+    t = tropical
+    g = Matrix(SEMIRINGS["tropical"], 2, 2, (t(None), t(-7), t(7), t(None)))
+    h = Matrix(SEMIRINGS["tropical"], 2, 2, (t(7), t(None), t(-5), t(7)))
+    assert mat_compose(g, h).entries == (t(-12), t(0), t(14), t(None))
+
+
+def test_a_descriptor_sharing_a_builtin_tag_keeps_its_own_operations():
+    bogus = SemiringDescriptor(
+        name="nat",
+        add=lambda a, b: nat(max(a.payload, b.payload)),
+        zero=nat(0),
+        mul=lambda a, b: nat(a.payload + b.payload),
+        one=nat(0),
+        star=lambda a: nat(a.payload + 1),
+        tag="nat",
+    )
+    values = tuple(nat(v) for v in (1, 2, 3, 4))
+    f, g = Matrix(bogus, 2, 2, values), Matrix(NAT, 2, 2, values)
+    cases = [
+        (mat_compose(f, f), compose_oracle(bogus, f, f), mat_compose(g, g)),
+        (mat_tensor(f, f), tensor_oracle(bogus, f, f), mat_tensor(g, g)),
+        (mat_dagger(f), dagger_oracle(bogus, f), mat_dagger(g)),
+        (mat_add(f, f), add_oracle(bogus, f, f), mat_add(g, g)),
+    ]
+    for got, want, builtin in cases:
+        assert got == want
+        assert got != builtin
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda f: mat_compose(f, f),
+        lambda f: mat_tensor(f, Matrix(NAT, 1, 1, (nat(1),))),
+        mat_dagger,
+        lambda f: mat_add(f, f),
+    ],
+    ids=["compose", "tensor", "dagger", "add"],
+)
+def test_a_foreign_entry_is_a_tag_mismatch(op):
+    f = Matrix(NAT, 2, 2, (nat(1), tropical(2), nat(3), nat(4)))
+    with pytest.raises(TagMismatch):
+        op(f)
