@@ -652,9 +652,9 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
         return tropical(int(text))
     if name == "ratnn":
         q = _parse_fraction(text, text)
-        if q < 0:
+        if q.numerator < 0:
             raise FormatError(f"negative literal {text!r} in nonnegative-rational semiring")
-        return rational(q)
+        return Scalar("ratnn", q)
     if name == "gaussian":
         return _parse_gaussian(text)
     raise UnknownSemiring(f"no scalar grammar for semiring {name!r}")

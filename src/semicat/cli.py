@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from .adjunctions import (
@@ -24,7 +25,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import NAT, TROPICAL, parse_scalar, render_scalar
+from .algebra import _NAT_RE, NAT, TROPICAL, parse_scalar, render_scalar
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -141,6 +142,16 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     return acc
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
 def _cmd_laws(args) -> int:
     config = SuiteConfig(
         suite=args.suite,
@@ -155,7 +166,7 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_matmul(args) -> int:
-    a = parse_mat_text(Path(args.a).read_text())
+    a = parse_mat_text(_read_input(args.a))
     if args.op == "dagger":
         if args.b is not None:
             raise FormatError("dagger takes a single matrix; drop -B")
@@ -163,7 +174,7 @@ def _cmd_matmul(args) -> int:
     else:
         if args.b is None:
             raise FormatError(f"{args.op} needs a second matrix via -B")
-        b = parse_mat_text(Path(args.b).read_text())
+        b = parse_mat_text(_read_input(args.b))
         if args.op == "compose":
             _check_table_size("the composite", a.rows, b.cols)
             result = mat_compose(a, b)
@@ -175,7 +186,7 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_shortest_path(args) -> int:
-    spec = parse_graph_text(Path(args.graph).read_text())
+    spec = parse_graph_text(_read_input(args.graph))
     _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
     lines = []
@@ -192,20 +203,23 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    """An option value in the ``nat`` grammar: ASCII digits only."""
+    if not _NAT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
+    return int(text)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _nonneg_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="semicat",
         description="law checking and matrix algebra over finite semiring instances",

@@ -55,6 +55,7 @@ from .algebra import (
     TROPICAL,
     Scalar,
     SemiringDescriptor,
+    _NAT_RE,
     parse_scalar,
     render_scalar,
 )
@@ -569,8 +570,9 @@ def parse_mat_text(text: str) -> Matrix:
 
     Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols ``nat``
     literals (ASCII digits); each following line holds one row of scalars
-    in the semiring's text grammar. Errors carry the offending line and
-    column.
+    in the semiring's text grammar. Each distinct literal text is parsed
+    once per call and its scalar reused for every later copy. Errors carry
+    the offending line and column.
     """
     lines = text.splitlines()
     if not lines:
@@ -582,29 +584,37 @@ def parse_mat_text(text: str) -> Matrix:
     if name not in SEMIRINGS:
         raise FormatError(f"line 1, column {header[1][1]}: unknown semiring {name!r}")
     S = SEMIRINGS[name]
-    try:
-        rows, cols = (parse_scalar(NAT, tok).payload for tok, _ in header[2:])
-    except FormatError:
+    if not all(_NAT_RE.match(tok) for tok, _ in header[2:]):
         raise FormatError(
             f"line 1, column {header[2][1]}: rows and cols must be naturals"
-        ) from None
+        )
+    rows, cols = (int(tok) for tok, _ in header[2:])
 
     entries = []
+    parsed: dict[str, Scalar] = {}
     for i in range(rows):
         lineno = i + 2
         if lineno - 1 >= len(lines):
             raise FormatError(f"line {lineno}, column 1: missing row {i}")
-        toks = _tokens(lines[lineno - 1])
+        line = lines[lineno - 1]
+        toks = line.split()
         if len(toks) != cols:
-            col = toks[cols][1] if len(toks) > cols else (toks[-1][1] if toks else 1)
+            spans = _tokens(line)
+            col = spans[cols][1] if len(spans) > cols else (spans[-1][1] if spans else 1)
             raise FormatError(
                 f"line {lineno}, column {col}: expected {cols} entries, got {len(toks)}"
             )
-        for text_tok, col in toks:
-            try:
-                entries.append(parse_scalar(S, text_tok))
-            except FormatError as exc:
-                raise FormatError(f"line {lineno}, column {col}: {exc}") from None
+        for tok in toks:
+            scalar = parsed.get(tok)
+            if scalar is None:
+                try:
+                    scalar = parsed[tok] = parse_scalar(S, tok)
+                except FormatError as exc:
+                    # A token that fails is never stored, so its first copy
+                    # in this row is the one being parsed.
+                    col = _tokens(line)[toks.index(tok)][1]
+                    raise FormatError(f"line {lineno}, column {col}: {exc}") from None
+            entries.append(scalar)
     for extra in range(rows + 2, len(lines) + 1):
         if lines[extra - 1].strip():
             raise FormatError(f"line {extra}, column 1: unexpected trailing content")

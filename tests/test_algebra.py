@@ -1,5 +1,6 @@
 """Scalar arithmetic, descriptor law checks, and the text grammar."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,13 @@ def test_gaussian_literals(text, expected):
 def test_bad_literals_raise(name, text):
     with pytest.raises(FormatError):
         parse_scalar(name, text)
+
+
+@pytest.mark.parametrize("text", ["-1/2", "-3", "-6/4"])
+def test_negative_ratnn_literal_message(text):
+    message = f"negative literal {text!r} in nonnegative-rational semiring"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_scalar(RATNN, text)
 
 
 def test_unknown_grammar():

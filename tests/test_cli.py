@@ -1,6 +1,7 @@
 """Command-line behavior: graph parsing, bounded path search, matrix
 operations, law suites, and exit codes."""
 
+import argparse
 import math
 from pathlib import Path
 
@@ -232,3 +233,68 @@ def test_shortest_path_accepts_ascii_numerals_only(capsys, tmp_path, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("value", ["٣", "+3", "1_0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops"],
+        ["laws", "--suite", "dagger", "--seed"],
+        ["laws", "--suite", "dagger", "--cases"],
+    ],
+    ids=["max-hops", "seed", "cases"],
+)
+def test_numeric_options_take_ascii_naturals_only(capsys, argv, value):
+    assert main(argv + [value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-1]}: {value!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matmul", "--op", "compose", "-A", "{bad}", "-B", fx("compose_b.mat")],
+        ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", "{bad}"],
+        ["shortest-path", "--graph", "{bad}", "--max-hops", "1"],
+    ],
+    ids=["A", "B", "graph"],
+)
+def test_non_utf8_input_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"semiring nat 1 1\n\xff\n" if argv[0] == "matmul" else b"2\n0 1 \xff\n")
+    assert main([str(bad) if arg == "{bad}" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    offset = bad.read_bytes().index(b"\xff")
+    assert captured.err == f"error: {bad}: not UTF-8 text (byte 0xff at offset {offset})\n"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "semicat":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    compose = ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")]
+    cli.build_parser.cache_clear()
+    try:
+        assert main(compose) == 0
+        assert capsys.readouterr().out == golden("compose_ab.out")
+        assert main(["laws", "--suite", "bogus"]) == 2
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: semicat")
+        assert main(compose) == 0
+        assert capsys.readouterr().out == golden("compose_ab.out")
+        assert main(["matmul", "--op", "dagger", "-A", fx("dagger_in.mat")]) == 0
+        assert capsys.readouterr().out == golden("dagger.out")
+        assert main(["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops", "2"]) == 0
+        assert capsys.readouterr().out == golden("cycle3_k2.out")
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1

@@ -1,12 +1,14 @@
 """Matrices over a semiring: composition, biproduct structure, tensor,
 dagger, and the text format."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import semicat.matcat as matcat
 from semicat.algebra import (
     GAUSSIAN,
     NAT,
@@ -16,6 +18,7 @@ from semicat.algebra import (
     boolean,
     gaussian,
     nat,
+    parse_scalar,
     rational,
     tropical,
 )
@@ -222,6 +225,115 @@ def test_parse_errors_carry_positions():
         parse_mat_text("semiring nat 1 2\n1\n")
     with pytest.raises(FormatError, match="trailing"):
         parse_mat_text("semiring nat 1 1\n1\nextra\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("semiring nat 2 2\n1 1\n1 x\n", "line 3, column 3: bad natural literal 'x'"),
+        ("semiring nat 1 4\n1 x 1 x\n", "line 2, column 3: bad natural literal 'x'"),
+        ("semiring nat 2 3\n1 1 1\n1  1 x\n", "line 3, column 6: bad natural literal 'x'"),
+        ("semiring nat 2 2\nx 1\ny y\n", "line 2, column 1: bad natural literal 'x'"),
+        ("semiring nat 1 2\n1  2   3\n", "line 2, column 8: expected 2 entries, got 3"),
+        ("semiring nat 1 3\n\t1 1\n", "line 2, column 4: expected 3 entries, got 2"),
+    ],
+)
+def test_parse_errors_point_at_the_first_bad_token(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_mat_text(text)
+
+
+def test_each_distinct_literal_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting(desc, text):
+        calls.append(text)
+        return parse_scalar(desc, text)
+
+    monkeypatch.setattr(matcat, "parse_scalar", counting)
+    rows = (" ".join(str((32 * i + j) % 10) for j in range(32)) for i in range(32))
+    m = parse_mat_text("semiring nat 32 32\n" + "\n".join(rows) + "\n")
+    assert len(calls) <= 10
+    assert m.entries == tuple(nat(k % 10) for k in range(32 * 32))
+
+
+# Literals in the README grammar, non-canonical spellings included:
+# leading zeros, unreduced fractions, "-0", "0+1i", "1/1i". Few digits,
+# so that literals in one file often share a prefix or a value.
+_digits = st.text("0127", min_size=1, max_size=3)
+_denominators = st.builds(
+    "/{}{}{}".format,
+    st.sampled_from(["", "0"]),
+    st.sampled_from("124"),
+    st.text("0127", max_size=1),
+)
+_signs = st.sampled_from(["", "-"])
+_unsigned_rationals = st.builds(str.__add__, _digits, st.one_of(st.just(""), _denominators))
+_signed_rationals = st.builds(str.__add__, _signs, _unsigned_rationals)
+_imaginaries = st.one_of(st.just(""), _unsigned_rationals).map(lambda c: c + "i")
+_negative_zeros = st.builds(
+    str.__add__,
+    st.sampled_from(["-0", "-00", "-000"]),
+    st.one_of(st.just(""), _denominators),
+)
+
+literals = {
+    "nat": _digits,
+    "bool": st.sampled_from(["0", "1"]),
+    "tropical": st.one_of(st.just("inf"), st.builds(str.__add__, _signs, _digits)),
+    "ratnn": st.one_of(_unsigned_rationals, _negative_zeros),
+    "gaussian": st.one_of(
+        _signed_rationals,
+        st.builds(str.__add__, _signs, _imaginaries),
+        st.builds(
+            lambda re_part, sign, im_part: re_part + sign + im_part,
+            _signed_rationals,
+            st.sampled_from("+-"),
+            _imaginaries,
+        ),
+    ),
+}
+
+
+@st.composite
+def mat_texts(draw):
+    """A ``.mat`` file over a few distinct literals, so that rows repeat
+    them, with entries separated by runs of blanks and tabs."""
+    name = draw(st.sampled_from(sorted(literals)))
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    pool = draw(st.lists(literals[name], min_size=1, max_size=6))
+    blanks = st.sampled_from([" ", "  ", "\t", " \t "])
+    grid = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    lines = [f"semiring {name} {rows} {cols}"]
+    lines += ["".join(draw(blanks) + tok for tok in row) for row in grid]
+    return name, grid, "\n".join(lines) + "\n"
+
+
+_NON_CANONICAL = [
+    ("ratnn", [["2/4", "-0"]], "semiring ratnn 1 2\n2/4 -0\n"),
+    ("gaussian", [["0+1i", "-0"]], "semiring gaussian 1 2\n0+1i -0\n"),
+]
+
+
+@given(mat_texts())
+@example(_NON_CANONICAL[0])
+@example(_NON_CANONICAL[1])
+def test_parse_mat_text_agrees_with_parse_scalar(case):
+    name, grid, text = case
+    m = parse_mat_text(text)
+    assert m.entries == tuple(parse_scalar(name, tok) for row in grid for tok in row)
+
+
+@given(mat_texts())
+@example(_NON_CANONICAL[0])
+@example(_NON_CANONICAL[1])
+def test_render_of_parse_is_a_fixed_point(case):
+    _, _, text = case
+    m = parse_mat_text(text)
+    rendered = render_mat_text(m)
+    assert parse_mat_text(rendered) == m
+    assert render_mat_text(parse_mat_text(rendered)) == rendered
 
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
