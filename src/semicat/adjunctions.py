@@ -14,6 +14,11 @@ Witnesses carry sample sets; a transpose first verifies that its input
 preserves structure on those samples, then builds the other side of the
 bijection and verifies that too. Nothing is ever assumed lawful.
 
+Witness functions are pure, so each transpose evaluates its input
+witness, and the function it builds, once per distinct (hashable)
+argument: results are kept for the life of the returned witness. An
+exception is not kept, so an argument that raises raises on every call.
+
 :func:`run_suite` drives the eight named law suites and aggregates each
 law's verdict into a deterministic, sorted report.
 """
@@ -171,6 +176,23 @@ def _eval_mul_one(T: MonadInstance):
     return E.mul, E.one
 
 
+_MISSING = object()
+
+
+def _memo(fn: Callable) -> Callable:
+    """``fn`` with one result kept per distinct argument, for as long as
+    the returned function lives. Exceptions are not kept."""
+    results: dict = {}
+
+    def memo(x):
+        out = results.get(x, _MISSING)
+        if out is _MISSING:
+            out = results[x] = fn(x)
+        return out
+
+    return memo
+
+
 def _expect_kind(w: HomWitness, kind: str) -> None:
     if w.kind != kind:
         raise ValueError(f"expected a {kind} witness, got {w.kind}")
@@ -217,10 +239,11 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
     maps out of the action monad."""
     if direction == "up":
         _expect_kind(w, "MonoidMap")
-        M, T, f = w.source, w.target, w.apply
+        M, T, f = w.source, w.target, _memo(w.apply)
         mul, one = _eval_mul_one(T)
         _check_monoid_map(M, mul, one, f, w.samples)
 
+        @_memo
         def sigma(v: ActVal):
             return T.fmap(lambda p: p.right, generic_strength(T, f(v.m), v.elem))
 
@@ -232,8 +255,9 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         return HomWitness("MonadMapSample", A, T, sigma, samples)
     if direction == "down":
         _expect_kind(w, "MonadMapSample")
-        A, T, sigma = w.source, w.target, w.apply
+        A, T, sigma = w.source, w.target, _memo(w.apply)
 
+        @_memo
         def f(m):
             return sigma(ActVal(m, STAR))
 
@@ -318,13 +342,14 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
     maps out of the multiset monad."""
     if direction == "up":
         _expect_kind(w, "SemiringMap")
-        S, T, f = w.source, w.target, w.apply
+        S, T, f = w.source, w.target, _memo(w.apply)
         if not T.additive:
             raise NotAdditive(
                 f"{T.name} has no zero map, so it cannot receive semiring maps"
             )
         _check_semiring_map(S, eval_at_one(T), f, w.samples)
 
+        @_memo
         def sigma(phi: Multiset):
             acc = tx_zero(T)
             for x, s in phi.entries:
@@ -337,9 +362,10 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
         return HomWitness("MonadMapSample", MS, T, sigma, samples)
     if direction == "down":
         _expect_kind(w, "MonadMapSample")
-        MS, T, sigma = w.source, w.target, w.apply
+        MS, T, sigma = w.source, w.target, _memo(w.apply)
         S = MS.semiring
 
+        @_memo
         def f(s: Scalar):
             return sigma(ms_from_pairs(S, [(STAR, s)]))
 
@@ -351,11 +377,6 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
 
 # ---------------------------------------------------------------------------
 # The matrix-theory triangle
-
-
-def _mat_homset_ops(R: SemiringDescriptor):
-    H = homset_semiring(R)
-    return H
 
 
 def _cycle_matrix(S: SemiringDescriptor, pool, rows: int, cols: int, salt: int) -> Matrix:
@@ -402,10 +423,11 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
     matrix theory and functors of matrix theories."""
     if direction == "up":
         _expect_kind(w, "SemiringMap")
-        S, L, f = w.source, w.target, w.apply
+        S, L, f = w.source, w.target, _memo(w.apply)
         R = L.semiring
-        _check_semiring_map(S, _mat_homset_ops(R), f, w.samples)
+        _check_semiring_map(S, homset_semiring(R), f, w.samples)
 
+        @_memo
         def apply_mat(h: Matrix) -> Matrix:
             rows = []
             for i in range(h.rows):
@@ -431,14 +453,15 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
         return HomWitness("TheoryFunctorSample", MatTheory(S), L, apply_mat, samples)
     if direction == "down":
         _expect_kind(w, "TheoryFunctorSample")
-        LS, LR, F = w.source, w.target, w.apply
+        LS, LR, F = w.source, w.target, _memo(w.apply)
         S = LS.semiring
 
+        @_memo
         def f(s: Scalar) -> Matrix:
             return F(Matrix(S, 1, 1, (s,)))
 
         pool = scalar_pool(S)
-        _check_semiring_map(S, _mat_homset_ops(LR.semiring), f, pool)
+        _check_semiring_map(S, homset_semiring(LR.semiring), f, pool)
         return HomWitness("SemiringMap", S, LR, f, pool)
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 

@@ -17,6 +17,7 @@ and carry whatever value type their construction dictates.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -593,11 +594,28 @@ _INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` for a literal the grammar has accepted. Python refuses
+    to convert more than ``sys.get_int_max_str_digits()`` digits; here
+    that is a FormatError naming the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise FormatError(
+            f"{digits}-digit literal {text[:12]}... is above the limit of"
+            f" {sys.get_int_max_str_digits()} digits for a decimal integer"
+        ) from None
+
+
 def _parse_fraction(text: str, original: str) -> Fraction:
     m = _RAT_RE.match(text)
-    if not m or (m.group(2) is not None and int(m.group(2)) == 0):
+    if not m:
         raise FormatError(f"bad rational literal {original!r}")
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    den = _decimal(m.group(2) or "1")
+    if den == 0:
+        raise FormatError(f"bad rational literal {original!r}")
+    return Fraction(_decimal(m.group(1)), den)
 
 
 def _parse_gaussian(text: str) -> Scalar:
@@ -639,7 +657,7 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     if name == "nat":
         if not _NAT_RE.match(text):
             raise FormatError(f"bad natural literal {text!r}")
-        return nat(int(text))
+        return nat(_decimal(text))
     if name == "bool":
         if text not in ("0", "1"):
             raise FormatError(f"bad boolean literal {text!r} (want 0 or 1)")
@@ -649,7 +667,7 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
             return tropical(None)
         if not _INT_RE.match(text):
             raise FormatError(f"bad tropical literal {text!r}")
-        return tropical(int(text))
+        return tropical(_decimal(text))
     if name == "ratnn":
         q = _parse_fraction(text, text)
         if q.numerator < 0:
@@ -665,27 +683,34 @@ def _render_fraction(q: Fraction) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    """Canonical text of a scalar; inverse of :func:`parse_scalar`."""
-    if s.tag == "nat":
-        return str(s.payload)
-    if s.tag == "bool":
-        return "1" if s.payload else "0"
-    if s.tag == "tropical":
-        return "inf" if s.payload is None else str(s.payload)
-    if s.tag == "ratnn":
-        return _render_fraction(s.payload)
-    if s.tag == "gaussian":
-        re_part, im_part = s.payload
-        if im_part == 0:
-            return _render_fraction(re_part)
-        if im_part == 1:
-            im_text = "i"
-        elif im_part == -1:
-            im_text = "-i"
-        else:
-            im_text = f"{_render_fraction(im_part)}i"
-        if re_part == 0:
-            return im_text
-        sign = "+" if im_part > 0 else ""
-        return f"{_render_fraction(re_part)}{sign}{im_text}"
+    """Canonical text of a scalar; inverse of :func:`parse_scalar`. A value
+    with more digits than Python converts to text is a FormatError."""
+    try:
+        if s.tag == "nat":
+            return str(s.payload)
+        if s.tag == "bool":
+            return "1" if s.payload else "0"
+        if s.tag == "tropical":
+            return "inf" if s.payload is None else str(s.payload)
+        if s.tag == "ratnn":
+            return _render_fraction(s.payload)
+        if s.tag == "gaussian":
+            re_part, im_part = s.payload
+            if im_part == 0:
+                return _render_fraction(re_part)
+            if im_part == 1:
+                im_text = "i"
+            elif im_part == -1:
+                im_text = "-i"
+            else:
+                im_text = f"{_render_fraction(im_part)}i"
+            if re_part == 0:
+                return im_text
+            sign = "+" if im_part > 0 else ""
+            return f"{_render_fraction(re_part)}{sign}{im_text}"
+    except ValueError:
+        raise FormatError(
+            f"a {s.tag} value has more than {sys.get_int_max_str_digits()} digits,"
+            " the limit for writing a decimal integer"
+        ) from None
     raise UnknownSemiring(f"no renderer for tag {s.tag!r}")

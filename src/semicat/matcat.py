@@ -56,6 +56,7 @@ from .algebra import (
     Scalar,
     SemiringDescriptor,
     _NAT_RE,
+    _decimal,
     parse_scalar,
     render_scalar,
 )
@@ -588,7 +589,13 @@ def parse_mat_text(text: str) -> Matrix:
         raise FormatError(
             f"line 1, column {header[2][1]}: rows and cols must be naturals"
         )
-    rows, cols = (int(tok) for tok, _ in header[2:])
+    dims = []
+    for tok, col in header[2:]:
+        try:
+            dims.append(_decimal(tok))
+        except FormatError as exc:
+            raise FormatError(f"line 1, column {col}: {exc}") from None
+    rows, cols = dims
 
     entries = []
     parsed: dict[str, Scalar] = {}

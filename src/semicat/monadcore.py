@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -47,7 +48,6 @@ __all__ = [
     "Inr",
     "MsVal",
     "ActVal",
-    "ActValue",
     "FiniteCarrier",
     "carrier",
     "index_carrier",
@@ -58,7 +58,6 @@ __all__ = [
     "MonadInstance",
     "MultisetMonad",
     "ActionMonad",
-    "ms_fmap",
     "ms_unit",
     "ms_mult",
     "ms_dst",
@@ -192,9 +191,6 @@ class ActVal(Elem):
         return ("actval", _melem_key(self.m), self.elem.key())
 
 
-ActValue = ActVal
-
-
 # ---------------------------------------------------------------------------
 # Carriers and maps between them
 
@@ -232,8 +228,10 @@ def carrier(elems: Iterable[Elem]) -> FiniteCarrier:
     return FiniteCarrier(tuple(ordered))
 
 
+@lru_cache(maxsize=64)
 def index_carrier(n: int) -> FiniteCarrier:
-    """The n-element carrier {Atom(0), ..., Atom(n-1)}."""
+    """The n-element carrier {Atom(0), ..., Atom(n-1)}, built once per n
+    while n stays among the 64 most recently used sizes."""
     return FiniteCarrier(tuple(Atom(i) for i in range(n)))
 
 
@@ -333,12 +331,10 @@ def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -
             acc[x] = S.add(acc[x], s)
         else:
             acc[x] = s
-    entries = tuple(
-        (x, s)
-        for x, s in sorted(acc.items(), key=lambda kv: kv[0].key())
-        if s != S.zero
-    )
-    return Multiset(S, entries)
+    items = acc.items()
+    if len(acc) > 1:
+        items = sorted(items, key=lambda kv: kv[0].key())
+    return Multiset(S, tuple((x, s) for x, s in items if s != S.zero))
 
 
 def multiplicity(phi: Multiset, x: Elem):
@@ -362,6 +358,8 @@ class MonadInstance(ABC):
     commutative: bool
     additive: bool
     involutive: bool
+    # The descriptor of eval_at_one(self), built on its first call.
+    _eval1 = None
 
     @abstractmethod
     def fmap(self, f: Callable[[Elem], Elem], u):
@@ -546,21 +544,6 @@ def ms_unit(x: Elem, S: SemiringDescriptor) -> Multiset:
     return ms_from_pairs(S, [(x, S.one)])
 
 
-def ms_fmap(f: CarrierMap, phi: Multiset) -> Multiset:
-    """Push a multiset forward along a map of carriers.
-
-    The image multiplicity at y is the semiring sum of the multiplicities
-    over the preimage of y, which is why the map must be total on the
-    support.
-    """
-    for x in phi.support():
-        if x not in f.dom:
-            raise ElementOutsideCarrier(
-                f"support element {render_elem(x)} is outside the map's domain"
-            )
-    return ms_from_pairs(phi.semiring, ((f(x), s) for x, s in phi.entries))
-
-
 def ms_mult(outer: Multiset) -> Multiset:
     """Flatten a multiset of multisets: multiplicities distribute inward."""
     S = outer.semiring
@@ -703,8 +686,16 @@ def eval_at_one(T: MonadInstance):
     is the generic T(codiagonal) . bc_inv; neither is special-cased to the
     instance, so comparing this descriptor against the base semiring is a
     real check of the construction.
-    """
 
+    The descriptor is built once per monad instance, on the first call,
+    and stored on the instance; every later call returns that object.
+    """
+    if T._eval1 is None:
+        T._eval1 = _build_eval_at_one(T)
+    return T._eval1
+
+
+def _build_eval_at_one(T: MonadInstance):
     def e_mul(a, b):
         paired = generic_strength(T, a, T.embed(b))
         collapsed = T.fmap(_second, paired)

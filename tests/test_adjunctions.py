@@ -1,7 +1,10 @@
 """Hom-set transposes, witness validation, and the law-suite runner."""
 
+from collections import Counter
+
 import pytest
 
+import semicat.adjunctions as adjunctions
 from semicat.adjunctions import (
     ADJUNCTION_NAMES,
     HomWitness,
@@ -35,7 +38,10 @@ from semicat.monadcore import (
     ActionMonad,
     Atom,
     MultisetMonad,
+    Pair,
     STAR,
+    eval_at_one,
+    index_carrier,
     ms_from_pairs,
 )
 from semicat.sampling import scalar_pool
@@ -217,3 +223,153 @@ def test_roundtrip_guards():
         run_roundtrip("mon-e", "nat", involutive=True)
     with pytest.raises(UnknownSemiring):
         run_roundtrip("srng-e", "no-such")
+
+
+# ---------------------------------------------------------------------------
+# Memoized witnesses: each transpose evaluates a witness once per distinct
+# argument, and a broken transpose still fails its roundtrip law.
+
+
+def counting(fn):
+    """``fn`` plus a Counter of the arguments it was called with."""
+    calls = Counter()
+
+    def apply(x):
+        calls[x] += 1
+        return fn(x)
+
+    return apply, calls
+
+
+def recount(w: HomWitness):
+    """A copy of ``w`` whose apply counts its calls."""
+    apply, calls = counting(w.apply)
+    return HomWitness(w.kind, w.source, w.target, apply, w.samples), calls
+
+
+def exercise(transpose, w: HomWitness) -> None:
+    """Go up (or down), back, and out again, then apply every resulting
+    witness to its samples twice more."""
+    algebraic = w.kind in ("MonoidMap", "SemiringMap")
+    direction, back = ("up", "down") if algebraic else ("down", "up")
+    there = transpose(direction, w)
+    home = transpose(back, there)
+    again = transpose(direction, home)
+    for v in (there, home, again):
+        for _ in range(2):
+            for x in v.samples:
+                v.apply(x)
+
+
+ALGEBRAIC_WITNESSES = {
+    "mon-e": (transpose_mon, iso_monoid_witness),
+    "srng-e": (transpose_srng, iso_semiring_witness),
+    "mat-h": (
+        transpose_math,
+        lambda: HomWitness(
+            "SemiringMap", NAT, MatTheory(BOOL), bool_box, scalar_pool(NAT)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("adjunction", sorted(ALGEBRAIC_WITNESSES))
+def test_transposes_evaluate_an_algebraic_witness_once_per_argument(adjunction):
+    transpose, make = ALGEBRAIC_WITNESSES[adjunction]
+    w, calls = recount(make())
+    exercise(transpose, w)
+    assert set(w.samples) <= set(calls)
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("adjunction", sorted(ALGEBRAIC_WITNESSES))
+def test_transposes_evaluate_a_structural_witness_once_per_argument(adjunction):
+    transpose, make = ALGEBRAIC_WITNESSES[adjunction]
+    w, calls = recount(transpose("up", make()))
+    exercise(transpose, w)
+    assert calls
+    assert max(calls.values()) == 1
+
+
+def test_eval_at_one_is_built_once_per_monad():
+    T = MultisetMonad(NAT)
+    assert eval_at_one(T) is eval_at_one(T)
+    assert eval_at_one(T) is not eval_at_one(MultisetMonad(NAT))
+    A = ActionMonad(MONOIDS["nat-mul"])
+    assert eval_at_one(A) is eval_at_one(A)
+    assert index_carrier(3) is index_carrier(3)
+
+
+def test_a_raising_witness_raises_on_every_call():
+    def partial(s):
+        if s == nat(1000):
+            raise NotASemiringMap("no image for 1000")
+        return nat_point(s)
+
+    apply, calls = counting(partial)
+    up = transpose_srng("up", HomWitness("SemiringMap", NAT, MN, apply, scalar_pool(NAT)))
+    phi = ms_from_pairs(NAT, [(Atom("a"), nat(1000))])
+    for _ in range(3):
+        with pytest.raises(NotASemiringMap, match="no image for 1000"):
+            up.apply(phi)
+    assert calls[nat(1000)] == 3
+
+
+# ``canonical_from_nat`` with no image for 2 breaks every via-nat witness.
+# The reports are the ones the transposes gave before they kept results.
+RAISING_REPORTS = {
+    "mon-e": "FAIL adjunction(nat) :: mon-e-roundtrip\n  error: no image for 2",
+    "srng-e": (
+        "FAIL adjunction(nat) :: srng-e-natural\n  error: no image for 2\n"
+        "FAIL adjunction(nat) :: srng-e-roundtrip\n  error: no image for 2"
+    ),
+    "mat-h": (
+        "FAIL adjunction(nat) :: mat-h-natural\n  error: no image for 2\n"
+        "FAIL adjunction(nat) :: mat-h-roundtrip\n  error: no image for 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("adjunction", ADJUNCTION_NAMES)
+def test_roundtrip_reports_a_raising_witness(monkeypatch, adjunction):
+    real = adjunctions.canonical_from_nat
+
+    def partial(S, n):
+        if n == 2:
+            raise NotASemiringMap("no image for 2")
+        return real(S, n)
+
+    monkeypatch.setattr(adjunctions, "canonical_from_nat", partial)
+    assert run_roundtrip(adjunction, "nat").render() == RAISING_REPORTS[adjunction]
+
+
+def _mon_mutant(monkeypatch):
+    # generic_strength forgets the monoid element: sigma(m, x) = unit(x)
+    monkeypatch.setattr(
+        adjunctions, "generic_strength", lambda T, u, y: T.unit(Pair(STAR, y))
+    )
+
+
+def _srng_mutant(monkeypatch):
+    # scalar_action ignores its scalar
+    monkeypatch.setattr(adjunctions, "scalar_action", lambda T, s, u: u)
+
+
+def _math_mutant(monkeypatch):
+    # mat_cotuple stacks its blocks in the wrong order, reversing rows
+    real = adjunctions.mat_cotuple
+    monkeypatch.setattr(adjunctions, "mat_cotuple", lambda f, g: real(g, f))
+
+
+MUTANTS = {"mon-e": _mon_mutant, "srng-e": _srng_mutant, "mat-h": _math_mutant}
+
+
+@pytest.mark.parametrize("semiring", ["nat", "gaussian"])
+@pytest.mark.parametrize("adjunction", ADJUNCTION_NAMES)
+def test_a_broken_up_transpose_fails_its_roundtrip(monkeypatch, adjunction, semiring):
+    assert run_roundtrip(adjunction, semiring).ok
+    MUTANTS[adjunction](monkeypatch)
+    report = run_roundtrip(adjunction, semiring)
+    assert not report.ok
+    lines = report.render().splitlines()
+    assert f"FAIL adjunction({semiring}) :: {adjunction}-roundtrip" in lines

@@ -3,13 +3,14 @@ operations, law suites, and exit codes."""
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import semicat.cli as cli
-from semicat.adjunctions import SuiteReport
-from semicat.algebra import TROPICAL, tropical
+from semicat.adjunctions import ADJUNCTION_NAMES, SUITE_NAMES, SuiteReport
+from semicat.algebra import SEMIRINGS, TROPICAL, tropical
 from semicat.cli import bounded_paths, graph_matrix, main, parse_graph_text
 from semicat.errors import FormatError
 from semicat.matcat import mat_identity, matrix
@@ -298,3 +299,108 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     finally:
         cli.build_parser.cache_clear()
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Decimal literals and results past Python's integer string-conversion limit
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python converts integers of any length"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "text",
+    [
+        "semiring nat 1 1\n{d}\n",
+        "semiring tropical 1 1\n-{d}\n",
+        "semiring ratnn 1 1\n1/{d}\n",
+        "semiring gaussian 1 1\n1+{d}i\n",
+        "semiring nat {d} 1\n1\n",
+        "semiring nat 1 {d}\n1\n",
+    ],
+    ids=["nat-entry", "tropical-entry", "ratnn-entry", "gaussian-entry", "rows", "cols"],
+)
+def test_matmul_long_literal_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "long.mat"
+    path.write_text(text.format(d="7" * (DIGIT_LIMIT + 1)))
+    assert main(["matmul", "--op", "dagger", "-A", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: line ")
+    assert line.endswith(f"above the limit of {DIGIT_LIMIT} digits for a decimal integer")
+
+
+@needs_digit_limit
+def test_shortest_path_long_weight_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.graph"
+    path.write_text(f"2\n0 1 {'5' * (DIGIT_LIMIT + 1)}\n")
+    assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: line 2: {DIGIT_LIMIT + 1}-digit literal 555")
+    assert line.endswith(f"above the limit of {DIGIT_LIMIT} digits for a decimal integer")
+
+
+@needs_digit_limit
+def test_matmul_oversized_result_exits_2(capsys, tmp_path):
+    half = tmp_path / "half.mat"
+    half.write_text(f"semiring nat 1 1\n{'9' * (DIGIT_LIMIT // 2 + 1)}\n")
+    assert main(["matmul", "--op", "compose", "-A", str(half), "-B", str(half)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a nat value has more than {DIGIT_LIMIT} digits,"
+        " the limit for writing a decimal integer\n"
+    )
+
+
+@needs_digit_limit
+def test_literal_at_the_digit_limit_still_works(capsys, tmp_path):
+    big = tmp_path / "big.mat"
+    big.write_text(f"semiring nat 1 1\n{'9' * DIGIT_LIMIT}\n")
+    one = tmp_path / "one.mat"
+    one.write_text("semiring nat 1 1\n1\n")
+    assert main(["matmul", "--op", "compose", "-A", str(big), "-B", str(one)]) == 0
+    assert capsys.readouterr().out == big.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Byte-identity goldens for every law suite and every roundtrip, recorded
+# with `semicat laws --suite S --seed 0 --cases 5` and
+# `semicat roundtrip --adjunction A --semiring R [--involutive]`.
+
+LAW_GOLDENS = FIXTURES / "goldens"
+
+
+def _law_golden_runs():
+    runs = {}
+    for suite in SUITE_NAMES:
+        runs[f"laws-{suite}"] = ["laws", "--suite", suite, "--seed", "0", "--cases", "5"]
+    for adj in ADJUNCTION_NAMES:
+        for name in SEMIRINGS:
+            argv = ["roundtrip", "--adjunction", adj, "--semiring", name]
+            runs[f"roundtrip-{adj}-{name}"] = argv
+            if adj != "mon-e":
+                runs[f"roundtrip-{adj}-{name}-involutive"] = [*argv, "--involutive"]
+    return runs
+
+
+LAW_GOLDEN_RUNS = _law_golden_runs()
+
+
+def test_law_goldens_cover_every_run():
+    recorded = {p.stem for p in LAW_GOLDENS.glob("*.out")}
+    assert recorded == set(LAW_GOLDEN_RUNS)
+    assert len(recorded) == 33
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GOLDEN_RUNS))
+def test_law_output_matches_its_golden(capsys, name):
+    assert main(LAW_GOLDEN_RUNS[name]) == 0
+    assert capsys.readouterr().out == (LAW_GOLDENS / f"{name}.out").read_text()
