@@ -19,15 +19,22 @@ witness, and the function it builds, once per distinct (hashable)
 argument: results are kept for the life of the returned witness. An
 exception is not kept, so an argument that raises raises on every call.
 
-:func:`run_suite` drives the eight named law suites and aggregates each
-law's verdict into a deterministic, sorted report.
+:func:`run_suite` drives the eight named law suites. Each suite is a law
+table: per subject, rows of (name, sampler, holds). One runner checks every
+row against one seeded RNG, in table order, and keeps the first
+counterexample of each law. The three adjunctions' laws form one table,
+which both the ``adjunction-roundtrips`` suite and :func:`run_roundtrip`
+read. :func:`check_semiring_laws` and :func:`check_monoid_laws` check a
+descriptor over a sample pool with the runner's first-failure loop. Every
+verdict is a (subject, law, ok, detail) entry of a :class:`SuiteReport`,
+sorted by subject and law.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     GAUSSIAN,
@@ -49,6 +56,7 @@ from .errors import (
     NotASemiringMap,
     NotAdditive,
     SemicatError,
+    TagMismatch,
     UnknownSemiring,
     UnknownSuite,
 )
@@ -149,6 +157,8 @@ __all__ = [
     "SUITE_NAMES",
     "run_suite",
     "run_roundtrip",
+    "check_semiring_laws",
+    "check_monoid_laws",
 ]
 
 
@@ -467,7 +477,14 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
 
 
 # ---------------------------------------------------------------------------
-# Suite plumbing
+# Law tables and the runner
+#
+# A suite builder returns, per subject, a table of law rows
+# ``(name, sampler, holds)``. A sampled law draws ``sampler(rng)`` up to
+# ``cases`` times and fails at the first draw where ``holds(*args)`` is
+# false, with the arguments as the counterexample. A self-contained law has
+# ``sampler`` None, and ``holds()`` returns ``(ok, detail)``. Every law of a
+# suite draws from one RNG, in table order.
 
 
 @dataclass(frozen=True)
@@ -505,30 +522,98 @@ def _show(v) -> str:
     return str(v)
 
 
-def _sampled_law(entries, subject, law, rng, cases, sample, holds) -> None:
-    """Run one law over freshly sampled inputs; record the first failure
-    with the inputs as the counterexample."""
-    for _ in range(cases):
-        args = sample(rng)
+def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
+    """(ok, detail) of ``holds`` over the argument tuples of ``cases``: the
+    first tuple it rejects is the counterexample, one argument per line,
+    and a :class:`SemicatError` fails the law with its message."""
+    for args in cases:
         try:
             ok = holds(*args)
         except SemicatError as exc:
-            entries.append((subject, law, False, f"error: {exc}"))
-            return
+            return False, f"error: {exc}"
         if not ok:
-            detail = "\n".join(_show(a) for a in args)
-            entries.append((subject, law, False, detail))
-            return
-    entries.append((subject, law, True, None))
+            return False, "\n".join(_show(a) for a in args)
+    return True, None
 
 
-def _direct_law(entries, subject, law, check) -> None:
-    """Run one self-contained check returning (ok, detail)."""
-    try:
-        ok, detail = check()
-    except SemicatError as exc:
-        ok, detail = False, f"error: {exc}"
-    entries.append((subject, law, ok, detail))
+def _run_laws(tables, rng: random.Random | None, cases: int) -> list:
+    """One (subject, law, ok, detail) entry per row of each subject's table."""
+    entries = []
+    for subject, rows in tables:
+        for name, sampler, holds in rows:
+            if sampler is None:
+                try:
+                    ok, detail = holds()
+                except SemicatError as exc:
+                    ok, detail = False, f"error: {exc}"
+            else:
+                ok, detail = _first_failure(
+                    (sampler(rng) for _ in range(cases)), holds
+                )
+            entries.append((subject, name, ok, detail))
+    return entries
+
+
+def _report(suite: str, entries) -> SuiteReport:
+    return SuiteReport(suite, tuple(sorted(entries, key=lambda e: (e[0], e[1]))))
+
+
+def check_semiring_laws(desc: SemiringDescriptor, samples: Sequence) -> SuiteReport:
+    """Check the commutative-semiring laws (and star laws when present)
+    over all pairs and triples drawn from ``samples``, recording the first
+    counterexample of each law."""
+    if not samples:
+        raise ValueError("samples must be nonempty")
+    if desc.tag is not None:
+        for s in samples:
+            if not isinstance(s, Scalar) or s.tag != desc.tag:
+                raise TagMismatch(f"sample {s!r} does not carry tag {desc.tag!r}")
+    add, mul, zero, one = desc.add, desc.mul, desc.zero, desc.one
+    pairs = [(s, t) for s in samples for t in samples]
+    triples = [(s, t, r) for s in samples for t in samples for r in samples]
+    singles = [(s,) for s in samples]
+    laws = [
+        ("add-commutative", pairs, lambda s, t: add(s, t) == add(t, s)),
+        ("add-associative", triples, lambda s, t, r: add(add(s, t), r) == add(s, add(t, r))),
+        ("add-unit", singles, lambda s: add(s, zero) == s and add(zero, s) == s),
+        ("mul-commutative", pairs, lambda s, t: mul(s, t) == mul(t, s)),
+        ("mul-associative", triples, lambda s, t, r: mul(mul(s, t), r) == mul(s, mul(t, r))),
+        ("mul-unit", singles, lambda s: mul(s, one) == s and mul(one, s) == s),
+        ("zero-annihilates", singles, lambda s: mul(s, zero) == zero and mul(zero, s) == zero),
+        ("distributive", triples,
+         lambda s, t, r: mul(s, add(t, r)) == add(mul(s, t), mul(s, r))),
+    ]
+    star = desc.star
+    if star is not None:
+        laws += [
+            ("star-preserves-add", pairs, lambda s, t: star(add(s, t)) == add(star(s), star(t))),
+            ("star-preserves-mul", pairs, lambda s, t: star(mul(s, t)) == mul(star(s), star(t))),
+            ("star-involutive", singles, lambda s: star(star(s)) == s),
+            ("star-fixes-zero", [()], lambda: star(zero) == zero),
+            ("star-fixes-one", [()], lambda: star(one) == one),
+        ]
+    return _report(
+        "semiring-laws", [(desc.name, law, *_first_failure(c, h)) for law, c, h in laws]
+    )
+
+
+def check_monoid_laws(desc: MonoidDescriptor, samples: Sequence) -> SuiteReport:
+    """Associativity and unit laws over the samples; commutativity is
+    checked only when the descriptor claims it."""
+    if not samples:
+        raise ValueError("samples must be nonempty")
+    op, unit = desc.op, desc.unit
+    triples = [(s, t, r) for s in samples for t in samples for r in samples]
+    laws = [
+        ("op-associative", triples, lambda s, t, r: op(op(s, t), r) == op(s, op(t, r))),
+        ("unit-neutral", [(s,) for s in samples], lambda s: op(s, unit) == s and op(unit, s) == s),
+    ]
+    if desc.commutative:
+        pairs = [(s, t) for s in samples for t in samples]
+        laws.append(("op-commutative", pairs, lambda s, t: op(s, t) == op(t, s)))
+    return _report(
+        "monoid-laws", [(desc.name, law, *_first_failure(c, h)) for law, c, h in laws]
+    )
 
 
 def _monoid_named(name: str) -> MonoidDescriptor:
@@ -562,99 +647,73 @@ def _selected_monads(config: SuiteConfig) -> list[MonadInstance]:
 
 
 def _suite_monad_laws(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
-    for T in _selected_monads(config):
-        subject = T.name
+    return [(T.name, _monad_laws(T)) for T in _selected_monads(config)]
 
-        def s_u(rng, T=T):
-            return (random_tvalue(rng, T, random_carrier(rng)),)
 
-        def s_fgu(rng, T=T):
-            X = random_carrier(rng, 5, "abcde")
-            Y = random_carrier(rng, 5, "pqrst")
-            Z = random_carrier(rng, 5, "uvwxy")
-            return (
-                random_carrier_fn(rng, X, Y),
-                random_carrier_fn(rng, Y, Z),
-                random_tvalue(rng, T, X),
-            )
+def _monad_laws(T: MonadInstance) -> list:
+    def s_u(rng):
+        return (random_tvalue(rng, T, random_carrier(rng)),)
 
-        def s_fx(rng, T=T):
-            X = random_carrier(rng, 5, "abcde")
-            Y = random_carrier(rng, 5, "pqrst")
-            return (random_carrier_fn(rng, X, Y), random_elem(rng, X))
+    def s_fgu(rng):
+        X = random_carrier(rng, 5, "abcde")
+        Y = random_carrier(rng, 5, "pqrst")
+        Z = random_carrier(rng, 5, "uvwxy")
+        return (
+            random_carrier_fn(rng, X, Y),
+            random_carrier_fn(rng, Y, Z),
+            random_tvalue(rng, T, X),
+        )
 
-        def s_fu2(rng, T=T):
-            X = random_carrier(rng, 5, "abcde")
-            Y = random_carrier(rng, 5, "pqrst")
-            return (random_carrier_fn(rng, X, Y), random_nested(rng, T, X, 2))
+    def s_fx(rng):
+        X = random_carrier(rng, 5, "abcde")
+        Y = random_carrier(rng, 5, "pqrst")
+        return (random_carrier_fn(rng, X, Y), random_elem(rng, X))
 
-        def s_u2y(rng, T=T):
-            X = random_carrier(rng, 5, "abcde")
-            Y = random_carrier(rng, 5, "pqrst")
-            return (random_nested(rng, T, X, 2), random_elem(rng, Y))
+    def s_fu2(rng):
+        X = random_carrier(rng, 5, "abcde")
+        Y = random_carrier(rng, 5, "pqrst")
+        return (random_carrier_fn(rng, X, Y), random_nested(rng, T, X, 2))
 
-        def s_u3(rng, T=T):
-            return (random_nested(rng, T, random_carrier(rng, 4), 3),)
+    def s_u2y(rng):
+        X = random_carrier(rng, 5, "abcde")
+        Y = random_carrier(rng, 5, "pqrst")
+        return (random_nested(rng, T, X, 2), random_elem(rng, Y))
 
-        def s_xy(rng, T=T):
-            X = random_carrier(rng, 5, "abcde")
-            Y = random_carrier(rng, 5, "pqrst")
-            return (random_elem(rng, X), random_elem(rng, Y))
+    def s_u3(rng):
+        return (random_nested(rng, T, random_carrier(rng, 4), 3),)
 
-        _sampled_law(
-            entries, subject, "fmap-identity", rng, cases, s_u,
-            lambda u, T=T: T.fmap(lambda e: e, u) == u,
-        )
-        _sampled_law(
-            entries, subject, "fmap-compose", rng, cases, s_fgu,
-            lambda f, g, u, T=T: T.fmap(lambda e: g(f(e)), u)
-            == T.fmap(g, T.fmap(f, u)),
-        )
-        _sampled_law(
-            entries, subject, "unit-natural", rng, cases, s_fx,
-            lambda f, x, T=T: T.fmap(f, T.unit(x)) == T.unit(f(x)),
-        )
-        _sampled_law(
-            entries, subject, "mult-natural", rng, cases, s_fu2,
-            lambda f, u2, T=T: T.fmap(f, T.mult(u2))
-            == T.mult(T.fmap(lambda e: T.embed(T.fmap(f, T.unembed(e))), u2)),
-        )
-        _sampled_law(
-            entries, subject, "mult-unit-left", rng, cases, s_u,
-            lambda u, T=T: T.mult(T.unit(T.embed(u))) == u,
-        )
-        _sampled_law(
-            entries, subject, "mult-unit-right", rng, cases, s_u,
-            lambda u, T=T: T.mult(T.fmap(lambda e: T.embed(T.unit(e)), u)) == u,
-        )
-        _sampled_law(
-            entries, subject, "mult-assoc", rng, cases, s_u3,
-            lambda u3, T=T: T.mult(T.mult(u3))
-            == T.mult(T.fmap(lambda e: T.embed(T.mult(T.unembed(e))), u3)),
-        )
-        _sampled_law(
-            entries, subject, "strength-unit", rng, cases, s_xy,
-            lambda x, y, T=T: generic_strength(T, T.unit(x), y)
-            == T.unit(Pair(x, y)),
-        )
-        _sampled_law(
-            entries, subject, "strength-mult", rng, cases, s_u2y,
-            lambda u2, y, T=T: generic_strength(T, T.mult(u2), y)
-            == T.mult(
-                T.fmap(
-                    lambda p: T.embed(generic_strength(T, T.unembed(p.left), p.right)),
-                    generic_strength(T, u2, y),
-                )
-            ),
-        )
-        _sampled_law(
-            entries, subject, "strength-point", rng, cases, s_u,
-            lambda u, T=T: T.fmap(lambda p: p.left, generic_strength(T, u, STAR))
-            == u,
-        )
-    return entries
+    def s_xy(rng):
+        X = random_carrier(rng, 5, "abcde")
+        Y = random_carrier(rng, 5, "pqrst")
+        return (random_elem(rng, X), random_elem(rng, Y))
+
+    return [
+        ("fmap-identity", s_u, lambda u: T.fmap(lambda e: e, u) == u),
+        ("fmap-compose", s_fgu,
+         lambda f, g, u: T.fmap(lambda e: g(f(e)), u) == T.fmap(g, T.fmap(f, u))),
+        ("unit-natural", s_fx, lambda f, x: T.fmap(f, T.unit(x)) == T.unit(f(x))),
+        ("mult-natural", s_fu2,
+         lambda f, u2: T.fmap(f, T.mult(u2))
+         == T.mult(T.fmap(lambda e: T.embed(T.fmap(f, T.unembed(e))), u2))),
+        ("mult-unit-left", s_u, lambda u: T.mult(T.unit(T.embed(u))) == u),
+        ("mult-unit-right", s_u,
+         lambda u: T.mult(T.fmap(lambda e: T.embed(T.unit(e)), u)) == u),
+        ("mult-assoc", s_u3,
+         lambda u3: T.mult(T.mult(u3))
+         == T.mult(T.fmap(lambda e: T.embed(T.mult(T.unembed(e))), u3))),
+        ("strength-unit", s_xy,
+         lambda x, y: generic_strength(T, T.unit(x), y) == T.unit(Pair(x, y))),
+        ("strength-mult", s_u2y,
+         lambda u2, y: generic_strength(T, T.mult(u2), y)
+         == T.mult(
+             T.fmap(
+                 lambda p: T.embed(generic_strength(T, T.unembed(p.left), p.right)),
+                 generic_strength(T, u2, y),
+             )
+         )),
+        ("strength-point", s_u,
+         lambda u: T.fmap(lambda p: p.left, generic_strength(T, u, STAR)) == u),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -662,242 +721,214 @@ def _suite_monad_laws(config: SuiteConfig, rng: random.Random) -> list:
 
 
 def _suite_additivity(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
+    return [
+        (f"multiset({S.name})", _additivity_laws(S))
+        for S in _selected_semirings(config)
+    ]
+
+
+def _additivity_laws(S: SemiringDescriptor) -> list:
+    T = MultisetMonad(S)
+    TN = MultisetMonad(NAT)
+    E = eval_at_one(T)
     point = carrier([STAR])
-    for S in _selected_semirings(config):
-        T = MultisetMonad(S)
-        subject = T.name
 
-        def s_w(rng, S=S, T=T):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            u = random_multiset(rng, S, X)
-            v = random_multiset(rng, S, Y)
-            return (T.bc_inv(u, v),)
+    def s_w(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        u = random_multiset(rng, S, X)
+        v = random_multiset(rng, S, Y)
+        return (T.bc_inv(u, v),)
 
-        def s_uv(rng, S=S):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            return (random_multiset(rng, S, X), random_multiset(rng, S, Y))
+    def s_uv(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        return (random_multiset(rng, S, X), random_multiset(rng, S, Y))
 
-        _sampled_law(
-            entries, subject, "bc-roundtrip-fwd", rng, cases, s_w,
-            lambda w, T=T: T.bc_inv(*T.bc(w)) == w,
+    def initial_singleton():
+        return (
+            ms_from_pairs(S, []) == T.initial_value()
+            and tx_zero(T) == T.initial_value(),
+            None,
         )
-        _sampled_law(
-            entries, subject, "bc-roundtrip-inv", rng, cases, s_uv,
-            lambda u, v, T=T: T.bc(T.bc_inv(u, v)) == (u, v),
+
+    def s_fgw(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        X2 = random_carrier(rng, 4, "efgh")
+        Y2 = random_carrier(rng, 4, "tuvw")
+        return (
+            random_carrier_fn(rng, X, X2),
+            random_carrier_fn(rng, Y, Y2),
+            T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y)),
         )
-        _direct_law(
-            entries, subject, "initial-singleton",
-            lambda S=S, T=T: (
-                ms_from_pairs(S, []) == T.initial_value()
-                and tx_zero(T) == T.initial_value(),
-                None,
+
+    def bc_natural(f, g, w):
+        u, v = T.bc(w)
+        mapped = T.fmap(
+            lambda e: Inl(f(e.value)) if isinstance(e, Inl) else Inr(g(e.value)),
+            w,
+        )
+        return T.bc(mapped) == (T.fmap(f, u), T.fmap(g, v))
+
+    def s_wnat(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        return (
+            TN.bc_inv(random_multiset(rng, NAT, X), random_multiset(rng, NAT, Y)),
+        )
+
+    def bc_monad_map(w):
+        hom = lambda sc: canonical_from_nat(S, sc.payload)
+        sig = lambda phi: ms_map_scalars(hom, phi, S)
+        un, vn = TN.bc(w)
+        return T.bc(sig(w)) == (sig(un), sig(vn))
+
+    def s_uonly(rng):
+        return (random_multiset(rng, S, random_carrier(rng, 4, "abcd")),)
+
+    def bc_rho(u):
+        w = T.fmap(Inl, u)
+        return T.bc(w) == (u, T.initial_value())
+
+    def bc_swap(w):
+        u, v = T.bc(w)
+        flipped = T.fmap(
+            lambda e: Inr(e.value) if isinstance(e, Inl) else Inl(e.value), w
+        )
+        return T.bc(flipped) == (v, u)
+
+    def s_w3(rng):
+        X = random_carrier(rng, 3, "abc")
+        Y = random_carrier(rng, 3, "pqr")
+        Z = random_carrier(rng, 3, "uvw")
+        inner = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
+        return (T.bc_inv(inner, random_multiset(rng, S, Z)),)
+
+    def bc_assoc(w3):
+        ab, c = T.bc(w3)
+        a1, a2 = T.bc(ab)
+        lhs = (a1, (a2, c))
+
+        def alpha(e):
+            if isinstance(e, Inl):
+                inner = e.value
+                if isinstance(inner, Inl):
+                    return Inl(inner.value)
+                return Inr(Inl(inner.value))
+            return Inr(Inr(e.value))
+
+        b1, bc_rest = T.bc(T.fmap(alpha, w3))
+        b21, b22 = T.bc(bc_rest)
+        return lhs == (b1, (b21, b22))
+
+    def s_xy(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        return (random_elem(rng, X), random_elem(rng, Y))
+
+    def bc_eta(x, y):
+        return T.bc(T.unit(Inl(x))) == (T.unit(x), tx_zero(T)) and T.bc(
+            T.unit(Inr(y))
+        ) == (tx_zero(T), T.unit(y))
+
+    def s_w2(rng):
+        X = random_carrier(rng, 3, "abc")
+        Y = random_carrier(rng, 3, "pqr")
+        both = carrier([Inl(x) for x in X] + [Inr(y) for y in Y])
+        return (random_nested(rng, T, both, 2),)
+
+    def bc_mu_left(w2):
+        lhs = T.bc(T.mult(w2))
+        mapped = T.fmap(
+            lambda e: Pair(
+                T.embed(T.bc(T.unembed(e))[0]), T.embed(T.bc(T.unembed(e))[1])
             ),
+            w2,
+        )
+        left = T.mult(T.fmap(lambda p: p.left, mapped))
+        right = T.mult(T.fmap(lambda p: p.right, mapped))
+        return lhs == (left, right)
+
+    def s_wt(rng):
+        X = random_carrier(rng, 3, "abc")
+        Y = random_carrier(rng, 3, "pqr")
+        pairs = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                key = Inl(T.embed(random_multiset(rng, S, X)))
+            else:
+                key = Inr(T.embed(random_multiset(rng, S, Y)))
+            pairs.append((key, random_scalar(rng, S)))
+        return (ms_from_pairs(S, pairs),)
+
+    def bc_mu_right(wt):
+        def tag_inside(e):
+            if isinstance(e, Inl):
+                return T.embed(T.fmap(Inl, T.unembed(e.value)))
+            return T.embed(T.fmap(Inr, T.unembed(e.value)))
+
+        lhs = T.bc(T.mult(T.fmap(tag_inside, wt)))
+        l, r = T.bc(wt)
+        return lhs == (T.mult(l), T.mult(r))
+
+    def s_wz(rng):
+        X = random_carrier(rng, 3, "abc")
+        Y = random_carrier(rng, 3, "pqr")
+        Z = random_carrier(rng, 3, "uvw")
+        w = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
+        return (w, random_elem(rng, Z))
+
+    def bc_strength(w, z):
+        u, v = T.bc(w)
+        lhs = (generic_strength(T, u, z), generic_strength(T, v, z))
+
+        def distrib(p):
+            if isinstance(p.left, Inl):
+                return Inl(Pair(p.left.value, p.right))
+            return Inr(Pair(p.left.value, p.right))
+
+        rhs = T.bc(T.fmap(distrib, generic_strength(T, w, z)))
+        return lhs == rhs
+
+    def s_stu(rng):
+        X = random_carrier(rng, 4, "abcd")
+        return (
+            random_multiset(rng, S, point, 1),
+            random_multiset(rng, S, point, 1),
+            random_multiset(rng, S, X),
+            random_multiset(rng, S, X),
         )
 
-        def s_fgw(rng, S=S, T=T):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            X2 = random_carrier(rng, 4, "efgh")
-            Y2 = random_carrier(rng, 4, "tuvw")
-            return (
-                random_carrier_fn(rng, X, X2),
-                random_carrier_fn(rng, Y, Y2),
-                T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y)),
-            )
-
-        def bc_natural(f, g, w, T=T):
-            u, v = T.bc(w)
-            mapped = T.fmap(
-                lambda e: Inl(f(e.value)) if isinstance(e, Inl) else Inr(g(e.value)),
-                w,
-            )
-            return T.bc(mapped) == (T.fmap(f, u), T.fmap(g, v))
-
-        _sampled_law(entries, subject, "bc-natural", rng, cases, s_fgw, bc_natural)
-
-        TN = MultisetMonad(NAT)
-
-        def s_wnat(rng, TN=TN):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            return (
-                TN.bc_inv(
-                    random_multiset(rng, NAT, X), random_multiset(rng, NAT, Y)
-                ),
-            )
-
-        def bc_monad_map(w, S=S, T=T, TN=TN):
-            hom = lambda sc: canonical_from_nat(S, sc.payload)
-            sig = lambda phi: ms_map_scalars(hom, phi, S)
-            un, vn = TN.bc(w)
-            return T.bc(sig(w)) == (sig(un), sig(vn))
-
-        _sampled_law(entries, subject, "bc-monad-map", rng, cases, s_wnat, bc_monad_map)
-
-        def s_uonly(rng, S=S):
-            return (random_multiset(rng, S, random_carrier(rng, 4, "abcd")),)
-
-        def bc_rho(u, T=T):
-            w = T.fmap(Inl, u)
-            return T.bc(w) == (u, T.initial_value())
-
-        _sampled_law(entries, subject, "bc-rho", rng, cases, s_uonly, bc_rho)
-
-        def bc_swap(w, T=T):
-            u, v = T.bc(w)
-            flipped = T.fmap(
-                lambda e: Inr(e.value) if isinstance(e, Inl) else Inl(e.value), w
-            )
-            return T.bc(flipped) == (v, u)
-
-        _sampled_law(entries, subject, "bc-swap", rng, cases, s_w, bc_swap)
-
-        def s_w3(rng, S=S, T=T):
-            X = random_carrier(rng, 3, "abc")
-            Y = random_carrier(rng, 3, "pqr")
-            Z = random_carrier(rng, 3, "uvw")
-            inner = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
-            return (T.bc_inv(inner, random_multiset(rng, S, Z)),)
-
-        def bc_assoc(w3, T=T):
-            ab, c = T.bc(w3)
-            a1, a2 = T.bc(ab)
-            lhs = (a1, (a2, c))
-
-            def alpha(e):
-                if isinstance(e, Inl):
-                    inner = e.value
-                    if isinstance(inner, Inl):
-                        return Inl(inner.value)
-                    return Inr(Inl(inner.value))
-                return Inr(Inr(e.value))
-
-            b1, bc_rest = T.bc(T.fmap(alpha, w3))
-            b21, b22 = T.bc(bc_rest)
-            return lhs == (b1, (b21, b22))
-
-        _sampled_law(entries, subject, "bc-assoc", rng, cases, s_w3, bc_assoc)
-
-        def s_xy(rng):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            return (random_elem(rng, X), random_elem(rng, Y))
-
-        def bc_eta(x, y, T=T):
-            return T.bc(T.unit(Inl(x))) == (T.unit(x), tx_zero(T)) and T.bc(
-                T.unit(Inr(y))
-            ) == (tx_zero(T), T.unit(y))
-
-        _sampled_law(entries, subject, "bc-eta", rng, cases, s_xy, bc_eta)
-
-        def s_w2(rng, S=S, T=T):
-            X = random_carrier(rng, 3, "abc")
-            Y = random_carrier(rng, 3, "pqr")
-            both = carrier([Inl(x) for x in X] + [Inr(y) for y in Y])
-            return (random_nested(rng, T, both, 2),)
-
-        def bc_mu_left(w2, T=T):
-            lhs = T.bc(T.mult(w2))
-            mapped = T.fmap(
-                lambda e: Pair(
-                    T.embed(T.bc(T.unembed(e))[0]), T.embed(T.bc(T.unembed(e))[1])
-                ),
-                w2,
-            )
-            left = T.mult(T.fmap(lambda p: p.left, mapped))
-            right = T.mult(T.fmap(lambda p: p.right, mapped))
-            return lhs == (left, right)
-
-        _sampled_law(entries, subject, "bc-mu-left", rng, cases, s_w2, bc_mu_left)
-
-        def s_wt(rng, S=S, T=T):
-            X = random_carrier(rng, 3, "abc")
-            Y = random_carrier(rng, 3, "pqr")
-            pairs = []
-            for _ in range(rng.randint(0, 3)):
-                if rng.random() < 0.5:
-                    key = Inl(T.embed(random_multiset(rng, S, X)))
-                else:
-                    key = Inr(T.embed(random_multiset(rng, S, Y)))
-                pairs.append((key, random_scalar(rng, S)))
-            return (ms_from_pairs(S, pairs),)
-
-        def bc_mu_right(wt, T=T):
-            def tag_inside(e):
-                if isinstance(e, Inl):
-                    return T.embed(T.fmap(Inl, T.unembed(e.value)))
-                return T.embed(T.fmap(Inr, T.unembed(e.value)))
-
-            lhs = T.bc(T.mult(T.fmap(tag_inside, wt)))
-            l, r = T.bc(wt)
-            return lhs == (T.mult(l), T.mult(r))
-
-        _sampled_law(entries, subject, "bc-mu-right", rng, cases, s_wt, bc_mu_right)
-
-        def s_wz(rng, S=S, T=T):
-            X = random_carrier(rng, 3, "abc")
-            Y = random_carrier(rng, 3, "pqr")
-            Z = random_carrier(rng, 3, "uvw")
-            w = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
-            return (w, random_elem(rng, Z))
-
-        def bc_strength(w, z, T=T):
-            u, v = T.bc(w)
-            lhs = (generic_strength(T, u, z), generic_strength(T, v, z))
-
-            def distrib(p):
-                if isinstance(p.left, Inl):
-                    return Inl(Pair(p.left.value, p.right))
-                return Inr(Pair(p.left.value, p.right))
-
-            rhs = T.bc(T.fmap(distrib, generic_strength(T, w, z)))
-            return lhs == rhs
-
-        _sampled_law(entries, subject, "bc-strength", rng, cases, s_wz, bc_strength)
-
-        E = eval_at_one(T)
-
-        def s_stu(rng, S=S, T=T, point=point):
-            X = random_carrier(rng, 4, "abcd")
-            return (
-                random_multiset(rng, S, point, 1),
-                random_multiset(rng, S, point, 1),
-                random_multiset(rng, S, X),
-                random_multiset(rng, S, X),
-            )
-
-        _sampled_law(
-            entries, subject, "module-unit", rng, cases, s_stu,
-            lambda s, t, u, v, T=T: scalar_action(T, T.unit(STAR), u) == u,
-        )
-        _sampled_law(
-            entries, subject, "module-assoc", rng, cases, s_stu,
-            lambda s, t, u, v, T=T, E=E: scalar_action(T, E.mul(s, t), u)
-            == scalar_action(T, s, scalar_action(T, t, u)),
-        )
-        _sampled_law(
-            entries, subject, "module-dist-value", rng, cases, s_stu,
-            lambda s, t, u, v, T=T: scalar_action(T, s, tx_add(T, u, v))
-            == tx_add(T, scalar_action(T, s, u), scalar_action(T, s, v)),
-        )
-        _sampled_law(
-            entries, subject, "module-dist-scalar", rng, cases, s_stu,
-            lambda s, t, u, v, T=T: scalar_action(T, tx_add(T, s, t), u)
-            == tx_add(T, scalar_action(T, s, u), scalar_action(T, t, u)),
-        )
-        _sampled_law(
-            entries, subject, "module-zero-scalar", rng, cases, s_stu,
-            lambda s, t, u, v, T=T: scalar_action(T, tx_zero(T), u) == tx_zero(T),
-        )
-        _sampled_law(
-            entries, subject, "module-zero-value", rng, cases, s_stu,
-            lambda s, t, u, v, T=T: scalar_action(T, s, tx_zero(T)) == tx_zero(T),
-        )
-    return entries
+    return [
+        ("bc-roundtrip-fwd", s_w, lambda w: T.bc_inv(*T.bc(w)) == w),
+        ("bc-roundtrip-inv", s_uv, lambda u, v: T.bc(T.bc_inv(u, v)) == (u, v)),
+        ("initial-singleton", None, initial_singleton),
+        ("bc-natural", s_fgw, bc_natural),
+        ("bc-monad-map", s_wnat, bc_monad_map),
+        ("bc-rho", s_uonly, bc_rho),
+        ("bc-swap", s_w, bc_swap),
+        ("bc-assoc", s_w3, bc_assoc),
+        ("bc-eta", s_xy, bc_eta),
+        ("bc-mu-left", s_w2, bc_mu_left),
+        ("bc-mu-right", s_wt, bc_mu_right),
+        ("bc-strength", s_wz, bc_strength),
+        ("module-unit", s_stu,
+         lambda s, t, u, v: scalar_action(T, T.unit(STAR), u) == u),
+        ("module-assoc", s_stu,
+         lambda s, t, u, v: scalar_action(T, E.mul(s, t), u)
+         == scalar_action(T, s, scalar_action(T, t, u))),
+        ("module-dist-value", s_stu,
+         lambda s, t, u, v: scalar_action(T, s, tx_add(T, u, v))
+         == tx_add(T, scalar_action(T, s, u), scalar_action(T, s, v))),
+        ("module-dist-scalar", s_stu,
+         lambda s, t, u, v: scalar_action(T, tx_add(T, s, t), u)
+         == tx_add(T, scalar_action(T, s, u), scalar_action(T, t, u))),
+        ("module-zero-scalar", s_stu,
+         lambda s, t, u, v: scalar_action(T, tx_zero(T), u) == tx_zero(T)),
+        ("module-zero-value", s_stu,
+         lambda s, t, u, v: scalar_action(T, s, tx_zero(T)) == tx_zero(T)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -905,54 +936,49 @@ def _suite_additivity(config: SuiteConfig, rng: random.Random) -> list:
 
 
 def _suite_commutativity(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
-    for T in _selected_monads(config):
-        subject = T.name
+    return [
+        (T.name, _commutativity_laws(T, rng, config.cases))
+        for T in _selected_monads(config)
+    ]
 
-        def s_uv(rng, T=T):
-            X = random_carrier(rng, 4, "abcd")
-            Y = random_carrier(rng, 4, "pqrs")
-            return (random_tvalue(rng, T, X), random_tvalue(rng, T, Y))
 
-        if T.commutative:
-            _sampled_law(
-                entries, subject, "dst-composites-agree", rng, cases, s_uv,
-                lambda u, v, T=T: dst_strength_first(T, u, v)
-                == dst_swapped_first(T, u, v),
-            )
-            if isinstance(T, MultisetMonad):
-                _sampled_law(
-                    entries, subject, "dst-direct-agrees", rng, cases, s_uv,
-                    lambda u, v, T=T: T.dst(u, v) == dst_strength_first(T, u, v),
-                )
-        else:
-            def expected_fail(T=T, cases=cases, rng=rng):
-                candidates = [
-                    (
-                        ActVal(word("ab"), Atom("x")),
-                        ActVal(word("cd"), Atom("y")),
+def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
+    def s_uv(rng):
+        X = random_carrier(rng, 4, "abcd")
+        Y = random_carrier(rng, 4, "pqrs")
+        return (random_tvalue(rng, T, X), random_tvalue(rng, T, Y))
+
+    if not T.commutative:
+        def expected_fail():
+            candidates = [
+                (ActVal(word("ab"), Atom("x")), ActVal(word("cd"), Atom("y")))
+            ]
+            X = carrier([Atom("x")])
+            Y = carrier([Atom("y")])
+            for _ in range(cases):
+                candidates.append((random_tvalue(rng, T, X), random_tvalue(rng, T, Y)))
+            for u, v in candidates:
+                left = dst_strength_first(T, u, v)
+                right = dst_swapped_first(T, u, v)
+                if left != right:
+                    return True, (
+                        f"u = {_show(u)}\nv = {_show(v)}\n"
+                        f"strength-first  = {_show(left)}\n"
+                        f"swapped-first   = {_show(right)}"
                     )
-                ]
-                X = carrier([Atom("x")])
-                Y = carrier([Atom("y")])
-                for _ in range(cases):
-                    candidates.append(
-                        (random_tvalue(rng, T, X), random_tvalue(rng, T, Y))
-                    )
-                for u, v in candidates:
-                    left = dst_strength_first(T, u, v)
-                    right = dst_swapped_first(T, u, v)
-                    if left != right:
-                        return True, (
-                            f"u = {_show(u)}\nv = {_show(v)}\n"
-                            f"strength-first  = {_show(left)}\n"
-                            f"swapped-first   = {_show(right)}"
-                        )
-                return False, "no disagreeing pair found"
+            return False, "no disagreeing pair found"
 
-            _direct_law(entries, subject, "noncommutativity-witnessed", expected_fail)
-    return entries
+        return [("noncommutativity-witnessed", None, expected_fail)]
+    laws = [
+        ("dst-composites-agree", s_uv,
+         lambda u, v: dst_strength_first(T, u, v) == dst_swapped_first(T, u, v)),
+    ]
+    if isinstance(T, MultisetMonad):
+        laws.append(
+            ("dst-direct-agrees", s_uv,
+             lambda u, v: T.dst(u, v) == dst_strength_first(T, u, v)),
+        )
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -980,198 +1006,166 @@ def _coord_swap(n: int, m: int, S: SemiringDescriptor) -> Matrix:
 
 
 def _suite_matcat(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
-    for S in _selected_semirings(config):
-        subject = f"mat({S.name})"
+    return [(f"mat({S.name})", _matcat_laws(S)) for S in _selected_semirings(config)]
 
-        def dims(rng, lo=0, hi=4):
-            return rng.randint(lo, hi)
 
-        def s_triple(rng, S=S):
-            n, m, p, q = (dims(rng) for _ in range(4))
-            return (
-                random_matrix(rng, S, n, m),
-                random_matrix(rng, S, m, p),
-                random_matrix(rng, S, p, q),
-            )
+def _matcat_laws(S: SemiringDescriptor) -> list:
+    def dims(rng, lo=0, hi=4):
+        return rng.randint(lo, hi)
 
-        def s_pair(rng, S=S):
-            n, m, p = (dims(rng) for _ in range(3))
-            return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
-
-        def s_single(rng, S=S):
-            return (random_matrix(rng, S, dims(rng), dims(rng)),)
-
-        _sampled_law(
-            entries, subject, "compose-assoc", rng, cases, s_triple,
-            lambda a, b, c: mat_compose(mat_compose(a, b), c)
-            == mat_compose(a, mat_compose(b, c)),
-        )
-        _sampled_law(
-            entries, subject, "identity-neutral", rng, cases, s_single,
-            lambda a, S=S: mat_compose(mat_identity(S, a.rows), a) == a
-            and mat_compose(a, mat_identity(S, a.cols)) == a,
-        )
-        _sampled_law(
-            entries, subject, "compose-oracle", rng, cases, s_pair,
-            lambda a, b: mat_compose(a, b) == _naive_compose(a, b),
+    def s_triple(rng):
+        n, m, p, q = (dims(rng) for _ in range(4))
+        return (
+            random_matrix(rng, S, n, m),
+            random_matrix(rng, S, m, p),
+            random_matrix(rng, S, p, q),
         )
 
-        def biproduct_delta(S=S):
-            for n in range(4):
-                for m in range(4):
-                    z_nm = Matrix(S, n, m, tuple(S.zero for _ in range(n * m)))
-                    z_mn = Matrix(S, m, n, tuple(S.zero for _ in range(m * n)))
-                    if mat_compose(mat_coproj1(S, n, m), mat_proj1(S, n, m)) != mat_identity(S, n):
-                        return False, f"p1 . k1 at ({n},{m})"
-                    if mat_compose(mat_coproj2(S, n, m), mat_proj2(S, n, m)) != mat_identity(S, m):
-                        return False, f"p2 . k2 at ({n},{m})"
-                    if mat_compose(mat_coproj1(S, n, m), mat_proj2(S, n, m)) != z_nm:
-                        return False, f"p2 . k1 at ({n},{m})"
-                    if mat_compose(mat_coproj2(S, n, m), mat_proj1(S, n, m)) != z_mn:
-                        return False, f"p1 . k2 at ({n},{m})"
-            return True, None
+    def s_pair(rng):
+        n, m, p = (dims(rng) for _ in range(3))
+        return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
 
-        _direct_law(entries, subject, "biproduct-delta", biproduct_delta)
+    def s_single(rng):
+        return (random_matrix(rng, S, dims(rng), dims(rng)),)
 
-        def s_into_sum(rng, S=S):
-            k, n, m = dims(rng, 1, 3), dims(rng), dims(rng)
-            return (random_matrix(rng, S, k, n + m), n, m)
-
-        _sampled_law(
-            entries, subject, "tuple-recovery", rng, cases, s_into_sum,
-            lambda f, n, m, S=S: mat_tuple(
-                mat_compose(f, mat_proj1(S, n, m)), mat_compose(f, mat_proj2(S, n, m))
-            )
-            == f,
-        )
-
-        def s_from_sum(rng, S=S):
-            k, n, m = dims(rng, 1, 3), dims(rng), dims(rng)
-            return (random_matrix(rng, S, n + m, k), n, m)
-
-        _sampled_law(
-            entries, subject, "cotuple-recovery", rng, cases, s_from_sum,
-            lambda f, n, m, S=S: mat_cotuple(
-                mat_compose(mat_coproj1(S, n, m), f),
-                mat_compose(mat_coproj2(S, n, m), f),
-            )
-            == f,
-        )
-
-        def s_tensor4(rng, S=S):
-            m, p, p2 = dims(rng, 0, 3), dims(rng, 0, 3), dims(rng, 0, 3)
-            n, q, q2 = dims(rng, 0, 3), dims(rng, 0, 3), dims(rng, 0, 3)
-            return (
-                random_matrix(rng, S, m, p),
-                random_matrix(rng, S, n, q),
-                random_matrix(rng, S, p, p2),
-                random_matrix(rng, S, q, q2),
-            )
-
-        _sampled_law(
-            entries, subject, "tensor-functorial", rng, cases, s_tensor4,
-            lambda g, h, g2, h2: mat_compose(mat_tensor(g, h), mat_tensor(g2, h2))
-            == mat_tensor(mat_compose(g, g2), mat_compose(h, h2)),
-        )
-
-        def tensor_identity(S=S):
+    def biproduct_delta():
+        for n in range(4):
             for m in range(4):
-                for n in range(4):
-                    if mat_tensor(mat_identity(S, m), mat_identity(S, n)) != mat_identity(S, m * n):
-                        return False, f"id tensor id at ({m},{n})"
-            return True, None
+                z_nm = Matrix(S, n, m, tuple(S.zero for _ in range(n * m)))
+                z_mn = Matrix(S, m, n, tuple(S.zero for _ in range(m * n)))
+                if mat_compose(mat_coproj1(S, n, m), mat_proj1(S, n, m)) != mat_identity(S, n):
+                    return False, f"p1 . k1 at ({n},{m})"
+                if mat_compose(mat_coproj2(S, n, m), mat_proj2(S, n, m)) != mat_identity(S, m):
+                    return False, f"p2 . k2 at ({n},{m})"
+                if mat_compose(mat_coproj1(S, n, m), mat_proj2(S, n, m)) != z_nm:
+                    return False, f"p2 . k1 at ({n},{m})"
+                if mat_compose(mat_coproj2(S, n, m), mat_proj1(S, n, m)) != z_mn:
+                    return False, f"p1 . k2 at ({n},{m})"
+        return True, None
 
-        _direct_law(entries, subject, "tensor-identity", tensor_identity)
+    def s_into_sum(rng):
+        k, n, m = dims(rng, 1, 3), dims(rng), dims(rng)
+        return (random_matrix(rng, S, k, n + m), n, m)
 
-        _sampled_law(
-            entries, subject, "tensor-unit", rng, cases, s_single,
-            lambda g, S=S: mat_tensor(g, mat_identity(S, 1)) == g
-            and mat_tensor(mat_identity(S, 1), g) == g,
+    def s_from_sum(rng):
+        k, n, m = dims(rng, 1, 3), dims(rng), dims(rng)
+        return (random_matrix(rng, S, n + m, k), n, m)
+
+    def s_tensor4(rng):
+        m, p, p2 = dims(rng, 0, 3), dims(rng, 0, 3), dims(rng, 0, 3)
+        n, q, q2 = dims(rng, 0, 3), dims(rng, 0, 3), dims(rng, 0, 3)
+        return (
+            random_matrix(rng, S, m, p),
+            random_matrix(rng, S, n, q),
+            random_matrix(rng, S, p, p2),
+            random_matrix(rng, S, q, q2),
         )
 
-        def s_tensor2(rng, S=S):
-            m, p = dims(rng, 0, 3), dims(rng, 0, 3)
-            n, q = dims(rng, 0, 3), dims(rng, 0, 3)
-            return (random_matrix(rng, S, m, p), random_matrix(rng, S, n, q))
+    def tensor_identity():
+        for m in range(4):
+            for n in range(4):
+                if mat_tensor(mat_identity(S, m), mat_identity(S, n)) != mat_identity(S, m * n):
+                    return False, f"id tensor id at ({m},{n})"
+        return True, None
 
-        def tensor_symmetry(g, h, S=S):
-            left = mat_compose(mat_tensor(g, h), _coord_swap(g.cols, h.cols, S))
-            right = mat_compose(_coord_swap(g.rows, h.rows, S), mat_tensor(h, g))
-            return left == right
+    def s_tensor2(rng):
+        m, p = dims(rng, 0, 3), dims(rng, 0, 3)
+        n, q = dims(rng, 0, 3), dims(rng, 0, 3)
+        return (random_matrix(rng, S, m, p), random_matrix(rng, S, n, q))
 
-        _sampled_law(
-            entries, subject, "tensor-symmetry", rng, cases, s_tensor2, tensor_symmetry
+    def tensor_symmetry(g, h):
+        left = mat_compose(mat_tensor(g, h), _coord_swap(g.cols, h.cols, S))
+        right = mat_compose(_coord_swap(g.rows, h.rows, S), mat_tensor(h, g))
+        return left == right
+
+    def tensor_distributes():
+        for n in range(3):
+            for m in range(3):
+                for k in range(3):
+                    idn = mat_identity(S, n)
+                    d = mat_cotuple(
+                        mat_tensor(idn, mat_coproj1(S, m, k)),
+                        mat_tensor(idn, mat_coproj2(S, m, k)),
+                    )
+                    e = mat_tuple(
+                        mat_tensor(idn, mat_proj1(S, m, k)),
+                        mat_tensor(idn, mat_proj2(S, m, k)),
+                    )
+                    if mat_compose(d, e) != mat_identity(S, n * m + n * k):
+                        return False, f"d . e at ({n},{m},{k})"
+                    if mat_compose(e, d) != mat_identity(S, n * (m + k)):
+                        return False, f"e . d at ({n},{m},{k})"
+        return True, None
+
+    def s_fns(rng):
+        n = dims(rng, 0, 4)
+        m = dims(rng, 1, 4)
+        p = dims(rng, 1, 4)
+        return (random_aleph0(rng, n, m), random_aleph0(rng, m, p))
+
+    def homset_agrees():
+        H = homset_semiring(S)
+        box = lambda s: Matrix(S, 1, 1, (s,))
+        if H.zero != box(S.zero) or H.one != box(S.one):
+            return False, "constants disagree"
+        for a in scalar_pool(S):
+            for b in scalar_pool(S):
+                if H.add(box(a), box(b)) != box(S.add(a, b)):
+                    return False, f"sum at {a}, {b}"
+                if H.mul(box(a), box(b)) != box(S.mul(a, b)):
+                    return False, f"product at {a}, {b}"
+            if S.star is not None and H.star(box(a)) != box(S.star(a)):
+                return False, f"star at {a}"
+        return True, None
+
+    def s_parallel(rng):
+        n, m = dims(rng), dims(rng)
+        return (random_matrix(rng, S, n, m), random_matrix(rng, S, n, m))
+
+    def add_entrywise(f, g):
+        expected = Matrix(
+            S,
+            f.rows,
+            f.cols,
+            tuple(S.add(a, b) for a, b in zip(f.entries, g.entries)),
         )
+        return mat_add_biproduct(f, g) == expected
 
-        def tensor_distributes(S=S):
-            for n in range(3):
-                for m in range(3):
-                    for k in range(3):
-                        idn = mat_identity(S, n)
-                        d = mat_cotuple(
-                            mat_tensor(idn, mat_coproj1(S, m, k)),
-                            mat_tensor(idn, mat_coproj2(S, m, k)),
-                        )
-                        e = mat_tuple(
-                            mat_tensor(idn, mat_proj1(S, m, k)),
-                            mat_tensor(idn, mat_proj2(S, m, k)),
-                        )
-                        if mat_compose(d, e) != mat_identity(S, n * m + n * k):
-                            return False, f"d . e at ({n},{m},{k})"
-                        if mat_compose(e, d) != mat_identity(S, n * (m + k)):
-                            return False, f"e . d at ({n},{m},{k})"
-            return True, None
-
-        _direct_law(entries, subject, "tensor-distributes", tensor_distributes)
-
-        def s_fns(rng):
-            n = dims(rng, 0, 4)
-            m = dims(rng, 1, 4)
-            p = dims(rng, 1, 4)
-            return (random_aleph0(rng, n, m), random_aleph0(rng, m, p))
-
-        _sampled_law(
-            entries, subject, "embed-functorial", rng, cases, s_fns,
-            lambda f, g, S=S: aleph0_embed(aleph0_compose(f, g), S)
-            == mat_compose(aleph0_embed(f, S), aleph0_embed(g, S)),
-        )
-
-        def homset_agrees(S=S):
-            H = homset_semiring(S)
-            box = lambda s: Matrix(S, 1, 1, (s,))
-            if H.zero != box(S.zero) or H.one != box(S.one):
-                return False, "constants disagree"
-            for a in scalar_pool(S):
-                for b in scalar_pool(S):
-                    if H.add(box(a), box(b)) != box(S.add(a, b)):
-                        return False, f"sum at {a}, {b}"
-                    if H.mul(box(a), box(b)) != box(S.mul(a, b)):
-                        return False, f"product at {a}, {b}"
-                if S.star is not None and H.star(box(a)) != box(S.star(a)):
-                    return False, f"star at {a}"
-            return True, None
-
-        _direct_law(entries, subject, "homset-agrees", homset_agrees)
-
-        def s_parallel(rng, S=S):
-            n, m = dims(rng), dims(rng)
-            return (random_matrix(rng, S, n, m), random_matrix(rng, S, n, m))
-
-        def add_entrywise(f, g, S=S):
-            expected = Matrix(
-                S,
-                f.rows,
-                f.cols,
-                tuple(S.add(a, b) for a, b in zip(f.entries, g.entries)),
-            )
-            return mat_add_biproduct(f, g) == expected
-
-        _sampled_law(
-            entries, subject, "add-entrywise", rng, cases, s_parallel, add_entrywise
-        )
-    return entries
+    return [
+        ("compose-assoc", s_triple,
+         lambda a, b, c: mat_compose(mat_compose(a, b), c)
+         == mat_compose(a, mat_compose(b, c))),
+        ("identity-neutral", s_single,
+         lambda a: mat_compose(mat_identity(S, a.rows), a) == a
+         and mat_compose(a, mat_identity(S, a.cols)) == a),
+        ("compose-oracle", s_pair, lambda a, b: mat_compose(a, b) == _naive_compose(a, b)),
+        ("biproduct-delta", None, biproduct_delta),
+        ("tuple-recovery", s_into_sum,
+         lambda f, n, m: mat_tuple(
+             mat_compose(f, mat_proj1(S, n, m)), mat_compose(f, mat_proj2(S, n, m))
+         )
+         == f),
+        ("cotuple-recovery", s_from_sum,
+         lambda f, n, m: mat_cotuple(
+             mat_compose(mat_coproj1(S, n, m), f),
+             mat_compose(mat_coproj2(S, n, m), f),
+         )
+         == f),
+        ("tensor-functorial", s_tensor4,
+         lambda g, h, g2, h2: mat_compose(mat_tensor(g, h), mat_tensor(g2, h2))
+         == mat_tensor(mat_compose(g, g2), mat_compose(h, h2))),
+        ("tensor-identity", None, tensor_identity),
+        ("tensor-unit", s_single,
+         lambda g: mat_tensor(g, mat_identity(S, 1)) == g
+         and mat_tensor(mat_identity(S, 1), g) == g),
+        ("tensor-symmetry", s_tensor2, tensor_symmetry),
+        ("tensor-distributes", None, tensor_distributes),
+        ("embed-functorial", s_fns,
+         lambda f, g: aleph0_embed(aleph0_compose(f, g), S)
+         == mat_compose(aleph0_embed(f, S), aleph0_embed(g, S))),
+        ("homset-agrees", None, homset_agrees),
+        ("add-entrywise", s_parallel, add_entrywise),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1179,47 +1173,39 @@ def _suite_matcat(config: SuiteConfig, rng: random.Random) -> list:
 
 
 def _suite_dagger(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
     if config.semiring is not None:
         semirings = [semiring_by_name(config.semiring)]
     else:
         semirings = [GAUSSIAN]
-    for S in semirings:
-        subject = f"mat({S.name})"
+    return [(f"mat({S.name})", _dagger_laws(S)) for S in semirings]
 
-        def s_one(rng, S=S):
-            return (random_matrix(rng, S, 3, 3),)
 
-        def s_two(rng, S=S):
-            return (random_matrix(rng, S, 3, 3), random_matrix(rng, S, 3, 3))
+def _dagger_laws(S: SemiringDescriptor) -> list:
+    def s_one(rng):
+        return (random_matrix(rng, S, 3, 3),)
 
-        _sampled_law(
-            entries, subject, "dagger-involutive", rng, cases, s_one,
-            lambda f: mat_dagger(mat_dagger(f)) == f,
-        )
-        _sampled_law(
-            entries, subject, "dagger-contravariant", rng, cases, s_two,
-            lambda g, h: mat_dagger(mat_compose(g, h))
-            == mat_compose(mat_dagger(h), mat_dagger(g)),
-        )
-        _sampled_law(
-            entries, subject, "dagger-tensor", rng, cases, s_two,
-            lambda f, g: mat_dagger(mat_tensor(f, g))
-            == mat_tensor(mat_dagger(f), mat_dagger(g)),
-        )
+    def s_two(rng):
+        return (random_matrix(rng, S, 3, 3), random_matrix(rng, S, 3, 3))
 
-        def dagger_structural(S=S):
-            for n in range(4):
-                for m in range(4):
-                    if mat_coproj1(S, n, m) != mat_dagger(mat_proj1(S, n, m)):
-                        return False, f"k1 vs p1-dagger at ({n},{m})"
-                    if mat_coproj2(S, n, m) != mat_dagger(mat_proj2(S, n, m)):
-                        return False, f"k2 vs p2-dagger at ({n},{m})"
-            return True, None
+    def dagger_structural():
+        for n in range(4):
+            for m in range(4):
+                if mat_coproj1(S, n, m) != mat_dagger(mat_proj1(S, n, m)):
+                    return False, f"k1 vs p1-dagger at ({n},{m})"
+                if mat_coproj2(S, n, m) != mat_dagger(mat_proj2(S, n, m)):
+                    return False, f"k2 vs p2-dagger at ({n},{m})"
+        return True, None
 
-        _direct_law(entries, subject, "dagger-structural", dagger_structural)
-    return entries
+    return [
+        ("dagger-involutive", s_one, lambda f: mat_dagger(mat_dagger(f)) == f),
+        ("dagger-contravariant", s_two,
+         lambda g, h: mat_dagger(mat_compose(g, h))
+         == mat_compose(mat_dagger(h), mat_dagger(g))),
+        ("dagger-tensor", s_two,
+         lambda f, g: mat_dagger(mat_tensor(f, g))
+         == mat_tensor(mat_dagger(f), mat_dagger(g))),
+        ("dagger-structural", None, dagger_structural),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1227,94 +1213,83 @@ def _suite_dagger(config: SuiteConfig, rng: random.Random) -> list:
 
 
 def _suite_freetheory(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
-    for S in _selected_semirings(config):
-        T = MultisetMonad(S)
-        subject = f"terms({S.name})"
+    return [(f"terms({S.name})", _freetheory_laws(S)) for S in _selected_semirings(config)]
 
-        def s_rel(rng, S=S):
-            i = rng.randint(0, 4)
-            m = rng.randint(1, 4)
-            X = random_carrier(rng, 4, "abcd")
-            f = random_aleph0(rng, i, m)
-            g = random_matrix(rng, S, 1, i)
-            v = tuple(random_elem(rng, X) for _ in range(m))
-            return (f, g, v)
 
-        _sampled_law(
-            entries, subject, "relation-sound", rng, cases, s_rel,
-            lambda f, g, v: tl_relation_check(f, g, v),
+def _freetheory_laws(S: SemiringDescriptor) -> list:
+    T = MultisetMonad(S)
+
+    def s_rel(rng):
+        i = rng.randint(0, 4)
+        m = rng.randint(1, 4)
+        X = random_carrier(rng, 4, "abcd")
+        f = random_aleph0(rng, i, m)
+        g = random_matrix(rng, S, 1, i)
+        v = tuple(random_elem(rng, X) for _ in range(m))
+        return (f, g, v)
+
+    def s_x(rng):
+        return (random_elem(rng, random_carrier(rng, 4, "abcd")),)
+
+    def s_outer(rng):
+        X = random_carrier(rng, 4, "abcd")
+        k = rng.randint(0, 3)
+        inners = tuple(random_free_term(rng, S, X, 3) for _ in range(k))
+        return (FreeTerm(random_matrix(rng, S, 1, k), inners),)
+
+    def mult_agrees(outer):
+        lhs = term_normalize(tl_mult(outer))
+        layered = ms_from_pairs(
+            S,
+            [
+                (T.embed(term_normalize(t)), c)
+                for t, c in zip(outer.args, outer.coeffs.entries)
+            ],
         )
+        return lhs == ms_mult(layered)
 
-        def s_x(rng):
-            return (random_elem(rng, random_carrier(rng, 4, "abcd")),)
+    def s_term(rng):
+        return (random_free_term(rng, S, random_carrier(rng, 4, "abcd")),)
 
-        _sampled_law(
-            entries, subject, "unit-agrees", rng, cases, s_x,
-            lambda x, S=S: term_normalize(tl_unit(x, S)) == ms_unit(x, S),
+    def unit_functor_id():
+        for n in range(4):
+            if law_unit_functor(mat_identity(S, n)) != kl_id(T, n):
+                return False, f"identity at {n}"
+        return True, None
+
+    def s_mats(rng):
+        n = rng.randint(0, 3)
+        m = rng.randint(0, 3)
+        p = rng.randint(0, 3)
+        return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
+
+    def unit_functor_coproj():
+        for n in range(3):
+            for m in range(3):
+                if law_unit_functor(mat_coproj1(S, n, m)) != kl_coproj(T, 1, n, m):
+                    return False, f"coproj1 at ({n},{m})"
+                if law_unit_functor(mat_coproj2(S, n, m)) != kl_coproj(T, 2, n, m):
+                    return False, f"coproj2 at ({n},{m})"
+        return True, None
+
+    laws = [
+        ("relation-sound", s_rel, lambda f, g, v: tl_relation_check(f, g, v)),
+        ("unit-agrees", s_x, lambda x: term_normalize(tl_unit(x, S)) == ms_unit(x, S)),
+        ("mult-agrees", s_outer, mult_agrees),
+    ]
+    if S.star is not None:
+        laws.append(
+            ("involution-agrees", s_term,
+             lambda t: term_normalize(tl_involution(t))
+             == ms_involution(term_normalize(t))),
         )
-
-        def s_outer(rng, S=S):
-            X = random_carrier(rng, 4, "abcd")
-            k = rng.randint(0, 3)
-            inners = tuple(random_free_term(rng, S, X, 3) for _ in range(k))
-            return (FreeTerm(random_matrix(rng, S, 1, k), inners),)
-
-        def mult_agrees(outer, S=S, T=T):
-            lhs = term_normalize(tl_mult(outer))
-            layered = ms_from_pairs(
-                S,
-                [
-                    (T.embed(term_normalize(t)), c)
-                    for t, c in zip(outer.args, outer.coeffs.entries)
-                ],
-            )
-            return lhs == ms_mult(layered)
-
-        _sampled_law(entries, subject, "mult-agrees", rng, cases, s_outer, mult_agrees)
-
-        if S.star is not None:
-            def s_term(rng, S=S):
-                return (random_free_term(rng, S, random_carrier(rng, 4, "abcd")),)
-
-            _sampled_law(
-                entries, subject, "involution-agrees", rng, cases, s_term,
-                lambda t: term_normalize(tl_involution(t))
-                == ms_involution(term_normalize(t)),
-            )
-
-        def unit_functor_id(S=S, T=T):
-            for n in range(4):
-                if law_unit_functor(mat_identity(S, n)) != kl_id(T, n):
-                    return False, f"identity at {n}"
-            return True, None
-
-        _direct_law(entries, subject, "unit-functor-id", unit_functor_id)
-
-        def s_mats(rng, S=S):
-            n = rng.randint(0, 3)
-            m = rng.randint(0, 3)
-            p = rng.randint(0, 3)
-            return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
-
-        _sampled_law(
-            entries, subject, "unit-functor-compose", rng, cases, s_mats,
-            lambda a, b: law_unit_functor(mat_compose(a, b))
-            == kl_compose(law_unit_functor(a), law_unit_functor(b)),
-        )
-
-        def unit_functor_coproj(S=S, T=T):
-            for n in range(3):
-                for m in range(3):
-                    if law_unit_functor(mat_coproj1(S, n, m)) != kl_coproj(T, 1, n, m):
-                        return False, f"coproj1 at ({n},{m})"
-                    if law_unit_functor(mat_coproj2(S, n, m)) != kl_coproj(T, 2, n, m):
-                        return False, f"coproj2 at ({n},{m})"
-            return True, None
-
-        _direct_law(entries, subject, "unit-functor-coproj", unit_functor_coproj)
-    return entries
+    return laws + [
+        ("unit-functor-id", None, unit_functor_id),
+        ("unit-functor-compose", s_mats,
+         lambda a, b: law_unit_functor(mat_compose(a, b))
+         == kl_compose(law_unit_functor(a), law_unit_functor(b))),
+        ("unit-functor-coproj", None, unit_functor_coproj),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1322,177 +1297,157 @@ def _suite_freetheory(config: SuiteConfig, rng: random.Random) -> list:
 
 
 def _suite_kleisli_iso(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    cases = config.cases
+    return [
+        (f"kl(multiset({S.name}))", _kleisli_iso_laws(S))
+        for S in _selected_semirings(config)
+    ]
+
+
+def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
+    T = MultisetMonad(S)
+    E = eval_at_one(T)
     point = carrier([STAR])
-    for S in _selected_semirings(config):
-        T = MultisetMonad(S)
-        E = eval_at_one(T)
-        subject = f"kl({T.name})"
 
-        def s_kl3(rng, T=T):
-            n, m, p, q = (rng.randint(0, 3) for _ in range(4))
-            return (
-                random_kleisli(rng, T, n, m),
-                random_kleisli(rng, T, m, p),
-                random_kleisli(rng, T, p, q),
-            )
-
-        def s_kl1(rng, T=T):
-            n, m = rng.randint(0, 3), rng.randint(0, 3)
-            return (random_kleisli(rng, T, n, m),)
-
-        def s_kl2(rng, T=T):
-            n, m, p = (rng.randint(0, 3) for _ in range(3))
-            return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, m, p))
-
-        _sampled_law(
-            entries, subject, "kl-assoc", rng, cases, s_kl3,
-            lambda f, g, h: kl_compose(kl_compose(f, g), h)
-            == kl_compose(f, kl_compose(g, h)),
-        )
-        _sampled_law(
-            entries, subject, "kl-identity", rng, cases, s_kl1,
-            lambda f, T=T: kl_compose(kl_id(T, f.dom), f) == f
-            and kl_compose(f, kl_id(T, f.cod)) == f,
-        )
-        _sampled_law(
-            entries, subject, "xi-theta-id", rng, cases, s_kl1,
-            lambda k, T=T: xi(T, theta(k)) == k,
+    def s_kl3(rng):
+        n, m, p, q = (rng.randint(0, 3) for _ in range(4))
+        return (
+            random_kleisli(rng, T, n, m),
+            random_kleisli(rng, T, m, p),
+            random_kleisli(rng, T, p, q),
         )
 
-        def s_emat(rng, S=S, E=E, point=point):
-            n, m = rng.randint(0, 3), rng.randint(0, 3)
-            return (
-                Matrix(
-                    E, n, m,
-                    tuple(random_multiset(rng, S, point, 1) for _ in range(n * m)),
-                ),
-            )
+    def s_kl1(rng):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        return (random_kleisli(rng, T, n, m),)
 
-        _sampled_law(
-            entries, subject, "theta-xi-id", rng, cases, s_emat,
-            lambda h, T=T: theta(xi(T, h)) == h,
-        )
-        _sampled_law(
-            entries, subject, "theta-compose", rng, cases, s_kl2,
-            lambda f, g: theta(kl_compose(f, g)) == mat_compose(theta(f), theta(g)),
-        )
+    def s_kl2(rng):
+        n, m, p = (rng.randint(0, 3) for _ in range(3))
+        return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, m, p))
 
-        def theta_structural(T=T, E=E):
-            for n in range(3):
-                for m in range(3):
-                    if theta(kl_coproj(T, 1, n, m)) != mat_coproj1(E, n, m):
-                        return False, f"coproj1 at ({n},{m})"
-                    if theta(kl_coproj(T, 2, n, m)) != mat_coproj2(E, n, m):
-                        return False, f"coproj2 at ({n},{m})"
-                    if theta(kl_proj(T, 1, n, m)) != mat_proj1(E, n, m):
-                        return False, f"proj1 at ({n},{m})"
-                    if theta(kl_proj(T, 2, n, m)) != mat_proj2(E, n, m):
-                        return False, f"proj2 at ({n},{m})"
-                    zero_mat = theta(kl_zero(T, n, m))
-                    if zero_mat != Matrix(E, n, m, tuple(E.zero for _ in range(n * m))):
-                        return False, f"zero at ({n},{m})"
-            return True, None
-
-        _direct_law(entries, subject, "theta-structural", theta_structural)
-
-        def s_parallel(rng, T=T):
-            n, m, p = (rng.randint(0, 3) for _ in range(3))
-            return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, n, p))
-
-        _sampled_law(
-            entries, subject, "theta-tuple", rng, cases, s_parallel,
-            lambda f, g: theta(kl_tuple(f, g)) == mat_tuple(theta(f), theta(g)),
+    def s_emat(rng):
+        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        return (
+            Matrix(
+                E, n, m,
+                tuple(random_multiset(rng, S, point, 1) for _ in range(n * m)),
+            ),
         )
 
-        def s_coparallel(rng, T=T):
-            n, m, p = (rng.randint(0, 3) for _ in range(3))
-            return (random_kleisli(rng, T, n, p), random_kleisli(rng, T, m, p))
+    def theta_structural():
+        for n in range(3):
+            for m in range(3):
+                if theta(kl_coproj(T, 1, n, m)) != mat_coproj1(E, n, m):
+                    return False, f"coproj1 at ({n},{m})"
+                if theta(kl_coproj(T, 2, n, m)) != mat_coproj2(E, n, m):
+                    return False, f"coproj2 at ({n},{m})"
+                if theta(kl_proj(T, 1, n, m)) != mat_proj1(E, n, m):
+                    return False, f"proj1 at ({n},{m})"
+                if theta(kl_proj(T, 2, n, m)) != mat_proj2(E, n, m):
+                    return False, f"proj2 at ({n},{m})"
+                zero_mat = theta(kl_zero(T, n, m))
+                if zero_mat != Matrix(E, n, m, tuple(E.zero for _ in range(n * m))):
+                    return False, f"zero at ({n},{m})"
+        return True, None
 
-        _sampled_law(
-            entries, subject, "theta-cotuple", rng, cases, s_coparallel,
-            lambda f, g: theta(kl_cotuple(f, g)) == mat_cotuple(theta(f), theta(g)),
+    def s_parallel(rng):
+        n, m, p = (rng.randint(0, 3) for _ in range(3))
+        return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, n, p))
+
+    def s_coparallel(rng):
+        n, m, p = (rng.randint(0, 3) for _ in range(3))
+        return (random_kleisli(rng, T, n, p), random_kleisli(rng, T, m, p))
+
+    def s_small2(rng):
+        dims = [rng.randint(0, 2) for _ in range(4)]
+        return (
+            random_kleisli(rng, T, dims[0], dims[1]),
+            random_kleisli(rng, T, dims[2], dims[3]),
         )
 
-        def s_small2(rng, T=T):
-            dims = [rng.randint(0, 2) for _ in range(4)]
-            return (
-                random_kleisli(rng, T, dims[0], dims[1]),
-                random_kleisli(rng, T, dims[2], dims[3]),
-            )
+    def biproduct_eqs():
+        for n in range(3):
+            for m in range(3):
+                if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 1, n, m)) != kl_id(T, n):
+                    return False, f"p1 . k1 at ({n},{m})"
+                if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 2, n, m)) != kl_id(T, m):
+                    return False, f"p2 . k2 at ({n},{m})"
+                if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 2, n, m)) != kl_zero(T, n, m):
+                    return False, f"p2 . k1 at ({n},{m})"
+                if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 1, n, m)) != kl_zero(T, m, n):
+                    return False, f"p1 . k2 at ({n},{m})"
+        return True, None
 
-        _sampled_law(
-            entries, subject, "theta-tensor", rng, cases, s_small2,
-            lambda f, g: theta(kl_tensor(f, g)) == mat_tensor(theta(f), theta(g)),
+    def homset_agrees():
+        KH = kleisli_homset_semiring(T)
+
+        def as_map(u):
+            return KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
+
+        pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)]
+        pool.append(tx_zero(T))
+        for a in pool:
+            for b in pool:
+                if KH.add(as_map(a), as_map(b)) != as_map(tx_add(T, a, b)):
+                    return False, f"sum at {_show(a)}, {_show(b)}"
+                if KH.mul(as_map(a), as_map(b)) != as_map(E.mul(a, b)):
+                    return False, f"product at {_show(a)}, {_show(b)}"
+            if S.star is not None and KH.star(as_map(a)) != as_map(E.star(a)):
+                return False, f"star at {_show(a)}"
+        if KH.zero != as_map(tx_zero(T)) or KH.one != as_map(T.unit(STAR)):
+            return False, "constants disagree"
+        return True, None
+
+    laws = [
+        ("kl-assoc", s_kl3,
+         lambda f, g, h: kl_compose(kl_compose(f, g), h) == kl_compose(f, kl_compose(g, h))),
+        ("kl-identity", s_kl1,
+         lambda f: kl_compose(kl_id(T, f.dom), f) == f
+         and kl_compose(f, kl_id(T, f.cod)) == f),
+        ("xi-theta-id", s_kl1, lambda k: xi(T, theta(k)) == k),
+        ("theta-xi-id", s_emat, lambda h: theta(xi(T, h)) == h),
+        ("theta-compose", s_kl2,
+         lambda f, g: theta(kl_compose(f, g)) == mat_compose(theta(f), theta(g))),
+        ("theta-structural", None, theta_structural),
+        ("theta-tuple", s_parallel,
+         lambda f, g: theta(kl_tuple(f, g)) == mat_tuple(theta(f), theta(g))),
+        ("theta-cotuple", s_coparallel,
+         lambda f, g: theta(kl_cotuple(f, g)) == mat_cotuple(theta(f), theta(g))),
+        ("theta-tensor", s_small2,
+         lambda f, g: theta(kl_tensor(f, g)) == mat_tensor(theta(f), theta(g))),
+    ]
+    if S.star is not None:
+        laws.append(
+            ("theta-dagger", s_kl1, lambda k: theta(kl_dagger(k)) == mat_dagger(theta(k)))
         )
-
-        if S.star is not None:
-            _sampled_law(
-                entries, subject, "theta-dagger", rng, cases, s_kl1,
-                lambda k: theta(kl_dagger(k)) == mat_dagger(theta(k)),
-            )
-
-        def biproduct_eqs(T=T):
-            for n in range(3):
-                for m in range(3):
-                    if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 1, n, m)) != kl_id(T, n):
-                        return False, f"p1 . k1 at ({n},{m})"
-                    if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 2, n, m)) != kl_id(T, m):
-                        return False, f"p2 . k2 at ({n},{m})"
-                    if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 2, n, m)) != kl_zero(T, n, m):
-                        return False, f"p2 . k1 at ({n},{m})"
-                    if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 1, n, m)) != kl_zero(T, m, n):
-                        return False, f"p1 . k2 at ({n},{m})"
-            return True, None
-
-        _direct_law(entries, subject, "biproduct-eqs", biproduct_eqs)
-
-        def homset_agrees(S=S, T=T, E=E, point=point):
-            KH = kleisli_homset_semiring(T)
-
-            def as_map(u):
-                return KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
-
-            pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)]
-            pool.append(tx_zero(T))
-            for a in pool:
-                for b in pool:
-                    if KH.add(as_map(a), as_map(b)) != as_map(tx_add(T, a, b)):
-                        return False, f"sum at {_show(a)}, {_show(b)}"
-                    if KH.mul(as_map(a), as_map(b)) != as_map(E.mul(a, b)):
-                        return False, f"product at {_show(a)}, {_show(b)}"
-                if S.star is not None and KH.star(as_map(a)) != as_map(E.star(a)):
-                    return False, f"star at {_show(a)}"
-            if KH.zero != as_map(tx_zero(T)) or KH.one != as_map(T.unit(STAR)):
-                return False, "constants disagree"
-            return True, None
-
-        _direct_law(entries, subject, "homset-agrees", homset_agrees)
-    return entries
+    return laws + [
+        ("biproduct-eqs", None, biproduct_eqs),
+        ("homset-agrees", None, homset_agrees),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Suite: adjunction-roundtrips
 
 
-def _mon_witnesses(S: SemiringDescriptor, T: MultisetMonad) -> list[HomWitness]:
-    out = []
+def _mon_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
+    T = MultisetMonad(S)
     M = multiplicative_monoid(S)
     iso = lambda m: ms_from_pairs(S, [(STAR, m)])
-    out.append(HomWitness("MonoidMap", M, T, iso, scalar_pool(S)))
-    nat_mul = MONOIDS["nat-mul"]
     via_nat = lambda m: ms_from_pairs(S, [(STAR, canonical_from_nat(S, m.payload))])
-    out.append(HomWitness("MonoidMap", nat_mul, T, via_nat, scalar_pool(NAT)))
-    return out
+    return [
+        HomWitness("MonoidMap", M, T, iso, scalar_pool(S)),
+        HomWitness("MonoidMap", MONOIDS["nat-mul"], T, via_nat, scalar_pool(NAT)),
+    ]
 
 
-def _srng_witnesses(S: SemiringDescriptor, T: MultisetMonad) -> list[HomWitness]:
-    out = []
+def _srng_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
+    T = MultisetMonad(S)
     iso = lambda s: ms_from_pairs(S, [(STAR, s)])
-    out.append(HomWitness("SemiringMap", S, T, iso, scalar_pool(S)))
     via_nat = lambda s: ms_from_pairs(S, [(STAR, canonical_from_nat(S, s.payload))])
-    out.append(HomWitness("SemiringMap", NAT, T, via_nat, scalar_pool(NAT)))
+    out = [
+        HomWitness("SemiringMap", S, T, iso, scalar_pool(S)),
+        HomWitness("SemiringMap", NAT, T, via_nat, scalar_pool(NAT)),
+    ]
     if S.star is not None:
         starred = lambda s: ms_from_pairs(S, [(STAR, S.star(s))])
         out.append(HomWitness("SemiringMap", S, T, starred, scalar_pool(S)))
@@ -1501,41 +1456,27 @@ def _srng_witnesses(S: SemiringDescriptor, T: MultisetMonad) -> list[HomWitness]
 
 def _math_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
     L = MatTheory(S)
-    out = []
     box = lambda s: Matrix(S, 1, 1, (s,))
-    out.append(HomWitness("SemiringMap", S, L, box, scalar_pool(S)))
     via_nat = lambda s: Matrix(S, 1, 1, (canonical_from_nat(S, s.payload),))
-    out.append(HomWitness("SemiringMap", NAT, L, via_nat, scalar_pool(NAT)))
-    return out
+    return [
+        HomWitness("SemiringMap", S, L, box, scalar_pool(S)),
+        HomWitness("SemiringMap", NAT, L, via_nat, scalar_pool(NAT)),
+    ]
 
 
-def _mon_roundtrip_check(S: SemiringDescriptor):
-    T = MultisetMonad(S)
-    for idx, w in enumerate(_mon_witnesses(S, T)):
-        up = transpose_mon("up", w)
-        down = transpose_mon("down", up)
-        for m in w.samples:
-            if down.apply(m) != w.apply(m):
-                return False, f"witness {idx}: down . up differs at {_show(m)}"
-        up2 = transpose_mon("up", down)
+def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
+    """Each witness, sent up and back down, is itself again on its samples,
+    and so is the up side, sent down and back up."""
+    for idx, w in enumerate(witnesses):
+        up = transpose("up", w)
+        down = transpose("down", up)
+        for x in w.samples:
+            if down.apply(x) != w.apply(x):
+                return False, f"witness {idx}: down . up differs at {_show(x)}"
+        up2 = transpose("up", down)
         for v in up.samples:
             if up2.apply(v) != up.apply(v):
                 return False, f"witness {idx}: up . down differs at {_show(v)}"
-    return True, None
-
-
-def _srng_roundtrip_check(S: SemiringDescriptor):
-    T = MultisetMonad(S)
-    for idx, w in enumerate(_srng_witnesses(S, T)):
-        up = transpose_srng("up", w)
-        down = transpose_srng("down", up)
-        for s in w.samples:
-            if down.apply(s) != w.apply(s):
-                return False, f"witness {idx}: down . up differs at {_show(s)}"
-        up2 = transpose_srng("up", down)
-        for phi in up.samples:
-            if up2.apply(phi) != up.apply(phi):
-                return False, f"witness {idx}: up . down differs at {_show(phi)}"
     return True, None
 
 
@@ -1568,20 +1509,6 @@ def _srng_involutive_check(S: SemiringDescriptor):
     return True, None
 
 
-def _math_roundtrip_check(S: SemiringDescriptor):
-    for idx, w in enumerate(_math_witnesses(S)):
-        up = transpose_math("up", w)
-        down = transpose_math("down", up)
-        for s in w.samples:
-            if down.apply(s) != w.apply(s):
-                return False, f"witness {idx}: down . up differs at {_show(s)}"
-        up2 = transpose_math("up", down)
-        for h in up.samples:
-            if up2.apply(h) != up.apply(h):
-                return False, f"witness {idx}: up . down differs at {_show(h)}"
-    return True, None
-
-
 def _math_natural_check(S: SemiringDescriptor):
     hom = lambda sc: canonical_from_nat(S, sc.payload)
     L = MatTheory(S)
@@ -1611,38 +1538,45 @@ def _math_involutive_check(S: SemiringDescriptor):
     return True, None
 
 
+# Each adjunction's laws over a semiring S: (name, check of S, whether the
+# law needs a star). The involutive ones run under ``--involutive`` and,
+# in the suite, for every semiring with a star.
+_ADJUNCTION_LAWS = {
+    "mon-e": (
+        ("mon-e-roundtrip", lambda S: _roundtrip_check(transpose_mon, _mon_witnesses(S)), False),
+    ),
+    "srng-e": (
+        ("srng-e-roundtrip", lambda S: _roundtrip_check(transpose_srng, _srng_witnesses(S)), False),
+        ("srng-e-natural", _srng_natural_check, False),
+        ("srng-e-involutive", _srng_involutive_check, True),
+    ),
+    "mat-h": (
+        ("mat-h-roundtrip", lambda S: _roundtrip_check(transpose_math, _math_witnesses(S)), False),
+        ("mat-h-natural", _math_natural_check, False),
+        ("mat-h-involutive", _math_involutive_check, True),
+    ),
+}
+
+ADJUNCTION_NAMES = tuple(_ADJUNCTION_LAWS)
+
+
+def _adjunction_laws(S: SemiringDescriptor, adjunctions, involutive: bool) -> list:
+    """The self-contained rows of the given adjunctions over S: every law
+    that needs no star, then, if ``involutive``, the ones that do."""
+    return [
+        (name, None, lambda check=check: check(S))
+        for stars in ((False, True) if involutive else (False,))
+        for adj in adjunctions
+        for name, check, needs_star in _ADJUNCTION_LAWS[adj]
+        if needs_star == stars
+    ]
+
+
 def _suite_adjunctions(config: SuiteConfig, rng: random.Random) -> list:
-    entries: list = []
-    for S in _selected_semirings(config):
-        subject = f"adjunction({S.name})"
-        _direct_law(
-            entries, subject, "mon-e-roundtrip", lambda S=S: _mon_roundtrip_check(S)
-        )
-        _direct_law(
-            entries, subject, "srng-e-roundtrip", lambda S=S: _srng_roundtrip_check(S)
-        )
-        _direct_law(
-            entries, subject, "srng-e-natural", lambda S=S: _srng_natural_check(S)
-        )
-        _direct_law(
-            entries, subject, "mat-h-roundtrip", lambda S=S: _math_roundtrip_check(S)
-        )
-        _direct_law(
-            entries, subject, "mat-h-natural", lambda S=S: _math_natural_check(S)
-        )
-        if S.star is not None:
-            _direct_law(
-                entries, subject, "srng-e-involutive",
-                lambda S=S: _srng_involutive_check(S),
-            )
-            _direct_law(
-                entries, subject, "mat-h-involutive",
-                lambda S=S: _math_involutive_check(S),
-            )
-    return entries
-
-
-ADJUNCTION_NAMES = ("mon-e", "srng-e", "mat-h")
+    return [
+        (f"adjunction({S.name})", _adjunction_laws(S, ADJUNCTION_NAMES, S.star is not None))
+        for S in _selected_semirings(config)
+    ]
 
 
 def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False) -> SuiteReport:
@@ -1651,38 +1585,18 @@ def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False)
     With ``involutive`` set, additionally checks that the transposes
     commute with the star structure; only srng-e and mat-h support this.
     """
-    if adjunction not in ADJUNCTION_NAMES:
+    if adjunction not in _ADJUNCTION_LAWS:
         raise UnknownSuite(
             f"unknown adjunction {adjunction!r}; known: {', '.join(ADJUNCTION_NAMES)}"
         )
     S = semiring_by_name(semiring_name)
     if involutive:
-        if adjunction == "mon-e":
-            raise UnknownSuite("mon-e has no involutive refinement")
+        if not any(law[2] for law in _ADJUNCTION_LAWS[adjunction]):
+            raise UnknownSuite(f"{adjunction} has no involutive refinement")
         if S.star is None:
             raise NoInvolution(f"{S.name} has no star operation")
-    entries: list = []
-    subject = f"adjunction({S.name})"
-    if adjunction == "mon-e":
-        _direct_law(entries, subject, "mon-e-roundtrip", lambda: _mon_roundtrip_check(S))
-    elif adjunction == "srng-e":
-        _direct_law(entries, subject, "srng-e-roundtrip", lambda: _srng_roundtrip_check(S))
-        _direct_law(entries, subject, "srng-e-natural", lambda: _srng_natural_check(S))
-        if involutive:
-            _direct_law(
-                entries, subject, "srng-e-involutive", lambda: _srng_involutive_check(S)
-            )
-    else:
-        _direct_law(entries, subject, "mat-h-roundtrip", lambda: _math_roundtrip_check(S))
-        _direct_law(entries, subject, "mat-h-natural", lambda: _math_natural_check(S))
-        if involutive:
-            _direct_law(
-                entries, subject, "mat-h-involutive", lambda: _math_involutive_check(S)
-            )
-    return SuiteReport(
-        f"roundtrip({adjunction})",
-        tuple(sorted(entries, key=lambda e: (e[0], e[1]))),
-    )
+    table = [(f"adjunction({S.name})", _adjunction_laws(S, (adjunction,), involutive))]
+    return _report(f"roundtrip({adjunction})", _run_laws(table, None, 0))
 
 
 _SUITES = {
@@ -1708,5 +1622,4 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             f"unknown suite {config.suite!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
     rng = random.Random(config.seed)
-    entries = build(config, rng)
-    return SuiteReport(config.suite, tuple(sorted(entries, key=lambda e: (e[0], e[1]))))
+    return _report(config.suite, _run_laws(build(config, rng), rng, config.cases))

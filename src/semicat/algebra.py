@@ -1,4 +1,4 @@
-"""Exact scalars, semiring/monoid operation tables, and sampled law checks.
+"""Exact scalars and semiring/monoid operation tables.
 
 Values are exact: arbitrary-precision integers, ``fractions.Fraction``,
 pairs of fractions for gaussian rationals, and a distinct infinity token
@@ -21,12 +21,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .errors import (
     FormatError,
     MonoidMismatch,
-    NoInvolution,
     TagMismatch,
     UnknownSemiring,
 )
@@ -36,8 +35,6 @@ __all__ = [
     "Word",
     "SemiringDescriptor",
     "MonoidDescriptor",
-    "LawResult",
-    "LawReport",
     "nat",
     "boolean",
     "tropical",
@@ -56,9 +53,6 @@ __all__ = [
     "monoid_by_name",
     "multiplicative_monoid",
     "additive_monoid",
-    "scalar_eval",
-    "check_semiring_laws",
-    "check_monoid_laws",
     "canonical_from_nat",
     "parse_scalar",
     "render_scalar",
@@ -182,7 +176,8 @@ class SemiringDescriptor:
 @dataclass(frozen=True, eq=False)
 class MonoidDescriptor:
     """Operation table of a monoid. ``commutative`` is a claim, not a fact;
-    :func:`check_monoid_laws` and the suites are what verify it.
+    :func:`semicat.adjunctions.check_monoid_laws` and the suites are what
+    verify it.
     ``member`` optionally recognizes elements, for mismatch errors."""
 
     name: str
@@ -395,183 +390,7 @@ def monoid_by_name(name: str) -> MonoidDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and law checking
-
-
-def scalar_eval(desc: SemiringDescriptor, op: str, *args: Scalar) -> Scalar:
-    """Apply one of a descriptor's named operations to scalar arguments.
-
-    Arguments must carry the descriptor's tag; ``star`` is only legal when
-    the descriptor has one.
-    """
-    if desc.tag is not None:
-        for a in args:
-            if not isinstance(a, Scalar) or a.tag != desc.tag:
-                raise TagMismatch(f"{a!r} does not carry tag {desc.tag!r}")
-    if op == "add":
-        a, b = args
-        return desc.add(a, b)
-    if op == "mul":
-        a, b = args
-        return desc.mul(a, b)
-    if op == "star":
-        if desc.star is None:
-            raise NoInvolution(f"semiring {desc.name} has no star")
-        (a,) = args
-        return desc.star(a)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    passed: bool
-    counterexample: str | None = None
-
-
-@dataclass(frozen=True)
-class LawReport:
-    subject: str
-    results: tuple[LawResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def render(self) -> str:
-        lines = []
-        for r in self.results:
-            lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.law}")
-            if r.counterexample is not None:
-                lines.append(f"  {r.counterexample}")
-        return "\n".join(lines)
-
-
-def _first_failure(
-    law: str, cases: Iterable[tuple], check: Callable[..., bool], show: Callable[..., str]
-) -> LawResult:
-    for case in cases:
-        if not check(*case):
-            return LawResult(law, False, show(*case))
-    return LawResult(law, True)
-
-
-def check_semiring_laws(
-    desc: SemiringDescriptor, samples: Sequence
-) -> LawReport:
-    """Check the commutative-semiring laws (and star laws when present)
-    over all pairs and triples drawn from ``samples``.
-
-    The first counterexample found for each law is recorded in the report.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    if desc.tag is not None:
-        for s in samples:
-            if not isinstance(s, Scalar) or s.tag != desc.tag:
-                raise TagMismatch(f"sample {s!r} does not carry tag {desc.tag!r}")
-
-    add, mul, zero, one = desc.add, desc.mul, desc.zero, desc.one
-    pairs = [(s, t) for s in samples for t in samples]
-    triples = [(s, t, r) for s in samples for t in samples for r in samples]
-    singles = [(s,) for s in samples]
-
-    results = [
-        _first_failure(
-            "add-commutative", pairs,
-            lambda s, t: add(s, t) == add(t, s),
-            lambda s, t: f"s={s} t={t}: {add(s, t)} != {add(t, s)}",
-        ),
-        _first_failure(
-            "add-associative", triples,
-            lambda s, t, r: add(add(s, t), r) == add(s, add(t, r)),
-            lambda s, t, r: f"s={s} t={t} r={r}",
-        ),
-        _first_failure(
-            "add-unit", singles,
-            lambda s: add(s, zero) == s and add(zero, s) == s,
-            lambda s: f"s={s}",
-        ),
-        _first_failure(
-            "mul-commutative", pairs,
-            lambda s, t: mul(s, t) == mul(t, s),
-            lambda s, t: f"s={s} t={t}: {mul(s, t)} != {mul(t, s)}",
-        ),
-        _first_failure(
-            "mul-associative", triples,
-            lambda s, t, r: mul(mul(s, t), r) == mul(s, mul(t, r)),
-            lambda s, t, r: f"s={s} t={t} r={r}",
-        ),
-        _first_failure(
-            "mul-unit", singles,
-            lambda s: mul(s, one) == s and mul(one, s) == s,
-            lambda s: f"s={s}",
-        ),
-        _first_failure(
-            "zero-annihilates", singles,
-            lambda s: mul(s, zero) == zero and mul(zero, s) == zero,
-            lambda s: f"s={s}",
-        ),
-        _first_failure(
-            "distributive", triples,
-            lambda s, t, r: mul(s, add(t, r)) == add(mul(s, t), mul(s, r)),
-            lambda s, t, r: f"s={s} t={t} r={r}",
-        ),
-    ]
-    if desc.star is not None:
-        star = desc.star
-        results += [
-            _first_failure(
-                "star-preserves-add", pairs,
-                lambda s, t: star(add(s, t)) == add(star(s), star(t)),
-                lambda s, t: f"s={s} t={t}",
-            ),
-            _first_failure(
-                "star-preserves-mul", pairs,
-                lambda s, t: star(mul(s, t)) == mul(star(s), star(t)),
-                lambda s, t: f"s={s} t={t}",
-            ),
-            _first_failure(
-                "star-involutive", singles,
-                lambda s: star(star(s)) == s,
-                lambda s: f"s={s}",
-            ),
-            LawResult("star-fixes-zero", star(zero) == zero),
-            LawResult("star-fixes-one", star(one) == one),
-        ]
-    return LawReport(subject=desc.name, results=tuple(results))
-
-
-def check_monoid_laws(desc: MonoidDescriptor, samples: Sequence) -> LawReport:
-    """Associativity and unit laws over the samples; commutativity is
-    checked only when the descriptor claims it."""
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    op, unit = desc.op, desc.unit
-    triples = [(s, t, r) for s in samples for t in samples for r in samples]
-    singles = [(s,) for s in samples]
-    results = [
-        _first_failure(
-            "op-associative", triples,
-            lambda s, t, r: op(op(s, t), r) == op(s, op(t, r)),
-            lambda s, t, r: f"s={s} t={t} r={r}",
-        ),
-        _first_failure(
-            "unit-neutral", singles,
-            lambda s: op(s, unit) == s and op(unit, s) == s,
-            lambda s: f"s={s}",
-        ),
-    ]
-    if desc.commutative:
-        pairs = [(s, t) for s in samples for t in samples]
-        results.append(
-            _first_failure(
-                "op-commutative", pairs,
-                lambda s, t: op(s, t) == op(t, s),
-                lambda s, t: f"s={s} t={t}: {op(s, t)} != {op(t, s)}",
-            )
-        )
-    return LawReport(subject=desc.name, results=tuple(results))
+# Canonical maps
 
 
 def canonical_from_nat(desc: SemiringDescriptor, n: int) -> Scalar:
@@ -594,6 +413,14 @@ _INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message: whole up to 40 characters,
+    else its first 12 and its length, so a huge input is never echoed."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:12]!r}... ({len(text)} characters)"
+
+
 def _decimal(text: str) -> int:
     """``int(text)`` for a literal the grammar has accepted. Python refuses
     to convert more than ``sys.get_int_max_str_digits()`` digits; here
@@ -611,10 +438,10 @@ def _decimal(text: str) -> int:
 def _parse_fraction(text: str, original: str) -> Fraction:
     m = _RAT_RE.match(text)
     if not m:
-        raise FormatError(f"bad rational literal {original!r}")
+        raise FormatError(f"bad rational literal {_quote(original)}")
     den = _decimal(m.group(2) or "1")
     if den == 0:
-        raise FormatError(f"bad rational literal {original!r}")
+        raise FormatError(f"bad rational literal {_quote(original)}")
     return Fraction(_decimal(m.group(1)), den)
 
 
@@ -656,22 +483,24 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     text = text.strip()
     if name == "nat":
         if not _NAT_RE.match(text):
-            raise FormatError(f"bad natural literal {text!r}")
+            raise FormatError(f"bad natural literal {_quote(text)}")
         return nat(_decimal(text))
     if name == "bool":
         if text not in ("0", "1"):
-            raise FormatError(f"bad boolean literal {text!r} (want 0 or 1)")
+            raise FormatError(f"bad boolean literal {_quote(text)} (want 0 or 1)")
         return boolean(text == "1")
     if name == "tropical":
         if text == "inf":
             return tropical(None)
         if not _INT_RE.match(text):
-            raise FormatError(f"bad tropical literal {text!r}")
+            raise FormatError(f"bad tropical literal {_quote(text)}")
         return tropical(_decimal(text))
     if name == "ratnn":
         q = _parse_fraction(text, text)
         if q.numerator < 0:
-            raise FormatError(f"negative literal {text!r} in nonnegative-rational semiring")
+            raise FormatError(
+                f"negative literal {_quote(text)} in nonnegative-rational semiring"
+            )
         return Scalar("ratnn", q)
     if name == "gaussian":
         return _parse_gaussian(text)

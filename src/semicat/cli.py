@@ -25,7 +25,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _NAT_RE, NAT, TROPICAL, parse_scalar, render_scalar
+from .algebra import _NAT_RE, NAT, TROPICAL, _quote, parse_scalar, render_scalar
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -86,15 +86,15 @@ def parse_graph_text(text: str) -> GraphSpec:
                 raise FormatError(f"line {ln}: expected the node count alone")
             try:
                 count = parse_scalar(NAT, fields[0]).payload
-            except FormatError:
-                raise FormatError(f"line {ln}: bad node count {fields[0]!r}") from None
+            except FormatError as exc:
+                raise FormatError(f"line {ln}: bad node count: {exc}") from None
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
         try:
             src, dst = (parse_scalar(NAT, f).payload for f in fields[:2])
-        except FormatError:
-            raise FormatError(f"line {ln}: bad node index in {line!r}") from None
+        except FormatError as exc:
+            raise FormatError(f"line {ln}: bad node index: {exc}") from None
         if not 0 <= src < count or not 0 <= dst < count:
             raise FormatError(f"line {ln}: node index out of range (n = {count})")
         try:
@@ -205,14 +205,14 @@ def _cmd_roundtrip(args) -> int:
 def _nonneg_int(text: str) -> int:
     """An option value in the ``nat`` grammar: ASCII digits only."""
     if not _NAT_RE.match(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not a natural number")
     return int(text)
 
 
 def _positive_int(text: str) -> int:
     value = _nonneg_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not positive")
     return value
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotCommutative,
     TagMismatch,
 )
-from .matcat import Matrix, coord
+from .matcat import Matrix, coord_join, coord_split
 from .monadcore import (
     STAR,
     Atom,
@@ -48,7 +48,6 @@ __all__ = [
     "kl_zero",
     "kl_cotuple",
     "kl_tuple",
-    "kl_biproduct",
     "kl_tensor",
     "bc_m",
     "bc_m_inv",
@@ -191,22 +190,6 @@ def kl_tuple(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     return KleisliMap(T, f.dom, m1 + g.cod, comps)
 
 
-def kl_biproduct(kind: str, *args) -> KleisliMap:
-    """Dispatch for the biproduct structure maps."""
-    table = {
-        "coproj": kl_coproj,
-        "proj": kl_proj,
-        "cotuple": kl_cotuple,
-        "tuple": kl_tuple,
-        "zero": kl_zero,
-    }
-    try:
-        build = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown biproduct kind {kind!r}") from None
-    return build(*args)
-
-
 def kl_tensor(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     """Tensor of f: m -> p with g: n -> q, for a commutative monad: the
     component at the joined index (i, i') is fmap(join)(dst(f_i, g_i'))."""
@@ -216,11 +199,11 @@ def kl_tensor(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     p, q = f.cod, g.cod
 
     def join(e: Elem) -> Elem:
-        return Atom(coord(p, q, "join", (e.left.name, e.right.name)))
+        return Atom(coord_join(p, q, e.left.name, e.right.name))
 
     comps = []
     for c in range(f.dom * g.dom):
-        i0, i1 = coord(f.dom, g.dom, "split", c)
+        i0, i1 = coord_split(f.dom, g.dom, c)
         comps.append(T.fmap(join, T.dst(f.components[i0], g.components[i1])))
     return KleisliMap(T, f.dom * g.dom, p * q, tuple(comps))
 

@@ -57,6 +57,7 @@ from .algebra import (
     SemiringDescriptor,
     _NAT_RE,
     _decimal,
+    _quote,
     parse_scalar,
     render_scalar,
 )
@@ -76,7 +77,6 @@ __all__ = [
     "MatTheory",
     "mat_identity",
     "mat_compose",
-    "mat_structural",
     "mat_coproj1",
     "mat_coproj2",
     "mat_proj1",
@@ -85,7 +85,8 @@ __all__ = [
     "mat_tuple",
     "mat_add",
     "mat_add_biproduct",
-    "coord",
+    "coord_split",
+    "coord_join",
     "mat_tensor",
     "mat_dagger",
     "aleph0_embed",
@@ -385,23 +386,6 @@ def mat_tuple(f: Matrix, g: Matrix) -> Matrix:
     return Matrix(S, f.rows, f.cols + g.cols, tuple(entries))
 
 
-def mat_structural(kind: str, *args) -> Matrix:
-    """Dispatch for the structural matrices of the biproduct."""
-    table: dict[str, Callable[..., Matrix]] = {
-        "coproj1": mat_coproj1,
-        "coproj2": mat_coproj2,
-        "proj1": mat_proj1,
-        "proj2": mat_proj2,
-        "cotuple": mat_cotuple,
-        "tuple": mat_tuple,
-    }
-    try:
-        build = table[kind]
-    except KeyError:
-        raise ValueError(f"unknown structural kind {kind!r}") from None
-    return build(*args)
-
-
 def _parallel(f: Matrix, g: Matrix) -> SemiringDescriptor:
     S = _same_theory(f, g)
     if f.rows != g.rows or f.cols != g.cols:
@@ -434,19 +418,18 @@ def mat_add_biproduct(f: Matrix, g: Matrix) -> Matrix:
     return mat_compose(mat_compose(diag, blocked), codiag)
 
 
-def coord(n: int, m: int, direction: str, arg):
-    """The coordinatisation c = a*m + b between {0..n*m-1} and pairs."""
-    if direction == "split":
-        c = arg
-        if not (0 <= c < n * m):
-            raise IndexOutOfRange(f"index {c} not below {n}*{m}")
-        return (c // m, c % m)
-    if direction == "join":
-        a, b = arg
-        if not (0 <= a < n and 0 <= b < m):
-            raise IndexOutOfRange(f"pair ({a},{b}) not inside {n}x{m}")
-        return a * m + b
-    raise ValueError(f"direction must be 'split' or 'join', got {direction!r}")
+def coord_split(n: int, m: int, c: int) -> tuple[int, int]:
+    """The pair (a, b) of the coordinatisation c = a*m + b of {0..n*m-1}."""
+    if not (0 <= c < n * m):
+        raise IndexOutOfRange(f"index {c} not below {n}*{m}")
+    return (c // m, c % m)
+
+
+def coord_join(n: int, m: int, a: int, b: int) -> int:
+    """The index c = a*m + b of the pair (a, b) in {0..n-1} x {0..m-1}."""
+    if not (0 <= a < n and 0 <= b < m):
+        raise IndexOutOfRange(f"pair ({a},{b}) not inside {n}x{m}")
+    return a * m + b
 
 
 def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
@@ -583,7 +566,9 @@ def parse_mat_text(text: str) -> Matrix:
         raise FormatError("line 1, column 1: expected 'semiring <name> <rows> <cols>'")
     name = header[1][0]
     if name not in SEMIRINGS:
-        raise FormatError(f"line 1, column {header[1][1]}: unknown semiring {name!r}")
+        raise FormatError(
+            f"line 1, column {header[1][1]}: unknown semiring {_quote(name)}"
+        )
     S = SEMIRINGS[name]
     if not all(_NAT_RE.match(tok) for tok, _ in header[2:]):
         raise FormatError(

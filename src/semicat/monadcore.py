@@ -19,13 +19,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .algebra import (
     MonoidDescriptor,
-    Scalar,
     SemiringDescriptor,
-    Word,
 )
 from .errors import (
     CarrierMismatch,
@@ -65,16 +63,12 @@ __all__ = [
     "ms_map_scalars",
     "generic_strength",
     "swapped_strength",
-    "bicartesian",
     "tx_add",
     "tx_zero",
     "scalar_action",
     "eval_at_one",
-    "action_unit_mult",
     "dst_strength_first",
     "dst_swapped_first",
-    "commutativity_witness",
-    "CommutativityReport",
     "render_elem",
     "render_multiset",
 ]
@@ -612,18 +606,6 @@ def swapped_strength(T: MonadInstance, x: Elem, v):
     return T.fmap(_swap_pair, generic_strength(T, v, x))
 
 
-def bicartesian(T: MonadInstance, direction: str, arg):
-    """bc (direction ``fwd``) or its inverse (``inv``) for an additive monad."""
-    if not T.additive:
-        raise NotAdditive(f"{T.name} is not additive")
-    if direction == "fwd":
-        return T.bc(arg)
-    if direction == "inv":
-        u, v = arg
-        return T.bc_inv(u, v)
-    raise ValueError(f"direction must be 'fwd' or 'inv', got {direction!r}")
-
-
 def _codiagonal(e: Elem) -> Elem:
     if isinstance(e, (Inl, Inr)):
         return e.value
@@ -720,21 +702,6 @@ def _build_eval_at_one(T: MonadInstance):
     )
 
 
-def action_unit_mult(M: MonoidDescriptor, op: str, *args):
-    """Unit and multiplication of the action monad, on raw values."""
-    if op == "unit":
-        (x,) = args
-        return ActVal(M.unit, x)
-    if op == "mult":
-        s, inner = args
-        M.check_member(s)
-        if not isinstance(inner, ActVal):
-            raise MonoidMismatch(f"{inner!r} is not an action value")
-        M.check_member(inner.m)
-        return ActVal(M.op(s, inner.m), inner.elem)
-    raise ValueError(f"op must be 'unit' or 'mult', got {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # The two double-strength composites
 
@@ -755,25 +722,6 @@ def dst_swapped_first(T: MonadInstance, u, v):
         lambda p: T.embed(generic_strength(T, T.unembed(p.left), p.right)), outer
     )
     return T.mult(lifted)
-
-
-@dataclass(frozen=True)
-class CommutativityReport:
-    equal: bool
-    left: object
-    right: object
-
-    def render(self) -> str:
-        if self.equal:
-            return "equal"
-        return f"left={self.left} right={self.right}"
-
-
-def commutativity_witness(T: MonadInstance, u, v) -> CommutativityReport:
-    """Evaluate both double-strength composites on (u, v) and compare."""
-    left = dst_strength_first(T, u, v)
-    right = dst_swapped_first(T, u, v)
-    return CommutativityReport(left == right, left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Hom-set transposes, witness validation, and the law-suite runner."""
 
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 
+import semicat
 import semicat.adjunctions as adjunctions
 from semicat.adjunctions import (
     ADJUNCTION_NAMES,
@@ -21,6 +24,7 @@ from semicat.algebra import (
     BOOL,
     MONOIDS,
     NAT,
+    SEMIRINGS,
     canonical_from_nat,
     multiplicative_monoid,
     nat,
@@ -373,3 +377,48 @@ def test_a_broken_up_transpose_fails_its_roundtrip(monkeypatch, adjunction, semi
     assert not report.ok
     lines = report.render().splitlines()
     assert f"FAIL adjunction({semiring}) :: {adjunction}-roundtrip" in lines
+
+
+# ---------------------------------------------------------------------------
+# The triangles agree: on a singleton, the monoid triangle's transpose of the
+# iso m -> {star: m} is the semiring triangle's transpose of the same map.
+
+
+def singleton_disagreements(S):
+    T = MultisetMonad(S)
+    pool = scalar_pool(S)
+
+    def iso(m):
+        return ms_from_pairs(S, [(STAR, m)])
+
+    M = multiplicative_monoid(S)
+    sigma_mon = transpose_mon("up", HomWitness("MonoidMap", M, T, iso, pool)).apply
+    sigma_srng = transpose_srng("up", HomWitness("SemiringMap", S, T, iso, pool)).apply
+    return [
+        (m, x)
+        for m in pool
+        for x in (Atom("a"), Atom("b"))
+        if sigma_mon(ActVal(m, x)) != sigma_srng(ms_from_pairs(S, [(x, m)]))
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_the_triangles_agree_on_singletons(name):
+    assert singleton_disagreements(SEMIRINGS[name]) == []
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_a_strength_without_the_monoid_element_splits_the_triangles(monkeypatch, name):
+    _mon_mutant(monkeypatch)
+    assert singleton_disagreements(SEMIRINGS[name])
+
+
+# ---------------------------------------------------------------------------
+# Every exported name exists.
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(semicat.__path__):
+        module = importlib.import_module(f"semicat.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"

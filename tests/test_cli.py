@@ -347,6 +347,52 @@ def test_shortest_path_long_weight_exits_2(capsys, tmp_path):
     assert line.endswith(f"above the limit of {DIGIT_LIMIT} digits for a decimal integer")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{d}\n",
+        "2\n{d} 1 1\n",
+        "2\n0 {d} 1\n",
+        "{x}\n",
+        "2\n{x} 1 1\n",
+        "2\n0 1 {x}\n",
+    ],
+    ids=["long-count", "long-src", "long-dst", "text-count", "text-index", "text-weight"],
+)
+def test_shortest_path_long_field_gives_one_short_error(capsys, tmp_path, text):
+    path = tmp_path / "long.graph"
+    path.write_text(text.format(d="7" * 5000, x="x" * 5000))
+    assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: line ")
+    assert len(line.encode()) < 200
+
+
+@needs_digit_limit
+def test_shortest_path_long_count_names_the_limit(capsys, tmp_path):
+    path = tmp_path / "long.graph"
+    path.write_text("7" * (DIGIT_LIMIT + 1) + "\n")
+    assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: bad node count: {DIGIT_LIMIT + 1}-digit literal 777777777777..."
+        f" is above the limit of {DIGIT_LIMIT} digits for a decimal integer\n"
+    )
+
+
+def test_long_literals_are_quoted_by_a_prefix(capsys, tmp_path):
+    path = tmp_path / "long.mat"
+    path.write_text(f"semiring {'s' * 5000} 1 1\n1\n")
+    assert main(["matmul", "--op", "dagger", "-A", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1, column 10: unknown semiring 'ssssssssssss'... (5000 characters)\n"
+    )
+    assert main(["laws", "--suite", "dagger", "--seed", "x" * 5000]) == 2
+    (line,) = capsys.readouterr().err.splitlines()[-1:]
+    assert line.endswith("'xxxxxxxxxxxx'... (5000 characters) is not a natural number")
+
+
 @needs_digit_limit
 def test_matmul_oversized_result_exits_2(capsys, tmp_path):
     half = tmp_path / "half.mat"

@@ -23,7 +23,6 @@ from semicat.kleisli import (
     KleisliMap,
     bc_m,
     bc_m_inv,
-    kl_biproduct,
     kl_compose,
     kl_coproj,
     kl_dagger,
@@ -95,11 +94,13 @@ def test_biproduct_equations():
         assert kl_compose(k2, p1) == kl_zero(MN, m, n)
 
 
-def test_biproduct_dispatch():
-    assert kl_biproduct("coproj", MN, 1, 2, 1) == kl_coproj(MN, 1, 2, 1)
-    assert kl_biproduct("zero", MN, 1, 2) == kl_zero(MN, 1, 2)
+def test_biproduct_coproj_and_zero():
+    k1 = KleisliMap(MN, 2, 3, (nat_value((0, 1)), nat_value((1, 1))))
+    assert kl_coproj(MN, 1, 2, 1) == k1
+    assert kl_coproj(MN, 2, 2, 1) == KleisliMap(MN, 1, 3, (nat_value((2, 1)),))
+    assert kl_zero(MN, 1, 2) == KleisliMap(MN, 1, 2, (nat_value(),))
     with pytest.raises(ValueError):
-        kl_biproduct("swap", MN, 1, 1)
+        kl_coproj(MN, 3, 1, 1)
 
 
 def test_projections_need_additivity():

@@ -33,15 +33,16 @@ from semicat.matcat import (
     Matrix,
     aleph0_compose,
     aleph0_embed,
-    coord,
+    coord_join,
+    coord_split,
     homset_semiring,
     mat_add,
     mat_add_biproduct,
     mat_compose,
+    mat_coproj1,
     mat_cotuple,
     mat_dagger,
     mat_identity,
-    mat_structural,
     mat_tensor,
     mat_tuple,
     matrix,
@@ -90,15 +91,11 @@ def test_compose_guards():
 
 
 def test_structural_oracles():
-    assert mat_structural("coproj1", NAT, 2, 1) == matrix(
-        NAT, nats((1, 0, 0), (0, 1, 0))
-    )
+    assert mat_coproj1(NAT, 2, 1) == matrix(NAT, nats((1, 0, 0), (0, 1, 0)))
     two = matrix(NAT, nats((2,)))
     three = matrix(NAT, nats((3,)))
-    assert mat_structural("cotuple", two, three) == matrix(NAT, nats((2,), (3,)))
-    assert mat_structural("tuple", two, three) == matrix(NAT, nats((2, 3)))
-    with pytest.raises(ValueError):
-        mat_structural("left-unitor", NAT, 1, 1)
+    assert mat_cotuple(two, three) == matrix(NAT, nats((2,), (3,)))
+    assert mat_tuple(two, three) == matrix(NAT, nats((2, 3)))
 
 
 def test_cotuple_needs_matching_cols():
@@ -120,14 +117,18 @@ def test_zero_through_the_empty_object():
 
 
 def test_coord_roundtrip():
-    assert coord(3, 4, "split", 7) == (1, 3)
-    assert coord(3, 4, "join", (1, 3)) == 7
+    assert coord_split(3, 4, 7) == (1, 3)
+    assert coord_join(3, 4, 1, 3) == 7
     for c in range(12):
-        assert coord(3, 4, "join", coord(3, 4, "split", c)) == c
+        assert coord_join(3, 4, *coord_split(3, 4, c)) == c
     with pytest.raises(IndexOutOfRange):
-        coord(3, 4, "split", 12)
+        coord_split(3, 4, 12)
     with pytest.raises(IndexOutOfRange):
-        coord(3, 4, "join", (3, 0))
+        coord_split(3, 4, -1)
+    with pytest.raises(IndexOutOfRange):
+        coord_join(3, 4, 3, 0)
+    with pytest.raises(IndexOutOfRange):
+        coord_join(3, 4, 0, 4)
 
 
 def test_tensor_oracle():

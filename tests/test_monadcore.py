@@ -38,11 +38,10 @@ from semicat.monadcore import (
     MultisetMonad,
     Pair,
     STAR,
-    action_unit_mult,
-    bicartesian,
     carrier,
     carrier_map,
-    commutativity_witness,
+    dst_strength_first,
+    dst_swapped_first,
     eval_at_one,
     generic_strength,
     ms_from_pairs,
@@ -141,18 +140,16 @@ def test_dst_tag_mismatch():
 
 
 def test_commutativity_witness_agrees_for_multisets():
-    report = commutativity_witness(MN, ms(NAT, (A, nat(2))), ms(NAT, (X, nat(3))))
-    assert report.equal
-    assert report.left == ms(NAT, (Pair(A, X), nat(6)))
+    u, v = ms(NAT, (A, nat(2))), ms(NAT, (X, nat(3)))
+    left = dst_strength_first(MN, u, v)
+    assert left == dst_swapped_first(MN, u, v)
+    assert left == ms(NAT, (Pair(A, X), nat(6)))
 
 
 def test_commutativity_witness_splits_free_words():
-    report = commutativity_witness(
-        AW, ActVal(word("ab"), X), ActVal(word("cd"), Y)
-    )
-    assert not report.equal
-    assert report.left == ActVal(word("abcd"), Pair(X, Y))
-    assert report.right == ActVal(word("cdab"), Pair(X, Y))
+    u, v = ActVal(word("ab"), X), ActVal(word("cd"), Y)
+    assert dst_strength_first(AW, u, v) == ActVal(word("abcd"), Pair(X, Y))
+    assert dst_swapped_first(AW, u, v) == ActVal(word("cdab"), Pair(X, Y))
 
 
 def test_action_dst_requires_commutativity():
@@ -166,14 +163,14 @@ def test_action_dst_requires_commutativity():
 
 def test_bicartesian_roundtrip_oracle():
     w = ms(NAT, (Inl(A), nat(2)), (Inr(B), nat(3)))
-    u, v = bicartesian(MN, "fwd", w)
+    u, v = MN.bc(w)
     assert u == ms(NAT, (A, nat(2)))
     assert v == ms(NAT, (B, nat(3)))
-    assert bicartesian(MN, "inv", (u, v)) == w
+    assert MN.bc_inv(u, v) == w
 
 
 def test_bicartesian_fwd_empty():
-    assert bicartesian(MN, "fwd", ms(NAT)) == (ms(NAT), ms(NAT))
+    assert MN.bc(ms(NAT)) == (ms(NAT), ms(NAT))
 
 
 def test_bicartesian_rejects_untagged_keys():
@@ -183,7 +180,7 @@ def test_bicartesian_rejects_untagged_keys():
 
 def test_bicartesian_needs_additivity():
     with pytest.raises(NotAdditive):
-        bicartesian(AW, "fwd", ActVal(word("a"), Inl(X)))
+        AW.bc(ActVal(word("a"), Inl(X)))
 
 
 def test_tx_add_is_pointwise():
@@ -253,11 +250,9 @@ def test_eval_at_one_star():
 
 
 def test_action_unit_mult_oracles():
-    assert action_unit_mult(FREE_WORDS, "unit", X) == ActVal(word(""), X)
-    got = action_unit_mult(FREE_WORDS, "mult", word("a"), ActVal(word("b"), X))
-    assert got == ActVal(word("ab"), X)
-    neutral = action_unit_mult(FREE_WORDS, "mult", word(""), ActVal(word("w"), X))
-    assert neutral == ActVal(word("w"), X)
+    assert AW.unit(X) == ActVal(word(""), X)
+    assert AW.mult(ActVal(word("a"), ActVal(word("b"), X))) == ActVal(word("ab"), X)
+    assert AW.mult(ActVal(word(""), ActVal(word("w"), X))) == ActVal(word("w"), X)
 
 
 def test_action_monad_member_guard():
@@ -329,9 +324,9 @@ def test_tx_add_associates(u, v, w):
 
 @given(nat_multisets(), nat_multisets())
 def test_dst_matches_generic_composites(u, v):
-    report = commutativity_witness(MN, u, v)
-    assert report.equal
-    assert MN.dst(u, v) == report.left
+    left = dst_strength_first(MN, u, v)
+    assert left == dst_swapped_first(MN, u, v)
+    assert MN.dst(u, v) == left
 
 
 @given(nat_multisets())
