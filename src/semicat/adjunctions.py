@@ -44,6 +44,7 @@ from .algebra import (
     SEMIRINGS,
     Scalar,
     SemiringDescriptor,
+    _payloads,
     canonical_from_nat,
     monoid_by_name,
     multiplicative_monoid,
@@ -56,7 +57,6 @@ from .errors import (
     NotASemiringMap,
     NotAdditive,
     SemicatError,
-    TagMismatch,
     UnknownSemiring,
     UnknownSuite,
 )
@@ -565,9 +565,7 @@ def check_semiring_laws(desc: SemiringDescriptor, samples: Sequence) -> SuiteRep
     if not samples:
         raise ValueError("samples must be nonempty")
     if desc.tag is not None:
-        for s in samples:
-            if not isinstance(s, Scalar) or s.tag != desc.tag:
-                raise TagMismatch(f"sample {s!r} does not carry tag {desc.tag!r}")
+        _payloads(samples, desc.tag)
     add, mul, zero, one = desc.add, desc.mul, desc.zero, desc.one
     pairs = [(s, t) for s in samples for t in samples]
     triples = [(s, t, r) for s in samples for t in samples for r in samples]

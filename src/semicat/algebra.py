@@ -12,16 +12,22 @@ on :class:`Scalar` values and enforce tag discipline; synthesized
 descriptors produced elsewhere in the package (homset semirings, evaluation
 of a monad at the one-point set) reuse the same dataclass with ``tag=None``
 and carry whatever value type their construction dictates.
+
+The arithmetic of the built-ins is written once, on bare payloads, in the
+table ``_PAYLOAD_OPS``. Each built-in descriptor checks the tags of its
+arguments, applies the table's operation and wraps the result, and the
+matrix kernels of :mod:`semicat.matcat` compute with the same table.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     FormatError,
@@ -88,11 +94,6 @@ class Scalar:
             inner = (self.payload,)
         return ("scalar", self.tag, inner)
 
-    def __lt__(self, other: "Scalar") -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.sort_key() < other.sort_key()
-
     def __str__(self) -> str:
         return render_scalar(self)
 
@@ -137,11 +138,6 @@ class Word:
 
     def sort_key(self) -> tuple:
         return ("word", self.letters)
-
-    def __lt__(self, other: "Word") -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters < other.letters
 
     def __str__(self) -> str:
         return "".join(self.letters) if self.letters else "eps"
@@ -195,128 +191,82 @@ class MonoidDescriptor:
 # Built-in semirings
 
 
+def _tropical_add(x, y):
+    return y if x is None else x if y is None else min(x, y)
+
+
+def _tropical_mul(x, y):
+    return None if x is None or y is None else x + y
+
+
+def _gaussian_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _gaussian_mul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+def _gaussian_star(x):
+    return (x[0], -x[1])
+
+
+def _same(x):
+    return x
+
+
+# The arithmetic of each built-in on bare payloads, as (add, mul, star).
+# The descriptors below wrap these for Scalar values, and the matrix
+# kernels of :mod:`semicat.matcat` compute with them directly.
+_PAYLOAD_OPS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "nat": (operator.add, operator.mul, _same),
+    "bool": (operator.or_, operator.and_, _same),
+    "tropical": (_tropical_add, _tropical_mul, _same),
+    "ratnn": (operator.add, operator.mul, _same),
+    "gaussian": (_gaussian_add, _gaussian_mul, _gaussian_star),
+}
+
+
 def _payload(s: Scalar, tag: str):
     if not isinstance(s, Scalar) or s.tag != tag:
         raise TagMismatch(f"expected a {tag} scalar, got {s!r}")
     return s.payload
 
 
-def _nat_add(a: Scalar, b: Scalar) -> Scalar:
-    return nat(_payload(a, "nat") + _payload(b, "nat"))
+def _payloads(xs: Sequence, tag: str) -> list:
+    """The payloads of ``xs``, each checked as :func:`_payload` checks one;
+    a bad entry raises through :func:`_payload`, with its message."""
+    for x in xs:
+        if not isinstance(x, Scalar) or x.tag != tag:
+            _payload(x, tag)
+    return [x.payload for x in xs]
 
 
-def _nat_mul(a: Scalar, b: Scalar) -> Scalar:
-    return nat(_payload(a, "nat") * _payload(b, "nat"))
+def _builtin(tag: str, zero: Scalar, one: Scalar) -> SemiringDescriptor:
+    """The descriptor of a built-in: its ``_PAYLOAD_OPS`` on scalars, each
+    argument checked to carry ``tag`` and each result wrapped once."""
+    padd, pmul, pstar = _PAYLOAD_OPS[tag]
 
+    def add(a: Scalar, b: Scalar) -> Scalar:
+        return Scalar(tag, padd(_payload(a, tag), _payload(b, tag)))
 
-def _identity_star(tag: str) -> Callable:
+    def mul(a: Scalar, b: Scalar) -> Scalar:
+        return Scalar(tag, pmul(_payload(a, tag), _payload(b, tag)))
+
     def star(a: Scalar) -> Scalar:
-        _payload(a, tag)
-        return a
+        return Scalar(tag, pstar(_payload(a, tag)))
 
-    return star
-
-
-NAT = SemiringDescriptor(
-    name="nat",
-    add=_nat_add,
-    zero=nat(0),
-    mul=_nat_mul,
-    one=nat(1),
-    star=_identity_star("nat"),
-    tag="nat",
-)
+    return SemiringDescriptor(
+        name=tag, add=add, zero=zero, mul=mul, one=one, star=star, tag=tag
+    )
 
 
-def _bool_add(a: Scalar, b: Scalar) -> Scalar:
-    return boolean(_payload(a, "bool") or _payload(b, "bool"))
-
-
-def _bool_mul(a: Scalar, b: Scalar) -> Scalar:
-    return boolean(_payload(a, "bool") and _payload(b, "bool"))
-
-
-BOOL = SemiringDescriptor(
-    name="bool",
-    add=_bool_add,
-    zero=boolean(False),
-    mul=_bool_mul,
-    one=boolean(True),
-    star=_identity_star("bool"),
-    tag="bool",
-)
-
-
-def _trop_add(a: Scalar, b: Scalar) -> Scalar:
-    x, y = _payload(a, "tropical"), _payload(b, "tropical")
-    if x is None:
-        return b
-    if y is None:
-        return a
-    return tropical(min(x, y))
-
-
-def _trop_mul(a: Scalar, b: Scalar) -> Scalar:
-    x, y = _payload(a, "tropical"), _payload(b, "tropical")
-    if x is None or y is None:
-        return tropical(None)
-    return tropical(x + y)
-
-
-TROPICAL = SemiringDescriptor(
-    name="tropical",
-    add=_trop_add,
-    zero=tropical(None),
-    mul=_trop_mul,
-    one=tropical(0),
-    star=_identity_star("tropical"),
-    tag="tropical",
-)
-
-
-def _ratnn_add(a: Scalar, b: Scalar) -> Scalar:
-    return rational(_payload(a, "ratnn") + _payload(b, "ratnn"))
-
-
-def _ratnn_mul(a: Scalar, b: Scalar) -> Scalar:
-    return rational(_payload(a, "ratnn") * _payload(b, "ratnn"))
-
-
-RATNN = SemiringDescriptor(
-    name="ratnn",
-    add=_ratnn_add,
-    zero=rational(0),
-    mul=_ratnn_mul,
-    one=rational(1),
-    star=_identity_star("ratnn"),
-    tag="ratnn",
-)
-
-
-def _gauss_add(a: Scalar, b: Scalar) -> Scalar:
-    (ar, ai), (br, bi) = _payload(a, "gaussian"), _payload(b, "gaussian")
-    return gaussian(ar + br, ai + bi)
-
-
-def _gauss_mul(a: Scalar, b: Scalar) -> Scalar:
-    (ar, ai), (br, bi) = _payload(a, "gaussian"), _payload(b, "gaussian")
-    return gaussian(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _gauss_star(a: Scalar) -> Scalar:
-    re_part, im_part = _payload(a, "gaussian")
-    return gaussian(re_part, -im_part)
-
-
-GAUSSIAN = SemiringDescriptor(
-    name="gaussian",
-    add=_gauss_add,
-    zero=gaussian(0, 0),
-    mul=_gauss_mul,
-    one=gaussian(1, 0),
-    star=_gauss_star,
-    tag="gaussian",
-)
+NAT = _builtin("nat", nat(0), nat(1))
+BOOL = _builtin("bool", boolean(False), boolean(True))
+TROPICAL = _builtin("tropical", tropical(None), tropical(0))
+RATNN = _builtin("ratnn", rational(0), rational(1))
+GAUSSIAN = _builtin("gaussian", gaussian(0, 0), gaussian(1, 0))
 
 
 SEMIRINGS: dict[str, SemiringDescriptor] = {

@@ -6,8 +6,9 @@ tropical matrix powers into a bounded-hop distance table, and
 ``roundtrip`` drives the adjunction transposes there and back.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
-error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``.
-Results go to stdout, diagnostics to stderr.
+error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``,
+3 an internal error: any other exception, reported as one ``internal
+error:`` line. Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,10 +18,13 @@ Compose, tensor, dagger and entrywise add run on payload kernels over the
 five built-in descriptor objects (``NAT``, ``BOOL``, ``TROPICAL``,
 ``RATNN``, ``GAUSSIAN``). A kernel unwraps each input entry once to its
 bare payload, raising :class:`TagMismatch` on an entry without the
-semiring's tag, computes on payloads, and wraps each output entry once:
-int sums of products for nat, any/and for bool, and min-plus on ints for
-tropical, with infinity replaced by a stand-in larger than any finite sum
-can reach. For ratnn and gaussian, compose scales each row of the left
+semiring's tag, computes on payloads, and wraps each output entry once.
+Entrywise add, tensor and dagger use the built-in's payload operations
+from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor is built
+from. Compose has its own sum-of-products kernel per built-in: int sums of
+products for nat, any/and for bool, and min-plus on ints for tropical,
+with infinity replaced by a stand-in larger than any finite sum can
+reach. For ratnn and gaussian, compose scales each row of the left
 factor by the lcm D of its denominators and each column of the right
 factor by the lcm E of its own. Every scaled entry is an integer, or an
 (re, im) pair of integers, so a row-by-column sum of products is an exact
@@ -43,7 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, mul, or_
+from operator import add, and_, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
@@ -56,7 +59,9 @@ from .algebra import (
     Scalar,
     SemiringDescriptor,
     _NAT_RE,
+    _PAYLOAD_OPS,
     _decimal,
+    _payloads,
     _quote,
     parse_scalar,
     render_scalar,
@@ -161,9 +166,7 @@ def matrix(S: SemiringDescriptor, rows: Sequence[Sequence]) -> Matrix:
             raise DimensionMismatch("ragged rows")
         flat.extend(r)
     if S.tag is not None:
-        for e in flat:
-            if not isinstance(e, Scalar) or e.tag != S.tag:
-                raise TagMismatch(f"entry {e!r} does not carry tag {S.tag!r}")
+        _payloads(flat, S.tag)
     return Matrix(S, n, m, tuple(flat))
 
 
@@ -229,31 +232,6 @@ def _gaussian_products(rows: list, cols: list) -> list:
     ]
 
 
-def _tropical_add(x, y):
-    return y if x is None else x if y is None else min(x, y)
-
-
-def _tropical_mul(x, y):
-    return None if x is None or y is None else x + y
-
-
-def _gaussian_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _gaussian_mul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    return (xr * yr - xi * yi, xr * yi + xi * yr)
-
-
-def _gaussian_star(x):
-    return (x[0], -x[1])
-
-
-def _same(x):
-    return x
-
-
 class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
     of one matrix and the columns of another and returns every row-by-column
@@ -268,11 +246,14 @@ class _Kernel(NamedTuple):
 # Keyed on the descriptor objects, which hash by identity: a descriptor
 # that merely shares a built-in's tag keeps its own operations.
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
-    NAT: _Kernel(_nat_products, add, mul, _same),
-    BOOL: _Kernel(_bool_products, or_, and_, _same),
-    TROPICAL: _Kernel(_tropical_products, _tropical_add, _tropical_mul, _same),
-    RATNN: _Kernel(_ratnn_products, add, mul, _same),
-    GAUSSIAN: _Kernel(_gaussian_products, _gaussian_add, _gaussian_mul, _gaussian_star),
+    S: _Kernel(products, *_PAYLOAD_OPS[S.tag])
+    for S, products in (
+        (NAT, _nat_products),
+        (BOOL, _bool_products),
+        (TROPICAL, _tropical_products),
+        (RATNN, _ratnn_products),
+        (GAUSSIAN, _gaussian_products),
+    )
 }
 
 
@@ -299,14 +280,7 @@ def _open(S: SemiringDescriptor, *ms: Matrix) -> tuple:
     kernel = _KERNELS.get(S)
     if kernel is None:
         return (_generic(S), *(m.entries for m in ms))
-    tag = S.tag
-    opened = [kernel]
-    for m in ms:
-        for e in m.entries:
-            if not isinstance(e, Scalar) or e.tag != tag:
-                raise TagMismatch(f"expected a {tag} scalar, got {e!r}")
-        opened.append([e.payload for e in m.entries])
-    return tuple(opened)
+    return (kernel, *(_payloads(m.entries, S.tag) for m in ms))
 
 
 def _close(S: SemiringDescriptor, rows: int, cols: int, values: list) -> Matrix:
@@ -517,15 +491,14 @@ class MatTheory:
         return f"mat({self.semiring.name})"
 
 
-def homset_semiring(L: MatTheory | SemiringDescriptor) -> SemiringDescriptor:
-    """The semiring of endomaps of 1 in a matrix theory.
+def homset_semiring(S: SemiringDescriptor) -> SemiringDescriptor:
+    """The semiring of endomaps of 1 in the matrix theory of ``S``.
 
     Multiplication is composition; addition is the generic biproduct
     composite (diagonal, block sum, codiagonal); zero is the unique map
     through the object 0; star, when the theory has a dagger, is the
     dagger of an endomap.
     """
-    S = L.semiring if isinstance(L, MatTheory) else L
     one = mat_identity(S, 1)
     zero = mat_compose(Matrix(S, 1, 0, ()), Matrix(S, 0, 1, ()))
     return SemiringDescriptor(

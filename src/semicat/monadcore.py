@@ -81,34 +81,15 @@ __all__ = [
 class Elem:
     """Base of the universal element encoding.
 
-    Subclasses are frozen dataclasses; ordering is lexicographic on the
-    constructor, then on the fields, via :meth:`key`.
+    Subclasses are frozen dataclasses. Elements order by :meth:`key`,
+    lexicographic on the constructor, then on the fields; every sort in
+    the package passes it as the sort key.
     """
 
     __slots__ = ()
 
     def key(self) -> tuple:
         raise NotImplementedError
-
-    def __lt__(self, other: "Elem") -> bool:
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return self.key() < other.key()
-
-    def __le__(self, other: "Elem") -> bool:
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return self.key() <= other.key()
-
-    def __gt__(self, other: "Elem") -> bool:
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return self.key() > other.key()
-
-    def __ge__(self, other: "Elem") -> bool:
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return self.key() >= other.key()
 
 
 @dataclass(frozen=True)
@@ -257,12 +238,9 @@ class CarrierMap:
             raise ElementOutsideCarrier(f"{render_elem(x)} is outside the map's domain") from None
 
 
-def carrier_map(dom: FiniteCarrier, cod: FiniteCarrier, assign: dict | Callable) -> CarrierMap:
-    if callable(assign) and not isinstance(assign, dict):
-        table = tuple((x, assign(x)) for x in dom)
-    else:
-        table = tuple(assign.items())
-    return CarrierMap(dom, cod, table)
+def carrier_map(dom: FiniteCarrier, cod: FiniteCarrier, assign: dict) -> CarrierMap:
+    """The map from ``dom`` to ``cod`` with the table ``assign``."""
+    return CarrierMap(dom, cod, tuple(assign.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +606,9 @@ def tx_add(T: MonadInstance, u, v):
     return T.fmap(_codiagonal, T.bc_inv(u, v))
 
 
-def tx_zero(T: MonadInstance, xs: FiniteCarrier | None = None):
-    """The zero value over any carrier: the image of the unique value over
-    the empty set under T of the empty map."""
+def tx_zero(T: MonadInstance):
+    """The zero value, the same over every carrier: the image of the
+    unique value over the empty set under T of the empty map."""
     if not T.additive:
         raise NotAdditive(f"{T.name} is not additive")
     return T.fmap(_never, T.initial_value())

@@ -33,6 +33,7 @@ from semicat.adjunctions import check_monoid_laws, check_semiring_laws
 from semicat.errors import (
     FormatError,
     MonoidMismatch,
+    TagMismatch,
     UnknownSemiring,
 )
 from semicat.sampling import monoid_pool, scalar_pool
@@ -76,6 +77,47 @@ def test_gaussian_star_is_conjugation():
 def test_gaussian_multiplication():
     # (1+2i)(3+4i) = 3+4i+6i-8 = -5+10i
     assert GAUSSIAN.mul(gaussian(1, 2), gaussian(3, 4)) == gaussian(-5, 10)
+
+
+def test_ratnn_arithmetic():
+    half, third = rational(Fraction(1, 2)), rational(Fraction(1, 3))
+    assert RATNN.add(half, third) == rational(Fraction(5, 6))
+    assert RATNN.mul(rational(Fraction(2, 3)), rational(Fraction(3, 4))) == half
+    assert RATNN.star(third) == third
+
+
+def test_gaussian_addition():
+    # (1/2+2i) + (3-5/3i) = 7/2+1/3i
+    total = GAUSSIAN.add(gaussian(Fraction(1, 2), 2), gaussian(3, Fraction(-5, 3)))
+    assert total == gaussian(Fraction(7, 2), Fraction(1, 3))
+
+
+def test_tropical_infinity_on_either_side():
+    inf = tropical(None)
+    assert TROPICAL.mul(tropical(5), inf) == inf
+    assert TROPICAL.mul(inf, tropical(-5)) == inf
+    assert TROPICAL.mul(inf, inf) == inf
+    assert TROPICAL.add(tropical(-5), inf) == tropical(-5)
+    assert TROPICAL.add(inf, inf) == inf
+
+
+def test_bool_remaining_cases():
+    assert BOOL.add(boolean(True), boolean(True)) == boolean(True)
+    assert BOOL.mul(boolean(False), boolean(False)) == boolean(False)
+    assert BOOL.mul(boolean(False), boolean(True)) == boolean(False)
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_builtin_ops_reject_a_foreign_argument(name):
+    S = SEMIRINGS[name]
+    message = f"^expected a {name} scalar, got "
+    for foreign in (NAT.one if S is not NAT else BOOL.one, S.one.payload):
+        for op in (S.add, S.mul):
+            for args in ((S.one, foreign), (foreign, S.one)):
+                with pytest.raises(TagMismatch, match=message):
+                    op(*args)
+        with pytest.raises(TagMismatch, match=message):
+            S.star(foreign)
 
 
 def test_rational_rejects_negative():

@@ -2,12 +2,18 @@
 operations, law suites, and exit codes."""
 
 import argparse
+import io
 import math
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import semicat.adjunctions as adjunctions
 import semicat.cli as cli
 from semicat.adjunctions import ADJUNCTION_NAMES, SUITE_NAMES, SuiteReport
 from semicat.algebra import SEMIRINGS, TROPICAL, tropical
@@ -200,6 +206,17 @@ def test_roundtrip_reports_violations(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_roundtrip", lambda *a, **kw: broken)
     assert main(["roundtrip", "--adjunction", "srng-e", "--semiring", "nat"]) == 1
     assert "FAIL s :: unit" in capsys.readouterr().out
+
+
+def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken_builder(config, rng):
+        raise RuntimeError("builder bug")
+
+    monkeypatch.setitem(adjunctions._SUITES, "dagger", broken_builder)
+    assert main(["laws", "--suite", "dagger"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: builder bug\n"
 
 
 @pytest.mark.parametrize(
@@ -450,3 +467,77 @@ def test_law_goldens_cover_every_run():
 def test_law_output_matches_its_golden(capsys, name):
     assert main(LAW_GOLDEN_RUNS[name]) == 0
     assert capsys.readouterr().out == (LAW_GOLDENS / f"{name}.out").read_text()
+
+
+# ---------------------------------------------------------------------------
+# A fuzz net over input files: whatever the bytes of -A, -B or --graph, the
+# run exits 0 with nothing on stderr, or 2 with one `error:` line.
+
+# Numerals stay small, or above the digit limit: a matrix with no rows and
+# a huge column count still escapes the size cap (ROADMAP item 4).
+WORDS = st.sampled_from(
+    ["semiring", "nat", "bool", "tropical", "ratnn", "gaussian", "octonions",
+     "0", "1", "2", "3", "-1", "inf", "i", "-2i", "1/2", "1/0", "3+i", "+",
+     "x", "٣", "1_0", *(["9" * (DIGIT_LIMIT + 1)] if DIGIT_LIMIT else [])]
+)
+FIXTURE_TEXTS = [
+    (FIXTURES / name).read_text()
+    for name in ("compose_a.mat", "compose_b.mat", "dagger_in.mat", "cycle3.graph", "line4.graph")
+]
+
+
+@st.composite
+def token_soups(draw):
+    """Lines of grammar words, often under a .mat header or a node count."""
+    first = draw(
+        st.one_of(
+            st.tuples(WORDS, WORDS, WORDS, WORDS).map(" ".join),
+            st.tuples(st.just("semiring"), WORDS, WORDS, WORDS).map(" ".join),
+            WORDS,
+        )
+    )
+    body = draw(st.lists(st.lists(WORDS, max_size=4).map(" ".join), max_size=5))
+    return "\n".join([first, *body]).encode()
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A fixture file with up to two of its words replaced."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(FIXTURE_TEXTS)).split("\n")]
+    for _ in range(draw(st.integers(0, 2))):
+        words = draw(st.sampled_from(lines))
+        words[draw(st.integers(0, len(words) - 1))] = draw(WORDS)
+    return "\n".join(" ".join(words) for words in lines).encode()
+
+
+input_files = st.one_of(st.binary(max_size=64), token_soups(), edited_fixtures())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["compose", "tensor", "dagger", "shortest-path"]),
+    input_files,
+    st.one_of(st.none(), input_files),
+    st.integers(0, 3),
+)
+def test_any_input_file_exits_0_or_2_with_at_most_one_error_line(command, a, b, hops):
+    """``b=None`` passes the -A file as -B too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path_a, path_b = Path(tmp, "a"), Path(tmp, "b")
+        path_a.write_bytes(a)
+        path_b.write_bytes(a if b is None else b)
+        if command == "shortest-path":
+            argv = ["shortest-path", "--graph", str(path_a), "--max-hops", str(hops)]
+        elif command == "dagger":
+            argv = ["matmul", "--op", "dagger", "-A", str(path_a)]
+        else:
+            argv = ["matmul", "--op", command, "-A", str(path_a), "-B", str(path_b)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
