@@ -16,7 +16,9 @@ and carry whatever value type their construction dictates.
 The arithmetic of the built-ins is written once, on bare payloads, in the
 table ``_PAYLOAD_OPS``. Each built-in descriptor checks the tags of its
 arguments, applies the table's operation and wraps the result, and the
-matrix kernels of :mod:`semicat.matcat` compute with the same table.
+matrix kernels of :mod:`semicat.matcat` compute with the same table. The
+gaussian product takes each part over the common denominator of the integer
+ratios of the factors' parts: one reduced ``Fraction``, the textbook value.
 """
 
 from __future__ import annotations
@@ -204,8 +206,14 @@ def _gaussian_add(x, y):
 
 
 def _gaussian_mul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    return (xr * yr - xi * yi, xr * yi + xi * yr)
+    # (p/q + r/s i)(t/u + v/w i), each part over the denominator q*s*u*w
+    (p, q), (r, s) = x[0].as_integer_ratio(), x[1].as_integer_ratio()
+    (t, u), (v, w) = y[0].as_integer_ratio(), y[1].as_integer_ratio()
+    qu, sw = q * u, s * w
+    return (
+        Fraction(p * t * sw - r * v * qu, qu * sw),
+        Fraction(p * v * s * u + r * t * q * w, qu * sw),
+    )
 
 
 def _gaussian_star(x):
@@ -401,11 +409,8 @@ def _parse_gaussian(text: str) -> Scalar:
         raise FormatError("empty gaussian literal")
     if body.endswith("i"):
         body = body[:-1]
-        # split real and imaginary parts at the last top-level sign
-        sep = -1
-        for idx in range(1, len(body)):
-            if body[idx] in "+-":
-                sep = idx
+        # split real and imaginary parts at the last sign after the first
+        sep = max(body.rfind("+", 1), body.rfind("-", 1))
         if sep >= 0:
             re_text, im_text = body[:sep], body[sep:]
         else:
@@ -457,8 +462,8 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     raise UnknownSemiring(f"no scalar grammar for semiring {name!r}")
 
 
-def _render_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _render_ratio(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def render_scalar(s: Scalar) -> str:
@@ -472,21 +477,20 @@ def render_scalar(s: Scalar) -> str:
         if s.tag == "tropical":
             return "inf" if s.payload is None else str(s.payload)
         if s.tag == "ratnn":
-            return _render_fraction(s.payload)
+            return _render_ratio(*s.payload.as_integer_ratio())
         if s.tag == "gaussian":
-            re_part, im_part = s.payload
-            if im_part == 0:
-                return _render_fraction(re_part)
-            if im_part == 1:
-                im_text = "i"
-            elif im_part == -1:
-                im_text = "-i"
+            re_n, re_d = s.payload[0].as_integer_ratio()
+            im_n, im_d = s.payload[1].as_integer_ratio()
+            if im_n == 0:
+                return _render_ratio(re_n, re_d)
+            if im_d == 1 and im_n in (1, -1):
+                im_text = "i" if im_n == 1 else "-i"
             else:
-                im_text = f"{_render_fraction(im_part)}i"
-            if re_part == 0:
+                im_text = f"{_render_ratio(im_n, im_d)}i"
+            if re_n == 0:
                 return im_text
-            sign = "+" if im_part > 0 else ""
-            return f"{_render_fraction(re_part)}{sign}{im_text}"
+            sign = "+" if im_n > 0 else ""
+            return f"{_render_ratio(re_n, re_d)}{sign}{im_text}"
     except ValueError:
         raise FormatError(
             f"a {s.tag} value has more than {sys.get_int_max_str_digits()} digits,"

@@ -50,14 +50,17 @@ __all__ = [
 
 # The most entries a dense table built by a command may have: the n x n
 # distance table of ``shortest-path``, or the result of ``matmul``. Larger
-# inputs exit 2 before any table is allocated.
+# inputs exit 2 before any table is allocated. An empty dimension counts as
+# one, as a 0 x n or n x 0 table still costs n column lists or n lines.
 MAX_TABLE_ENTRIES = 1_000_000
 
 
 def _check_table_size(what: str, rows: int, cols: int) -> None:
-    if rows * cols > MAX_TABLE_ENTRIES:
+    size = max(rows, 1) * max(cols, 1)
+    if size > MAX_TABLE_ENTRIES:
         raise SizeLimitExceeded(
-            f"{what} would have {rows}x{cols} = {rows * cols} entries,"
+            f"{what} would have {rows}x{cols} = {size} entries"
+            f"{'' if rows and cols else ' (an empty dimension counts as 1)'},"
             f" above the cap of {MAX_TABLE_ENTRIES}"
         )
 
@@ -171,6 +174,7 @@ def _cmd_matmul(args) -> int:
     if args.op == "dagger":
         if args.b is not None:
             raise FormatError("dagger takes a single matrix; drop -B")
+        _check_table_size("the dagger", a.cols, a.rows)
         result = mat_dagger(a)
     else:
         if args.b is None:

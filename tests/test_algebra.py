@@ -1,5 +1,6 @@
 """Scalar arithmetic, descriptor law checks, and the text grammar."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from semicat.algebra import (
     SEMIRINGS,
     SemiringDescriptor,
     TROPICAL,
+    _PAYLOAD_OPS,
+    _parse_fraction,
     boolean,
     canonical_from_nat,
     gaussian,
@@ -37,6 +40,7 @@ from semicat.errors import (
     UnknownSemiring,
 )
 from semicat.sampling import monoid_pool, scalar_pool
+from test_kernels import fractions as wide_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +81,25 @@ def test_gaussian_star_is_conjugation():
 def test_gaussian_multiplication():
     # (1+2i)(3+4i) = 3+4i+6i-8 = -5+10i
     assert GAUSSIAN.mul(gaussian(1, 2), gaussian(3, 4)) == gaussian(-5, 10)
+
+
+def textbook_gaussian_product(x, y):
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+@given(wide_fractions, wide_fractions, wide_fractions, wide_fractions)
+def test_gaussian_product_matches_the_textbook_formula(xr, xi, yr, yi):
+    """The scalar and kernel product against six ``Fraction`` operations.
+    ``Fraction`` equality compares numerator and denominator, so equal
+    parts are also reduced alike and render to the same text."""
+    expected = textbook_gaussian_product((xr, xi), (yr, yi))
+    for got in (
+        _PAYLOAD_OPS["gaussian"][1]((xr, xi), (yr, yi)),
+        GAUSSIAN.mul(gaussian(xr, xi), gaussian(yr, yi)).payload,
+    ):
+        assert got == expected
+        assert all(type(part) is Fraction for part in got)
 
 
 def test_ratnn_arithmetic():
@@ -268,6 +291,82 @@ def test_negative_ratnn_literal_message(text):
     message = f"negative literal {text!r} in nonnegative-rational semiring"
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         parse_scalar(RATNN, text)
+
+
+def reference_parse_gaussian(text: str):
+    """The gaussian grammar, splitting the real from the imaginary part
+    by a scan of every character for the last sign after the first."""
+    body = text
+    if not body:
+        raise FormatError("empty gaussian literal")
+    if body.endswith("i"):
+        body = body[:-1]
+        sep = -1
+        for idx in range(1, len(body)):
+            if body[idx] in "+-":
+                sep = idx
+        if sep >= 0:
+            re_text, im_text = body[:sep], body[sep:]
+        else:
+            re_text, im_text = "", body
+        if im_text in ("", "+"):
+            im_part = Fraction(1)
+        elif im_text == "-":
+            im_part = Fraction(-1)
+        else:
+            im_part = _parse_fraction(im_text.lstrip("+"), text)
+        re_part = _parse_fraction(re_text, text) if re_text else Fraction(0)
+        return gaussian(re_part, im_part)
+    return gaussian(_parse_fraction(body, text), 0)
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return parse(text).payload
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_every_short_gaussian_literal_parses_as_the_reference():
+    texts = [
+        "".join(chars)
+        for n in range(7)
+        for chars in itertools.product("01-+/i", repeat=n)
+    ]
+    assert len(texts) == 55_987
+    for text in texts:
+        got = parse_outcome(lambda t: parse_scalar(GAUSSIAN, t), text)
+        assert got == parse_outcome(reference_parse_gaussian, text), text
+
+
+def reference_render_gaussian(re_part: Fraction, im_part: Fraction) -> str:
+    """The gaussian text, branching on ``Fraction`` comparisons."""
+
+    def part(q: Fraction) -> str:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    if im_part == 0:
+        return part(re_part)
+    im_text = "i" if im_part == 1 else "-i" if im_part == -1 else f"{part(im_part)}i"
+    if re_part == 0:
+        return im_text
+    return f"{part(re_part)}{'+' if im_part > 0 else ''}{im_text}"
+
+
+def test_gaussian_rendering_matches_the_reference():
+    parts = [Fraction(0)] + [
+        sign * q
+        for q in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(7, 3))
+        for sign in (1, -1)
+    ]
+    for re_part, im_part in itertools.product(parts, repeat=2):
+        s = gaussian(re_part, im_part)
+        text = render_scalar(s)
+        assert text == reference_render_gaussian(re_part, im_part)
+        assert parse_scalar(GAUSSIAN, text) == s
+    for q in parts:
+        if q >= 0:
+            assert render_scalar(rational(q)) == reference_render_gaussian(q, Fraction(0))
 
 
 def test_unknown_grammar():

@@ -150,6 +150,48 @@ def test_matmul_size_cap(capsys, tmp_path):
     assert "error: the composite would have" in captured.err
 
 
+@pytest.mark.parametrize(
+    "op,a,b,what",
+    [
+        ("dagger", "wide", None, "dagger"),
+        ("compose", "empty", "wide", "composite"),
+        ("tensor", "wide", "one", "tensor"),
+    ],
+)
+def test_matmul_empty_dimension_counts_toward_the_cap(capsys, tmp_path, op, a, b, what):
+    # A 0 x (cap + 1) file holds no entries, but its dagger is cap + 1 empty
+    # lines and a compose with it builds cap + 1 empty columns.
+    files = {
+        "wide": f"semiring nat 0 {cli.MAX_TABLE_ENTRIES + 1}\n",
+        "empty": "semiring nat 0 0\n",
+        "one": "semiring nat 1 1\n1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["matmul", "--op", op, "-A", str(tmp_path / a)]
+    if b is not None:
+        argv += ["-B", str(tmp_path / b)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: the {what} would have ")
+    assert line.endswith(
+        "(an empty dimension counts as 1), above the cap of"
+        f" {cli.MAX_TABLE_ENTRIES}"
+    )
+
+
+def test_matmul_empty_dimension_at_the_cap_still_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 10)
+    wide = tmp_path / "wide.mat"
+    wide.write_text("semiring nat 0 10\n")
+    assert main(["matmul", "--op", "dagger", "-A", str(wide)]) == 0
+    assert capsys.readouterr().out == "semiring nat 10 0\n" + "\n" * 10
+    wide.write_text("semiring nat 0 11\n")
+    assert main(["matmul", "--op", "dagger", "-A", str(wide)]) == 2
+
+
 def test_laws_pass(capsys):
     code = main(["laws", "--suite", "dagger", "--cases", "5"])
     out = capsys.readouterr().out
@@ -424,6 +466,22 @@ def test_matmul_oversized_result_exits_2(capsys, tmp_path):
 
 
 @needs_digit_limit
+@pytest.mark.parametrize("op", ["compose", "tensor"])
+def test_matmul_oversized_gaussian_result_exits_2(capsys, tmp_path, op):
+    # Parts of 2,200 digits: the product's parts are past the limit of 4300.
+    digits = "7" * (DIGIT_LIMIT // 2 + 50)
+    half = tmp_path / "half.mat"
+    half.write_text(f"semiring gaussian 1 1\n{digits}+{digits}/3i\n")
+    assert main(["matmul", "--op", op, "-A", str(half), "-B", str(half)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a gaussian value has more than {DIGIT_LIMIT} digits,"
+        " the limit for writing a decimal integer\n"
+    )
+
+
+@needs_digit_limit
 def test_literal_at_the_digit_limit_still_works(capsys, tmp_path):
     big = tmp_path / "big.mat"
     big.write_text(f"semiring nat 1 1\n{'9' * DIGIT_LIMIT}\n")
@@ -473,12 +531,13 @@ def test_law_output_matches_its_golden(capsys, name):
 # A fuzz net over input files: whatever the bytes of -A, -B or --graph, the
 # run exits 0 with nothing on stderr, or 2 with one `error:` line.
 
-# Numerals stay small, or above the digit limit: a matrix with no rows and
-# a huge column count still escapes the size cap (ROADMAP item 4).
+# Numerals are small, one past the size cap (a dimension of a matrix with no
+# entries included), or above the digit limit.
 WORDS = st.sampled_from(
     ["semiring", "nat", "bool", "tropical", "ratnn", "gaussian", "octonions",
      "0", "1", "2", "3", "-1", "inf", "i", "-2i", "1/2", "1/0", "3+i", "+",
-     "x", "٣", "1_0", *(["9" * (DIGIT_LIMIT + 1)] if DIGIT_LIMIT else [])]
+     "x", "٣", "1_0", str(cli.MAX_TABLE_ENTRIES + 1),
+     *(["9" * (DIGIT_LIMIT + 1)] if DIGIT_LIMIT else [])]
 )
 FIXTURE_TEXTS = [
     (FIXTURES / name).read_text()
