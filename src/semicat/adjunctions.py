@@ -12,7 +12,12 @@ monads or theories:
 
 Witnesses carry sample sets; a transpose first verifies that its input
 preserves structure on those samples, then builds the other side of the
-bijection and verifies that too. Nothing is ever assumed lawful.
+bijection and verifies that too. Nothing is ever assumed lawful. The three
+triangles share these structure checks: one for monoid maps, one for
+semiring maps (which the ``homset-agrees`` laws of ``matcat-laws`` and
+``kleisli-iso`` also use) and one for monad maps. Their laws share one
+witness builder and one roundtrip, naturality and involution check each;
+a mat-h witness goes between the semirings of two matrix theories.
 
 Witness functions are pure, so each transpose evaluates its input
 witness, and the function it builds, once per distinct (hashable)
@@ -33,7 +38,7 @@ sorted by subject and law.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -44,6 +49,7 @@ from .algebra import (
     SEMIRINGS,
     Scalar,
     SemiringDescriptor,
+    _PAYLOAD_OPS,
     _payloads,
     canonical_from_nat,
     monoid_by_name,
@@ -86,7 +92,6 @@ from .kleisli import (
 )
 from .matcat import (
     Aleph0Map,
-    MatTheory,
     Matrix,
     aleph0_compose,
     aleph0_embed,
@@ -107,7 +112,6 @@ from .monadcore import (
     ActionMonad,
     ActVal,
     Atom,
-    Elem,
     Inl,
     Inr,
     MonadInstance,
@@ -126,7 +130,6 @@ from .monadcore import (
     ms_map_scalars,
     ms_mult,
     ms_unit,
-    render_elem,
     scalar_action,
     tx_add,
     tx_zero,
@@ -169,7 +172,9 @@ class HomWitness:
 
     kind is one of MonoidMap, SemiringMap, MonadMapSample,
     TheoryFunctorSample; apply is the underlying function; samples are
-    the probe inputs.
+    the probe inputs. Source and target are a monoid or semiring and a
+    monad for mon-e and srng-e; for mat-h they are the semirings S and R
+    of the matrix theories Mat(S) and Mat(R).
     """
 
     kind: str
@@ -209,7 +214,7 @@ def _expect_kind(w: HomWitness, kind: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The monoid triangle
+# The structure checks the three triangles share
 
 
 def _check_monoid_map(M: MonoidDescriptor, mul, one, f, samples) -> None:
@@ -218,30 +223,56 @@ def _check_monoid_map(M: MonoidDescriptor, mul, one, f, samples) -> None:
     for a in samples:
         for b in samples:
             if f(M.op(a, b)) != mul(f(a), f(b)):
-                raise NotAMonoidMap(
-                    f"product not preserved at {_show(a)}, {_show(b)}"
-                )
+                raise NotAMonoidMap(f"product not preserved at {a}, {b}")
 
 
-def _check_action_monad_map(A: ActionMonad, T: MonadInstance, sigma, samples) -> None:
+def _check_semiring_map(S: SemiringDescriptor, E, f, samples) -> None:
+    if f(S.zero) != E.zero:
+        raise NotASemiringMap(f"zero of {S.name} is not sent to zero")
+    if f(S.one) != E.one:
+        raise NotASemiringMap(f"one of {S.name} is not sent to one")
+    for a in samples:
+        for b in samples:
+            if f(S.add(a, b)) != E.add(f(a), f(b)):
+                raise NotASemiringMap(f"sum not preserved at {a}, {b}")
+            if f(S.mul(a, b)) != E.mul(f(a), f(b)):
+                raise NotASemiringMap(f"product not preserved at {a}, {b}")
+    if S.star is not None and E.star is not None:
+        for a in samples:
+            if f(S.star(a)) != E.star(f(a)):
+                raise NotASemiringMap(f"star not preserved at {a}")
+
+
+def _check_monad_map(
+    A: MonadInstance, T: MonadInstance, sigma, samples, nested, error
+) -> None:
+    """Raise ``error`` unless sigma: A -> T acts as a map of strong monads
+    on the samples: it keeps units, commutes with T of a swap, with the
+    strength at the point and, when both monads have one, the involution,
+    and sends the flattening of each ``nested`` value of A(A(X)) to the
+    flattening of its image."""
     xs = carrier([Atom("a"), Atom("b")])
     swap = carrier_map(xs, xs, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
     for x in xs:
         if sigma(A.unit(x)) != T.unit(x):
-            raise NotAMonoidMap(f"unit law fails at {render_elem(x)}")
+            raise error(f"unit law fails at {x}")
     for v in samples:
         if T.fmap(swap, sigma(v)) != sigma(A.fmap(swap, v)):
-            raise NotAMonoidMap(f"naturality fails at {_show(v)}")
-    monoid_elems = sorted({v.m for v in samples}, key=lambda m: m.sort_key())
-    for m1 in monoid_elems:
-        for m2 in monoid_elems:
-            vv = ActVal(m1, ActVal(m2, Atom("a")))
-            lhs = sigma(A.mult(vv))
-            rhs = T.mult(T.fmap(lambda e: T.embed(sigma(e)), sigma(vv)))
-            if lhs != rhs:
-                raise NotAMonoidMap(
-                    f"multiplication square fails at {_show(m1)}, {_show(m2)}"
-                )
+            raise error(f"naturality fails at {v}")
+        if generic_strength(T, sigma(v), STAR) != sigma(generic_strength(A, v, STAR)):
+            raise error(f"strength square fails at {v}")
+        if A.involutive and T.involutive:
+            if sigma(A.involution(v)) != T.involution(sigma(v)):
+                raise error(f"involution square fails at {v}")
+    for vv in nested:
+        lhs = sigma(A.mult(vv))
+        rhs = T.mult(T.fmap(lambda e: T.embed(sigma(A.unembed(e))), sigma(vv)))
+        if lhs != rhs:
+            raise error(f"multiplication square fails at {vv}")
+
+
+# ---------------------------------------------------------------------------
+# The monoid triangle
 
 
 def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
@@ -261,7 +292,10 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         samples = tuple(
             ActVal(m, x) for m in w.samples for x in (Atom("a"), Atom("b"))
         )
-        _check_action_monad_map(A, T, sigma, samples)
+        nested = tuple(
+            ActVal(m1, ActVal(m2, Atom("a"))) for m1 in w.samples for m2 in w.samples
+        )
+        _check_monad_map(A, T, sigma, samples, nested, NotAMonoidMap)
         return HomWitness("MonadMapSample", A, T, sigma, samples)
     if direction == "down":
         _expect_kind(w, "MonadMapSample")
@@ -271,80 +305,15 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         def f(m):
             return sigma(ActVal(m, STAR))
 
-        seen = []
-        for v in w.samples:
-            if v.m not in seen:
-                seen.append(v.m)
+        seen = tuple(dict.fromkeys(v.m for v in w.samples))
         mul, one = _eval_mul_one(T)
-        _check_monoid_map(A.monoid, mul, one, f, tuple(seen))
-        return HomWitness("MonoidMap", A.monoid, T, f, tuple(seen))
+        _check_monoid_map(A.monoid, mul, one, f, seen)
+        return HomWitness("MonoidMap", A.monoid, T, f, seen)
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 # ---------------------------------------------------------------------------
 # The semiring triangle
-
-
-def _check_semiring_map(S: SemiringDescriptor, E, f, samples) -> None:
-    if f(S.zero) != E.zero:
-        raise NotASemiringMap(f"zero of {S.name} is not sent to zero")
-    if f(S.one) != E.one:
-        raise NotASemiringMap(f"one of {S.name} is not sent to one")
-    for a in samples:
-        for b in samples:
-            if f(S.add(a, b)) != E.add(f(a), f(b)):
-                raise NotASemiringMap(f"sum not preserved at {_show(a)}, {_show(b)}")
-            if f(S.mul(a, b)) != E.mul(f(a), f(b)):
-                raise NotASemiringMap(
-                    f"product not preserved at {_show(a)}, {_show(b)}"
-                )
-    if S.star is not None and E.star is not None:
-        for a in samples:
-            if f(S.star(a)) != E.star(f(a)):
-                raise NotASemiringMap(f"star not preserved at {_show(a)}")
-
-
-def _srng_sample_multisets(S: SemiringDescriptor, scalars) -> tuple:
-    a, b = Atom("a"), Atom("b")
-    out = [ms_from_pairs(S, [])]
-    out += [ms_from_pairs(S, [(a, s)]) for s in scalars]
-    out += [
-        ms_from_pairs(S, [(a, s), (b, t)])
-        for s, t in zip(scalars, tuple(scalars[1:]) + tuple(scalars[:1]))
-    ]
-    return tuple(out)
-
-
-def _check_multiset_monad_map(
-    MS: MultisetMonad, T: MonadInstance, sigma, samples
-) -> None:
-    xs = carrier([Atom("a"), Atom("b")])
-    swap = carrier_map(xs, xs, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
-    for x in xs:
-        if sigma(MS.unit(x)) != T.unit(x):
-            raise NotASemiringMap(f"unit law fails at {render_elem(x)}")
-    for phi in samples:
-        if T.fmap(swap, sigma(phi)) != sigma(MS.fmap(swap, phi)):
-            raise NotASemiringMap(f"naturality fails at {_show(phi)}")
-        if generic_strength(T, sigma(phi), STAR) != sigma(
-            generic_strength(MS, phi, STAR)
-        ):
-            raise NotASemiringMap(f"strength square fails at {_show(phi)}")
-        if MS.involutive and T.involutive:
-            if sigma(MS.involution(phi)) != T.involution(sigma(phi)):
-                raise NotASemiringMap(f"involution square fails at {_show(phi)}")
-    for p1 in samples[:4]:
-        for p2 in samples[:4]:
-            nested = ms_from_pairs(
-                MS.semiring,
-                [(MS.embed(p1), MS.semiring.one), (MS.embed(p2), MS.semiring.one)],
-            )
-            lhs = sigma(MS.mult(nested))
-            rhs = T.mult(T.fmap(lambda e: T.embed(sigma(MS.unembed(e))), sigma(nested)))
-            if lhs != rhs:
-                raise NotASemiringMap(
-                    f"multiplication square fails at {_show(nested)}"
-                )
 
 
 def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
@@ -367,8 +336,20 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
             return acc
 
         MS = MultisetMonad(S)
-        samples = _srng_sample_multisets(S, w.samples)
-        _check_multiset_monad_map(MS, T, sigma, samples)
+        a, b, xs = Atom("a"), Atom("b"), tuple(w.samples)
+        samples = (
+            (ms_from_pairs(S, []),)
+            + tuple(ms_from_pairs(S, [(a, s)]) for s in xs)
+            + tuple(
+                ms_from_pairs(S, [(a, s), (b, t)]) for s, t in zip(xs, xs[1:] + xs[:1])
+            )
+        )
+        nested = tuple(
+            ms_from_pairs(S, [(MS.embed(p1), S.one), (MS.embed(p2), S.one)])
+            for p1 in samples[:4]
+            for p2 in samples[:4]
+        )
+        _check_monad_map(MS, T, sigma, samples, nested, NotASemiringMap)
         return HomWitness("MonadMapSample", MS, T, sigma, samples)
     if direction == "down":
         _expect_kind(w, "MonadMapSample")
@@ -429,12 +410,12 @@ def _check_theory_functor(
 
 
 def transpose_math(direction: str, w: HomWitness) -> HomWitness:
-    """The bijection between semiring maps into the endomap semiring of a
-    matrix theory and functors of matrix theories."""
+    """The bijection between semiring maps S -> homset_semiring(R) and
+    functors of matrix theories Mat(S) -> Mat(R), for witnesses from S to
+    R."""
     if direction == "up":
         _expect_kind(w, "SemiringMap")
-        S, L, f = w.source, w.target, _memo(w.apply)
-        R = L.semiring
+        S, R, f = w.source, w.target, _memo(w.apply)
         _check_semiring_map(S, homset_semiring(R), f, w.samples)
 
         @_memo
@@ -460,19 +441,18 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
             Matrix(S, 2, 0, ()),
         )
         _check_theory_functor(S, R, apply_mat, samples)
-        return HomWitness("TheoryFunctorSample", MatTheory(S), L, apply_mat, samples)
+        return HomWitness("TheoryFunctorSample", S, R, apply_mat, samples)
     if direction == "down":
         _expect_kind(w, "TheoryFunctorSample")
-        LS, LR, F = w.source, w.target, _memo(w.apply)
-        S = LS.semiring
+        S, R, F = w.source, w.target, _memo(w.apply)
 
         @_memo
         def f(s: Scalar) -> Matrix:
             return F(Matrix(S, 1, 1, (s,)))
 
         pool = scalar_pool(S)
-        _check_semiring_map(S, homset_semiring(LR.semiring), f, pool)
-        return HomWitness("SemiringMap", S, LR, f, pool)
+        _check_semiring_map(S, homset_semiring(R), f, pool)
+        return HomWitness("SemiringMap", S, R, f, pool)
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
@@ -516,12 +496,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _show(v) -> str:
-    if isinstance(v, Elem):
-        return render_elem(v)
-    return str(v)
-
-
 def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
     """(ok, detail) of ``holds`` over the argument tuples of ``cases``: the
     first tuple it rejects is the counterexample, one argument per line,
@@ -532,7 +506,7 @@ def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
         except SemicatError as exc:
             return False, f"error: {exc}"
         if not ok:
-            return False, "\n".join(_show(a) for a in args)
+            return False, "\n".join(map(str, args))
     return True, None
 
 
@@ -564,8 +538,8 @@ def check_semiring_laws(desc: SemiringDescriptor, samples: Sequence) -> SuiteRep
     counterexample of each law."""
     if not samples:
         raise ValueError("samples must be nonempty")
-    if desc.tag is not None:
-        _payloads(samples, desc.tag)
+    if desc.name in _PAYLOAD_OPS:
+        _payloads(samples, desc.name)
     add, mul, zero, one = desc.add, desc.mul, desc.zero, desc.one
     pairs = [(s, t) for s in samples for t in samples]
     triples = [(s, t, r) for s in samples for t in samples for r in samples]
@@ -960,9 +934,9 @@ def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> lis
                 right = dst_swapped_first(T, u, v)
                 if left != right:
                     return True, (
-                        f"u = {_show(u)}\nv = {_show(v)}\n"
-                        f"strength-first  = {_show(left)}\n"
-                        f"swapped-first   = {_show(right)}"
+                        f"u = {u}\nv = {v}\n"
+                        f"strength-first  = {left}\n"
+                        f"swapped-first   = {right}"
                     )
             return False, "no disagreeing pair found"
 
@@ -1102,18 +1076,8 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
         return (random_aleph0(rng, n, m), random_aleph0(rng, m, p))
 
     def homset_agrees():
-        H = homset_semiring(S)
         box = lambda s: Matrix(S, 1, 1, (s,))
-        if H.zero != box(S.zero) or H.one != box(S.one):
-            return False, "constants disagree"
-        for a in scalar_pool(S):
-            for b in scalar_pool(S):
-                if H.add(box(a), box(b)) != box(S.add(a, b)):
-                    return False, f"sum at {a}, {b}"
-                if H.mul(box(a), box(b)) != box(S.mul(a, b)):
-                    return False, f"product at {a}, {b}"
-            if S.star is not None and H.star(box(a)) != box(S.star(a)):
-                return False, f"star at {a}"
+        _check_semiring_map(S, homset_semiring(S), box, scalar_pool(S))
         return True, None
 
     def s_parallel(rng):
@@ -1376,23 +1340,12 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         return True, None
 
     def homset_agrees():
-        KH = kleisli_homset_semiring(T)
-
-        def as_map(u):
-            return KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
-
-        pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)]
-        pool.append(tx_zero(T))
-        for a in pool:
-            for b in pool:
-                if KH.add(as_map(a), as_map(b)) != as_map(tx_add(T, a, b)):
-                    return False, f"sum at {_show(a)}, {_show(b)}"
-                if KH.mul(as_map(a), as_map(b)) != as_map(E.mul(a, b)):
-                    return False, f"product at {_show(a)}, {_show(b)}"
-            if S.star is not None and KH.star(as_map(a)) != as_map(E.star(a)):
-                return False, f"star at {_show(a)}"
-        if KH.zero != as_map(tx_zero(T)) or KH.one != as_map(T.unit(STAR)):
-            return False, "constants disagree"
+        # E with its addition looked up here at each call, as everywhere in
+        # this module, so the law checks whatever tx_add this module sees
+        values = replace(E, add=lambda a, b: tx_add(T, a, b))
+        as_map = lambda u: KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
+        pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)] + [tx_zero(T)]
+        _check_semiring_map(values, kleisli_homset_semiring(T), as_map, pool)
         return True, None
 
     laws = [
@@ -1427,39 +1380,33 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
 # Suite: adjunction-roundtrips
 
 
-def _mon_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
-    T = MultisetMonad(S)
-    M = multiplicative_monoid(S)
-    iso = lambda m: ms_from_pairs(S, [(STAR, m)])
-    via_nat = lambda m: ms_from_pairs(S, [(STAR, canonical_from_nat(S, m.payload))])
-    return [
-        HomWitness("MonoidMap", M, T, iso, scalar_pool(S)),
-        HomWitness("MonoidMap", MONOIDS["nat-mul"], T, via_nat, scalar_pool(NAT)),
-    ]
+def _from_nat(S: SemiringDescriptor) -> Callable:
+    """The semiring map nat -> S: n goes to the n-fold sum of S's one."""
+    return lambda n: canonical_from_nat(S, n.payload)
 
 
-def _srng_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
-    T = MultisetMonad(S)
-    iso = lambda s: ms_from_pairs(S, [(STAR, s)])
-    via_nat = lambda s: ms_from_pairs(S, [(STAR, canonical_from_nat(S, s.payload))])
+def _witnesses(adjunction: str, S: SemiringDescriptor) -> list[HomWitness]:
+    """The algebraic maps an adjunction's laws over S start from: S's own
+    map, sending s to {star: s} in the multiset monad of S (mon-e, srng-e)
+    or to the 1x1 matrix (s) over S (mat-h); the map through nat, sending
+    n where the n-fold sum of one goes; and for srng-e, when S has a star,
+    the starred map. mon-e's maps start from multiplicative monoids."""
+    if adjunction == "mat-h":
+        target, point = S, lambda s: Matrix(S, 1, 1, (s,))
+    else:
+        target, point = MultisetMonad(S), lambda s: ms_from_pairs(S, [(STAR, s)])
+    kind, own, nat = "SemiringMap", S, NAT
+    if adjunction == "mon-e":
+        kind, own, nat = "MonoidMap", multiplicative_monoid(S), MONOIDS["nat-mul"]
+    from_nat = _from_nat(S)
     out = [
-        HomWitness("SemiringMap", S, T, iso, scalar_pool(S)),
-        HomWitness("SemiringMap", NAT, T, via_nat, scalar_pool(NAT)),
+        HomWitness(kind, own, target, point, scalar_pool(S)),
+        HomWitness(kind, nat, target, lambda n: point(from_nat(n)), scalar_pool(NAT)),
     ]
-    if S.star is not None:
-        starred = lambda s: ms_from_pairs(S, [(STAR, S.star(s))])
-        out.append(HomWitness("SemiringMap", S, T, starred, scalar_pool(S)))
+    if adjunction == "srng-e" and S.star is not None:
+        starred = lambda s: point(S.star(s))
+        out.append(HomWitness(kind, S, target, starred, scalar_pool(S)))
     return out
-
-
-def _math_witnesses(S: SemiringDescriptor) -> list[HomWitness]:
-    L = MatTheory(S)
-    box = lambda s: Matrix(S, 1, 1, (s,))
-    via_nat = lambda s: Matrix(S, 1, 1, (canonical_from_nat(S, s.payload),))
-    return [
-        HomWitness("SemiringMap", S, L, box, scalar_pool(S)),
-        HomWitness("SemiringMap", NAT, L, via_nat, scalar_pool(NAT)),
-    ]
 
 
 def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
@@ -1470,69 +1417,37 @@ def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
         down = transpose("down", up)
         for x in w.samples:
             if down.apply(x) != w.apply(x):
-                return False, f"witness {idx}: down . up differs at {_show(x)}"
+                return False, f"witness {idx}: down . up differs at {x}"
         up2 = transpose("up", down)
         for v in up.samples:
             if up2.apply(v) != up.apply(v):
-                return False, f"witness {idx}: up . down differs at {_show(v)}"
+                return False, f"witness {idx}: up . down differs at {v}"
     return True, None
 
 
-def _srng_natural_check(S: SemiringDescriptor):
-    T = MultisetMonad(S)
-    hom = lambda sc: canonical_from_nat(S, sc.payload)
-    iso = lambda s: ms_from_pairs(S, [(STAR, s)])
-    w_s = HomWitness("SemiringMap", S, T, iso, scalar_pool(S))
-    w_n = HomWitness("SemiringMap", NAT, T, lambda s: iso(hom(s)), scalar_pool(NAT))
-    up_s = transpose_srng("up", w_s)
-    up_n = transpose_srng("up", w_n)
-    for phi in _srng_sample_multisets(NAT, scalar_pool(NAT)):
-        if up_n.apply(phi) != up_s.apply(ms_map_scalars(hom, phi, S)):
-            return False, f"naturality square differs at {_show(phi)}"
+def _natural_check(transpose: Callable, witnesses: list[HomWitness], push: Callable):
+    """The transposes are natural along nat -> S: the up side of the map
+    through nat is the up side of S's own map after ``push``, which sends
+    each scalar of a sample along nat -> S."""
+    own, via_nat = (transpose("up", w) for w in witnesses[:2])
+    for x in via_nat.samples:
+        if via_nat.apply(x) != own.apply(push(x)):
+            return False, f"naturality square differs at {x}"
     return True, None
 
 
-def _srng_involutive_check(S: SemiringDescriptor):
-    T = MultisetMonad(S)
-    iso = lambda s: ms_from_pairs(S, [(STAR, s)])
-    w = HomWitness("SemiringMap", S, T, iso, scalar_pool(S))
-    up = transpose_srng("up", w)
-    for phi in up.samples:
-        if up.apply(ms_involution(phi)) != T.involution(up.apply(phi)):
-            return False, f"involution square differs at {_show(phi)}"
-    down = transpose_srng("down", up)
-    for s in scalar_pool(S):
-        if down.apply(S.star(s)) != T.involution(down.apply(s)):
-            return False, f"down star square differs at {_show(s)}"
-    return True, None
-
-
-def _math_natural_check(S: SemiringDescriptor):
-    hom = lambda sc: canonical_from_nat(S, sc.payload)
-    L = MatTheory(S)
-    w_n = HomWitness(
-        "SemiringMap", NAT, L,
-        lambda s: Matrix(S, 1, 1, (hom(s),)), scalar_pool(NAT),
-    )
-    w_s = HomWitness(
-        "SemiringMap", S, L,
-        lambda s: Matrix(S, 1, 1, (s,)), scalar_pool(S),
-    )
-    F_n = transpose_math("up", w_n)
-    F_s = transpose_math("up", w_s)
-    for h in F_n.samples:
-        entrywise = Matrix(S, h.rows, h.cols, tuple(hom(e) for e in h.entries))
-        if F_n.apply(h) != F_s.apply(entrywise):
-            return False, "naturality square differs"
-    return True, None
-
-
-def _math_involutive_check(S: SemiringDescriptor):
-    w = _math_witnesses(S)[0]
-    up = transpose_math("up", w)
-    for h in up.samples:
-        if up.apply(mat_dagger(h)) != mat_dagger(up.apply(h)):
-            return False, "dagger square differs"
+def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
+    """The up side of w commutes with ``star``, the involution of both
+    sides' values, and the down side of that sends the star of S to
+    ``star``."""
+    up = transpose("up", w)
+    for v in up.samples:
+        if up.apply(star(v)) != star(up.apply(v)):
+            return False, f"involution square differs at {v}"
+    down = transpose("down", up)
+    for s in down.samples:
+        if down.apply(w.source.star(s)) != star(down.apply(s)):
+            return False, f"down star square differs at {s}"
     return True, None
 
 
@@ -1541,17 +1456,34 @@ def _math_involutive_check(S: SemiringDescriptor):
 # in the suite, for every semiring with a star.
 _ADJUNCTION_LAWS = {
     "mon-e": (
-        ("mon-e-roundtrip", lambda S: _roundtrip_check(transpose_mon, _mon_witnesses(S)), False),
+        ("mon-e-roundtrip",
+         lambda S: _roundtrip_check(transpose_mon, _witnesses("mon-e", S)), False),
     ),
     "srng-e": (
-        ("srng-e-roundtrip", lambda S: _roundtrip_check(transpose_srng, _srng_witnesses(S)), False),
-        ("srng-e-natural", _srng_natural_check, False),
-        ("srng-e-involutive", _srng_involutive_check, True),
+        ("srng-e-roundtrip",
+         lambda S: _roundtrip_check(transpose_srng, _witnesses("srng-e", S)), False),
+        ("srng-e-natural",
+         lambda S: _natural_check(
+             transpose_srng, _witnesses("srng-e", S),
+             lambda phi: ms_map_scalars(_from_nat(S), phi, S),
+         ), False),
+        ("srng-e-involutive",
+         lambda S: _involutive_check(
+             transpose_srng, _witnesses("srng-e", S)[0], ms_involution
+         ), True),
     ),
     "mat-h": (
-        ("mat-h-roundtrip", lambda S: _roundtrip_check(transpose_math, _math_witnesses(S)), False),
-        ("mat-h-natural", _math_natural_check, False),
-        ("mat-h-involutive", _math_involutive_check, True),
+        ("mat-h-roundtrip",
+         lambda S: _roundtrip_check(transpose_math, _witnesses("mat-h", S)), False),
+        ("mat-h-natural",
+         lambda S: _natural_check(
+             transpose_math, _witnesses("mat-h", S),
+             lambda h: Matrix(S, h.rows, h.cols, tuple(map(_from_nat(S), h.entries))),
+         ), False),
+        ("mat-h-involutive",
+         lambda S: _involutive_check(
+             transpose_math, _witnesses("mat-h", S)[0], mat_dagger
+         ), True),
     ),
 }
 

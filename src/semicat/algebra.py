@@ -6,12 +6,13 @@ for the tropical semiring. No floating point exists anywhere in this
 package, so value equality is structural and decidable, which is what the
 law checkers rely on.
 
-A :class:`SemiringDescriptor` is a pure operation table. The five built-in
-instances (``nat``, ``bool``, ``tropical``, ``ratnn``, ``gaussian``) operate
-on :class:`Scalar` values and enforce tag discipline; synthesized
-descriptors produced elsewhere in the package (homset semirings, evaluation
-of a monad at the one-point set) reuse the same dataclass with ``tag=None``
-and carry whatever value type their construction dictates.
+A :class:`SemiringDescriptor` is a pure operation table, and its name is
+the semiring's identity. The five built-in instances (``nat``, ``bool``,
+``tropical``, ``ratnn``, ``gaussian``) operate on :class:`Scalar` values
+whose tag is the descriptor's name, and check it; descriptors synthesized
+elsewhere in the package (homset semirings, evaluation of a monad at the
+one-point set) reuse the same dataclass under their own names and carry
+whatever value type their construction dictates.
 
 The arithmetic of the built-ins is written once, on bare payloads, in the
 table ``_PAYLOAD_OPS``. Each built-in descriptor checks the tags of its
@@ -157,9 +158,9 @@ def word(text: str) -> Word:
 class SemiringDescriptor:
     """Operation table of a commutative semiring, optionally with a star.
 
-    ``tag`` is set for the scalar built-ins and gates tag checking in the
-    operations; descriptors synthesized over other value types leave it
-    ``None``.
+    ``name`` identifies the semiring: the values of a matrix or multiset
+    over it carry it, and a name in ``_PAYLOAD_OPS`` marks a built-in,
+    whose :class:`Scalar` values carry it as their tag.
     """
 
     name: str
@@ -168,7 +169,6 @@ class SemiringDescriptor:
     mul: Callable
     one: object
     star: Callable | None = None
-    tag: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +186,9 @@ class MonoidDescriptor:
 
     def check_member(self, m: object) -> None:
         if self.member is not None and not self.member(m):
-            raise MonoidMismatch(f"{m!r} is not an element of monoid {self.name}")
+            raise MonoidMismatch(
+                f"{_describe(m)} is not an element of monoid {self.name}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +238,19 @@ _PAYLOAD_OPS: dict[str, tuple[Callable, Callable, Callable]] = {
 }
 
 
+def _describe(v) -> str:
+    """``v`` in an error message: its own text when its type renders
+    itself, else only its type, so that no message shows an address."""
+    if isinstance(v, Scalar):
+        return f"the {v.tag} scalar {v}"
+    if type(v).__str__ is object.__str__:
+        return f"an object of type {type(v).__name__}"
+    return str(v)
+
+
 def _payload(s: Scalar, tag: str):
     if not isinstance(s, Scalar) or s.tag != tag:
-        raise TagMismatch(f"expected a {tag} scalar, got {s!r}")
+        raise TagMismatch(f"expected a {tag} scalar, got {_describe(s)}")
     return s.payload
 
 
@@ -265,9 +277,7 @@ def _builtin(tag: str, zero: Scalar, one: Scalar) -> SemiringDescriptor:
     def star(a: Scalar) -> Scalar:
         return Scalar(tag, pstar(_payload(a, tag)))
 
-    return SemiringDescriptor(
-        name=tag, add=add, zero=zero, mul=mul, one=one, star=star, tag=tag
-    )
+    return SemiringDescriptor(tag, add, zero, mul, one, star)
 
 
 NAT = _builtin("nat", nat(0), nat(1))
@@ -297,7 +307,9 @@ def semiring_by_name(name: str) -> SemiringDescriptor:
 
 def _word_op(a: Word, b: Word) -> Word:
     if not isinstance(a, Word) or not isinstance(b, Word):
-        raise MonoidMismatch(f"free-word op expects words, got {a!r}, {b!r}")
+        raise MonoidMismatch(
+            f"free-word op expects words, got {_describe(a)}, {_describe(b)}"
+        )
     return Word(a.letters + b.letters)
 
 
@@ -317,7 +329,7 @@ def multiplicative_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
         op=desc.mul,
         unit=desc.one,
         commutative=True,
-        member=lambda m, t=desc.tag: isinstance(m, Scalar) and m.tag == t,
+        member=lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t,
     )
 
 
@@ -327,7 +339,7 @@ def additive_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
         op=desc.add,
         unit=desc.zero,
         commutative=True,
-        member=lambda m, t=desc.tag: isinstance(m, Scalar) and m.tag == t,
+        member=lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _describe
 from .errors import DimensionMismatch, MalformedTerm, NoInvolution, TagMismatch
 from .matcat import Aleph0Map, Matrix, aleph0_embed, mat_compose, mat_identity
 from .monadcore import (
@@ -55,7 +56,7 @@ class FreeTerm(Elem):
             )
         for a in self.args:
             if not isinstance(a, Elem):
-                raise MalformedTerm(f"argument {a!r} is not an element")
+                raise MalformedTerm(f"argument {_describe(a)} is not an element")
 
     @property
     def arity(self) -> int:
@@ -80,7 +81,7 @@ def term_normalize(t: FreeTerm) -> Multiset:
     """The multiset with, at x, the sum of coefficients of arguments equal
     to x. Constant on the classes of the generating relation."""
     if not isinstance(t, FreeTerm):
-        raise MalformedTerm(f"{t!r} is not a term")
+        raise MalformedTerm(f"{_describe(t)} is not a term")
     return ms_from_pairs(t.coeffs.semiring, zip(t.args, t.coeffs.entries))
 
 

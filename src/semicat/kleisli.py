@@ -332,5 +332,4 @@ def kleisli_homset_semiring(T: MonadInstance) -> SemiringDescriptor:
         mul=kl_compose,
         one=one,
         star=star,
-        tag=None,
     )

@@ -33,11 +33,10 @@ exact value, and since ``Fraction`` reduces to lowest terms it is the same
 canonical value, rendering to the same bytes, as a sum of ``Fraction``
 products. Scaling per row and per column, not per matrix, keeps the
 integers as small as the denominators one output entry combines. Any other
-descriptor (``tag=None`` ones such as hom-set and evaluation semirings, or
-one that merely carries a built-in's tag) computes with its own
-``add``/``mul``/``star``, one call per scalar step; the ``compose-oracle``
-law compares the kernels with a triple loop over the descriptor's
-operations.
+descriptor (hom-set and evaluation semirings, or one that merely carries a
+built-in's name) computes with its own ``add``/``mul``/``star``, one call
+per scalar step; the ``compose-oracle`` law compares the kernels with a
+triple loop over the descriptor's operations.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ __all__ = [
     "matrix",
     "Aleph0Map",
     "aleph0_compose",
-    "MatTheory",
     "mat_identity",
     "mat_compose",
     "mat_coproj1",
@@ -108,7 +106,7 @@ class Matrix:
     ``entries`` holds rows*cols values of the entry semiring in row-major
     order; for the scalar built-ins these are :class:`Scalar` values, while
     synthesized semirings (hom-set or evaluation descriptors) supply their
-    own value type. Equality compares tag, shape, and entries.
+    own value type. Equality compares the semiring's name, shape, and entries.
     """
 
     semiring: SemiringDescriptor
@@ -127,7 +125,7 @@ class Matrix:
 
     @property
     def tag(self) -> str:
-        return self.semiring.tag if self.semiring.tag is not None else self.semiring.name
+        return self.semiring.name
 
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -165,8 +163,8 @@ def matrix(S: SemiringDescriptor, rows: Sequence[Sequence]) -> Matrix:
         if len(r) != m:
             raise DimensionMismatch("ragged rows")
         flat.extend(r)
-    if S.tag is not None:
-        _payloads(flat, S.tag)
+    if S.name in _PAYLOAD_OPS:
+        _payloads(flat, S.name)
     return Matrix(S, n, m, tuple(flat))
 
 
@@ -244,9 +242,9 @@ class _Kernel(NamedTuple):
 
 
 # Keyed on the descriptor objects, which hash by identity: a descriptor
-# that merely shares a built-in's tag keeps its own operations.
+# that merely shares a built-in's name keeps its own operations.
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
-    S: _Kernel(products, *_PAYLOAD_OPS[S.tag])
+    S: _Kernel(products, *_PAYLOAD_OPS[S.name])
     for S, products in (
         (NAT, _nat_products),
         (BOOL, _bool_products),
@@ -276,18 +274,19 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
 def _open(S: SemiringDescriptor, *ms: Matrix) -> tuple:
     """The kernel to compute with over S, then the entries of each of ms as
     it takes them: for a built-in semiring, the bare payloads, each checked
-    to carry S's tag; for any other descriptor, the entries themselves."""
+    to carry S's name as its tag; for any other descriptor, the entries
+    themselves."""
     kernel = _KERNELS.get(S)
     if kernel is None:
         return (_generic(S), *(m.entries for m in ms))
-    return (kernel, *(_payloads(m.entries, S.tag) for m in ms))
+    return (kernel, *(_payloads(m.entries, S.name) for m in ms))
 
 
 def _close(S: SemiringDescriptor, rows: int, cols: int, values: list) -> Matrix:
     """The matrix of values computed by the kernel of :func:`_open`, each
     payload wrapped once as a scalar."""
     if S in _KERNELS:
-        tag = S.tag
+        tag = S.name
         values = [Scalar(tag, v) for v in values]
     return Matrix(S, rows, cols, tuple(values))
 
@@ -480,17 +479,6 @@ def aleph0_embed(f: Aleph0Map, S: SemiringDescriptor) -> Matrix:
 # The hom(1,1) semiring
 
 
-@dataclass(frozen=True, eq=False)
-class MatTheory:
-    """Handle for the matrix theory of a semiring."""
-
-    semiring: SemiringDescriptor
-
-    @property
-    def name(self) -> str:
-        return f"mat({self.semiring.name})"
-
-
 def homset_semiring(S: SemiringDescriptor) -> SemiringDescriptor:
     """The semiring of endomaps of 1 in the matrix theory of ``S``.
 
@@ -508,7 +496,6 @@ def homset_semiring(S: SemiringDescriptor) -> SemiringDescriptor:
         mul=mat_compose,
         one=one,
         star=(lambda a: mat_dagger(a)) if S.star is not None else None,
-        tag=None,
     )
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Iterable
 from .algebra import (
     MonoidDescriptor,
     SemiringDescriptor,
+    _describe,
 )
 from .errors import (
     CarrierMismatch,
@@ -83,13 +84,17 @@ class Elem:
 
     Subclasses are frozen dataclasses. Elements order by :meth:`key`,
     lexicographic on the constructor, then on the fields; every sort in
-    the package passes it as the sort key.
+    the package passes it as the sort key. An element's text is
+    :func:`render_elem`.
     """
 
     __slots__ = ()
 
     def key(self) -> tuple:
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        return render_elem(self)
 
 
 @dataclass(frozen=True)
@@ -140,11 +145,6 @@ class Inr(Elem):
         return ("sumr", self.value.key())
 
 
-def _melem_key(m) -> tuple:
-    # monoid elements are scalars or words; both provide sort_key
-    return m.sort_key()
-
-
 @dataclass(frozen=True)
 class MsVal(Elem):
     """A multiset embedded as an element, for nesting T(T(X))."""
@@ -163,7 +163,7 @@ class ActVal(Elem):
     elem: Elem
 
     def key(self) -> tuple:
-        return ("actval", _melem_key(self.m), self.elem.key())
+        return ("actval", self.m.sort_key(), self.elem.key())
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ class Multiset:
 
     @property
     def tag(self) -> str:
-        return self.semiring.tag if self.semiring.tag is not None else self.semiring.name
+        return self.semiring.name
 
     def support(self) -> tuple[Elem, ...]:
         return tuple(x for x, _ in self.entries)
@@ -298,7 +298,9 @@ def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -
     acc: dict[Elem, object] = {}
     for x, s in pairs:
         if not isinstance(x, Elem):
-            raise ElementOutsideCarrier(f"multiset key {x!r} is not an element")
+            raise ElementOutsideCarrier(
+                f"multiset key {_describe(x)} is not an element"
+            )
         if x in acc:
             acc[x] = S.add(acc[x], s)
         else:
@@ -397,8 +399,9 @@ class MultisetMonad(MonadInstance):
         self.involutive = semiring.star is not None
 
     def check_value(self, u) -> None:
-        if not isinstance(u, Multiset) or u.tag != self.semiring.tag:
-            raise TagMismatch(f"{u!r} is not a value of {self.name}")
+        if not isinstance(u, Multiset) or u.tag != self.semiring.name:
+            over = f" over {u.tag}" if isinstance(u, Multiset) else ""
+            raise TagMismatch(f"{_describe(u)}{over} is not a value of {self.name}")
 
     def value_elements(self, u) -> tuple[Elem, ...]:
         return u.support()
@@ -469,7 +472,7 @@ class ActionMonad(MonadInstance):
 
     def check_value(self, u) -> None:
         if not isinstance(u, ActVal):
-            raise MonoidMismatch(f"{u!r} is not a value of {self.name}")
+            raise MonoidMismatch(f"{_describe(u)} is not a value of {self.name}")
         self.monoid.check_member(u.m)
 
     def value_elements(self, u: ActVal) -> tuple[Elem, ...]:
@@ -620,12 +623,7 @@ def _second(e: Elem) -> Elem:
     return e.right
 
 
-def _check_over_point(T: MonadInstance, s) -> None:
-    for x in T.value_elements(s):
-        if x != STAR:
-            raise ElementOutsideCarrier(
-                f"{render_elem(x)} is not the one-point carrier's element"
-            )
+_POINT = carrier([STAR])
 
 
 def scalar_action(T: MonadInstance, s, u):
@@ -633,8 +631,7 @@ def scalar_action(T: MonadInstance, s, u):
     strength, then project the point away."""
     if not T.commutative:
         raise NotCommutative(f"{T.name} is not commutative")
-    T.check_value(s)
-    _check_over_point(T, s)
+    T.validate_over(s, _POINT)
     return T.fmap(_second, T.dst(s, u))
 
 
@@ -676,7 +673,6 @@ def _build_eval_at_one(T: MonadInstance):
         mul=e_mul,
         one=one,
         star=(lambda a: T.involution(a)) if T.involutive else None,
-        tag=None,
     )
 
 
@@ -721,7 +717,9 @@ def render_elem(e: Elem) -> str:
         return render_multiset(e.ms)
     if isinstance(e, ActVal):
         return f"({e.m},{render_elem(e.elem)})"
-    return repr(e)
+    if type(e).__str__ is Elem.__str__:
+        return f"an element of type {type(e).__name__}"
+    return str(e)  # a subclass with its own text, such as FreeTerm
 
 
 def render_multiset(phi: Multiset) -> str:

@@ -90,9 +90,9 @@ _SCALAR_POOLS: dict[str, tuple[Scalar, ...]] = {
 
 
 def scalar_pool(S: SemiringDescriptor) -> tuple[Scalar, ...]:
-    if S.tag is None or S.tag not in _SCALAR_POOLS:
+    if S.name not in _SCALAR_POOLS:
         raise UnknownSemiring(f"no curated pool for {S.name}")
-    return _SCALAR_POOLS[S.tag]
+    return _SCALAR_POOLS[S.name]
 
 
 def monoid_pool(M: MonoidDescriptor) -> tuple:

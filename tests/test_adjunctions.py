@@ -36,7 +36,7 @@ from semicat.errors import (
     UnknownSemiring,
     UnknownSuite,
 )
-from semicat.matcat import MatTheory, Matrix, mat_identity, matrix
+from semicat.matcat import Matrix, mat_identity, matrix
 from semicat.monadcore import (
     ActVal,
     ActionMonad,
@@ -141,7 +141,7 @@ def bool_box(n):
 
 
 def test_math_up_applies_entrywise():
-    w = HomWitness("SemiringMap", NAT, MatTheory(BOOL), bool_box, scalar_pool(NAT))
+    w = HomWitness("SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT))
     up = transpose_math("up", w)
     assert up.kind == "TheoryFunctorSample"
     F = up.apply
@@ -152,7 +152,7 @@ def test_math_up_applies_entrywise():
 
 
 def test_math_roundtrip_recovers_the_semiring_map():
-    w = HomWitness("SemiringMap", NAT, MatTheory(BOOL), bool_box, scalar_pool(NAT))
+    w = HomWitness("SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT))
     down = transpose_math("down", transpose_math("up", w))
     assert down.apply(nat(5)) == bool_box(nat(5))
 
@@ -162,7 +162,7 @@ def test_math_up_rejects_a_broken_map():
         return Matrix(BOOL, 1, 1, (canonical_from_nat(BOOL, 1),))
 
     w = HomWitness(
-        "SemiringMap", NAT, MatTheory(BOOL), not_multiplicative, scalar_pool(NAT)
+        "SemiringMap", NAT, BOOL, not_multiplicative, scalar_pool(NAT)
     )
     with pytest.raises(NotASemiringMap):
         transpose_math("up", w)
@@ -271,7 +271,7 @@ ALGEBRAIC_WITNESSES = {
     "mat-h": (
         transpose_math,
         lambda: HomWitness(
-            "SemiringMap", NAT, MatTheory(BOOL), bool_box, scalar_pool(NAT)
+            "SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT)
         ),
     ),
 }

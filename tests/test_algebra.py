@@ -174,7 +174,6 @@ def test_broken_descriptor_is_caught():
         mul=NAT.mul,
         one=nat(1),
         star=None,
-        tag="nat",
     )
     report = check_semiring_laws(bogus, scalar_pool(NAT))
     assert not report.ok

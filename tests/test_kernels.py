@@ -161,7 +161,6 @@ def test_a_descriptor_sharing_a_builtin_tag_keeps_its_own_operations():
         mul=lambda a, b: nat(a.payload + b.payload),
         one=nat(0),
         star=lambda a: nat(a.payload + 1),
-        tag="nat",
     )
     values = tuple(nat(v) for v in (1, 2, 3, 4))
     f, g = Matrix(bogus, 2, 2, values), Matrix(NAT, 2, 2, values)

@@ -26,8 +26,11 @@ from semicat.errors import (
     NoInvolution,
     NotAdditive,
     NotCommutative,
+    SemicatError,
     TagMismatch,
 )
+from semicat.freetheory import FreeTerm, term_normalize
+from semicat.matcat import homset_semiring, mat_identity
 from semicat.monadcore import (
     ActVal,
     ActionMonad,
@@ -338,3 +341,46 @@ def test_strength_then_drop_is_identity(u):
 @given(nat_multisets(), nat_multisets())
 def test_bc_inv_then_bc(u, v):
     assert MN.bc(MN.bc_inv(u, v)) == (u, v)
+
+
+# ---------------------------------------------------------------------------
+# A semiring's name is its identity, and errors render the values they name.
+
+
+@pytest.mark.parametrize(
+    "S", [homset_semiring(NAT), eval_at_one(MN)], ids=lambda S: S.name
+)
+def test_a_multiset_monad_over_a_synthesized_semiring_takes_its_own_values(S):
+    T = MultisetMonad(S)
+    u = T.unit(A)
+    assert T.fmap(lambda x: B, u) == T.unit(B)
+    assert T.mult(T.unit(T.embed(u))) == u
+
+
+def test_error_messages_render_values_without_addresses():
+    fn = lambda x: x  # noqa: E731
+    over_nat = MN.unit(A)
+    raising = [
+        lambda: MultisetMonad(BOOL).fmap(fn, over_nat),
+        lambda: MN.check_value(fn),
+        lambda: AW.check_value(over_nat),
+        lambda: AW.check_value(fn),
+        lambda: AW.check_value(ActVal(nat(1), A)),
+        lambda: NAT.add(nat(1), fn),
+        lambda: NAT.mul(over_nat, nat(1)),
+        lambda: FREE_WORDS.op(word("a"), fn),
+        lambda: ms_from_pairs(NAT, [(fn, nat(1))]),
+        lambda: FreeTerm(mat_identity(NAT, 1), (fn,)),
+        lambda: term_normalize(over_nat),
+    ]
+    messages = []
+    for call in raising:
+        with pytest.raises(SemicatError) as info:
+            call()
+        messages.append(str(info.value))
+    assert [m for m in messages if "0x" in m] == []
+    assert messages[0] == "{a: 1} over nat is not a value of multiset(bool)"
+    assert messages[4] == "the nat scalar 1 is not an element of monoid free-words"
+    assert messages[5] == "expected a nat scalar, got an object of type function"
+    term = FreeTerm(mat_identity(NAT, 1), (A,))
+    assert render_elem(term) == str(term) == "k_1([1]; (a))"
