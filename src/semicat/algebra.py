@@ -322,6 +322,15 @@ FREE_WORDS = MonoidDescriptor(
 )
 
 
+def _scalar_member(desc: SemiringDescriptor) -> Callable[[object], bool] | None:
+    """For a built-in, the check that a value is a :class:`Scalar` tagged
+    with its name. Other semirings carry values of whatever type their
+    construction dictates, so they get no check."""
+    if desc.name not in _PAYLOAD_OPS:
+        return None
+    return lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t
+
+
 def multiplicative_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
     """The multiplicative monoid sitting inside a semiring."""
     return MonoidDescriptor(
@@ -329,7 +338,7 @@ def multiplicative_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
         op=desc.mul,
         unit=desc.one,
         commutative=True,
-        member=lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t,
+        member=_scalar_member(desc),
     )
 
 
@@ -339,7 +348,7 @@ def additive_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
         op=desc.add,
         unit=desc.zero,
         commutative=True,
-        member=lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t,
+        member=_scalar_member(desc),
     )
 
 

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
-matrix calculator over the built-in semirings, ``shortest-path`` folds
-tropical matrix powers into a bounded-hop distance table, and
-``roundtrip`` drives the adjunction transposes there and back.
+matrix calculator over the built-in semirings, ``shortest-path`` computes
+the bounded-hop distance table of a graph as the power (I + A)^h of its
+tropical weight matrix A, by repeated squaring, and ``roundtrip`` drives
+the adjunction transposes there and back.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``,
@@ -123,15 +124,39 @@ def graph_matrix(spec: GraphSpec) -> Matrix:
 
 def bounded_paths(a: Matrix, hops: int) -> Matrix:
     """The sum S_h = a^0 + a^1 + ... + a^hops. Over the tropical semiring
-    this is the table of cheapest paths with at most ``hops`` edges.
+    this is the table of cheapest paths with at most ``hops`` edges;
+    negative weights and negative cycles are allowed.
 
-    Doubling over the bits of ``hops + 1``, as in Mohri's generic semiring
-    shortest-distance framework: each bit after the first doubles the sum,
-    S_(2k+1) = S_k + a^(k+1) S_k, and a 1 bit then appends the next power,
-    S_(k+1) = S_k + a^(k+1). Before each level it stops when I + a S_k = S_k:
-    the left side is S_(k+1), so by distributivity every later sum repeats,
-    in any semiring. At most four compositions per bit, so the cost is
-    O(n^3 log hops); negative weights and negative cycles are allowed.
+    When addition is idempotent (1 + 1 = 1, so x + x = x for every x:
+    tropical, bool), S_h is the power B^h of B = I + a, and binary powering
+    over the bits of ``hops`` takes at most two compositions per bit after
+    the first. It stops when a square repeats, B^(2k) = B^k: in the natural
+    order B^k <= B^m <= B^(2k) for k <= m <= 2k, so every later power is
+    B^k. Other semirings take :func:`_doubling_paths`.
+    """
+    S = a.semiring
+    if S.add(S.one, S.one) != S.one:
+        return _doubling_paths(a, hops)
+    eye = mat_identity(S, a.rows)
+    if hops == 0:
+        return eye
+    acc = base = mat_add(eye, a)  # acc = B^k, k the bits of hops read so far
+    for bit in bin(hops)[3:]:
+        square = mat_compose(acc, acc)
+        if square == acc:
+            break
+        acc = mat_compose(square, base) if bit == "1" else square
+    return acc
+
+
+def _doubling_paths(a: Matrix, hops: int) -> Matrix:
+    """S_h for any semiring, doubling over the bits of ``hops + 1`` as in
+    Mohri's generic semiring shortest-distance framework: each bit after
+    the first doubles the sum, S_(2k+1) = S_k + a^(k+1) S_k, and a 1 bit
+    then appends the next power, S_(k+1) = S_k + a^(k+1). Before each level
+    it stops when I + a S_k = S_k: the left side is S_(k+1), so by
+    distributivity every later sum repeats, in any semiring. At most four
+    compositions per bit, so the cost is O(n^3 log hops).
     """
     eye = mat_identity(a.semiring, a.rows)
     acc, power = eye, a  # acc = S_k, power = a^(k+1), starting at k = 0

@@ -1,15 +1,19 @@
 """Bounded-hop path sums against oracles written independently of the
-matrix kernels, plus a count of compositions that guards the doubling."""
+matrix kernels, plus counts of compositions that guard the doubling and,
+over idempotent semirings, the squaring of I + A."""
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semicat.cli as cli
-from semicat.algebra import NAT, RATNN, nat, rational, tropical
-from semicat.cli import GraphSpec, bounded_paths, graph_matrix
+from semicat.algebra import BOOL, NAT, RATNN, boolean, nat, rational, tropical
+from semicat.cli import GraphSpec, _doubling_paths, bounded_paths, graph_matrix
 from semicat.matcat import Matrix
 
 
@@ -123,16 +127,20 @@ def test_generic_semiring_sums_match_the_power_sum(S, make, draw, zero, one):
         assert got == power_sum_oracle(values, hops, zero, one), (values, hops)
 
 
-def count_composes(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    original = cli.mat_compose
+    original = getattr(cli, name)
 
     def counted(g, h):
         calls.append(None)
         return original(g, h)
 
-    monkeypatch.setattr(cli, "mat_compose", counted)
+    monkeypatch.setattr(cli, name, counted)
     return calls
+
+
+def count_composes(monkeypatch):
+    return count_calls(monkeypatch, "mat_compose")
 
 
 def test_negative_cycle_costs_logarithmic_compositions(monkeypatch):
@@ -156,3 +164,131 @@ def test_nonnegative_graph_stops_at_its_fixpoint(monkeypatch):
     # The oracle stops at the same fixpoint, so 5000 hops are as many as
     # 200000 for it.
     assert got == min_plus_oracle(weights, 5000)
+
+
+# ---------------------------------------------------------------------------
+# Idempotent semirings: S_h = (I + A)^h by repeated squaring
+
+
+def test_idempotent_squaring_composes_at_most_twice_per_bit(monkeypatch):
+    weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
+    hops = 200_000
+    composes = count_composes(monkeypatch)
+    adds = count_calls(monkeypatch, "mat_add")
+    far = bounded_paths(tropical_matrix(weights), hops)
+    assert len(composes) <= 2 * (hops.bit_length() - 1)
+    assert len(adds) == 1  # B = I + A, once
+    assert far.entry(0, 0) == tropical(-2 * (hops // 3))
+
+
+def test_idempotent_squaring_stops_when_a_square_repeats(monkeypatch):
+    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    calls = count_composes(monkeypatch)
+    got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
+    assert len(calls) <= 3
+    assert got == min_plus_oracle(weights, 5000)
+
+
+# Hop counts at and around powers of two, where the bits of hops change
+# length or are all ones, plus any count up to a few hundred.
+HOPS = st.one_of(
+    st.sampled_from([0, 1] + [2**k + d for k in range(1, 9) for d in (-1, 0)]),
+    st.integers(0, 300),
+)
+
+
+@st.composite
+def parallel_edge_graphs(draw):
+    """A graph spec whose edge list may repeat a (src, dst) pair with
+    different weights, and the collapsed weights: the cheapest of each."""
+    n = draw(st.integers(1, 6))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-6, 12)),
+            max_size=3 * n * n,
+        )
+    )
+    weights = [[None] * n for _ in range(n)]
+    for src, dst, w in edges:
+        if weights[src][dst] is None or w < weights[src][dst]:
+            weights[src][dst] = w
+    spec = GraphSpec(n, tuple((src, dst, tropical(w)) for src, dst, w in edges))
+    return spec, weights
+
+
+@st.composite
+def long_path_graphs(draw):
+    """A complete graph on n nodes whose edge i -> i+1 costs 1 and whose
+    other edges cost at least twice their span |j - i|: the cheapest path
+    from 0 to n - 1 is the chain, with n - 1 hops."""
+    n = draw(st.integers(2, 9))
+    extra = draw(st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))
+    weights = [
+        [
+            1 if j == i + 1 else 2 * abs(j - i) + extra[i * n + j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return weights
+
+
+def check_against_oracles(a, weights, hops):
+    got = bounded_paths(a, hops)
+    assert payloads(got) == min_plus_oracle(weights, hops)
+    assert got == _doubling_paths(a, hops)
+    return payloads(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_edge_graphs(), HOPS)
+def test_squaring_matches_the_hop_loop_and_the_doubling(graph, hops):
+    # Weights down to -6 give many graphs a negative cycle.
+    spec, weights = graph
+    check_against_oracles(graph_matrix(spec), weights, hops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_path_graphs(), HOPS)
+def test_squaring_on_dense_graphs_with_long_shortest_paths(weights, hops):
+    n = len(weights)
+    got = check_against_oracles(tropical_matrix(weights), weights, hops)
+    if hops >= n - 1:
+        assert got[0][n - 1] == n - 1
+
+
+def reachable_oracle(adjacent, hops):
+    """Whether j is reachable from i in at most ``hops`` edges, by a
+    breadth-first search from each node that stops at depth ``hops``."""
+    n = len(adjacent)
+    table = []
+    for src in range(n):
+        depth = {src: 0}
+        queue = deque([src])
+        while queue:
+            node = queue.popleft()
+            if depth[node] == hops:
+                continue
+            for nxt in range(n):
+                if adjacent[node][nxt] and nxt not in depth:
+                    depth[nxt] = depth[node] + 1
+                    queue.append(nxt)
+        table.append([j in depth for j in range(n)])
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    HOPS,
+)
+def test_bool_sums_are_reachability_within_the_hop_bound(adjacent, hops):
+    n = len(adjacent)
+    a = Matrix(BOOL, n, n, tuple(boolean(v) for row in adjacent for v in row))
+    got = bounded_paths(a, hops)
+    assert payloads(got) == reachable_oracle(adjacent, hops)
+    assert got == _doubling_paths(a, hops)

@@ -12,8 +12,10 @@ from semicat.algebra import (
     MONOIDS,
     NAT,
     TROPICAL,
+    additive_monoid,
     boolean,
     gaussian,
+    multiplicative_monoid,
     nat,
     tropical,
     word,
@@ -355,6 +357,29 @@ def test_a_multiset_monad_over_a_synthesized_semiring_takes_its_own_values(S):
     u = T.unit(A)
     assert T.fmap(lambda x: B, u) == T.unit(B)
     assert T.mult(T.unit(T.embed(u))) == u
+
+
+@pytest.mark.parametrize(
+    "S", [homset_semiring(NAT), eval_at_one(MN)], ids=lambda S: S.name
+)
+def test_the_monoids_of_a_synthesized_semiring_take_its_own_values(S):
+    for M in (multiplicative_monoid(S), additive_monoid(S)):
+        M.check_member(M.unit)
+        M.check_member(M.op(M.unit, M.unit))
+    T = ActionMonad(multiplicative_monoid(S))
+    u = T.unit(A)
+    T.check_value(u)
+    assert T.mult(T.unit(u)) == u
+
+
+@pytest.mark.parametrize("make", [multiplicative_monoid, additive_monoid])
+def test_the_monoids_of_a_builtin_reject_a_scalar_with_a_foreign_tag(make):
+    M = make(TROPICAL)
+    M.check_member(M.unit)
+    with pytest.raises(MonoidMismatch):
+        M.check_member(nat(0))
+    with pytest.raises(MonoidMismatch):
+        ActionMonad(M).check_value(ActVal(nat(0), A))
 
 
 def test_error_messages_render_values_without_addresses():
