@@ -20,6 +20,11 @@ arguments, applies the table's operation and wraps the result, and the
 matrix kernels of :mod:`semicat.matcat` compute with the same table. The
 gaussian product takes each part over the common denominator of the integer
 ratios of the factors' parts: one reduced ``Fraction``, the textbook value.
+The text grammar and the canonical text of the built-ins are written the
+same way, on bare payloads, in ``_GRAMMARS`` and ``_RENDERERS``:
+:func:`parse_scalar` and :func:`render_scalar` apply them to one scalar,
+and the file readers and writers of :mod:`semicat.matcat` and
+:mod:`semicat.cli` apply them to whole files.
 """
 
 from __future__ import annotations
@@ -424,27 +429,79 @@ def _parse_fraction(text: str, original: str) -> Fraction:
     return Fraction(_decimal(m.group(1)), den)
 
 
-def _parse_gaussian(text: str) -> Scalar:
-    body = text
-    if not body:
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
+def _part(text: str, original: str, parts: dict) -> Fraction:
+    """The rational part ``text`` of the literal ``original``, converted on
+    its first lookup in ``parts`` and reused after that. A part that fails
+    is never stored, so every literal that holds it fails with its own
+    text."""
+    q = parts.get(text)
+    if q is None:
+        q = parts[text] = _parse_fraction(text, original)
+    return q
+
+
+def _parse_nat(text: str, parts: dict) -> int:
+    if not _NAT_RE.match(text):
+        raise FormatError(f"bad natural literal {_quote(text)}")
+    return _decimal(text)
+
+
+def _parse_bool(text: str, parts: dict) -> bool:
+    if text not in ("0", "1"):
+        raise FormatError(f"bad boolean literal {_quote(text)} (want 0 or 1)")
+    return text == "1"
+
+
+def _parse_tropical(text: str, parts: dict) -> int | None:
+    if text == "inf":
+        return None
+    if not _INT_RE.match(text):
+        raise FormatError(f"bad tropical literal {_quote(text)}")
+    return _decimal(text)
+
+
+def _parse_ratnn(text: str, parts: dict) -> Fraction:
+    q = _parse_fraction(text, text)
+    if q.numerator < 0:
+        raise FormatError(
+            f"negative literal {_quote(text)} in nonnegative-rational semiring"
+        )
+    return q
+
+
+def _parse_gaussian(text: str, parts: dict) -> tuple[Fraction, Fraction]:
+    if not text:
         raise FormatError("empty gaussian literal")
-    if body.endswith("i"):
-        body = body[:-1]
-        # split real and imaginary parts at the last sign after the first
-        sep = max(body.rfind("+", 1), body.rfind("-", 1))
-        if sep >= 0:
-            re_text, im_text = body[:sep], body[sep:]
-        else:
-            re_text, im_text = "", body
-        if im_text in ("", "+"):
-            im_part = Fraction(1)
-        elif im_text == "-":
-            im_part = Fraction(-1)
-        else:
-            im_part = _parse_fraction(im_text.lstrip("+"), text)
-        re_part = _parse_fraction(re_text, text) if re_text else Fraction(0)
-        return gaussian(re_part, im_part)
-    return gaussian(_parse_fraction(body, text), 0)
+    if not text.endswith("i"):
+        return (_part(text, text, parts), _ZERO)
+    body = text[:-1]
+    # split real and imaginary parts at the last sign after the first
+    sep = max(body.rfind("+", 1), body.rfind("-", 1))
+    re_text, im_text = (body[:sep], body[sep:]) if sep >= 0 else ("", body)
+    if im_text in ("", "+"):
+        im_part = _ONE
+    elif im_text == "-":
+        im_part = _MINUS_ONE
+    else:
+        im_part = _part(im_text.lstrip("+"), text, parts)
+    re_part = _part(re_text, text, parts) if re_text else _ZERO
+    return (re_part, im_part)
+
+
+# The text grammar of each built-in, from a stripped literal to its bare
+# payload. ``parts`` holds the rational parts of gaussian literals converted
+# so far: :func:`parse_scalar` passes a fresh dict, and
+# :func:`semicat.matcat.parse_mat_text` one dict per file.
+_GRAMMARS: dict[str, Callable[[str, dict], object]] = {
+    "nat": _parse_nat,
+    "bool": _parse_bool,
+    "tropical": _parse_tropical,
+    "ratnn": _parse_ratnn,
+    "gaussian": _parse_gaussian,
+}
 
 
 def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
@@ -456,65 +513,72 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     (``i`` alone means the imaginary unit).
     """
     name = desc if isinstance(desc, str) else desc.name
-    text = text.strip()
-    if name == "nat":
-        if not _NAT_RE.match(text):
-            raise FormatError(f"bad natural literal {_quote(text)}")
-        return nat(_decimal(text))
-    if name == "bool":
-        if text not in ("0", "1"):
-            raise FormatError(f"bad boolean literal {_quote(text)} (want 0 or 1)")
-        return boolean(text == "1")
-    if name == "tropical":
-        if text == "inf":
-            return tropical(None)
-        if not _INT_RE.match(text):
-            raise FormatError(f"bad tropical literal {_quote(text)}")
-        return tropical(_decimal(text))
-    if name == "ratnn":
-        q = _parse_fraction(text, text)
-        if q.numerator < 0:
-            raise FormatError(
-                f"negative literal {_quote(text)} in nonnegative-rational semiring"
-            )
-        return Scalar("ratnn", q)
-    if name == "gaussian":
-        return _parse_gaussian(text)
-    raise UnknownSemiring(f"no scalar grammar for semiring {name!r}")
+    grammar = _GRAMMARS.get(name)
+    if grammar is None:
+        raise UnknownSemiring(f"no scalar grammar for semiring {name!r}")
+    return Scalar(name, grammar(text.strip(), {}))
 
 
 def _render_ratio(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def _render_bool(b: bool) -> str:
+    return "1" if b else "0"
+
+
+def _render_tropical(v: int | None) -> str:
+    return "inf" if v is None else str(v)
+
+
+def _render_fraction(q: Fraction) -> str:
+    return _render_ratio(*q.as_integer_ratio())
+
+
+def _render_gaussian(x: tuple[Fraction, Fraction]) -> str:
+    re_n, re_d = x[0].as_integer_ratio()
+    im_n, im_d = x[1].as_integer_ratio()
+    if im_n == 0:
+        return _render_ratio(re_n, re_d)
+    if im_d == 1 and im_n in (1, -1):
+        im_text = "i" if im_n == 1 else "-i"
+    else:
+        im_text = f"{_render_ratio(im_n, im_d)}i"
+    if re_n == 0:
+        return im_text
+    sign = "+" if im_n > 0 else ""
+    return f"{_render_ratio(re_n, re_d)}{sign}{im_text}"
+
+
+# The canonical text of each built-in's bare payloads; the inverse of
+# ``_GRAMMARS``.
+_RENDERERS: dict[str, Callable[[object], str]] = {
+    "nat": str,
+    "bool": _render_bool,
+    "tropical": _render_tropical,
+    "ratnn": _render_fraction,
+    "gaussian": _render_gaussian,
+}
+
+
 def render_scalar(s: Scalar) -> str:
     """Canonical text of a scalar; inverse of :func:`parse_scalar`. A value
     with more digits than Python converts to text is a FormatError."""
+    if s.tag not in _RENDERERS:
+        raise UnknownSemiring(f"no renderer for tag {s.tag!r}")
+    return _render_rows(s.tag, (s,), 1, 1)[0]
+
+
+def _render_rows(tag: str, entries: Sequence, rows: int, cols: int) -> list[str]:
+    """The lines of a rows x cols grid of scalars of the built-in ``tag``,
+    row major: each entry checked as :func:`_payloads` checks it and written
+    by the renderer of ``tag``, entries separated by single spaces."""
+    render = _RENDERERS[tag]
     try:
-        if s.tag == "nat":
-            return str(s.payload)
-        if s.tag == "bool":
-            return "1" if s.payload else "0"
-        if s.tag == "tropical":
-            return "inf" if s.payload is None else str(s.payload)
-        if s.tag == "ratnn":
-            return _render_ratio(*s.payload.as_integer_ratio())
-        if s.tag == "gaussian":
-            re_n, re_d = s.payload[0].as_integer_ratio()
-            im_n, im_d = s.payload[1].as_integer_ratio()
-            if im_n == 0:
-                return _render_ratio(re_n, re_d)
-            if im_d == 1 and im_n in (1, -1):
-                im_text = "i" if im_n == 1 else "-i"
-            else:
-                im_text = f"{_render_ratio(im_n, im_d)}i"
-            if re_n == 0:
-                return im_text
-            sign = "+" if im_n > 0 else ""
-            return f"{_render_ratio(re_n, re_d)}{sign}{im_text}"
+        texts = list(map(render, _payloads(entries, tag)))
     except ValueError:
         raise FormatError(
-            f"a {s.tag} value has more than {sys.get_int_max_str_digits()} digits,"
+            f"a {tag} value has more than {sys.get_int_max_str_digits()} digits,"
             " the limit for writing a decimal integer"
         ) from None
-    raise UnknownSemiring(f"no renderer for tag {s.tag!r}")
+    return [" ".join(texts[i * cols : (i + 1) * cols]) for i in range(rows)]

@@ -27,7 +27,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _NAT_RE, NAT, TROPICAL, _quote, parse_scalar, render_scalar
+from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _quote, _render_rows
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -78,9 +78,12 @@ def parse_graph_text(text: str) -> GraphSpec:
     """Parse the line-oriented graph format: a node count line, then one
     ``src dst weight`` line per edge. Blank lines are ignored. Node counts
     and indices are ``nat`` literals (ASCII digits), weights ``tropical``
-    literals."""
+    literals; each distinct weight text is parsed once per call."""
+    index, weight_of = _GRAMMARS["nat"], _GRAMMARS["tropical"]
+    parts: dict = {}  # neither grammar has rational parts to keep here
     count = None
     edges = []
+    weights: dict[str, Scalar] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -90,22 +93,25 @@ def parse_graph_text(text: str) -> GraphSpec:
             if len(fields) != 1:
                 raise FormatError(f"line {ln}: expected the node count alone")
             try:
-                count = parse_scalar(NAT, fields[0]).payload
+                count = index(fields[0], parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: bad node count: {exc}") from None
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
         try:
-            src, dst = (parse_scalar(NAT, f).payload for f in fields[:2])
+            src, dst = index(fields[0], parts), index(fields[1], parts)
         except FormatError as exc:
             raise FormatError(f"line {ln}: bad node index: {exc}") from None
         if not 0 <= src < count or not 0 <= dst < count:
             raise FormatError(f"line {ln}: node index out of range (n = {count})")
-        try:
-            weight = parse_scalar(TROPICAL, fields[2])
-        except FormatError as exc:
-            raise FormatError(f"line {ln}: {exc}") from None
+        text = fields[2]
+        weight = weights.get(text)
+        if weight is None:
+            try:
+                weight = weights[text] = Scalar("tropical", weight_of(text, parts))
+            except FormatError as exc:
+                raise FormatError(f"line {ln}: {exc}") from None
         edges.append((src, dst, weight))
     if count is None:
         raise FormatError("empty graph file: expected a node count")
@@ -219,10 +225,7 @@ def _cmd_shortest_path(args) -> int:
     spec = parse_graph_text(_read_input(args.graph))
     _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
-    lines = []
-    for i in range(table.rows):
-        lines.append(" ".join(render_scalar(e) for e in table.row(i)))
-    print("\n".join(lines))
+    print("\n".join(_render_rows(table.tag, table.entries, table.rows, table.cols)))
     return 0
 
 

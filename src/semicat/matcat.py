@@ -24,19 +24,30 @@ from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor is built
 from. Compose has its own sum-of-products kernel per built-in: int sums of
 products for nat, any/and for bool, and min-plus on ints for tropical,
 with infinity replaced by a stand-in larger than any finite sum can
-reach. For ratnn and gaussian, compose scales each row of the left
-factor by the lcm D of its denominators and each column of the right
-factor by the lcm E of its own. Every scaled entry is an integer, or an
-(re, im) pair of integers, so a row-by-column sum of products is an exact
-integer sum over D*E; one ``Fraction`` built from it per output part is the
-exact value, and since ``Fraction`` reduces to lowest terms it is the same
-canonical value, rendering to the same bytes, as a sum of ``Fraction``
-products. Scaling per row and per column, not per matrix, keeps the
-integers as small as the denominators one output entry combines. Any other
-descriptor (hom-set and evaluation semirings, or one that merely carries a
-built-in's name) computes with its own ``add``/``mul``/``star``, one call
-per scalar step; the ``compose-oracle`` law compares the kernels with a
-triple loop over the descriptor's operations.
+reach. For ratnn and gaussian, compose reads the integer ratio of each
+entry once and scales each row of the left factor by the lcm D of its
+denominators and each column of the right factor by the lcm E of its own.
+Every scaled entry is an integer, or an (re, im) pair of integers, so a
+row-by-column sum of products is an exact integer sum over D*E. Gaussian
+compose takes three integer dot products per output entry, Gauss's trick:
+re = sum ac - sum bd and im = sum (a+b)(c+d) - sum ac - sum bd, with the
+sums a+b and c+d formed once per row and per column. One ``Fraction`` built
+per output part is the exact value, and since ``Fraction`` reduces to
+lowest terms it is the same canonical value, rendering to the same bytes,
+as a sum of ``Fraction`` products. Scaling per row and per column, not per
+matrix, keeps the integers as small as the denominators one output entry
+combines. Any other descriptor (hom-set and evaluation semirings, or one
+that merely carries a built-in's name) computes with its own
+``add``/``mul``/``star``, one call per scalar step; the ``compose-oracle``
+law compares the kernels with a triple loop over the descriptor's
+operations.
+
+The ``.mat`` text format reads and writes through the scalar grammar and
+renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
+distinct literal text once per file, and converts each distinct rational
+part of a gaussian literal once per file; :func:`render_mat_text` checks
+every entry against the matrix's semiring and writes it with that
+semiring's renderer.
 """
 
 from __future__ import annotations
@@ -57,13 +68,13 @@ from .algebra import (
     TROPICAL,
     Scalar,
     SemiringDescriptor,
+    _GRAMMARS,
     _NAT_RE,
     _PAYLOAD_OPS,
     _decimal,
     _payloads,
     _quote,
-    parse_scalar,
-    render_scalar,
+    _render_rows,
 )
 from .errors import (
     DimensionMismatch,
@@ -200,8 +211,9 @@ def _tropical_products(rows: list, cols: list) -> list:
 
 def _over_lcm(qs: list) -> tuple[int, list[int]]:
     """(d, [q * d for q in qs]), d the lcm of the denominators of qs."""
-    d = lcm(*[q.denominator for q in qs])
-    return d, [q.numerator * (d // q.denominator) for q in qs]
+    ratios = [q.as_integer_ratio() for q in qs]
+    d = lcm(*[b for _, b in ratios])
+    return d, [a * (d // b) for a, b in ratios]
 
 
 def _ratnn_products(rows: list, cols: list) -> list:
@@ -212,22 +224,28 @@ def _ratnn_products(rows: list, cols: list) -> list:
     ]
 
 
-def _gaussian_over_lcm(pairs: list) -> tuple[int, list[int], list[int]]:
+def _gaussian_over_lcm(pairs: list) -> tuple:
+    """(d, re, im, re + im): the parts of ``pairs`` scaled by the lcm d of
+    their denominators, and their entrywise sums."""
     d, ints = _over_lcm([q for pair in pairs for q in pair])
-    return d, ints[0::2], ints[1::2]
+    re, im = ints[0::2], ints[1::2]
+    return d, re, im, list(map(add, re, im))
 
 
 def _gaussian_products(rows: list, cols: list) -> list:
+    # Gauss's three products: (a + bi)(c + di) has re = ac - bd and
+    # im = (a + b)(c + d) - ac - bd.
     rows = [_gaussian_over_lcm(r) for r in rows]
     cols = [_gaussian_over_lcm(c) for c in cols]
-    return [
-        (
-            Fraction(sum(map(mul, rre, cre)) - sum(map(mul, rim, cim)), d * e),
-            Fraction(sum(map(mul, rre, cim)) + sum(map(mul, rim, cre)), d * e),
-        )
-        for d, rre, rim in rows
-        for e, cre, cim in cols
-    ]
+    out = []
+    for row_den, a, b, a_b in rows:
+        for col_den, c, d, c_d in cols:
+            ac, bd = sum(map(mul, a, c)), sum(map(mul, b, d))
+            den = row_den * col_den
+            out.append(
+                (Fraction(ac - bd, den), Fraction(sum(map(mul, a_b, c_d)) - ac - bd, den))
+            )
+    return out
 
 
 class _Kernel(NamedTuple):
@@ -515,8 +533,9 @@ def parse_mat_text(text: str) -> Matrix:
     Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols ``nat``
     literals (ASCII digits); each following line holds one row of scalars
     in the semiring's text grammar. Each distinct literal text is parsed
-    once per call and its scalar reused for every later copy. Errors carry
-    the offending line and column.
+    once per call and its scalar reused for every later copy, and each
+    distinct rational part of a gaussian literal is converted once per call.
+    Errors carry the offending line and column.
     """
     lines = text.splitlines()
     if not lines:
@@ -542,8 +561,10 @@ def parse_mat_text(text: str) -> Matrix:
             raise FormatError(f"line 1, column {col}: {exc}") from None
     rows, cols = dims
 
+    grammar = _GRAMMARS[name]
     entries = []
     parsed: dict[str, Scalar] = {}
+    parts: dict = {}
     for i in range(rows):
         lineno = i + 2
         if lineno - 1 >= len(lines):
@@ -560,7 +581,7 @@ def parse_mat_text(text: str) -> Matrix:
             scalar = parsed.get(tok)
             if scalar is None:
                 try:
-                    scalar = parsed[tok] = parse_scalar(S, tok)
+                    scalar = parsed[tok] = Scalar(name, grammar(tok, parts))
                 except FormatError as exc:
                     # A token that fails is never stored, so its first copy
                     # in this row is the one being parsed.
@@ -575,10 +596,11 @@ def parse_mat_text(text: str) -> Matrix:
 
 def render_mat_text(m: Matrix) -> str:
     """Render a matrix over a built-in scalar semiring; inverse of
-    :func:`parse_mat_text`, byte for byte."""
+    :func:`parse_mat_text`, byte for byte. Every entry must carry the
+    matrix's tag (else :class:`TagMismatch`), and each is written by that
+    semiring's renderer."""
     if m.tag not in SEMIRINGS:
         raise FormatError(f"semiring {m.tag!r} has no file rendering")
     lines = [f"semiring {m.tag} {m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(render_scalar(e) for e in m.row(i)))
+    lines += _render_rows(m.tag, m.entries, m.rows, m.cols)
     return "\n".join(lines) + "\n"

@@ -33,6 +33,7 @@ from semicat.algebra import (
     word,
 )
 from semicat.adjunctions import check_monoid_laws, check_semiring_laws
+from semicat.matcat import parse_mat_text
 from semicat.errors import (
     FormatError,
     MonoidMismatch,
@@ -326,16 +327,43 @@ def parse_outcome(parse, text: str):
         return type(exc), str(exc)
 
 
+SHORT_GAUSSIAN_TEXTS = [
+    "".join(chars) for n in range(7) for chars in itertools.product("01-+/i", repeat=n)
+]
+
+
 def test_every_short_gaussian_literal_parses_as_the_reference():
-    texts = [
-        "".join(chars)
-        for n in range(7)
-        for chars in itertools.product("01-+/i", repeat=n)
-    ]
-    assert len(texts) == 55_987
-    for text in texts:
+    assert len(SHORT_GAUSSIAN_TEXTS) == 55_987
+    for text in SHORT_GAUSSIAN_TEXTS:
         got = parse_outcome(lambda t: parse_scalar(GAUSSIAN, t), text)
         assert got == parse_outcome(reference_parse_gaussian, text), text
+
+
+def mat_file_outcome(text: str):
+    """The value of ``text`` as the one entry of a gaussian .mat file, or
+    its error with the position prefix checked and removed."""
+    try:
+        return parse_mat_text(f"semiring gaussian 1 1\n{text}\n").entries[0].payload
+    except FormatError as exc:
+        prefix, _, message = str(exc).partition(": ")
+        assert prefix == "line 2, column 1", text
+        return FormatError, message
+
+
+def test_every_short_gaussian_literal_in_a_file_parses_as_the_reference():
+    for text in SHORT_GAUSSIAN_TEXTS[1:]:
+        assert mat_file_outcome(text) == parse_outcome(reference_parse_gaussian, text), text
+
+
+def test_short_gaussian_literals_sharing_one_file_parse_as_alone():
+    good = []
+    for text in SHORT_GAUSSIAN_TEXTS[1:]:
+        try:
+            good.append((text, reference_parse_gaussian(text)))
+        except FormatError:
+            pass
+    m = parse_mat_text(f"semiring gaussian 1 {len(good)}\n{' '.join(t for t, _ in good)}\n")
+    assert m.entries == tuple(value for _, value in good)
 
 
 def reference_render_gaussian(re_part: Fraction, im_part: Fraction) -> str:

@@ -4,6 +4,7 @@ operations, law suites, and exit codes."""
 import argparse
 import io
 import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +37,11 @@ def test_parse_graph_text():
     spec = parse_graph_text("3\n\n0 1 4\n1 2 -2\n")
     assert spec.nodes == 3
     assert spec.edges == ((0, 1, tropical(4)), (1, 2, tropical(-2)))
+    # Repeated weight texts, and two spellings of one weight.
+    spec = parse_graph_text("3\n0 1 -2\n1 2 -2\n2 0 inf\n0 2 07\n2 1 7\n1 0 inf\n")
+    assert [w for _, _, w in spec.edges] == [
+        tropical(-2), tropical(-2), tropical(None), tropical(7), tropical(7), tropical(None)
+    ]
 
 
 def test_parse_graph_errors():
@@ -49,6 +55,32 @@ def test_parse_graph_errors():
         parse_graph_text("2\n0 1 1\n0 2 1\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_graph_text("2\n0 1 x\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty graph file: expected a node count"),
+        ("\n  \n", "empty graph file: expected a node count"),
+        ("2 3\n", "line 1: expected the node count alone"),
+        ("two\n", "line 1: bad node count: bad natural literal 'two'"),
+        ("\n-2\n", "line 2: bad node count: bad natural literal '-2'"),
+        ("2\n0 1\n", "line 2: expected 'src dst weight'"),
+        ("2\n0 1 1 1\n", "line 2: expected 'src dst weight'"),
+        ("2\n0 x 1\n", "line 2: bad node index: bad natural literal 'x'"),
+        ("2\nx y 1\n", "line 2: bad node index: bad natural literal 'x'"),
+        ("2\n+1 0 1\n", "line 2: bad node index: bad natural literal '+1'"),
+        ("2\n0 1 1\n0 2 1\n", "line 3: node index out of range (n = 2)"),
+        ("2\n2 x 1\n", "line 2: bad node index: bad natural literal 'x'"),
+        ("2\n2 0 x\n", "line 2: node index out of range (n = 2)"),
+        ("2\n0 1 x\n", "line 2: bad tropical literal 'x'"),
+        ("2\n0 1 -3\n1 0 -3\n1 1 --3\n", "line 4: bad tropical literal '--3'"),
+        ("2\n0 1 inf\n1 0 Inf\n", "line 3: bad tropical literal 'Inf'"),
+    ],
+)
+def test_graph_errors_are_pinned(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_graph_text(text)
 
 
 def test_graph_matrix_merges_parallel_edges():

@@ -1,0 +1,115 @@
+"""The goldens on every interpreter the package supports.
+
+``pyproject.toml`` claims Python >= 3.10, and the exact-rational kernels
+lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
+reimplemented between versions. Each test here runs every law/roundtrip
+golden and the four CLI fixtures through ``semicat.cli.main``, all in one
+subprocess of another interpreter found on PATH, and compares each stdout
+with the recorded bytes. The subprocess needs only the standard library. An
+interpreter that is not on PATH, or does not run, is skipped.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import FIXTURES, LAW_GOLDEN_RUNS, LAW_GOLDENS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fx(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+# name -> (argv, the file holding its stdout)
+CASES = {name: (argv, LAW_GOLDENS / f"{name}.out") for name, argv in LAW_GOLDEN_RUNS.items()}
+CASES.update(
+    {
+        "compose_ab": (
+            ["matmul", "--op", "compose", "-A", _fx("compose_a.mat"), "-B", _fx("compose_b.mat")],
+            FIXTURES / "compose_ab.out",
+        ),
+        "dagger": (["matmul", "--op", "dagger", "-A", _fx("dagger_in.mat")], FIXTURES / "dagger.out"),
+        "cycle3_k2": (
+            ["shortest-path", "--graph", _fx("cycle3.graph"), "--max-hops", "2"],
+            FIXTURES / "cycle3_k2.out",
+        ),
+        "line4_k3": (
+            ["shortest-path", "--graph", _fx("line4.graph"), "--max-hops", "3"],
+            FIXTURES / "line4_k3.out",
+        ),
+    }
+)
+
+# Reads {name: argv} as JSON on stdin and writes {name: [exit code, stdout]}.
+RUNNER = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+from semicat.cli import main
+results = {}
+for name, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    results[name] = [code, out.getvalue()]
+json.dump(results, sys.stdout)
+"""
+
+
+def find_interpreter(version: str):
+    """The first ``python<version>`` on PATH that runs and reports that
+    version, with the environment to run it in, or None. The environment
+    names the version in ``PYENV_VERSION``, so that a pyenv shim selects it;
+    any other executable ignores that variable."""
+    env = {**os.environ, "PYENV_VERSION": version}
+    probe = "import sys; print('%d.%d' % sys.version_info[:2])"
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        exe = Path(directory, f"python{version}")
+        if not (exe.is_file() and os.access(exe, os.X_OK)):
+            continue
+        try:
+            run = subprocess.run(
+                [str(exe), "-I", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if run.returncode == 0 and run.stdout.strip() == version:
+            return str(exe), env
+    return None
+
+
+def test_cases_cover_every_golden_and_cli_fixture():
+    assert len(CASES) == 33 + 4
+    assert {golden.name for _, golden in CASES.values()} >= {
+        p.name for p in FIXTURES.glob("*.out")
+    }
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_goldens_are_byte_identical_under(version):
+    if version == "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"the rest of the suite runs on Python {version}")
+    found = find_interpreter(version)
+    if found is None:
+        pytest.skip(f"no working python{version} on PATH")
+    exe, env = found
+    run = subprocess.run(
+        [exe, "-I", "-B", "-c", RUNNER, str(SRC)],
+        input=json.dumps({name: argv for name, (argv, _) in CASES.items()}),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)
+    for name, (_, golden) in CASES.items():
+        code, out = results[name]
+        assert code == 0, name
+        assert out.encode() == golden.read_bytes(), name

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import semicat.matcat as matcat
+import semicat.algebra as algebra
 from semicat.algebra import (
     GAUSSIAN,
     NAT,
@@ -237,6 +237,14 @@ def test_parse_errors_carry_positions():
         ("semiring nat 2 2\nx 1\ny y\n", "line 2, column 1: bad natural literal 'x'"),
         ("semiring nat 1 2\n1  2   3\n", "line 2, column 8: expected 2 entries, got 3"),
         ("semiring nat 1 3\n\t1 1\n", "line 2, column 4: expected 3 entries, got 2"),
+        # A bad rational part shared by two gaussian literals: the first
+        # literal is named, whole, at its own position.
+        ("semiring gaussian 2 1\n1/0+i\n2+1/0i\n", "line 2, column 1: bad rational literal '1/0+i'"),
+        ("semiring gaussian 1 3\n1 2+1/0i 1/0+i\n", "line 2, column 3: bad rational literal '2+1/0i'"),
+        # Good parts converted by earlier literals, then a literal whose
+        # other part is bad.
+        ("semiring gaussian 1 3\n1/2+3i 1/2+3/0i 5\n", "line 2, column 8: bad rational literal '1/2+3/0i'"),
+        ("semiring gaussian 2 2\n1/2 -3i\n-3 1/2-3/i\n", "line 3, column 4: bad rational literal '1/2-3/i'"),
     ],
 )
 def test_parse_errors_point_at_the_first_bad_token(text, message):
@@ -246,16 +254,51 @@ def test_parse_errors_point_at_the_first_bad_token(text, message):
 
 def test_each_distinct_literal_is_parsed_once(monkeypatch):
     calls = []
+    grammar = algebra._GRAMMARS["nat"]
 
-    def counting(desc, text):
+    def counting(text, parts):
         calls.append(text)
-        return parse_scalar(desc, text)
+        return grammar(text, parts)
 
-    monkeypatch.setattr(matcat, "parse_scalar", counting)
+    monkeypatch.setitem(algebra._GRAMMARS, "nat", counting)
     rows = (" ".join(str((32 * i + j) % 10) for j in range(32)) for i in range(32))
     m = parse_mat_text("semiring nat 32 32\n" + "\n".join(rows) + "\n")
-    assert len(calls) <= 10
+    assert 1 <= len(calls) <= 10
     assert m.entries == tuple(nat(k % 10) for k in range(32 * 32))
+
+
+def test_each_distinct_gaussian_part_is_converted_once(monkeypatch):
+    calls = []
+    parse_fraction = algebra._parse_fraction
+
+    def counting(text, original):
+        calls.append(text)
+        return parse_fraction(text, original)
+
+    monkeypatch.setattr(algebra, "_parse_fraction", counting)
+    re_parts = ["0", "1/2", "-3", "5/4", "-7/3", "2"]
+    im_parts = ["1/2", "3", "2/5", "7/3"]
+    pool = [f"{r}{sign}{q}i" for r in re_parts for sign in "+-" for q in im_parts]
+    pool += re_parts
+    k = len({*re_parts, *im_parts, *("-" + q for q in im_parts)})
+    grid = [[pool[(32 * i + j) % len(pool)] for j in range(32)] for i in range(32)]
+    text = "semiring gaussian 32 32\n" + "\n".join(map(" ".join, grid)) + "\n"
+    m = parse_mat_text(text)
+    assert 1 <= len(calls) <= k < len(pool)
+    # Nothing is kept across calls: a second parse converts them again.
+    first, calls[:] = calls[:], []
+    assert parse_mat_text(text) == m
+    assert calls == first
+    assert m.entries == tuple(parse_scalar(GAUSSIAN, tok) for row in grid for tok in row)
+
+
+def test_render_checks_every_entry_against_the_matrix_tag():
+    m = Matrix(NAT, 1, 2, (tropical(None), rational("1/2")))
+    with pytest.raises(TagMismatch, match="^expected a nat scalar, got the tropical scalar inf$"):
+        render_mat_text(m)
+    m = Matrix(GAUSSIAN, 2, 1, (gaussian(1, 2), rational("1/2")))
+    with pytest.raises(TagMismatch, match="^expected a gaussian scalar, got the ratnn scalar 1/2$"):
+        render_mat_text(m)
 
 
 # Literals in the README grammar, non-canonical spellings included:
