@@ -24,25 +24,29 @@ witness, and the function it builds, once per distinct (hashable)
 argument: results are kept for the life of the returned witness. An
 exception is not kept, so an argument that raises raises on every call.
 
-:func:`run_suite` drives the eight named law suites. Each suite is a law
-table: per subject, rows of (name, sampler, holds). One runner checks every
-row against one seeded RNG, in table order, and keeps the first
-counterexample of each law. The three adjunctions' laws form one table,
-which both the ``adjunction-roundtrips`` suite and :func:`run_roundtrip`
-read. :func:`check_semiring_laws` and :func:`check_monoid_laws` check a
-descriptor over a sample pool with the runner's first-failure loop. Every
+:func:`run_suite` drives the eight named law suites from one table: per
+suite, its default subjects, the name format of a subject and the builder
+of a subject's law rows. ``run_suite`` alone picks the subjects. Every law
+row is (name, cases, holds), where cases is a sampler drawn ``--cases``
+times from one seeded RNG, a finite list of argument tuples run in order,
+or None for a self-contained ``holds()``. One runner checks every row in
+table order and keeps the first counterexample of each law, one argument
+per line. The three adjunctions' laws form one table, which both the
+``adjunction-roundtrips`` suite and :func:`run_roundtrip` read.
+:func:`check_semiring_laws` and :func:`check_monoid_laws` run rows of
+enumerated cases over a sample pool through the same runner. Every
 verdict is a (subject, law, ok, detail) entry of a :class:`SuiteReport`,
 sorted by subject and law.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
-    GAUSSIAN,
     MONOIDS,
     NAT,
     MonoidDescriptor,
@@ -459,12 +463,14 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
 # ---------------------------------------------------------------------------
 # Law tables and the runner
 #
-# A suite builder returns, per subject, a table of law rows
-# ``(name, sampler, holds)``. A sampled law draws ``sampler(rng)`` up to
-# ``cases`` times and fails at the first draw where ``holds(*args)`` is
-# false, with the arguments as the counterexample. A self-contained law has
-# ``sampler`` None, and ``holds()`` returns ``(ok, detail)``. Every law of a
-# suite draws from one RNG, in table order.
+# A suite builder returns the law rows ``(name, cases, holds)`` of one
+# subject. ``cases`` is one of three things: a sampler ``rng -> args``,
+# drawn ``SuiteConfig.cases`` times; a finite list of argument tuples, run
+# in order, such as ``_grid(4, 4)``; or None for a self-contained law, whose
+# ``holds()`` returns ``(ok, detail)``. A law with cases fails at the first
+# tuple where ``holds(*args)`` is false, with that tuple as the
+# counterexample, one argument per line. Every sampled law of a suite draws
+# from one RNG, in table order.
 
 
 @dataclass(frozen=True)
@@ -510,22 +516,28 @@ def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
     return True, None
 
 
-def _run_laws(tables, rng: random.Random | None, cases: int) -> list:
-    """One (subject, law, ok, detail) entry per row of each subject's table."""
+def _run_laws(tables, rng: random.Random | None, draws: int) -> list:
+    """One (subject, law, ok, detail) entry per row of each subject's
+    table; a sampled row is drawn ``draws`` times."""
     entries = []
     for subject, rows in tables:
-        for name, sampler, holds in rows:
-            if sampler is None:
+        for name, cases, holds in rows:
+            if cases is None:
                 try:
                     ok, detail = holds()
                 except SemicatError as exc:
                     ok, detail = False, f"error: {exc}"
+            elif callable(cases):
+                ok, detail = _first_failure((cases(rng) for _ in range(draws)), holds)
             else:
-                ok, detail = _first_failure(
-                    (sampler(rng) for _ in range(cases)), holds
-                )
+                ok, detail = _first_failure(cases, holds)
             entries.append((subject, name, ok, detail))
     return entries
+
+
+def _grid(*sizes: int) -> list[tuple]:
+    """Every tuple of naturals below ``sizes``, in lexicographic order."""
+    return list(itertools.product(*map(range, sizes)))
 
 
 def _report(suite: str, entries) -> SuiteReport:
@@ -564,9 +576,7 @@ def check_semiring_laws(desc: SemiringDescriptor, samples: Sequence) -> SuiteRep
             ("star-fixes-zero", [()], lambda: star(zero) == zero),
             ("star-fixes-one", [()], lambda: star(one) == one),
         ]
-    return _report(
-        "semiring-laws", [(desc.name, law, *_first_failure(c, h)) for law, c, h in laws]
-    )
+    return _report("semiring-laws", _run_laws([(desc.name, laws)], None, 0))
 
 
 def check_monoid_laws(desc: MonoidDescriptor, samples: Sequence) -> SuiteReport:
@@ -583,9 +593,7 @@ def check_monoid_laws(desc: MonoidDescriptor, samples: Sequence) -> SuiteReport:
     if desc.commutative:
         pairs = [(s, t) for s in samples for t in samples]
         laws.append(("op-commutative", pairs, lambda s, t: op(s, t) == op(t, s)))
-    return _report(
-        "monoid-laws", [(desc.name, law, *_first_failure(c, h)) for law, c, h in laws]
-    )
+    return _report("monoid-laws", _run_laws([(desc.name, laws)], None, 0))
 
 
 def _monoid_named(name: str) -> MonoidDescriptor:
@@ -595,34 +603,11 @@ def _monoid_named(name: str) -> MonoidDescriptor:
         raise UnknownSuite(f"no suite instance for monoid {name!r}") from None
 
 
-def _selected_semirings(config: SuiteConfig) -> list[SemiringDescriptor]:
-    if config.semiring is not None:
-        return [semiring_by_name(config.semiring)]
-    return list(SEMIRINGS.values())
-
-
-def _selected_monads(config: SuiteConfig) -> list[MonadInstance]:
-    insts: list[MonadInstance] = []
-    if config.semiring is not None:
-        insts.append(MultisetMonad(semiring_by_name(config.semiring)))
-    if config.monoid is not None:
-        insts.append(ActionMonad(_monoid_named(config.monoid)))
-    if not insts:
-        insts = [MultisetMonad(S) for S in SEMIRINGS.values()]
-        insts.append(ActionMonad(MONOIDS["nat-mul"]))
-        insts.append(ActionMonad(MONOIDS["free-words"]))
-    return insts
-
-
 # ---------------------------------------------------------------------------
 # Suite: monad-laws
 
 
-def _suite_monad_laws(config: SuiteConfig, rng: random.Random) -> list:
-    return [(T.name, _monad_laws(T)) for T in _selected_monads(config)]
-
-
-def _monad_laws(T: MonadInstance) -> list:
+def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
     def s_u(rng):
         return (random_tvalue(rng, T, random_carrier(rng)),)
 
@@ -692,14 +677,7 @@ def _monad_laws(T: MonadInstance) -> list:
 # Suite: additivity (bicartesian structure plus the module laws)
 
 
-def _suite_additivity(config: SuiteConfig, rng: random.Random) -> list:
-    return [
-        (f"multiset({S.name})", _additivity_laws(S))
-        for S in _selected_semirings(config)
-    ]
-
-
-def _additivity_laws(S: SemiringDescriptor) -> list:
+def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
     T = MultisetMonad(S)
     TN = MultisetMonad(NAT)
     E = eval_at_one(T)
@@ -716,13 +694,6 @@ def _additivity_laws(S: SemiringDescriptor) -> list:
         X = random_carrier(rng, 4, "abcd")
         Y = random_carrier(rng, 4, "pqrs")
         return (random_multiset(rng, S, X), random_multiset(rng, S, Y))
-
-    def initial_singleton():
-        return (
-            ms_from_pairs(S, []) == T.initial_value()
-            and tx_zero(T) == T.initial_value(),
-            None,
-        )
 
     def s_fgw(rng):
         X = random_carrier(rng, 4, "abcd")
@@ -875,7 +846,9 @@ def _additivity_laws(S: SemiringDescriptor) -> list:
     return [
         ("bc-roundtrip-fwd", s_w, lambda w: T.bc_inv(*T.bc(w)) == w),
         ("bc-roundtrip-inv", s_uv, lambda u, v: T.bc(T.bc_inv(u, v)) == (u, v)),
-        ("initial-singleton", None, initial_singleton),
+        ("initial-singleton", [()],
+         lambda: ms_from_pairs(S, []) == T.initial_value()
+         and tx_zero(T) == T.initial_value()),
         ("bc-natural", s_fgw, bc_natural),
         ("bc-monad-map", s_wnat, bc_monad_map),
         ("bc-rho", s_uonly, bc_rho),
@@ -907,13 +880,6 @@ def _additivity_laws(S: SemiringDescriptor) -> list:
 # Suite: commutativity
 
 
-def _suite_commutativity(config: SuiteConfig, rng: random.Random) -> list:
-    return [
-        (T.name, _commutativity_laws(T, rng, config.cases))
-        for T in _selected_monads(config)
-    ]
-
-
 def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
     def s_uv(rng):
         X = random_carrier(rng, 4, "abcd")
@@ -922,13 +888,12 @@ def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> lis
 
     if not T.commutative:
         def expected_fail():
-            candidates = [
-                (ActVal(word("ab"), Atom("x")), ActVal(word("cd"), Atom("y")))
-            ]
             X = carrier([Atom("x")])
             Y = carrier([Atom("y")])
-            for _ in range(cases):
-                candidates.append((random_tvalue(rng, T, X), random_tvalue(rng, T, Y)))
+            candidates = itertools.chain(
+                [(ActVal(word("ab"), Atom("x")), ActVal(word("cd"), Atom("y")))],
+                ((random_tvalue(rng, T, X), random_tvalue(rng, T, Y)) for _ in range(cases)),
+            )
             for u, v in candidates:
                 left = dst_strength_first(T, u, v)
                 right = dst_swapped_first(T, u, v)
@@ -977,11 +942,11 @@ def _coord_swap(n: int, m: int, S: SemiringDescriptor) -> Matrix:
     return aleph0_embed(Aleph0Map(n * m, m * n, tuple(table)), S)
 
 
-def _suite_matcat(config: SuiteConfig, rng: random.Random) -> list:
-    return [(f"mat({S.name})", _matcat_laws(S)) for S in _selected_semirings(config)]
+def _zeros(S: SemiringDescriptor, n: int, m: int) -> Matrix:
+    return Matrix(S, n, m, (S.zero,) * (n * m))
 
 
-def _matcat_laws(S: SemiringDescriptor) -> list:
+def _matcat_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
     def dims(rng, lo=0, hi=4):
         return rng.randint(lo, hi)
 
@@ -1000,20 +965,13 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
     def s_single(rng):
         return (random_matrix(rng, S, dims(rng), dims(rng)),)
 
-    def biproduct_delta():
-        for n in range(4):
-            for m in range(4):
-                z_nm = Matrix(S, n, m, tuple(S.zero for _ in range(n * m)))
-                z_mn = Matrix(S, m, n, tuple(S.zero for _ in range(m * n)))
-                if mat_compose(mat_coproj1(S, n, m), mat_proj1(S, n, m)) != mat_identity(S, n):
-                    return False, f"p1 . k1 at ({n},{m})"
-                if mat_compose(mat_coproj2(S, n, m), mat_proj2(S, n, m)) != mat_identity(S, m):
-                    return False, f"p2 . k2 at ({n},{m})"
-                if mat_compose(mat_coproj1(S, n, m), mat_proj2(S, n, m)) != z_nm:
-                    return False, f"p2 . k1 at ({n},{m})"
-                if mat_compose(mat_coproj2(S, n, m), mat_proj1(S, n, m)) != z_mn:
-                    return False, f"p1 . k2 at ({n},{m})"
-        return True, None
+    def biproduct_delta(n, m):
+        return (
+            mat_compose(mat_coproj1(S, n, m), mat_proj1(S, n, m)) == mat_identity(S, n)
+            and mat_compose(mat_coproj2(S, n, m), mat_proj2(S, n, m)) == mat_identity(S, m)
+            and mat_compose(mat_coproj1(S, n, m), mat_proj2(S, n, m)) == _zeros(S, n, m)
+            and mat_compose(mat_coproj2(S, n, m), mat_proj1(S, n, m)) == _zeros(S, m, n)
+        )
 
     def s_into_sum(rng):
         k, n, m = dims(rng, 1, 3), dims(rng), dims(rng)
@@ -1033,13 +991,6 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
             random_matrix(rng, S, q, q2),
         )
 
-    def tensor_identity():
-        for m in range(4):
-            for n in range(4):
-                if mat_tensor(mat_identity(S, m), mat_identity(S, n)) != mat_identity(S, m * n):
-                    return False, f"id tensor id at ({m},{n})"
-        return True, None
-
     def s_tensor2(rng):
         m, p = dims(rng, 0, 3), dims(rng, 0, 3)
         n, q = dims(rng, 0, 3), dims(rng, 0, 3)
@@ -1050,24 +1001,20 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
         right = mat_compose(_coord_swap(g.rows, h.rows, S), mat_tensor(h, g))
         return left == right
 
-    def tensor_distributes():
-        for n in range(3):
-            for m in range(3):
-                for k in range(3):
-                    idn = mat_identity(S, n)
-                    d = mat_cotuple(
-                        mat_tensor(idn, mat_coproj1(S, m, k)),
-                        mat_tensor(idn, mat_coproj2(S, m, k)),
-                    )
-                    e = mat_tuple(
-                        mat_tensor(idn, mat_proj1(S, m, k)),
-                        mat_tensor(idn, mat_proj2(S, m, k)),
-                    )
-                    if mat_compose(d, e) != mat_identity(S, n * m + n * k):
-                        return False, f"d . e at ({n},{m},{k})"
-                    if mat_compose(e, d) != mat_identity(S, n * (m + k)):
-                        return False, f"e . d at ({n},{m},{k})"
-        return True, None
+    def tensor_distributes(n, m, k):
+        idn = mat_identity(S, n)
+        d = mat_cotuple(
+            mat_tensor(idn, mat_coproj1(S, m, k)),
+            mat_tensor(idn, mat_coproj2(S, m, k)),
+        )
+        e = mat_tuple(
+            mat_tensor(idn, mat_proj1(S, m, k)),
+            mat_tensor(idn, mat_proj2(S, m, k)),
+        )
+        return (
+            mat_compose(d, e) == mat_identity(S, n * m + n * k)
+            and mat_compose(e, d) == mat_identity(S, n * (m + k))
+        )
 
     def s_fns(rng):
         n = dims(rng, 0, 4)
@@ -1078,7 +1025,7 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
     def homset_agrees():
         box = lambda s: Matrix(S, 1, 1, (s,))
         _check_semiring_map(S, homset_semiring(S), box, scalar_pool(S))
-        return True, None
+        return True
 
     def s_parallel(rng):
         n, m = dims(rng), dims(rng)
@@ -1101,7 +1048,7 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
          lambda a: mat_compose(mat_identity(S, a.rows), a) == a
          and mat_compose(a, mat_identity(S, a.cols)) == a),
         ("compose-oracle", s_pair, lambda a, b: mat_compose(a, b) == _naive_compose(a, b)),
-        ("biproduct-delta", None, biproduct_delta),
+        ("biproduct-delta", _grid(4, 4), biproduct_delta),
         ("tuple-recovery", s_into_sum,
          lambda f, n, m: mat_tuple(
              mat_compose(f, mat_proj1(S, n, m)), mat_compose(f, mat_proj2(S, n, m))
@@ -1116,16 +1063,18 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
         ("tensor-functorial", s_tensor4,
          lambda g, h, g2, h2: mat_compose(mat_tensor(g, h), mat_tensor(g2, h2))
          == mat_tensor(mat_compose(g, g2), mat_compose(h, h2))),
-        ("tensor-identity", None, tensor_identity),
+        ("tensor-identity", _grid(4, 4),
+         lambda m, n: mat_tensor(mat_identity(S, m), mat_identity(S, n))
+         == mat_identity(S, m * n)),
         ("tensor-unit", s_single,
          lambda g: mat_tensor(g, mat_identity(S, 1)) == g
          and mat_tensor(mat_identity(S, 1), g) == g),
         ("tensor-symmetry", s_tensor2, tensor_symmetry),
-        ("tensor-distributes", None, tensor_distributes),
+        ("tensor-distributes", _grid(3, 3, 3), tensor_distributes),
         ("embed-functorial", s_fns,
          lambda f, g: aleph0_embed(aleph0_compose(f, g), S)
          == mat_compose(aleph0_embed(f, S), aleph0_embed(g, S))),
-        ("homset-agrees", None, homset_agrees),
+        ("homset-agrees", [()], homset_agrees),
         ("add-entrywise", s_parallel, add_entrywise),
     ]
 
@@ -1134,29 +1083,12 @@ def _matcat_laws(S: SemiringDescriptor) -> list:
 # Suite: dagger
 
 
-def _suite_dagger(config: SuiteConfig, rng: random.Random) -> list:
-    if config.semiring is not None:
-        semirings = [semiring_by_name(config.semiring)]
-    else:
-        semirings = [GAUSSIAN]
-    return [(f"mat({S.name})", _dagger_laws(S)) for S in semirings]
-
-
-def _dagger_laws(S: SemiringDescriptor) -> list:
+def _dagger_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
     def s_one(rng):
         return (random_matrix(rng, S, 3, 3),)
 
     def s_two(rng):
         return (random_matrix(rng, S, 3, 3), random_matrix(rng, S, 3, 3))
-
-    def dagger_structural():
-        for n in range(4):
-            for m in range(4):
-                if mat_coproj1(S, n, m) != mat_dagger(mat_proj1(S, n, m)):
-                    return False, f"k1 vs p1-dagger at ({n},{m})"
-                if mat_coproj2(S, n, m) != mat_dagger(mat_proj2(S, n, m)):
-                    return False, f"k2 vs p2-dagger at ({n},{m})"
-        return True, None
 
     return [
         ("dagger-involutive", s_one, lambda f: mat_dagger(mat_dagger(f)) == f),
@@ -1166,7 +1098,9 @@ def _dagger_laws(S: SemiringDescriptor) -> list:
         ("dagger-tensor", s_two,
          lambda f, g: mat_dagger(mat_tensor(f, g))
          == mat_tensor(mat_dagger(f), mat_dagger(g))),
-        ("dagger-structural", None, dagger_structural),
+        ("dagger-structural", _grid(4, 4),
+         lambda n, m: mat_coproj1(S, n, m) == mat_dagger(mat_proj1(S, n, m))
+         and mat_coproj2(S, n, m) == mat_dagger(mat_proj2(S, n, m))),
     ]
 
 
@@ -1174,11 +1108,7 @@ def _dagger_laws(S: SemiringDescriptor) -> list:
 # Suite: freetheory
 
 
-def _suite_freetheory(config: SuiteConfig, rng: random.Random) -> list:
-    return [(f"terms({S.name})", _freetheory_laws(S)) for S in _selected_semirings(config)]
-
-
-def _freetheory_laws(S: SemiringDescriptor) -> list:
+def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
     T = MultisetMonad(S)
 
     def s_rel(rng):
@@ -1213,26 +1143,11 @@ def _freetheory_laws(S: SemiringDescriptor) -> list:
     def s_term(rng):
         return (random_free_term(rng, S, random_carrier(rng, 4, "abcd")),)
 
-    def unit_functor_id():
-        for n in range(4):
-            if law_unit_functor(mat_identity(S, n)) != kl_id(T, n):
-                return False, f"identity at {n}"
-        return True, None
-
     def s_mats(rng):
         n = rng.randint(0, 3)
         m = rng.randint(0, 3)
         p = rng.randint(0, 3)
         return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
-
-    def unit_functor_coproj():
-        for n in range(3):
-            for m in range(3):
-                if law_unit_functor(mat_coproj1(S, n, m)) != kl_coproj(T, 1, n, m):
-                    return False, f"coproj1 at ({n},{m})"
-                if law_unit_functor(mat_coproj2(S, n, m)) != kl_coproj(T, 2, n, m):
-                    return False, f"coproj2 at ({n},{m})"
-        return True, None
 
     laws = [
         ("relation-sound", s_rel, lambda f, g, v: tl_relation_check(f, g, v)),
@@ -1246,11 +1161,14 @@ def _freetheory_laws(S: SemiringDescriptor) -> list:
              == ms_involution(term_normalize(t))),
         )
     return laws + [
-        ("unit-functor-id", None, unit_functor_id),
+        ("unit-functor-id", _grid(4),
+         lambda n: law_unit_functor(mat_identity(S, n)) == kl_id(T, n)),
         ("unit-functor-compose", s_mats,
          lambda a, b: law_unit_functor(mat_compose(a, b))
          == kl_compose(law_unit_functor(a), law_unit_functor(b))),
-        ("unit-functor-coproj", None, unit_functor_coproj),
+        ("unit-functor-coproj", _grid(3, 3),
+         lambda n, m: law_unit_functor(mat_coproj1(S, n, m)) == kl_coproj(T, 1, n, m)
+         and law_unit_functor(mat_coproj2(S, n, m)) == kl_coproj(T, 2, n, m)),
     ]
 
 
@@ -1258,14 +1176,7 @@ def _freetheory_laws(S: SemiringDescriptor) -> list:
 # Suite: kleisli-iso
 
 
-def _suite_kleisli_iso(config: SuiteConfig, rng: random.Random) -> list:
-    return [
-        (f"kl(multiset({S.name}))", _kleisli_iso_laws(S))
-        for S in _selected_semirings(config)
-    ]
-
-
-def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
+def _kleisli_iso_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
     T = MultisetMonad(S)
     E = eval_at_one(T)
     point = carrier([STAR])
@@ -1295,21 +1206,14 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
             ),
         )
 
-    def theta_structural():
-        for n in range(3):
-            for m in range(3):
-                if theta(kl_coproj(T, 1, n, m)) != mat_coproj1(E, n, m):
-                    return False, f"coproj1 at ({n},{m})"
-                if theta(kl_coproj(T, 2, n, m)) != mat_coproj2(E, n, m):
-                    return False, f"coproj2 at ({n},{m})"
-                if theta(kl_proj(T, 1, n, m)) != mat_proj1(E, n, m):
-                    return False, f"proj1 at ({n},{m})"
-                if theta(kl_proj(T, 2, n, m)) != mat_proj2(E, n, m):
-                    return False, f"proj2 at ({n},{m})"
-                zero_mat = theta(kl_zero(T, n, m))
-                if zero_mat != Matrix(E, n, m, tuple(E.zero for _ in range(n * m))):
-                    return False, f"zero at ({n},{m})"
-        return True, None
+    def theta_structural(n, m):
+        return (
+            theta(kl_coproj(T, 1, n, m)) == mat_coproj1(E, n, m)
+            and theta(kl_coproj(T, 2, n, m)) == mat_coproj2(E, n, m)
+            and theta(kl_proj(T, 1, n, m)) == mat_proj1(E, n, m)
+            and theta(kl_proj(T, 2, n, m)) == mat_proj2(E, n, m)
+            and theta(kl_zero(T, n, m)) == _zeros(E, n, m)
+        )
 
     def s_parallel(rng):
         n, m, p = (rng.randint(0, 3) for _ in range(3))
@@ -1326,18 +1230,13 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
             random_kleisli(rng, T, dims[2], dims[3]),
         )
 
-    def biproduct_eqs():
-        for n in range(3):
-            for m in range(3):
-                if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 1, n, m)) != kl_id(T, n):
-                    return False, f"p1 . k1 at ({n},{m})"
-                if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 2, n, m)) != kl_id(T, m):
-                    return False, f"p2 . k2 at ({n},{m})"
-                if kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 2, n, m)) != kl_zero(T, n, m):
-                    return False, f"p2 . k1 at ({n},{m})"
-                if kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 1, n, m)) != kl_zero(T, m, n):
-                    return False, f"p1 . k2 at ({n},{m})"
-        return True, None
+    def biproduct_eqs(n, m):
+        return (
+            kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 1, n, m)) == kl_id(T, n)
+            and kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 2, n, m)) == kl_id(T, m)
+            and kl_compose(kl_coproj(T, 1, n, m), kl_proj(T, 2, n, m)) == kl_zero(T, n, m)
+            and kl_compose(kl_coproj(T, 2, n, m), kl_proj(T, 1, n, m)) == kl_zero(T, m, n)
+        )
 
     def homset_agrees():
         # E with its addition looked up here at each call, as everywhere in
@@ -1346,7 +1245,7 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         as_map = lambda u: KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
         pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)] + [tx_zero(T)]
         _check_semiring_map(values, kleisli_homset_semiring(T), as_map, pool)
-        return True, None
+        return True
 
     laws = [
         ("kl-assoc", s_kl3,
@@ -1358,7 +1257,7 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         ("theta-xi-id", s_emat, lambda h: theta(xi(T, h)) == h),
         ("theta-compose", s_kl2,
          lambda f, g: theta(kl_compose(f, g)) == mat_compose(theta(f), theta(g))),
-        ("theta-structural", None, theta_structural),
+        ("theta-structural", _grid(3, 3), theta_structural),
         ("theta-tuple", s_parallel,
          lambda f, g: theta(kl_tuple(f, g)) == mat_tuple(theta(f), theta(g))),
         ("theta-cotuple", s_coparallel,
@@ -1371,8 +1270,8 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
             ("theta-dagger", s_kl1, lambda k: theta(kl_dagger(k)) == mat_dagger(theta(k)))
         )
     return laws + [
-        ("biproduct-eqs", None, biproduct_eqs),
-        ("homset-agrees", None, homset_agrees),
+        ("biproduct-eqs", _grid(3, 3), biproduct_eqs),
+        ("homset-agrees", [()], homset_agrees),
     ]
 
 
@@ -1490,22 +1389,15 @@ _ADJUNCTION_LAWS = {
 ADJUNCTION_NAMES = tuple(_ADJUNCTION_LAWS)
 
 
-def _adjunction_laws(S: SemiringDescriptor, adjunctions, involutive: bool) -> list:
-    """The self-contained rows of the given adjunctions over S: every law
-    that needs no star, then, if ``involutive``, the ones that do."""
+def _adjunction_laws(S: SemiringDescriptor, rng: random.Random | None, cases: int) -> list:
+    """The self-contained rows of the three adjunctions over S: every law
+    that needs no star, then, when S has one, the ones that do."""
     return [
         (name, None, lambda check=check: check(S))
-        for stars in ((False, True) if involutive else (False,))
-        for adj in adjunctions
-        for name, check, needs_star in _ADJUNCTION_LAWS[adj]
+        for stars in ((False, True) if S.star is not None else (False,))
+        for laws in _ADJUNCTION_LAWS.values()
+        for name, check, needs_star in laws
         if needs_star == stars
-    ]
-
-
-def _suite_adjunctions(config: SuiteConfig, rng: random.Random) -> list:
-    return [
-        (f"adjunction({S.name})", _adjunction_laws(S, ADJUNCTION_NAMES, S.star is not None))
-        for S in _selected_semirings(config)
     ]
 
 
@@ -1525,31 +1417,56 @@ def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False)
             raise UnknownSuite(f"{adjunction} has no involutive refinement")
         if S.star is None:
             raise NoInvolution(f"{S.name} has no star operation")
-    table = [(f"adjunction({S.name})", _adjunction_laws(S, (adjunction,), involutive))]
+    names = {law[0] for law in _ADJUNCTION_LAWS[adjunction] if involutive or not law[2]}
+    rows = [row for row in _adjunction_laws(S, None, 0) if row[0] in names]
+    table = [(f"adjunction({S.name})", rows)]
     return _report(f"roundtrip({adjunction})", _run_laws(table, None, 0))
 
 
+# Default subjects: names of semirings and of monoids.
+_SEMIRINGS = (tuple(SEMIRINGS), ())
+_MONADS = (tuple(SEMIRINGS), ("nat-mul", "free-words"))
+
+# Each suite: its default subjects; the name format of a subject; and the
+# builder of a subject's law rows, which takes the subject, the suite's RNG
+# and its case count. A suite with default monoids runs over monads: the
+# multiset monad of each semiring and the action monad of each monoid. The
+# others run over semirings alone.
 _SUITES = {
-    "monad-laws": _suite_monad_laws,
-    "additivity": _suite_additivity,
-    "commutativity": _suite_commutativity,
-    "matcat-laws": _suite_matcat,
-    "dagger": _suite_dagger,
-    "freetheory": _suite_freetheory,
-    "kleisli-iso": _suite_kleisli_iso,
-    "adjunction-roundtrips": _suite_adjunctions,
+    "monad-laws": (_MONADS, "{}", _monad_laws),
+    "additivity": (_SEMIRINGS, "multiset({})", _additivity_laws),
+    "commutativity": (_MONADS, "{}", _commutativity_laws),
+    "matcat-laws": (_SEMIRINGS, "mat({})", _matcat_laws),
+    "dagger": ((("gaussian",), ()), "mat({})", _dagger_laws),
+    "freetheory": (_SEMIRINGS, "terms({})", _freetheory_laws),
+    "kleisli-iso": (_SEMIRINGS, "kl(multiset({}))", _kleisli_iso_laws),
+    "adjunction-roundtrips": (_SEMIRINGS, "adjunction({})", _adjunction_laws),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run one named suite deterministically from its seed."""
+    """Run one named suite deterministically from its seed, over the given
+    semiring and monoid, or else over the suite's default subjects."""
     try:
-        build = _SUITES[config.suite]
+        (semirings, monoids), subject_name, build = _SUITES[config.suite]
     except KeyError:
         raise UnknownSuite(
             f"unknown suite {config.suite!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
+    over_monads = bool(monoids)
+    if config.monoid is not None and not over_monads:
+        raise UnknownSuite(f"suite {config.suite!r} runs over semirings and takes no monoid")
+    if config.semiring is not None or config.monoid is not None:
+        semirings = () if config.semiring is None else (config.semiring,)
+        monoids = () if config.monoid is None else (config.monoid,)
+    subjects = [semiring_by_name(name) for name in semirings]
+    if over_monads:
+        subjects = [MultisetMonad(S) for S in subjects]
+        subjects += [ActionMonad(_monoid_named(name)) for name in monoids]
     rng = random.Random(config.seed)
-    return _report(config.suite, _run_laws(build(config, rng), rng, config.cases))
+    tables = [
+        (subject_name.format(x.name), build(x, rng, config.cases)) for x in subjects
+    ]
+    return _report(config.suite, _run_laws(tables, rng, config.cases))

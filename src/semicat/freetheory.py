@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import _describe
 from .errors import DimensionMismatch, MalformedTerm, NoInvolution, TagMismatch
+from .kleisli import KleisliMap
 from .matcat import Aleph0Map, Matrix, aleph0_embed, mat_compose, mat_identity
 from .monadcore import (
     Atom,
@@ -150,8 +151,6 @@ def law_unit_functor(f: Matrix):
     """A matrix as a multiset-monad Kleisli map: component i is the normal
     form of row i applied to the identity tuple of atoms. Functorial and
     coproduct preserving."""
-    from .kleisli import KleisliMap
-
     S = f.semiring
     idx = tuple(Atom(j) for j in range(f.cols))
     comps = []

@@ -189,6 +189,8 @@ def test_run_suite_unknown_names():
         run_suite(SuiteConfig(suite="bogus"))
     with pytest.raises(UnknownSuite):
         run_suite(SuiteConfig(suite="monad-laws", monoid="no-such"))
+    with pytest.raises(UnknownSuite):
+        run_suite(SuiteConfig(suite="additivity", semiring="nat", monoid="nat-mul"))
     with pytest.raises(UnknownSemiring):
         run_suite(SuiteConfig(suite="monad-laws", semiring="no-such"))
 
@@ -199,6 +201,20 @@ def test_run_suite_is_deterministic():
     second = run_suite(cfg)
     assert first.render() == second.render()
     assert first.ok
+
+
+def test_noncommutativity_stops_at_the_first_disagreeing_pair(monkeypatch):
+    draws = []
+    real = adjunctions.random_tvalue
+
+    def random_tvalue(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(adjunctions, "random_tvalue", random_tvalue)
+    report = run_suite(SuiteConfig(suite="commutativity", monoid="free-words", cases=1000))
+    assert report.ok
+    assert draws == []
 
 
 def test_report_rendering():

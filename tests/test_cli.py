@@ -258,6 +258,18 @@ def test_laws_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("monoid", ["nat-mul", "nosuch"])
+@pytest.mark.parametrize(
+    "suite", [s for s in SUITE_NAMES if s not in ("monad-laws", "commutativity")]
+)
+def test_a_semiring_suite_rejects_a_monoid(capsys, suite, monoid):
+    assert main(["laws", "--suite", suite, "--monoid", monoid, "--cases", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_laws_reports_violations(capsys, monkeypatch):
     broken = SuiteReport("demo", (("s", "assoc", False, "x = 1"),))
     monkeypatch.setattr(cli, "run_suite", lambda config: broken)
@@ -283,10 +295,11 @@ def test_roundtrip_reports_violations(capsys, monkeypatch):
 
 
 def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
-    def broken_builder(config, rng):
+    def broken_builder(subject, rng, cases):
         raise RuntimeError("builder bug")
 
-    monkeypatch.setitem(adjunctions._SUITES, "dagger", broken_builder)
+    subjects, subject_name, _ = adjunctions._SUITES["dagger"]
+    monkeypatch.setitem(adjunctions._SUITES, "dagger", (subjects, subject_name, broken_builder))
     assert main(["laws", "--suite", "dagger"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
