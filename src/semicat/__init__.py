@@ -1,113 +1,1 @@
 """Semiring-parametric multisets, matrix theories, and their law suites."""
-
-from .algebra import (
-    BOOL,
-    FREE_WORDS,
-    GAUSSIAN,
-    MONOIDS,
-    MonoidDescriptor,
-    NAT,
-    RATNN,
-    SEMIRINGS,
-    Scalar,
-    SemiringDescriptor,
-    TROPICAL,
-    Word,
-    boolean,
-    canonical_from_nat,
-    gaussian,
-    monoid_by_name,
-    multiplicative_monoid,
-    nat,
-    parse_scalar,
-    rational,
-    render_scalar,
-    semiring_by_name,
-    tropical,
-    word,
-)
-from .monadcore import (
-    ActVal,
-    ActionMonad,
-    Atom,
-    Elem,
-    FiniteCarrier,
-    Inl,
-    Inr,
-    MonadInstance,
-    Multiset,
-    MultisetMonad,
-    Pair,
-    STAR,
-    Star,
-    carrier,
-    carrier_map,
-    dst_strength_first,
-    dst_swapped_first,
-    eval_at_one,
-    generic_strength,
-    index_carrier,
-    ms_from_pairs,
-    ms_involution,
-    ms_map_scalars,
-    multiplicity,
-    render_elem,
-    render_multiset,
-    scalar_action,
-    tx_add,
-    tx_zero,
-)
-from .matcat import (
-    Aleph0Map,
-    Matrix,
-    aleph0_compose,
-    aleph0_embed,
-    homset_semiring,
-    mat_add,
-    mat_add_biproduct,
-    mat_compose,
-    mat_cotuple,
-    mat_dagger,
-    mat_identity,
-    mat_tensor,
-    mat_tuple,
-    matrix,
-    parse_mat_text,
-    render_mat_text,
-)
-from .freetheory import (
-    FreeTerm,
-    law_unit_functor,
-    term_normalize,
-    tl_involution,
-    tl_mult,
-    tl_relation_check,
-    tl_unit,
-)
-from .kleisli import (
-    KleisliMap,
-    kl_compose,
-    kl_dagger,
-    kl_id,
-    kl_tensor,
-    kleisli_homset_semiring,
-    theta,
-    xi,
-)
-from .adjunctions import (
-    ADJUNCTION_NAMES,
-    HomWitness,
-    SUITE_NAMES,
-    SuiteConfig,
-    SuiteReport,
-    check_monoid_laws,
-    check_semiring_laws,
-    run_roundtrip,
-    run_suite,
-    transpose_math,
-    transpose_mon,
-    transpose_srng,
-)
-from .errors import SemicatError
-
-__version__ = "0.1.0"

@@ -130,10 +130,7 @@ from .monadcore import (
     eval_at_one,
     generic_strength,
     ms_from_pairs,
-    ms_involution,
     ms_map_scalars,
-    ms_mult,
-    ms_unit,
     scalar_action,
     tx_add,
     tx_zero,
@@ -674,7 +671,7 @@ def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Suite: additivity (bicartesian structure plus the module laws)
+# Suite: additivity (bicartesian structure, value addition and the module laws)
 
 
 def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
@@ -843,6 +840,10 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
             random_multiset(rng, S, X),
         )
 
+    def s_uvw(rng):
+        X = random_carrier(rng, 4, "abcd")
+        return tuple(random_multiset(rng, S, X) for _ in range(3))
+
     return [
         ("bc-roundtrip-fwd", s_w, lambda w: T.bc_inv(*T.bc(w)) == w),
         ("bc-roundtrip-inv", s_uv, lambda u, v: T.bc(T.bc_inv(u, v)) == (u, v)),
@@ -873,6 +874,12 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
          lambda s, t, u, v: scalar_action(T, tx_zero(T), u) == tx_zero(T)),
         ("module-zero-value", s_stu,
          lambda s, t, u, v: scalar_action(T, s, tx_zero(T)) == tx_zero(T)),
+        ("value-add-commutative", s_uvw,
+         lambda u, v, w: tx_add(T, u, v) == tx_add(T, v, u)),
+        ("value-add-assoc", s_uvw,
+         lambda u, v, w: tx_add(T, tx_add(T, u, v), w) == tx_add(T, u, tx_add(T, v, w))),
+        ("value-add-unit", s_uvw,
+         lambda u, v, w: tx_add(T, u, tx_zero(T)) == u == tx_add(T, tx_zero(T), u)),
     ]
 
 
@@ -1138,7 +1145,7 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
                 for t, c in zip(outer.args, outer.coeffs.entries)
             ],
         )
-        return lhs == ms_mult(layered)
+        return lhs == T.mult(layered)
 
     def s_term(rng):
         return (random_free_term(rng, S, random_carrier(rng, 4, "abcd")),)
@@ -1151,14 +1158,14 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
 
     laws = [
         ("relation-sound", s_rel, lambda f, g, v: tl_relation_check(f, g, v)),
-        ("unit-agrees", s_x, lambda x: term_normalize(tl_unit(x, S)) == ms_unit(x, S)),
+        ("unit-agrees", s_x, lambda x: term_normalize(tl_unit(x, S)) == T.unit(x)),
         ("mult-agrees", s_outer, mult_agrees),
     ]
     if S.star is not None:
         laws.append(
             ("involution-agrees", s_term,
              lambda t: term_normalize(tl_involution(t))
-             == ms_involution(term_normalize(t))),
+             == T.involution(term_normalize(t))),
         )
     return laws + [
         ("unit-functor-id", _grid(4),
@@ -1368,7 +1375,7 @@ _ADJUNCTION_LAWS = {
          ), False),
         ("srng-e-involutive",
          lambda S: _involutive_check(
-             transpose_srng, _witnesses("srng-e", S)[0], ms_involution
+             transpose_srng, _witnesses("srng-e", S)[0], MultisetMonad(S).involution
          ), True),
     ),
     "mat-h": (

@@ -3,11 +3,13 @@
 Two monad families are implemented concretely: the multiset monad of a
 commutative semiring S (values are finitely supported maps into S) and the
 action monad of a monoid M (values are pairs of a monoid element and a
-point). Everything else in this module is built generically from a
-:class:`MonadInstance`'s unit/fmap/mult/strength, on purpose: the derived
-operations (double strength, value addition, the scalar action, evaluation
-at the one-point set) are computed as the abstract composites and the test
-suites check that they agree with the direct formulas.
+point). Their direct formulas (unit, multiplication, double strength,
+involution) are the methods of :class:`MultisetMonad` and
+:class:`ActionMonad`. Everything else in this module is built generically
+from a :class:`MonadInstance`'s unit/fmap/mult/strength, on purpose: the
+derived operations (double strength, value addition, the scalar action,
+evaluation at the one-point set) are computed as the abstract composites
+and the test suites check that they agree with the direct formulas.
 
 Set elements are encoded by the :class:`Elem` tree, which is totally
 ordered, so nested values like multisets of multisets stay canonical and
@@ -57,10 +59,6 @@ __all__ = [
     "MonadInstance",
     "MultisetMonad",
     "ActionMonad",
-    "ms_unit",
-    "ms_mult",
-    "ms_dst",
-    "ms_involution",
     "ms_map_scalars",
     "generic_strength",
     "swapped_strength",
@@ -411,11 +409,24 @@ class MultisetMonad(MonadInstance):
         return ms_from_pairs(self.semiring, ((f(x), s) for x, s in u.entries))
 
     def unit(self, x: Elem) -> Multiset:
-        return ms_unit(x, self.semiring)
+        """The singleton multiset with multiplicity one at x."""
+        return ms_from_pairs(self.semiring, [(x, self.semiring.one)])
 
     def mult(self, u: Multiset) -> Multiset:
+        """Flatten a multiset of multisets: multiplicities distribute inward."""
         self.check_value(u)
-        return ms_mult(u)
+        S = self.semiring
+        pairs: list[tuple[Elem, object]] = []
+        for k, s in u.entries:
+            if not isinstance(k, MsVal):
+                raise KeyNotMultiset(f"key {render_elem(k)} is not an embedded multiset")
+            inner = k.ms
+            if inner.tag != u.tag:
+                raise TagMismatch(
+                    f"inner multiset over {inner.tag} inside an outer one over {u.tag}"
+                )
+            pairs.extend((x, S.mul(s, t)) for x, t in inner.entries)
+        return ms_from_pairs(S, pairs)
 
     def embed(self, u: Multiset) -> Elem:
         self.check_value(u)
@@ -427,7 +438,14 @@ class MultisetMonad(MonadInstance):
         return e.ms
 
     def dst(self, u: Multiset, v: Multiset) -> Multiset:
-        return ms_dst(u, v)
+        """Direct double strength: multiplicity at (x, y) is the product."""
+        self.check_value(u)
+        self.check_value(v)
+        S = self.semiring
+        return ms_from_pairs(
+            S,
+            ((Pair(x, y), S.mul(s, t)) for x, s in u.entries for y, t in v.entries),
+        )
 
     def bc(self, u: Multiset) -> tuple[Multiset, Multiset]:
         self.check_value(u)
@@ -455,8 +473,12 @@ class MultisetMonad(MonadInstance):
         return Multiset(self.semiring, ())
 
     def involution(self, u: Multiset) -> Multiset:
+        """Star every multiplicity."""
         self.check_value(u)
-        return ms_involution(u)
+        S = self.semiring
+        if S.star is None:
+            raise NoInvolution(f"semiring {S.name} has no star")
+        return ms_from_pairs(S, ((x, S.star(s)) for x, s in u.entries))
 
 
 class ActionMonad(MonadInstance):
@@ -511,51 +533,7 @@ class ActionMonad(MonadInstance):
 
 
 # ---------------------------------------------------------------------------
-# Named multiset operations
-
-
-def ms_unit(x: Elem, S: SemiringDescriptor) -> Multiset:
-    """The singleton multiset with multiplicity one at x."""
-    return ms_from_pairs(S, [(x, S.one)])
-
-
-def ms_mult(outer: Multiset) -> Multiset:
-    """Flatten a multiset of multisets: multiplicities distribute inward."""
-    S = outer.semiring
-    pairs: list[tuple[Elem, object]] = []
-    for k, s in outer.entries:
-        if not isinstance(k, MsVal):
-            raise KeyNotMultiset(f"key {render_elem(k)} is not an embedded multiset")
-        inner = k.ms
-        if inner.tag != outer.tag:
-            raise TagMismatch(
-                f"inner multiset over {inner.tag} inside an outer one over {outer.tag}"
-            )
-        pairs.extend((x, S.mul(s, t)) for x, t in inner.entries)
-    return ms_from_pairs(S, pairs)
-
-
-def ms_dst(phi: Multiset, psi: Multiset) -> Multiset:
-    """Direct double strength: multiplicity at (x, y) is the product."""
-    if phi.tag != psi.tag:
-        raise TagMismatch(f"cannot pair values over {phi.tag} and {psi.tag}")
-    S = phi.semiring
-    return ms_from_pairs(
-        S,
-        (
-            (Pair(x, y), S.mul(s, t))
-            for x, s in phi.entries
-            for y, t in psi.entries
-        ),
-    )
-
-
-def ms_involution(phi: Multiset) -> Multiset:
-    """Star every multiplicity."""
-    S = phi.semiring
-    if S.star is None:
-        raise NoInvolution(f"semiring {S.name} has no star")
-    return ms_from_pairs(S, ((x, S.star(s)) for x, s in phi.entries))
+# Monad maps between multiset monads
 
 
 def ms_map_scalars(

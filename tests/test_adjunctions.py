@@ -2,7 +2,10 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -430,11 +433,28 @@ def test_a_strength_without_the_monoid_element_splits_the_triangles(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# Every exported name exists.
+# Every exported name exists in its own module, and only there.
 
 
 def test_every_exported_name_resolves():
-    for info in pkgutil.iter_modules(semicat.__path__):
-        module = importlib.import_module(f"semicat.{info.name}")
+    submodules = {info.name for info in pkgutil.iter_modules(semicat.__path__)}
+    for sub in submodules:
+        module = importlib.import_module(f"semicat.{sub}")
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+    public = {name for name in vars(semicat) if not name.startswith("_")}
+    assert public <= submodules
+
+
+def test_importing_matcat_loads_only_what_it_imports():
+    src = str(Path(semicat.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import semicat.matcat; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'semicat'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == [
+        "semicat", "semicat.algebra", "semicat.errors", "semicat.matcat"
+    ]

@@ -16,7 +16,7 @@ from semicat.freetheory import (
 )
 from semicat.kleisli import kl_compose, kl_coproj, kl_id
 from semicat.matcat import Aleph0Map, Matrix, mat_coproj1, mat_identity, matrix
-from semicat.monadcore import Atom, MultisetMonad, ms_from_pairs, ms_unit
+from semicat.monadcore import Atom, MultisetMonad, ms_from_pairs
 
 X, Y, A = Atom("x"), Atom("y"), Atom("a")
 MN = MultisetMonad(NAT)
@@ -36,8 +36,8 @@ def test_normalize_unit_and_empty():
     assert term_normalize(nat_term((), ())) == ms_from_pairs(NAT, [])
 
 
-def test_unit_agrees_with_ms_unit():
-    assert term_normalize(tl_unit(X, NAT)) == ms_unit(X, NAT)
+def test_unit_agrees_with_the_multiset_unit():
+    assert term_normalize(tl_unit(X, NAT)) == MN.unit(X)
 
 
 def test_term_shape_guards():

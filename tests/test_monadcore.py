@@ -50,7 +50,6 @@ from semicat.monadcore import (
     eval_at_one,
     generic_strength,
     ms_from_pairs,
-    ms_involution,
     ms_map_scalars,
     multiplicity,
     render_elem,
@@ -142,6 +141,22 @@ def test_dst_oracle():
 def test_dst_tag_mismatch():
     with pytest.raises(TagMismatch):
         MN.dst(ms(NAT, (A, nat(1))), ms(TROPICAL, (X, tropical(0))))
+
+
+def test_every_multiset_method_rejects_a_value_over_another_semiring():
+    u = ms(BOOL, (A, boolean(True)))
+    calls = [
+        lambda: MN.fmap(lambda e: e, u),
+        lambda: MN.mult(u),
+        lambda: MN.dst(u, u),
+        lambda: MN.dst(MN.unit(A), u),
+        lambda: MN.bc(u),
+        lambda: MN.bc_inv(u, u),
+        lambda: MN.involution(u),
+    ]
+    for call in calls:
+        with pytest.raises(TagMismatch, match="over bool is not a value of multiset[(]nat[)]"):
+            call()
 
 
 def test_commutativity_witness_agrees_for_multisets():
@@ -271,13 +286,13 @@ def test_action_monad_member_guard():
 
 def test_involution_conjugates():
     phi = ms(GAUSSIAN, (A, gaussian(1, 2)))
-    assert ms_involution(phi) == ms(GAUSSIAN, (A, gaussian(1, -2)))
-    assert ms_involution(ms_involution(phi)) == phi
+    assert MG.involution(phi) == ms(GAUSSIAN, (A, gaussian(1, -2)))
+    assert MG.involution(MG.involution(phi)) == phi
 
 
 def test_involution_identity_on_nat():
     phi = ms(NAT, (A, nat(2)))
-    assert ms_involution(phi) == phi
+    assert MN.involution(phi) == phi
 
 
 def test_involution_requires_star():
