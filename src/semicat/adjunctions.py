@@ -10,14 +10,18 @@ monads or theories:
 * ``mat-h``: semiring maps S -> homset_semiring(R) against functors of
   matrix theories Mat(S) -> Mat(R).
 
-Witnesses carry sample sets; a transpose first verifies that its input
-preserves structure on those samples, then builds the other side of the
-bijection and verifies that too. Nothing is ever assumed lawful. The three
-triangles share these structure checks: one for monoid maps, one for
-semiring maps (which the ``homset-agrees`` laws of ``matcat-laws`` and
-``kleisli-iso`` also use) and one for monad maps. Their laws share one
-witness builder and one roundtrip, naturality and involution check each;
-a mat-h witness goes between the semirings of two matrix theories.
+Witnesses carry sample sets; a transpose verifies that its input
+preserves structure on those samples, unless a transpose of the same
+adjunction built that input and already verified it on the same samples
+(``up`` of a ``down`` side), then builds the other side of the bijection
+and verifies that too. That record is kept by identity, so a witness
+built anywhere else, even from the fields of a verified one, is always
+checked. The three triangles share these structure checks: one for
+monoid maps, one for semiring maps (which the ``homset-agrees`` laws of
+``matcat-laws`` and ``kleisli-iso`` also use) and one for monad maps.
+Their laws share one witness builder and one roundtrip, naturality and
+involution check each; a mat-h witness goes between the semirings of two
+matrix theories.
 
 Witness functions are pure, so each transpose evaluates its input
 witness, and the function it builds, once per distinct (hashable)
@@ -31,8 +35,11 @@ row is (name, cases, holds), where cases is a sampler drawn ``--cases``
 times from one seeded RNG, a finite list of argument tuples run in order,
 or None for a self-contained ``holds()``. One runner checks every row in
 table order and keeps the first counterexample of each law, one argument
-per line. The three adjunctions' laws form one table, which both the
-``adjunction-roundtrips`` suite and :func:`run_roundtrip` read.
+per line. An exception in a law's check fails that law, and one that is
+not a :class:`SemicatError` is marked as internal. The three adjunctions'
+laws form one table, which both the ``adjunction-roundtrips`` suite and
+:func:`run_roundtrip` read; the laws of one adjunction over one semiring
+share its transposes, so each is computed once.
 :func:`check_semiring_laws` and :func:`check_monoid_laws` run rows of
 enumerated cases over a sample pool through the same runner. Every
 verdict is a (subject, law, ok, detail) entry of a :class:`SuiteReport`,
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -209,6 +217,17 @@ def _memo(fn: Callable) -> Callable:
     return memo
 
 
+# Each witness a ``down`` transpose returned, with the adjunction whose
+# transpose built it. The witness passed that adjunction's algebraic-map
+# check on its own samples, so its ``up`` skips the same check.
+_VERIFIED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _verified(w: HomWitness, adjunction: str) -> HomWitness:
+    _VERIFIED[w] = adjunction
+    return w
+
+
 def _expect_kind(w: HomWitness, kind: str) -> None:
     if w.kind != kind:
         raise ValueError(f"expected a {kind} witness, got {w.kind}")
@@ -283,7 +302,8 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         _expect_kind(w, "MonoidMap")
         M, T, f = w.source, w.target, _memo(w.apply)
         mul, one = _eval_mul_one(T)
-        _check_monoid_map(M, mul, one, f, w.samples)
+        if _VERIFIED.get(w) != "mon-e":
+            _check_monoid_map(M, mul, one, f, w.samples)
 
         @_memo
         def sigma(v: ActVal):
@@ -309,7 +329,7 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         seen = tuple(dict.fromkeys(v.m for v in w.samples))
         mul, one = _eval_mul_one(T)
         _check_monoid_map(A.monoid, mul, one, f, seen)
-        return HomWitness("MonoidMap", A.monoid, T, f, seen)
+        return _verified(HomWitness("MonoidMap", A.monoid, T, f, seen), "mon-e")
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
@@ -327,7 +347,8 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
             raise NotAdditive(
                 f"{T.name} has no zero map, so it cannot receive semiring maps"
             )
-        _check_semiring_map(S, eval_at_one(T), f, w.samples)
+        if _VERIFIED.get(w) != "srng-e":
+            _check_semiring_map(S, eval_at_one(T), f, w.samples)
 
         @_memo
         def sigma(phi: Multiset):
@@ -363,7 +384,7 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
 
         pool = scalar_pool(S)
         _check_semiring_map(S, eval_at_one(T), f, pool)
-        return HomWitness("SemiringMap", S, T, f, pool)
+        return _verified(HomWitness("SemiringMap", S, T, f, pool), "srng-e")
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
@@ -417,7 +438,8 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
     if direction == "up":
         _expect_kind(w, "SemiringMap")
         S, R, f = w.source, w.target, _memo(w.apply)
-        _check_semiring_map(S, homset_semiring(R), f, w.samples)
+        if _VERIFIED.get(w) != "mat-h":
+            _check_semiring_map(S, homset_semiring(R), f, w.samples)
 
         @_memo
         def apply_mat(h: Matrix) -> Matrix:
@@ -453,7 +475,7 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
 
         pool = scalar_pool(S)
         _check_semiring_map(S, homset_semiring(R), f, pool)
-        return HomWitness("SemiringMap", S, R, f, pool)
+        return _verified(HomWitness("SemiringMap", S, R, f, pool), "mat-h")
     raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
@@ -499,15 +521,27 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+# The detail of a law whose check raised an exception that is not a
+# SemicatError: a bug, which the CLI reports with exit status 3.
+_INTERNAL = "error: internal: "
+
+
+def _error_detail(exc: Exception) -> str:
+    """The detail line of a law whose check raised ``exc``."""
+    if isinstance(exc, SemicatError):
+        return f"error: {exc}"
+    return f"{_INTERNAL}{type(exc).__name__}: {exc}"
+
+
 def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
     """(ok, detail) of ``holds`` over the argument tuples of ``cases``: the
     first tuple it rejects is the counterexample, one argument per line,
-    and a :class:`SemicatError` fails the law with its message."""
+    and an exception fails the law with its :func:`_error_detail`."""
     for args in cases:
         try:
             ok = holds(*args)
-        except SemicatError as exc:
-            return False, f"error: {exc}"
+        except Exception as exc:
+            return False, _error_detail(exc)
         if not ok:
             return False, "\n".join(map(str, args))
     return True, None
@@ -515,15 +549,16 @@ def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
 
 def _run_laws(tables, rng: random.Random | None, draws: int) -> list:
     """One (subject, law, ok, detail) entry per row of each subject's
-    table; a sampled row is drawn ``draws`` times."""
+    table; a sampled row is drawn ``draws`` times. An exception in a law's
+    check fails that law alone and the run goes on."""
     entries = []
     for subject, rows in tables:
         for name, cases, holds in rows:
             if cases is None:
                 try:
                     ok, detail = holds()
-                except SemicatError as exc:
-                    ok, detail = False, f"error: {exc}"
+                except Exception as exc:
+                    ok, detail = False, _error_detail(exc)
             elif callable(cases):
                 ok, detail = _first_failure((cases(rng) for _ in range(draws)), holds)
             else:
@@ -1317,7 +1352,10 @@ def _witnesses(adjunction: str, S: SemiringDescriptor) -> list[HomWitness]:
 
 def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
     """Each witness, sent up and back down, is itself again on its samples,
-    and so is the up side, sent down and back up."""
+    and so is the up side, sent down and back up. ``transpose`` keeps its
+    results, so the up sides are the ones the other laws of the adjunction
+    read, and the second ``up`` does not check again the down side that
+    the ``down`` before it checked."""
     for idx, w in enumerate(witnesses):
         up = transpose("up", w)
         down = transpose("down", up)
@@ -1334,7 +1372,8 @@ def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
 def _natural_check(transpose: Callable, witnesses: list[HomWitness], push: Callable):
     """The transposes are natural along nat -> S: the up side of the map
     through nat is the up side of S's own map after ``push``, which sends
-    each scalar of a sample along nat -> S."""
+    each scalar of a sample along nat -> S. Both up sides are the ones
+    :func:`_roundtrip_check` reads from the same ``transpose``."""
     own, via_nat = (transpose("up", w) for w in witnesses[:2])
     for x in via_nat.samples:
         if via_nat.apply(x) != own.apply(push(x)):
@@ -1345,7 +1384,8 @@ def _natural_check(transpose: Callable, witnesses: list[HomWitness], push: Calla
 def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
     """The up side of w commutes with ``star``, the involution of both
     sides' values, and the down side of that sends the star of S to
-    ``star``."""
+    ``star``. Both sides are the ones :func:`_roundtrip_check` reads from
+    the same ``transpose``."""
     up = transpose("up", w)
     for v in up.samples:
         if up.apply(star(v)) != star(up.apply(v)):
@@ -1357,54 +1397,71 @@ def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
     return True, None
 
 
-# Each adjunction's laws over a semiring S: (name, check of S, whether the
-# law needs a star). The involutive ones run under ``--involutive`` and,
-# in the suite, for every semiring with a star.
+# Each adjunction: its transpose, looked up by name at each call so that
+# rebinding the module's name takes effect, and its laws over a semiring
+# S: (name, check of S, the adjunction's shared transpose and its
+# witnesses over S, whether the law needs a star). The involutive ones run
+# under ``--involutive`` and, in the suite, for every semiring with a star.
 _ADJUNCTION_LAWS = {
     "mon-e": (
-        ("mon-e-roundtrip",
-         lambda S: _roundtrip_check(transpose_mon, _witnesses("mon-e", S)), False),
+        lambda direction, w: transpose_mon(direction, w),
+        (("mon-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),),
     ),
     "srng-e": (
-        ("srng-e-roundtrip",
-         lambda S: _roundtrip_check(transpose_srng, _witnesses("srng-e", S)), False),
-        ("srng-e-natural",
-         lambda S: _natural_check(
-             transpose_srng, _witnesses("srng-e", S),
-             lambda phi: ms_map_scalars(_from_nat(S), phi, S),
-         ), False),
-        ("srng-e-involutive",
-         lambda S: _involutive_check(
-             transpose_srng, _witnesses("srng-e", S)[0], MultisetMonad(S).involution
-         ), True),
+        lambda direction, w: transpose_srng(direction, w),
+        (
+            ("srng-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
+            ("srng-e-natural",
+             lambda S, t, ws: _natural_check(
+                 t, ws, lambda phi: ms_map_scalars(_from_nat(S), phi, S)
+             ), False),
+            ("srng-e-involutive",
+             lambda S, t, ws: _involutive_check(t, ws[0], MultisetMonad(S).involution),
+             True),
+        ),
     ),
     "mat-h": (
-        ("mat-h-roundtrip",
-         lambda S: _roundtrip_check(transpose_math, _witnesses("mat-h", S)), False),
-        ("mat-h-natural",
-         lambda S: _natural_check(
-             transpose_math, _witnesses("mat-h", S),
-             lambda h: Matrix(S, h.rows, h.cols, tuple(map(_from_nat(S), h.entries))),
-         ), False),
-        ("mat-h-involutive",
-         lambda S: _involutive_check(
-             transpose_math, _witnesses("mat-h", S)[0], mat_dagger
-         ), True),
+        lambda direction, w: transpose_math(direction, w),
+        (
+            ("mat-h-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
+            ("mat-h-natural",
+             lambda S, t, ws: _natural_check(
+                 t, ws,
+                 lambda h: Matrix(S, h.rows, h.cols, tuple(map(_from_nat(S), h.entries))),
+             ), False),
+            ("mat-h-involutive",
+             lambda S, t, ws: _involutive_check(t, ws[0], mat_dagger), True),
+        ),
     ),
 }
 
 ADJUNCTION_NAMES = tuple(_ADJUNCTION_LAWS)
 
 
-def _adjunction_laws(S: SemiringDescriptor, rng: random.Random | None, cases: int) -> list:
-    """The self-contained rows of the three adjunctions over S: every law
-    that needs no star, then, when S has one, the ones that do."""
+def _adjunction_rows(adjunction: str, S: SemiringDescriptor, stars: bool) -> list:
+    """The self-contained rows of one adjunction's laws over S, those that
+    need a star only when ``stars`` is set. The rows share the
+    adjunction's witnesses over S and one result per (direction, witness)
+    of its transpose, for as long as the rows live. Exceptions are not
+    kept, so a transpose that raises fails each law that reads it."""
+    transpose, laws = _ADJUNCTION_LAWS[adjunction]
+    memo = _memo(lambda key: transpose(*key))
+    shared = lambda direction, w: memo((direction, w))
+    witnesses = _witnesses(adjunction, S)
     return [
-        (name, None, lambda check=check: check(S))
-        for stars in ((False, True) if S.star is not None else (False,))
-        for laws in _ADJUNCTION_LAWS.values()
+        (name, None, lambda check=check: check(S, shared, witnesses))
         for name, check, needs_star in laws
-        if needs_star == stars
+        if stars or not needs_star
+    ]
+
+
+def _adjunction_laws(S: SemiringDescriptor, rng: random.Random | None, cases: int) -> list:
+    """The rows of the three adjunctions over S, with the laws that need a
+    star when S has one."""
+    return [
+        row
+        for adjunction in ADJUNCTION_NAMES
+        for row in _adjunction_rows(adjunction, S, S.star is not None)
     ]
 
 
@@ -1420,13 +1477,11 @@ def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False)
         )
     S = semiring_by_name(semiring_name)
     if involutive:
-        if not any(law[2] for law in _ADJUNCTION_LAWS[adjunction]):
+        if not any(law[2] for law in _ADJUNCTION_LAWS[adjunction][1]):
             raise UnknownSuite(f"{adjunction} has no involutive refinement")
         if S.star is None:
             raise NoInvolution(f"{S.name} has no star operation")
-    names = {law[0] for law in _ADJUNCTION_LAWS[adjunction] if involutive or not law[2]}
-    rows = [row for row in _adjunction_laws(S, None, 0) if row[0] in names]
-    table = [(f"adjunction({S.name})", rows)]
+    table = [(f"adjunction({S.name})", _adjunction_rows(adjunction, S, involutive))]
     return _report(f"roundtrip({adjunction})", _run_laws(table, None, 0))
 
 
@@ -1473,7 +1528,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         subjects = [MultisetMonad(S) for S in subjects]
         subjects += [ActionMonad(_monoid_named(name)) for name in monoids]
     rng = random.Random(config.seed)
-    tables = [
+    # Each subject's rows are built just before they run, so what they share
+    # (an adjunction's transposes) is freed before the next subject's run.
+    # No builder draws from the RNG while building.
+    tables = (
         (subject_name.format(x.name), build(x, rng, config.cases)) for x in subjects
-    ]
+    )
     return _report(config.suite, _run_laws(tables, rng, config.cases))

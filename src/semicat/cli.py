@@ -9,7 +9,9 @@ the adjunction transposes there and back.
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``,
 3 an internal error: any other exception, reported as one ``internal
-error:`` line. Results go to stdout, diagnostics to stderr.
+error:`` line. An internal error inside a law's check fails that law and
+the run goes on; the report is printed, then the ``internal error:`` line.
+Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .adjunctions import (
     ADJUNCTION_NAMES,
     SUITE_NAMES,
     SuiteConfig,
+    SuiteReport,
+    _INTERNAL,
     run_roundtrip,
     run_suite,
 )
@@ -195,9 +199,7 @@ def _cmd_laws(args) -> int:
         seed=args.seed,
         cases=args.cases,
     )
-    report = run_suite(config)
-    print(report.render())
-    return 0 if report.ok else 1
+    return _print_report(run_suite(config))
 
 
 def _cmd_matmul(args) -> int:
@@ -230,8 +232,23 @@ def _cmd_shortest_path(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    report = run_roundtrip(args.adjunction, args.semiring, args.involutive)
+    return _print_report(run_roundtrip(args.adjunction, args.semiring, args.involutive))
+
+
+def _print_report(report: SuiteReport) -> int:
+    """Print the report; the exit code is 3 when a law's check raised an
+    internal error, reported on stderr by the first such law, else 1 when a
+    law failed."""
     print(report.render())
+    internal = [e for e in report.entries if e[3] and e[3].startswith(_INTERNAL)]
+    if internal:
+        subject, law, _, detail = internal[0]
+        more = f" (and {len(internal) - 1} more)" if len(internal) > 1 else ""
+        print(
+            f"internal error: {subject} :: {law}: {detail[len(_INTERNAL):]}{more}",
+            file=sys.stderr,
+        )
+        return 3
     return 0 if report.ok else 1
 
 

@@ -399,6 +399,79 @@ def test_a_broken_up_transpose_fails_its_roundtrip(monkeypatch, adjunction, semi
 
 
 # ---------------------------------------------------------------------------
+# Shared transposes: the laws of one adjunction over one semiring transpose
+# each (direction, witness) once, and ``up`` does not check again a down
+# side that a transpose built and checked.
+
+COUNTED = (
+    "transpose_mon", "transpose_srng", "transpose_math", "_check_monoid_map",
+    "_check_semiring_map", "_check_monad_map", "_check_theory_functor",
+)
+
+
+def count_calls(monkeypatch) -> Counter:
+    """A Counter of the calls to each ``COUNTED`` name of the module."""
+    calls = Counter()
+    for name in COUNTED:
+        real = getattr(adjunctions, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(adjunctions, name, counted)
+    return calls
+
+
+ROUNDTRIP_WORK = {
+    ("mat-h", True): {
+        "transpose_math": 6, "_check_semiring_map": 4, "_check_theory_functor": 4,
+    },
+    ("mon-e", False): {"transpose_mon": 6, "_check_monoid_map": 4, "_check_monad_map": 4},
+    ("srng-e", True): {
+        "transpose_srng": 9, "_check_semiring_map": 6, "_check_monad_map": 6,
+    },
+}
+
+
+@pytest.mark.parametrize(("adjunction", "involutive"), sorted(ROUNDTRIP_WORK))
+def test_a_roundtrip_transposes_and_checks_each_witness_once(
+    monkeypatch, adjunction, involutive
+):
+    calls = count_calls(monkeypatch)
+    assert run_roundtrip(adjunction, "nat", involutive).ok
+    assert dict(calls) == ROUNDTRIP_WORK[(adjunction, involutive)]
+
+
+ALGEBRAIC_CHECKS = {
+    "mon-e": ("_check_monoid_map", NotAMonoidMap),
+    "mat-h": ("_check_semiring_map", NotASemiringMap),
+    "srng-e": ("_check_semiring_map", NotASemiringMap),
+}
+
+
+@pytest.mark.parametrize("adjunction", sorted(ALGEBRAIC_WITNESSES))
+def test_up_skips_the_check_of_a_transposes_own_output_only(monkeypatch, adjunction):
+    transpose, make = ALGEBRAIC_WITNESSES[adjunction]
+    check, error = ALGEBRAIC_CHECKS[adjunction]
+    down = transpose("down", transpose("up", make()))
+    # a constant map sends the unit where some sample goes, so it is no
+    # homomorphism, yet it has every other field of ``down``
+    unit = down.source.unit if adjunction == "mon-e" else down.source.one
+    junk = next(
+        down.apply(x) for x in down.samples if down.apply(x) != down.apply(unit)
+    )
+    fake = HomWitness(down.kind, down.source, down.target, lambda x: junk, down.samples)
+    with pytest.raises(error):
+        transpose("up", fake)
+    calls = count_calls(monkeypatch)
+    transpose("up", down)
+    assert calls[check] == 0
+    transpose("up", HomWitness(down.kind, down.source, down.target, down.apply, down.samples))
+    assert calls[check] == 1
+
+
+# ---------------------------------------------------------------------------
 # The triangles agree: on a singleton, the monoid triangle's transpose of the
 # iso m -> {star: m} is the semiring triangle's transpose of the same map.
 

@@ -306,6 +306,46 @@ def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
     assert captured.err == "internal error: RuntimeError: builder bug\n"
 
 
+def zero_division(*args):
+    raise ZeroDivisionError("no inverse")
+
+
+def test_an_exception_inside_a_law_fails_that_law_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(adjunctions, "_naive_compose", zero_division)
+    argv = ["laws", "--suite", "matcat-laws", "--semiring", "nat", "--cases", "3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    fails = [line for line in captured.out.splitlines() if not line.startswith("PASS ")]
+    assert fails == [
+        "FAIL mat(nat) :: compose-oracle",
+        "  error: internal: ZeroDivisionError: no inverse",
+    ]
+    assert captured.err == (
+        "internal error: mat(nat) :: compose-oracle: ZeroDivisionError: no inverse\n"
+    )
+
+
+def test_a_raising_shared_transpose_fails_every_law_that_reads_it(capsys, monkeypatch):
+    # mat_dagger is the star of mat-h-involutive and is checked by the up
+    # transpose, which all three mat-h laws share
+    monkeypatch.setattr(adjunctions, "mat_dagger", zero_division)
+    argv = ["roundtrip", "--adjunction", "mat-h", "--semiring", "gaussian", "--involutive"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        line
+        for law in ("involutive", "natural", "roundtrip")
+        for line in (
+            f"FAIL adjunction(gaussian) :: mat-h-{law}",
+            "  error: internal: ZeroDivisionError: no inverse",
+        )
+    ]
+    assert captured.err == (
+        "internal error: adjunction(gaussian) :: mat-h-involutive:"
+        " ZeroDivisionError: no inverse (and 2 more)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

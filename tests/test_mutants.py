@@ -58,6 +58,19 @@ def tensor_row_loops_swapped(real):
     return tensor
 
 
+def kronecker_sum(g: Matrix, h: Matrix) -> Matrix:
+    """The tensor's Kronecker layout with S.add in place of S.mul."""
+    S = g.semiring
+    return Matrix(
+        S, g.rows * h.rows, g.cols * h.cols,
+        tuple(
+            S.add(g.entries[i * g.cols + j], h.entries[k * h.cols + l])
+            for i in range(g.rows) for k in range(h.rows)
+            for j in range(g.cols) for l in range(h.cols)
+        ),
+    )
+
+
 class OuterCoefficientDropped(MultisetMonad):
     """mult that treats every outer multiplicity as one."""
 
@@ -170,6 +183,9 @@ MUTANTS = [
     ("matcat-laws", "mat_tensor", tensor_row_loops_swapped,
      "mat(nat)", ("tensor-functorial", "tensor-identity", "tensor-symmetry"),
      "tensor-unit"),
+    ("matcat-laws", "mat_tensor",
+     lambda real: kronecker_sum,
+     "mat(nat)", ("tensor-unit",), "compose-assoc"),
     ("matcat-laws", "mat_tuple",
      lambda real: lambda f, g: real(g, f),
      "mat(nat)", ("tensor-distributes",), "cotuple-recovery"),
@@ -241,7 +257,7 @@ UNKILLED = {
         "relation-sound", "unit-functor-compose",
     ),
     "kleisli-iso": (),
-    "matcat-laws": ("tensor-unit",),
+    "matcat-laws": (),
     "monad-laws": ("unit-natural",),
 }
 
