@@ -286,7 +286,7 @@ def _check_monad_map(
                 raise error(f"involution square fails at {v}")
     for vv in nested:
         lhs = sigma(A.mult(vv))
-        rhs = T.mult(T.fmap(lambda e: T.embed(sigma(A.unembed(e))), sigma(vv)))
+        rhs = T.mult(T.fmap(sigma, sigma(vv)))
         if lhs != rhs:
             raise error(f"multiplication square fails at {vv}")
 
@@ -367,7 +367,7 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
             )
         )
         nested = tuple(
-            ms_from_pairs(S, [(MS.embed(p1), S.one), (MS.embed(p2), S.one)])
+            ms_from_pairs(S, [(p1, S.one), (p2, S.one)])
             for p1 in samples[:4]
             for p2 in samples[:4]
         )
@@ -683,20 +683,18 @@ def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
         ("unit-natural", s_fx, lambda f, x: T.fmap(f, T.unit(x)) == T.unit(f(x))),
         ("mult-natural", s_fu2,
          lambda f, u2: T.fmap(f, T.mult(u2))
-         == T.mult(T.fmap(lambda e: T.embed(T.fmap(f, T.unembed(e))), u2))),
-        ("mult-unit-left", s_u, lambda u: T.mult(T.unit(T.embed(u))) == u),
-        ("mult-unit-right", s_u,
-         lambda u: T.mult(T.fmap(lambda e: T.embed(T.unit(e)), u)) == u),
+         == T.mult(T.fmap(lambda e: T.fmap(f, e), u2))),
+        ("mult-unit-left", s_u, lambda u: T.mult(T.unit(u)) == u),
+        ("mult-unit-right", s_u, lambda u: T.mult(T.fmap(T.unit, u)) == u),
         ("mult-assoc", s_u3,
-         lambda u3: T.mult(T.mult(u3))
-         == T.mult(T.fmap(lambda e: T.embed(T.mult(T.unembed(e))), u3))),
+         lambda u3: T.mult(T.mult(u3)) == T.mult(T.fmap(T.mult, u3))),
         ("strength-unit", s_xy,
          lambda x, y: generic_strength(T, T.unit(x), y) == T.unit(Pair(x, y))),
         ("strength-mult", s_u2y,
          lambda u2, y: generic_strength(T, T.mult(u2), y)
          == T.mult(
              T.fmap(
-                 lambda p: T.embed(generic_strength(T, T.unembed(p.left), p.right)),
+                 lambda p: generic_strength(T, p.left, p.right),
                  generic_strength(T, u2, y),
              )
          )),
@@ -815,12 +813,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
 
     def bc_mu_left(w2):
         lhs = T.bc(T.mult(w2))
-        mapped = T.fmap(
-            lambda e: Pair(
-                T.embed(T.bc(T.unembed(e))[0]), T.embed(T.bc(T.unembed(e))[1])
-            ),
-            w2,
-        )
+        mapped = T.fmap(lambda e: Pair(*T.bc(e)), w2)
         left = T.mult(T.fmap(lambda p: p.left, mapped))
         right = T.mult(T.fmap(lambda p: p.right, mapped))
         return lhs == (left, right)
@@ -831,17 +824,17 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         pairs = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
-                key = Inl(T.embed(random_multiset(rng, S, X)))
+                key = Inl(random_multiset(rng, S, X))
             else:
-                key = Inr(T.embed(random_multiset(rng, S, Y)))
+                key = Inr(random_multiset(rng, S, Y))
             pairs.append((key, random_scalar(rng, S)))
         return (ms_from_pairs(S, pairs),)
 
     def bc_mu_right(wt):
         def tag_inside(e):
             if isinstance(e, Inl):
-                return T.embed(T.fmap(Inl, T.unembed(e.value)))
-            return T.embed(T.fmap(Inr, T.unembed(e.value)))
+                return T.fmap(Inl, e.value)
+            return T.fmap(Inr, e.value)
 
         lhs = T.bc(T.mult(T.fmap(tag_inside, wt)))
         l, r = T.bc(wt)
@@ -1176,7 +1169,7 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         layered = ms_from_pairs(
             S,
             [
-                (T.embed(term_normalize(t)), c)
+                (term_normalize(t), c)
                 for t, c in zip(outer.args, outer.coeffs.entries)
             ],
         )

@@ -227,7 +227,8 @@ def _cmd_shortest_path(args) -> int:
     spec = parse_graph_text(_read_input(args.graph))
     _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
-    print("\n".join(_render_rows(table.tag, table.entries, table.rows, table.cols)))
+    rows = _render_rows(table.tag, table.entries, table.rows, table.cols)
+    sys.stdout.write("".join(row + "\n" for row in rows))
     return 0
 
 

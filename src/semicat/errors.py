@@ -49,7 +49,7 @@ class ElementOutsideCarrier(SemicatError):
 
 
 class KeyNotMultiset(SemicatError):
-    """A nested-multiset operation met a key that is not an embedded multiset."""
+    """Flattening a multiset of multisets met a key that is not a multiset."""
 
 
 class NotAdditive(SemicatError):

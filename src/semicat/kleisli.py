@@ -94,7 +94,7 @@ class KleisliMap:
 
     def __str__(self) -> str:
         rows = "; ".join(
-            f"{i} -> {render_elem(self.monad.embed(c))}"
+            f"{i} -> {render_elem(c)}"
             for i, c in enumerate(self.components)
         )
         return f"[{rows}]"
@@ -119,9 +119,8 @@ def kl_compose(f: KleisliMap, g: KleisliMap) -> KleisliMap:
         raise DimensionMismatch(
             f"cannot compose {f.dom}->{f.cod} with {g.dom}->{g.cod}"
         )
-    emb = {j: T.embed(g.components[j]) for j in range(g.dom)}
     comps = tuple(
-        T.mult(T.fmap(lambda x: emb[x.name], f.components[i])) for i in range(f.dom)
+        T.mult(T.fmap(lambda x: g.components[x.name], c)) for c in f.components
     )
     return KleisliMap(T, f.dom, g.cod, comps)
 

@@ -47,7 +47,6 @@ __all__ = [
     "Pair",
     "Inl",
     "Inr",
-    "MsVal",
     "ActVal",
     "FiniteCarrier",
     "carrier",
@@ -144,16 +143,6 @@ class Inr(Elem):
 
 
 @dataclass(frozen=True)
-class MsVal(Elem):
-    """A multiset embedded as an element, for nesting T(T(X))."""
-
-    ms: "Multiset"
-
-    def key(self) -> tuple:
-        return ("msval", self.ms.sort_key())
-
-
-@dataclass(frozen=True)
 class ActVal(Elem):
     """An action-monad value (monoid element and point), usable as an Elem."""
 
@@ -246,11 +235,12 @@ def carrier_map(dom: FiniteCarrier, cod: FiniteCarrier, assign: dict) -> Carrier
 
 
 @dataclass(frozen=True, eq=False)
-class Multiset:
+class Multiset(Elem):
     """Finitely supported map from elements to nonzero semiring values.
 
     Entries are sorted by element key and never contain the zero scalar, so
     extensional equality of the maps is structural equality of the tuples.
+    A multiset is itself an element, so values of T(T(X)) nest directly.
     """
 
     semiring: SemiringDescriptor
@@ -269,6 +259,9 @@ class Multiset:
             self.tag,
             tuple((x.key(), _scalar_key(s)) for x, s in self.entries),
         )
+
+    def key(self) -> tuple:
+        return ("msval", self.sort_key())
 
     def __eq__(self, other) -> bool:
         return (
@@ -343,15 +336,7 @@ class MonadInstance(ABC):
 
     @abstractmethod
     def mult(self, u):
-        """Flatten a value of T(T(X)) whose elements embed inner values."""
-
-    @abstractmethod
-    def embed(self, u) -> Elem:
-        """Represent a T-value as an element, for nesting."""
-
-    @abstractmethod
-    def unembed(self, e: Elem):
-        ...
+        """Flatten a value of T(T(X)), whose elements are values of T(X)."""
 
     @abstractmethod
     def check_value(self, u) -> None:
@@ -418,24 +403,14 @@ class MultisetMonad(MonadInstance):
         S = self.semiring
         pairs: list[tuple[Elem, object]] = []
         for k, s in u.entries:
-            if not isinstance(k, MsVal):
-                raise KeyNotMultiset(f"key {render_elem(k)} is not an embedded multiset")
-            inner = k.ms
-            if inner.tag != u.tag:
+            if not isinstance(k, Multiset):
+                raise KeyNotMultiset(f"key {render_elem(k)} is not a multiset")
+            if k.tag != u.tag:
                 raise TagMismatch(
-                    f"inner multiset over {inner.tag} inside an outer one over {u.tag}"
+                    f"inner multiset over {k.tag} inside an outer one over {u.tag}"
                 )
-            pairs.extend((x, S.mul(s, t)) for x, t in inner.entries)
+            pairs.extend((x, S.mul(s, t)) for x, t in k.entries)
         return ms_from_pairs(S, pairs)
-
-    def embed(self, u: Multiset) -> Elem:
-        self.check_value(u)
-        return MsVal(u)
-
-    def unembed(self, e: Elem) -> Multiset:
-        if not isinstance(e, MsVal):
-            raise KeyNotMultiset(f"{render_elem(e)} is not an embedded multiset")
-        return e.ms
 
     def dst(self, u: Multiset, v: Multiset) -> Multiset:
         """Direct double strength: multiplicity at (x, y) is the product."""
@@ -515,14 +490,6 @@ class ActionMonad(MonadInstance):
                 f"{render_elem(inner)} is not a nested {self.name} value"
             )
         return ActVal(self.monoid.op(u.m, inner.m), inner.elem)
-
-    def embed(self, u: ActVal) -> Elem:
-        self.check_value(u)
-        return u
-
-    def unembed(self, e: Elem) -> ActVal:
-        self.check_value(e)
-        return e
 
     def dst(self, u: ActVal, v: ActVal):
         if not self.commutative:
@@ -632,7 +599,8 @@ def eval_at_one(T: MonadInstance):
 
 def _build_eval_at_one(T: MonadInstance):
     def e_mul(a, b):
-        paired = generic_strength(T, a, T.embed(b))
+        T.check_value(b)
+        paired = generic_strength(T, a, b)
         collapsed = T.fmap(_second, paired)
         return T.mult(collapsed)
 
@@ -660,20 +628,16 @@ def _build_eval_at_one(T: MonadInstance):
 
 def dst_strength_first(T: MonadInstance, u, v):
     """The composite mult . T(st') . st applied to (u, v)."""
-    outer = generic_strength(T, u, T.embed(v))
-    lifted = T.fmap(
-        lambda p: T.embed(swapped_strength(T, p.left, T.unembed(p.right))), outer
-    )
-    return T.mult(lifted)
+    T.check_value(v)
+    outer = generic_strength(T, u, v)
+    return T.mult(T.fmap(lambda p: swapped_strength(T, p.left, p.right), outer))
 
 
 def dst_swapped_first(T: MonadInstance, u, v):
     """The composite mult . T(st) . st' applied to (u, v)."""
-    outer = swapped_strength(T, T.embed(u), v)
-    lifted = T.fmap(
-        lambda p: T.embed(generic_strength(T, T.unembed(p.left), p.right)), outer
-    )
-    return T.mult(lifted)
+    T.check_value(u)
+    outer = swapped_strength(T, u, v)
+    return T.mult(T.fmap(lambda p: generic_strength(T, p.left, p.right), outer))
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +655,6 @@ def render_elem(e: Elem) -> str:
         return f"inl {render_elem(e.value)}"
     if isinstance(e, Inr):
         return f"inr {render_elem(e.value)}"
-    if isinstance(e, MsVal):
-        return render_multiset(e.ms)
     if isinstance(e, ActVal):
         return f"({e.m},{render_elem(e.elem)})"
     if type(e).__str__ is Elem.__str__:

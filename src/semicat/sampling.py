@@ -147,15 +147,15 @@ def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
 
 
 def random_nested(rng: random.Random, T: MonadInstance, xs: FiniteCarrier, depth: int):
-    """A value of T applied depth times: inner values sit embedded as
-    elements of the next layer out."""
+    """A value of T applied depth times: inner values are the elements
+    of the next layer out."""
     if depth <= 1:
         return random_tvalue(rng, T, xs)
     if isinstance(T, MultisetMonad):
         vals = [random_nested(rng, T, xs, depth - 1) for _ in range(rng.randint(0, 3))]
         return ms_from_pairs(
             T.semiring,
-            [(T.embed(v), random_scalar(rng, T.semiring)) for v in vals],
+            [(v, random_scalar(rng, T.semiring)) for v in vals],
         )
     if isinstance(T, ActionMonad):
         return ActVal(

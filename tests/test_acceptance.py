@@ -115,7 +115,7 @@ def test_c04_scalar_extraction_is_an_isomorphism():
             return multiplicity(phi, STAR)
 
         def generic_mul(u, v, T=T):
-            paired = generic_strength(T, u, T.embed(v))
+            paired = generic_strength(T, u, v)
             return T.mult(T.fmap(lambda p: p.right, paired))
 
         def generic_add(u, v, T=T):

@@ -148,6 +148,15 @@ def test_shortest_path_goldens(capsys):
     assert capsys.readouterr().out == golden("line4_k3.out")
 
 
+def test_shortest_path_on_the_empty_graph_writes_no_rows(capsys, tmp_path):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("0\n")
+    assert main(["shortest-path", "--graph", str(empty), "--max-hops", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ""
+
+
 def test_shortest_path_bad_inputs(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("3\n0 7 1\n")

@@ -99,14 +99,30 @@ def test_unit_is_singleton_one():
 def test_mult_oracle():
     phi1 = ms(NAT, (A, nat(1)), (B, nat(3)))
     phi2 = ms(NAT, (B, nat(2)))
-    outer = ms(NAT, (MN.embed(phi1), nat(2)), (MN.embed(phi2), nat(1)))
+    outer = ms(NAT, (phi1, nat(2)), (phi2, nat(1)))
     assert MN.mult(outer) == ms(NAT, (A, nat(2)), (B, nat(8)))
 
 
 def test_mult_of_unit_layers():
     phi = ms(NAT, (A, nat(4)), (B, nat(1)))
-    assert MN.mult(MN.unit(MN.embed(phi))) == phi
+    assert MN.mult(MN.unit(phi)) == phi
     assert MN.mult(ms(NAT)) == ms(NAT)
+
+
+def test_nested_multisets_are_keys_that_sort_and_render_in_place():
+    a, b = Atom("a"), Atom("b")
+    inner1 = ms(NAT, (b, nat(2)))
+    inner2 = ms(NAT, (a, nat(1)), (b, nat(1)))
+    keys = [
+        inner1, Atom(0), Pair(a, STAR), inner2, Inl(b), a, STAR,
+        ActVal(word("ab"), a), ms_from_pairs(NAT, []),
+    ]
+    nested = ms_from_pairs(NAT, [(k, nat(i + 1)) for i, k in enumerate(keys)])
+    assert str(nested) == (
+        "{(ab,a): 8, 0: 2, a: 6, {}: 9, {a: 1, b: 1}: 4, {b: 2}: 1, "
+        "(a,star): 3, star: 7, inl b: 5}"
+    )
+    assert MN.mult(MN.unit(inner2)) == inner2
 
 
 def test_mult_rejects_plain_keys():
@@ -164,6 +180,11 @@ def test_commutativity_witness_agrees_for_multisets():
     left = dst_strength_first(MN, u, v)
     assert left == dst_swapped_first(MN, u, v)
     assert left == ms(NAT, (Pair(A, X), nat(6)))
+    over_bool = MultisetMonad(BOOL).unit(A)
+    for composite in (dst_strength_first, dst_swapped_first):
+        for args in ((ms(NAT), over_bool), (over_bool, ms(NAT))):
+            with pytest.raises(TagMismatch):
+                composite(MN, *args)
 
 
 def test_commutativity_witness_splits_free_words():
@@ -248,6 +269,8 @@ def test_eval_at_one_multiset_ops():
     assert E.add(two, three) == ms(NAT, (STAR, nat(5)))
     assert E.zero == ms(NAT)
     assert E.one == ms(NAT, (STAR, nat(1)))
+    with pytest.raises(TagMismatch):
+        E.mul(E.zero, MultisetMonad(BOOL).unit(STAR))
 
 
 def test_eval_at_one_action_monad_is_monoid():
@@ -371,7 +394,7 @@ def test_a_multiset_monad_over_a_synthesized_semiring_takes_its_own_values(S):
     T = MultisetMonad(S)
     u = T.unit(A)
     assert T.fmap(lambda x: B, u) == T.unit(B)
-    assert T.mult(T.unit(T.embed(u))) == u
+    assert T.mult(T.unit(u)) == u
 
 
 @pytest.mark.parametrize(

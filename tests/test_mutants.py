@@ -112,6 +112,16 @@ class BcHalvesSwapped(MultisetMonad):
         return right, left
 
 
+class UnitRelabelSkipped(MultisetMonad):
+    """fmap that returns a value of one entry with multiplicity one unchanged."""
+
+    def fmap(self, f, u):
+        self.check_value(u)
+        if len(u.entries) == 1 and u.entries[0][1] == self.semiring.one:
+            return u
+        return super().fmap(f, u)
+
+
 def components_reversed(real):
     """``real``, with the components of the Kleisli map it returns reversed."""
 
@@ -147,6 +157,10 @@ MUTANTS = [
      "multiset(nat)",
      ("fmap-compose", "fmap-identity", "mult-assoc", "mult-natural", "strength-mult",
       "strength-point"),
+     "mult-unit-left"),
+    ("monad-laws", "MultisetMonad",
+     lambda real: UnitRelabelSkipped,
+     "multiset(nat)", ("unit-natural", "strength-unit", "mult-natural", "mult-assoc"),
      "mult-unit-left"),
     ("additivity", "scalar_action",
      lambda real: lambda T, s, u: u,
@@ -258,7 +272,7 @@ UNKILLED = {
     ),
     "kleisli-iso": (),
     "matcat-laws": (),
-    "monad-laws": ("unit-natural",),
+    "monad-laws": (),
 }
 
 
