@@ -3,8 +3,9 @@
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
 matrix calculator over the built-in semirings, ``shortest-path`` computes
 the bounded-hop distance table of a graph as the power (I + A)^h of its
-tropical weight matrix A, by repeated squaring, and ``roundtrip`` drives
-the adjunction transposes there and back.
+tropical weight matrix A, by Lehmann's closure when h >= n - 1 and no
+cycle is negative (n^3 steps), else by repeated squaring (O(n^3 log h)),
+and ``roundtrip`` drives the adjunction transposes there and back.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``,
@@ -35,6 +36,8 @@ from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _quote, _render_rows
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
+    _close,
+    _open,
     mat_add,
     mat_compose,
     mat_dagger,
@@ -135,28 +138,64 @@ def graph_matrix(spec: GraphSpec) -> Matrix:
 def bounded_paths(a: Matrix, hops: int) -> Matrix:
     """The sum S_h = a^0 + a^1 + ... + a^hops. Over the tropical semiring
     this is the table of cheapest paths with at most ``hops`` edges;
-    negative weights and negative cycles are allowed.
+    negative weights and negative cycles are allowed. ``hops < 0`` raises
+    ``ValueError``.
 
-    When addition is idempotent (1 + 1 = 1, so x + x = x for every x:
-    tropical, bool), S_h is the power B^h of B = I + a, and binary powering
-    over the bits of ``hops`` takes at most two compositions per bit after
-    the first. It stops when a square repeats, B^(2k) = B^k: in the natural
-    order B^k <= B^m <= B^(2k) for k <= m <= 2k, so every later power is
-    B^k. Other semirings take :func:`_doubling_paths`.
+    When addition is idempotent (1 + 1 = 1: tropical, bool), S_h = B^h for
+    B = I + a, computed on payloads and boxed once. If hops >= n - 1, it
+    first tries Lehmann's closure of B, n^3 steps: pivot k adds d_ik times
+    row k to each row i != k, provided d_kk = 1, so that d_kk* = 1* = 1.
+    If every pivot passes, the result is the sum over all walks, which is
+    S_(n-1) = S_h: each simple cycle c was in some pivot's diagonal, so
+    1 + c = 1, and a walk through c adds nothing to the walk without it.
+    Over tropical a failed pivot is a negative cycle; over bool none fails
+    (Warshall). Otherwise binary powering takes at most two products per
+    bit of ``hops`` after the first, O(n^3 log h), and stops when a square
+    repeats, B^(2k) = B^k: in the natural order B^k <= B^m <= B^(2k) for
+    k <= m <= 2k, so every later power is B^k. Other semirings take
+    :func:`_doubling_paths`.
     """
+    if hops < 0:
+        raise ValueError(f"hops must be a natural number, got {hops}")
     S = a.semiring
     if S.add(S.one, S.one) != S.one:
         return _doubling_paths(a, hops)
-    eye = mat_identity(S, a.rows)
+    n = a.rows
+    eye = mat_identity(S, n)
     if hops == 0:
         return eye
-    acc = base = mat_add(eye, a)  # acc = B^k, k the bits of hops read so far
+    b = mat_add(eye, a)
+    ops, base, (zero, one) = _open(S, b, Matrix(S, 1, 2, (S.zero, S.one)))
+    rows = [base[i * n : (i + 1) * n] for i in range(n)]
+    if hops >= n - 1 and all(_pivot(ops, rows, k, zero, one) for k in range(n)):
+        return _close(S, n, n, [x for row in rows for x in row])
+    acc = base = list(base)  # B^k, k the bits of hops read so far
     for bit in bin(hops)[3:]:
-        square = mat_compose(acc, acc)
+        square = _product(ops, n, acc, acc)
         if square == acc:
             break
-        acc = mat_compose(square, base) if bit == "1" else square
-    return acc
+        acc = _product(ops, n, square, base) if bit == "1" else square
+    return _close(S, n, n, acc)
+
+
+def _product(ops, n: int, f: list, g: list) -> list:
+    """The row-major payloads of "f then g", both n x n payload lists."""
+    rows = [f[i * n : (i + 1) * n] for i in range(n)]
+    return ops.products(rows, [g[k::n] for k in range(n)])
+
+
+def _pivot(ops, rows: list, k: int, zero, one) -> bool:
+    """Pivot k of the closure of ``rows``, in place; False, changing
+    nothing, when d_kk is not one."""
+    pivot = rows[k]
+    if pivot[k] != one:
+        return False
+    add, mul = ops.add, ops.mul
+    for i, row in enumerate(rows):
+        d = row[k]
+        if i != k and d != zero:
+            rows[i] = list(map(add, row, [mul(d, x) for x in pivot]))
+    return True
 
 
 def _doubling_paths(a: Matrix, hops: int) -> Matrix:

@@ -1,6 +1,7 @@
 """Bounded-hop path sums against oracles written independently of the
-matrix kernels, plus counts of compositions that guard the doubling and,
-over idempotent semirings, the squaring of I + A."""
+matrix kernels, plus counts that guard the work: compositions in the
+doubling and, over idempotent semirings, payload products in the squaring
+of I + A and pivots in its closure."""
 
 import math
 import random
@@ -12,9 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicat.cli as cli
-from semicat.algebra import BOOL, NAT, RATNN, boolean, nat, rational, tropical
+from semicat.algebra import (
+    BOOL,
+    NAT,
+    RATNN,
+    SemiringDescriptor,
+    boolean,
+    nat,
+    rational,
+    tropical,
+)
 from semicat.cli import GraphSpec, _doubling_paths, bounded_paths, graph_matrix
-from semicat.matcat import Matrix
+from semicat.errors import DimensionMismatch
+from semicat.matcat import _KERNELS, Matrix
 
 
 def min_plus_oracle(weights, hops):
@@ -131,9 +142,9 @@ def count_calls(monkeypatch, name):
     calls = []
     original = getattr(cli, name)
 
-    def counted(g, h):
+    def counted(*args):
         calls.append(None)
-        return original(g, h)
+        return original(*args)
 
     monkeypatch.setattr(cli, name, counted)
     return calls
@@ -187,6 +198,38 @@ def test_idempotent_squaring_stops_when_a_square_repeats(monkeypatch):
     got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
     assert len(calls) <= 3
     assert got == min_plus_oracle(weights, 5000)
+
+
+def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
+    weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
+    hops = 200_000
+    products = count_calls(monkeypatch, "_product")
+    pivots = count_calls(monkeypatch, "_pivot")
+    adds = count_calls(monkeypatch, "mat_add")
+    far = bounded_paths(tropical_matrix(weights), hops)
+    assert len(products) <= 2 * (hops.bit_length() - 1)
+    assert len(adds) == 1  # B = I + A, once
+    assert len(pivots) == 3  # the cycle shows at the last pivot's diagonal
+    assert far.entry(0, 0) == tropical(-2 * (hops // 3))
+
+
+def test_closure_takes_at_most_n_pivots_and_no_products(monkeypatch):
+    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    products = count_calls(monkeypatch, "_product")
+    pivots = count_calls(monkeypatch, "_pivot")
+    got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
+    assert len(pivots) <= 3
+    assert products == []
+    assert got == min_plus_oracle(weights, 5000)
+
+
+@pytest.mark.parametrize("hops", [-1, -3])
+def test_a_negative_hop_bound_is_rejected(hops):
+    weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
+    with pytest.raises(ValueError):
+        bounded_paths(tropical_matrix(weights), hops)
+    with pytest.raises(ValueError):
+        bounded_paths(Matrix(NAT, 1, 1, (nat(2),)), hops)
 
 
 # Hop counts at and around powers of two, where the bits of hops change
@@ -292,3 +335,113 @@ def test_bool_sums_are_reachability_within_the_hop_bound(adjacent, hops):
     got = bounded_paths(a, hops)
     assert payloads(got) == reachable_oracle(adjacent, hops)
     assert got == _doubling_paths(a, hops)
+
+
+# ---------------------------------------------------------------------------
+# The choice between the closure (hops >= n - 1, no failed pivot) and the
+# squaring, each case against the hop loop and the doubling
+
+
+def steps(run):
+    """The (pivots, payload products) that ``run()`` takes."""
+    with pytest.MonkeyPatch.context() as mp:
+        products = count_calls(mp, "_product")
+        pivots = count_calls(mp, "_pivot")
+        run()
+    return len(pivots), len(products)
+
+
+def tropical_steps(weights, hops):
+    a = tropical_matrix(weights)
+    return steps(lambda: check_against_oracles(a, weights, hops))
+
+
+def test_a_zero_weight_cycle_takes_the_closure():
+    # 0 -> 1 -> 2 -> 3 -> 0 weighs 0, and the cheapest path from 0 to 3 is
+    # the chain of n - 1 hops, so hops = n - 2 falls short of it.
+    weights = [
+        [None, 1, None, 5],
+        [None, None, 2, None],
+        [None, None, None, -1],
+        [-2, None, None, None],
+    ]
+    n = len(weights)
+    assert tropical_steps(weights, n - 2)[0] == 0
+    for hops in (n - 1, n, 1000):
+        assert tropical_steps(weights, hops) == (n, 0), hops
+
+
+def test_a_late_negative_cycle_falls_back_to_squaring():
+    # Only the last two nodes form a negative cycle, which shows at the
+    # last pivot, after n - 1 pivots have changed the rows.
+    n = 5
+    weights = [[None] * n for _ in range(n)]
+    for i in range(n - 1):
+        weights[i][i + 1] = 3
+    weights[n - 1][n - 2] = -4
+    weights[n - 1][0] = 1
+    for hops in (n - 1, n, 37, 1000):
+        pivots, products = tropical_steps(weights, hops)
+        assert pivots == n and products > 0, hops
+
+
+def test_a_negative_self_loop_fails_the_first_pivot():
+    weights = [[-1, 2, None], [None, None, 3], [4, None, None]]
+    for hops in (2, 3, 64):
+        pivots, products = tropical_steps(weights, hops)
+        assert pivots == 1 and products > 0, hops
+
+
+@pytest.mark.parametrize("weights", [[], [[None]], [[2]], [[-2]]], ids=str)
+@pytest.mark.parametrize("hops", [0, 1, 5])
+def test_graphs_of_no_node_and_one_node(weights, hops):
+    check_against_oracles(tropical_matrix(weights), weights, hops)
+
+
+@pytest.mark.parametrize("hops", [1, 5])
+def test_a_non_square_matrix_is_rejected(hops):
+    a = Matrix(BOOL, 2, 3, tuple(boolean(v) for v in (1, 0, 1, 0, 1, 0)))
+    with pytest.raises(DimensionMismatch):
+        bounded_paths(a, hops)
+
+
+# Widest paths: add = max and mul = min on 0..K. The descriptor is not a
+# built-in, so the closure and the squaring run on the generic kernel.
+K = 9
+BOTTLENECK = SemiringDescriptor("bottleneck", max, 0, min, K)
+
+
+def widest_oracle(widths, hops):
+    """The widest walk of at most ``hops`` edges, by the plain hop loop."""
+    n = len(widths)
+    eye = [[K if i == j else 0 for j in range(n)] for i in range(n)]
+    best = eye
+    for _ in range(hops):
+        best = [
+            [
+                max([eye[i][j]] + [min(best[i][k], widths[k][j]) for k in range(n)])
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return best
+
+
+def test_widest_paths_take_the_generic_closure():
+    assert BOTTLENECK not in _KERNELS
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        widths = [
+            [rng.choice([0, rng.randint(1, K)]) for _ in range(n)] for _ in range(n)
+        ]
+        a = Matrix(BOTTLENECK, n, n, tuple(w for row in widths for w in row))
+
+        def check(hops):
+            got = bounded_paths(a, hops)
+            assert [list(got.row(i)) for i in range(n)] == widest_oracle(widths, hops)
+            assert got == _doubling_paths(a, hops)
+
+        assert steps(lambda: check(n - 2))[0] == 0
+        for hops in (n - 1, n + 3):
+            assert steps(lambda: check(hops)) == (n, 0), (widths, hops)
