@@ -33,7 +33,7 @@ from .adjunctions import (
     run_suite,
 )
 from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _quote, _render_rows
-from .errors import FormatError, SemicatError, SizeLimitExceeded
+from .errors import FormatError, NotIdempotent, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
     _close,
@@ -152,14 +152,14 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     (Warshall). Otherwise binary powering takes at most two products per
     bit of ``hops`` after the first, O(n^3 log h), and stops when a square
     repeats, B^(2k) = B^k: in the natural order B^k <= B^m <= B^(2k) for
-    k <= m <= 2k, so every later power is B^k. Other semirings take
-    :func:`_doubling_paths`.
+    k <= m <= 2k, so every later power is B^k. Any other semiring raises
+    :class:`NotIdempotent`.
     """
     if hops < 0:
         raise ValueError(f"hops must be a natural number, got {hops}")
     S = a.semiring
     if S.add(S.one, S.one) != S.one:
-        return _doubling_paths(a, hops)
+        raise NotIdempotent(f"{S.name} has no idempotent addition (1 + 1 != 1)")
     n = a.rows
     eye = mat_identity(S, n)
     if hops == 0:
@@ -196,28 +196,6 @@ def _pivot(ops, rows: list, k: int, zero, one) -> bool:
         if i != k and d != zero:
             rows[i] = list(map(add, row, [mul(d, x) for x in pivot]))
     return True
-
-
-def _doubling_paths(a: Matrix, hops: int) -> Matrix:
-    """S_h for any semiring, doubling over the bits of ``hops + 1`` as in
-    Mohri's generic semiring shortest-distance framework: each bit after
-    the first doubles the sum, S_(2k+1) = S_k + a^(k+1) S_k, and a 1 bit
-    then appends the next power, S_(k+1) = S_k + a^(k+1). Before each level
-    it stops when I + a S_k = S_k: the left side is S_(k+1), so by
-    distributivity every later sum repeats, in any semiring. At most four
-    compositions per bit, so the cost is O(n^3 log hops).
-    """
-    eye = mat_identity(a.semiring, a.rows)
-    acc, power = eye, a  # acc = S_k, power = a^(k+1), starting at k = 0
-    for bit in bin(hops + 1)[3:]:
-        if mat_add(eye, mat_compose(a, acc)) == acc:
-            break
-        acc = mat_add(acc, mat_compose(power, acc))
-        power = mat_compose(power, power)
-        if bit == "1":
-            acc = mat_add(acc, power)
-            power = mat_compose(power, a)
-    return acc
 
 
 def _read_input(path: str) -> str:

@@ -17,6 +17,7 @@ __all__ = [
     "KeyNotMultiset",
     "NotAdditive",
     "NotCommutative",
+    "NotIdempotent",
     "CarrierMismatch",
     "MonoidMismatch",
     "DimensionMismatch",
@@ -58,6 +59,10 @@ class NotAdditive(SemicatError):
 
 class NotCommutative(SemicatError):
     """A commutative-monad operation was requested on a non-commutative monad."""
+
+
+class NotIdempotent(SemicatError):
+    """An operation that needs 1 + 1 = 1 was requested on a semiring without it."""
 
 
 class CarrierMismatch(SemicatError):

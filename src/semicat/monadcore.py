@@ -150,7 +150,7 @@ class ActVal(Elem):
     elem: Elem
 
     def key(self) -> tuple:
-        return ("actval", self.m.sort_key(), self.elem.key())
+        return ("actval", _scalar_key(self.m), self.elem.key())
 
 
 # ---------------------------------------------------------------------------

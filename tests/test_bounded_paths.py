@@ -1,7 +1,9 @@
-"""Bounded-hop path sums against oracles written independently of the
-matrix kernels, plus counts that guard the work: compositions in the
-doubling and, over idempotent semirings, payload products in the squaring
-of I + A and pivots in its closure."""
+"""Bounded-hop path sums against two kinds of oracle: hop loops written
+independently of the matrix kernels, and Mohri's doubling over matrices,
+a reference for any semiring. Counts guard the work: payload products in
+the squaring of I + A and pivots in its closure. A semiring whose
+addition is not idempotent is rejected, so its sums are checked on the
+doubling alone."""
 
 import math
 import random
@@ -15,17 +17,41 @@ from hypothesis import strategies as st
 import semicat.cli as cli
 from semicat.algebra import (
     BOOL,
+    GAUSSIAN,
     NAT,
     RATNN,
     SemiringDescriptor,
     boolean,
+    gaussian,
     nat,
     rational,
     tropical,
 )
-from semicat.cli import GraphSpec, _doubling_paths, bounded_paths, graph_matrix
-from semicat.errors import DimensionMismatch
-from semicat.matcat import _KERNELS, Matrix
+from semicat.cli import GraphSpec, bounded_paths, graph_matrix
+from semicat.errors import DimensionMismatch, NotIdempotent
+from semicat.matcat import _KERNELS, Matrix, mat_add, mat_compose, mat_identity
+
+
+def _doubling_paths(a: Matrix, hops: int) -> Matrix:
+    """S_h for any semiring, doubling over the bits of ``hops + 1`` as in
+    Mohri's generic semiring shortest-distance framework: each bit after
+    the first doubles the sum, S_(2k+1) = S_k + a^(k+1) S_k, and a 1 bit
+    then appends the next power, S_(k+1) = S_k + a^(k+1). Before each level
+    it stops when I + a S_k = S_k: the left side is S_(k+1), so by
+    distributivity every later sum repeats, in any semiring. At most four
+    compositions per bit, so the cost is O(n^3 log hops).
+    """
+    eye = mat_identity(a.semiring, a.rows)
+    acc, power = eye, a  # acc = S_k, power = a^(k+1), starting at k = 0
+    for bit in bin(hops + 1)[3:]:
+        if mat_add(eye, mat_compose(a, acc)) == acc:
+            break
+        acc = mat_add(acc, mat_compose(power, acc))
+        power = mat_compose(power, power)
+        if bit == "1":
+            acc = mat_add(acc, power)
+            power = mat_compose(power, a)
+    return acc
 
 
 def min_plus_oracle(weights, hops):
@@ -134,8 +160,23 @@ def test_generic_semiring_sums_match_the_power_sum(S, make, draw, zero, one):
         hops = rng.randint(0, 12)
         values = [[draw(rng) for _ in range(n)] for _ in range(n)]
         a = Matrix(S, n, n, tuple(make(v) for row in values for v in row))
-        got = payloads(bounded_paths(a, hops))
+        got = payloads(_doubling_paths(a, hops))
         assert got == power_sum_oracle(values, hops, zero, one), (values, hops)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Matrix(NAT, 2, 2, tuple(nat(v) for v in (0, 1, 2, 0))),
+        Matrix(RATNN, 1, 1, (rational(Fraction(1, 2)),)),
+        Matrix(GAUSSIAN, 1, 1, (gaussian(1, 1),)),
+    ],
+    ids=["nat", "ratnn", "gaussian"],
+)
+@pytest.mark.parametrize("hops", [0, 1, 5])
+def test_a_semiring_without_idempotent_addition_is_rejected(a, hops):
+    with pytest.raises(NotIdempotent, match=a.semiring.name):
+        bounded_paths(a, hops)
 
 
 def count_calls(monkeypatch, name):

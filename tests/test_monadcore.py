@@ -410,6 +410,18 @@ def test_the_monoids_of_a_synthesized_semiring_take_its_own_values(S):
     assert T.mult(T.unit(u)) == u
 
 
+@pytest.mark.parametrize(
+    "S", [homset_semiring(NAT), eval_at_one(MN)], ids=lambda S: S.name
+)
+def test_action_values_over_a_synthesized_semiring_have_keys(S):
+    M = multiplicative_monoid(S)
+    u, v = ActionMonad(M).unit(A), ActVal(M.unit, B)
+    assert carrier([u, v]).elems == (u, v)
+    assert ms_from_pairs(NAT, [(v, nat(1)), (u, nat(2))]) == ms_from_pairs(
+        NAT, [(u, nat(2)), (v, nat(1))]
+    )
+
+
 @pytest.mark.parametrize("make", [multiplicative_monoid, additive_monoid])
 def test_the_monoids_of_a_builtin_reject_a_scalar_with_a_foreign_tag(make):
     M = make(TROPICAL)

@@ -132,6 +132,19 @@ def components_reversed(real):
     return reversed_components
 
 
+def first_multiplicities_one(real):
+    """``real`` on a first map whose every multiplicity is reset to one."""
+
+    def compose(f, g):
+        comps = tuple(
+            Multiset(c.semiring, tuple((k, c.semiring.one) for k, _ in c.entries))
+            for c in f.components
+        )
+        return real(KleisliMap(f.monad, f.dom, f.cod, comps), g)
+
+    return compose
+
+
 def homset_without_one(real):
     def homset(S):
         H = real(S)
@@ -227,6 +240,8 @@ MUTANTS = [
     ("freetheory", "MultisetMonad",
      lambda real: InvolutionLastEntryDropped,
      "terms(nat)", ("involution-agrees",), "relation-sound"),
+    ("freetheory", "kl_compose", first_multiplicities_one,
+     "terms(gaussian)", ("unit-functor-compose",), "unit-agrees"),
     ("kleisli-iso", "theta",
      lambda real: lambda k: transposed(real(k)),
      "kl(multiset(nat))",
@@ -268,7 +283,7 @@ UNKILLED = {
     "commutativity": (),
     "dagger": (),
     "freetheory": (
-        "relation-sound", "unit-functor-compose",
+        "relation-sound",
     ),
     "kleisli-iso": (),
     "matcat-laws": (),
