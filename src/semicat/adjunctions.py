@@ -48,6 +48,7 @@ sorted by subject and law.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import weakref
@@ -200,23 +201,6 @@ def _eval_mul_one(T: MonadInstance):
     return E.mul, E.one
 
 
-_MISSING = object()
-
-
-def _memo(fn: Callable) -> Callable:
-    """``fn`` with one result kept per distinct argument, for as long as
-    the returned function lives. Exceptions are not kept."""
-    results: dict = {}
-
-    def memo(x):
-        out = results.get(x, _MISSING)
-        if out is _MISSING:
-            out = results[x] = fn(x)
-        return out
-
-    return memo
-
-
 # Each witness a ``down`` transpose returned, with the adjunction whose
 # transpose built it. The witness passed that adjunction's algebraic-map
 # check on its own samples, so its ``up`` skips the same check.
@@ -226,11 +210,6 @@ _VERIFIED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _verified(w: HomWitness, adjunction: str) -> HomWitness:
     _VERIFIED[w] = adjunction
     return w
-
-
-def _expect_kind(w: HomWitness, kind: str) -> None:
-    if w.kind != kind:
-        raise ValueError(f"expected a {kind} witness, got {w.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +274,17 @@ def _check_monad_map(
 # The monoid triangle
 
 
-def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
+def transpose_mon(w: HomWitness) -> HomWitness:
     """The bijection between monoid maps into eval_at_one(T) and monad
-    maps out of the action monad."""
-    if direction == "up":
-        _expect_kind(w, "MonoidMap")
-        M, T, f = w.source, w.target, _memo(w.apply)
+    maps out of the action monad: a MonoidMap goes up, a MonadMapSample
+    down."""
+    if w.kind == "MonoidMap":
+        M, T, f = w.source, w.target, functools.cache(w.apply)
         mul, one = _eval_mul_one(T)
         if _VERIFIED.get(w) != "mon-e":
             _check_monoid_map(M, mul, one, f, w.samples)
 
-        @_memo
+        @functools.cache
         def sigma(v: ActVal):
             return T.fmap(lambda p: p.right, generic_strength(T, f(v.m), v.elem))
 
@@ -318,11 +297,10 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         )
         _check_monad_map(A, T, sigma, samples, nested, NotAMonoidMap)
         return HomWitness("MonadMapSample", A, T, sigma, samples)
-    if direction == "down":
-        _expect_kind(w, "MonadMapSample")
-        A, T, sigma = w.source, w.target, _memo(w.apply)
+    if w.kind == "MonadMapSample":
+        A, T, sigma = w.source, w.target, w.apply
 
-        @_memo
+        @functools.cache
         def f(m):
             return sigma(ActVal(m, STAR))
 
@@ -330,19 +308,19 @@ def transpose_mon(direction: str, w: HomWitness) -> HomWitness:
         mul, one = _eval_mul_one(T)
         _check_monoid_map(A.monoid, mul, one, f, seen)
         return _verified(HomWitness("MonoidMap", A.monoid, T, f, seen), "mon-e")
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    raise ValueError(f"expected a MonoidMap or MonadMapSample witness, got {w.kind}")
 
 
 # ---------------------------------------------------------------------------
 # The semiring triangle
 
 
-def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
+def transpose_srng(w: HomWitness) -> HomWitness:
     """The bijection between semiring maps into eval_at_one(T) and monad
-    maps out of the multiset monad."""
-    if direction == "up":
-        _expect_kind(w, "SemiringMap")
-        S, T, f = w.source, w.target, _memo(w.apply)
+    maps out of the multiset monad: a SemiringMap goes up, a
+    MonadMapSample down."""
+    if w.kind == "SemiringMap":
+        S, T, f = w.source, w.target, functools.cache(w.apply)
         if not T.additive:
             raise NotAdditive(
                 f"{T.name} has no zero map, so it cannot receive semiring maps"
@@ -350,7 +328,7 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
         if _VERIFIED.get(w) != "srng-e":
             _check_semiring_map(S, eval_at_one(T), f, w.samples)
 
-        @_memo
+        @functools.cache
         def sigma(phi: Multiset):
             acc = tx_zero(T)
             for x, s in phi.entries:
@@ -373,19 +351,18 @@ def transpose_srng(direction: str, w: HomWitness) -> HomWitness:
         )
         _check_monad_map(MS, T, sigma, samples, nested, NotASemiringMap)
         return HomWitness("MonadMapSample", MS, T, sigma, samples)
-    if direction == "down":
-        _expect_kind(w, "MonadMapSample")
-        MS, T, sigma = w.source, w.target, _memo(w.apply)
+    if w.kind == "MonadMapSample":
+        MS, T, sigma = w.source, w.target, w.apply
         S = MS.semiring
 
-        @_memo
+        @functools.cache
         def f(s: Scalar):
             return sigma(ms_from_pairs(S, [(STAR, s)]))
 
         pool = scalar_pool(S)
         _check_semiring_map(S, eval_at_one(T), f, pool)
         return _verified(HomWitness("SemiringMap", S, T, f, pool), "srng-e")
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    raise ValueError(f"expected a SemiringMap or MonadMapSample witness, got {w.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +408,16 @@ def _check_theory_functor(
         F(h)
 
 
-def transpose_math(direction: str, w: HomWitness) -> HomWitness:
+def transpose_math(w: HomWitness) -> HomWitness:
     """The bijection between semiring maps S -> homset_semiring(R) and
     functors of matrix theories Mat(S) -> Mat(R), for witnesses from S to
-    R."""
-    if direction == "up":
-        _expect_kind(w, "SemiringMap")
-        S, R, f = w.source, w.target, _memo(w.apply)
+    R: a SemiringMap goes up, a TheoryFunctorSample down."""
+    if w.kind == "SemiringMap":
+        S, R, f = w.source, w.target, functools.cache(w.apply)
         if _VERIFIED.get(w) != "mat-h":
             _check_semiring_map(S, homset_semiring(R), f, w.samples)
 
-        @_memo
+        @functools.cache
         def apply_mat(h: Matrix) -> Matrix:
             rows = []
             for i in range(h.rows):
@@ -465,18 +441,17 @@ def transpose_math(direction: str, w: HomWitness) -> HomWitness:
         )
         _check_theory_functor(S, R, apply_mat, samples)
         return HomWitness("TheoryFunctorSample", S, R, apply_mat, samples)
-    if direction == "down":
-        _expect_kind(w, "TheoryFunctorSample")
-        S, R, F = w.source, w.target, _memo(w.apply)
+    if w.kind == "TheoryFunctorSample":
+        S, R, F = w.source, w.target, w.apply
 
-        @_memo
+        @functools.cache
         def f(s: Scalar) -> Matrix:
             return F(Matrix(S, 1, 1, (s,)))
 
         pool = scalar_pool(S)
         _check_semiring_map(S, homset_semiring(R), f, pool)
         return _verified(HomWitness("SemiringMap", S, R, f, pool), "mat-h")
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    raise ValueError(f"expected a SemiringMap or TheoryFunctorSample witness, got {w.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -1350,12 +1325,12 @@ def _roundtrip_check(transpose: Callable, witnesses: list[HomWitness]):
     read, and the second ``up`` does not check again the down side that
     the ``down`` before it checked."""
     for idx, w in enumerate(witnesses):
-        up = transpose("up", w)
-        down = transpose("down", up)
+        up = transpose(w)
+        down = transpose(up)
         for x in w.samples:
             if down.apply(x) != w.apply(x):
                 return False, f"witness {idx}: down . up differs at {x}"
-        up2 = transpose("up", down)
+        up2 = transpose(down)
         for v in up.samples:
             if up2.apply(v) != up.apply(v):
                 return False, f"witness {idx}: up . down differs at {v}"
@@ -1367,7 +1342,7 @@ def _natural_check(transpose: Callable, witnesses: list[HomWitness], push: Calla
     through nat is the up side of S's own map after ``push``, which sends
     each scalar of a sample along nat -> S. Both up sides are the ones
     :func:`_roundtrip_check` reads from the same ``transpose``."""
-    own, via_nat = (transpose("up", w) for w in witnesses[:2])
+    own, via_nat = map(transpose, witnesses[:2])
     for x in via_nat.samples:
         if via_nat.apply(x) != own.apply(push(x)):
             return False, f"naturality square differs at {x}"
@@ -1379,11 +1354,11 @@ def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
     sides' values, and the down side of that sends the star of S to
     ``star``. Both sides are the ones :func:`_roundtrip_check` reads from
     the same ``transpose``."""
-    up = transpose("up", w)
+    up = transpose(w)
     for v in up.samples:
         if up.apply(star(v)) != star(up.apply(v)):
             return False, f"involution square differs at {v}"
-    down = transpose("down", up)
+    down = transpose(up)
     for s in down.samples:
         if down.apply(w.source.star(s)) != star(down.apply(s)):
             return False, f"down star square differs at {s}"
@@ -1397,11 +1372,11 @@ def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
 # under ``--involutive`` and, in the suite, for every semiring with a star.
 _ADJUNCTION_LAWS = {
     "mon-e": (
-        lambda direction, w: transpose_mon(direction, w),
+        lambda w: transpose_mon(w),
         (("mon-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),),
     ),
     "srng-e": (
-        lambda direction, w: transpose_srng(direction, w),
+        lambda w: transpose_srng(w),
         (
             ("srng-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
             ("srng-e-natural",
@@ -1414,7 +1389,7 @@ _ADJUNCTION_LAWS = {
         ),
     ),
     "mat-h": (
-        lambda direction, w: transpose_math(direction, w),
+        lambda w: transpose_math(w),
         (
             ("mat-h-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
             ("mat-h-natural",
@@ -1434,12 +1409,11 @@ ADJUNCTION_NAMES = tuple(_ADJUNCTION_LAWS)
 def _adjunction_rows(adjunction: str, S: SemiringDescriptor, stars: bool) -> list:
     """The self-contained rows of one adjunction's laws over S, those that
     need a star only when ``stars`` is set. The rows share the
-    adjunction's witnesses over S and one result per (direction, witness)
-    of its transpose, for as long as the rows live. Exceptions are not
-    kept, so a transpose that raises fails each law that reads it."""
+    adjunction's witnesses over S and one result per witness of its
+    transpose, for as long as the rows live. Exceptions are not kept, so
+    a transpose that raises fails each law that reads it."""
     transpose, laws = _ADJUNCTION_LAWS[adjunction]
-    memo = _memo(lambda key: transpose(*key))
-    shared = lambda direction, w: memo((direction, w))
+    shared = functools.cache(transpose)
     witnesses = _witnesses(adjunction, S)
     return [
         (name, None, lambda check=check: check(S, shared, witnesses))
@@ -1510,6 +1484,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise UnknownSuite(
             f"unknown suite {config.suite!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
+    if config.cases < 1:
+        raise ValueError(f"cases must be positive, got {config.cases}")
     over_monads = bool(monoids)
     if config.monoid is not None and not over_monads:
         raise UnknownSuite(f"suite {config.suite!r} runs over semirings and takes no monoid")

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .matcat import Matrix, coord_join, coord_split
 from .monadcore import (
+    _POINT,
     STAR,
     Atom,
     Elem,
@@ -216,9 +217,11 @@ def bc_m(T: MonadInstance, u, m: int) -> tuple:
 
     Iterates the binary bicartesian map with the association
     ((..((1+1)+1)..)+1), peeling the last coordinate at each step.
+    Raises ElementOutsideCarrier unless ``u`` is a value over {0..m-1}.
     """
     if not T.additive:
         raise NotAdditive(f"{T.name} has no bicartesian map")
+    T.validate_over(u, index_carrier(m))
     parts = []
     cur = u
     for width in range(m, 1, -1):
@@ -238,9 +241,12 @@ def bc_m(T: MonadInstance, u, m: int) -> tuple:
 
 def bc_m_inv(T: MonadInstance, parts: tuple):
     """Reassemble a value over {0..m-1} from m values over the point;
-    inverse of :func:`bc_m` with the same association."""
+    inverse of :func:`bc_m` with the same association. Raises
+    ElementOutsideCarrier unless every part is a value over the point."""
     if not T.additive:
         raise NotAdditive(f"{T.name} has no bicartesian map")
+    for part in parts:
+        T.validate_over(part, _POINT)
     m = len(parts)
     if m == 0:
         return T.initial_value()

@@ -67,7 +67,7 @@ def iso_monoid_witness():
 
 
 def test_mon_up_gives_the_scaling_map():
-    up = transpose_mon("up", iso_monoid_witness())
+    up = transpose_mon(iso_monoid_witness())
     assert up.kind == "MonadMapSample"
     sigma = up.apply
     assert sigma(ActVal(nat(3), Atom("a"))) == ms_from_pairs(
@@ -77,8 +77,8 @@ def test_mon_up_gives_the_scaling_map():
 
 
 def test_mon_roundtrip_recovers_the_monoid_map():
-    up = transpose_mon("up", iso_monoid_witness())
-    down = transpose_mon("down", up)
+    up = transpose_mon(iso_monoid_witness())
+    down = transpose_mon(up)
     assert down.kind == "MonoidMap"
     for m in (nat(0), nat(1), nat(4)):
         assert down.apply(m) == nat_point(m)
@@ -92,17 +92,9 @@ def test_mon_up_rejects_a_broken_map():
 
     w = HomWitness("MonoidMap", M, MN, off_by_one, (nat(1), nat(2)))
     with pytest.raises(NotAMonoidMap):
-        transpose_mon("up", w)
+        transpose_mon(w)
 
 
-def test_transpose_guards():
-    w = iso_monoid_witness()
-    with pytest.raises(ValueError):
-        transpose_mon("sideways", w)
-    with pytest.raises(ValueError):
-        transpose_mon("down", w)
-    with pytest.raises(ValueError):
-        transpose_srng("up", w)
 
 
 def iso_semiring_witness():
@@ -110,15 +102,15 @@ def iso_semiring_witness():
 
 
 def test_srng_up_sums_scaled_units():
-    sigma = transpose_srng("up", iso_semiring_witness()).apply
+    sigma = transpose_srng(iso_semiring_witness()).apply
     phi = ms_from_pairs(NAT, [(Atom("a"), nat(2)), (Atom("b"), nat(3))])
     assert sigma(phi) == phi
     assert sigma(ms_from_pairs(NAT, [])) == ms_from_pairs(NAT, [])
 
 
 def test_srng_roundtrip_recovers_the_semiring_map():
-    up = transpose_srng("up", iso_semiring_witness())
-    down = transpose_srng("down", up)
+    up = transpose_srng(iso_semiring_witness())
+    down = transpose_srng(up)
     assert down.kind == "SemiringMap"
     assert down.apply(nat(5)) == nat_point(nat(5))
 
@@ -127,7 +119,7 @@ def test_srng_up_needs_an_additive_target():
     AW = ActionMonad(MONOIDS["nat-mul"])
     w = HomWitness("SemiringMap", NAT, AW, nat_point, scalar_pool(NAT))
     with pytest.raises(NotAdditive):
-        transpose_srng("up", w)
+        transpose_srng(w)
 
 
 def test_srng_up_rejects_a_broken_map():
@@ -136,7 +128,7 @@ def test_srng_up_rejects_a_broken_map():
 
     w = HomWitness("SemiringMap", NAT, MN, collapse, scalar_pool(NAT))
     with pytest.raises(NotASemiringMap):
-        transpose_srng("up", w)
+        transpose_srng(w)
 
 
 def bool_box(n):
@@ -145,7 +137,7 @@ def bool_box(n):
 
 def test_math_up_applies_entrywise():
     w = HomWitness("SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT))
-    up = transpose_math("up", w)
+    up = transpose_math(w)
     assert up.kind == "TheoryFunctorSample"
     F = up.apply
     assert F(matrix(NAT, [[nat(2), nat(0)]])) == matrix(
@@ -156,7 +148,7 @@ def test_math_up_applies_entrywise():
 
 def test_math_roundtrip_recovers_the_semiring_map():
     w = HomWitness("SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT))
-    down = transpose_math("down", transpose_math("up", w))
+    down = transpose_math(transpose_math(w))
     assert down.apply(nat(5)) == bool_box(nat(5))
 
 
@@ -168,7 +160,36 @@ def test_math_up_rejects_a_broken_map():
         "SemiringMap", NAT, BOOL, not_multiplicative, scalar_pool(NAT)
     )
     with pytest.raises(NotASemiringMap):
-        transpose_math("up", w)
+        transpose_math(w)
+
+
+# One witness of each kind, and the two kinds each transpose takes.
+WITNESS_OF_KIND = {
+    "MonoidMap": iso_monoid_witness,
+    "SemiringMap": iso_semiring_witness,
+    "MonadMapSample": lambda: transpose_srng(iso_semiring_witness()),
+    "TheoryFunctorSample": lambda: transpose_math(
+        HomWitness("SemiringMap", NAT, BOOL, bool_box, scalar_pool(NAT))
+    ),
+}
+SIDES = {
+    transpose_mon: ("MonoidMap", "MonadMapSample"),
+    transpose_srng: ("SemiringMap", "MonadMapSample"),
+    transpose_math: ("SemiringMap", "TheoryFunctorSample"),
+}
+
+
+@pytest.mark.parametrize(
+    ("transpose", "kind"),
+    [(t, kind) for t, sides in SIDES.items() for kind in WITNESS_OF_KIND if kind not in sides],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_a_transpose_rejects_a_witness_on_neither_of_its_sides(transpose, kind):
+    w = WITNESS_OF_KIND[kind]()
+    assert w.kind == kind
+    up, down = SIDES[transpose]
+    with pytest.raises(ValueError, match=f"expected a {up} or {down} witness, got {kind}"):
+        transpose(w)
 
 
 def test_suite_names_are_stable():
@@ -196,6 +217,13 @@ def test_run_suite_unknown_names():
         run_suite(SuiteConfig(suite="additivity", semiring="nat", monoid="nat-mul"))
     with pytest.raises(UnknownSemiring):
         run_suite(SuiteConfig(suite="monad-laws", semiring="no-such"))
+
+
+@pytest.mark.parametrize("cases", [0, -5])
+def test_run_suite_rejects_fewer_than_one_case(cases):
+    # with no case drawn, every sampled law would pass vacuously
+    with pytest.raises(ValueError, match="cases must be positive"):
+        run_suite(SuiteConfig(suite="monad-laws", semiring="nat", cases=cases))
 
 
 def test_run_suite_is_deterministic():
@@ -271,13 +299,11 @@ def recount(w: HomWitness):
 
 
 def exercise(transpose, w: HomWitness) -> None:
-    """Go up (or down), back, and out again, then apply every resulting
-    witness to its samples twice more."""
-    algebraic = w.kind in ("MonoidMap", "SemiringMap")
-    direction, back = ("up", "down") if algebraic else ("down", "up")
-    there = transpose(direction, w)
-    home = transpose(back, there)
-    again = transpose(direction, home)
+    """Transpose to the other side, back, and out again, then apply every
+    resulting witness to its samples twice more."""
+    there = transpose(w)
+    home = transpose(there)
+    again = transpose(home)
     for v in (there, home, again):
         for _ in range(2):
             for x in v.samples:
@@ -308,7 +334,7 @@ def test_transposes_evaluate_an_algebraic_witness_once_per_argument(adjunction):
 @pytest.mark.parametrize("adjunction", sorted(ALGEBRAIC_WITNESSES))
 def test_transposes_evaluate_a_structural_witness_once_per_argument(adjunction):
     transpose, make = ALGEBRAIC_WITNESSES[adjunction]
-    w, calls = recount(transpose("up", make()))
+    w, calls = recount(transpose(make()))
     exercise(transpose, w)
     assert calls
     assert max(calls.values()) == 1
@@ -330,7 +356,7 @@ def test_a_raising_witness_raises_on_every_call():
         return nat_point(s)
 
     apply, calls = counting(partial)
-    up = transpose_srng("up", HomWitness("SemiringMap", NAT, MN, apply, scalar_pool(NAT)))
+    up = transpose_srng(HomWitness("SemiringMap", NAT, MN, apply, scalar_pool(NAT)))
     phi = ms_from_pairs(NAT, [(Atom("a"), nat(1000))])
     for _ in range(3):
         with pytest.raises(NotASemiringMap, match="no image for 1000"):
@@ -400,7 +426,7 @@ def test_a_broken_up_transpose_fails_its_roundtrip(monkeypatch, adjunction, semi
 
 # ---------------------------------------------------------------------------
 # Shared transposes: the laws of one adjunction over one semiring transpose
-# each (direction, witness) once, and ``up`` does not check again a down
+# each witness once, and ``up`` does not check again a down
 # side that a transpose built and checked.
 
 COUNTED = (
@@ -454,7 +480,7 @@ ALGEBRAIC_CHECKS = {
 def test_up_skips_the_check_of_a_transposes_own_output_only(monkeypatch, adjunction):
     transpose, make = ALGEBRAIC_WITNESSES[adjunction]
     check, error = ALGEBRAIC_CHECKS[adjunction]
-    down = transpose("down", transpose("up", make()))
+    down = transpose(transpose(make()))
     # a constant map sends the unit where some sample goes, so it is no
     # homomorphism, yet it has every other field of ``down``
     unit = down.source.unit if adjunction == "mon-e" else down.source.one
@@ -463,11 +489,11 @@ def test_up_skips_the_check_of_a_transposes_own_output_only(monkeypatch, adjunct
     )
     fake = HomWitness(down.kind, down.source, down.target, lambda x: junk, down.samples)
     with pytest.raises(error):
-        transpose("up", fake)
+        transpose(fake)
     calls = count_calls(monkeypatch)
-    transpose("up", down)
+    transpose(down)
     assert calls[check] == 0
-    transpose("up", HomWitness(down.kind, down.source, down.target, down.apply, down.samples))
+    transpose(HomWitness(down.kind, down.source, down.target, down.apply, down.samples))
     assert calls[check] == 1
 
 
@@ -484,8 +510,8 @@ def singleton_disagreements(S):
         return ms_from_pairs(S, [(STAR, m)])
 
     M = multiplicative_monoid(S)
-    sigma_mon = transpose_mon("up", HomWitness("MonoidMap", M, T, iso, pool)).apply
-    sigma_srng = transpose_srng("up", HomWitness("SemiringMap", S, T, iso, pool)).apply
+    sigma_mon = transpose_mon(HomWitness("MonoidMap", M, T, iso, pool)).apply
+    sigma_srng = transpose_srng(HomWitness("SemiringMap", S, T, iso, pool)).apply
     return [
         (m, x)
         for m in pool

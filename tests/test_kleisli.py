@@ -14,6 +14,7 @@ from semicat.algebra import (
 )
 from semicat.errors import (
     DimensionMismatch,
+    ElementOutsideCarrier,
     MonadMismatch,
     NoInvolution,
     NotAdditive,
@@ -122,6 +123,34 @@ def test_bc_m_roundtrip():
         parts = bc_m(MN, u, m)
         assert len(parts) == m
         assert bc_m_inv(MN, parts) == u
+
+
+@pytest.mark.parametrize(
+    ("u", "m"),
+    [
+        # two elements outside {0} would be merged into coordinate 0
+        (ms_from_pairs(NAT, [(Atom("a"), nat(1)), (Atom(5), nat(2))]), 1),
+        # a nonempty value over the empty carrier would be dropped
+        (nat_value((0, 1)), 0),
+        (nat_value((2, 1)), 2),
+        (MN.unit(STAR), 2),
+    ],
+)
+def test_bc_m_rejects_a_value_outside_its_carrier(u, m):
+    with pytest.raises(ElementOutsideCarrier):
+        bc_m(MN, u, m)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (MN.unit(Atom("a")),),
+        (MN.unit(STAR), nat_value((0, 3))),
+    ],
+)
+def test_bc_m_inv_rejects_a_part_outside_the_point(parts):
+    with pytest.raises(ElementOutsideCarrier):
+        bc_m_inv(MN, parts)
 
 
 def test_xi_oracle():
