@@ -566,16 +566,17 @@ def render_scalar(s: Scalar) -> str:
     with more digits than Python converts to text is a FormatError."""
     if s.tag not in _RENDERERS:
         raise UnknownSemiring(f"no renderer for tag {s.tag!r}")
-    return _render_rows(s.tag, (s,), 1, 1)[0]
+    return _render_rows(s.tag, _payloads((s,), s.tag), 1, 1)[0]
 
 
-def _render_rows(tag: str, entries: Sequence, rows: int, cols: int) -> list[str]:
-    """The lines of a rows x cols grid of scalars of the built-in ``tag``,
-    row major: each entry checked as :func:`_payloads` checks it and written
-    by the renderer of ``tag``, entries separated by single spaces."""
+def _render_rows(tag: str, payloads: Sequence, rows: int, cols: int) -> list[str]:
+    """The lines of a rows x cols grid of bare payloads of the built-in
+    ``tag``, row major, each written by the renderer of ``tag`` and
+    separated by single spaces. Nothing is checked: callers take the
+    payloads from :func:`_payloads` or from the grammar of ``tag``."""
     render = _RENDERERS[tag]
     try:
-        texts = list(map(render, _payloads(entries, tag)))
+        texts = list(map(render, payloads))
     except ValueError:
         raise FormatError(
             f"a {tag} value has more than {sys.get_int_max_str_digits()} digits,"

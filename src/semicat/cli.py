@@ -32,19 +32,20 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _quote, _render_rows
+from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _payloads, _quote, _render_rows
 from .errors import FormatError, NotIdempotent, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
     _close,
+    _compose,
+    _dagger,
+    _kernel,
     _open,
+    _read_mat,
+    _tensor,
+    _write_mat,
     mat_add,
-    mat_compose,
-    mat_dagger,
     mat_identity,
-    mat_tensor,
-    parse_mat_text,
-    render_mat_text,
 )
 
 __all__ = [
@@ -165,7 +166,8 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     if hops == 0:
         return eye
     b = mat_add(eye, a)
-    ops, base, (zero, one) = _open(S, b, Matrix(S, 1, 2, (S.zero, S.one)))
+    ops, base = _kernel(S), _open(b).values
+    zero, one = _open(Matrix(S, 1, 2, (S.zero, S.one))).values
     rows = [base[i * n : (i + 1) * n] for i in range(n)]
     if hops >= n - 1 and all(_pivot(ops, rows, k, zero, one) for k in range(n)):
         return _close(S, n, n, [x for row in rows for x in row])
@@ -220,23 +222,24 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_matmul(args) -> int:
-    a = parse_mat_text(_read_input(args.a))
+    # Payloads from file to stdout: no Scalar, each tag checked by its header.
+    a = _read_mat(_read_input(args.a))
     if args.op == "dagger":
         if args.b is not None:
             raise FormatError("dagger takes a single matrix; drop -B")
         _check_table_size("the dagger", a.cols, a.rows)
-        result = mat_dagger(a)
+        result = _dagger(a)
     else:
         if args.b is None:
             raise FormatError(f"{args.op} needs a second matrix via -B")
-        b = parse_mat_text(_read_input(args.b))
+        b = _read_mat(_read_input(args.b))
         if args.op == "compose":
             _check_table_size("the composite", a.rows, b.cols)
-            result = mat_compose(a, b)
+            result = _compose(a, b)
         else:
             _check_table_size("the tensor", a.rows * b.rows, a.cols * b.cols)
-            result = mat_tensor(a, b)
-    sys.stdout.write(render_mat_text(result))
+            result = _tensor(a, b)
+    sys.stdout.write(_write_mat(result))
     return 0
 
 
@@ -244,7 +247,8 @@ def _cmd_shortest_path(args) -> int:
     spec = parse_graph_text(_read_input(args.graph))
     _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
-    rows = _render_rows(table.tag, table.entries, table.rows, table.cols)
+    payloads = _payloads(table.entries, table.tag)
+    rows = _render_rows(table.tag, payloads, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0
 

@@ -222,6 +222,11 @@ def bc_m(T: MonadInstance, u, m: int) -> tuple:
     if not T.additive:
         raise NotAdditive(f"{T.name} has no bicartesian map")
     T.validate_over(u, index_carrier(m))
+    return _bc_m(T, u, m)
+
+
+def _bc_m(T: MonadInstance, u, m: int) -> tuple:
+    """:func:`bc_m` without its checks: T is additive, u over {0..m-1}."""
     parts = []
     cur = u
     for width in range(m, 1, -1):
@@ -275,8 +280,8 @@ def theta(k: KleisliMap) -> Matrix:
         raise NotAdditive(f"{T.name} has no matrix presentation")
     E = eval_at_one(T)
     entries = []
-    for i in range(k.dom):
-        entries.extend(bc_m(T, k.components[i], k.cod))
+    for c in k.components:  # each validated over {0..cod-1} by KleisliMap
+        entries.extend(_bc_m(T, c, k.cod))
     return Matrix(E, k.dom, k.cod, tuple(entries))
 
 

@@ -14,11 +14,12 @@ composite, and the hom-set semiring of endomaps of 1
 derived construction against entrywise addition. :func:`mat_add` is the
 entrywise sum that other callers, such as the shortest-path command, use.
 
-Compose, tensor, dagger and entrywise add run on payload kernels over the
-five built-in descriptor objects (``NAT``, ``BOOL``, ``TROPICAL``,
-``RATNN``, ``GAUSSIAN``). A kernel unwraps each input entry once to its
-bare payload, raising :class:`TagMismatch` on an entry without the
-semiring's tag, computes on payloads, and wraps each output entry once.
+Compose, tensor and dagger each have one core (``_compose``, ``_tensor``,
+``_dagger``) on grids: a semiring, a shape, and values that are the bare
+payloads over the built-in descriptor objects (``NAT``, ``BOOL``,
+``TROPICAL``, ``RATNN``, ``GAUSSIAN``), else the entries. The cores check
+shapes and names; the :class:`Matrix` API opens each entry with ``_open``,
+raising :class:`TagMismatch` on a foreign one, and boxes with ``_close``.
 Entrywise add, tensor and dagger use the built-in's payload operations
 from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor is built
 from. Compose has its own sum-of-products kernel per built-in: int sums of
@@ -43,11 +44,11 @@ law compares the kernels with a triple loop over the descriptor's
 operations.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
-renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
-distinct literal text once per file, and converts each distinct rational
-part of a gaussian literal once per file; :func:`render_mat_text` checks
-every entry against the matrix's semiring and writes it with that
-semiring's renderer.
+renderers of :mod:`semicat.algebra`. ``_read_mat`` reads a file to a grid
+of payloads, parsing each distinct literal text and each distinct rational
+part of a gaussian literal once per file; ``_write_mat`` writes a grid. The
+``matmul`` command runs a core between them; :func:`parse_mat_text` and
+:func:`render_mat_text` add ``_close`` and a tag check of every entry.
 """
 
 from __future__ import annotations
@@ -179,10 +180,12 @@ def matrix(S: SemiringDescriptor, rows: Sequence[Sequence]) -> Matrix:
     return Matrix(S, n, m, tuple(flat))
 
 
-def _same_theory(g: Matrix, h: Matrix) -> SemiringDescriptor:
-    if g.tag != h.tag:
-        raise TagMismatch(f"matrices over {g.tag} and {h.tag} cannot be combined")
-    return g.semiring
+def _same_theory(g, h) -> SemiringDescriptor:
+    """g's semiring, if h's has its name; g and h are matrices or grids."""
+    S, T = g.semiring, h.semiring
+    if S.name != T.name:
+        raise TagMismatch(f"matrices over {S.name} and {T.name} cannot be combined")
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +292,33 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
     return _Kernel(products, S.add, S.mul, S.star)
 
 
-def _open(S: SemiringDescriptor, *ms: Matrix) -> tuple:
-    """The kernel to compute with over S, then the entries of each of ms as
-    it takes them: for a built-in semiring, the bare payloads, each checked
-    to carry S's name as its tag; for any other descriptor, the entries
-    themselves."""
-    kernel = _KERNELS.get(S)
-    if kernel is None:
-        return (_generic(S), *(m.entries for m in ms))
-    return (kernel, *(_payloads(m.entries, S.name) for m in ms))
+def _kernel(S: SemiringDescriptor) -> _Kernel:
+    """A built-in's payload kernel, else S's own operations."""
+    return _KERNELS.get(S) or _generic(S)
 
 
-def _close(S: SemiringDescriptor, rows: int, cols: int, values: list) -> Matrix:
-    """The matrix of values computed by the kernel of :func:`_open`, each
-    payload wrapped once as a scalar."""
+class _Grid(NamedTuple):
+    """A matrix as the cores take it: payloads over a built-in, else entries."""
+
+    semiring: SemiringDescriptor
+    rows: int
+    cols: int
+    values: Sequence
+
+
+def _open(m: Matrix, S: SemiringDescriptor | None = None) -> _Grid:
+    """m's grid for the kernel of S (by default m's semiring): each entry
+    checked to carry S's name and unwrapped, if S is a built-in. A matrix
+    of another name is left as it is, for a core to reject by name."""
+    S = m.semiring if S is None else S
+    values = m.entries
+    if S in _KERNELS and m.tag == S.name:
+        values = _payloads(values, S.name)
+    return _Grid(m.semiring, m.rows, m.cols, values)
+
+
+def _close(S: SemiringDescriptor, rows: int, cols: int, values: Sequence) -> Matrix:
+    """The matrix of a grid's values, each payload wrapped once as a scalar."""
     if S in _KERNELS:
         tag = S.name
         values = [Scalar(tag, v) for v in values]
@@ -315,18 +331,21 @@ def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
     )
 
 
-def mat_compose(g: Matrix, h: Matrix) -> Matrix:
-    """The composite "g then h" (g: n -> m, h: m -> p)."""
+def _compose(g: _Grid, h: _Grid) -> _Grid:
     S = _same_theory(g, h)
     if g.cols != h.rows:
         raise DimensionMismatch(
             f"cannot compose {g.rows}x{g.cols} with {h.rows}x{h.cols}"
         )
-    ops, a, b = _open(S, g, h)
-    m, p = g.cols, h.cols
+    a, m, p = g.values, g.cols, h.cols
     rows = [a[i * m : (i + 1) * m] for i in range(g.rows)]
-    cols = [b[k::p] for k in range(p)]
-    return _close(S, g.rows, p, ops.products(rows, cols))
+    cols = [h.values[k::p] for k in range(p)]
+    return _Grid(S, g.rows, p, _kernel(S).products(rows, cols))
+
+
+def mat_compose(g: Matrix, h: Matrix) -> Matrix:
+    """The composite "g then h" (g: n -> m, h: m -> p)."""
+    return _close(*_compose(_open(g), _open(h, g.semiring)))
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
@@ -389,8 +408,8 @@ def mat_add(f: Matrix, g: Matrix) -> Matrix:
     :func:`mat_add_biproduct`, the paper's derived addition, which the
     ``add-entrywise`` law checks against entrywise sums."""
     S = _parallel(f, g)
-    ops, a, b = _open(S, f, g)
-    return _close(S, f.rows, f.cols, list(map(ops.add, a, b)))
+    a, b = _open(f).values, _open(g, S).values
+    return _close(S, f.rows, f.cols, list(map(_kernel(S).add, a, b)))
 
 
 def mat_add_biproduct(f: Matrix, g: Matrix) -> Matrix:
@@ -423,30 +442,37 @@ def coord_join(n: int, m: int, a: int, b: int) -> int:
     return a * m + b
 
 
-def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
-    """Tensor of g: m -> p with h: n -> q, flattened by the fixed
-    coordinatisation on rows (inner factor n) and columns (inner factor q)."""
+def _tensor(g: _Grid, h: _Grid) -> _Grid:
     S = _same_theory(g, h)
-    ops, a, b = _open(S, g, h)
+    a, b = g.values, h.values
     m, p = g.rows, g.cols
     n, q = h.rows, h.cols
     g_rows = [a[i * p : (i + 1) * p] for i in range(m)]
     h_rows = [b[i * q : (i + 1) * q] for i in range(n)]
-    times = ops.mul
-    return _close(
+    times = _kernel(S).mul
+    return _Grid(
         S, m * n, p * q,
         [times(x, y) for r in g_rows for s in h_rows for x in r for y in s],
     )
 
 
-def mat_dagger(f: Matrix) -> Matrix:
-    """Starred transpose."""
+def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
+    """Tensor of g: m -> p with h: n -> q, flattened by the fixed
+    coordinatisation on rows (inner factor n) and columns (inner factor q)."""
+    return _close(*_tensor(_open(g), _open(h, g.semiring)))
+
+
+def _dagger(f: _Grid) -> _Grid:
     S = f.semiring
     if S.star is None:
         raise NoInvolution(f"semiring {S.name} has no star")
-    ops, a = _open(S, f)
-    n = f.cols
-    return _close(S, n, f.rows, [ops.star(x) for j in range(n) for x in a[j::n]])
+    a, n, star = f.values, f.cols, _kernel(S).star
+    return _Grid(S, n, f.rows, [star(x) for j in range(n) for x in a[j::n]])
+
+
+def mat_dagger(f: Matrix) -> Matrix:
+    """Starred transpose."""
+    return _close(*_dagger(_open(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +559,15 @@ def parse_mat_text(text: str) -> Matrix:
     Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols ``nat``
     literals (ASCII digits); each following line holds one row of scalars
     in the semiring's text grammar. Each distinct literal text is parsed
-    once per call and its scalar reused for every later copy, and each
+    once per call and its value reused for every later copy, and each
     distinct rational part of a gaussian literal is converted once per call.
     Errors carry the offending line and column.
     """
+    return _close(*_read_mat(text))
+
+
+def _read_mat(text: str) -> _Grid:
+    """The grid of bare payloads that :func:`parse_mat_text` reads."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("line 1, column 1: empty matrix file")
@@ -562,8 +593,9 @@ def parse_mat_text(text: str) -> Matrix:
     rows, cols = dims
 
     grammar = _GRAMMARS[name]
-    entries = []
-    parsed: dict[str, Scalar] = {}
+    values: list = []
+    # Literal text -> payload, tested with `in`: tropical inf's payload is None.
+    parsed: dict = {}
     parts: dict = {}
     for i in range(rows):
         lineno = i + 2
@@ -577,21 +609,21 @@ def parse_mat_text(text: str) -> Matrix:
             raise FormatError(
                 f"line {lineno}, column {col}: expected {cols} entries, got {len(toks)}"
             )
-        for tok in toks:
-            scalar = parsed.get(tok)
-            if scalar is None:
-                try:
-                    scalar = parsed[tok] = Scalar(name, grammar(tok, parts))
-                except FormatError as exc:
-                    # A token that fails is never stored, so its first copy
-                    # in this row is the one being parsed.
-                    col = _tokens(line)[toks.index(tok)][1]
-                    raise FormatError(f"line {lineno}, column {col}: {exc}") from None
-            entries.append(scalar)
+        if not parsed.keys() >= set(toks):
+            for j, tok in enumerate(toks):
+                if tok not in parsed:
+                    try:
+                        parsed[tok] = grammar(tok, parts)
+                    except FormatError as exc:
+                        # A token that fails is never stored, so this is its
+                        # first copy in the row.
+                        col = _tokens(line)[j][1]
+                        raise FormatError(f"line {lineno}, column {col}: {exc}") from None
+        values += map(parsed.__getitem__, toks)
     for extra in range(rows + 2, len(lines) + 1):
         if lines[extra - 1].strip():
             raise FormatError(f"line {extra}, column 1: unexpected trailing content")
-    return Matrix(S, rows, cols, tuple(entries))
+    return _Grid(S, rows, cols, values)
 
 
 def render_mat_text(m: Matrix) -> str:
@@ -601,6 +633,12 @@ def render_mat_text(m: Matrix) -> str:
     semiring's renderer."""
     if m.tag not in SEMIRINGS:
         raise FormatError(f"semiring {m.tag!r} has no file rendering")
-    lines = [f"semiring {m.tag} {m.rows} {m.cols}"]
-    lines += _render_rows(m.tag, m.entries, m.rows, m.cols)
+    return _write_mat(_Grid(m.semiring, m.rows, m.cols, _payloads(m.entries, m.tag)))
+
+
+def _write_mat(g: _Grid) -> str:
+    """The text of a grid of payloads over a built-in semiring."""
+    tag = g.semiring.name
+    lines = [f"semiring {tag} {g.rows} {g.cols}"]
+    lines += _render_rows(tag, g.values, g.rows, g.cols)
     return "\n".join(lines) + "\n"

@@ -192,7 +192,8 @@ def count_calls(monkeypatch, name):
 
 
 def count_composes(monkeypatch):
-    return count_calls(monkeypatch, "mat_compose")
+    # bounded_paths multiplies payload grids with _product, not mat_compose.
+    return count_calls(monkeypatch, "_product")
 
 
 def test_negative_cycle_costs_logarithmic_compositions(monkeypatch):

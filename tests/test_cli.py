@@ -11,16 +11,26 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semicat.adjunctions as adjunctions
+import semicat.algebra as algebra
 import semicat.cli as cli
+import semicat.matcat as matcat
 from semicat.adjunctions import ADJUNCTION_NAMES, SUITE_NAMES, SuiteReport
-from semicat.algebra import SEMIRINGS, TROPICAL, tropical
+from semicat.algebra import SEMIRINGS, TROPICAL, Scalar, tropical
 from semicat.cli import bounded_paths, graph_matrix, main, parse_graph_text
 from semicat.errors import FormatError
-from semicat.matcat import mat_identity, matrix
+from semicat.matcat import (
+    mat_compose,
+    mat_dagger,
+    mat_identity,
+    mat_tensor,
+    matrix,
+    parse_mat_text,
+    render_mat_text,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,6 +146,116 @@ def test_matmul_mismatches(capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "op,a,b,line",
+    [
+        ("compose", "compose_b.mat", "compose_a.mat", "error: cannot compose 2x1 with 2x2"),
+        ("compose", "compose_a.mat", "dagger_in.mat",
+         "error: matrices over nat and gaussian cannot be combined"),
+        ("tensor", "compose_a.mat", "dagger_in.mat",
+         "error: matrices over nat and gaussian cannot be combined"),
+    ],
+)
+def test_matmul_mismatch_lines_are_pinned(capsys, op, a, b, line):
+    assert main(["matmul", "--op", op, "-A", fx(a), "-B", fx(b)]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_a_mixed_tensor_over_the_cap_reports_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 15)
+    argv = ["matmul", "--op", "tensor", "-A", fx("compose_a.mat"), "-B", fx("dagger_in.mat")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: the tensor would have 4x4 = 16 entries, above the cap of 15\n"
+    )
+
+
+# Literals in the README grammar; gaussian ones share their rational parts.
+_PARTS = st.sampled_from(["0", "1/2", "2/4", "-3", "7/3"])
+MAT_LITERALS = {
+    "nat": st.text("0127", min_size=1, max_size=3),
+    "bool": st.sampled_from(["0", "1"]),
+    "tropical": st.one_of(st.just("inf"), st.integers(-9, 9).map(str)),
+    "ratnn": st.sampled_from(["0", "1", "1/2", "2/4", "7/3", "12"]),
+    "gaussian": st.one_of(
+        _PARTS,
+        _PARTS.map(lambda q: f"{q}i"),
+        st.builds("{}+{}i".format, _PARTS, _PARTS.filter(lambda q: q[0] != "-")),
+    ),
+}
+MAT_APIS = {"compose": mat_compose, "tensor": mat_tensor, "dagger": mat_dagger}
+
+
+@st.composite
+def matmul_cases(draw):
+    """(op, texts): the .mat files of one matmul call over one semiring,
+    shaped to compose when op is compose; any dimension may be 0."""
+    op = draw(st.sampled_from(sorted(MAT_APIS)))
+    name = draw(st.sampled_from(sorted(MAT_LITERALS)))
+    pool = draw(st.lists(MAT_LITERALS[name], min_size=1, max_size=4))
+    n, m, p, q = (draw(st.integers(0, 3)) for _ in range(4))
+    shapes = {"compose": [(n, m), (m, p)], "tensor": [(n, m), (p, q)], "dagger": [(n, m)]}
+    texts = []
+    for rows, cols in shapes[op]:
+        grid = [" ".join(draw(st.sampled_from(pool)) for _ in range(cols)) for _ in range(rows)]
+        texts.append("\n".join([f"semiring {name} {rows} {cols}", *grid]) + "\n")
+    return op, texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(matmul_cases())
+@example(("compose", ["semiring tropical 2 2\ninf 1\n-3 inf\n", "semiring tropical 2 0\n\n\n"]))
+@example(("tensor", ["semiring gaussian 1 2\n1/2+1/2i 1/2i\n", "semiring gaussian 0 3\n"]))
+@example(("dagger", ["semiring tropical 0 2\n"]))
+def test_matmul_prints_what_the_matrix_api_renders(case):
+    op, texts = case
+    want = render_mat_text(MAT_APIS[op](*map(parse_mat_text, texts)))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["matmul", "--op", op]
+        for flag, text in zip(["-A", "-B"], texts):
+            Path(tmp, flag).write_text(text)
+            argv += [flag, str(Path(tmp, flag))]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")],
+         golden("compose_ab.out")),
+        (["--op", "tensor", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")],
+         "semiring nat 4 2\n3 6\n4 8\n0 3\n0 4\n"),
+        (["--op", "dagger", "-A", fx("dagger_in.mat")], golden("dagger.out")),
+    ],
+    ids=["compose", "tensor", "dagger"],
+)
+def test_matmul_boxes_no_entry(capsys, monkeypatch, argv, out):
+    """From the files to stdout, matmul builds no Scalar and neither opens
+    nor closes a Matrix."""
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (algebra, matcat, cli):
+        for name in ("_payloads", "_open", "_close"):
+            if hasattr(module, name):
+                counting(module, name)
+    counting(Scalar, "__init__")
+    assert main(["matmul", *argv]) == 0
+    assert calls == []
+    assert capsys.readouterr().out == out
 
 
 def test_shortest_path_goldens(capsys):

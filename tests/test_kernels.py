@@ -175,6 +175,23 @@ def test_a_descriptor_sharing_a_builtin_tag_keeps_its_own_operations():
         assert got != builtin
 
 
+def test_the_first_factor_semiring_computes_when_two_share_a_name():
+    bogus = SemiringDescriptor(
+        name="nat",
+        add=lambda a, b: nat(max(a.payload, b.payload)),
+        zero=nat(0),
+        mul=lambda a, b: nat(a.payload + b.payload),
+        one=nat(0),
+        star=lambda a: nat(a.payload + 1),
+    )
+    values = tuple(nat(v) for v in (1, 2, 3, 4))
+    f, g = Matrix(bogus, 2, 2, values), Matrix(NAT, 2, 2, values)
+    assert mat_compose(f, g) == compose_oracle(bogus, f, g)
+    assert mat_compose(g, f) == compose_oracle(NAT, g, f)
+    assert mat_tensor(f, g) == tensor_oracle(bogus, f, g)
+    assert mat_tensor(g, f) == tensor_oracle(NAT, g, f)
+
+
 @pytest.mark.parametrize(
     "op",
     [

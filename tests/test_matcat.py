@@ -267,6 +267,35 @@ def test_each_distinct_literal_is_parsed_once(monkeypatch):
     assert m.entries == tuple(nat(k % 10) for k in range(32 * 32))
 
 
+@pytest.mark.parametrize(
+    "name,rows",
+    [
+        ("nat", ["1 2 1", "2 2 007", "007 1 2"]),
+        ("tropical", ["inf inf 3", "inf -3 inf", "3 inf inf"]),
+        ("gaussian", ["1/2+i 1/2 i", "i i 1/2+i", "0 1/2 0"]),
+    ],
+)
+def test_each_distinct_literal_goes_through_the_grammar_exactly_once(monkeypatch, name, rows):
+    calls = []
+    grammar = algebra._GRAMMARS[name]
+
+    def counting(text, parts):
+        calls.append(text)
+        return grammar(text, parts)
+
+    monkeypatch.setitem(algebra._GRAMMARS, name, counting)
+    m = parse_mat_text(f"semiring {name} 3 3\n" + "\n".join(rows) + "\n")
+    tokens = [tok for row in rows for tok in row.split()]
+    assert sorted(calls) == sorted(set(tokens))
+    assert m.entries == tuple(parse_scalar(name, tok) for tok in tokens)
+
+
+def test_a_repeated_bad_literal_is_reported_at_its_first_copy_in_its_row():
+    text = "semiring nat 2 4\n1 2 3 4\n4 3 x  x\n"
+    with pytest.raises(FormatError, match="^line 3, column 5: bad natural literal 'x'$"):
+        parse_mat_text(text)
+
+
 def test_each_distinct_gaussian_part_is_converted_once(monkeypatch):
     calls = []
     parse_fraction = algebra._parse_fraction
