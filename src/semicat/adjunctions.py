@@ -933,13 +933,13 @@ def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> lis
 
 
 def _naive_compose(g: Matrix, h: Matrix) -> Matrix:
-    S = g.semiring
+    S, a, b = g.semiring, g.entries, h.entries
     out = [[None] * h.cols for _ in range(g.rows)]
     for i in range(g.rows):
         for k in range(h.cols):
             acc = S.zero
             for j in range(g.cols):
-                acc = S.add(acc, S.mul(g.entries[i * g.cols + j], h.entries[j * h.cols + k]))
+                acc = S.add(acc, S.mul(a[i * g.cols + j], b[j * h.cols + k]))
             out[i][k] = acc
     return Matrix(S, g.rows, h.cols, tuple(e for row in out for e in row))
 

@@ -175,6 +175,10 @@ class SemiringDescriptor:
     one: object
     star: Callable | None = None
 
+    def __deepcopy__(self, memo) -> SemiringDescriptor:
+        # The object is the semiring's identity: matcat keys its kernels on it.
+        return self
+
 
 @dataclass(frozen=True, eq=False)
 class MonoidDescriptor:

@@ -8,11 +8,12 @@ cycle is negative (n^3 steps), else by repeated squaring (O(n^3 log h)),
 and ``roundtrip`` drives the adjunction transposes there and back.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
-error, or an input whose dense table would exceed ``MAX_TABLE_ENTRIES``,
-3 an internal error: any other exception, reported as one ``internal
-error:`` line. An internal error inside a law's check fails that law and
-the run goes on; the report is printed, then the ``internal error:`` line.
-Results go to stdout, diagnostics to stderr.
+error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
+``laws --cases`` above ``MAX_CASES``, 3 an internal error: any other
+exception, reported as one ``internal error:`` line. An internal error
+inside a law's check fails that law and the run goes on; the report is
+printed, then the ``internal error:`` line. Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -32,23 +33,23 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _payloads, _quote, _render_rows
+from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _payload, _quote, _render_rows
 from .errors import FormatError, NotIdempotent, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
-    _close,
-    _compose,
-    _dagger,
     _kernel,
-    _open,
-    _read_mat,
-    _tensor,
-    _write_mat,
+    _matrix,
     mat_add,
+    mat_compose,
+    mat_dagger,
     mat_identity,
+    mat_tensor,
+    parse_mat_text,
+    render_mat_text,
 )
 
 __all__ = [
+    "MAX_CASES",
     "MAX_TABLE_ENTRIES",
     "GraphSpec",
     "parse_graph_text",
@@ -62,6 +63,12 @@ __all__ = [
 # inputs exit 2 before any table is allocated. An empty dimension counts as
 # one, as a 0 x n or n x 0 table still costs n column lists or n lines.
 MAX_TABLE_ENTRIES = 1_000_000
+
+# The most cases ``laws --cases`` accepts. additivity, the slowest suite,
+# took 5 to 7.6 ms a case at the speed of the benchmark's reference loop
+# (bench/run.py, a 2.1 GHz Xeon), so the longest accepted run takes 20 to
+# 30 s.
+MAX_CASES = 4000
 
 
 def _check_table_size(what: str, rows: int, cols: int) -> None:
@@ -129,11 +136,12 @@ def parse_graph_text(text: str) -> GraphSpec:
 def graph_matrix(spec: GraphSpec) -> Matrix:
     """One-hop weight matrix over the tropical semiring. Parallel edges
     collapse to their minimum; absent edges are the tropical zero."""
-    n = spec.nodes
-    entries = [TROPICAL.zero] * (n * n)
+    n, ops = spec.nodes, _kernel(TROPICAL)
+    values = [ops.zero] * (n * n)
     for src, dst, weight in spec.edges:
-        entries[src * n + dst] = TROPICAL.add(entries[src * n + dst], weight)
-    return Matrix(TROPICAL, n, n, tuple(entries))
+        k = src * n + dst
+        values[k] = ops.add(values[k], _payload(weight, "tropical"))
+    return _matrix(TROPICAL, n, n, values)
 
 
 def bounded_paths(a: Matrix, hops: int) -> Matrix:
@@ -143,7 +151,8 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     ``ValueError``.
 
     When addition is idempotent (1 + 1 = 1: tropical, bool), S_h = B^h for
-    B = I + a, computed on payloads and boxed once. If hops >= n - 1, it
+    B = I + a, computed on the stored payloads of a; the result holds
+    payloads too, boxed only when its entries are read. If hops >= n - 1, it
     first tries Lehmann's closure of B, n^3 steps: pivot k adds d_ik times
     row k to each row i != k, provided d_kk = 1, so that d_kk* = 1* = 1.
     If every pivot passes, the result is the sum over all walks, which is
@@ -159,25 +168,24 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     if hops < 0:
         raise ValueError(f"hops must be a natural number, got {hops}")
     S = a.semiring
-    if S.add(S.one, S.one) != S.one:
+    ops = _kernel(S)
+    if ops.add(ops.one, ops.one) != ops.one:
         raise NotIdempotent(f"{S.name} has no idempotent addition (1 + 1 != 1)")
     n = a.rows
     eye = mat_identity(S, n)
     if hops == 0:
         return eye
-    b = mat_add(eye, a)
-    ops, base = _kernel(S), _open(b).values
-    zero, one = _open(Matrix(S, 1, 2, (S.zero, S.one))).values
+    base = mat_add(eye, a).values
     rows = [base[i * n : (i + 1) * n] for i in range(n)]
-    if hops >= n - 1 and all(_pivot(ops, rows, k, zero, one) for k in range(n)):
-        return _close(S, n, n, [x for row in rows for x in row])
+    if hops >= n - 1 and all(_pivot(ops, rows, k) for k in range(n)):
+        return _matrix(S, n, n, [x for row in rows for x in row])
     acc = base = list(base)  # B^k, k the bits of hops read so far
     for bit in bin(hops)[3:]:
         square = _product(ops, n, acc, acc)
         if square == acc:
             break
         acc = _product(ops, n, square, base) if bit == "1" else square
-    return _close(S, n, n, acc)
+    return _matrix(S, n, n, acc)
 
 
 def _product(ops, n: int, f: list, g: list) -> list:
@@ -186,13 +194,13 @@ def _product(ops, n: int, f: list, g: list) -> list:
     return ops.products(rows, [g[k::n] for k in range(n)])
 
 
-def _pivot(ops, rows: list, k: int, zero, one) -> bool:
+def _pivot(ops, rows: list, k: int) -> bool:
     """Pivot k of the closure of ``rows``, in place; False, changing
     nothing, when d_kk is not one."""
     pivot = rows[k]
-    if pivot[k] != one:
+    if pivot[k] != ops.one:
         return False
-    add, mul = ops.add, ops.mul
+    add, mul, zero = ops.add, ops.mul, ops.zero
     for i, row in enumerate(rows):
         d = row[k]
         if i != k and d != zero:
@@ -211,6 +219,8 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_laws(args) -> int:
+    if args.cases > MAX_CASES:
+        raise SizeLimitExceeded(f"--cases {args.cases} is above the cap of {MAX_CASES}")
     config = SuiteConfig(
         suite=args.suite,
         semiring=args.semiring,
@@ -223,23 +233,23 @@ def _cmd_laws(args) -> int:
 
 def _cmd_matmul(args) -> int:
     # Payloads from file to stdout: no Scalar, each tag checked by its header.
-    a = _read_mat(_read_input(args.a))
+    a = parse_mat_text(_read_input(args.a))
     if args.op == "dagger":
         if args.b is not None:
             raise FormatError("dagger takes a single matrix; drop -B")
         _check_table_size("the dagger", a.cols, a.rows)
-        result = _dagger(a)
+        result = mat_dagger(a)
     else:
         if args.b is None:
             raise FormatError(f"{args.op} needs a second matrix via -B")
-        b = _read_mat(_read_input(args.b))
+        b = parse_mat_text(_read_input(args.b))
         if args.op == "compose":
             _check_table_size("the composite", a.rows, b.cols)
-            result = _compose(a, b)
+            result = mat_compose(a, b)
         else:
             _check_table_size("the tensor", a.rows * b.rows, a.cols * b.cols)
-            result = _tensor(a, b)
-    sys.stdout.write(_write_mat(result))
+            result = mat_tensor(a, b)
+    sys.stdout.write(render_mat_text(result))
     return 0
 
 
@@ -247,8 +257,7 @@ def _cmd_shortest_path(args) -> int:
     spec = parse_graph_text(_read_input(args.graph))
     _check_table_size("the distance table", spec.nodes, spec.nodes)
     table = bounded_paths(graph_matrix(spec), args.max_hops)
-    payloads = _payloads(table.entries, table.tag)
-    rows = _render_rows(table.tag, payloads, table.rows, table.cols)
+    rows = _render_rows(table.tag, table.values, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0
 

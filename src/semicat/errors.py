@@ -106,7 +106,7 @@ class UnknownSemiring(SemicatError):
 
 
 class SizeLimitExceeded(SemicatError):
-    """An input asks for a table larger than the command's documented cap."""
+    """An input asks for more than the command's documented cap allows."""
 
 
 class FormatError(SemicatError):

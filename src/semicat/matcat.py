@@ -14,15 +14,20 @@ composite, and the hom-set semiring of endomaps of 1
 derived construction against entrywise addition. :func:`mat_add` is the
 entrywise sum that other callers, such as the shortest-path command, use.
 
-Compose, tensor and dagger each have one core (``_compose``, ``_tensor``,
-``_dagger``) on grids: a semiring, a shape, and values that are the bare
-payloads over the built-in descriptor objects (``NAT``, ``BOOL``,
-``TROPICAL``, ``RATNN``, ``GAUSSIAN``), else the entries. The cores check
-shapes and names; the :class:`Matrix` API opens each entry with ``_open``,
-raising :class:`TagMismatch` on a foreign one, and boxes with ``_close``.
-Entrywise add, tensor and dagger use the built-in's payload operations
-from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor is built
-from. Compose has its own sum-of-products kernel per built-in: int sums of
+A :class:`Matrix` over one of the built-in descriptor objects (``NAT``,
+``BOOL``, ``TROPICAL``, ``RATNN``, ``GAUSSIAN``) stores the bare payloads
+of its entries. Scalars are checked once, where they enter: the
+constructor raises :class:`TagMismatch` on an entry of another semiring
+and unwraps the rest. They are boxed only on read, by ``entries``,
+``entry``, ``row`` and ``str``. The operations and the ``.mat`` reader
+build their results from payloads and check nothing again. A matrix over
+any other descriptor keeps its entries as given. When two operands'
+descriptors share a name but are different objects, the first operand's
+descriptor computes, on the second's values converted to its storage.
+
+Over a built-in, entrywise add, tensor and dagger use its payload
+operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
+is built from. Compose has its own sum-of-products kernel per built-in: int sums of
 products for nat, any/and for bool, and min-plus on ints for tropical,
 with infinity replaced by a stand-in larger than any finite sum can
 reach. For ratnn and gaussian, compose reads the integer ratio of each
@@ -44,11 +49,11 @@ law compares the kernels with a triple loop over the descriptor's
 operations.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
-renderers of :mod:`semicat.algebra`. ``_read_mat`` reads a file to a grid
-of payloads, parsing each distinct literal text and each distinct rational
-part of a gaussian literal once per file; ``_write_mat`` writes a grid. The
-``matmul`` command runs a core between them; :func:`parse_mat_text` and
-:func:`render_mat_text` add ``_close`` and a tag check of every entry.
+renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
+distinct literal text and each distinct rational part of a gaussian
+literal once per file, straight to payloads; :func:`render_mat_text`
+writes the stored payloads. The ``matmul`` command runs one operation
+between them and builds no :class:`Scalar`.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, mul
+from operator import add, and_, eq, mul
 from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
@@ -111,41 +116,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Matrix:
     """A morphism rows -> cols of the matrix theory of ``semiring``.
 
-    ``entries`` holds rows*cols values of the entry semiring in row-major
-    order; for the scalar built-ins these are :class:`Scalar` values, while
-    synthesized semirings (hom-set or evaluation descriptors) supply their
-    own value type. Equality compares the semiring's name, shape, and entries.
+    ``values`` holds rows*cols values in row-major order. Over a built-in
+    descriptor they are the bare payloads of :class:`Scalar` entries, and
+    ``entries``, :meth:`entry`, :meth:`row` and ``str`` box them on read.
+    The constructor checks that each entry of a semiring named as a
+    built-in carries that name (else :class:`TagMismatch`), and unwraps it
+    for the built-in itself. Any other descriptor, such as a hom-set or
+    evaluation semiring, keeps its values as given. Equality compares the
+    semiring's name, shape, and values, so a matrix over a descriptor that
+    merely carries a built-in's name equals the built-in one holding the
+    same scalars.
     """
 
     semiring: SemiringDescriptor
     rows: int
     cols: int
-    entries: tuple
+    values: tuple
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, semiring: SemiringDescriptor, rows: int, cols: int, entries) -> None:
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise DimensionMismatch("matrix dimensions must be naturals")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries,"
-                f" got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        if semiring.name in _PAYLOAD_OPS:
+            payloads = _payloads(entries, semiring.name)
+            if semiring in _KERNELS:
+                entries = tuple(payloads)
+        self.__dict__.update(semiring=semiring, rows=rows, cols=cols, values=entries)
 
     @property
     def tag(self) -> str:
         return self.semiring.name
 
+    @property
+    def entries(self) -> tuple:
+        return self._box(self.values)
+
+    def _box(self, values) -> tuple:
+        if self.semiring not in _KERNELS:
+            return tuple(values)
+        tag = self.semiring.name
+        return tuple(Scalar(tag, v) for v in values)
+
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexOutOfRange(f"entry ({i},{j}) of a {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
+        return self._box((self.values[i * self.cols + j],))[0]
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self._box(self.values[i * self.cols : (i + 1) * self.cols])
+
+    def _key(self) -> tuple:
+        """The values, with a built-in's scalars held by a descriptor of
+        its name unwrapped, as the built-in stores them."""
+        S = self.semiring
+        if S in _KERNELS or S.name not in _PAYLOAD_OPS:
+            return self.values
+        try:
+            return tuple(_payloads(self.values, S.name))
+        except TagMismatch:
+            return self.values
 
     def __eq__(self, other) -> bool:
         return (
@@ -153,11 +190,11 @@ class Matrix:
             and self.tag == other.tag
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._key() == other._key()
         )
 
     def __hash__(self) -> int:
-        return hash(("matrix", self.tag, self.rows, self.cols, self.entries))
+        return hash(("matrix", self.tag, self.rows, self.cols, self._key()))
 
     def __str__(self) -> str:
         body = ",".join(
@@ -166,26 +203,34 @@ class Matrix:
         return f"[{body}]"
 
 
+def _matrix(S: SemiringDescriptor, rows: int, cols: int, values) -> Matrix:
+    """The matrix that stores ``values`` as they are, checking nothing:
+    how the operations, the ``.mat`` reader and ``bounded_paths`` build a
+    result from payloads."""
+    m = object.__new__(Matrix)
+    m.__dict__.update(semiring=S, rows=rows, cols=cols, values=tuple(values))
+    return m
+
+
 def matrix(S: SemiringDescriptor, rows: Sequence[Sequence]) -> Matrix:
     """Build a matrix from a list of rows, validating shape and tags."""
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    flat = []
-    for r in rows:
-        if len(r) != m:
-            raise DimensionMismatch("ragged rows")
-        flat.extend(r)
-    if S.name in _PAYLOAD_OPS:
-        _payloads(flat, S.name)
-    return Matrix(S, n, m, tuple(flat))
+    m = len(rows[0]) if rows else 0
+    if any(len(r) != m for r in rows):
+        raise DimensionMismatch("ragged rows")
+    return Matrix(S, len(rows), m, [x for r in rows for x in r])
 
 
-def _same_theory(g, h) -> SemiringDescriptor:
-    """g's semiring, if h's has its name; g and h are matrices or grids."""
+def _same_theory(g: Matrix, h: Matrix) -> tuple:
+    """g's semiring S, if h's has its name, and h's values as a matrix over
+    S stores them: unwrapped, each checked, for a built-in S, else boxed."""
     S, T = g.semiring, h.semiring
     if S.name != T.name:
         raise TagMismatch(f"matrices over {S.name} and {T.name} cannot be combined")
-    return S
+    if T is S:
+        return S, h.values
+    if S in _KERNELS:
+        return S, tuple(_payloads(h.values, S.name))
+    return S, h.entries
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +299,21 @@ def _gaussian_products(rows: list, cols: list) -> list:
 class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
     of one matrix and the columns of another and returns every row-by-column
-    sum of products, row major; the rest are the scalar operations."""
+    sum of products, row major; the rest are the scalar operations and
+    constants, on values as a matrix stores them."""
 
     products: Callable[[list, list], list]
     add: Callable
     mul: Callable
     star: Callable | None
+    zero: object
+    one: object
 
 
 # Keyed on the descriptor objects, which hash by identity: a descriptor
 # that merely shares a built-in's name keeps its own operations.
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
-    S: _Kernel(products, *_PAYLOAD_OPS[S.name])
+    S: _Kernel(products, *_PAYLOAD_OPS[S.name], S.zero.payload, S.one.payload)
     for S, products in (
         (NAT, _nat_products),
         (BOOL, _bool_products),
@@ -289,7 +337,7 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
                 out.append(acc)
         return out
 
-    return _Kernel(products, S.add, S.mul, S.star)
+    return _Kernel(products, S.add, S.mul, S.star, S.zero, S.one)
 
 
 def _kernel(S: SemiringDescriptor) -> _Kernel:
@@ -297,119 +345,80 @@ def _kernel(S: SemiringDescriptor) -> _Kernel:
     return _KERNELS.get(S) or _generic(S)
 
 
-class _Grid(NamedTuple):
-    """A matrix as the cores take it: payloads over a built-in, else entries."""
-
-    semiring: SemiringDescriptor
-    rows: int
-    cols: int
-    values: Sequence
-
-
-def _open(m: Matrix, S: SemiringDescriptor | None = None) -> _Grid:
-    """m's grid for the kernel of S (by default m's semiring): each entry
-    checked to carry S's name and unwrapped, if S is a built-in. A matrix
-    of another name is left as it is, for a core to reject by name."""
-    S = m.semiring if S is None else S
-    values = m.entries
-    if S in _KERNELS and m.tag == S.name:
-        values = _payloads(values, S.name)
-    return _Grid(m.semiring, m.rows, m.cols, values)
-
-
-def _close(S: SemiringDescriptor, rows: int, cols: int, values: Sequence) -> Matrix:
-    """The matrix of a grid's values, each payload wrapped once as a scalar."""
-    if S in _KERNELS:
-        tag = S.name
-        values = [Scalar(tag, v) for v in values]
-    return Matrix(S, rows, cols, tuple(values))
-
-
-def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
-    return Matrix(
-        S, n, n, tuple(S.one if i == j else S.zero for i in range(n) for j in range(n))
+def _indicator(S: SemiringDescriptor, rows: int, cols: int, one_at) -> Matrix:
+    """The rows x cols matrix with one at each (i, j) where one_at(i, j)
+    holds and zero elsewhere."""
+    k = _kernel(S)
+    return _matrix(
+        S, rows, cols,
+        (k.one if one_at(i, j) else k.zero for i in range(rows) for j in range(cols)),
     )
 
 
-def _compose(g: _Grid, h: _Grid) -> _Grid:
-    S = _same_theory(g, h)
+def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
+    return _indicator(S, n, n, eq)
+
+
+def mat_compose(g: Matrix, h: Matrix) -> Matrix:
+    """The composite "g then h" (g: n -> m, h: m -> p)."""
+    S, b = _same_theory(g, h)
     if g.cols != h.rows:
         raise DimensionMismatch(
             f"cannot compose {g.rows}x{g.cols} with {h.rows}x{h.cols}"
         )
     a, m, p = g.values, g.cols, h.cols
     rows = [a[i * m : (i + 1) * m] for i in range(g.rows)]
-    cols = [h.values[k::p] for k in range(p)]
-    return _Grid(S, g.rows, p, _kernel(S).products(rows, cols))
-
-
-def mat_compose(g: Matrix, h: Matrix) -> Matrix:
-    """The composite "g then h" (g: n -> m, h: m -> p)."""
-    return _close(*_compose(_open(g), _open(h, g.semiring)))
+    cols = [b[k::p] for k in range(p)]
+    return _matrix(S, g.rows, p, _kernel(S).products(rows, cols))
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return Matrix(
-        S, n, n + m,
-        tuple(S.one if i == j else S.zero for i in range(n) for j in range(n + m)),
-    )
+    return _indicator(S, n, n + m, eq)
 
 
 def mat_coproj2(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return Matrix(
-        S, m, n + m,
-        tuple(S.one if j == n + i else S.zero for i in range(m) for j in range(n + m)),
-    )
+    return _indicator(S, m, n + m, lambda i, j: j == n + i)
 
 
 def mat_proj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return Matrix(
-        S, n + m, n,
-        tuple(S.one if i == j else S.zero for i in range(n + m) for j in range(n)),
-    )
+    return _indicator(S, n + m, n, eq)
 
 
 def mat_proj2(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return Matrix(
-        S, n + m, m,
-        tuple(S.one if i == n + j else S.zero for i in range(n + m) for j in range(m)),
-    )
+    return _indicator(S, n + m, m, lambda i, j: i == n + j)
 
 
 def mat_cotuple(f: Matrix, g: Matrix) -> Matrix:
     """[f, g]: stack rows; both maps must share the codomain."""
-    S = _same_theory(f, g)
+    S, b = _same_theory(f, g)
     if f.cols != g.cols:
         raise DimensionMismatch("cotuple needs a common codomain")
-    return Matrix(S, f.rows + g.rows, f.cols, f.entries + g.entries)
+    return _matrix(S, f.rows + g.rows, f.cols, f.values + b)
 
 
 def mat_tuple(f: Matrix, g: Matrix) -> Matrix:
     """<f, g>: juxtapose columns; both maps must share the domain."""
-    S = _same_theory(f, g)
+    S, b = _same_theory(f, g)
     if f.rows != g.rows:
         raise DimensionMismatch("tuple needs a common domain")
-    entries = []
-    for i in range(f.rows):
-        entries.extend(f.row(i))
-        entries.extend(g.row(i))
-    return Matrix(S, f.rows, f.cols + g.cols, tuple(entries))
+    a, p, q = f.values, f.cols, g.cols
+    rows = (a[i * p : (i + 1) * p] + b[i * q : (i + 1) * q] for i in range(f.rows))
+    return _matrix(S, f.rows, p + q, [x for row in rows for x in row])
 
 
-def _parallel(f: Matrix, g: Matrix) -> SemiringDescriptor:
-    S = _same_theory(f, g)
+def _parallel(f: Matrix, g: Matrix) -> tuple:
+    S, b = _same_theory(f, g)
     if f.rows != g.rows or f.cols != g.cols:
         raise DimensionMismatch("can only add parallel matrices")
-    return S
+    return S, b
 
 
 def mat_add(f: Matrix, g: Matrix) -> Matrix:
     """Hom-set addition, computed entry by entry. It equals
     :func:`mat_add_biproduct`, the paper's derived addition, which the
     ``add-entrywise`` law checks against entrywise sums."""
-    S = _parallel(f, g)
-    a, b = _open(f).values, _open(g, S).values
-    return _close(S, f.rows, f.cols, list(map(_kernel(S).add, a, b)))
+    S, b = _parallel(f, g)
+    return _matrix(S, f.rows, f.cols, map(_kernel(S).add, f.values, b))
 
 
 def mat_add_biproduct(f: Matrix, g: Matrix) -> Matrix:
@@ -417,7 +426,7 @@ def mat_add_biproduct(f: Matrix, g: Matrix) -> Matrix:
     block sum of f and g, then the codiagonal. This function never touches
     entries directly. It is the addition of :func:`homset_semiring`, so the
     law suites check the derived construction rather than a shortcut."""
-    S = _parallel(f, g)
+    S, _ = _parallel(f, g)
     n, m = f.rows, f.cols
     diag = mat_tuple(mat_identity(S, n), mat_identity(S, n))
     blocked = mat_cotuple(
@@ -442,37 +451,28 @@ def coord_join(n: int, m: int, a: int, b: int) -> int:
     return a * m + b
 
 
-def _tensor(g: _Grid, h: _Grid) -> _Grid:
-    S = _same_theory(g, h)
-    a, b = g.values, h.values
-    m, p = g.rows, g.cols
+def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
+    """Tensor of g: m -> p with h: n -> q, flattened by the fixed
+    coordinatisation on rows (inner factor n) and columns (inner factor q)."""
+    S, b = _same_theory(g, h)
+    a, m, p = g.values, g.rows, g.cols
     n, q = h.rows, h.cols
     g_rows = [a[i * p : (i + 1) * p] for i in range(m)]
     h_rows = [b[i * q : (i + 1) * q] for i in range(n)]
     times = _kernel(S).mul
-    return _Grid(
+    return _matrix(
         S, m * n, p * q,
         [times(x, y) for r in g_rows for s in h_rows for x in r for y in s],
     )
 
 
-def mat_tensor(g: Matrix, h: Matrix) -> Matrix:
-    """Tensor of g: m -> p with h: n -> q, flattened by the fixed
-    coordinatisation on rows (inner factor n) and columns (inner factor q)."""
-    return _close(*_tensor(_open(g), _open(h, g.semiring)))
-
-
-def _dagger(f: _Grid) -> _Grid:
+def mat_dagger(f: Matrix) -> Matrix:
+    """Starred transpose."""
     S = f.semiring
     if S.star is None:
         raise NoInvolution(f"semiring {S.name} has no star")
     a, n, star = f.values, f.cols, _kernel(S).star
-    return _Grid(S, n, f.rows, [star(x) for j in range(n) for x in a[j::n]])
-
-
-def mat_dagger(f: Matrix) -> Matrix:
-    """Starred transpose."""
-    return _close(*_dagger(_open(f)))
+    return _matrix(S, n, f.rows, [star(x) for j in range(n) for x in a[j::n]])
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +509,7 @@ def aleph0_compose(f: Aleph0Map, g: Aleph0Map) -> Aleph0Map:
 
 def aleph0_embed(f: Aleph0Map, S: SemiringDescriptor) -> Matrix:
     """The 0/1 matrix of a function; identity on objects and functorial."""
-    return Matrix(
-        S,
-        f.dom,
-        f.cod,
-        tuple(
-            S.one if f(i) == j else S.zero for i in range(f.dom) for j in range(f.cod)
-        ),
-    )
+    return _indicator(S, f.dom, f.cod, lambda i, j: f(i) == j)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +556,6 @@ def parse_mat_text(text: str) -> Matrix:
     distinct rational part of a gaussian literal is converted once per call.
     Errors carry the offending line and column.
     """
-    return _close(*_read_mat(text))
-
-
-def _read_mat(text: str) -> _Grid:
-    """The grid of bare payloads that :func:`parse_mat_text` reads."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("line 1, column 1: empty matrix file")
@@ -623,22 +611,18 @@ def _read_mat(text: str) -> _Grid:
     for extra in range(rows + 2, len(lines) + 1):
         if lines[extra - 1].strip():
             raise FormatError(f"line {extra}, column 1: unexpected trailing content")
-    return _Grid(S, rows, cols, values)
+    return _matrix(S, rows, cols, values)
 
 
 def render_mat_text(m: Matrix) -> str:
     """Render a matrix over a built-in scalar semiring; inverse of
-    :func:`parse_mat_text`, byte for byte. Every entry must carry the
-    matrix's tag (else :class:`TagMismatch`), and each is written by that
-    semiring's renderer."""
-    if m.tag not in SEMIRINGS:
-        raise FormatError(f"semiring {m.tag!r} has no file rendering")
-    return _write_mat(_Grid(m.semiring, m.rows, m.cols, _payloads(m.entries, m.tag)))
-
-
-def _write_mat(g: _Grid) -> str:
-    """The text of a grid of payloads over a built-in semiring."""
-    tag = g.semiring.name
-    lines = [f"semiring {tag} {g.rows} {g.cols}"]
-    lines += _render_rows(tag, g.values, g.rows, g.cols)
-    return "\n".join(lines) + "\n"
+    :func:`parse_mat_text`, byte for byte. A built-in's payloads were
+    checked when they entered; the entries of a descriptor that merely
+    carries a built-in's name are checked here (else :class:`TagMismatch`).
+    Each value is written by that semiring's renderer."""
+    tag = m.tag
+    if tag not in SEMIRINGS:
+        raise FormatError(f"semiring {tag!r} has no file rendering")
+    values = m.values if m.semiring in _KERNELS else _payloads(m.values, tag)
+    lines = _render_rows(tag, values, m.rows, m.cols)
+    return "\n".join([f"semiring {tag} {m.rows} {m.cols}", *lines]) + "\n"

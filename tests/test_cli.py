@@ -268,6 +268,39 @@ def test_shortest_path_goldens(capsys):
     assert capsys.readouterr().out == golden("line4_k3.out")
 
 
+@pytest.mark.parametrize(
+    "graph, hops, weights", [("cycle3.graph", "2", {"1"}), ("line4.graph", "3", {"2", "-1", "5"})]
+)
+def test_shortest_path_boxes_only_the_distinct_weights(capsys, monkeypatch, graph, hops, weights):
+    """The table is built, computed and written on payloads: no _payloads
+    call, and a Scalar only for each distinct weight text of the file."""
+    unwraps, boxed, inside = [], [], []
+    for module in (algebra, matcat, cli):
+        if hasattr(module, "_payloads"):
+            original = module._payloads
+            monkeypatch.setattr(
+                module, "_payloads", lambda *a, f=original: unwraps.append(a) or f(*a)
+            )
+    scalar_init = Scalar.__init__
+    monkeypatch.setattr(
+        Scalar, "__init__", lambda self, *a: boxed.append(a) or scalar_init(self, *a)
+    )
+    parse = cli.parse_graph_text
+
+    def counted_parse(text):
+        before = len(boxed)
+        spec = parse(text)
+        inside.append(len(boxed) - before)
+        return spec
+
+    monkeypatch.setattr(cli, "parse_graph_text", counted_parse)
+    assert main(["shortest-path", "--graph", fx(graph), "--max-hops", hops]) == 0
+    assert unwraps == []
+    assert inside == [len(boxed)]
+    assert len(boxed) <= len(weights)
+    assert capsys.readouterr().out == golden(f"{graph.split('.')[0]}_k{hops}.out")
+
+
 def test_shortest_path_on_the_empty_graph_writes_no_rows(capsys, tmp_path):
     empty = tmp_path / "empty.graph"
     empty.write_text("0\n")
@@ -385,6 +418,27 @@ def test_laws_usage_errors(capsys):
     assert main(["laws", "--suite", "monad-laws", "--semiring", "nope"]) == 2
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_laws_cases_above_the_cap_exit_2(capsys):
+    argv = ["laws", "--suite", "additivity", "--cases", str(cli.MAX_CASES + 1)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cases {cli.MAX_CASES + 1} is above the cap of {cli.MAX_CASES}\n"
+
+
+def test_laws_cases_at_the_cap_run(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CASES", 3)
+    assert main(["laws", "--suite", "dagger", "--cases", "3"]) == 0
+    assert capsys.readouterr().out.startswith("PASS ")
+    assert main(["laws", "--suite", "dagger", "--cases", "4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_the_default_cases_are_under_the_cap():
+    args = cli.build_parser().parse_args(["laws", "--suite", "dagger"])
+    assert args.cases == 100 <= cli.MAX_CASES
 
 
 @pytest.mark.parametrize("monoid", ["nat-mul", "nosuch"])

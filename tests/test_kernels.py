@@ -2,6 +2,7 @@
 five built-in semirings, against oracles that use only the descriptor's
 ``add``/``mul``/``star`` in plain loops."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from semicat.algebra import (
     NAT,
     SEMIRINGS,
+    Scalar,
     SemiringDescriptor,
     boolean,
     gaussian,
@@ -23,8 +25,12 @@ from semicat.matcat import (
     Matrix,
     mat_add,
     mat_compose,
+    mat_cotuple,
     mat_dagger,
+    mat_identity,
     mat_tensor,
+    mat_tuple,
+    matrix,
     render_mat_text,
 )
 
@@ -203,6 +209,74 @@ def test_the_first_factor_semiring_computes_when_two_share_a_name():
     ids=["compose", "tensor", "dagger", "add"],
 )
 def test_a_foreign_entry_is_a_tag_mismatch(op):
-    f = Matrix(NAT, 2, 2, (nat(1), tropical(2), nat(3), nat(4)))
     with pytest.raises(TagMismatch):
+        f = Matrix(NAT, 2, 2, (nat(1), tropical(2), nat(3), nat(4)))
         op(f)
+
+
+def test_a_builtin_matrix_cannot_hold_a_foreign_scalar():
+    message = "^expected a nat scalar, got the tropical scalar 2$"
+    with pytest.raises(TagMismatch, match=message):
+        mat_cotuple(Matrix(NAT, 1, 1, (tropical(2),)), Matrix(NAT, 1, 1, (nat(1),)))
+    with pytest.raises(TagMismatch, match=message):
+        matrix(NAT, [[nat(1), tropical(2)]])
+    with pytest.raises(TagMismatch, match="^expected a nat scalar, got an object of type int$"):
+        Matrix(NAT, 1, 1, (1,))
+
+
+@given(st.data(), names, dims, dims)
+def test_a_matrix_reads_back_the_scalars_it_was_given(data, name, r, c):
+    S = SEMIRINGS[name]
+    xs = tuple(data.draw(st.lists(scalars[name], min_size=r * c, max_size=r * c)))
+    ys = tuple(data.draw(st.lists(scalars[name], min_size=r * c, max_size=r * c)))
+    m, n = Matrix(S, r, c, xs), Matrix(S, r, c, list(ys))
+    assert m.entries == xs
+    assert all(m.entry(i, j) == xs[i * c + j] for i in range(r) for j in range(c))
+    assert [m.row(i) for i in range(r)] == [xs[i * c : (i + 1) * c] for i in range(r)]
+    rows = ("[" + ",".join(map(str, xs[i * c : (i + 1) * c])) + "]" for i in range(r))
+    assert str(m) == "[" + ",".join(rows) + "]"
+    assert (m == n) == (xs == ys)
+    assert m == Matrix(S, r, c, xs) and hash(m) == hash(Matrix(S, r, c, xs))
+    if xs == ys:
+        assert hash(m) == hash(n)
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_a_same_named_descriptor_equals_the_builtin(name):
+    S = SEMIRINGS[name]
+    twin = SemiringDescriptor(name, S.add, S.zero, S.mul, S.one, S.star)
+    values = (S.one, S.zero, S.one, S.one)
+    f, g = Matrix(twin, 2, 2, values), Matrix(S, 2, 2, values)
+    assert f == g and g == f
+    assert hash(f) == hash(g)
+    assert render_mat_text(f) == render_mat_text(g)
+    assert f != Matrix(S, 2, 2, (S.zero,) * 4)
+
+
+def test_a_deep_copy_keeps_the_builtin_semiring():
+    m = Matrix(NAT, 1, 2, (nat(1), nat(2)))
+    c = copy.deepcopy(m)
+    assert c.semiring is NAT
+    assert c == m and c.entries == m.entries
+    assert mat_compose(c, mat_dagger(m)) == Matrix(NAT, 1, 1, (nat(5),))
+
+
+def test_the_operations_on_builtin_matrices_build_no_scalar(monkeypatch):
+    for name in sorted(SEMIRINGS):
+        S = SEMIRINGS[name]
+        f = Matrix(S, 2, 2, (S.one, S.zero, S.one, S.one))
+        g = Matrix(S, 2, 3, (S.zero, S.one, S.one, S.one, S.zero, S.one))
+        built = []
+        init = Scalar.__init__
+        monkeypatch.setattr(
+            Scalar, "__init__", lambda self, *a: built.append(a) or init(self, *a)
+        )
+        mat_compose(f, g)
+        mat_tensor(f, g)
+        mat_add(g, g)
+        mat_dagger(g)
+        mat_tuple(f, g)
+        mat_cotuple(f, mat_dagger(f))
+        mat_identity(S, 3)
+        monkeypatch.undo()
+        assert built == [], name

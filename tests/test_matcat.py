@@ -322,11 +322,11 @@ def test_each_distinct_gaussian_part_is_converted_once(monkeypatch):
 
 
 def test_render_checks_every_entry_against_the_matrix_tag():
-    m = Matrix(NAT, 1, 2, (tropical(None), rational("1/2")))
     with pytest.raises(TagMismatch, match="^expected a nat scalar, got the tropical scalar inf$"):
+        m = Matrix(NAT, 1, 2, (tropical(None), rational("1/2")))
         render_mat_text(m)
-    m = Matrix(GAUSSIAN, 2, 1, (gaussian(1, 2), rational("1/2")))
     with pytest.raises(TagMismatch, match="^expected a gaussian scalar, got the ratnn scalar 1/2$"):
+        m = Matrix(GAUSSIAN, 2, 1, (gaussian(1, 2), rational("1/2")))
         render_mat_text(m)
 
 
