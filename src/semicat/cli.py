@@ -3,9 +3,12 @@
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
 matrix calculator over the built-in semirings, ``shortest-path`` computes
 the bounded-hop distance table of a graph as the power (I + A)^h of its
-tropical weight matrix A, by Lehmann's closure when h >= n - 1 and no
-cycle is negative (n^3 steps), else by repeated squaring (O(n^3 log h)),
-and ``roundtrip`` drives the adjunction transposes there and back.
+tropical weight matrix A, and ``roundtrip`` drives the adjunction
+transposes there and back. When no cycle is negative, one n^3 closure
+usually answers: Lehmann's closure of I + A when h >= n - 1, and below
+that its closure over (distance, hops) pairs, which answers when no pair's
+cheapest walk needs more than h edges (see :func:`bounded_paths`). Any
+other case falls back to repeated squaring, O(n^3 log h).
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
@@ -159,9 +162,24 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     S_(n-1) = S_h: each simple cycle c was in some pivot's diagonal, so
     1 + c = 1, and a walk through c adds nothing to the walk without it.
     Over tropical a failed pivot is a negative cycle; over bool none fails
-    (Warshall). Otherwise binary powering takes at most two products per
-    bit of ``hops`` after the first, O(n^3 log h), and stops when a square
-    repeats, B^(2k) = B^k: in the natural order B^k <= B^m <= B^(2k) for
+    (Warshall).
+
+    Over tropical with 0 < hops < n - 1, it first runs the same closure on
+    (distance, hops) pairs, ordered lexicographically (Lehmann's closure
+    over the lexicographic semiring): each finite entry x of B at (i, j) is
+    coded as the int x * K + (i != j) with K = 2n, so a walk's code is its
+    weight times K plus its length, and the tropical pivot runs on the
+    codes unchanged. A simple cycle of weight w and at most n edges has a
+    code below 0 exactly when w < 0, so the pivots pass exactly when no
+    cycle is negative. Then every least code is reached by a simple path,
+    since dropping a cycle of weight >= 0 lowers the code; its length is at
+    most n - 1 < K, so ``// K`` and ``% K`` read back the distance and the
+    fewest edges among the cheapest walks (floor division keeps negative
+    distances exact). If that hop count is at most ``hops`` for every pair,
+    the closure's distances are S_h. Otherwise, as after a failed pivot,
+    binary powering answers: at most two products per bit of ``hops``
+    after the first, O(n^3 log h), stopping when a square repeats,
+    B^(2k) = B^k: in the natural order B^k <= B^m <= B^(2k) for
     k <= m <= 2k, so every later power is B^k. Any other semiring raises
     :class:`NotIdempotent`.
     """
@@ -179,6 +197,10 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     rows = [base[i * n : (i + 1) * n] for i in range(n)]
     if hops >= n - 1 and all(_pivot(ops, rows, k) for k in range(n)):
         return _matrix(S, n, n, [x for row in rows for x in row])
+    if S is TROPICAL and hops < n - 1:
+        closed = _hop_closure(ops, rows, hops)
+        if closed is not None:
+            return _matrix(S, n, n, closed)
     acc = base = list(base)  # B^k, k the bits of hops read so far
     for bit in bin(hops)[3:]:
         square = _product(ops, n, acc, acc)
@@ -197,15 +219,26 @@ def _product(ops, n: int, f: list, g: list) -> list:
 def _pivot(ops, rows: list, k: int) -> bool:
     """Pivot k of the closure of ``rows``, in place; False, changing
     nothing, when d_kk is not one."""
-    pivot = rows[k]
-    if pivot[k] != ops.one:
-        return False
-    add, mul, zero = ops.add, ops.mul, ops.zero
-    for i, row in enumerate(rows):
-        d = row[k]
-        if i != k and d != zero:
-            rows[i] = list(map(add, row, [mul(d, x) for x in pivot]))
-    return True
+    return ops.pivot(rows, k)
+
+
+def _hop_closure(ops, rows: list, hops: int) -> list | None:
+    """S_hops over tropical, row major, from the closure of the rows of
+    B = I + A on (distance, hops) codes (see :func:`bounded_paths`); None
+    when a pivot fails or some pair's fewest hops exceed ``hops``. ``rows``
+    is left as it is."""
+    n = len(rows)
+    K = 2 * n
+    codes = [
+        [None if x is None else x * K + (i != j) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if not all(ops.pivot(codes, k) for k in range(n)):
+        return None
+    flat = [c for row in codes for c in row]
+    if max((c % K for c in flat if c is not None), default=0) > hops:
+        return None
+    return [None if c is None else c // K for c in flat]
 
 
 def _read_input(path: str) -> str:

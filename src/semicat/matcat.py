@@ -46,7 +46,10 @@ combines. Any other descriptor (hom-set and evaluation semirings, or one
 that merely carries a built-in's name) computes with its own
 ``add``/``mul``/``star``, one call per scalar step; the ``compose-oracle``
 law compares the kernels with a triple loop over the descriptor's
-operations.
+operations. Each kernel also carries the pivot of Lehmann's closure, which
+``shortest-path`` runs: tropical's updates a row in one comprehension on
+ints and ``None``, and every other kernel's, built-in or not, makes one
+``add`` and one ``mul`` call per entry.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
 renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
@@ -296,13 +299,48 @@ def _gaussian_products(rows: list, cols: list) -> list:
     return out
 
 
+def _tropical_pivot(rows: list, k: int) -> bool:
+    # Pivot k of the closure on ints and None: min-plus in one pass per row.
+    pivot = rows[k]
+    if pivot[k] != 0:
+        return False
+    for i, row in enumerate(rows):
+        d = row[k]
+        if i != k and d is not None:
+            rows[i] = [
+                x if y is None else (y + d if x is None or y + d < x else x)
+                for x, y in zip(row, pivot)
+            ]
+    return True
+
+
+def _pivot_of(add: Callable, mul: Callable, zero, one) -> Callable[[list, int], bool]:
+    """The closure pivot of the semiring with these operations."""
+
+    def pivot(rows: list, k: int) -> bool:
+        row_k = rows[k]
+        if row_k[k] != one:
+            return False
+        for i, row in enumerate(rows):
+            d = row[k]
+            if i != k and d != zero:
+                rows[i] = list(map(add, row, [mul(d, x) for x in row_k]))
+        return True
+
+    return pivot
+
+
 class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
     of one matrix and the columns of another and returns every row-by-column
-    sum of products, row major; the rest are the scalar operations and
+    sum of products, row major. ``pivot(rows, k)`` is step k of Lehmann's
+    closure of the square matrix ``rows``, in place: when d_kk is one it adds
+    d_ik times row k to each row i != k and returns True, else it returns
+    False and changes nothing. The rest are the scalar operations and
     constants, on values as a matrix stores them."""
 
     products: Callable[[list, list], list]
+    pivot: Callable[[list, int], bool]
     add: Callable
     mul: Callable
     star: Callable | None
@@ -310,16 +348,25 @@ class _Kernel(NamedTuple):
     one: object
 
 
+def _payload_kernel(S: SemiringDescriptor, products: Callable, pivot) -> _Kernel:
+    """A built-in's kernel on payloads: ``products``, ``pivot`` (when None,
+    the generic pivot) and its operations from ``_PAYLOAD_OPS``."""
+    add, mul, star = _PAYLOAD_OPS[S.name]
+    zero, one = S.zero.payload, S.one.payload
+    pivot = pivot or _pivot_of(add, mul, zero, one)
+    return _Kernel(products, pivot, add, mul, star, zero, one)
+
+
 # Keyed on the descriptor objects, which hash by identity: a descriptor
 # that merely shares a built-in's name keeps its own operations.
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
-    S: _Kernel(products, *_PAYLOAD_OPS[S.name], S.zero.payload, S.one.payload)
-    for S, products in (
-        (NAT, _nat_products),
-        (BOOL, _bool_products),
-        (TROPICAL, _tropical_products),
-        (RATNN, _ratnn_products),
-        (GAUSSIAN, _gaussian_products),
+    S: _payload_kernel(S, products, pivot)
+    for S, products, pivot in (
+        (NAT, _nat_products, None),
+        (BOOL, _bool_products, None),
+        (TROPICAL, _tropical_products, _tropical_pivot),
+        (RATNN, _ratnn_products, None),
+        (GAUSSIAN, _gaussian_products, None),
     )
 }
 
@@ -337,7 +384,8 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
                 out.append(acc)
         return out
 
-    return _Kernel(products, S.add, S.mul, S.star, S.zero, S.one)
+    pivot = _pivot_of(S.add, S.mul, S.zero, S.one)
+    return _Kernel(products, pivot, S.add, S.mul, S.star, S.zero, S.one)
 
 
 def _kernel(S: SemiringDescriptor) -> _Kernel:

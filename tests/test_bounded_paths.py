@@ -21,6 +21,7 @@ from semicat.algebra import (
     NAT,
     RATNN,
     SemiringDescriptor,
+    TROPICAL,
     boolean,
     gaussian,
     nat,
@@ -487,3 +488,242 @@ def test_widest_paths_take_the_generic_closure():
         assert steps(lambda: check(n - 2))[0] == 0
         for hops in (n - 1, n + 3):
             assert steps(lambda: check(hops)) == (n, 0), (widths, hops)
+
+
+# ---------------------------------------------------------------------------
+# Below n - 1 over tropical: the closure on (distance, hops) codes, with the
+# squaring as its fallback when the hop bound binds or a cycle is negative
+
+
+def count_kernel_pivots(mp):
+    """Count the tropical kernel's pivot calls, wherever they come from."""
+    calls = []
+    kernel = _KERNELS[TROPICAL]
+
+    def counted(rows, k):
+        calls.append(k)
+        return kernel.pivot(rows, k)
+
+    mp.setitem(_KERNELS, TROPICAL, kernel._replace(pivot=counted))
+    return calls
+
+
+def route_steps(a, hops):
+    """(hop closures, kernel pivots, _pivot calls, payload products) that
+    ``bounded_paths(a, hops)`` takes, and its result."""
+    with pytest.MonkeyPatch.context() as mp:
+        closures = count_calls(mp, "_hop_closure")
+        kernel_pivots = count_kernel_pivots(mp)
+        pivots = count_calls(mp, "_pivot")
+        products = count_calls(mp, "_product")
+        got = bounded_paths(a, hops)
+    return (len(closures), len(kernel_pivots), len(pivots), len(products)), got
+
+
+def closure_rows(a):
+    """The rows of B = I + a, as ``bounded_paths`` hands them to a closure."""
+    n = a.rows
+    base = mat_add(mat_identity(a.semiring, n), a).values
+    return [list(base[i * n : (i + 1) * n]) for i in range(n)]
+
+
+def fewest_hops_oracle(weights):
+    """For each pair, (distance, fewest edges among the cheapest walks), or
+    None when unreachable: the hop loop over pairs compared as tuples, run
+    for n - 1 hops. Right only for a graph with no negative cycle, whose
+    lexicographically least walks are simple."""
+    n = len(weights)
+    best = [[(0, 0) if i == j else None for j in range(n)] for i in range(n)]
+    for _ in range(n - 1):
+        best = [
+            [
+                min(
+                    [best[i][j]]
+                    + [
+                        (best[i][k][0] + weights[k][j], best[i][k][1] + 1)
+                        for k in range(n)
+                        if best[i][k] is not None and weights[k][j] is not None
+                    ],
+                    key=lambda p: (p is None, p),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return best
+
+
+def max_fewest_hops(weights):
+    return max((p[1] for row in fewest_hops_oracle(weights) for p in row if p), default=0)
+
+
+def chain_weights(n):
+    """A complete graph whose edge i -> i+1 costs 1 and whose other edges
+    cost 2n: the cheapest path from 0 to n - 1 is the chain, n - 1 hops."""
+    return [[1 if j == i + 1 else 2 * n for j in range(n)] for i in range(n)]
+
+
+def test_below_n_minus_1_one_hop_closure_and_no_squaring():
+    # Every edge costs 1, so every cheapest walk is one edge.
+    n = 7
+    weights = [[1] * n for _ in range(n)]
+    for hops in range(1, n - 1):
+        (closures, kernel_pivots, pivots, products), got = route_steps(
+            tropical_matrix(weights), hops
+        )
+        assert (closures, pivots, products) == (1, 0, 0), hops
+        assert kernel_pivots <= n
+        assert payloads(got) == min_plus_oracle(weights, hops)
+
+
+def test_a_zero_weight_cycle_and_a_tie_take_the_hop_closure():
+    # 0 <-> 1 weighs 0 both ways, and 0 -> 3 costs 2 both directly and
+    # through 2: the shorter walk wins each tie, so 1 -> 0 -> 3 is the
+    # longest, and hops = 2 = n - 2 does not bind.
+    weights = [
+        [None, 0, 1, 2],
+        [0, None, None, None],
+        [None, None, None, 1],
+        [None, None, None, None],
+    ]
+    assert max_fewest_hops(weights) == 2
+    (closures, _, pivots, products), got = route_steps(tropical_matrix(weights), 2)
+    assert (closures, pivots, products) == (1, 0, 0)
+    assert payloads(got) == min_plus_oracle(weights, 2)
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(n):
+    weights = chain_weights(n)
+    a = tropical_matrix(weights)
+    assert max_fewest_hops(weights) == n - 1
+    # At n - 2 the bound binds: the hop closure runs and the squaring answers.
+    (closures, kernel_pivots, pivots, products), _ = route_steps(a, n - 2)
+    assert (closures, kernel_pivots, pivots) == (1, n, 0)
+    assert 0 < products <= 2 * ((n - 2).bit_length() - 1)
+    check_against_oracles(a, weights, n - 2)
+    # At n - 1 the plain closure runs, reaching the kernel pivot through _pivot.
+    assert route_steps(a, n - 1)[0] == (0, n, n, 0)
+    assert check_against_oracles(a, weights, n - 1)[0][n - 1] == n - 1
+    rows = closure_rows(a)
+    assert cli._hop_closure(_KERNELS[TROPICAL], rows, n - 2) is None
+    assert cli._hop_closure(_KERNELS[TROPICAL], rows, n - 1) == [
+        x for row in min_plus_oracle(weights, n - 1) for x in row
+    ]
+
+
+def test_a_negative_cycle_below_n_minus_1_falls_back_to_squaring():
+    n = 6
+    weights = [[None] * n for _ in range(n)]
+    for i in range(n):
+        weights[i][(i + 1) % n] = 2
+    weights[2][1] = -3  # 1 -> 2 -> 1 weighs -1
+    for hops in (1, 2, 3, n - 2):
+        (closures, kernel_pivots, pivots, products), _ = route_steps(
+            tropical_matrix(weights), hops
+        )
+        assert (closures, pivots) == (1, 0), hops
+        assert kernel_pivots <= n
+        assert products <= 2 * (hops.bit_length() - 1)
+        check_against_oracles(tropical_matrix(weights), weights, hops)
+
+
+def test_a_tropical_closure_reaches_the_kernel_pivot_through_pivot(monkeypatch):
+    inside = []
+    kernel = _KERNELS[TROPICAL]
+    original = cli._pivot
+
+    def pivot(ops, rows, k):
+        inside.append(True)
+        try:
+            return original(ops, rows, k)
+        finally:
+            inside.pop()
+
+    def kernel_pivot(rows, k):
+        assert inside == [True]
+        return kernel.pivot(rows, k)
+
+    monkeypatch.setattr(cli, "_pivot", pivot)
+    monkeypatch.setitem(_KERNELS, TROPICAL, kernel._replace(pivot=kernel_pivot))
+    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    assert payloads(bounded_paths(tropical_matrix(weights), 2)) == min_plus_oracle(weights, 2)
+
+
+@pytest.mark.parametrize("hops", range(0, 9))
+def test_bool_and_bottleneck_never_take_the_hop_closure(monkeypatch, hops):
+    closures = count_calls(monkeypatch, "_hop_closure")
+    n = 7
+    chain = [j == i + 1 for i in range(n) for j in range(n)]
+    bools = Matrix(BOOL, n, n, tuple(boolean(e) for e in chain))
+    widths = Matrix(BOTTLENECK, n, n, tuple(K if e else 0 for e in chain))
+    assert bounded_paths(bools, hops) == _doubling_paths(bools, hops)
+    assert bounded_paths(widths, hops) == _doubling_paths(widths, hops)
+    assert closures == []
+
+
+# Hop bounds spread around n - 1, the switch between the two closures.
+NEAR_N = st.one_of(st.integers(-3, 2), st.integers(-3, 40))
+
+
+@st.composite
+def potential_graphs(draw):
+    """A graph with no negative cycle but possibly negative edges: edge
+    (i, j) costs c + p_i - p_j with c >= 0, so every cycle costs the sum of
+    its c's, and c = 0 is common, which makes zero-weight cycles and ties."""
+    n = draw(st.integers(0, 7))
+    p = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    cells = draw(
+        st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n * n, max_size=n * n)
+    )
+    rows = [cells[i * n : (i + 1) * n] for i in range(n)]
+    return [
+        [None if c is None else c + p[i] - p[j] for j, c in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(potential_graphs(), NEAR_N)
+def test_no_negative_cycle_around_n_minus_1(weights, offset):
+    n = len(weights)
+    hops = max(0, n - 1 + offset)
+    a = tropical_matrix(weights)
+    (closures, _, _, products), _ = route_steps(a, hops)
+    check_against_oracles(a, weights, hops)
+    if 0 < hops < n - 1:
+        assert closures == 1
+        rows = closure_rows(a)
+        closed = cli._hop_closure(_KERNELS[TROPICAL], rows, hops)
+        if max_fewest_hops(weights) <= hops:
+            assert products == 0
+            assert closed == [p and p[0] for row in fewest_hops_oracle(weights) for p in row]
+        else:
+            assert closed is None
+    else:
+        assert closures == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_edge_graphs(), NEAR_N)
+def test_negative_cycles_and_self_loops_around_n_minus_1(graph, offset):
+    # Weights down to -6 give many graphs a negative cycle or self-loop.
+    spec, weights = graph
+    n = spec.nodes
+    hops = max(0, n - 1 + offset)
+    (closures, kernel_pivots, _, products), _ = route_steps(graph_matrix(spec), hops)
+    assert closures == (1 if 0 < hops < n - 1 else 0)
+    assert kernel_pivots <= n
+    assert products <= 2 * max(hops.bit_length() - 1, 0)
+    check_against_oracles(graph_matrix(spec), weights, hops)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[], [[None]], [[0]], [[3]], [[-1]], [[None, 2], [-5, None]], [[None, 2], [1, -1]],
+     [[0, 0], [0, 0]], [[None, -3], [4, None]]],
+    ids=str,
+)
+@pytest.mark.parametrize("hops", [0, 1, 2, 3])
+def test_graphs_of_at_most_two_nodes(weights, hops):
+    check_against_oracles(tropical_matrix(weights), weights, hops)
