@@ -177,11 +177,11 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     fewest edges among the cheapest walks (floor division keeps negative
     distances exact). If that hop count is at most ``hops`` for every pair,
     the closure's distances are S_h. Otherwise, as after a failed pivot,
-    binary powering answers: at most two products per bit of ``hops``
-    after the first, O(n^3 log h), stopping when a square repeats,
-    B^(2k) = B^k: in the natural order B^k <= B^m <= B^(2k) for
-    k <= m <= 2k, so every later power is B^k. Any other semiring raises
-    :class:`NotIdempotent`.
+    binary powering of B with :func:`mat_compose` answers: at most two
+    products per bit of ``hops`` after the first, O(n^3 log h), stopping
+    when a square repeats, B^(2k) = B^k: in the natural order
+    B^k <= B^m <= B^(2k) for k <= m <= 2k, so every later power is B^k.
+    Any other semiring raises :class:`NotIdempotent`.
     """
     if hops < 0:
         raise ValueError(f"hops must be a natural number, got {hops}")
@@ -193,27 +193,21 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     eye = mat_identity(S, n)
     if hops == 0:
         return eye
-    base = mat_add(eye, a).values
-    rows = [base[i * n : (i + 1) * n] for i in range(n)]
+    base = mat_add(eye, a)
+    rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
     if hops >= n - 1 and all(_pivot(ops, rows, k) for k in range(n)):
         return _matrix(S, n, n, [x for row in rows for x in row])
     if S is TROPICAL and hops < n - 1:
         closed = _hop_closure(ops, rows, hops)
         if closed is not None:
             return _matrix(S, n, n, closed)
-    acc = base = list(base)  # B^k, k the bits of hops read so far
+    acc = base  # B^k, k the bits of hops read so far
     for bit in bin(hops)[3:]:
-        square = _product(ops, n, acc, acc)
+        square = mat_compose(acc, acc)
         if square == acc:
             break
-        acc = _product(ops, n, square, base) if bit == "1" else square
-    return _matrix(S, n, n, acc)
-
-
-def _product(ops, n: int, f: list, g: list) -> list:
-    """The row-major payloads of "f then g", both n x n payload lists."""
-    rows = [f[i * n : (i + 1) * n] for i in range(n)]
-    return ops.products(rows, [g[k::n] for k in range(n)])
+        acc = mat_compose(square, base) if bit == "1" else square
+    return acc
 
 
 def _pivot(ops, rows: list, k: int) -> bool:
@@ -377,10 +371,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except SemicatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SemicatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

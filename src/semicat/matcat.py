@@ -14,16 +14,17 @@ composite, and the hom-set semiring of endomaps of 1
 derived construction against entrywise addition. :func:`mat_add` is the
 entrywise sum that other callers, such as the shortest-path command, use.
 
-A :class:`Matrix` over one of the built-in descriptor objects (``NAT``,
-``BOOL``, ``TROPICAL``, ``RATNN``, ``GAUSSIAN``) stores the bare payloads
-of its entries. Scalars are checked once, where they enter: the
-constructor raises :class:`TagMismatch` on an entry of another semiring
-and unwraps the rest. They are boxed only on read, by ``entries``,
-``entry``, ``row`` and ``str``. The operations and the ``.mat`` reader
-build their results from payloads and check nothing again. A matrix over
-any other descriptor keeps its entries as given. When two operands'
-descriptors share a name but are different objects, the first operand's
-descriptor computes, on the second's values converted to its storage.
+A semiring's name is its identity, so a matrix's storage follows the
+name and its arithmetic follows the descriptor object. A :class:`Matrix`
+over a semiring named as a built-in (``nat``, ``bool``, ``tropical``,
+``ratnn``, ``gaussian``) stores the bare payloads of its entries. Scalars
+are checked once, where they enter: the constructor raises
+:class:`TagMismatch` on an entry of another semiring and unwraps the rest.
+They are boxed only on read, by ``entries``, ``entry``, ``row`` and
+``str``. The operations and the ``.mat`` reader build their results from
+payloads and check nothing again. A matrix over any other descriptor keeps
+its entries as given. Two operands combine when their semirings share a
+name, and the first operand's descriptor computes.
 
 Over a built-in, entrywise add, tensor and dagger use its payload
 operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
@@ -42,14 +43,15 @@ per output part is the exact value, and since ``Fraction`` reduces to
 lowest terms it is the same canonical value, rendering to the same bytes,
 as a sum of ``Fraction`` products. Scaling per row and per column, not per
 matrix, keeps the integers as small as the denominators one output entry
-combines. Any other descriptor (hom-set and evaluation semirings, or one
-that merely carries a built-in's name) computes with its own
-``add``/``mul``/``star``, one call per scalar step; the ``compose-oracle``
-law compares the kernels with a triple loop over the descriptor's
-operations. Each kernel also carries the pivot of Lehmann's closure, which
-``shortest-path`` runs: tropical's updates a row in one comprehension on
-ints and ``None``, and every other kernel's, built-in or not, makes one
-``add`` and one ``mul`` call per entry.
+combines. Any other descriptor (hom-set and evaluation semirings, or a
+twin that only carries a built-in's name) computes with its own
+``add``/``mul``/``star``, one call per scalar step, a twin's on its
+payloads boxed as scalars; the ``compose-oracle`` law compares the
+kernels with a triple loop over the descriptor's operations. Each kernel
+also carries the pivot of Lehmann's closure, which ``shortest-path``
+runs: tropical's updates a row in one comprehension on ints and ``None``,
+and every other kernel's, built-in or not, makes one ``add`` and one
+``mul`` call per entry.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
 renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
@@ -81,6 +83,7 @@ from .algebra import (
     _NAT_RE,
     _PAYLOAD_OPS,
     _decimal,
+    _payload,
     _payloads,
     _quote,
     _render_rows,
@@ -123,16 +126,15 @@ __all__ = [
 class Matrix:
     """A morphism rows -> cols of the matrix theory of ``semiring``.
 
-    ``values`` holds rows*cols values in row-major order. Over a built-in
-    descriptor they are the bare payloads of :class:`Scalar` entries, and
-    ``entries``, :meth:`entry`, :meth:`row` and ``str`` box them on read.
-    The constructor checks that each entry of a semiring named as a
-    built-in carries that name (else :class:`TagMismatch`), and unwraps it
-    for the built-in itself. Any other descriptor, such as a hom-set or
-    evaluation semiring, keeps its values as given. Equality compares the
-    semiring's name, shape, and values, so a matrix over a descriptor that
-    merely carries a built-in's name equals the built-in one holding the
-    same scalars.
+    ``values`` holds rows*cols values in row-major order. Over a semiring
+    named as a built-in they are the bare payloads of :class:`Scalar`
+    entries, and ``entries``, :meth:`entry`, :meth:`row` and ``str`` box
+    them on read. The constructor checks that each such entry carries the
+    name (else :class:`TagMismatch`) and unwraps it. Any other descriptor,
+    such as a hom-set or evaluation semiring, keeps its values as given.
+    Equality compares the semiring's name, shape, and values, so a matrix
+    over a twin of a built-in equals the built-in one holding the same
+    scalars.
     """
 
     semiring: SemiringDescriptor
@@ -149,9 +151,7 @@ class Matrix:
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
         if semiring.name in _PAYLOAD_OPS:
-            payloads = _payloads(entries, semiring.name)
-            if semiring in _KERNELS:
-                entries = tuple(payloads)
+            entries = tuple(_payloads(entries, semiring.name))
         self.__dict__.update(semiring=semiring, rows=rows, cols=cols, values=entries)
 
     @property
@@ -163,9 +163,9 @@ class Matrix:
         return self._box(self.values)
 
     def _box(self, values) -> tuple:
-        if self.semiring not in _KERNELS:
-            return tuple(values)
         tag = self.semiring.name
+        if tag not in _PAYLOAD_OPS:
+            return tuple(values)
         return tuple(Scalar(tag, v) for v in values)
 
     def entry(self, i: int, j: int):
@@ -176,28 +176,17 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self._box(self.values[i * self.cols : (i + 1) * self.cols])
 
-    def _key(self) -> tuple:
-        """The values, with a built-in's scalars held by a descriptor of
-        its name unwrapped, as the built-in stores them."""
-        S = self.semiring
-        if S in _KERNELS or S.name not in _PAYLOAD_OPS:
-            return self.values
-        try:
-            return tuple(_payloads(self.values, S.name))
-        except TagMismatch:
-            return self.values
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.tag == other.tag
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._key() == other._key()
+            and self.values == other.values
         )
 
     def __hash__(self) -> int:
-        return hash(("matrix", self.tag, self.rows, self.cols, self._key()))
+        return hash(("matrix", self.tag, self.rows, self.cols, self.values))
 
     def __str__(self) -> str:
         body = ",".join(
@@ -224,16 +213,12 @@ def matrix(S: SemiringDescriptor, rows: Sequence[Sequence]) -> Matrix:
 
 
 def _same_theory(g: Matrix, h: Matrix) -> tuple:
-    """g's semiring S, if h's has its name, and h's values as a matrix over
-    S stores them: unwrapped, each checked, for a built-in S, else boxed."""
+    """g's semiring S, which computes, and h's values, if h's semiring has
+    S's name: then both store their values alike."""
     S, T = g.semiring, h.semiring
     if S.name != T.name:
         raise TagMismatch(f"matrices over {S.name} and {T.name} cannot be combined")
-    if T is S:
-        return S, h.values
-    if S in _KERNELS:
-        return S, tuple(_payloads(h.values, S.name))
-    return S, h.entries
+    return S, h.values
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +357,31 @@ _KERNELS: dict[SemiringDescriptor, _Kernel] = {
 
 
 def _generic(S: SemiringDescriptor) -> _Kernel:
-    """S's own operations, one descriptor call per scalar step."""
+    """S's own operations, one descriptor call per scalar step. A matrix
+    over a twin, a descriptor that only carries a built-in's name, stores
+    payloads, so each of the twin's operations is lifted to them: its
+    arguments are boxed as scalars of that name and its result is
+    unwrapped (else :class:`TagMismatch`)."""
+    name, add, mul, star, zero, one = S.name, S.add, S.mul, S.star, S.zero, S.one
+    if name in _PAYLOAD_OPS:
+
+        def lift(op: Callable) -> Callable:
+            return lambda *xs: _payload(op(*(Scalar(name, x) for x in xs)), name)
+
+        add, mul, star = lift(add), lift(mul), star and lift(star)
+        zero, one = _payload(zero, name), _payload(one, name)
 
     def products(rows: list, cols: list) -> list:
         out = []
         for r in rows:
             for c in cols:
-                acc = S.zero
+                acc = zero
                 for x, y in zip(r, c):
-                    acc = S.add(acc, S.mul(x, y))
+                    acc = add(acc, mul(x, y))
                 out.append(acc)
         return out
 
-    pivot = _pivot_of(S.add, S.mul, S.zero, S.one)
-    return _Kernel(products, pivot, S.add, S.mul, S.star, S.zero, S.one)
+    return _Kernel(products, _pivot_of(add, mul, zero, one), add, mul, star, zero, one)
 
 
 def _kernel(S: SemiringDescriptor) -> _Kernel:
@@ -663,14 +659,11 @@ def parse_mat_text(text: str) -> Matrix:
 
 
 def render_mat_text(m: Matrix) -> str:
-    """Render a matrix over a built-in scalar semiring; inverse of
-    :func:`parse_mat_text`, byte for byte. A built-in's payloads were
-    checked when they entered; the entries of a descriptor that merely
-    carries a built-in's name are checked here (else :class:`TagMismatch`).
-    Each value is written by that semiring's renderer."""
+    """Render a matrix over a semiring named as a built-in; inverse of
+    :func:`parse_mat_text`, byte for byte. Its payloads were checked when
+    they entered, and each is written by that semiring's renderer."""
     tag = m.tag
     if tag not in SEMIRINGS:
         raise FormatError(f"semiring {tag!r} has no file rendering")
-    values = m.values if m.semiring in _KERNELS else _payloads(m.values, tag)
-    lines = _render_rows(tag, values, m.rows, m.cols)
+    lines = _render_rows(tag, m.values, m.rows, m.cols)
     return "\n".join([f"semiring {tag} {m.rows} {m.cols}", *lines]) + "\n"

@@ -1,7 +1,7 @@
 """Bounded-hop path sums against two kinds of oracle: hop loops written
 independently of the matrix kernels, and Mohri's doubling over matrices,
-a reference for any semiring. Counts guard the work: payload products in
-the squaring of I + A and pivots in its closure. A semiring whose
+a reference for any semiring. Counts guard the work: ``mat_compose`` calls
+in the squaring of I + A and pivots in its closure. A semiring whose
 addition is not idempotent is rejected, so its sums are checked on the
 doubling alone."""
 
@@ -193,8 +193,8 @@ def count_calls(monkeypatch, name):
 
 
 def count_composes(monkeypatch):
-    # bounded_paths multiplies payload grids with _product, not mat_compose.
-    return count_calls(monkeypatch, "_product")
+    # The squaring's products, as bounded_paths calls them through cli.
+    return count_calls(monkeypatch, "mat_compose")
 
 
 def test_negative_cycle_costs_logarithmic_compositions(monkeypatch):
@@ -246,7 +246,7 @@ def test_idempotent_squaring_stops_when_a_square_repeats(monkeypatch):
 def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
     weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
     hops = 200_000
-    products = count_calls(monkeypatch, "_product")
+    products = count_calls(monkeypatch, "mat_compose")
     pivots = count_calls(monkeypatch, "_pivot")
     adds = count_calls(monkeypatch, "mat_add")
     far = bounded_paths(tropical_matrix(weights), hops)
@@ -258,7 +258,7 @@ def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
 
 def test_closure_takes_at_most_n_pivots_and_no_products(monkeypatch):
     weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
-    products = count_calls(monkeypatch, "_product")
+    products = count_calls(monkeypatch, "mat_compose")
     pivots = count_calls(monkeypatch, "_pivot")
     got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
     assert len(pivots) <= 3
@@ -386,9 +386,10 @@ def test_bool_sums_are_reachability_within_the_hop_bound(adjacent, hops):
 
 
 def steps(run):
-    """The (pivots, payload products) that ``run()`` takes."""
+    """The (pivots, matrix products) that ``run()`` takes in
+    :func:`bounded_paths`."""
     with pytest.MonkeyPatch.context() as mp:
-        products = count_calls(mp, "_product")
+        products = count_calls(mp, "mat_compose")
         pivots = count_calls(mp, "_pivot")
         run()
     return len(pivots), len(products)
@@ -509,13 +510,13 @@ def count_kernel_pivots(mp):
 
 
 def route_steps(a, hops):
-    """(hop closures, kernel pivots, _pivot calls, payload products) that
+    """(hop closures, kernel pivots, _pivot calls, matrix products) that
     ``bounded_paths(a, hops)`` takes, and its result."""
     with pytest.MonkeyPatch.context() as mp:
         closures = count_calls(mp, "_hop_closure")
         kernel_pivots = count_kernel_pivots(mp)
         pivots = count_calls(mp, "_pivot")
-        products = count_calls(mp, "_product")
+        products = count_calls(mp, "mat_compose")
         got = bounded_paths(a, hops)
     return (len(closures), len(kernel_pivots), len(pivots), len(products)), got
 

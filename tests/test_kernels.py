@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import semicat.cli as cli
 from semicat.algebra import (
     NAT,
     SEMIRINGS,
@@ -22,6 +23,7 @@ from semicat.algebra import (
 )
 from semicat.errors import TagMismatch
 from semicat.matcat import (
+    _KERNELS,
     Matrix,
     mat_add,
     mat_compose,
@@ -259,6 +261,73 @@ def test_a_deep_copy_keeps_the_builtin_semiring():
     assert c.semiring is NAT
     assert c == m and c.entries == m.entries
     assert mat_compose(c, mat_dagger(m)) == Matrix(NAT, 1, 1, (nat(5),))
+
+
+def twin_of(S):
+    """A descriptor that only carries S's name, with S's scalar operations."""
+    return SemiringDescriptor(S.name, S.add, S.zero, S.mul, S.one, S.star)
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_a_twin_stores_the_payloads_of_the_builtin(name):
+    S = SEMIRINGS[name]
+    values = (S.one, S.zero, S.one, S.one)
+    f, g = Matrix(twin_of(S), 2, 2, values), Matrix(S, 2, 2, values)
+    assert f.values == g.values == tuple(x.payload for x in values)
+    ops = [lambda m: mat_compose(m, m), lambda m: mat_add(m, m), lambda m: mat_tensor(m, m)]
+    if S.star is not None:
+        ops.append(mat_dagger)
+    for op in ops:
+        assert op(f).values == op(g).values
+        assert op(f).entries == op(g).entries
+
+
+@pytest.mark.parametrize("op", [mat_compose, mat_add], ids=["compose", "add"])
+def test_a_twin_whose_add_leaves_its_semiring_is_a_tag_mismatch(op):
+    twin = SemiringDescriptor(
+        "nat", lambda a, b: tropical(a.payload + b.payload), NAT.zero, NAT.mul, NAT.one
+    )
+    f = Matrix(twin, 2, 2, tuple(nat(v) for v in (1, 2, 3, 4)))
+    with pytest.raises(TagMismatch, match="^expected a nat scalar, got the tropical scalar"):
+        op(f, f)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [
+            [None, 4, None, None, 9],
+            [None, 1, 2, None, None],
+            [None, None, None, 3, 1],
+            [None, None, None, None, 0],
+            [2, None, None, None, None],
+        ],
+        [
+            [None, 2, None, None, None],
+            [None, None, -1, None, None],
+            [None, None, None, 1, None],
+            [None, None, None, None, 4],
+            [-8, None, None, None, None],
+        ],
+    ],
+    ids=["nonnegative", "negative-cycle"],
+)
+def test_bounded_paths_over_a_tropical_twin_is_the_builtin_table(monkeypatch, weights):
+    S = SEMIRINGS["tropical"]
+    twin = twin_of(S)
+    entries = tuple(tropical(w) for row in weights for w in row)
+    closures = []
+    hop_closure = cli._hop_closure
+    monkeypatch.setattr(
+        cli, "_hop_closure", lambda ops, *a: closures.append(ops) or hop_closure(ops, *a)
+    )
+    for hops in range(12):
+        want = cli.bounded_paths(Matrix(S, 5, 5, entries), hops)
+        got = cli.bounded_paths(Matrix(twin, 5, 5, entries), hops)
+        assert got.semiring is twin
+        assert got.values == want.values, hops
+    # The built-in took the hop closure below n - 1; the twin never did.
+    assert closures and all(ops is _KERNELS[S] for ops in closures)
 
 
 def test_the_operations_on_builtin_matrices_build_no_scalar(monkeypatch):
