@@ -125,6 +125,16 @@ def test_matmul_compose_golden(capsys):
     assert out == golden("compose_ab.out")
 
 
+@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss"])
+def test_matmul_packed_compose_golden(capsys, pair):
+    """A nat 12 x 12 and a gaussian 10 x 10 product, large enough for the
+    packed integer sums, against output recorded from one sum per entry."""
+    code = main(["matmul", "--op", "compose", "-A", fx(f"{pair}_a.mat"), "-B", fx(f"{pair}_b.mat")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == golden(f"{pair}_ab.out")
+
+
 def test_matmul_dagger_golden(capsys):
     code = main(["matmul", "--op", "dagger", "-A", fx("dagger_in.mat")])
     out = capsys.readouterr().out

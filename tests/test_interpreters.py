@@ -3,7 +3,7 @@
 ``pyproject.toml`` claims Python >= 3.10, and the exact-rational kernels
 lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
 reimplemented between versions. Each test here runs every law/roundtrip
-golden and the four CLI fixtures through ``semicat.cli.main``, all in one
+golden and the six CLI fixtures through ``semicat.cli.main``, all in one
 subprocess of another interpreter found on PATH, and compares each stdout
 with the recorded bytes. The subprocess needs only the standard library. An
 interpreter that is not on PATH, or does not run, is skipped.
@@ -34,6 +34,13 @@ CASES.update(
             ["matmul", "--op", "compose", "-A", _fx("compose_a.mat"), "-B", _fx("compose_b.mat")],
             FIXTURES / "compose_ab.out",
         ),
+        **{
+            f"{pair}_ab": (
+                ["matmul", "--op", "compose", "-A", _fx(f"{pair}_a.mat"), "-B", _fx(f"{pair}_b.mat")],
+                FIXTURES / f"{pair}_ab.out",
+            )
+            for pair in ("compose_wide", "compose_gauss")
+        },
         "dagger": (["matmul", "--op", "dagger", "-A", _fx("dagger_in.mat")], FIXTURES / "dagger.out"),
         "cycle3_k2": (
             ["shortest-path", "--graph", _fx("cycle3.graph"), "--max-hops", "2"],
@@ -85,7 +92,7 @@ def find_interpreter(version: str):
 
 
 def test_cases_cover_every_golden_and_cli_fixture():
-    assert len(CASES) == 33 + 4
+    assert len(CASES) == 33 + 6
     assert {golden.name for _, golden in CASES.values()} >= {
         p.name for p in FIXTURES.glob("*.out")
     }

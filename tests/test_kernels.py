@@ -2,16 +2,21 @@
 five built-in semirings, against oracles that use only the descriptor's
 ``add``/``mul``/``star`` in plain loops."""
 
+import builtins
 import copy
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicat.cli as cli
+import semicat.matcat as matcat
 from semicat.algebra import (
+    GAUSSIAN,
     NAT,
+    RATNN,
     SEMIRINGS,
     Scalar,
     SemiringDescriptor,
@@ -38,7 +43,7 @@ from semicat.matcat import (
 
 
 def at(f: Matrix, i: int, j: int):
-    return f.entries[i * f.cols + j]
+    return f.entry(i, j)
 
 
 def compose_oracle(S, g, h):
@@ -142,7 +147,10 @@ def test_add_kernel(data, name, n, m):
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
-@pytest.mark.parametrize("n, m, p", [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)])
+@pytest.mark.parametrize(
+    "n, m, p",
+    [(0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0), (0, 40, 40), (40, 0, 40), (40, 40, 0)],
+)
 def test_empty_shapes(name, n, m, p):
     S = SEMIRINGS[name]
     g = Matrix(S, n, m, (S.one,) * (n * m))
@@ -151,6 +159,131 @@ def test_empty_shapes(name, n, m, p):
     assert_same(mat_tensor(g, h), tensor_oracle(S, g, h))
     assert_same(mat_dagger(g), dagger_oracle(S, g))
     assert_same(mat_add(h, h), add_oracle(S, h, h))
+
+
+# The products of ints over nat, ratnn and gaussian switch to packed rows at
+# n * m * p = _PACK_MIN (9 x 9 x 9); these dims straddle it. The entries'
+# bound, 2**bits, puts the dot bound m * max|a| * max|c| in each slot
+# width, 1 to 8 bytes, and beyond 8 bytes, where the sums are per cell.
+wide_dims = st.integers(6, 12)
+
+
+def wide_entry(name: str, top: int):
+    numerators = st.integers(0 if name != "gaussian" else -top, top)
+    part = st.builds(Fraction, numerators, st.sampled_from([1, 1, 1, 2, 3, 6]))
+    if name == "nat":
+        return numerators.map(nat)
+    if name == "ratnn":
+        return part.map(rational)
+    return st.tuples(part, part).map(lambda p: gaussian(*p))
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from(["gaussian", "nat", "ratnn"]), wide_dims, wide_dims, wide_dims)
+def test_compose_kernel_around_the_pack_cutoff(data, name, n, m, p):
+    bits = data.draw(st.sampled_from([0, 1, 2, 3, 6, 7, 13, 14, 29, 30, 33, 36]), label="bits")
+    entries = wide_entry(name, 2**bits)
+    S = SEMIRINGS[name]
+    g = Matrix(S, n, m, data.draw(st.lists(entries, min_size=n * m, max_size=n * m)))
+    h = Matrix(S, m, p, data.draw(st.lists(entries, min_size=m * p, max_size=m * p)))
+    assert_same(mat_compose(g, h), compose_oracle(S, g, h))
+
+
+def peak_factors(S, scalar, m: int, x: int, y: int, signed: bool):
+    """A 9 x m left factor of x's and an m x 9 right factor whose column 0 is
+    all y and whose other entries lie in [-y, y] (or [0, y]), so that the
+    largest dot is exactly the bound m * x * y."""
+    rng = random.Random(m * 1000 + y)
+    rest = (lambda: rng.randint(-y, y)) if signed else (lambda: rng.randint(0, y))
+    g = Matrix(S, 9, m, [scalar(x)] * (9 * m))
+    h = Matrix(S, m, 9, [scalar(y if k == 0 else rest()) for _ in range(m) for k in range(9)])
+    assert 9 * m * 9 >= matcat._PACK_MIN
+    return g, h
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("peak", ["fits", "overflows"])
+def test_compose_kernel_at_each_slot_boundary(width, peak):
+    # 15 divides 2**(8w) - 1 and 16 divides 2**(8w): the largest nat dot is
+    # the last value a w-byte slot holds, or the first it cannot.
+    m, limit = (15, 2 ** (8 * width) - 1) if peak == "fits" else (16, 2 ** (8 * width))
+    g, h = peak_factors(NAT, nat, m, 1, limit // m, signed=False)
+    got = mat_compose(g, h)
+    assert_same(got, compose_oracle(NAT, g, h))
+    assert max(got.values) == limit
+    # Signed, the same dots sit in slots that also carry the bound as bias,
+    # and the right factor's negative entries are packed with a column bias.
+    re = lambda v: gaussian(Fraction(v), Fraction(0))
+    g, h = peak_factors(GAUSSIAN, re, m, 1, limit // m, signed=True)
+    assert_same(mat_compose(g, h), compose_oracle(GAUSSIAN, g, h))
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_compose_kernel_with_signed_parts_at_half_a_slot(width):
+    half = 2 ** (8 * width - 1)
+    rng = random.Random(width)
+    sign = lambda: rng.choice((-1, 1))
+    g = Matrix(
+        GAUSSIAN, 9, 9,
+        [gaussian(Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1))) for _ in range(81)],
+    )
+    h = Matrix(
+        GAUSSIAN, 9, 9,
+        [gaussian(Fraction(sign() * half), Fraction(sign() * half)) for _ in range(81)],
+    )
+    assert_same(mat_compose(g, h), compose_oracle(GAUSSIAN, g, h))
+    assert_same(mat_compose(h, g), compose_oracle(GAUSSIAN, h, g))
+
+
+@pytest.mark.parametrize(
+    "S, scalar",
+    [
+        (NAT, lambda v: nat(abs(v))),
+        (RATNN, lambda v: rational(Fraction(abs(v), 7))),
+        (GAUSSIAN, lambda v: gaussian(Fraction(v), Fraction(-v, 3))),
+    ],
+    ids=["nat", "ratnn", "gaussian"],
+)
+def test_compose_kernel_with_an_all_zero_left_factor(S, scalar):
+    rng = random.Random(9)
+    for top in (1, 2**7, 2**15, 2**31, 2**63, 2**70):
+        g = Matrix(S, 9, 9, [S.zero] * 81)
+        h = Matrix(S, 9, 9, [scalar(rng.randint(-top, top)) for _ in range(81)])
+        assert_same(mat_compose(g, h), Matrix(S, 9, 9, [S.zero] * 81))
+
+
+@pytest.mark.parametrize(
+    "name, n, fn, calls",
+    [
+        ("nat", 32, "sum", 32),
+        ("ratnn", 32, "sum", 32),
+        ("gaussian", 32, "sum", 3 * 32),
+        ("nat", 4, "sum", 4 * 4),
+        ("ratnn", 4, "sum", 4 * 4),
+        ("gaussian", 4, "sum", 3 * 4 * 4),
+        ("bool", 32, "any", 32 * 32),
+        ("tropical", 32, "min", 32 * 32),
+    ],
+)
+def test_which_compose_path_runs(monkeypatch, name, n, fn, calls):
+    """32 x 32 products over nat, ratnn and gaussian take one sum per output
+    row and integer product; 4 x 4 ones, and bool and tropical ones of any
+    size, take one sum, any or min per entry."""
+    S = SEMIRINGS[name]
+    rng = random.Random(n)
+    g = Matrix(S, n, n, [rng.choice((S.zero, S.one, S.add(S.one, S.one))) for _ in range(n * n)])
+    counts = dict.fromkeys({"sum", fn}, 0)
+    for builtin in counts:
+
+        def counted(*args, builtin=builtin, **kw):
+            counts[builtin] += 1
+            return getattr(builtins, builtin)(*args, **kw)
+
+        monkeypatch.setattr(matcat, builtin, counted, raising=False)
+    got = mat_compose(g, g)
+    monkeypatch.undo()
+    assert counts == {"sum": 0, fn: calls}
+    assert_same(got, compose_oracle(S, g, g))
 
 
 def test_tropical_infinity_and_negative_weights():
