@@ -30,16 +30,21 @@ exception is not kept, so an argument that raises raises on every call.
 
 :func:`run_suite` drives the eight named law suites from one table: per
 suite, its default subjects, the name format of a subject and the builder
-of a subject's law rows. ``run_suite`` alone picks the subjects. Every law
+of a subject's law rows, which takes only that subject. ``run_suite``
+alone picks the subjects, seeds the RNG and sets the case count. Every law
 row is (name, cases, holds), where cases is a sampler drawn ``--cases``
-times from one seeded RNG, a finite list of argument tuples run in order,
-or None for a self-contained ``holds()``. One runner checks every row in
-table order and keeps the first counterexample of each law, one argument
-per line. An exception in a law's check fails that law, and one that is
-not a :class:`SemicatError` is marked as internal. The three adjunctions'
-laws form one table, which both the ``adjunction-roundtrips`` suite and
-:func:`run_roundtrip` read; the laws of one adjunction over one semiring
-share its transposes, so each is computed once.
+times from that RNG, a finite list of argument tuples run in order, or
+None for a self-contained ``holds()``. Samplers of composable maps are all
+one chain sampler. One runner checks every row in table order and keeps
+the first counterexample of each law, one argument per line. An exception
+in a law's check fails that law, and one that is not a
+:class:`SemicatError` is marked as internal. The three adjunctions' laws
+come from one record per adjunction (its transpose, and where it has them
+the push of samples along nat -> S and the star of its values), from
+which one row builder makes the roundtrip, naturality and involution laws
+that both the ``adjunction-roundtrips`` suite and :func:`run_roundtrip`
+run; the laws of one adjunction over one semiring share its transposes,
+so each is computed once.
 :func:`check_semiring_laws` and :func:`check_monoid_laws` run rows of
 enumerated cases over a sample pool through the same runner. Every
 verdict is a (subject, law, ok, detail) entry of a :class:`SuiteReport`,
@@ -547,6 +552,23 @@ def _grid(*sizes: int) -> list[tuple]:
     return list(itertools.product(*map(range, sizes)))
 
 
+def _chain(make: Callable, hi: int, k: int) -> Callable:
+    """A sampler of k composable maps: it draws k + 1 dimensions in
+    [0, hi], then ``make(rng, dom, cod)`` for each map in turn, so map i's
+    codomain is map i + 1's domain."""
+
+    def sample(rng: random.Random) -> tuple:
+        dims = [rng.randint(0, hi) for _ in range(k + 1)]
+        return tuple(make(rng, dom, cod) for dom, cod in zip(dims, dims[1:]))
+
+    return sample
+
+
+def _carriers(rng: random.Random, size: int, *alphabets: str) -> list:
+    """One random carrier of at most ``size`` atoms per alphabet, in order."""
+    return [random_carrier(rng, size, letters) for letters in alphabets]
+
+
 def _report(suite: str, entries) -> SuiteReport:
     return SuiteReport(suite, tuple(sorted(entries, key=lambda e: (e[0], e[1]))))
 
@@ -614,14 +636,12 @@ def _monoid_named(name: str) -> MonoidDescriptor:
 # Suite: monad-laws
 
 
-def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
+def _monad_laws(T: MonadInstance) -> list:
     def s_u(rng):
         return (random_tvalue(rng, T, random_carrier(rng)),)
 
     def s_fgu(rng):
-        X = random_carrier(rng, 5, "abcde")
-        Y = random_carrier(rng, 5, "pqrst")
-        Z = random_carrier(rng, 5, "uvwxy")
+        X, Y, Z = _carriers(rng, 5, "abcde", "pqrst", "uvwxy")
         return (
             random_carrier_fn(rng, X, Y),
             random_carrier_fn(rng, Y, Z),
@@ -629,26 +649,22 @@ def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
         )
 
     def s_fx(rng):
-        X = random_carrier(rng, 5, "abcde")
-        Y = random_carrier(rng, 5, "pqrst")
+        X, Y = _carriers(rng, 5, "abcde", "pqrst")
         return (random_carrier_fn(rng, X, Y), random_elem(rng, X))
 
     def s_fu2(rng):
-        X = random_carrier(rng, 5, "abcde")
-        Y = random_carrier(rng, 5, "pqrst")
+        X, Y = _carriers(rng, 5, "abcde", "pqrst")
         return (random_carrier_fn(rng, X, Y), random_nested(rng, T, X, 2))
 
     def s_u2y(rng):
-        X = random_carrier(rng, 5, "abcde")
-        Y = random_carrier(rng, 5, "pqrst")
+        X, Y = _carriers(rng, 5, "abcde", "pqrst")
         return (random_nested(rng, T, X, 2), random_elem(rng, Y))
 
     def s_u3(rng):
         return (random_nested(rng, T, random_carrier(rng, 4), 3),)
 
     def s_xy(rng):
-        X = random_carrier(rng, 5, "abcde")
-        Y = random_carrier(rng, 5, "pqrst")
+        X, Y = _carriers(rng, 5, "abcde", "pqrst")
         return (random_elem(rng, X), random_elem(rng, Y))
 
     return [
@@ -682,29 +698,24 @@ def _monad_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
 # Suite: additivity (bicartesian structure, value addition and the module laws)
 
 
-def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
+def _additivity_laws(S: SemiringDescriptor) -> list:
     T = MultisetMonad(S)
     TN = MultisetMonad(NAT)
     E = eval_at_one(T)
     point = carrier([STAR])
 
     def s_w(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
+        X, Y = _carriers(rng, 4, "abcd", "pqrs")
         u = random_multiset(rng, S, X)
         v = random_multiset(rng, S, Y)
         return (T.bc_inv(u, v),)
 
     def s_uv(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
+        X, Y = _carriers(rng, 4, "abcd", "pqrs")
         return (random_multiset(rng, S, X), random_multiset(rng, S, Y))
 
     def s_fgw(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
-        X2 = random_carrier(rng, 4, "efgh")
-        Y2 = random_carrier(rng, 4, "tuvw")
+        X, Y, X2, Y2 = _carriers(rng, 4, "abcd", "pqrs", "efgh", "tuvw")
         return (
             random_carrier_fn(rng, X, X2),
             random_carrier_fn(rng, Y, Y2),
@@ -720,15 +731,13 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         return T.bc(mapped) == (T.fmap(f, u), T.fmap(g, v))
 
     def s_wnat(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
+        X, Y = _carriers(rng, 4, "abcd", "pqrs")
         return (
             TN.bc_inv(random_multiset(rng, NAT, X), random_multiset(rng, NAT, Y)),
         )
 
     def bc_monad_map(w):
-        hom = lambda sc: canonical_from_nat(S, sc.payload)
-        sig = lambda phi: ms_map_scalars(hom, phi, S)
+        sig = lambda phi: ms_map_scalars(_from_nat(S), phi, S)
         un, vn = TN.bc(w)
         return T.bc(sig(w)) == (sig(un), sig(vn))
 
@@ -747,9 +756,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         return T.bc(flipped) == (v, u)
 
     def s_w3(rng):
-        X = random_carrier(rng, 3, "abc")
-        Y = random_carrier(rng, 3, "pqr")
-        Z = random_carrier(rng, 3, "uvw")
+        X, Y, Z = _carriers(rng, 3, "abc", "pqr", "uvw")
         inner = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
         return (T.bc_inv(inner, random_multiset(rng, S, Z)),)
 
@@ -771,8 +778,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         return lhs == (b1, (b21, b22))
 
     def s_xy(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
+        X, Y = _carriers(rng, 4, "abcd", "pqrs")
         return (random_elem(rng, X), random_elem(rng, Y))
 
     def bc_eta(x, y):
@@ -781,8 +787,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         ) == (tx_zero(T), T.unit(y))
 
     def s_w2(rng):
-        X = random_carrier(rng, 3, "abc")
-        Y = random_carrier(rng, 3, "pqr")
+        X, Y = _carriers(rng, 3, "abc", "pqr")
         both = carrier([Inl(x) for x in X] + [Inr(y) for y in Y])
         return (random_nested(rng, T, both, 2),)
 
@@ -794,8 +799,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         return lhs == (left, right)
 
     def s_wt(rng):
-        X = random_carrier(rng, 3, "abc")
-        Y = random_carrier(rng, 3, "pqr")
+        X, Y = _carriers(rng, 3, "abc", "pqr")
         pairs = []
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
@@ -816,9 +820,7 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
         return lhs == (T.mult(l), T.mult(r))
 
     def s_wz(rng):
-        X = random_carrier(rng, 3, "abc")
-        Y = random_carrier(rng, 3, "pqr")
-        Z = random_carrier(rng, 3, "uvw")
+        X, Y, Z = _carriers(rng, 3, "abc", "pqr", "uvw")
         w = T.bc_inv(random_multiset(rng, S, X), random_multiset(rng, S, Y))
         return (w, random_elem(rng, Z))
 
@@ -890,30 +892,25 @@ def _additivity_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
 # Suite: commutativity
 
 
-def _commutativity_laws(T: MonadInstance, rng: random.Random, cases: int) -> list:
+def _commutativity_laws(T: MonadInstance) -> list:
     def s_uv(rng):
-        X = random_carrier(rng, 4, "abcd")
-        Y = random_carrier(rng, 4, "pqrs")
+        X, Y = _carriers(rng, 4, "abcd", "pqrs")
         return (random_tvalue(rng, T, X), random_tvalue(rng, T, Y))
 
     if not T.commutative:
         def expected_fail():
-            X = carrier([Atom("x")])
-            Y = carrier([Atom("y")])
-            candidates = itertools.chain(
-                [(ActVal(word("ab"), Atom("x")), ActVal(word("cd"), Atom("y")))],
-                ((random_tvalue(rng, T, X), random_tvalue(rng, T, Y)) for _ in range(cases)),
+            # the free words ab and cd do not commute, so the two composites
+            # of the double strength differ on this pair
+            u, v = ActVal(word("ab"), Atom("x")), ActVal(word("cd"), Atom("y"))
+            left = dst_strength_first(T, u, v)
+            right = dst_swapped_first(T, u, v)
+            if left == right:
+                return False, "no disagreeing pair found"
+            return True, (
+                f"u = {u}\nv = {v}\n"
+                f"strength-first  = {left}\n"
+                f"swapped-first   = {right}"
             )
-            for u, v in candidates:
-                left = dst_strength_first(T, u, v)
-                right = dst_swapped_first(T, u, v)
-                if left != right:
-                    return True, (
-                        f"u = {u}\nv = {v}\n"
-                        f"strength-first  = {left}\n"
-                        f"swapped-first   = {right}"
-                    )
-            return False, "no disagreeing pair found"
 
         return [("noncommutativity-witnessed", None, expected_fail)]
     laws = [
@@ -956,24 +953,12 @@ def _zeros(S: SemiringDescriptor, n: int, m: int) -> Matrix:
     return Matrix(S, n, m, (S.zero,) * (n * m))
 
 
-def _matcat_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
+def _matcat_laws(S: SemiringDescriptor) -> list:
     def dims(rng, lo=0, hi=4):
         return rng.randint(lo, hi)
 
-    def s_triple(rng):
-        n, m, p, q = (dims(rng) for _ in range(4))
-        return (
-            random_matrix(rng, S, n, m),
-            random_matrix(rng, S, m, p),
-            random_matrix(rng, S, p, q),
-        )
-
-    def s_pair(rng):
-        n, m, p = (dims(rng) for _ in range(3))
-        return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
-
-    def s_single(rng):
-        return (random_matrix(rng, S, dims(rng), dims(rng)),)
+    def mat(rng, n, m):
+        return random_matrix(rng, S, n, m)
 
     def biproduct_delta(n, m):
         return (
@@ -1051,13 +1036,14 @@ def _matcat_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
         return mat_add_biproduct(f, g) == expected
 
     return [
-        ("compose-assoc", s_triple,
+        ("compose-assoc", _chain(mat, 4, 3),
          lambda a, b, c: mat_compose(mat_compose(a, b), c)
          == mat_compose(a, mat_compose(b, c))),
-        ("identity-neutral", s_single,
+        ("identity-neutral", _chain(mat, 4, 1),
          lambda a: mat_compose(mat_identity(S, a.rows), a) == a
          and mat_compose(a, mat_identity(S, a.cols)) == a),
-        ("compose-oracle", s_pair, lambda a, b: mat_compose(a, b) == _naive_compose(a, b)),
+        ("compose-oracle", _chain(mat, 4, 2),
+         lambda a, b: mat_compose(a, b) == _naive_compose(a, b)),
         ("biproduct-delta", _grid(4, 4), biproduct_delta),
         ("tuple-recovery", s_into_sum,
          lambda f, n, m: mat_tuple(
@@ -1076,7 +1062,7 @@ def _matcat_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
         ("tensor-identity", _grid(4, 4),
          lambda m, n: mat_tensor(mat_identity(S, m), mat_identity(S, n))
          == mat_identity(S, m * n)),
-        ("tensor-unit", s_single,
+        ("tensor-unit", _chain(mat, 4, 1),
          lambda g: mat_tensor(g, mat_identity(S, 1)) == g
          and mat_tensor(mat_identity(S, 1), g) == g),
         ("tensor-symmetry", s_tensor2, tensor_symmetry),
@@ -1093,7 +1079,7 @@ def _matcat_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
 # Suite: dagger
 
 
-def _dagger_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
+def _dagger_laws(S: SemiringDescriptor) -> list:
     def s_one(rng):
         return (random_matrix(rng, S, 3, 3),)
 
@@ -1118,7 +1104,7 @@ def _dagger_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
 # Suite: freetheory
 
 
-def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
+def _freetheory_laws(S: SemiringDescriptor) -> list:
     T = MultisetMonad(S)
 
     def s_rel(rng):
@@ -1153,12 +1139,6 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
     def s_term(rng):
         return (random_free_term(rng, S, random_carrier(rng, 4, "abcd")),)
 
-    def s_mats(rng):
-        n = rng.randint(0, 3)
-        m = rng.randint(0, 3)
-        p = rng.randint(0, 3)
-        return (random_matrix(rng, S, n, m), random_matrix(rng, S, m, p))
-
     laws = [
         ("relation-sound", s_rel, lambda f, g, v: tl_relation_check(f, g, v)),
         ("unit-agrees", s_x, lambda x: term_normalize(tl_unit(x, S)) == T.unit(x)),
@@ -1173,7 +1153,8 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
     return laws + [
         ("unit-functor-id", _grid(4),
          lambda n: law_unit_functor(mat_identity(S, n)) == kl_id(T, n)),
-        ("unit-functor-compose", s_mats,
+        ("unit-functor-compose",
+         _chain(lambda rng, n, m: random_matrix(rng, S, n, m), 3, 2),
          lambda a, b: law_unit_functor(mat_compose(a, b))
          == kl_compose(law_unit_functor(a), law_unit_functor(b))),
         ("unit-functor-coproj", _grid(3, 3),
@@ -1186,26 +1167,13 @@ def _freetheory_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> l
 # Suite: kleisli-iso
 
 
-def _kleisli_iso_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> list:
+def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
     T = MultisetMonad(S)
     E = eval_at_one(T)
     point = carrier([STAR])
 
-    def s_kl3(rng):
-        n, m, p, q = (rng.randint(0, 3) for _ in range(4))
-        return (
-            random_kleisli(rng, T, n, m),
-            random_kleisli(rng, T, m, p),
-            random_kleisli(rng, T, p, q),
-        )
-
-    def s_kl1(rng):
-        n, m = rng.randint(0, 3), rng.randint(0, 3)
-        return (random_kleisli(rng, T, n, m),)
-
-    def s_kl2(rng):
-        n, m, p = (rng.randint(0, 3) for _ in range(3))
-        return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, m, p))
+    def kl(rng, n, m):
+        return random_kleisli(rng, T, n, m)
 
     def s_emat(rng):
         n, m = rng.randint(0, 3), rng.randint(0, 3)
@@ -1258,14 +1226,14 @@ def _kleisli_iso_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> 
         return True
 
     laws = [
-        ("kl-assoc", s_kl3,
+        ("kl-assoc", _chain(kl, 3, 3),
          lambda f, g, h: kl_compose(kl_compose(f, g), h) == kl_compose(f, kl_compose(g, h))),
-        ("kl-identity", s_kl1,
+        ("kl-identity", _chain(kl, 3, 1),
          lambda f: kl_compose(kl_id(T, f.dom), f) == f
          and kl_compose(f, kl_id(T, f.cod)) == f),
-        ("xi-theta-id", s_kl1, lambda k: xi(T, theta(k)) == k),
+        ("xi-theta-id", _chain(kl, 3, 1), lambda k: xi(T, theta(k)) == k),
         ("theta-xi-id", s_emat, lambda h: theta(xi(T, h)) == h),
-        ("theta-compose", s_kl2,
+        ("theta-compose", _chain(kl, 3, 2),
          lambda f, g: theta(kl_compose(f, g)) == mat_compose(theta(f), theta(g))),
         ("theta-structural", _grid(3, 3), theta_structural),
         ("theta-tuple", s_parallel,
@@ -1277,7 +1245,8 @@ def _kleisli_iso_laws(S: SemiringDescriptor, rng: random.Random, cases: int) -> 
     ]
     if S.star is not None:
         laws.append(
-            ("theta-dagger", s_kl1, lambda k: theta(kl_dagger(k)) == mat_dagger(theta(k)))
+            ("theta-dagger", _chain(kl, 3, 1),
+             lambda k: theta(kl_dagger(k)) == mat_dagger(theta(k)))
         )
     return laws + [
         ("biproduct-eqs", _grid(3, 3), biproduct_eqs),
@@ -1366,40 +1335,22 @@ def _involutive_check(transpose: Callable, w: HomWitness, star: Callable):
 
 
 # Each adjunction: its transpose, looked up by name at each call so that
-# rebinding the module's name takes effect, and its laws over a semiring
-# S: (name, check of S, the adjunction's shared transpose and its
-# witnesses over S, whether the law needs a star). The involutive ones run
-# under ``--involutive`` and, in the suite, for every semiring with a star.
+# rebinding the module's name takes effect; over a semiring S, the push of
+# its samples along nat -> S, or None when it has no naturality law; and
+# the star of its values over S, or None when it has no involutive law.
+# Every adjunction has a roundtrip law; the involutive ones run under
+# ``--involutive`` and, in the suite, for every semiring with a star.
 _ADJUNCTION_LAWS = {
-    "mon-e": (
-        lambda w: transpose_mon(w),
-        (("mon-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),),
-    ),
+    "mon-e": (lambda w: transpose_mon(w), None, None),
     "srng-e": (
         lambda w: transpose_srng(w),
-        (
-            ("srng-e-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
-            ("srng-e-natural",
-             lambda S, t, ws: _natural_check(
-                 t, ws, lambda phi: ms_map_scalars(_from_nat(S), phi, S)
-             ), False),
-            ("srng-e-involutive",
-             lambda S, t, ws: _involutive_check(t, ws[0], MultisetMonad(S).involution),
-             True),
-        ),
+        lambda S: lambda phi: ms_map_scalars(_from_nat(S), phi, S),
+        lambda S: MultisetMonad(S).involution,
     ),
     "mat-h": (
         lambda w: transpose_math(w),
-        (
-            ("mat-h-roundtrip", lambda S, t, ws: _roundtrip_check(t, ws), False),
-            ("mat-h-natural",
-             lambda S, t, ws: _natural_check(
-                 t, ws,
-                 lambda h: Matrix(S, h.rows, h.cols, tuple(map(_from_nat(S), h.entries))),
-             ), False),
-            ("mat-h-involutive",
-             lambda S, t, ws: _involutive_check(t, ws[0], mat_dagger), True),
-        ),
+        lambda S: lambda h: Matrix(S, h.rows, h.cols, tuple(map(_from_nat(S), h.entries))),
+        lambda S: mat_dagger,
     ),
 }
 
@@ -1407,22 +1358,29 @@ ADJUNCTION_NAMES = tuple(_ADJUNCTION_LAWS)
 
 
 def _adjunction_rows(adjunction: str, S: SemiringDescriptor, stars: bool) -> list:
-    """The self-contained rows of one adjunction's laws over S, those that
-    need a star only when ``stars`` is set. The rows share the
-    adjunction's witnesses over S and one result per witness of its
-    transpose, for as long as the rows live. Exceptions are not kept, so
-    a transpose that raises fails each law that reads it."""
-    transpose, laws = _ADJUNCTION_LAWS[adjunction]
+    """The self-contained rows of one adjunction's laws over S: roundtrip,
+    then natural and, when ``stars`` is set, involutive where the
+    adjunction has them. The rows share the adjunction's witnesses over S
+    and one result per witness of its transpose, for as long as the rows
+    live. Exceptions are not kept, so a transpose that raises fails each
+    law that reads it."""
+    transpose, push, star = _ADJUNCTION_LAWS[adjunction]
     shared = functools.cache(transpose)
-    witnesses = _witnesses(adjunction, S)
-    return [
-        (name, None, lambda check=check: check(S, shared, witnesses))
-        for name, check, needs_star in laws
-        if stars or not needs_star
-    ]
+    ws = _witnesses(adjunction, S)
+    rows = [(f"{adjunction}-roundtrip", None, lambda: _roundtrip_check(shared, ws))]
+    if push is not None:
+        rows.append(
+            (f"{adjunction}-natural", None, lambda: _natural_check(shared, ws, push(S)))
+        )
+    if stars and star is not None:
+        rows.append(
+            (f"{adjunction}-involutive", None,
+             lambda: _involutive_check(shared, ws[0], star(S)))
+        )
+    return rows
 
 
-def _adjunction_laws(S: SemiringDescriptor, rng: random.Random | None, cases: int) -> list:
+def _adjunction_laws(S: SemiringDescriptor) -> list:
     """The rows of the three adjunctions over S, with the laws that need a
     star when S has one."""
     return [
@@ -1444,7 +1402,7 @@ def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False)
         )
     S = semiring_by_name(semiring_name)
     if involutive:
-        if not any(law[2] for law in _ADJUNCTION_LAWS[adjunction][1]):
+        if _ADJUNCTION_LAWS[adjunction][2] is None:
             raise UnknownSuite(f"{adjunction} has no involutive refinement")
         if S.star is None:
             raise NoInvolution(f"{S.name} has no star operation")
@@ -1457,10 +1415,9 @@ _SEMIRINGS = (tuple(SEMIRINGS), ())
 _MONADS = (tuple(SEMIRINGS), ("nat-mul", "free-words"))
 
 # Each suite: its default subjects; the name format of a subject; and the
-# builder of a subject's law rows, which takes the subject, the suite's RNG
-# and its case count. A suite with default monoids runs over monads: the
-# multiset monad of each semiring and the action monad of each monoid. The
-# others run over semirings alone.
+# builder of a subject's law rows, which takes only the subject. A suite
+# with default monoids runs over monads: the multiset monad of each semiring
+# and the action monad of each monoid. The others run over semirings alone.
 _SUITES = {
     "monad-laws": (_MONADS, "{}", _monad_laws),
     "additivity": (_SEMIRINGS, "multiset({})", _additivity_laws),
@@ -1496,11 +1453,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if over_monads:
         subjects = [MultisetMonad(S) for S in subjects]
         subjects += [ActionMonad(_monoid_named(name)) for name in monoids]
-    rng = random.Random(config.seed)
     # Each subject's rows are built just before they run, so what they share
     # (an adjunction's transposes) is freed before the next subject's run.
-    # No builder draws from the RNG while building.
-    tables = (
-        (subject_name.format(x.name), build(x, rng, config.cases)) for x in subjects
-    )
-    return _report(config.suite, _run_laws(tables, rng, config.cases))
+    tables = ((subject_name.format(x.name), build(x)) for x in subjects)
+    return _report(config.suite, _run_laws(tables, random.Random(config.seed), config.cases))

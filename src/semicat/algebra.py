@@ -91,7 +91,7 @@ class Scalar:
     tag: str
     payload: object
 
-    def sort_key(self) -> tuple:
+    def key(self) -> tuple:
         if self.tag == "tropical":
             inner = (1, 0) if self.payload is None else (0, self.payload)
         elif self.tag == "bool":
@@ -144,7 +144,7 @@ class Word:
 
     letters: tuple[str, ...]
 
-    def sort_key(self) -> tuple:
+    def key(self) -> tuple:
         return ("word", self.letters)
 
     def __str__(self) -> str:

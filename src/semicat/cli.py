@@ -16,7 +16,8 @@ error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
 exception, reported as one ``internal error:`` line. An internal error
 inside a law's check fails that law and the run goes on; the report is
 printed, then the ``internal error:`` line. Results go to stdout,
-diagnostics to stderr.
+diagnostics to stderr; a diagnostic that cannot be written is dropped and
+changes no exit status.
 """
 
 from __future__ import annotations
@@ -293,6 +294,15 @@ def _cmd_roundtrip(args) -> int:
     return _print_report(run_roundtrip(args.adjunction, args.semiring, args.involutive))
 
 
+def _diagnose(line: str) -> None:
+    """Write one diagnostic line to stderr. A write that fails, say to a
+    closed pipe, is dropped, so it never changes the exit status."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _print_report(report: SuiteReport) -> int:
     """Print the report; the exit code is 3 when a law's check raised an
     internal error, reported on stderr by the first such law, else 1 when a
@@ -302,10 +312,7 @@ def _print_report(report: SuiteReport) -> int:
     if internal:
         subject, law, _, detail = internal[0]
         more = f" (and {len(internal) - 1} more)" if len(internal) > 1 else ""
-        print(
-            f"internal error: {subject} :: {law}: {detail[len(_INTERNAL):]}{more}",
-            file=sys.stderr,
-        )
+        _diagnose(f"internal error: {subject} :: {law}: {detail[len(_INTERNAL):]}{more}")
         return 3
     return 0 if report.ok else 1
 
@@ -372,10 +379,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SemicatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 2
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _diagnose(f"internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -76,7 +76,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, eq, mul
+from operator import add, and_, mul
 from struct import Struct
 from typing import Callable, NamedTuple, Sequence
 
@@ -450,18 +450,19 @@ def _kernel(S: SemiringDescriptor) -> _Kernel:
     return _KERNELS.get(S) or _generic(S)
 
 
-def _indicator(S: SemiringDescriptor, rows: int, cols: int, one_at) -> Matrix:
-    """The rows x cols matrix with one at each (i, j) where one_at(i, j)
-    holds and zero elsewhere."""
+def _indicator(S: SemiringDescriptor, cols: int, targets: Sequence) -> Matrix:
+    """The len(targets) x cols matrix with one at (i, targets[i]) for each
+    row i whose target is not None, and zero elsewhere."""
     k = _kernel(S)
-    return _matrix(
-        S, rows, cols,
-        (k.one if one_at(i, j) else k.zero for i in range(rows) for j in range(cols)),
-    )
+    values = [k.zero] * (len(targets) * cols)
+    for i, j in enumerate(targets):
+        if j is not None:
+            values[i * cols + j] = k.one
+    return _matrix(S, len(targets), cols, values)
 
 
 def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
-    return _indicator(S, n, n, eq)
+    return _indicator(S, n, range(n))
 
 
 def mat_compose(g: Matrix, h: Matrix) -> Matrix:
@@ -478,19 +479,19 @@ def mat_compose(g: Matrix, h: Matrix) -> Matrix:
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return _indicator(S, n, n + m, eq)
+    return _indicator(S, n + m, range(n))
 
 
 def mat_coproj2(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return _indicator(S, m, n + m, lambda i, j: j == n + i)
+    return _indicator(S, n + m, range(n, n + m))
 
 
 def mat_proj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return _indicator(S, n + m, n, eq)
+    return _indicator(S, n, [*range(n), *[None] * m])
 
 
 def mat_proj2(S: SemiringDescriptor, n: int, m: int) -> Matrix:
-    return _indicator(S, n + m, m, lambda i, j: i == n + j)
+    return _indicator(S, m, [*[None] * n, *range(m)])
 
 
 def mat_cotuple(f: Matrix, g: Matrix) -> Matrix:
@@ -614,7 +615,7 @@ def aleph0_compose(f: Aleph0Map, g: Aleph0Map) -> Aleph0Map:
 
 def aleph0_embed(f: Aleph0Map, S: SemiringDescriptor) -> Matrix:
     """The 0/1 matrix of a function; identity on objects and functorial."""
-    return _indicator(S, f.dom, f.cod, lambda i, j: f(i) == j)
+    return _indicator(S, f.cod, f.table)
 
 
 # ---------------------------------------------------------------------------

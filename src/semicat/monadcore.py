@@ -253,15 +253,8 @@ class Multiset(Elem):
     def support(self) -> tuple[Elem, ...]:
         return tuple(x for x, _ in self.entries)
 
-    def sort_key(self) -> tuple:
-        return (
-            "multiset",
-            self.tag,
-            tuple((x.key(), _scalar_key(s)) for x, s in self.entries),
-        )
-
     def key(self) -> tuple:
-        return ("msval", self.sort_key())
+        return ("msval", self.tag, tuple((x.key(), _scalar_key(s)) for x, s in self.entries))
 
     def __eq__(self, other) -> bool:
         return (
@@ -278,8 +271,8 @@ class Multiset(Elem):
 
 
 def _scalar_key(s) -> tuple:
-    if hasattr(s, "sort_key"):
-        return s.sort_key()
+    if hasattr(s, "key"):
+        return s.key()
     return ("opaque", repr(s))
 
 

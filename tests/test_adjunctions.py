@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -246,6 +247,28 @@ def test_noncommutativity_stops_at_the_first_disagreeing_pair(monkeypatch):
     report = run_suite(SuiteConfig(suite="commutativity", monoid="free-words", cases=1000))
     assert report.ok
     assert draws == []
+
+
+@pytest.mark.parametrize(("hi", "k"), [(0, 1), (3, 1), (3, 3), (4, 2), (4, 5)])
+def test_chain_draws_every_dimension_before_its_first_map(hi, k):
+    rng = random.Random(11)
+    calls = []
+
+    def make(r, dom, cod):
+        assert r is rng
+        calls.append((dom, cod, r.getstate()))
+        return dom, cod, r.random()
+
+    maps = adjunctions._chain(make, hi, k)(rng)
+    replay = random.Random(11)
+    dims = [replay.randint(0, hi) for _ in range(k + 1)]
+    assert all(0 <= d <= hi for d in dims)
+    # the first map is made right after the k + 1 dimensions are drawn
+    assert calls[0][2] == replay.getstate()
+    assert [(dom, cod) for dom, cod, _ in maps] == list(zip(dims, dims[1:]))
+    assert len(maps) == k
+    for (_, cod, _), (dom, _, _) in zip(maps, maps[1:]):
+        assert cod == dom
 
 
 def test_report_rendering():

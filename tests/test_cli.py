@@ -4,7 +4,9 @@ operations, law suites, and exit codes."""
 import argparse
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -487,7 +489,7 @@ def test_roundtrip_reports_violations(capsys, monkeypatch):
 
 
 def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
-    def broken_builder(subject, rng, cases):
+    def broken_builder(subject):
         raise RuntimeError("builder bug")
 
     subjects, subject_name, _ = adjunctions._SUITES["dagger"]
@@ -496,6 +498,38 @@ def test_an_unexpected_exception_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: builder bug\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laws", "--suite", "dagger", "--cases", "2"],
+        ["matmul", "--op", "compose", "-A", fx("compose_wide_a.mat"),
+         "-B", fx("compose_wide_b.mat")],
+    ],
+    ids=["laws", "matmul"],
+)
+def test_closed_output_pipes_exit_2(argv):
+    # Both read ends are closed before the child writes: the result cannot
+    # be written (exit 2), and the diagnostic that says so cannot either,
+    # which must not change the exit status.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from semicat.cli import main; raise SystemExit(main())"
+    )
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
+    os.close(out_r)
+    os.close(err_r)
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, *argv], stdout=out_w, stderr=err_w
+        )
+    finally:
+        os.close(out_w)
+        os.close(err_w)
+    assert child.wait(timeout=120) == 2
 
 
 def zero_division(*args):
