@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
-matrix calculator over the built-in semirings, ``shortest-path`` computes
-the bounded-hop distance table of a graph as the power (I + A)^h of its
-tropical weight matrix A, and ``roundtrip`` drives the adjunction
-transposes there and back. When no cycle is negative, one n^3 closure
-usually answers: Lehmann's closure of I + A when h >= n - 1, and below
-that its closure over (distance, hops) pairs, which answers when no pair's
-cheapest walk needs more than h edges (see :func:`bounded_paths`). Any
-other case falls back to repeated squaring, O(n^3 log h).
+matrix calculator over the built-in semirings, ``shortest-path`` reads a
+graph file straight into its tropical weight matrix A and computes the
+bounded-hop distance table as the power (I + A)^h, and ``roundtrip``
+drives the adjunction transposes there and back. When no cycle is
+negative, one n^3 closure usually answers: Lehmann's closure of I + A
+when h >= n - 1, and below that its closure over (distance, hops) pairs,
+which answers when no pair's cheapest walk needs more than h edges (see
+:func:`bounded_paths`). Any other case falls back to repeated squaring,
+O(n^3 log h).
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, Scalar, _payload, _quote, _render_rows
+from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, _quote, _render_rows
 from .errors import FormatError, NotIdempotent, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -55,9 +55,7 @@ from .matcat import (
 __all__ = [
     "MAX_CASES",
     "MAX_TABLE_ENTRIES",
-    "GraphSpec",
     "parse_graph_text",
-    "graph_matrix",
     "bounded_paths",
     "main",
 ]
@@ -85,36 +83,33 @@ def _check_table_size(what: str, rows: int, cols: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """A weighted directed graph: node count plus (src, dst, weight) edges."""
-
-    nodes: int
-    edges: tuple
-
-
-def parse_graph_text(text: str) -> GraphSpec:
-    """Parse the line-oriented graph format: a node count line, then one
-    ``src dst weight`` line per edge. Blank lines are ignored. Node counts
-    and indices are ``nat`` literals (ASCII digits), weights ``tropical``
-    literals; each distinct weight text is parsed once per call."""
+def parse_graph_text(text: str) -> Matrix:
+    """The one-hop weight table of a graph in the line-oriented format: a
+    node count line, then one ``src dst weight`` line per edge. Blank lines
+    are ignored. Node counts and indices are ``nat`` literals (ASCII
+    digits), weights ``tropical`` literals, each distinct text parsed once
+    per call. The table is checked against ``MAX_TABLE_ENTRIES`` at the
+    count line, before any edge is read. Parallel edges collapse to their
+    minimum; absent edges are the tropical zero."""
     index, weight_of = _GRAMMARS["nat"], _GRAMMARS["tropical"]
     parts: dict = {}  # neither grammar has rational parts to keep here
-    count = None
-    edges = []
-    weights: dict[str, Scalar] = {}
+    add = _kernel(TROPICAL).add
+    n = values = None
+    weights: dict = {}  # tested with `in`: inf parses to None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         fields = line.split()
-        if count is None:
+        if n is None:
             if len(fields) != 1:
                 raise FormatError(f"line {ln}: expected the node count alone")
             try:
-                count = index(fields[0], parts)
+                n = index(fields[0], parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: bad node count: {exc}") from None
+            _check_table_size("the distance table", n, n)
+            values = [None] * (n * n)
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
@@ -122,29 +117,18 @@ def parse_graph_text(text: str) -> GraphSpec:
             src, dst = index(fields[0], parts), index(fields[1], parts)
         except FormatError as exc:
             raise FormatError(f"line {ln}: bad node index: {exc}") from None
-        if not 0 <= src < count or not 0 <= dst < count:
-            raise FormatError(f"line {ln}: node index out of range (n = {count})")
+        if not 0 <= src < n or not 0 <= dst < n:
+            raise FormatError(f"line {ln}: node index out of range (n = {n})")
         text = fields[2]
-        weight = weights.get(text)
-        if weight is None:
+        if text not in weights:
             try:
-                weight = weights[text] = Scalar("tropical", weight_of(text, parts))
+                weights[text] = weight_of(text, parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: {exc}") from None
-        edges.append((src, dst, weight))
-    if count is None:
-        raise FormatError("empty graph file: expected a node count")
-    return GraphSpec(count, tuple(edges))
-
-
-def graph_matrix(spec: GraphSpec) -> Matrix:
-    """One-hop weight matrix over the tropical semiring. Parallel edges
-    collapse to their minimum; absent edges are the tropical zero."""
-    n, ops = spec.nodes, _kernel(TROPICAL)
-    values = [ops.zero] * (n * n)
-    for src, dst, weight in spec.edges:
         k = src * n + dst
-        values[k] = ops.add(values[k], _payload(weight, "tropical"))
+        values[k] = add(values[k], weights[text])
+    if n is None:
+        raise FormatError("empty graph file: expected a node count")
     return _matrix(TROPICAL, n, n, values)
 
 
@@ -196,7 +180,7 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
         return eye
     base = mat_add(eye, a)
     rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
-    if hops >= n - 1 and all(_pivot(ops, rows, k) for k in range(n)):
+    if hops >= n - 1 and all(ops.pivot(rows, k) for k in range(n)):
         return _matrix(S, n, n, [x for row in rows for x in row])
     if S is TROPICAL and hops < n - 1:
         closed = _hop_closure(ops, rows, hops)
@@ -209,12 +193,6 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
             break
         acc = mat_compose(square, base) if bit == "1" else square
     return acc
-
-
-def _pivot(ops, rows: list, k: int) -> bool:
-    """Pivot k of the closure of ``rows``, in place; False, changing
-    nothing, when d_kk is not one."""
-    return ops.pivot(rows, k)
 
 
 def _hop_closure(ops, rows: list, hops: int) -> list | None:
@@ -282,9 +260,7 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_shortest_path(args) -> int:
-    spec = parse_graph_text(_read_input(args.graph))
-    _check_table_size("the distance table", spec.nodes, spec.nodes)
-    table = bounded_paths(graph_matrix(spec), args.max_hops)
+    table = bounded_paths(parse_graph_text(_read_input(args.graph)), args.max_hops)
     rows = _render_rows(table.tag, table.values, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from semicat.adjunctions import ADJUNCTION_NAMES, SuiteConfig, run_roundtrip, run_suite
 from semicat.algebra import SEMIRINGS, canonical_from_nat, tropical
-from semicat.cli import bounded_paths, graph_matrix, main, parse_graph_text
+from semicat.cli import bounded_paths, main, parse_graph_text
 from semicat.matcat import Matrix, homset_semiring, mat_compose, matrix
 from semicat.monadcore import (
     MultisetMonad,
@@ -248,10 +248,10 @@ def test_c10_adjunction_roundtrips():
     assert "mat-h-involutive" in laws_of(involutive)
 
 
-def brute_force_distances(spec, hops):
+def brute_force_distances(n, edges, hops):
     adjacency = {}
-    for src, dst, w in spec.edges:
-        adjacency.setdefault(src, []).append((dst, w.payload))
+    for src, dst, w in edges:
+        adjacency.setdefault(src, []).append((dst, w))
     best = {}
 
     def explore(start, node, cost, remaining):
@@ -263,7 +263,7 @@ def brute_force_distances(spec, hops):
         for nxt, w in adjacency.get(node, ()):
             explore(start, nxt, cost + w, remaining - 1)
 
-    for start in range(spec.nodes):
+    for start in range(n):
         explore(start, start, 0, hops)
     return best
 
@@ -273,14 +273,13 @@ def test_c11_bounded_paths_match_exhaustive_enumeration():
     for _ in range(20):
         n = rng.randint(1, 5)
         hops = rng.randint(0, 4)
-        lines = [str(n)]
-        for _ in range(rng.randint(0, 2 * n)):
-            lines.append(
-                f"{rng.randrange(n)} {rng.randrange(n)} {rng.randint(-3, 9)}"
-            )
-        spec = parse_graph_text("\n".join(lines) + "\n")
-        got = bounded_paths(graph_matrix(spec), hops)
-        best = brute_force_distances(spec, hops)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randint(-3, 9))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        lines = [str(n)] + [f"{src} {dst} {w}" for src, dst, w in edges]
+        got = bounded_paths(parse_graph_text("\n".join(lines) + "\n"), hops)
+        best = brute_force_distances(n, edges, hops)
         for i in range(n):
             for j in range(n):
                 expected = best.get((i, j))

@@ -1,5 +1,6 @@
 """Hom-set transposes, witness validation, and the law-suite runner."""
 
+import hashlib
 import importlib
 import pkgutil
 import random
@@ -269,6 +270,42 @@ def test_chain_draws_every_dimension_before_its_first_map(hi, k):
     assert len(maps) == k
     for (_, cod, _), (dom, _, _) in zip(maps, maps[1:]):
         assert cod == dom
+
+
+def test_every_drawn_case_is_pinned(monkeypatch):
+    """The law cases the suites and roundtrips consume, pinned by count and
+    digest: every suite at seeds 0-2 with 5 cases over its default
+    subjects, and for monad-laws and commutativity also over the nat-mul,
+    nat-add and free-words monoids; then every roundtrip over every
+    semiring and the two involutive gaussian ones. Each argument tuple
+    ``_first_failure`` takes feeds sha256 ``"|".join(map(str, args))`` and
+    a newline, in order. A change that draws other cases on purpose updates
+    the pin and records the new digest in CHANGES.md."""
+    digest, count = hashlib.sha256(), []
+    first_failure = adjunctions._first_failure
+
+    def hashed(cases, holds):
+        def fed():
+            for args in cases:
+                digest.update(("|".join(map(str, args)) + "\n").encode())
+                count.append(None)
+                yield args
+
+        return first_failure(fed(), holds)
+
+    monkeypatch.setattr(adjunctions, "_first_failure", hashed)
+    for seed in range(3):
+        for suite in SUITE_NAMES:
+            run_suite(SuiteConfig(suite, seed=seed, cases=5))
+            if suite in ("monad-laws", "commutativity"):
+                for monoid in ("nat-mul", "nat-add", "free-words"):
+                    run_suite(SuiteConfig(suite, monoid=monoid, seed=seed, cases=5))
+    for adjunction in ADJUNCTION_NAMES:
+        for name in SEMIRINGS:
+            run_roundtrip(adjunction, name)
+    run_roundtrip("srng-e", "gaussian", involutive=True)
+    run_roundtrip("mat-h", "gaussian", involutive=True)
+    assert (len(count), digest.hexdigest()[:16]) == (6483, "1c12b52e72cf502f")
 
 
 def test_report_rendering():

@@ -28,7 +28,7 @@ from semicat.algebra import (
     rational,
     tropical,
 )
-from semicat.cli import GraphSpec, bounded_paths, graph_matrix
+from semicat.cli import bounded_paths, parse_graph_text
 from semicat.errors import DimensionMismatch, NotIdempotent
 from semicat.matcat import _KERNELS, Matrix, mat_add, mat_compose, mat_identity
 
@@ -82,13 +82,8 @@ def min_plus_oracle(weights, hops):
 
 
 def tropical_matrix(weights):
-    edges = tuple(
-        (i, j, tropical(w))
-        for i, row in enumerate(weights)
-        for j, w in enumerate(row)
-        if w is not None
-    )
-    return graph_matrix(GraphSpec(len(weights), edges))
+    n = len(weights)
+    return Matrix(TROPICAL, n, n, (tropical(w) for row in weights for w in row))
 
 
 def payloads(m):
@@ -192,6 +187,25 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_pivots(mp):
+    """Count the closure pivots ``bounded_paths`` takes, in either closure
+    and over any semiring: each kernel cli looks up has its pivot wrapped."""
+    calls = []
+    kernel = cli._kernel
+
+    def counted_kernel(S):
+        ops = kernel(S)
+
+        def pivot(rows, k):
+            calls.append(k)
+            return ops.pivot(rows, k)
+
+        return ops._replace(pivot=pivot)
+
+    mp.setattr(cli, "_kernel", counted_kernel)
+    return calls
+
+
 def count_composes(monkeypatch):
     # The squaring's products, as bounded_paths calls them through cli.
     return count_calls(monkeypatch, "mat_compose")
@@ -247,7 +261,7 @@ def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
     weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
     hops = 200_000
     products = count_calls(monkeypatch, "mat_compose")
-    pivots = count_calls(monkeypatch, "_pivot")
+    pivots = count_pivots(monkeypatch)
     adds = count_calls(monkeypatch, "mat_add")
     far = bounded_paths(tropical_matrix(weights), hops)
     assert len(products) <= 2 * (hops.bit_length() - 1)
@@ -259,7 +273,7 @@ def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
 def test_closure_takes_at_most_n_pivots_and_no_products(monkeypatch):
     weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
     products = count_calls(monkeypatch, "mat_compose")
-    pivots = count_calls(monkeypatch, "_pivot")
+    pivots = count_pivots(monkeypatch)
     got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
     assert len(pivots) <= 3
     assert products == []
@@ -285,8 +299,9 @@ HOPS = st.one_of(
 
 @st.composite
 def parallel_edge_graphs(draw):
-    """A graph spec whose edge list may repeat a (src, dst) pair with
-    different weights, and the collapsed weights: the cheapest of each."""
+    """The text of a graph file whose edge lines may repeat a (src, dst)
+    pair with different weights, and the collapsed weights: the cheapest
+    of each."""
     n = draw(st.integers(1, 6))
     edges = draw(
         st.lists(
@@ -298,8 +313,8 @@ def parallel_edge_graphs(draw):
     for src, dst, w in edges:
         if weights[src][dst] is None or w < weights[src][dst]:
             weights[src][dst] = w
-    spec = GraphSpec(n, tuple((src, dst, tropical(w)) for src, dst, w in edges))
-    return spec, weights
+    text = "".join(f"{src} {dst} {w}\n" for src, dst, w in edges)
+    return f"{n}\n{text}", weights
 
 
 @st.composite
@@ -330,8 +345,8 @@ def check_against_oracles(a, weights, hops):
 @given(parallel_edge_graphs(), HOPS)
 def test_squaring_matches_the_hop_loop_and_the_doubling(graph, hops):
     # Weights down to -6 give many graphs a negative cycle.
-    spec, weights = graph
-    check_against_oracles(graph_matrix(spec), weights, hops)
+    text, weights = graph
+    check_against_oracles(parse_graph_text(text), weights, hops)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,7 +405,7 @@ def steps(run):
     :func:`bounded_paths`."""
     with pytest.MonkeyPatch.context() as mp:
         products = count_calls(mp, "mat_compose")
-        pivots = count_calls(mp, "_pivot")
+        pivots = count_pivots(mp)
         run()
     return len(pivots), len(products)
 
@@ -410,7 +425,10 @@ def test_a_zero_weight_cycle_takes_the_closure():
         [-2, None, None, None],
     ]
     n = len(weights)
-    assert tropical_steps(weights, n - 2)[0] == 0
+    a = tropical_matrix(weights)
+    (closures, pivots, products), _ = route_steps(a, n - 2)
+    assert (closures, pivots) == (1, n) and products > 0
+    check_against_oracles(a, weights, n - 2)
     for hops in (n - 1, n, 1000):
         assert tropical_steps(weights, hops) == (n, 0), hops
 
@@ -496,29 +514,16 @@ def test_widest_paths_take_the_generic_closure():
 # squaring as its fallback when the hop bound binds or a cycle is negative
 
 
-def count_kernel_pivots(mp):
-    """Count the tropical kernel's pivot calls, wherever they come from."""
-    calls = []
-    kernel = _KERNELS[TROPICAL]
-
-    def counted(rows, k):
-        calls.append(k)
-        return kernel.pivot(rows, k)
-
-    mp.setitem(_KERNELS, TROPICAL, kernel._replace(pivot=counted))
-    return calls
-
-
 def route_steps(a, hops):
-    """(hop closures, kernel pivots, _pivot calls, matrix products) that
-    ``bounded_paths(a, hops)`` takes, and its result."""
+    """(hop closures, pivots, matrix products) that ``bounded_paths(a,
+    hops)`` takes, and its result. With no hop closure, every pivot is the
+    plain closure's."""
     with pytest.MonkeyPatch.context() as mp:
         closures = count_calls(mp, "_hop_closure")
-        kernel_pivots = count_kernel_pivots(mp)
-        pivots = count_calls(mp, "_pivot")
+        pivots = count_pivots(mp)
         products = count_calls(mp, "mat_compose")
         got = bounded_paths(a, hops)
-    return (len(closures), len(kernel_pivots), len(pivots), len(products)), got
+    return (len(closures), len(pivots), len(products)), got
 
 
 def closure_rows(a):
@@ -569,11 +574,8 @@ def test_below_n_minus_1_one_hop_closure_and_no_squaring():
     n = 7
     weights = [[1] * n for _ in range(n)]
     for hops in range(1, n - 1):
-        (closures, kernel_pivots, pivots, products), got = route_steps(
-            tropical_matrix(weights), hops
-        )
-        assert (closures, pivots, products) == (1, 0, 0), hops
-        assert kernel_pivots <= n
+        (closures, pivots, products), got = route_steps(tropical_matrix(weights), hops)
+        assert (closures, pivots, products) == (1, n, 0), hops
         assert payloads(got) == min_plus_oracle(weights, hops)
 
 
@@ -588,8 +590,8 @@ def test_a_zero_weight_cycle_and_a_tie_take_the_hop_closure():
         [None, None, None, None],
     ]
     assert max_fewest_hops(weights) == 2
-    (closures, _, pivots, products), got = route_steps(tropical_matrix(weights), 2)
-    assert (closures, pivots, products) == (1, 0, 0)
+    (closures, pivots, products), got = route_steps(tropical_matrix(weights), 2)
+    assert (closures, pivots, products) == (1, len(weights), 0)
     assert payloads(got) == min_plus_oracle(weights, 2)
 
 
@@ -599,12 +601,12 @@ def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(n):
     a = tropical_matrix(weights)
     assert max_fewest_hops(weights) == n - 1
     # At n - 2 the bound binds: the hop closure runs and the squaring answers.
-    (closures, kernel_pivots, pivots, products), _ = route_steps(a, n - 2)
-    assert (closures, kernel_pivots, pivots) == (1, n, 0)
+    (closures, pivots, products), _ = route_steps(a, n - 2)
+    assert (closures, pivots) == (1, n)
     assert 0 < products <= 2 * ((n - 2).bit_length() - 1)
     check_against_oracles(a, weights, n - 2)
-    # At n - 1 the plain closure runs, reaching the kernel pivot through _pivot.
-    assert route_steps(a, n - 1)[0] == (0, n, n, 0)
+    # At n - 1 the plain closure runs instead, through the kernel's pivot.
+    assert route_steps(a, n - 1)[0] == (0, n, 0)
     assert check_against_oracles(a, weights, n - 1)[0][n - 1] == n - 1
     rows = closure_rows(a)
     assert cli._hop_closure(_KERNELS[TROPICAL], rows, n - 2) is None
@@ -620,35 +622,11 @@ def test_a_negative_cycle_below_n_minus_1_falls_back_to_squaring():
         weights[i][(i + 1) % n] = 2
     weights[2][1] = -3  # 1 -> 2 -> 1 weighs -1
     for hops in (1, 2, 3, n - 2):
-        (closures, kernel_pivots, pivots, products), _ = route_steps(
-            tropical_matrix(weights), hops
-        )
-        assert (closures, pivots) == (1, 0), hops
-        assert kernel_pivots <= n
+        (closures, pivots, products), _ = route_steps(tropical_matrix(weights), hops)
+        # The hop closure alone pivots: the cycle shows at pivot 2.
+        assert (closures, pivots) == (1, 3), hops
         assert products <= 2 * (hops.bit_length() - 1)
         check_against_oracles(tropical_matrix(weights), weights, hops)
-
-
-def test_a_tropical_closure_reaches_the_kernel_pivot_through_pivot(monkeypatch):
-    inside = []
-    kernel = _KERNELS[TROPICAL]
-    original = cli._pivot
-
-    def pivot(ops, rows, k):
-        inside.append(True)
-        try:
-            return original(ops, rows, k)
-        finally:
-            inside.pop()
-
-    def kernel_pivot(rows, k):
-        assert inside == [True]
-        return kernel.pivot(rows, k)
-
-    monkeypatch.setattr(cli, "_pivot", pivot)
-    monkeypatch.setitem(_KERNELS, TROPICAL, kernel._replace(pivot=kernel_pivot))
-    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
-    assert payloads(bounded_paths(tropical_matrix(weights), 2)) == min_plus_oracle(weights, 2)
 
 
 @pytest.mark.parametrize("hops", range(0, 9))
@@ -690,7 +668,7 @@ def test_no_negative_cycle_around_n_minus_1(weights, offset):
     n = len(weights)
     hops = max(0, n - 1 + offset)
     a = tropical_matrix(weights)
-    (closures, _, _, products), _ = route_steps(a, hops)
+    (closures, _, products), _ = route_steps(a, hops)
     check_against_oracles(a, weights, hops)
     if 0 < hops < n - 1:
         assert closures == 1
@@ -709,14 +687,15 @@ def test_no_negative_cycle_around_n_minus_1(weights, offset):
 @given(parallel_edge_graphs(), NEAR_N)
 def test_negative_cycles_and_self_loops_around_n_minus_1(graph, offset):
     # Weights down to -6 give many graphs a negative cycle or self-loop.
-    spec, weights = graph
-    n = spec.nodes
+    text, weights = graph
+    n = len(weights)
     hops = max(0, n - 1 + offset)
-    (closures, kernel_pivots, _, products), _ = route_steps(graph_matrix(spec), hops)
+    a = parse_graph_text(text)
+    (closures, pivots, products), _ = route_steps(a, hops)
     assert closures == (1 if 0 < hops < n - 1 else 0)
-    assert kernel_pivots <= n
+    assert pivots <= n
     assert products <= 2 * max(hops.bit_length() - 1, 0)
-    check_against_oracles(graph_matrix(spec), weights, hops)
+    check_against_oracles(a, weights, hops)
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,8 @@ import semicat.cli as cli
 import semicat.matcat as matcat
 from semicat.adjunctions import ADJUNCTION_NAMES, SUITE_NAMES, SuiteReport
 from semicat.algebra import SEMIRINGS, TROPICAL, Scalar, tropical
-from semicat.cli import bounded_paths, graph_matrix, main, parse_graph_text
-from semicat.errors import FormatError
+from semicat.cli import bounded_paths, main, parse_graph_text
+from semicat.errors import FormatError, SizeLimitExceeded
 from semicat.matcat import (
     mat_compose,
     mat_dagger,
@@ -46,14 +46,13 @@ def golden(name: str) -> str:
 
 
 def test_parse_graph_text():
-    spec = parse_graph_text("3\n\n0 1 4\n1 2 -2\n")
-    assert spec.nodes == 3
-    assert spec.edges == ((0, 1, tropical(4)), (1, 2, tropical(-2)))
+    # The one-hop table on payloads, with None for the absent edges.
+    a = parse_graph_text("3\n\n0 1 4\n1 2 -2\n")
+    assert (a.semiring, a.rows, a.cols) == (TROPICAL, 3, 3)
+    assert a.values == (None, 4, None, None, None, -2, None, None, None)
     # Repeated weight texts, and two spellings of one weight.
-    spec = parse_graph_text("3\n0 1 -2\n1 2 -2\n2 0 inf\n0 2 07\n2 1 7\n1 0 inf\n")
-    assert [w for _, _, w in spec.edges] == [
-        tropical(-2), tropical(-2), tropical(None), tropical(7), tropical(7), tropical(None)
-    ]
+    a = parse_graph_text("3\n0 1 -2\n1 2 -2\n2 0 inf\n0 2 07\n2 1 7\n1 0 inf\n")
+    assert a.values == (None, -2, 7, None, None, -2, None, 7, None)
 
 
 def test_parse_graph_errors():
@@ -95,20 +94,31 @@ def test_graph_errors_are_pinned(text, message):
         parse_graph_text(text)
 
 
+def test_the_graph_cap_is_on_the_node_count():
+    # 1000 nodes fill the cap exactly; 1001 fail before any edge is read.
+    a = parse_graph_text("1000\n999 0 -1\n")
+    assert (a.rows, a.cols, a.values[-1000]) == (1000, 1000, -1)
+    assert a.values.count(None) == 999_999
+    with pytest.raises(SizeLimitExceeded, match="^the distance table would have 1001x1001 "):
+        parse_graph_text("1001\n0 1 x\n")
+
+
 def test_graph_matrix_merges_parallel_edges():
-    a = graph_matrix(parse_graph_text("2\n0 1 5\n0 1 2\n"))
+    a = parse_graph_text("2\n0 1 5\n0 1 2\n")
     assert a.entry(0, 1) == tropical(2)
     assert a.entry(1, 0) == TROPICAL.zero
     assert a.entry(0, 0) == TROPICAL.zero
+    # The cheapest edge wins in either order, and inf adds nothing.
+    assert parse_graph_text("2\n0 1 2\n0 1 5\n0 1 inf\n").entry(0, 1) == tropical(2)
 
 
 def test_bounded_paths_zero_hops_is_identity():
-    a = graph_matrix(parse_graph_text("3\n0 1 1\n"))
+    a = parse_graph_text("3\n0 1 1\n")
     assert bounded_paths(a, 0) == mat_identity(TROPICAL, 3)
 
 
 def test_bounded_paths_cycle_oracle():
-    a = graph_matrix(parse_graph_text("3\n0 1 1\n1 2 1\n2 0 1\n"))
+    a = parse_graph_text("3\n0 1 1\n1 2 1\n2 0 1\n")
     t = tropical
     assert bounded_paths(a, 2) == matrix(
         TROPICAL,
@@ -279,13 +289,11 @@ def test_shortest_path_goldens(capsys):
     assert capsys.readouterr().out == golden("line4_k3.out")
 
 
-@pytest.mark.parametrize(
-    "graph, hops, weights", [("cycle3.graph", "2", {"1"}), ("line4.graph", "3", {"2", "-1", "5"})]
-)
-def test_shortest_path_boxes_only_the_distinct_weights(capsys, monkeypatch, graph, hops, weights):
-    """The table is built, computed and written on payloads: no _payloads
-    call, and a Scalar only for each distinct weight text of the file."""
-    unwraps, boxed, inside = [], [], []
+@pytest.mark.parametrize("graph, hops", [("cycle3.graph", "2"), ("line4.graph", "3")])
+def test_shortest_path_builds_no_scalar(capsys, monkeypatch, graph, hops):
+    """The table is read, computed and written on payloads: no _payloads
+    call and no Scalar, not even for the weights of the file."""
+    unwraps, boxed = [], []
     for module in (algebra, matcat, cli):
         if hasattr(module, "_payloads"):
             original = module._payloads
@@ -296,19 +304,9 @@ def test_shortest_path_boxes_only_the_distinct_weights(capsys, monkeypatch, grap
     monkeypatch.setattr(
         Scalar, "__init__", lambda self, *a: boxed.append(a) or scalar_init(self, *a)
     )
-    parse = cli.parse_graph_text
-
-    def counted_parse(text):
-        before = len(boxed)
-        spec = parse(text)
-        inside.append(len(boxed) - before)
-        return spec
-
-    monkeypatch.setattr(cli, "parse_graph_text", counted_parse)
     assert main(["shortest-path", "--graph", fx(graph), "--max-hops", hops]) == 0
     assert unwraps == []
-    assert inside == [len(boxed)]
-    assert len(boxed) <= len(weights)
+    assert boxed == []
     assert capsys.readouterr().out == golden(f"{graph.split('.')[0]}_k{hops}.out")
 
 
@@ -337,6 +335,19 @@ def test_shortest_path_size_cap(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: the distance table would have")
     assert f"cap of {cli.MAX_TABLE_ENTRIES}" in captured.err
+
+
+def test_shortest_path_size_cap_is_checked_at_the_count_line(capsys, tmp_path):
+    # The bad weight on line 2 is never read: the count alone is over the cap.
+    over = tmp_path / "over.graph"
+    over.write_text("1001\n0 1 x\n")
+    assert main(["shortest-path", "--graph", str(over), "--max-hops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the distance table would have 1001x1001 = 1002001 entries,"
+        " above the cap of 1000000\n"
+    )
 
 
 def test_matmul_size_cap(capsys, tmp_path):
