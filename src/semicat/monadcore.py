@@ -11,6 +11,11 @@ derived operations (double strength, value addition, the scalar action,
 evaluation at the one-point set) are computed as the abstract composites
 and the test suites check that they agree with the direct formulas.
 
+Multisets cost per entry, not per call: :func:`ms_from_pairs` returns at
+once for no pair or one, and ``fmap``, ``mult``, ``bc`` and ``dst`` of an
+empty value return the monad's one empty multiset, each after the same
+checks and with an identical result.
+
 Set elements are encoded by the :class:`Elem` tree, which is totally
 ordered, so nested values like multisets of multisets stay canonical and
 usable as association keys.
@@ -21,6 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable
 
 from .algebra import (
@@ -276,15 +282,35 @@ def _scalar_key(s) -> tuple:
     return ("opaque", repr(s))
 
 
+_END = object()
+
+
+def _not_a_key(x) -> ElementOutsideCarrier:
+    return ElementOutsideCarrier(f"multiset key {_describe(x)} is not an element")
+
+
 def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -> Multiset:
     """Canonicalize (element, value) pairs into a multiset: equal elements
-    are merged with the semiring addition and zero entries are dropped."""
+    are merged with the semiring addition and zero entries are dropped.
+
+    Most calls in a law run get no pair or one, and those return at once,
+    with the same key check and zero test and an identical result. The
+    pairs are read one at a time, so a lazy ``pairs`` is consumed, and a
+    bad key is met, in the order the general merge would meet them."""
+    it = iter(pairs)
+    first = next(it, _END)
+    if first is _END:
+        return Multiset(S, ())
+    x, s = first
+    if not isinstance(x, Elem):
+        raise _not_a_key(x)
+    second = next(it, _END)
+    if second is _END:
+        return Multiset(S, ((x, s),) if s != S.zero else ())
     acc: dict[Elem, object] = {}
-    for x, s in pairs:
+    for x, s in chain((first, second), it):
         if not isinstance(x, Elem):
-            raise ElementOutsideCarrier(
-                f"multiset key {_describe(x)} is not an element"
-            )
+            raise _not_a_key(x)
         if x in acc:
             acc[x] = S.add(acc[x], s)
         else:
@@ -373,9 +399,13 @@ class MultisetMonad(MonadInstance):
         self.commutative = True
         self.additive = True
         self.involutive = semiring.star is not None
+        # What fmap, mult, bc and dst return for an empty value: the empty
+        # multiset over this monad's own semiring, not the argument's, which
+        # may be a different descriptor of the same name.
+        self._empty = Multiset(semiring, ())
 
     def check_value(self, u) -> None:
-        if not isinstance(u, Multiset) or u.tag != self.semiring.name:
+        if not isinstance(u, Multiset) or u.semiring.name != self.semiring.name:
             over = f" over {u.tag}" if isinstance(u, Multiset) else ""
             raise TagMismatch(f"{_describe(u)}{over} is not a value of {self.name}")
 
@@ -384,6 +414,8 @@ class MultisetMonad(MonadInstance):
 
     def fmap(self, f: Callable[[Elem], Elem], u: Multiset) -> Multiset:
         self.check_value(u)
+        if not u.entries:
+            return self._empty
         return ms_from_pairs(self.semiring, ((f(x), s) for x, s in u.entries))
 
     def unit(self, x: Elem) -> Multiset:
@@ -393,6 +425,8 @@ class MultisetMonad(MonadInstance):
     def mult(self, u: Multiset) -> Multiset:
         """Flatten a multiset of multisets: multiplicities distribute inward."""
         self.check_value(u)
+        if not u.entries:
+            return self._empty
         S = self.semiring
         pairs: list[tuple[Elem, object]] = []
         for k, s in u.entries:
@@ -409,6 +443,8 @@ class MultisetMonad(MonadInstance):
         """Direct double strength: multiplicity at (x, y) is the product."""
         self.check_value(u)
         self.check_value(v)
+        if not (u.entries and v.entries):
+            return self._empty
         S = self.semiring
         return ms_from_pairs(
             S,
@@ -417,6 +453,8 @@ class MultisetMonad(MonadInstance):
 
     def bc(self, u: Multiset) -> tuple[Multiset, Multiset]:
         self.check_value(u)
+        if not u.entries:
+            return self._empty, self._empty
         left, right = [], []
         for x, s in u.entries:
             if isinstance(x, Inl):
@@ -438,7 +476,7 @@ class MultisetMonad(MonadInstance):
         return ms_from_pairs(self.semiring, pairs)
 
     def initial_value(self) -> Multiset:
-        return Multiset(self.semiring, ())
+        return self._empty
 
     def involution(self, u: Multiset) -> Multiset:
         """Star every multiplicity."""

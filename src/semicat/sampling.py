@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     MonoidDescriptor,
@@ -110,8 +111,16 @@ def random_scalar(rng: random.Random, S: SemiringDescriptor) -> Scalar:
 def random_carrier(
     rng: random.Random, max_size: int = 5, letters: str = "abcde"
 ) -> FiniteCarrier:
+    """The carrier of the first k letters, k drawn from 1 to the smaller of
+    ``max_size`` and the number of letters. Each prefix's carrier is built
+    once and cached (carriers are frozen); the draw is one ``randint``."""
     k = rng.randint(1, min(max_size, len(letters)))
-    return carrier(Atom(c) for c in letters[:k])
+    return _prefix_carrier(letters[:k])
+
+
+@lru_cache(maxsize=64)
+def _prefix_carrier(letters: str) -> FiniteCarrier:
+    return carrier(Atom(c) for c in letters)
 
 
 def random_elem(rng: random.Random, xs: FiniteCarrier) -> Elem:

@@ -53,7 +53,7 @@ from semicat.monadcore import (
     index_carrier,
     ms_from_pairs,
 )
-from semicat.sampling import scalar_pool
+from semicat.sampling import random_carrier, scalar_pool
 
 MN = MultisetMonad(NAT)
 
@@ -246,8 +246,18 @@ def test_noncommutativity_stops_at_the_first_disagreeing_pair(monkeypatch):
 
     monkeypatch.setattr(adjunctions, "random_tvalue", random_tvalue)
     report = run_suite(SuiteConfig(suite="commutativity", monoid="free-words", cases=1000))
-    assert report.ok
     assert draws == []
+    # the verdict rests on the fixed pair: its lines and both composites
+    assert report.entries == (
+        (
+            "action(free-words)",
+            "noncommutativity-witnessed",
+            True,
+            "u = (ab,x)\nv = (cd,y)\n"
+            "strength-first  = (abcd,(x,y))\n"
+            "swapped-first   = (cdab,(x,y))",
+        ),
+    )
 
 
 @pytest.mark.parametrize(("hi", "k"), [(0, 1), (3, 1), (3, 3), (4, 2), (4, 5)])
@@ -270,6 +280,19 @@ def test_chain_draws_every_dimension_before_its_first_map(hi, k):
     assert len(maps) == k
     for (_, cod, _), (dom, _, _) in zip(maps, maps[1:]):
         assert cod == dom
+
+
+@pytest.mark.parametrize(
+    ("max_size", "letters"), [(5, "abcde"), (4, "abcd"), (4, "pqrs"), (3, "dcba"), (9, "xy")]
+)
+def test_random_carrier_is_one_object_per_prefix_and_one_draw(max_size, letters):
+    for seed in range(6):
+        rng, replay = random.Random(seed), random.Random(seed)
+        xs = random_carrier(rng, max_size, letters)
+        k = replay.randint(1, min(max_size, len(letters)))
+        assert rng.getstate() == replay.getstate()
+        assert xs.elems == tuple(Atom(c) for c in sorted(letters[:k]))
+        assert random_carrier(random.Random(seed), max_size, letters) is xs
 
 
 def test_every_drawn_case_is_pinned(monkeypatch):

@@ -237,6 +237,32 @@ def test_compose_kernel_with_signed_parts_at_half_a_slot(width):
     assert_same(mat_compose(h, g), compose_oracle(GAUSSIAN, h, g))
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_compose_kernel_with_signed_gaussian_dots_in_each_slot_width(monkeypatch, width):
+    # Parts of g in [-1, 1] and of h in [-top, top], both ends reached, so
+    # every one of Gauss's three packed products has bound + bias just
+    # under 2**(8 * width) and negative dots that lean on the bias.
+    top = 2 ** (8 * width) // 128
+    rng = random.Random(width)
+    part = lambda t: Fraction(rng.randint(-t, t))
+    ends = lambda t: [gaussian(t, t), gaussian(-t, -t)]
+    g = Matrix(GAUSSIAN, 9, 9, ends(1) + [gaussian(part(1), part(1)) for _ in range(79)])
+    h = Matrix(GAUSSIAN, 9, 9, ends(top) + [gaussian(part(top), part(top)) for _ in range(79)])
+    widths = []
+    real = matcat._packed_dots
+
+    def packed_dots(rows, cols, w, code, col_bias, bias):
+        widths.append(w)
+        return real(rows, cols, w, code, col_bias, bias)
+
+    monkeypatch.setattr(matcat, "_packed_dots", packed_dots)
+    got = mat_compose(g, h)
+    assert widths == [width] * 3
+    assert_same(got, compose_oracle(GAUSSIAN, g, h))
+    real_parts = [re for re, _ in got.values]
+    assert min(real_parts) < 0 < max(real_parts)
+
+
 @pytest.mark.parametrize(
     "S, scalar",
     [

@@ -12,6 +12,7 @@ from semicat.algebra import (
     MONOIDS,
     NAT,
     TROPICAL,
+    SemiringDescriptor,
     additive_monoid,
     boolean,
     gaussian,
@@ -128,6 +129,83 @@ def test_nested_multisets_are_keys_that_sort_and_render_in_place():
 def test_mult_rejects_plain_keys():
     with pytest.raises(KeyNotMultiset):
         MN.mult(ms(NAT, (A, nat(1))))
+
+
+# ---------------------------------------------------------------------------
+# Short paths: no pair, one pair, and empty values
+
+
+def test_ms_from_pairs_with_no_pair_or_one():
+    for S in (NAT, TROPICAL):
+        for pairs in ([], iter([])):
+            empty = ms_from_pairs(S, pairs)
+            assert empty.semiring is S and empty.entries == ()
+    for pairs in ([(A, nat(2))], iter([(A, nat(2))])):
+        assert ms_from_pairs(NAT, pairs).entries == ((A, nat(2)),)
+    # a single zero value is dropped, as it is after a merge
+    assert ms_from_pairs(NAT, [(A, nat(0))]).entries == ()
+    assert ms_from_pairs(TROPICAL, [(A, tropical(None))]).entries == ()
+    assert ms_from_pairs(TROPICAL, [(A, tropical(0))]).entries == ((A, tropical(0)),)
+    with pytest.raises(ElementOutsideCarrier) as info:
+        ms_from_pairs(NAT, [("a", nat(1))])
+    assert str(info.value) == "multiset key a is not an element"
+    with pytest.raises(ElementOutsideCarrier) as info:
+        ms_from_pairs(NAT, iter([(3, nat(0))]))
+    assert str(info.value) == "multiset key an object of type int is not an element"
+
+
+def test_a_bad_first_key_is_met_before_the_second_pair_is_read():
+    def pairs():
+        yield "a", nat(1)
+        raise AssertionError("the second pair was read")
+
+    with pytest.raises(ElementOutsideCarrier, match="^multiset key a is not an element$"):
+        ms_from_pairs(NAT, pairs())
+    read = []
+    with pytest.raises(ElementOutsideCarrier):
+        MN.fmap(lambda x: read.append(x) or "b", ms(NAT, (A, nat(1)), (B, nat(1))))
+    assert read == [A]
+
+
+def test_an_empty_value_comes_back_over_the_monads_own_semiring():
+    twin = SemiringDescriptor(NAT.name, NAT.add, NAT.zero, NAT.mul, NAT.one, NAT.star)
+    empty = Multiset(twin, ())
+    called = []
+    results = [
+        MN.fmap(called.append, empty),
+        MN.mult(empty),
+        *MN.bc(empty),
+        MN.dst(empty, MN.unit(A)),
+        MN.dst(MN.unit(A), empty),
+        MN.dst(empty, empty),
+    ]
+    assert called == []
+    for got in results:
+        assert got.semiring is NAT and got.entries == ()
+
+
+def test_an_empty_value_over_another_semiring_is_still_rejected():
+    empty = ms(BOOL)
+    calls = [
+        lambda: MN.fmap(lambda e: e, empty),
+        lambda: MN.mult(empty),
+        lambda: MN.bc(empty),
+        lambda: MN.dst(empty, MN.unit(A)),
+        lambda: MN.dst(MN.unit(A), empty),
+    ]
+    for call in calls:
+        with pytest.raises(TagMismatch) as info:
+            call()
+        assert str(info.value) == "{} over bool is not a value of multiset(nat)"
+
+
+def test_check_value_messages():
+    with pytest.raises(TagMismatch) as info:
+        MN.check_value(MultisetMonad(BOOL).unit(A))
+    assert str(info.value) == "{a: 1} over bool is not a value of multiset(nat)"
+    with pytest.raises(TagMismatch) as info:
+        MN.check_value(A)
+    assert str(info.value) == "a is not a value of multiset(nat)"
 
 
 # ---------------------------------------------------------------------------
