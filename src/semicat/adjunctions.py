@@ -374,7 +374,8 @@ def transpose_srng(w: HomWitness) -> HomWitness:
 # The matrix-theory triangle
 
 
-def _cycle_matrix(S: SemiringDescriptor, pool, rows: int, cols: int, salt: int) -> Matrix:
+def _cycle_matrix(S: SemiringDescriptor, rows: int, cols: int, salt: int) -> Matrix:
+    pool = scalar_pool(S)
     n = len(pool)
     return Matrix(
         S,
@@ -390,10 +391,9 @@ def _check_theory_functor(
     for n in range(4):
         if F(mat_identity(S, n)) != mat_identity(R, n):
             raise NotASemiringMap(f"identity on {n} is not preserved")
-    pool = scalar_pool(S)
-    a = _cycle_matrix(S, pool, 2, 3, 1)
-    b = _cycle_matrix(S, pool, 3, 2, 2)
-    c = _cycle_matrix(S, pool, 2, 2, 3)
+    a = _cycle_matrix(S, 2, 3, 1)
+    b = _cycle_matrix(S, 3, 2, 2)
+    c = _cycle_matrix(S, 2, 2, 3)
     if F(mat_compose(a, b)) != mat_compose(F(a), F(b)):
         raise NotASemiringMap("composition is not preserved")
     if F(mat_compose(b, c)) != mat_compose(F(b), F(c)):
@@ -435,12 +435,11 @@ def transpose_math(w: HomWitness) -> HomWitness:
                 out = mat_cotuple(out, row)
             return out
 
-        pool = scalar_pool(S)
         samples = (
-            _cycle_matrix(S, pool, 1, 1, 0),
-            _cycle_matrix(S, pool, 2, 2, 1),
-            _cycle_matrix(S, pool, 2, 3, 2),
-            _cycle_matrix(S, pool, 3, 2, 3),
+            _cycle_matrix(S, 1, 1, 0),
+            _cycle_matrix(S, 2, 2, 1),
+            _cycle_matrix(S, 2, 3, 2),
+            _cycle_matrix(S, 3, 2, 3),
             Matrix(S, 0, 2, ()),
             Matrix(S, 2, 0, ()),
         )

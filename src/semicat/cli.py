@@ -2,14 +2,12 @@
 
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
 matrix calculator over the built-in semirings, ``shortest-path`` reads a
-graph file straight into its tropical weight matrix A and computes the
-bounded-hop distance table as the power (I + A)^h, and ``roundtrip``
-drives the adjunction transposes there and back. When no cycle is
-negative, one n^3 closure usually answers: Lehmann's closure of I + A
-when h >= n - 1, and below that its closure over (distance, hops) pairs,
-which answers when no pair's cheapest walk needs more than h edges (see
-:func:`bounded_paths`). Any other case falls back to repeated squaring,
-O(n^3 log h).
+graph file, a line at a time, straight into its tropical weight matrix A
+and prints the bounded-hop distance table that
+:func:`semicat.matcat.bounded_paths` computes, and ``roundtrip`` drives
+the adjunction transposes there and back. This module parses arguments
+and input files, prints results and maps errors to exit codes; the
+computing happens in the layers it calls.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
@@ -25,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing
 from functools import cache
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .adjunctions import (
     ADJUNCTION_NAMES,
@@ -38,15 +38,14 @@ from .adjunctions import (
     run_suite,
 )
 from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, _quote, _render_rows
-from .errors import FormatError, NotIdempotent, SemicatError, SizeLimitExceeded
+from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
     _kernel,
     _matrix,
-    mat_add,
+    bounded_paths,
     mat_compose,
     mat_dagger,
-    mat_identity,
     mat_tensor,
     parse_mat_text,
     render_mat_text,
@@ -56,7 +55,6 @@ __all__ = [
     "MAX_CASES",
     "MAX_TABLE_ENTRIES",
     "parse_graph_text",
-    "bounded_paths",
     "main",
 ]
 
@@ -83,20 +81,23 @@ def _check_table_size(what: str, rows: int, cols: int) -> None:
         )
 
 
-def parse_graph_text(text: str) -> Matrix:
+def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     """The one-hop weight table of a graph in the line-oriented format: a
-    node count line, then one ``src dst weight`` line per edge. Blank lines
-    are ignored. Node counts and indices are ``nat`` literals (ASCII
-    digits), weights ``tropical`` literals, each distinct text parsed once
-    per call. The table is checked against ``MAX_TABLE_ENTRIES`` at the
-    count line, before any edge is read. Parallel edges collapse to their
-    minimum; absent edges are the tropical zero."""
+    node count line, then one ``src dst weight`` line per edge. ``text`` is
+    the graph's text, or its lines as ``str.splitlines`` splits it, which
+    are read one at a time. Blank lines are ignored. Node counts and
+    indices are ``nat`` literals (ASCII digits), weights ``tropical``
+    literals, each distinct text parsed once per call. The table is checked
+    against ``MAX_TABLE_ENTRIES`` at the count line, before any edge line
+    is read. Parallel edges collapse to their minimum; absent edges are the
+    tropical zero."""
     index, weight_of = _GRAMMARS["nat"], _GRAMMARS["tropical"]
     parts: dict = {}  # neither grammar has rational parts to keep here
     add = _kernel(TROPICAL).add
     n = values = None
     weights: dict = {}  # tested with `in`: inf parses to None
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -119,99 +120,26 @@ def parse_graph_text(text: str) -> Matrix:
             raise FormatError(f"line {ln}: bad node index: {exc}") from None
         if not 0 <= src < n or not 0 <= dst < n:
             raise FormatError(f"line {ln}: node index out of range (n = {n})")
-        text = fields[2]
-        if text not in weights:
+        literal = fields[2]
+        if literal not in weights:
             try:
-                weights[text] = weight_of(text, parts)
+                weights[literal] = weight_of(literal, parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: {exc}") from None
         k = src * n + dst
-        values[k] = add(values[k], weights[text])
+        values[k] = add(values[k], weights[literal])
     if n is None:
         raise FormatError("empty graph file: expected a node count")
     return _matrix(TROPICAL, n, n, values)
 
 
-def bounded_paths(a: Matrix, hops: int) -> Matrix:
-    """The sum S_h = a^0 + a^1 + ... + a^hops. Over the tropical semiring
-    this is the table of cheapest paths with at most ``hops`` edges;
-    negative weights and negative cycles are allowed. ``hops < 0`` raises
-    ``ValueError``.
-
-    When addition is idempotent (1 + 1 = 1: tropical, bool), S_h = B^h for
-    B = I + a, computed on the stored payloads of a; the result holds
-    payloads too, boxed only when its entries are read. If hops >= n - 1, it
-    first tries Lehmann's closure of B, n^3 steps: pivot k adds d_ik times
-    row k to each row i != k, provided d_kk = 1, so that d_kk* = 1* = 1.
-    If every pivot passes, the result is the sum over all walks, which is
-    S_(n-1) = S_h: each simple cycle c was in some pivot's diagonal, so
-    1 + c = 1, and a walk through c adds nothing to the walk without it.
-    Over tropical a failed pivot is a negative cycle; over bool none fails
-    (Warshall).
-
-    Over tropical with 0 < hops < n - 1, it first runs the same closure on
-    (distance, hops) pairs, ordered lexicographically (Lehmann's closure
-    over the lexicographic semiring): each finite entry x of B at (i, j) is
-    coded as the int x * K + (i != j) with K = 2n, so a walk's code is its
-    weight times K plus its length, and the tropical pivot runs on the
-    codes unchanged. A simple cycle of weight w and at most n edges has a
-    code below 0 exactly when w < 0, so the pivots pass exactly when no
-    cycle is negative. Then every least code is reached by a simple path,
-    since dropping a cycle of weight >= 0 lowers the code; its length is at
-    most n - 1 < K, so ``// K`` and ``% K`` read back the distance and the
-    fewest edges among the cheapest walks (floor division keeps negative
-    distances exact). If that hop count is at most ``hops`` for every pair,
-    the closure's distances are S_h. Otherwise, as after a failed pivot,
-    binary powering of B with :func:`mat_compose` answers: at most two
-    products per bit of ``hops`` after the first, O(n^3 log h), stopping
-    when a square repeats, B^(2k) = B^k: in the natural order
-    B^k <= B^m <= B^(2k) for k <= m <= 2k, so every later power is B^k.
-    Any other semiring raises :class:`NotIdempotent`.
-    """
-    if hops < 0:
-        raise ValueError(f"hops must be a natural number, got {hops}")
-    S = a.semiring
-    ops = _kernel(S)
-    if ops.add(ops.one, ops.one) != ops.one:
-        raise NotIdempotent(f"{S.name} has no idempotent addition (1 + 1 != 1)")
-    n = a.rows
-    eye = mat_identity(S, n)
-    if hops == 0:
-        return eye
-    base = mat_add(eye, a)
-    rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
-    if hops >= n - 1 and all(ops.pivot(rows, k) for k in range(n)):
-        return _matrix(S, n, n, [x for row in rows for x in row])
-    if S is TROPICAL and hops < n - 1:
-        closed = _hop_closure(ops, rows, hops)
-        if closed is not None:
-            return _matrix(S, n, n, closed)
-    acc = base  # B^k, k the bits of hops read so far
-    for bit in bin(hops)[3:]:
-        square = mat_compose(acc, acc)
-        if square == acc:
-            break
-        acc = mat_compose(square, base) if bit == "1" else square
-    return acc
-
-
-def _hop_closure(ops, rows: list, hops: int) -> list | None:
-    """S_hops over tropical, row major, from the closure of the rows of
-    B = I + A on (distance, hops) codes (see :func:`bounded_paths`); None
-    when a pivot fails or some pair's fewest hops exceed ``hops``. ``rows``
-    is left as it is."""
-    n = len(rows)
-    K = 2 * n
-    codes = [
-        [None if x is None else x * K + (i != j) for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
-    if not all(ops.pivot(codes, k) for k in range(n)):
-        return None
-    flat = [c for row in codes for c in row]
-    if max((c % K for c in flat if c is not None), default=0) > hops:
-        return None
-    return [None if c is None else c // K for c in flat]
+def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int = 0) -> FormatError:
+    """The error for a byte of ``path`` that is not UTF-8, ``offset`` being
+    where the bytes that ``exc`` decoded start in the file."""
+    return FormatError(
+        f"{path}: not UTF-8 text"
+        f" (byte 0x{exc.object[exc.start]:02x} at offset {offset + exc.start})"
+    )
 
 
 def _read_input(path: str) -> str:
@@ -219,9 +147,22 @@ def _read_input(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})"
-        ) from None
+        raise _not_utf8(path, exc) from None
+
+
+def _input_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 input file as ``str.splitlines`` splits its
+    text, read and decoded one LF-ended line of bytes at a time, so a
+    caller that stops early reads no further."""
+    offset = 0
+    with open(path, "rb") as f:
+        for raw in f:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc, offset) from None
+            yield from line.splitlines()
+            offset += len(raw)
 
 
 def _cmd_laws(args) -> int:
@@ -260,7 +201,9 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_shortest_path(args) -> int:
-    table = bounded_paths(parse_graph_text(_read_input(args.graph)), args.max_hops)
+    with closing(_input_lines(args.graph)) as lines:
+        graph = parse_graph_text(lines)
+    table = bounded_paths(graph, args.max_hops)
     rows = _render_rows(table.tag, table.values, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0

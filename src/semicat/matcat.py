@@ -12,7 +12,7 @@ sum, then the codiagonal. :func:`mat_add_biproduct` computes exactly that
 composite, and the hom-set semiring of endomaps of 1
 (:func:`homset_semiring`) adds with it, so the law suites check the
 derived construction against entrywise addition. :func:`mat_add` is the
-entrywise sum that other callers, such as the shortest-path command, use.
+entrywise sum that other callers, such as :func:`bounded_paths`, use.
 
 A semiring's name is its identity, so a matrix's storage follows the
 name and its arithmetic follows the descriptor object. A :class:`Matrix`
@@ -56,11 +56,9 @@ combines. Any other descriptor (hom-set and evaluation semirings, or a
 twin that only carries a built-in's name) computes with its own
 ``add``/``mul``/``star``, one call per scalar step, a twin's on its
 payloads boxed as scalars; the ``compose-oracle`` law compares the
-kernels with a triple loop over the descriptor's operations. Each kernel
-also carries the pivot of Lehmann's closure, which ``shortest-path``
-runs: tropical's updates a row in one comprehension on ints and ``None``,
-and every other kernel's, built-in or not, makes one ``add`` and one
-``mul`` call per entry.
+kernels with a triple loop over the descriptor's operations.
+:func:`bounded_paths`, the distance table of ``shortest-path``, closes
+I + A by Lehmann's pivots or squares it with :func:`mat_compose`.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
 renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
@@ -103,6 +101,7 @@ from .errors import (
     FormatError,
     IndexOutOfRange,
     NoInvolution,
+    NotIdempotent,
     TagMismatch,
 )
 
@@ -125,6 +124,7 @@ __all__ = [
     "coord_join",
     "mat_tensor",
     "mat_dagger",
+    "bounded_paths",
     "aleph0_embed",
     "homset_semiring",
     "parse_mat_text",
@@ -341,52 +341,16 @@ def _gaussian_products(rows: list, cols: list) -> list:
     ]
 
 
-def _tropical_pivot(rows: list, k: int) -> bool:
-    # Pivot k of the closure on ints and None: min-plus in one pass per row.
-    pivot = rows[k]
-    if pivot[k] != 0:
-        return False
-    for i, row in enumerate(rows):
-        d = row[k]
-        if i != k and d is not None:
-            rows[i] = [
-                x if y is None else (y + d if x is None or y + d < x else x)
-                for x, y in zip(row, pivot)
-            ]
-    return True
-
-
-def _pivot_of(add: Callable, mul: Callable, zero, one) -> Callable[[list, int], bool]:
-    """The closure pivot of the semiring with these operations."""
-
-    def pivot(rows: list, k: int) -> bool:
-        row_k = rows[k]
-        if row_k[k] != one:
-            return False
-        for i, row in enumerate(rows):
-            d = row[k]
-            if i != k and d != zero:
-                rows[i] = list(map(add, row, [mul(d, x) for x in row_k]))
-        return True
-
-    return pivot
-
-
 class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
     of one matrix and the columns of another and returns every row-by-column
     sum of products, row major: over nat, ratnn and gaussian from the
     integer dots of :func:`_dots`, a packed output row at a time from
     ``_PACK_MIN`` inner steps up, and entry by entry below it and over
-    bool, tropical and every other descriptor. ``pivot(rows, k)`` is
-    step k of Lehmann's closure of the square matrix ``rows``, in place:
-    when d_kk is one it adds d_ik times row k to each row i != k and
-    returns True, else it returns False and changes nothing. The rest are
-    the scalar operations and constants, on values as a matrix stores
-    them."""
+    bool, tropical and every other descriptor. The rest are the scalar
+    operations and constants, on values as a matrix stores them."""
 
     products: Callable[[list, list], list]
-    pivot: Callable[[list, int], bool]
     add: Callable
     mul: Callable
     star: Callable | None
@@ -394,25 +358,18 @@ class _Kernel(NamedTuple):
     one: object
 
 
-def _payload_kernel(S: SemiringDescriptor, products: Callable, pivot) -> _Kernel:
-    """A built-in's kernel on payloads: ``products``, ``pivot`` (when None,
-    the generic pivot) and its operations from ``_PAYLOAD_OPS``."""
-    add, mul, star = _PAYLOAD_OPS[S.name]
-    zero, one = S.zero.payload, S.one.payload
-    pivot = pivot or _pivot_of(add, mul, zero, one)
-    return _Kernel(products, pivot, add, mul, star, zero, one)
-
-
-# Keyed on the descriptor objects, which hash by identity: a descriptor
-# that merely shares a built-in's name keeps its own operations.
+# A built-in's kernel on payloads: its ``products`` and its add, mul and
+# star from ``_PAYLOAD_OPS``. Keyed on the descriptor objects, which hash by
+# identity: a descriptor that merely shares a built-in's name keeps its own
+# operations.
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
-    S: _payload_kernel(S, products, pivot)
-    for S, products, pivot in (
-        (NAT, _dots, None),
-        (BOOL, _bool_products, None),
-        (TROPICAL, _tropical_products, _tropical_pivot),
-        (RATNN, _ratnn_products, None),
-        (GAUSSIAN, _gaussian_products, None),
+    S: _Kernel(products, *_PAYLOAD_OPS[S.name], S.zero.payload, S.one.payload)
+    for S, products in (
+        (NAT, _dots),
+        (BOOL, _bool_products),
+        (TROPICAL, _tropical_products),
+        (RATNN, _ratnn_products),
+        (GAUSSIAN, _gaussian_products),
     )
 }
 
@@ -442,7 +399,7 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
                 out.append(acc)
         return out
 
-    return _Kernel(products, _pivot_of(add, mul, zero, one), add, mul, star, zero, one)
+    return _Kernel(products, add, mul, star, zero, one)
 
 
 def _kernel(S: SemiringDescriptor) -> _Kernel:
@@ -579,6 +536,131 @@ def mat_dagger(f: Matrix) -> Matrix:
         raise NoInvolution(f"semiring {S.name} has no star")
     a, n, star = f.values, f.cols, _kernel(S).star
     return _matrix(S, n, f.rows, [star(x) for j in range(n) for x in a[j::n]])
+
+
+# ---------------------------------------------------------------------------
+# Bounded-hop sums
+
+
+def bounded_paths(a: Matrix, hops: int) -> Matrix:
+    """The sum S_h = a^0 + a^1 + ... + a^hops. Over the tropical semiring
+    this is the table of cheapest paths with at most ``hops`` edges;
+    negative weights and negative cycles are allowed. ``hops < 0`` raises
+    ``ValueError``.
+
+    When addition is idempotent (1 + 1 = 1: tropical, bool), S_h = B^h for
+    B = I + a, computed on the stored payloads of a; the result holds
+    payloads too, boxed only when its entries are read. If hops >= n - 1, it
+    first tries Lehmann's closure of B, n^3 steps: pivot k adds d_ik times
+    row k to each row i != k, provided d_kk = 1, so that d_kk* = 1* = 1.
+    If every pivot passes, the result is the sum over all walks, which is
+    S_(n-1) = S_h: each simple cycle c was in some pivot's diagonal, so
+    1 + c = 1, and a walk through c adds nothing to the walk without it.
+    Over tropical a failed pivot is a negative cycle; over bool none fails
+    (Warshall). Tropical's pivot updates a row in one comprehension on ints
+    and ``None``; any other's makes one ``add`` and one ``mul`` per entry.
+
+    Over tropical with 0 < hops < n - 1, it first runs the same closure on
+    (distance, hops) pairs, ordered lexicographically (Lehmann's closure
+    over the lexicographic semiring): each finite entry x of B at (i, j) is
+    coded as the int x * K + (i != j) with K = 2n, so a walk's code is its
+    weight times K plus its length, and the tropical pivot runs on the
+    codes unchanged. A simple cycle of weight w and at most n edges has a
+    code below 0 exactly when w < 0, so the pivots pass exactly when no
+    cycle is negative. Then every least code is reached by a simple path,
+    since dropping a cycle of weight >= 0 lowers the code; its length is at
+    most n - 1 < K, so ``// K`` and ``% K`` read back the distance and the
+    fewest edges among the cheapest walks (floor division keeps negative
+    distances exact). If that hop count is at most ``hops`` for every pair,
+    the closure's distances are S_h. Otherwise, as after a failed pivot,
+    binary powering of B with :func:`mat_compose` answers: at most two
+    products per bit of ``hops`` after the first, O(n^3 log h), stopping
+    when a square repeats, B^(2k) = B^k: in the natural order
+    B^k <= B^m <= B^(2k) for k <= m <= 2k, so every later power is B^k.
+    Any other semiring raises :class:`NotIdempotent`.
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be a natural number, got {hops}")
+    S = a.semiring
+    ops = _kernel(S)
+    if ops.add(ops.one, ops.one) != ops.one:
+        raise NotIdempotent(f"{S.name} has no idempotent addition (1 + 1 != 1)")
+    n = a.rows
+    eye = mat_identity(S, n)
+    if hops == 0:
+        return eye
+    base = mat_add(eye, a)
+    rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
+    if hops >= n - 1:
+        if S is TROPICAL:
+            pivot = _tropical_pivot
+        else:
+            pivot = _pivot_of(ops.add, ops.mul, ops.zero, ops.one)
+        if all(pivot(rows, k) for k in range(n)):
+            return _matrix(S, n, n, [x for row in rows for x in row])
+    elif S is TROPICAL:
+        closed = _hop_closure(rows, hops)
+        if closed is not None:
+            return _matrix(S, n, n, closed)
+    acc = base  # B^k, k the bits of hops read so far
+    for bit in bin(hops)[3:]:
+        square = mat_compose(acc, acc)
+        if square == acc:
+            break
+        acc = mat_compose(square, base) if bit == "1" else square
+    return acc
+
+
+def _hop_closure(rows: list, hops: int) -> list | None:
+    """S_hops over tropical, row major, from the closure of the rows of
+    B = I + A on (distance, hops) codes (see :func:`bounded_paths`); None
+    when a pivot fails or some pair's fewest hops exceed ``hops``. ``rows``
+    is left as it is."""
+    n = len(rows)
+    K = 2 * n
+    codes = [
+        [None if x is None else x * K + (i != j) for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    if not all(_tropical_pivot(codes, k) for k in range(n)):
+        return None
+    flat = [c for row in codes for c in row]
+    if max((c % K for c in flat if c is not None), default=0) > hops:
+        return None
+    return [None if c is None else c // K for c in flat]
+
+
+def _tropical_pivot(rows: list, k: int) -> bool:
+    """Step k of Lehmann's closure of the square matrix ``rows`` in place,
+    min-plus on ints and ``None``: when d_kk is one it adds d_ik times row k
+    to each row i != k and returns True, else it changes nothing."""
+    pivot = rows[k]
+    if pivot[k] != 0:
+        return False
+    for i, row in enumerate(rows):
+        d = row[k]
+        if i != k and d is not None:
+            rows[i] = [
+                x if y is None else (y + d if x is None or y + d < x else x)
+                for x, y in zip(row, pivot)
+            ]
+    return True
+
+
+def _pivot_of(add: Callable, mul: Callable, zero, one) -> Callable[[list, int], bool]:
+    """:func:`_tropical_pivot` over the semiring with these operations."""
+
+    def pivot(rows: list, k: int) -> bool:
+        row_k = rows[k]
+        if row_k[k] != one:
+            return False
+        for i, row in enumerate(rows):
+            d = row[k]
+            if i != k and d != zero:
+                rows[i] = list(map(add, row, [mul(d, x) for x in row_k]))
+        return True
+
+    return pivot
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import semicat.cli as cli
+import semicat.matcat as matcat
 from semicat.algebra import (
     BOOL,
     GAUSSIAN,
@@ -28,9 +28,16 @@ from semicat.algebra import (
     rational,
     tropical,
 )
-from semicat.cli import bounded_paths, parse_graph_text
+from semicat.cli import parse_graph_text
 from semicat.errors import DimensionMismatch, NotIdempotent
-from semicat.matcat import _KERNELS, Matrix, mat_add, mat_compose, mat_identity
+from semicat.matcat import (
+    _KERNELS,
+    Matrix,
+    bounded_paths,
+    mat_add,
+    mat_compose,
+    mat_identity,
+)
 
 
 def _doubling_paths(a: Matrix, hops: int) -> Matrix:
@@ -177,37 +184,37 @@ def test_a_semiring_without_idempotent_addition_is_rejected(a, hops):
 
 def count_calls(monkeypatch, name):
     calls = []
-    original = getattr(cli, name)
+    original = getattr(matcat, name)
 
     def counted(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(matcat, name, counted)
     return calls
 
 
 def count_pivots(mp):
     """Count the closure pivots ``bounded_paths`` takes, in either closure
-    and over any semiring: each kernel cli looks up has its pivot wrapped."""
+    and over any semiring: the tropical pivot and every pivot that
+    ``_pivot_of`` builds are wrapped."""
     calls = []
-    kernel = cli._kernel
 
-    def counted_kernel(S):
-        ops = kernel(S)
-
-        def pivot(rows, k):
+    def counted(pivot):
+        def step(rows, k):
             calls.append(k)
-            return ops.pivot(rows, k)
+            return pivot(rows, k)
 
-        return ops._replace(pivot=pivot)
+        return step
 
-    mp.setattr(cli, "_kernel", counted_kernel)
+    pivot_of = matcat._pivot_of
+    mp.setattr(matcat, "_tropical_pivot", counted(matcat._tropical_pivot))
+    mp.setattr(matcat, "_pivot_of", lambda *ops: counted(pivot_of(*ops)))
     return calls
 
 
 def count_composes(monkeypatch):
-    # The squaring's products, as bounded_paths calls them through cli.
+    # The squaring's products, as bounded_paths calls them in matcat.
     return count_calls(monkeypatch, "mat_compose")
 
 
@@ -609,8 +616,8 @@ def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(n):
     assert route_steps(a, n - 1)[0] == (0, n, 0)
     assert check_against_oracles(a, weights, n - 1)[0][n - 1] == n - 1
     rows = closure_rows(a)
-    assert cli._hop_closure(_KERNELS[TROPICAL], rows, n - 2) is None
-    assert cli._hop_closure(_KERNELS[TROPICAL], rows, n - 1) == [
+    assert matcat._hop_closure(rows, n - 2) is None
+    assert matcat._hop_closure(rows, n - 1) == [
         x for row in min_plus_oracle(weights, n - 1) for x in row
     ]
 
@@ -673,7 +680,7 @@ def test_no_negative_cycle_around_n_minus_1(weights, offset):
     if 0 < hops < n - 1:
         assert closures == 1
         rows = closure_rows(a)
-        closed = cli._hop_closure(_KERNELS[TROPICAL], rows, hops)
+        closed = matcat._hop_closure(rows, hops)
         if max_fewest_hops(weights) <= hops:
             assert products == 0
             assert closed == [p and p[0] for row in fewest_hops_oracle(weights) for p in row]

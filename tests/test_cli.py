@@ -350,6 +350,57 @@ def test_shortest_path_size_cap_is_checked_at_the_count_line(capsys, tmp_path):
     )
 
 
+def test_an_over_cap_count_line_exits_before_a_later_byte_is_decoded(capsys, tmp_path):
+    # The file is read a line at a time, so the 0xff after the count line
+    # is never decoded: the cap, not the UTF-8 error, is reported.
+    over = tmp_path / "over.graph"
+    over.write_bytes(b"1001\n\xff\n")
+    assert main(["shortest-path", "--graph", str(over), "--max-hops", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the distance table would have 1001x1001 = 1002001 entries,"
+        " above the cap of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, error_line",
+    [
+        ("3\n0 1 4\n1 2 -2\n", None),
+        ("3\r\n0 1 4\r\n1 2 -2\r\n", None),
+        ("3\r0 1 4\r1 2 -2\r", None),
+        ("\n\n3\n\n0 1 4\n\n\n1 2 -2\n\n", None),
+        ("3\n0\t1\t4\n\t1 2\t-2\t\n", None),
+        ("3\n0 1 4\n1 2 -2", None),
+        ("3\n0 1 4\f1 2 -2\n", None),
+        ("3\n0 1 4\u20281 2 -2\n", None),
+        ("3\n0 1\f4\n", 2),
+        ("3\r\n0 1 4\r\n1 2\u2028-2\r\n", 3),
+        ("3\r0 1 4\r0 7 1\r", 3),
+        ("3\n0 1 4\r\n\r\n\t\n0 1 x", 5),
+    ],
+    ids=[
+        "lf", "crlf", "cr", "blank-lines", "tabs", "no-final-newline", "form-feed",
+        "u2028", "form-feed-in-an-edge", "u2028-in-an-edge", "cr-error", "mixed-error",
+    ],
+)
+def test_a_graph_file_and_its_text_read_alike(capsys, tmp_path, text, error_line):
+    path = tmp_path / "g.graph"
+    path.write_bytes(text.encode("utf-8"))
+    code = main(["shortest-path", "--graph", str(path), "--max-hops", "2"])
+    captured = capsys.readouterr()
+    try:
+        table = bounded_paths(parse_graph_text(text), 2)
+    except FormatError as exc:
+        assert str(exc).startswith(f"line {error_line}: ")
+        assert (code, captured.out, captured.err) == (2, "", f"error: {exc}\n")
+    else:
+        assert error_line is None
+        rows = algebra._render_rows(table.tag, table.values, table.rows, table.cols)
+        assert (code, captured.out, captured.err) == (0, "".join(r + "\n" for r in rows), "")
+
+
 def test_matmul_size_cap(capsys, tmp_path):
     # 1xk tensor 1xk is 1 x k^2, just over the cap; the inputs stay small.
     k = math.isqrt(cli.MAX_TABLE_ENTRIES) + 1
@@ -645,7 +696,10 @@ def test_numeric_options_take_ascii_naturals_only(capsys, argv, value):
 )
 def test_non_utf8_input_exits_2(capsys, tmp_path, argv):
     bad = tmp_path / "latin1.txt"
-    bad.write_bytes(b"semiring nat 1 1\n\xff\n" if argv[0] == "matmul" else b"2\n0 1 \xff\n")
+    # A graph is decoded a line at a time: CRLF endings and a three-byte
+    # U+2028 before the bad byte check that its offset counts from the start.
+    graph = "3\r\n0 1 2\u2028\r\n\r\n1 2 ".encode("utf-8") + b"\xff\n"
+    bad.write_bytes(b"semiring nat 1 1\n\xff\n" if argv[0] == "matmul" else graph)
     assert main([str(bad) if arg == "{bad}" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

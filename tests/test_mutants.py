@@ -131,6 +131,26 @@ class RightHalfStarred(MultisetMonad):
         return left, ms_from_pairs(S, [(x, S.star(s)) for x, s in right.entries])
 
 
+def first_entry_only(real):
+    """The action ``real`` on the first entry of a value, the rest left
+    unscaled."""
+
+    def action(T, s, u):
+        head = real(T, s, Multiset(u.semiring, u.entries[:1]))
+        return ms_from_pairs(u.semiring, [*head.entries, *u.entries[1:]])
+
+    return action
+
+
+def right_factor_ignored(real):
+    """eval_at_one with a multiplication that returns its left factor."""
+
+    def evaluation(T):
+        return replace(real(T), mul=lambda s, t: s)
+
+    return evaluation
+
+
 def inr_pairs_dropped(real):
     """The strength ``real``, dropping each pair whose left element is an Inr."""
 
@@ -231,6 +251,12 @@ MUTANTS = [
      "multiset(nat)", ("module-unit",), "module-zero-value"),
     ("additivity", "generic_strength", inr_pairs_dropped,
      "multiset(nat)", ("bc-strength",), "bc-natural"),
+    ("additivity", "scalar_action", first_entry_only,
+     "multiset(nat)", ("module-dist-value", "module-dist-scalar"), "module-unit"),
+    ("additivity", "eval_at_one", right_factor_ignored,
+     "multiset(gaussian)", ("module-assoc",), "module-unit"),
+    ("additivity", "ms_map_scalars", last_entry_dropped,
+     "multiset(gaussian)", ("bc-monad-map",), "bc-natural"),
     ("commutativity", "dst_swapped_first",
      lambda real: dst_strength_first,
      "action(free-words)", ("noncommutativity-witnessed",), "dst-composites-agree"),
@@ -312,9 +338,7 @@ MUTANTS = [
 
 # Laws of the goldens that no row above kills yet, per suite.
 UNKILLED = {
-    "additivity": (
-        "bc-monad-map", "module-assoc", "module-dist-value",
-    ),
+    "additivity": (),
     "adjunction-roundtrips": (),
     "commutativity": (),
     "dagger": (),
