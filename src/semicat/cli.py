@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import closing
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -87,7 +87,8 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     the graph's text, or its lines as ``str.splitlines`` splits it, which
     are read one at a time. Blank lines are ignored. Node counts and
     indices are ``nat`` literals (ASCII digits), weights ``tropical``
-    literals, each distinct text parsed once per call. The table is checked
+    literals, each distinct text parsed once per call, and an index text
+    is kept only once it is known to be in range. The table is checked
     against ``MAX_TABLE_ENTRIES`` at the count line, before any edge line
     is read. Parallel edges collapse to their minimum; absent edges are the
     tropical zero."""
@@ -96,6 +97,7 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     add = _kernel(TROPICAL).add
     n = values = None
     weights: dict = {}  # tested with `in`: inf parses to None
+    nodes: dict = {}  # index text -> index, each in range
     lines = text.splitlines() if isinstance(text, str) else text
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -114,12 +116,18 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
-        try:
-            src, dst = index(fields[0], parts), index(fields[1], parts)
-        except FormatError as exc:
-            raise FormatError(f"line {ln}: bad node index: {exc}") from None
-        if not 0 <= src < n or not 0 <= dst < n:
-            raise FormatError(f"line {ln}: node index out of range (n = {n})")
+        src, dst = nodes.get(fields[0]), nodes.get(fields[1])
+        if src is None or dst is None:
+            try:
+                if src is None:
+                    src = index(fields[0], parts)
+                if dst is None:
+                    dst = src if fields[1] == fields[0] else index(fields[1], parts)
+            except FormatError as exc:
+                raise FormatError(f"line {ln}: bad node index: {exc}") from None
+            if not 0 <= src < n or not 0 <= dst < n:
+                raise FormatError(f"line {ln}: node index out of range (n = {n})")
+            nodes[fields[0]], nodes[fields[1]] = src, dst
         literal = fields[2]
         if literal not in weights:
             try:
@@ -150,19 +158,43 @@ def _read_input(path: str) -> str:
         raise _not_utf8(path, exc) from None
 
 
+# The bytes that _input_lines reads at a time.
+_READ_BLOCK = 1 << 16
+
+
 def _input_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 input file as ``str.splitlines`` splits its
-    text, read and decoded one LF-ended line of bytes at a time, so a
-    caller that stops early reads no further."""
-    offset = 0
+    text, read ``_READ_BLOCK`` bytes at a time, so memory stays within a
+    block and the longest line, and a caller that stops early reads no
+    further. Each block is decoded up to its last LF or CR; the rest waits
+    for the next block, and so does a CR that ends a block, which may be
+    the first half of a CRLF. A byte that is not UTF-8 is reported after
+    every line before its own."""
+    offset = 0  # where the bytes not yet decoded start in the file
+
+    def lines_of(raw: bytes) -> Iterator[str]:
+        nonlocal offset
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            good = max(raw.rfind(b"\n", 0, exc.start), raw.rfind(b"\r", 0, exc.start)) + 1
+            yield from raw[:good].decode("utf-8").splitlines()
+            raise _not_utf8(path, exc, offset) from None
+        offset += len(raw)
+        yield from text.splitlines()
+
+    head: list[bytes] = []  # the bytes after the last line break decoded
     with open(path, "rb") as f:
-        for raw in f:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, exc, offset) from None
-            yield from line.splitlines()
-            offset += len(raw)
+        for block in iter(partial(f.read, _READ_BLOCK), b""):
+            if head and head[-1].endswith(b"\r") and not block.startswith(b"\n"):
+                yield from lines_of(b"".join(head))
+                head = []
+            end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if end:
+                yield from lines_of(b"".join([*head, block[:end]]))
+                head = []
+            head.append(block[end:])
+    yield from lines_of(b"".join(head))
 
 
 def _cmd_laws(args) -> int:

@@ -1,9 +1,10 @@
 """Bounded-hop path sums against two kinds of oracle: hop loops written
 independently of the matrix kernels, and Mohri's doubling over matrices,
-a reference for any semiring. Counts guard the work: ``mat_compose`` calls
-in the squaring of I + A and pivots in its closure. A semiring whose
-addition is not idempotent is rejected, so its sums are checked on the
-doubling alone."""
+a reference for any semiring. Counts guard the work and show which
+branch runs: relaxations over tropical, ``mat_compose`` calls in the
+squaring of I + A and pivots in its closures. A semiring whose addition is
+not idempotent is rejected, so its sums are checked on the doubling
+alone."""
 
 import math
 import random
@@ -218,6 +219,18 @@ def count_composes(monkeypatch):
     return count_calls(monkeypatch, "mat_compose")
 
 
+def force_closures(mp):
+    """Route every tropical input of a node or more past relaxation, as the
+    cost estimate routes a dense graph, so that the closures and the
+    squaring can be pinned on graphs small enough to check by hand."""
+    mp.setattr(matcat, "_RELAX_RATIO", -1)
+
+
+@pytest.fixture
+def closures_only(monkeypatch):
+    force_closures(monkeypatch)
+
+
 def test_negative_cycle_costs_logarithmic_compositions(monkeypatch):
     weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
     hops = 200_000
@@ -264,7 +277,7 @@ def test_idempotent_squaring_stops_when_a_square_repeats(monkeypatch):
     assert got == min_plus_oracle(weights, 5000)
 
 
-def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
+def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch, closures_only):
     weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
     hops = 200_000
     products = count_calls(monkeypatch, "mat_compose")
@@ -277,13 +290,39 @@ def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch):
     assert far.entry(0, 0) == tropical(-2 * (hops // 3))
 
 
-def test_closure_takes_at_most_n_pivots_and_no_products(monkeypatch):
+def test_relaxation_sees_the_negative_cycle_and_squares_with_no_pivot(monkeypatch):
+    weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
+    hops = 200_000
+    relaxations = count_calls(monkeypatch, "_relaxation")
+    products = count_calls(monkeypatch, "mat_compose")
+    pivots = count_pivots(monkeypatch)
+    adds = count_calls(monkeypatch, "mat_add")
+    far = bounded_paths(tropical_matrix(weights), hops)
+    assert len(relaxations) == 1
+    assert 0 < len(products) <= 2 * (hops.bit_length() - 1)
+    assert len(adds) == 1  # B = I + A, once, after the relaxation gave up
+    assert pivots == []  # round n lowered a distance: no closure can pass
+    assert far.entry(0, 0) == tropical(-2 * (hops // 3))
+
+
+def test_closure_takes_at_most_n_pivots_and_no_products(monkeypatch, closures_only):
     weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
     products = count_calls(monkeypatch, "mat_compose")
     pivots = count_pivots(monkeypatch)
     got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
     assert len(pivots) <= 3
     assert products == []
+    assert got == min_plus_oracle(weights, 5000)
+
+
+def test_relaxation_takes_no_pivot_and_no_product(monkeypatch):
+    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    relaxations = count_calls(monkeypatch, "_relaxation")
+    products = count_calls(monkeypatch, "mat_compose")
+    adds = count_calls(monkeypatch, "mat_add")
+    pivots = count_pivots(monkeypatch)
+    got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
+    assert (len(relaxations), len(pivots), len(products), len(adds)) == (1, 0, 0, 0)
     assert got == min_plus_oracle(weights, 5000)
 
 
@@ -404,7 +443,9 @@ def test_bool_sums_are_reachability_within_the_hop_bound(adjacent, hops):
 
 # ---------------------------------------------------------------------------
 # The choice between the closure (hops >= n - 1, no failed pivot) and the
-# squaring, each case against the hop loop and the doubling
+# squaring, each case against the hop loop and the doubling. The cost
+# estimate gives graphs this small to relaxation, so the tropical cases
+# force the closures; the relaxation section below pins what it picks.
 
 
 def steps(run):
@@ -422,7 +463,7 @@ def tropical_steps(weights, hops):
     return steps(lambda: check_against_oracles(a, weights, hops))
 
 
-def test_a_zero_weight_cycle_takes_the_closure():
+def test_a_zero_weight_cycle_takes_the_closure(closures_only):
     # 0 -> 1 -> 2 -> 3 -> 0 weighs 0, and the cheapest path from 0 to 3 is
     # the chain of n - 1 hops, so hops = n - 2 falls short of it.
     weights = [
@@ -440,7 +481,7 @@ def test_a_zero_weight_cycle_takes_the_closure():
         assert tropical_steps(weights, hops) == (n, 0), hops
 
 
-def test_a_late_negative_cycle_falls_back_to_squaring():
+def test_a_late_negative_cycle_falls_back_to_squaring(closures_only):
     # Only the last two nodes form a negative cycle, which shows at the
     # last pivot, after n - 1 pivots have changed the rows.
     n = 5
@@ -454,7 +495,7 @@ def test_a_late_negative_cycle_falls_back_to_squaring():
         assert pivots == n and products > 0, hops
 
 
-def test_a_negative_self_loop_fails_the_first_pivot():
+def test_a_negative_self_loop_fails_the_first_pivot(closures_only):
     weights = [[-1, 2, None], [None, None, 3], [4, None, None]]
     for hops in (2, 3, 64):
         pivots, products = tropical_steps(weights, hops)
@@ -517,8 +558,9 @@ def test_widest_paths_take_the_generic_closure():
 
 
 # ---------------------------------------------------------------------------
-# Below n - 1 over tropical: the closure on (distance, hops) codes, with the
-# squaring as its fallback when the hop bound binds or a cycle is negative
+# Below n - 1 over tropical and past the estimate: the closure on (distance,
+# hops) codes, with the squaring as its fallback when the hop bound binds or
+# a cycle is negative. The closures are forced, as above.
 
 
 def route_steps(a, hops):
@@ -576,7 +618,7 @@ def chain_weights(n):
     return [[1 if j == i + 1 else 2 * n for j in range(n)] for i in range(n)]
 
 
-def test_below_n_minus_1_one_hop_closure_and_no_squaring():
+def test_below_n_minus_1_one_hop_closure_and_no_squaring(closures_only):
     # Every edge costs 1, so every cheapest walk is one edge.
     n = 7
     weights = [[1] * n for _ in range(n)]
@@ -586,7 +628,7 @@ def test_below_n_minus_1_one_hop_closure_and_no_squaring():
         assert payloads(got) == min_plus_oracle(weights, hops)
 
 
-def test_a_zero_weight_cycle_and_a_tie_take_the_hop_closure():
+def test_a_zero_weight_cycle_and_a_tie_take_the_hop_closure(closures_only):
     # 0 <-> 1 weighs 0 both ways, and 0 -> 3 costs 2 both directly and
     # through 2: the shorter walk wins each tie, so 1 -> 0 -> 3 is the
     # longest, and hops = 2 = n - 2 does not bind.
@@ -603,7 +645,7 @@ def test_a_zero_weight_cycle_and_a_tie_take_the_hop_closure():
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
-def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(n):
+def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(closures_only, n):
     weights = chain_weights(n)
     a = tropical_matrix(weights)
     assert max_fewest_hops(weights) == n - 1
@@ -622,7 +664,7 @@ def test_a_chain_of_n_minus_1_hops_is_the_encoding_boundary(n):
     ]
 
 
-def test_a_negative_cycle_below_n_minus_1_falls_back_to_squaring():
+def test_a_negative_cycle_below_n_minus_1_falls_back_to_squaring(closures_only):
     n = 6
     weights = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -639,6 +681,7 @@ def test_a_negative_cycle_below_n_minus_1_falls_back_to_squaring():
 @pytest.mark.parametrize("hops", range(0, 9))
 def test_bool_and_bottleneck_never_take_the_hop_closure(monkeypatch, hops):
     closures = count_calls(monkeypatch, "_hop_closure")
+    relaxations = count_calls(monkeypatch, "_relaxation")
     n = 7
     chain = [j == i + 1 for i in range(n) for j in range(n)]
     bools = Matrix(BOOL, n, n, tuple(boolean(e) for e in chain))
@@ -646,6 +689,7 @@ def test_bool_and_bottleneck_never_take_the_hop_closure(monkeypatch, hops):
     assert bounded_paths(bools, hops) == _doubling_paths(bools, hops)
     assert bounded_paths(widths, hops) == _doubling_paths(widths, hops)
     assert closures == []
+    assert relaxations == []
 
 
 # Hop bounds spread around n - 1, the switch between the two closures.
@@ -675,8 +719,14 @@ def test_no_negative_cycle_around_n_minus_1(weights, offset):
     n = len(weights)
     hops = max(0, n - 1 + offset)
     a = tropical_matrix(weights)
-    (closures, _, products), _ = route_steps(a, hops)
-    check_against_oracles(a, weights, hops)
+    # At most 7 nodes: relaxation answers, and with no negative cycle alone.
+    steps_taken, got = relax_steps(a, hops)
+    assert steps_taken == (int(hops > 0), 0, 0, 0)
+    assert payloads(got) == min_plus_oracle(weights, hops)
+    with pytest.MonkeyPatch.context() as mp:
+        force_closures(mp)
+        (closures, _, products), _ = route_steps(a, hops)
+        check_against_oracles(a, weights, hops)
     if 0 < hops < n - 1:
         assert closures == 1
         rows = closure_rows(a)
@@ -698,11 +748,21 @@ def test_negative_cycles_and_self_loops_around_n_minus_1(graph, offset):
     n = len(weights)
     hops = max(0, n - 1 + offset)
     a = parse_graph_text(text)
-    (closures, pivots, products), _ = route_steps(a, hops)
-    assert closures == (1 if 0 < hops < n - 1 else 0)
-    assert pivots <= n
+    # At most 6 nodes: relaxation answers, and squares only for a negative
+    # cycle past n hops.
+    squares = hops > n and has_negative_cycle(weights)
+    (relaxations, closures, pivots, products), _ = relax_steps(a, hops)
+    assert (relaxations, closures, pivots) == (int(hops > 0), 0, 0)
+    assert (products > 0) == squares
     assert products <= 2 * max(hops.bit_length() - 1, 0)
     check_against_oracles(a, weights, hops)
+    with pytest.MonkeyPatch.context() as mp:
+        force_closures(mp)
+        (closures, pivots, products), _ = route_steps(a, hops)
+        assert closures == (1 if 0 < hops < n - 1 else 0)
+        assert pivots <= n
+        assert products <= 2 * max(hops.bit_length() - 1, 0)
+        check_against_oracles(a, weights, hops)
 
 
 @pytest.mark.parametrize(
@@ -714,3 +774,146 @@ def test_negative_cycles_and_self_loops_around_n_minus_1(graph, offset):
 @pytest.mark.parametrize("hops", [0, 1, 2, 3])
 def test_graphs_of_at_most_two_nodes(weights, hops):
     check_against_oracles(tropical_matrix(weights), weights, hops)
+
+
+# ---------------------------------------------------------------------------
+# Hop-limited relaxation over tropical: what the cost estimate picks, just
+# below and just above its threshold, and the relaxation against the hop
+# loop and the doubling
+
+
+def relax_steps(a, hops):
+    """(relaxations, hop closures, pivots, matrix products) that
+    ``bounded_paths(a, hops)`` takes, and its result."""
+    with pytest.MonkeyPatch.context() as mp:
+        relaxations = count_calls(mp, "_relaxation")
+        closures = count_calls(mp, "_hop_closure")
+        pivots = count_pivots(mp)
+        products = count_calls(mp, "mat_compose")
+        got = bounded_paths(a, hops)
+    return (len(relaxations), len(closures), len(pivots), len(products)), got
+
+
+def has_negative_cycle(weights):
+    """Whether some cycle weighs below 0: then a simple one does, of at most
+    n edges, and the hop loop finds it on the diagonal."""
+    n = len(weights)
+    return any(row[i] < 0 for i, row in enumerate(min_plus_oracle(weights, n)))
+
+
+def edges_at(rng, n, m, weight):
+    """An n-node table with exactly m finite entries, drawn by ``weight``."""
+    cells = set(rng.sample(range(n * n), m))
+    return [[weight() if i * n + j in cells else None for j in range(n)] for i in range(n)]
+
+
+def test_the_estimate_is_m_min_h_n_against_eight_n_squared():
+    assert matcat._RELAX_RATIO == 8
+    relaxes = matcat._relaxes
+    assert relaxes(10, 80, 10) and not relaxes(10, 81, 10)
+    # Past n hops the estimate stops growing: relaxation caps at n rounds.
+    assert relaxes(10, 80, 10**6) and not relaxes(10, 81, 10**6)
+    assert relaxes(12, 144, 8) and not relaxes(12, 144, 9)
+    assert relaxes(300, 1200, 300) and relaxes(0, 0, 7)
+    assert not relaxes(150, 150 * 149, 50) and relaxes(150, 150 * 149, 5)
+
+
+def test_a_sparse_graph_whose_bound_binds_takes_relaxation():
+    rng = random.Random(30)
+    n, hops = 30, 3
+    weights = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in rng.sample(range(n), 3):
+            weights[i][j] = rng.randint(1, 99)
+    assert max_fewest_hops(weights) > hops  # the bound binds
+    a = tropical_matrix(weights)
+    steps_taken, got = relax_steps(a, hops)
+    assert steps_taken == (1, 0, 0, 0)
+    assert payloads(got) == min_plus_oracle(weights, hops)
+    assert got == _doubling_paths(a, hops)
+
+
+def test_a_dense_graph_keeps_the_closures():
+    n = 12
+    chain = chain_weights(n)  # complete: m = n^2, so the estimate is 8 n^2 at 8 hops
+    a = tropical_matrix(chain)
+    # At n - 1 hops the plain closure answers; at n - 2 the hop closure
+    # fails on the chain's n - 1 hops and the squaring answers.
+    assert relax_steps(a, n - 1)[0] == (0, 0, n, 0)
+    (relaxations, closures, pivots, products), _ = relax_steps(a, n - 2)
+    assert (relaxations, closures, pivots) == (0, 1, n) and products > 0
+    check_against_oracles(a, chain, n - 2)
+    check_against_oracles(a, chain, n - 1)
+    # Every edge costs 1: the hop closure passes from 9 hops, above the
+    # threshold, and relaxation answers at 8, on it.
+    ones = [[1] * n for _ in range(n)]
+    for hops, want in ((8, (1, 0, 0, 0)), (9, (0, 1, n, 0)), (10, (0, 1, n, 0))):
+        steps_taken, got = relax_steps(tropical_matrix(ones), hops)
+        assert steps_taken == want, hops
+        assert payloads(got) == min_plus_oracle(ones, hops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m, relaxes", [(80, True), (81, False)], ids=["at", "above"])
+def test_just_below_and_just_above_the_threshold(seed, m, relaxes):
+    # n = 10 at 10 hops: the estimate is m * 10 against 8 * 100.
+    rng = random.Random(seed)
+    n, hops = 10, 10
+    weights = edges_at(rng, n, m, lambda: rng.randint(0, 20))
+    a = tropical_matrix(weights)
+    steps_taken, got = relax_steps(a, hops)
+    # Weights >= 0: no cycle is negative, so the plain closure passes.
+    assert steps_taken == ((1, 0, 0, 0) if relaxes else (0, 0, n, 0))
+    assert payloads(got) == min_plus_oracle(weights, hops)
+    assert got == _doubling_paths(a, hops)
+
+
+def test_a_negative_cycle_within_n_hops_needs_no_squaring():
+    # 1 -> 2 -> 1 weighs -1. Up to n hops the rounds are S_h exactly, so a
+    # negative cycle costs nothing extra; past n, round n gives it away.
+    n = 6
+    weights = [[None] * n for _ in range(n)]
+    for i in range(n):
+        weights[i][(i + 1) % n] = 2
+    weights[2][1] = -3
+    a = tropical_matrix(weights)
+    for hops in (1, 2, n - 2, n - 1, n):
+        steps_taken, got = relax_steps(a, hops)
+        assert steps_taken == (1, 0, 0, 0), hops
+        assert payloads(got) == min_plus_oracle(weights, hops)
+    assert matcat._relaxation(a.values, n, n + 1) is None
+    for hops in (n + 1, 37, 1000):
+        (relaxations, closures, pivots, products), got = relax_steps(a, hops)
+        assert (relaxations, closures, pivots) == (1, 0, 0) and products > 0, hops
+        check_against_oracles(a, weights, hops)
+
+
+# Hop bounds around n - 1 and far above it.
+AROUND_AND_FAR = st.one_of(
+    st.integers(-3, 3).map(lambda d: ("near", d)),
+    st.sampled_from([("times", 3), ("fixed", 50), ("fixed", 1000)]),
+)
+
+
+def hops_for(n, spec):
+    kind, d = spec
+    return max(0, n - 1 + d) if kind == "near" else d * n if kind == "times" else d
+
+
+@settings(max_examples=200, deadline=None)
+@given(parallel_edge_graphs(), AROUND_AND_FAR)
+def test_relaxation_matches_the_hop_loop_and_the_doubling(graph, spec):
+    # Weights -6..12 with repeated pairs: negative edges and cycles,
+    # self-loops and parallel edges, all read through the graph reader.
+    text, weights = graph
+    n = len(weights)
+    hops = hops_for(n, spec)
+    a = parse_graph_text(text)
+    relaxed = matcat._relaxation(a.values, n, hops)
+    if hops > n and has_negative_cycle(weights):
+        assert relaxed is None
+    else:
+        assert relaxed == [x for row in min_plus_oracle(weights, hops) for x in row]
+    (relaxations, _, pivots, _), _ = relax_steps(a, hops)
+    assert (relaxations, pivots) == (int(hops > 0), 0)
+    check_against_oracles(a, weights, hops)

@@ -94,6 +94,36 @@ def test_graph_errors_are_pinned(text, message):
         parse_graph_text(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2\n0 1 1\n1 2 1\n", "line 3: node index out of range (n = 2)"),
+        ("2\n0 1 1\n0 x 1\n", "line 3: bad node index: bad natural literal 'x'"),
+        ("2\n0 1 1\n2 0 1\n", "line 3: node index out of range (n = 2)"),
+        ("2\n0 2 1\n0 1 1\n", "line 2: node index out of range (n = 2)"),
+        ("2\n1 1 1\n2 2 1\n", "line 3: node index out of range (n = 2)"),
+        ("2\n0 1 1\n1 0 1\n1 01 x\n", "line 4: bad tropical literal 'x'"),
+    ],
+)
+def test_graph_errors_after_an_index_text_is_kept(text, message):
+    # Texts seen on earlier lines are kept, the others parsed and checked
+    # as on a first line, and a text out of range is never kept.
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_graph_text(text)
+
+
+def test_each_index_text_is_parsed_once(monkeypatch):
+    parsed = []
+    nat = algebra._GRAMMARS["nat"]
+    monkeypatch.setitem(
+        algebra._GRAMMARS, "nat", lambda text, parts: parsed.append(text) or nat(text, parts)
+    )
+    lines = [f"{i % 7} {(3 * i) % 7} {i % 5}" for i in range(200)] + ["4 4 1", "04 4 2"]
+    a = parse_graph_text("7\n" + "\n".join(lines) + "\n")
+    assert sorted(parsed) == sorted(["7", "04", *map(str, range(7))])
+    assert a.entry(4, 4) == tropical(1)  # "04" is node 4: the two edges collapse
+
+
 def test_the_graph_cap_is_on_the_node_count():
     # 1000 nodes fill the cap exactly; 1001 fail before any edge is read.
     a = parse_graph_text("1000\n999 0 -1\n")
@@ -289,10 +319,16 @@ def test_shortest_path_goldens(capsys):
     assert capsys.readouterr().out == golden("line4_k3.out")
 
 
-@pytest.mark.parametrize("graph, hops", [("cycle3.graph", "2"), ("line4.graph", "3")])
+@pytest.mark.parametrize(
+    "graph, hops",
+    [("cycle3.graph", "2"), ("line4.graph", "3"), ("sparse12.graph", "3"), ("negcycle7.graph", "3")],
+)
 def test_shortest_path_builds_no_scalar(capsys, monkeypatch, graph, hops):
     """The table is read, computed and written on payloads: no _payloads
-    call and no Scalar, not even for the weights of the file."""
+    call and no Scalar, not even for the weights of the file. The sparse12
+    and negcycle7 tables were recorded when the squaring answered them (3
+    hops fall short of sparse12's 10-hop paths, and negcycle7 has a negative
+    cycle); relaxation answers them now."""
     unwraps, boxed = [], []
     for module in (algebra, matcat, cli):
         if hasattr(module, "_payloads"):
@@ -362,6 +398,71 @@ def test_an_over_cap_count_line_exits_before_a_later_byte_is_decoded(capsys, tmp
         "error: the distance table would have 1001x1001 = 1002001 entries,"
         " above the cap of 1000000\n"
     )
+
+
+LINE_TEXTS = st.lists(
+    st.sampled_from(["\n", "\r", "\r\n", "\r\r\n", "0 1 5", "\u00e9", "\x0b", "\u2028", " "]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINE_TEXTS, st.integers(1, 9))
+@example("3\r\n0 1 5\r\n", 2)  # the CRLF after "3" spans two reads
+@example("ab\r\r\ncd", 3)  # a CR ends the first read, then a CRLF
+@example("\u00e9\r\u00e9", 1)  # two-byte characters split by every read
+def test_input_lines_are_the_texts_splitlines(text, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "g.graph")
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_BLOCK", block)
+            assert list(cli._input_lines(str(path))) == text.splitlines()
+
+
+@pytest.mark.parametrize("block", [7, 8, 9, 64])
+def test_a_line_that_ends_a_read_in_cr_is_parsed_before_the_next_is_decoded(
+    capsys, monkeypatch, tmp_path, block
+):
+    # Read 8 bytes at a time, the first read ends in the CR after "x": the
+    # next read does not start with LF, so line 2 is parsed, and fails,
+    # before the 0xff on line 3 is decoded.
+    monkeypatch.setattr(cli, "_READ_BLOCK", block)
+    path = tmp_path / "g.graph"
+    path.write_bytes(b"3\r0 1 x\r\xff\r")
+    assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2
+    assert capsys.readouterr().err == "error: line 2: bad tropical literal 'x'\n"
+
+
+def test_a_cr_only_over_cap_graph_exits_2_within_a_block_of_memory(tmp_path):
+    # Every line ends in a lone CR, so the whole 16 MB is one LF-free run of
+    # bytes. The count line is over the cap: the child exits 2 after one
+    # read, and its peak memory does not grow with the file.
+    resource = pytest.importorskip("resource")
+    graph = tmp_path / "cr.graph"
+    edge = b"0 1 5\r"
+    graph.write_bytes(b"1001\r" + edge * (16 * 2**20 // len(edge)))
+    peaks = tmp_path / "peaks"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r}); "
+        "from semicat.cli import main; "
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "before = peak(); code = main(sys.argv[2:]); "
+        "open(sys.argv[1], 'w').write(f'{before} {peak()}'); raise SystemExit(code)"
+    )
+    argv = ["shortest-path", "--graph", str(graph), "--max-hops", "1"]
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(peaks), *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (
+        "error: the distance table would have 1001x1001 = 1002001 entries,"
+        " above the cap of 1000000\n"
+    )
+    before, after = map(int, peaks.read_text().split())
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in KiB on Linux
+    assert (after - before) * unit < 4 * 2**20, (before, after)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 ``pyproject.toml`` claims Python >= 3.10, and the exact-rational kernels
 lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
 reimplemented between versions. Each test here runs every law/roundtrip
-golden and the six CLI fixtures through ``semicat.cli.main``, all in one
+golden and the eight CLI fixtures through ``semicat.cli.main``, all in one
 subprocess of another interpreter found on PATH, and compares each stdout
 with the recorded bytes. The subprocess needs only the standard library. An
 interpreter that is not on PATH, or does not run, is skipped.
@@ -46,10 +46,13 @@ CASES.update(
             ["shortest-path", "--graph", _fx("cycle3.graph"), "--max-hops", "2"],
             FIXTURES / "cycle3_k2.out",
         ),
-        "line4_k3": (
-            ["shortest-path", "--graph", _fx("line4.graph"), "--max-hops", "3"],
-            FIXTURES / "line4_k3.out",
-        ),
+        **{
+            f"{graph}_k3": (
+                ["shortest-path", "--graph", _fx(f"{graph}.graph"), "--max-hops", "3"],
+                FIXTURES / f"{graph}_k3.out",
+            )
+            for graph in ("line4", "sparse12", "negcycle7")
+        },
     }
 )
 
@@ -92,7 +95,7 @@ def find_interpreter(version: str):
 
 
 def test_cases_cover_every_golden_and_cli_fixture():
-    assert len(CASES) == 33 + 6
+    assert len(CASES) == 33 + 8
     assert {golden.name for _, golden in CASES.values()} >= {
         p.name for p in FIXTURES.glob("*.out")
     }
