@@ -182,9 +182,8 @@ class SemiringDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class MonoidDescriptor:
-    """Operation table of a monoid. ``commutative`` is a claim, not a fact;
-    :func:`semicat.adjunctions.check_monoid_laws` and the suites are what
-    verify it.
+    """Operation table of a monoid. ``commutative`` is a claim, not a fact:
+    the ``commutativity`` suite tests it on the action monad.
     ``member`` optionally recognizes elements, for mismatch errors."""
 
     name: str
@@ -306,7 +305,7 @@ def semiring_by_name(name: str) -> SemiringDescriptor:
         return SEMIRINGS[name]
     except KeyError:
         raise UnknownSemiring(
-            f"unknown semiring {name!r}; known: {', '.join(sorted(SEMIRINGS))}"
+            f"unknown semiring {_quote(name)}; known: {', '.join(sorted(SEMIRINGS))}"
         ) from None
 
 
@@ -373,7 +372,7 @@ def monoid_by_name(name: str) -> MonoidDescriptor:
         return MONOIDS[name]
     except KeyError:
         raise UnknownSemiring(
-            f"unknown monoid {name!r}; known: {', '.join(sorted(MONOIDS))}"
+            f"unknown monoid {_quote(name)}; known: {', '.join(sorted(MONOIDS))}"
         ) from None
 
 

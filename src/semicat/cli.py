@@ -37,7 +37,7 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, _quote, _render_rows
+from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, _decimal, _quote, _render_rows
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
@@ -269,10 +269,14 @@ def _print_report(report: SuiteReport) -> int:
 
 
 def _nonneg_int(text: str) -> int:
-    """An option value in the ``nat`` grammar: ASCII digits only."""
+    """An option value in the ``nat`` grammar: ASCII digits only, and no
+    more of them than Python converts."""
     if not _NAT_RE.match(text):
         raise argparse.ArgumentTypeError(f"{_quote(text)} is not a natural number")
-    return int(text)
+    try:
+        return _decimal(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:

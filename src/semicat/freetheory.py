@@ -5,7 +5,8 @@ arguments. Terms over terms multiply by composing the outer row with the
 block diagonal of the inner rows and concatenating argument tuples. The
 normal form of a term is the multiset collecting coefficients of equal
 arguments; it identifies exactly the terms related by precomposition
-with a plain index function, which :func:`tl_relation_check` verifies.
+with a plain index function, which the ``relation-sound`` law of the
+``freetheory`` suite checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _describe
-from .errors import DimensionMismatch, MalformedTerm, NoInvolution, TagMismatch
+from .errors import MalformedTerm, NoInvolution, TagMismatch
 from .kleisli import KleisliMap
 from .matcat import Aleph0Map, Matrix, aleph0_embed, mat_compose, mat_identity
 from .monadcore import (
@@ -31,7 +32,6 @@ __all__ = [
     "term_normalize",
     "tl_unit",
     "tl_mult",
-    "tl_relation_check",
     "tl_involution",
     "law_unit_functor",
 ]
@@ -115,25 +115,6 @@ def tl_mult(outer: FreeTerm) -> FreeTerm:
     block = Matrix(S, len(inner), total, tuple(entries))
     args = tuple(x for t in inner for x in t.args)
     return FreeTerm(mat_compose(outer.coeffs, block), args)
-
-
-def tl_relation_check(f: Aleph0Map, g: Matrix, v: tuple) -> bool:
-    """Whether the two sides of the generating relation normalize equally:
-    the row pushed forward along f applied to v, against the row applied
-    to v precomposed with f."""
-    if g.rows != 1:
-        raise MalformedTerm("coefficients must form a single row")
-    if f.dom != g.cols:
-        raise DimensionMismatch(
-            f"function out of {f.dom} against a row of width {g.cols}"
-        )
-    if len(v) != f.cod:
-        raise DimensionMismatch(
-            f"function into {f.cod} against a tuple of length {len(v)}"
-        )
-    pushed = FreeTerm(mat_compose(g, aleph0_embed(f, g.semiring)), tuple(v))
-    pulled = FreeTerm(g, tuple(v[f(a)] for a in range(f.dom)))
-    return term_normalize(pushed) == term_normalize(pulled)
 
 
 def tl_involution(t: FreeTerm) -> FreeTerm:

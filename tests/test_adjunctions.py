@@ -213,7 +213,7 @@ def test_suite_names_are_stable():
 def test_run_suite_unknown_names():
     with pytest.raises(UnknownSuite):
         run_suite(SuiteConfig(suite="bogus"))
-    with pytest.raises(UnknownSuite):
+    with pytest.raises(UnknownSemiring, match="unknown monoid 'no-such'; known: "):
         run_suite(SuiteConfig(suite="monad-laws", monoid="no-such"))
     with pytest.raises(UnknownSuite):
         run_suite(SuiteConfig(suite="additivity", semiring="nat", monoid="nat-mul"))

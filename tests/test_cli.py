@@ -929,6 +929,39 @@ def test_long_literals_are_quoted_by_a_prefix(capsys, tmp_path):
     assert line.endswith("'xxxxxxxxxxxx'... (5000 characters) is not a natural number")
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--semiring", ["laws", "--suite", "monad-laws", "--semiring"]),
+        ("--monoid", ["laws", "--suite", "monad-laws", "--monoid"]),
+        ("--semiring", ["roundtrip", "--adjunction", "srng-e", "--semiring"]),
+    ],
+    ids=["laws-semiring", "laws-monoid", "roundtrip-semiring"],
+)
+def test_long_names_are_quoted_by_a_prefix(capsys, option, argv):
+    assert main([*argv, "x" * 5000]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    quoted = "'xxxxxxxxxxxx'... (5000 characters)"
+    assert line.startswith(f"error: unknown {option.lstrip('-')} {quoted}; known: ")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laws", "--suite", "dagger", "--seed"],
+        ["laws", "--suite", "dagger", "--cases"],
+        ["shortest-path", "--graph", "-", "--max-hops"],
+    ],
+    ids=["seed", "cases", "max-hops"],
+)
+def test_long_option_value_names_the_limit(capsys, argv):
+    assert main([*argv, "1" * 5000]) == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert len(line.encode()) < 200
+    assert line.endswith(f"above the limit of {DIGIT_LIMIT} digits for a decimal integer")
+
+
 @needs_digit_limit
 def test_matmul_oversized_result_exits_2(capsys, tmp_path):
     half = tmp_path / "half.mat"

@@ -4,18 +4,17 @@ multiset monad's unit, multiplication, and involution."""
 import pytest
 
 from semicat.algebra import GAUSSIAN, NAT, gaussian, nat
-from semicat.errors import DimensionMismatch, MalformedTerm
+from semicat.errors import MalformedTerm
 from semicat.freetheory import (
     FreeTerm,
     law_unit_functor,
     term_normalize,
     tl_involution,
     tl_mult,
-    tl_relation_check,
     tl_unit,
 )
 from semicat.kleisli import kl_compose, kl_coproj, kl_id
-from semicat.matcat import Aleph0Map, Matrix, mat_coproj1, mat_identity, matrix
+from semicat.matcat import Matrix, mat_coproj1, mat_identity, matrix
 from semicat.monadcore import Atom, MultisetMonad, ms_from_pairs
 
 X, Y, A = Atom("x"), Atom("y"), Atom("a")
@@ -67,26 +66,16 @@ def test_mult_requires_term_arguments():
 
 
 def test_relation_check_examples():
-    # send the single inner slot to position 0 of two outputs
-    f = Aleph0Map(1, 2, (0,))
-    g = matrix(NAT, [[nat(4)]])
-    assert tl_relation_check(f, g, (X, Y))
-    # collapse two inner slots onto one output
-    f2 = Aleph0Map(2, 1, (0, 0))
-    g2 = matrix(NAT, [[nat(2), nat(3)]])
-    assert tl_relation_check(f2, g2, (X,))
-    # identity reindexing is syntactically trivial
-    f3 = Aleph0Map(2, 2, (0, 1))
-    assert tl_relation_check(f3, g2, (X, Y))
-
-
-def test_relation_check_guards():
-    f = Aleph0Map(1, 2, (0,))
-    g = matrix(NAT, [[nat(4)]])
-    with pytest.raises(DimensionMismatch):
-        tl_relation_check(f, g, (X,))
-    with pytest.raises(DimensionMismatch):
-        tl_relation_check(Aleph0Map(3, 2, (0, 0, 1)), g, (X, Y))
+    # Each pair is the row g pushed forward along an index function f and
+    # applied to v, against g applied to v precomposed with f.
+    # f = (0,): the single inner slot goes to position 0 of two outputs
+    assert term_normalize(nat_term((4, 0), (X, Y))) == term_normalize(nat_term((4,), (X,)))
+    # f = (0, 0): two inner slots collapse onto one output
+    assert term_normalize(nat_term((5,), (X,))) == term_normalize(nat_term((2, 3), (X, X)))
+    # f = (1, 0): a swap reorders the row and the arguments alike
+    assert term_normalize(nat_term((3, 2), (X, Y))) == term_normalize(nat_term((2, 3), (Y, X)))
+    # without the precomposition the two sides differ
+    assert term_normalize(nat_term((3, 2), (X, Y))) != term_normalize(nat_term((2, 3), (X, Y)))
 
 
 def test_involution_conjugates_coefficients():
