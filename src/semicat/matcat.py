@@ -30,16 +30,23 @@ Over a built-in, entrywise add, tensor and dagger use its payload
 operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
 is built from. Compose has its own sum-of-products kernel per built-in:
 any/and for bool, which stops at the first true product, min-plus on
-ints for tropical, with infinity replaced by a stand-in larger than any
-finite sum can reach, and integer dot products for nat, ratnn and
-gaussian, all taken by :func:`_dots`. From ``_PACK_MIN`` (9 * 9 * 9)
-inner steps up, it packs each row of the right factor into one int with
+ints for tropical, and integer dot products for nat, ratnn and gaussian,
+all taken by :func:`_dots`. From ``_PACK_MIN`` (9 * 9 * 9) inner steps
+up, :func:`_dots` packs each row of the right factor into one int with
 a slot per column (Kronecker substitution), so one big-int sum per output
 row holds that whole row, and one ``struct`` unpack splits it. A slot is
 1, 2, 4 or 8 bytes, the smallest width that holds every dot, each at
 most m * max|a| * max|c| for inner dimension m, doubled by the bias that
 lifts signed gaussian parts. A smaller product, or one that would need
-wider slots, takes one ``sum`` per entry. For ratnn and gaussian,
+wider slots, takes one ``sum`` per entry. Tropical packs the same way
+from ``_PACK_MIN`` up, when the result has 4 rows and 4 columns: each
+finite left entry folds its packed row of the right factor, lifted by
+that entry, into the output row by one slot-wise min (Lamport's packed
+compare, :func:`_packed_min_plus`), with infinity a slot value above
+every finite sum and a guard bit atop each slot. Below that, or where 8
+bytes would not hold the slots, it takes one ``min`` per entry, with
+infinity replaced by a stand-in larger than any finite sum can reach.
+For ratnn and gaussian,
 compose reads the integer ratio of each entry once and scales each row of
 the left factor by the lcm D of its denominators and each column of the
 right factor by the lcm E of its own.
@@ -59,7 +66,8 @@ payloads boxed as scalars; the ``compose-oracle`` law compares the
 kernels with a triple loop over the descriptor's operations.
 :func:`bounded_paths`, the distance table of ``shortest-path``, runs
 hop-limited relaxation over the rows of a sparse tropical A, and else
-closes I + A by Lehmann's pivots or squares it with :func:`mat_compose`.
+closes I + A by Lehmann's pivots, on packed rows over tropical, or
+squares it with :func:`mat_compose`.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
 renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
@@ -268,6 +276,11 @@ def _dots(rows: list, cols: list) -> list:
     return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
+def _ones(width: int, count: int) -> int:
+    """The int with a 1 in each of ``count`` slots of ``width`` bytes."""
+    return int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
+
+
 def _packed_dots(rows: list, cols: list, width: int, code: str, col_bias: int, bias: int) -> list:
     """Kronecker substitution: row j of the right factor becomes one int
     with column k's entry in slot k, ``width`` bytes at bit 8 * width * k,
@@ -277,7 +290,7 @@ def _packed_dots(rows: list, cols: list, width: int, code: str, col_bias: int, b
     unsigned slots, and that bias is taken off each packed int again."""
     p = len(cols)
     slots = Struct(f"<{p}{code}")
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * p, "little")
+    ones = _ones(width, p)
     packed = [
         int.from_bytes(slots.pack(*[x + col_bias for x in h]), "little") - col_bias * ones
         for h in zip(*cols)
@@ -293,7 +306,34 @@ def _bool_products(rows: list, cols: list) -> list:
     return [any(map(and_, r, c)) for r in rows for c in cols]
 
 
+def _guarded_slots(top: int) -> tuple[int, str] | None:
+    """The narrowest of ``_SLOTS`` whose slots hold 0..top below a guard bit,
+    or None where 8 bytes are too narrow."""
+    for width, code in _SLOTS:
+        if top >> (8 * width - 1) == 0:
+            return width, code
+    return None
+
+
 def _tropical_products(rows: list, cols: list) -> list:
+    n, p = len(rows), len(cols)
+    m = len(rows[0]) if rows else 0
+    # Packed rows win from _PACK_MIN inner steps up once the output has 4
+    # rows and 4 columns. With fewer, one packed step per inner index does
+    # less than the mins it replaces, or one row pays for packing the right
+    # factor: 300 x 300 x 1 and 1 x 300 x 20 ran 1.35 and 1.7 times slower
+    # packed.
+    if n * m * p >= _PACK_MIN and min(n, p) >= 4:
+        a = [x for r in rows for x in r if x is not None]
+        c = [x for col in cols for x in col if x is not None]
+        alo, ahi = min(a, default=0), max(a, default=0)
+        clo = min(c, default=0)
+        # A finite sum x + y sits at (x - alo) + (y - clo) <= top, an infinite
+        # right entry at top + 1, and no slot ever above top + 1 + ahi - alo.
+        top = ahi - alo + max(c, default=0) - clo
+        layout = _guarded_slots(top + 1 + ahi - alo)
+        if layout:
+            return _packed_min_plus(rows, cols, *layout, alo, clo, top)
     # Infinity (None) becomes big = 3M + 1, where M bounds every finite
     # |weight|. A sum of two finite weights stays within [-2M, 2M] and a sum
     # with big in it is at least 2M + 1, so min-plus runs on ints alone.
@@ -303,6 +343,42 @@ def _tropical_products(rows: list, cols: list) -> list:
     cols = [[big if x is None else x for x in c] for c in cols]
     sums = [min(map(add, r, c), default=big) for r in rows for c in cols]
     return [None if x > 2 * bound else x for x in sums]
+
+
+def _packed_min_plus(
+    rows: list, cols: list, width: int, code: str, alo: int, clo: int, top: int
+) -> list:
+    """Every row-by-column min-plus sum, a packed output row at a time
+    (Lamport's packed compare). Row j of the right factor becomes one int
+    with column k's entry y in slot k as y - clo, ``width`` bytes at bit
+    8 * width * k, or top + 1 for infinity. A finite left entry x adds
+    x - alo to every slot of it, and one slot-wise min folds that candidate
+    into the output row; an infinite one skips its row. Each slot's top bit
+    is a guard, set in the output row and clear in every candidate, so one
+    subtraction compares all slots at once with no borrow between them: the
+    guard survives where the output slot is at least the candidate's, and
+    there the difference is taken off again."""
+    p = len(cols)
+    slots = Struct(f"<{p}{code}")
+    shift = 8 * width - 1
+    ones = _ones(width, p)
+    guards = ones << shift
+    packed = [
+        int.from_bytes(slots.pack(*[top + 1 if y is None else y - clo for y in h]), "little")
+        for h in zip(*cols)
+    ]
+    empty = (top + 1) * ones | guards
+    out = []
+    for r in rows:
+        acc = empty
+        for x, y in zip(r, packed):
+            if x is not None:
+                diff = acc - y - (x - alo) * ones
+                kept = diff & guards
+                acc -= diff & (kept - (kept >> shift))
+        out += slots.unpack((acc ^ guards).to_bytes(width * p, "little"))
+    base = alo + clo
+    return [None if x > top else x + base for x in out]
 
 
 def _over_lcm(qs: list) -> tuple[int, list[int]]:
@@ -346,10 +422,11 @@ class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
     of one matrix and the columns of another and returns every row-by-column
     sum of products, row major: over nat, ratnn and gaussian from the
-    integer dots of :func:`_dots`, a packed output row at a time from
-    ``_PACK_MIN`` inner steps up, and entry by entry below it and over
-    bool, tropical and every other descriptor. The rest are the scalar
-    operations and constants, on values as a matrix stores them."""
+    integer dots of :func:`_dots`, and over tropical from packed min-plus
+    rows, a packed output row at a time from ``_PACK_MIN`` inner steps
+    up, and entry by entry below it and over bool and every other
+    descriptor. The rest are the scalar operations and constants, on
+    values as a matrix stores them."""
 
     products: Callable[[list, list], list]
     add: Callable
@@ -584,9 +661,11 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     the sum over all walks, which is S_(n-1) = S_h: each simple cycle c was
     in some pivot's diagonal, so 1 + c = 1, and a walk through c adds
     nothing to the walk without it. Over tropical a failed pivot is a
-    negative cycle; over bool none fails (Warshall). Tropical's pivot
-    updates a row in one comprehension on ints and ``None``; any other's
-    makes one ``add`` and one ``mul`` per entry.
+    negative cycle; over bool none fails (Warshall). Tropical's pivots run
+    on rows packed once per closure from ``_PACK_MIN`` (n^3) steps up, one
+    slot-wise min per row update (:class:`_PackedRows`), and below that in
+    one comprehension on ints and ``None`` per row; any other's makes one
+    ``add`` and one ``mul`` per entry.
 
     Over tropical with 0 < hops < n - 1 and a dense a, it first runs the
     same closure on (distance, hops) pairs, ordered lexicographically
@@ -626,17 +705,14 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
         return _powering(mat_add(mat_identity(S, n), a), hops)
     base = mat_add(mat_identity(S, n), a)
     rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
-    if hops >= n - 1:
-        if S is TROPICAL:
-            pivot = _tropical_pivot
-        else:
-            pivot = _pivot_of(ops.add, ops.mul, ops.zero, ops.one)
-        if all(pivot(rows, k) for k in range(n)):
-            return _matrix(S, n, n, [x for row in rows for x in row])
-    elif S is TROPICAL:
-        closed = _hop_closure(rows, hops)
+    if S is TROPICAL:
+        closed = _tropical_closure(rows) if hops >= n - 1 else _hop_closure(rows, hops)
         if closed is not None:
             return _matrix(S, n, n, closed)
+    elif hops >= n - 1:
+        pivot = _pivot_of(ops.add, ops.mul, ops.zero, ops.one)
+        if all(pivot(rows, k) for k in range(n)):
+            return _matrix(S, n, n, [x for row in rows for x in row])
     return _powering(base, hops)
 
 
@@ -706,18 +782,34 @@ def _hop_closure(rows: list, hops: int) -> list | None:
         [None if x is None else x * K + (i != j) for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-    if not all(_tropical_pivot(codes, k) for k in range(n)):
+    closed = _tropical_closure(codes)
+    if closed is None or max((c % K for c in closed if c is not None), default=0) > hops:
         return None
-    flat = [c for row in codes for c in row]
-    if max((c % K for c in flat if c is not None), default=0) > hops:
-        return None
-    return [None if c is None else c // K for c in flat]
+    return [None if c is None else c // K for c in closed]
 
 
-def _tropical_pivot(rows: list, k: int) -> bool:
-    """Step k of Lehmann's closure of the square matrix ``rows`` in place,
-    min-plus on ints and ``None``: when d_kk is one it adds d_ik times row k
-    to each row i != k and returns True, else it changes nothing."""
+def _tropical_closure(rows: list) -> list | None:
+    """Lehmann's closure of the square min-plus matrix ``rows``, row major,
+    by n steps of :func:`_tropical_pivot`; None when a pivot fails. From
+    ``_PACK_MIN`` inner steps (n^3) up the pivots run on :class:`_PackedRows`,
+    where 8-byte slots hold them, and else on lists. ``rows`` is left as it
+    is."""
+    n = len(rows)
+    closing = (n**3 >= _PACK_MIN and _PackedRows.of(rows)) or list(rows)
+    if not all(_tropical_pivot(closing, k) for k in range(n)):
+        return None
+    if isinstance(closing, _PackedRows):
+        return closing.values()
+    return [x for row in closing for x in row]
+
+
+def _tropical_pivot(rows: list | _PackedRows, k: int) -> bool:
+    """Step k of Lehmann's closure of a square min-plus matrix in place: when
+    d_kk is one it adds d_ik times row k to each row i != k and returns True,
+    else it changes nothing. ``rows`` is a list of rows of ints and ``None``,
+    updated one entry at a time, or :class:`_PackedRows`."""
+    if isinstance(rows, _PackedRows):
+        return rows.pivot(k)
     pivot = rows[k]
     if pivot[k] != 0:
         return False
@@ -729,6 +821,72 @@ def _tropical_pivot(rows: list, k: int) -> bool:
                 for x, y in zip(row, pivot)
             ]
     return True
+
+
+class _PackedRows:
+    """A square min-plus matrix under Lehmann's pivots, each row packed once
+    into one int. Entry v of a row sits in slot j as v + ``off``, ``width``
+    bytes at bit 8 * width * j, below a guard bit that is kept set, and
+    infinity as a slot above ``top``. A pivot reads d_kk and each d_ik from
+    slot k, and folds row k plus d_ik into row i by one slot-wise min, as
+    :func:`_packed_min_plus` does."""
+
+    def __init__(self, rows: list, width: int, code: str, off: int, top: int, inf: int) -> None:
+        n = len(rows)
+        self.width, self.off, self.top = width, off, top
+        self.slots = Struct(f"<{n}{code}")
+        self.ones = _ones(width, n)
+        self.guards = self.ones << (8 * width - 1)
+        self.ints = [
+            int.from_bytes(self.slots.pack(*[inf if x is None else x + off for x in r]), "little")
+            | self.guards
+            for r in rows
+        ]
+
+    @classmethod
+    def of(cls, rows: list) -> _PackedRows | None:
+        """``rows`` packed, or None where 8-byte slots cannot hold them.
+
+        While the pivots pass, every finite entry is the weight of a simple
+        path or cycle, so with L and U the largest |negative| and positive
+        entries it lies in [lo, hi] = [-n * L, n * U], and a candidate
+        d_ik + d_kj in [2 lo, 2 hi]. So ``off`` = -2 lo keeps every slot
+        >= 0, and finite slots end at ``top`` = off + hi. An infinite slot
+        plus a negative d_ik drifts down by at most -lo per pivot, so
+        infinity starts n * -lo above top + 1 and ends above top after the
+        n pivots, with no clamp; no slot exceeds infinity + hi."""
+        n = len(rows)
+        finite = [x for row in rows for x in row if x is not None]
+        neg, hi = n * max(0, -min(finite, default=0)), n * max(0, max(finite, default=0))
+        off = 2 * neg
+        top = off + hi
+        inf = top + 1 + n * neg
+        layout = _guarded_slots(inf + hi)
+        return layout and cls(rows, *layout, off, top, inf)
+
+    def pivot(self, k: int) -> bool:
+        ints, off, top, ones, guards = self.ints, self.off, self.top, self.ones, self.guards
+        shift = 8 * self.width - 1
+        low, at = (1 << shift) - 1, 8 * self.width * k
+        pivot = ints[k]
+        if (pivot >> at) & low != off:
+            return False
+        pivot ^= guards
+        for i, row in enumerate(ints):
+            d = (row >> at) & low
+            if d <= top and i != k:
+                diff = row - pivot - (d - off) * ones
+                kept = diff & guards
+                ints[i] = row - (diff & (kept - (kept >> shift)))
+        return True
+
+    def values(self) -> list:
+        out = []
+        size = self.width * len(self.ints)
+        for row in self.ints:
+            out += self.slots.unpack((row ^ self.guards).to_bytes(size, "little"))
+        off, top = self.off, self.top
+        return [None if x > top else x - off for x in out]
 
 
 def _pivot_of(add: Callable, mul: Callable, zero, one) -> Callable[[list, int], bool]:

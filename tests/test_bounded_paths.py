@@ -39,6 +39,7 @@ from semicat.matcat import (
     mat_compose,
     mat_identity,
 )
+from test_kernels import LAYOUTS, record_layouts
 
 
 def _doubling_paths(a: Matrix, hops: int) -> Matrix:
@@ -917,3 +918,98 @@ def test_relaxation_matches_the_hop_loop_and_the_doubling(graph, spec):
     (relaxations, _, pivots, _), _ = relax_steps(a, hops)
     assert (relaxations, pivots) == (int(hops > 0), 0)
     check_against_oracles(a, weights, hops)
+
+
+# ---------------------------------------------------------------------------
+# The packed closures: from 9 nodes up the pivots run on rows packed into
+# ints, in the narrowest slot width that holds them (matcat._PackedRows).
+
+
+def packed_pivots(mp):
+    """Whether each tropical pivot ran on packed rows, in order."""
+    packed = []
+    pivot = matcat._tropical_pivot
+
+    def step(rows, k):
+        packed.append(isinstance(rows, matcat._PackedRows))
+        return pivot(rows, k)
+
+    mp.setattr(matcat, "_tropical_pivot", step)
+    return packed
+
+
+@pytest.mark.parametrize(
+    "width, sign",
+    [(1, "nonnegative")] + [(w, s) for w in (2, 4, 8) for s in ("nonnegative", "negative")],
+)
+@pytest.mark.parametrize("peak", ["fits", "overflows"])
+def test_packed_closure_in_each_slot_width(closures_only, monkeypatch, width, sign, peak):
+    # On n = 9 nodes with weights in [-L, U] the packed rows need slots for
+    # (n + 2) n L + 2 n U + 1: finite entries in [-n L, n U], an offset of
+    # 2 n L, and room for n pivots to lower an infinity by n L each. The
+    # bound is the largest L (with U = 2 L) or U (with L = 0) that a w-byte
+    # slot holds below its guard bit, or the next one. One edge weighs -L
+    # and every other at least L, so no cycle is negative.
+    n = 9
+    per = 2 * n if sign == "nonnegative" else (n + 2) * n + 4 * n
+    bound = (2 ** (8 * width - 1) - 2) // per + (peak == "overflows")
+    low, high = (0, bound) if sign == "nonnegative" else (bound, 2 * bound)
+    rng = random.Random(width)
+    weights = [
+        [None if i == j or rng.random() < 0.2 else rng.randint(low, high) for j in range(n)]
+        for i in range(n)
+    ]
+    weights[0][1], weights[1][2] = -low, high
+    layouts = record_layouts(monkeypatch)
+    packed = packed_pivots(monkeypatch)
+    got = bounded_paths(tropical_matrix(weights), n - 1)
+    monkeypatch.undo()
+    at = [1, 2, 4, 8].index(width) + (peak == "overflows")
+    assert layouts == [LAYOUTS[at]]
+    assert packed == [LAYOUTS[at] is not None] * n
+    assert payloads(got) == min_plus_oracle(weights, n - 1)
+
+
+@st.composite
+def dense_graphs(draw):
+    """9 to 12 nodes, most pairs joined. Edge (i, j) costs (c + p_i - p_j)
+    times a scale, with c >= 0, so no cycle is negative, and c = 0 makes
+    zero-weight cycles and ties; up to two edges then dip below zero, which
+    may close a negative cycle."""
+    n = draw(st.integers(9, 12))
+    scale = draw(st.sampled_from([1, 1000, 2**40]))
+    p = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    cells = draw(
+        st.lists(
+            # The second integer branch joins about two pairs in three.
+            st.one_of(st.none(), st.integers(0, 3), st.integers(0, 3)),
+            min_size=n * n,
+            max_size=n * n,
+        )
+    )
+    weights = [
+        [None if c is None else (c + p[i] - p[j]) * scale for j, c in enumerate(row)]
+        for i, row in enumerate(cells[i * n : (i + 1) * n] for i in range(n))
+    ]
+    dips = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-20, -1))
+    for i, j, w in draw(st.lists(dips, max_size=2)):
+        weights[i][j] = w * scale
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_graphs(), st.data())
+def test_packed_closures_match_the_hop_loop(weights, data):
+    n = len(weights)
+    hops = data.draw(
+        st.one_of(st.integers(1, n - 2), st.sampled_from([n - 1, n, 2 * n, 64])), label="hops"
+    )
+    a = tropical_matrix(weights)
+    with pytest.MonkeyPatch.context() as mp:
+        force_closures(mp)
+        closures = count_calls(mp, "_hop_closure")
+        packed = packed_pivots(mp)
+        check_against_oracles(a, weights, hops)
+    assert len(closures) == (hops < n - 1)
+    # Every pivot runs packed, until one meets a negative cycle.
+    assert packed and all(packed)

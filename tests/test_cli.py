@@ -167,10 +167,12 @@ def test_matmul_compose_golden(capsys):
     assert out == golden("compose_ab.out")
 
 
-@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss"])
+@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss", "compose_trop"])
 def test_matmul_packed_compose_golden(capsys, pair):
     """A nat 12 x 12 and a gaussian 10 x 10 product, large enough for the
-    packed integer sums, against output recorded from one sum per entry."""
+    packed integer sums, and a tropical 24 x 24 one with infinities and
+    negative weights, large enough for the packed min-plus rows, against
+    output recorded from one sum or min per entry."""
     code = main(["matmul", "--op", "compose", "-A", fx(f"{pair}_a.mat"), "-B", fx(f"{pair}_b.mat")])
     out = capsys.readouterr().out
     assert code == 0
@@ -321,14 +323,23 @@ def test_shortest_path_goldens(capsys):
 
 @pytest.mark.parametrize(
     "graph, hops",
-    [("cycle3.graph", "2"), ("line4.graph", "3"), ("sparse12.graph", "3"), ("negcycle7.graph", "3")],
+    [
+        ("cycle3.graph", "2"),
+        ("line4.graph", "3"),
+        ("sparse12.graph", "3"),
+        ("negcycle7.graph", "3"),
+        ("dense18.graph", "17"),
+        ("dense18.graph", "9"),
+    ],
 )
 def test_shortest_path_builds_no_scalar(capsys, monkeypatch, graph, hops):
     """The table is read, computed and written on payloads: no _payloads
     call and no Scalar, not even for the weights of the file. The sparse12
     and negcycle7 tables were recorded when the squaring answered them (3
     hops fall short of sparse12's 10-hop paths, and negcycle7 has a negative
-    cycle); relaxation answers them now."""
+    cycle); relaxation answers them now. The dense18 tables, recorded from
+    the closures on lists, come from the packed closure at 17 hops and the
+    packed hop closure at 9."""
     unwraps, boxed = [], []
     for module in (algebra, matcat, cli):
         if hasattr(module, "_payloads"):

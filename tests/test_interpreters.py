@@ -3,7 +3,7 @@
 ``pyproject.toml`` claims Python >= 3.10, and the exact-rational kernels
 lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
 reimplemented between versions. Each test here runs every law/roundtrip
-golden and the eight CLI fixtures through ``semicat.cli.main``, all in one
+golden and the eleven CLI fixtures through ``semicat.cli.main``, all in one
 subprocess of another interpreter found on PATH, and compares each stdout
 with the recorded bytes. The subprocess needs only the standard library. An
 interpreter that is not on PATH, or does not run, is skipped.
@@ -39,7 +39,7 @@ CASES.update(
                 ["matmul", "--op", "compose", "-A", _fx(f"{pair}_a.mat"), "-B", _fx(f"{pair}_b.mat")],
                 FIXTURES / f"{pair}_ab.out",
             )
-            for pair in ("compose_wide", "compose_gauss")
+            for pair in ("compose_wide", "compose_gauss", "compose_trop")
         },
         "dagger": (["matmul", "--op", "dagger", "-A", _fx("dagger_in.mat")], FIXTURES / "dagger.out"),
         "cycle3_k2": (
@@ -52,6 +52,13 @@ CASES.update(
                 FIXTURES / f"{graph}_k3.out",
             )
             for graph in ("line4", "sparse12", "negcycle7")
+        },
+        **{
+            f"dense18_k{hops}": (
+                ["shortest-path", "--graph", _fx("dense18.graph"), "--max-hops", str(hops)],
+                FIXTURES / f"dense18_k{hops}.out",
+            )
+            for hops in (17, 9)
         },
     }
 )
@@ -95,7 +102,7 @@ def find_interpreter(version: str):
 
 
 def test_cases_cover_every_golden_and_cli_fixture():
-    assert len(CASES) == 33 + 8
+    assert len(CASES) == 33 + 11
     assert {golden.name for _, golden in CASES.values()} >= {
         p.name for p in FIXTURES.glob("*.out")
     }

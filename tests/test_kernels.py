@@ -17,6 +17,7 @@ from semicat.algebra import (
     NAT,
     RATNN,
     SEMIRINGS,
+    TROPICAL,
     Scalar,
     SemiringDescriptor,
     boolean,
@@ -288,13 +289,15 @@ def test_compose_kernel_with_an_all_zero_left_factor(S, scalar):
         ("ratnn", 4, "sum", 4 * 4),
         ("gaussian", 4, "sum", 3 * 4 * 4),
         ("bool", 32, "any", 32 * 32),
-        ("tropical", 32, "min", 32 * 32),
+        ("tropical", 32, "min", 3),
+        ("tropical", 4, "min", 4 * 4),
     ],
 )
 def test_which_compose_path_runs(monkeypatch, name, n, fn, calls):
     """32 x 32 products over nat, ratnn and gaussian take one sum per output
-    row and integer product; 4 x 4 ones, and bool and tropical ones of any
-    size, take one sum, any or min per entry."""
+    row and integer product, and over tropical three mins in all (the packed
+    rows' bounds) and none per entry; 4 x 4 ones, and bool ones of any size,
+    take one sum, any or min per entry."""
     S = SEMIRINGS[name]
     rng = random.Random(n)
     g = Matrix(S, n, n, [rng.choice((S.zero, S.one, S.add(S.one, S.one))) for _ in range(n * n)])
@@ -318,6 +321,80 @@ def test_tropical_infinity_and_negative_weights():
     g = Matrix(SEMIRINGS["tropical"], 2, 2, (t(None), t(-7), t(7), t(None)))
     h = Matrix(SEMIRINGS["tropical"], 2, 2, (t(7), t(None), t(-5), t(7)))
     assert mat_compose(g, h).entries == (t(-12), t(0), t(14), t(None))
+
+
+def record_layouts(monkeypatch) -> list:
+    """The slot layouts, (width, struct code) or None for too wide, that the
+    packed min-plus kernels choose."""
+    layouts = []
+    real = matcat._guarded_slots
+
+    def guarded_slots(top):
+        layouts.append(real(top))
+        return layouts[-1]
+
+    monkeypatch.setattr(matcat, "_guarded_slots", guarded_slots)
+    return layouts
+
+
+LAYOUTS = [(1, "B"), (2, "H"), (4, "I"), (8, "Q"), None]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+@pytest.mark.parametrize("peak", ["fits", "overflows"])
+def test_packed_min_plus_in_each_slot_width(monkeypatch, width, peak):
+    # Left entries span 1 (-1 and 0) and right ones span r, so the largest
+    # slot is r + 3: a finite sum reaches r + 1, and an infinite right
+    # entry sits at r + 2 before a left entry adds up to 1. That is the
+    # last value below a w-byte slot's guard bit, or the first past it.
+    limit = 2 ** (8 * width - 1) - 1
+    r = limit - 3 if peak == "fits" else limit - 2
+    lo, rng = -(r // 2), random.Random(width)
+    ends = (lo, lo + r)
+    left = [[0] * 9] + [[rng.choice((-1, 0, None)) for _ in range(9)] for _ in range(8)]
+    left[1][0] = -1
+    right = [
+        [lo + r] + [rng.choice((*ends, rng.randint(*ends), None)) for _ in range(8)]
+        for _ in range(9)
+    ]
+    right[0][1] = lo
+    g = Matrix(TROPICAL, 9, 9, [tropical(x) for row in left for x in row])
+    h = Matrix(TROPICAL, 9, 9, [tropical(x) for row in right for x in row])
+    layouts = record_layouts(monkeypatch)
+    got = mat_compose(g, h)
+    monkeypatch.undo()
+    assert layouts == [LAYOUTS[[1, 2, 4, 8].index(width) + (peak == "overflows")]]
+    assert_same(got, compose_oracle(TROPICAL, g, h))
+    # Row 0 of g holds its largest entry, 0, and column 0 of h its largest,
+    # lo + r: their sum is the largest finite sum and stays finite.
+    assert got.values[0] == lo + r
+
+
+# Shrinking a failing example here can take minutes of big-int oracles, so
+# the first failing example is reported as drawn.
+@settings(deadline=None, max_examples=60, phases=[p for p in Phase if p is not Phase.shrink])
+@given(st.data(), st.integers(9, 12), st.integers(9, 12), st.integers(9, 12))
+def test_packed_min_plus_with_infinity_and_negative_weights(data, n, m, p):
+    """The packed twin of test_tropical_infinity_and_negative_weights, above
+    the packing cutoff and across slot widths."""
+    bits = data.draw(st.sampled_from([0, 1, 3, 5, 6, 13, 14, 29, 30, 56, 60, 61, 62, 63]))
+    weight = st.one_of(st.none(), st.integers(-(2**bits), 2**bits))
+    left = data.draw(st.lists(weight, min_size=n * m, max_size=n * m))
+    right = data.draw(st.lists(weight, min_size=m * p, max_size=m * p))
+    # Row 0 of g and column 0 of h hold each factor's largest weight, so the
+    # largest finite sum is entry (0, 0), and it must stay finite.
+    top_left = max((x for x in left if x is not None), default=0)
+    top_right = max((x for x in right if x is not None), default=0)
+    left[:m] = [top_left] * m
+    right[::p] = [top_right] * m
+    g = Matrix(TROPICAL, n, m, [tropical(x) for x in left])
+    h = Matrix(TROPICAL, m, p, [tropical(x) for x in right])
+    with pytest.MonkeyPatch.context() as mp:
+        layouts = record_layouts(mp)
+        got = mat_compose(g, h)
+    assert len(layouts) == 1
+    assert_same(got, compose_oracle(TROPICAL, g, h))
+    assert got.values[0] == top_left + top_right
 
 
 def test_a_descriptor_sharing_a_builtin_tag_keeps_its_own_operations():
