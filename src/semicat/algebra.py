@@ -20,6 +20,12 @@ arguments, applies the table's operation and wraps the result, and the
 matrix kernels of :mod:`semicat.matcat` compute with the same table. The
 gaussian product takes each part over the common denominator of the integer
 ratios of the factors' parts: one reduced ``Fraction``, the textbook value.
+That ``Fraction``, the negated part of the gaussian star, each rational the
+grammar reads and each entry of a ratnn or gaussian compose are built by
+:func:`_ratio`: the one gcd that ``Fraction(n, d)`` takes, then the two
+slots of ``Fraction`` set directly, without the type dispatch of
+``Fraction.__new__``. The ratnn sum and product and the gaussian sum are
+``Fraction``'s own operators.
 The text grammar and the canonical text of the built-ins are written the
 same way, on bare payloads, in ``_GRAMMARS`` and ``_RENDERERS``:
 :func:`parse_scalar` and :func:`render_scalar` apply them to one scalar,
@@ -34,8 +40,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Sequence
+from functools import partial, reduce
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     FormatError,
@@ -121,6 +128,22 @@ def tropical(v: int | None) -> Scalar:
     if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
         raise ValueError(f"tropical payload must be int or None, got {v!r}")
     return Scalar("tropical", v)
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for ints n and d > 0: one gcd, a division only
+    where it is not 1, and the two slots that ``fractions`` keeps on
+    Python 3.10-3.13 set on a bare instance. It skips the type dispatch
+    of ``Fraction.__new__``, which costs more than the gcd on the
+    numbers the kernels make."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
 
 
 def _fraction(value) -> Fraction:
@@ -221,13 +244,14 @@ def _gaussian_mul(x, y):
     (t, u), (v, w) = y[0].as_integer_ratio(), y[1].as_integer_ratio()
     qu, sw = q * u, s * w
     return (
-        Fraction(p * t * sw - r * v * qu, qu * sw),
-        Fraction(p * v * s * u + r * t * q * w, qu * sw),
+        _ratio(p * t * sw - r * v * qu, qu * sw),
+        _ratio(p * v * s * u + r * t * q * w, qu * sw),
     )
 
 
 def _gaussian_star(x):
-    return (x[0], -x[1])
+    n, d = x[1].as_integer_ratio()
+    return (x[0], _ratio(-n, d))
 
 
 def _same(x):
@@ -429,7 +453,7 @@ def _parse_fraction(text: str, original: str) -> Fraction:
     den = _decimal(m.group(2) or "1")
     if den == 0:
         raise FormatError(f"bad rational literal {_quote(original)}")
-    return Fraction(_decimal(m.group(1)), den)
+    return _ratio(_decimal(m.group(1)), den)
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
@@ -530,10 +554,6 @@ def _render_bool(b: bool) -> str:
     return "1" if b else "0"
 
 
-def _render_tropical(v: int | None) -> str:
-    return "inf" if v is None else str(v)
-
-
 def _render_fraction(q: Fraction) -> str:
     return _render_ratio(*q.as_integer_ratio())
 
@@ -553,14 +573,21 @@ def _render_gaussian(x: tuple[Fraction, Fraction]) -> str:
     return f"{_render_ratio(re_n, re_d)}{sign}{im_text}"
 
 
-# The canonical text of each built-in's bare payloads; the inverse of
-# ``_GRAMMARS``.
-_RENDERERS: dict[str, Callable[[object], str]] = {
-    "nat": str,
-    "bool": _render_bool,
-    "tropical": _render_tropical,
-    "ratnn": _render_fraction,
-    "gaussian": _render_gaussian,
+def _render_tropicals(vs: Sequence) -> list[str]:
+    # One comprehension, no call per entry: f"{v}" is str(v) for an int.
+    return ["inf" if v is None else f"{v}" for v in vs]
+
+
+# The canonical texts of a sequence of each built-in's bare payloads, one
+# text per payload; the inverse of ``_GRAMMARS``. A tropical grid, which
+# every ``shortest-path`` run writes, is written without a Python call per
+# entry.
+_RENDERERS: dict[str, Callable[[Sequence], Iterable[str]]] = {
+    "nat": partial(map, str),
+    "bool": partial(map, _render_bool),
+    "tropical": _render_tropicals,
+    "ratnn": partial(map, _render_fraction),
+    "gaussian": partial(map, _render_gaussian),
 }
 
 
@@ -574,12 +601,11 @@ def render_scalar(s: Scalar) -> str:
 
 def _render_rows(tag: str, payloads: Sequence, rows: int, cols: int) -> list[str]:
     """The lines of a rows x cols grid of bare payloads of the built-in
-    ``tag``, row major, each written by the renderer of ``tag`` and
-    separated by single spaces. Nothing is checked: callers take the
-    payloads from :func:`_payloads` or from the grammar of ``tag``."""
-    render = _RENDERERS[tag]
+    ``tag``, row major, written by the renderer of ``tag`` and separated
+    by single spaces. Nothing is checked: callers take the payloads from
+    :func:`_payloads` or from the grammar of ``tag``."""
     try:
-        texts = list(map(render, payloads))
+        texts = list(_RENDERERS[tag](payloads))
     except ValueError:
         raise FormatError(
             f"a {tag} value has more than {sys.get_int_max_str_digits()} digits,"

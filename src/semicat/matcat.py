@@ -54,10 +54,11 @@ Every scaled entry is an integer, or an (re, im) pair of integers, so a
 row-by-column sum of products is an exact integer sum over D*E. Gaussian
 compose takes three integer dot products per output entry, Gauss's trick:
 re = sum ac - sum bd and im = sum (a+b)(c+d) - sum ac - sum bd, with the
-sums a+b and c+d formed once per row and per column. One ``Fraction`` built
-per output part is the exact value, and since ``Fraction`` reduces to
-lowest terms it is the same canonical value, rendering to the same bytes,
-as a sum of ``Fraction`` products. Scaling per row and per column, not per
+sums a+b and c+d formed once per row and per column. One reduced
+``Fraction`` per output part, built by ``algebra._ratio`` from the integer
+sum and D*E, is the exact value, and since it is in lowest terms it is the
+same canonical value, rendering to the same bytes, as a sum of
+``Fraction`` products. Scaling per row and per column, not per
 matrix, keeps the integers as small as the denominators one output entry
 combines. Any other descriptor (hom-set and evaluation semirings, or a
 twin that only carries a built-in's name) computes with its own
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add, and_, mul
 from struct import Struct
@@ -103,6 +103,7 @@ from .algebra import (
     _payload,
     _payloads,
     _quote,
+    _ratio,
     _render_rows,
 )
 from .errors import (
@@ -393,7 +394,7 @@ def _ratnn_products(rows: list, cols: list) -> list:
         return []
     row_dens, a = zip(*map(_over_lcm, rows))
     col_dens, c = zip(*map(_over_lcm, cols))
-    return list(map(Fraction, _dots(a, c), [rd * cd for rd in row_dens for cd in col_dens]))
+    return list(map(_ratio, _dots(a, c), [rd * cd for rd in row_dens for cd in col_dens]))
 
 
 def _gaussian_over_lcm(pairs: list) -> tuple:
@@ -413,7 +414,7 @@ def _gaussian_products(rows: list, cols: list) -> list:
     col_dens, c, d, c_d = zip(*map(_gaussian_over_lcm, cols))
     dens = [rd * cd for rd in row_dens for cd in col_dens]
     return [
-        (Fraction(x - y, den), Fraction(z - x - y, den))
+        (_ratio(x - y, den), _ratio(z - x - y, den))
         for x, y, z, den in zip(_dots(a, c), _dots(b, d), _dots(a_b, c_d), dens)
     ]
 

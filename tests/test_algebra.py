@@ -2,11 +2,12 @@
 
 import itertools
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semicat.algebra import (
@@ -19,6 +20,8 @@ from semicat.algebra import (
     TROPICAL,
     _PAYLOAD_OPS,
     _parse_fraction,
+    _ratio,
+    _render_rows,
     boolean,
     canonical_from_nat,
     gaussian,
@@ -100,6 +103,26 @@ def test_gaussian_product_matches_the_textbook_formula(xr, xi, yr, yi):
     ):
         assert got == expected
         assert all(type(part) is Fraction for part in got)
+
+
+@given(
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.integers(min_value=1, max_value=2**100),
+)
+@example(0, 1)
+@example(0, 2**100)
+@example(-7, 1)
+@example(-(2**100), 6)
+@example(2**100, 2**99)
+def test_ratio_is_the_fraction(n, d):
+    """``_ratio`` builds what ``Fraction(n, d)`` builds: reduced, of the
+    same type, hashing, printing and splitting alike."""
+    got, want = _ratio(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+    assert (str(got), repr(got)) == (str(want), repr(want))
 
 
 def test_ratnn_arithmetic():
@@ -470,3 +493,26 @@ def test_render_is_canonical():
     assert render_scalar(gaussian(0, -1)) == "-i"
     assert render_scalar(tropical(None)) == "inf"
     assert render_scalar(rational(Fraction(4, 2))) == "2"
+
+
+def test_a_tropical_grid_is_written_without_a_call_per_entry():
+    """A 30 x 30 tropical grid takes a handful of Python calls, not one per
+    entry, and a value past the digit limit is still a FormatError."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    payloads = [None, -3, 7, 0] * 225
+    sys.setprofile(profile)
+    try:
+        lines = _render_rows("tropical", payloads, 30, 30)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) < 10, calls[:10]
+    texts = ["inf" if v is None else str(v) for v in payloads]
+    assert lines == [" ".join(texts[i * 30 : (i + 1) * 30]) for i in range(30)]
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        with pytest.raises(FormatError, match="more than"):
+            _render_rows("tropical", [10 ** (sys.get_int_max_str_digits() + 1)], 1, 1)

@@ -167,12 +167,15 @@ def test_matmul_compose_golden(capsys):
     assert out == golden("compose_ab.out")
 
 
-@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss", "compose_trop"])
+@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss", "compose_trop", "compose_ratnn"])
 def test_matmul_packed_compose_golden(capsys, pair):
     """A nat 12 x 12 and a gaussian 10 x 10 product, large enough for the
-    packed integer sums, and a tropical 24 x 24 one with infinities and
-    negative weights, large enough for the packed min-plus rows, against
-    output recorded from one sum or min per entry."""
+    packed integer sums, a tropical 24 x 24 one with infinities and
+    negative weights, large enough for the packed min-plus rows, and a
+    ratnn 12 x 10 by 10 x 11 one with numerators and denominators past
+    2**64, whose dots reduce to 0, to integers and to big fractions,
+    against output recorded from one sum or min per entry and one
+    ``Fraction(n, d)`` per rational."""
     code = main(["matmul", "--op", "compose", "-A", fx(f"{pair}_a.mat"), "-B", fx(f"{pair}_b.mat")])
     out = capsys.readouterr().out
     assert code == 0
@@ -285,8 +288,11 @@ def test_matmul_prints_what_the_matrix_api_renders(case):
         (["--op", "tensor", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")],
          "semiring nat 4 2\n3 6\n4 8\n0 3\n0 4\n"),
         (["--op", "dagger", "-A", fx("dagger_in.mat")], golden("dagger.out")),
+        (["--op", "tensor", "-A", fx("tensor_gauss_a.mat"), "-B", fx("tensor_gauss_b.mat")],
+         golden("tensor_gauss_ab.out")),
+        (["--op", "dagger", "-A", fx("dagger_gauss_in.mat")], golden("dagger_gauss.out")),
     ],
-    ids=["compose", "tensor", "dagger"],
+    ids=["compose", "tensor", "dagger", "gaussian-tensor", "gaussian-dagger"],
 )
 def test_matmul_boxes_no_entry(capsys, monkeypatch, argv, out):
     """From the files to stdout, matmul builds no Scalar, unwraps no scalar

@@ -2,11 +2,16 @@
 
 ``pyproject.toml`` claims Python >= 3.10, and the exact-rational kernels
 lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
-reimplemented between versions. Each test here runs every law/roundtrip
-golden and the eleven CLI fixtures through ``semicat.cli.main``, all in one
-subprocess of another interpreter found on PATH, and compares each stdout
-with the recorded bytes. The subprocess needs only the standard library. An
-interpreter that is not on PATH, or does not run, is skipped.
+reimplemented between versions. They also build most rationals with
+``algebra._ratio``, which sets ``Fraction``'s two private slots directly
+and so relies on their layout. Each test here runs every law/roundtrip
+golden and the fourteen CLI fixtures through ``semicat.cli.main``, all in
+one subprocess of another interpreter found on PATH, and compares each
+stdout with the recorded bytes. The same subprocess builds every (n, d) of
+``RATIOS`` with ``_ratio`` and with ``Fraction`` and reports each pair that
+differs in type, value, hash, integer ratio, text or arithmetic. The
+subprocess needs only the standard library. An interpreter that is not on
+PATH, or does not run, is skipped.
 """
 
 import json
@@ -39,9 +44,17 @@ CASES.update(
                 ["matmul", "--op", "compose", "-A", _fx(f"{pair}_a.mat"), "-B", _fx(f"{pair}_b.mat")],
                 FIXTURES / f"{pair}_ab.out",
             )
-            for pair in ("compose_wide", "compose_gauss", "compose_trop")
+            for pair in ("compose_wide", "compose_gauss", "compose_trop", "compose_ratnn")
         },
+        "tensor_gauss_ab": (
+            ["matmul", "--op", "tensor", "-A", _fx("tensor_gauss_a.mat"), "-B", _fx("tensor_gauss_b.mat")],
+            FIXTURES / "tensor_gauss_ab.out",
+        ),
         "dagger": (["matmul", "--op", "dagger", "-A", _fx("dagger_in.mat")], FIXTURES / "dagger.out"),
+        "dagger_gauss": (
+            ["matmul", "--op", "dagger", "-A", _fx("dagger_gauss_in.mat")],
+            FIXTURES / "dagger_gauss.out",
+        ),
         "cycle3_k2": (
             ["shortest-path", "--graph", _fx("cycle3.graph"), "--max-hops", "2"],
             FIXTURES / "cycle3_k2.out",
@@ -63,19 +76,40 @@ CASES.update(
     }
 )
 
-# Reads {name: argv} as JSON on stdin and writes {name: [exit code, stdout]}.
+# Numerators and positive denominators: signs, zero, one, common factors,
+# and values on both sides of 2**64.
+RATIOS = [
+    [n, d]
+    for n in (-(2**70) - 1, -(3**41), -12, -1, 0, 1, 6, 2**64, 2**64 * 3**5, 5**60)
+    for d in (1, 2, 6, 9, 2**64, 3**41, 2 * 5**60)
+]
+
+# Reads {"cases": {name: argv}, "ratios": [[n, d], ...]} as JSON on stdin and
+# writes {"cases": {name: [exit code, stdout]}, "mismatches": [[n, d], ...]}.
 RUNNER = """
 import io, json, sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
+from semicat.algebra import _ratio
 from semicat.cli import main
+
+def observed(q):
+    return (type(q), q == Fraction(3, 7), hash(q), q.as_integer_ratio(),
+            str(q), repr(q), q + 1, q * q, -q, q < 1)
+
+job = json.load(sys.stdin)
 results = {}
-for name, argv in json.load(sys.stdin).items():
+for name, argv in job["cases"].items():
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
     results[name] = [code, out.getvalue()]
-json.dump(results, sys.stdout)
+mismatches = [
+    [n, d] for n, d in job["ratios"]
+    if _ratio(n, d) != Fraction(n, d) or observed(_ratio(n, d)) != observed(Fraction(n, d))
+]
+json.dump({"cases": results, "mismatches": mismatches}, sys.stdout)
 """
 
 
@@ -102,7 +136,7 @@ def find_interpreter(version: str):
 
 
 def test_cases_cover_every_golden_and_cli_fixture():
-    assert len(CASES) == 33 + 11
+    assert len(CASES) == 33 + 14
     assert {golden.name for _, golden in CASES.values()} >= {
         p.name for p in FIXTURES.glob("*.out")
     }
@@ -118,7 +152,9 @@ def test_goldens_are_byte_identical_under(version):
     exe, env = found
     run = subprocess.run(
         [exe, "-I", "-B", "-c", RUNNER, str(SRC)],
-        input=json.dumps({name: argv for name, (argv, _) in CASES.items()}),
+        input=json.dumps(
+            {"cases": {name: argv for name, (argv, _) in CASES.items()}, "ratios": RATIOS}
+        ),
         env=env,
         capture_output=True,
         text=True,
@@ -126,7 +162,8 @@ def test_goldens_are_byte_identical_under(version):
     )
     assert run.returncode == 0, run.stderr
     results = json.loads(run.stdout)
+    assert results["mismatches"] == []
     for name, (_, golden) in CASES.items():
-        code, out = results[name]
+        code, out = results["cases"][name]
         assert code == 0, name
         assert out.encode() == golden.read_bytes(), name

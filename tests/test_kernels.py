@@ -5,6 +5,7 @@ five built-in semirings, against oracles that use only the descriptor's
 import builtins
 import copy
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from semicat.matcat import (
     mat_tensor,
     mat_tuple,
     matrix,
+    parse_mat_text,
     render_mat_text,
 )
 
@@ -313,6 +315,53 @@ def test_which_compose_path_runs(monkeypatch, name, n, fn, calls):
     monkeypatch.undo()
     assert counts == {"sum": 0, fn: calls}
     assert_same(got, compose_oracle(S, g, g))
+
+
+@contextmanager
+def counting_fraction_new():
+    """Counts the calls of ``Fraction.__new__``, patched as the bench
+    tracer patches it, and restores the original on exit."""
+    calls = [0]
+    original = Fraction.__dict__["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield calls
+    finally:
+        Fraction.__new__ = original
+
+
+def test_rational_payloads_skip_fraction_new():
+    """32 x 32 ratnn and gaussian products, a gaussian dagger and tensor,
+    and the .mat reader over both semirings build each rational with
+    ``algebra._ratio``, not through ``Fraction.__new__``."""
+    rng = random.Random(32)
+
+    def q():
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    r = Matrix(RATNN, 32, 32, [rational(abs(q())) for _ in range(32 * 32)])
+    z = Matrix(GAUSSIAN, 32, 32, [gaussian(q(), q()) for _ in range(32 * 32)])
+    small = Matrix(GAUSSIAN, 5, 6, [gaussian(q(), q()) for _ in range(5 * 6)])
+    texts = {"ratnn": render_mat_text(r), "gaussian": render_mat_text(z)}
+    ops = {
+        "ratnn compose": lambda: mat_compose(r, r),
+        "gaussian compose": lambda: mat_compose(z, z),
+        "gaussian dagger": lambda: mat_dagger(z),
+        "gaussian tensor": lambda: mat_tensor(small, small),
+        **{f"{name} parse": lambda t=text: parse_mat_text(t) for name, text in texts.items()},
+    }
+    counts = {}
+    for name, op in ops.items():
+        with counting_fraction_new() as calls:
+            out = op()
+        counts[name] = calls[0]
+        assert out.rows and out.cols
+    assert counts == dict.fromkeys(ops, 0)
 
 
 def test_tropical_infinity_and_negative_weights():
