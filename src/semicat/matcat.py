@@ -67,8 +67,9 @@ payloads boxed as scalars; the ``compose-oracle`` law compares the
 kernels with a triple loop over the descriptor's operations.
 :func:`bounded_paths`, the distance table of ``shortest-path``, runs
 hop-limited relaxation over the rows of a sparse tropical A, and else
-closes I + A by Lehmann's pivots, on packed rows over tropical, or
-squares it with :func:`mat_compose`.
+closes I + A by Lehmann's pivots, over tropical on rows packed as compose
+packs its right factor (:class:`_PackedRows`), or squares it with
+:func:`mat_compose`.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
 renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
@@ -350,24 +351,18 @@ def _packed_min_plus(
     rows: list, cols: list, width: int, code: str, alo: int, clo: int, top: int
 ) -> list:
     """Every row-by-column min-plus sum, a packed output row at a time
-    (Lamport's packed compare). Row j of the right factor becomes one int
-    with column k's entry y in slot k as y - clo, ``width`` bytes at bit
-    8 * width * k, or top + 1 for infinity. A finite left entry x adds
-    x - alo to every slot of it, and one slot-wise min folds that candidate
-    into the output row; an infinite one skips its row. Each slot's top bit
-    is a guard, set in the output row and clear in every candidate, so one
-    subtraction compares all slots at once with no borrow between them: the
-    guard survives where the output slot is at least the candidate's, and
-    there the difference is taken off again."""
-    p = len(cols)
-    slots = Struct(f"<{p}{code}")
+    (Lamport's packed compare). The rows of the right factor become
+    :class:`_PackedRows`, entry y at y - clo and infinity at top + 1. A
+    finite left entry x adds x - alo to every slot of row j, and one
+    slot-wise min folds that candidate into the output row; an infinite one
+    skips its row. Each slot's top bit is a guard, set in the output row and
+    clear in every candidate, so one subtraction compares all slots at once
+    with no borrow between them: the guard survives where the output slot is
+    at least the candidate's, and there the difference is taken off again."""
+    right = _PackedRows(list(zip(*cols)), width, code, -clo, top, top + 1)
     shift = 8 * width - 1
-    ones = _ones(width, p)
-    guards = ones << shift
-    packed = [
-        int.from_bytes(slots.pack(*[top + 1 if y is None else y - clo for y in h]), "little")
-        for h in zip(*cols)
-    ]
+    ones, guards = right.ones, right.guards
+    packed = [y ^ guards for y in right.ints]
     empty = (top + 1) * ones | guards
     out = []
     for r in rows:
@@ -377,9 +372,10 @@ def _packed_min_plus(
                 diff = acc - y - (x - alo) * ones
                 kept = diff & guards
                 acc -= diff & (kept - (kept >> shift))
-        out += slots.unpack((acc ^ guards).to_bytes(width * p, "little"))
-    base = alo + clo
-    return [None if x > top else x + base for x in out]
+        out.append(acc)
+    # An output slot holds x + y - alo - clo: the right factor's slots, alo lower.
+    right.ints, right.off = out, right.off - alo
+    return right.values()
 
 
 def _over_lcm(qs: list) -> tuple[int, list[int]]:
@@ -662,18 +658,19 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
     the sum over all walks, which is S_(n-1) = S_h: each simple cycle c was
     in some pivot's diagonal, so 1 + c = 1, and a walk through c adds
     nothing to the walk without it. Over tropical a failed pivot is a
-    negative cycle; over bool none fails (Warshall). Tropical's pivots run
-    on rows packed once per closure from ``_PACK_MIN`` (n^3) steps up, one
-    slot-wise min per row update (:class:`_PackedRows`), and below that in
-    one comprehension on ints and ``None`` per row; any other's makes one
-    ``add`` and one ``mul`` per entry.
+    negative cycle; over bool none fails (Warshall). One :func:`_closure`
+    serves every idempotent semiring. Over tropical its pivots run on rows
+    packed once per closure wherever 8-byte slots hold them, one slot-wise
+    min per row update (:class:`_PackedRows`, as tropical compose packs its
+    right factor); any other semiring's, and tropical rows too wide for 8
+    bytes, take one ``add`` and one ``mul`` per entry.
 
     Over tropical with 0 < hops < n - 1 and a dense a, it first runs the
     same closure on (distance, hops) pairs, ordered lexicographically
     (Lehmann's closure over the lexicographic semiring): each finite entry
     x of B at (i, j) is coded as the int x * K + (i != j) with K = 2n, so a
-    walk's code is its weight times K plus its length, and the tropical
-    pivot runs on the codes unchanged. A simple cycle of weight w and at
+    walk's code is its weight times K plus its length, and the same closure
+    runs on the codes. A simple cycle of weight w and at
     most n edges has a code below 0 exactly when w < 0, so the pivots pass
     exactly when no cycle is negative. Then every least code is reached by
     a simple path, since dropping a cycle of weight >= 0 lowers the code;
@@ -698,23 +695,21 @@ def bounded_paths(a: Matrix, hops: int) -> Matrix:
         return mat_identity(S, n)
     if a.cols != n:
         raise DimensionMismatch(f"bounded paths need a square matrix, not {n}x{a.cols}")
-    if S is TROPICAL and _relaxes(n, n * n - a.values.count(None), hops):
-        relaxed = _relaxation(a.values, n, hops)
-        if relaxed is not None:
-            return _matrix(S, n, n, relaxed)
-        # Round n lowered a distance: a cycle is negative, so no closure passes.
-        return _powering(mat_add(mat_identity(S, n), a), hops)
-    base = mat_add(mat_identity(S, n), a)
-    rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
-    if S is TROPICAL:
-        closed = _tropical_closure(rows) if hops >= n - 1 else _hop_closure(rows, hops)
-        if closed is not None:
-            return _matrix(S, n, n, closed)
-    elif hops >= n - 1:
-        pivot = _pivot_of(ops.add, ops.mul, ops.zero, ops.one)
-        if all(pivot(rows, k) for k in range(n)):
-            return _matrix(S, n, n, [x for row in rows for x in row])
-    return _powering(base, hops)
+    relaxes = S is TROPICAL and _relaxes(n, n * n - a.values.count(None), hops)
+    closed = _relaxation(a.values, n, hops) if relaxes else None
+    if closed is None:
+        base = mat_add(mat_identity(S, n), a)
+        # When relaxation gave up, round n lowered a distance: a cycle is
+        # negative, so no closure passes.
+        if not relaxes:
+            rows = [base.values[i * n : (i + 1) * n] for i in range(n)]
+            if hops >= n - 1:
+                closed = _closure(S, rows)
+            elif S is TROPICAL:
+                closed = _hop_closure(rows, hops)
+        if closed is None:
+            return _powering(base, hops)
+    return _matrix(S, n, n, closed)
 
 
 def _relaxes(n: int, m: int, hops: int) -> bool:
@@ -783,60 +778,40 @@ def _hop_closure(rows: list, hops: int) -> list | None:
         [None if x is None else x * K + (i != j) for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-    closed = _tropical_closure(codes)
+    closed = _closure(TROPICAL, codes)
     if closed is None or max((c % K for c in closed if c is not None), default=0) > hops:
         return None
     return [None if c is None else c // K for c in closed]
 
 
-def _tropical_closure(rows: list) -> list | None:
-    """Lehmann's closure of the square min-plus matrix ``rows``, row major,
-    by n steps of :func:`_tropical_pivot`; None when a pivot fails. From
-    ``_PACK_MIN`` inner steps (n^3) up the pivots run on :class:`_PackedRows`,
-    where 8-byte slots hold them, and else on lists. ``rows`` is left as it
-    is."""
+def _closure(S: SemiringDescriptor, rows: list) -> list | None:
+    """Lehmann's closure of the square matrix ``rows`` over the idempotent
+    S, row major, by n pivots; None when a pivot fails. Over tropical the
+    pivots run on :class:`_PackedRows` wherever 8-byte slots hold the rows;
+    otherwise :func:`_pivot_of` takes one ``add`` and one ``mul`` of S's
+    kernel per entry. ``rows`` is left as it is."""
     n = len(rows)
-    closing = (n**3 >= _PACK_MIN and _PackedRows.of(rows)) or list(rows)
-    if not all(_tropical_pivot(closing, k) for k in range(n)):
-        return None
-    if isinstance(closing, _PackedRows):
-        return closing.values()
-    return [x for row in closing for x in row]
-
-
-def _tropical_pivot(rows: list | _PackedRows, k: int) -> bool:
-    """Step k of Lehmann's closure of a square min-plus matrix in place: when
-    d_kk is one it adds d_ik times row k to each row i != k and returns True,
-    else it changes nothing. ``rows`` is a list of rows of ints and ``None``,
-    updated one entry at a time, or :class:`_PackedRows`."""
-    if isinstance(rows, _PackedRows):
-        return rows.pivot(k)
-    pivot = rows[k]
-    if pivot[k] != 0:
-        return False
-    for i, row in enumerate(rows):
-        d = row[k]
-        if i != k and d is not None:
-            rows[i] = [
-                x if y is None else (y + d if x is None or y + d < x else x)
-                for x, y in zip(row, pivot)
-            ]
-    return True
+    packed = S is TROPICAL and _PackedRows.of(rows)
+    if packed:
+        return packed.values() if all(packed.pivot(k) for k in range(n)) else None
+    pivot, rows = _pivot_of(_kernel(S)), list(rows)
+    return [x for row in rows for x in row] if all(pivot(rows, k) for k in range(n)) else None
 
 
 class _PackedRows:
-    """A square min-plus matrix under Lehmann's pivots, each row packed once
-    into one int. Entry v of a row sits in slot j as v + ``off``, ``width``
-    bytes at bit 8 * width * j, below a guard bit that is kept set, and
-    infinity as a slot above ``top``. A pivot reads d_kk and each d_ik from
-    slot k, and folds row k plus d_ik into row i by one slot-wise min, as
-    :func:`_packed_min_plus` does."""
+    """Min-plus rows, each packed once into one int: the right factor of a
+    tropical compose (:func:`_packed_min_plus`), or a square matrix under
+    Lehmann's pivots. Entry v of a row sits in slot j as v + ``off``,
+    ``width`` bytes at bit 8 * width * j, below a guard bit that is kept
+    set, and infinity as a slot above ``top``. A pivot reads d_kk and each
+    d_ik from slot k, and folds row k plus d_ik into row i by one slot-wise
+    min, as a compose folds each row of its right factor."""
 
     def __init__(self, rows: list, width: int, code: str, off: int, top: int, inf: int) -> None:
-        n = len(rows)
+        count = len(rows[0]) if rows else 0
         self.width, self.off, self.top = width, off, top
-        self.slots = Struct(f"<{n}{code}")
-        self.ones = _ones(width, n)
+        self.slots = Struct(f"<{count}{code}")
+        self.ones = _ones(width, count)
         self.guards = self.ones << (8 * width - 1)
         self.ints = [
             int.from_bytes(self.slots.pack(*[inf if x is None else x + off for x in r]), "little")
@@ -846,7 +821,8 @@ class _PackedRows:
 
     @classmethod
     def of(cls, rows: list) -> _PackedRows | None:
-        """``rows`` packed, or None where 8-byte slots cannot hold them.
+        """The square ``rows`` packed for Lehmann's pivots, or None where
+        8-byte slots cannot hold them.
 
         While the pivots pass, every finite entry is the weight of a simple
         path or cycle, so with L and U the largest |negative| and positive
@@ -883,15 +859,18 @@ class _PackedRows:
 
     def values(self) -> list:
         out = []
-        size = self.width * len(self.ints)
+        size = self.slots.size
         for row in self.ints:
             out += self.slots.unpack((row ^ self.guards).to_bytes(size, "little"))
         off, top = self.off, self.top
         return [None if x > top else x - off for x in out]
 
 
-def _pivot_of(add: Callable, mul: Callable, zero, one) -> Callable[[list, int], bool]:
-    """:func:`_tropical_pivot` over the semiring with these operations."""
+def _pivot_of(ops: _Kernel) -> Callable[[list, int], bool]:
+    """Step k of Lehmann's closure of a square matrix of lists over the
+    semiring of ``ops``, in place: when d_kk is one it adds d_ik times row
+    k to each row i != k and returns True, else it changes nothing."""
+    add, mul, zero, one = ops.add, ops.mul, ops.zero, ops.one
 
     def pivot(rows: list, k: int) -> bool:
         row_k = rows[k]

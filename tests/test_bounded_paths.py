@@ -198,7 +198,7 @@ def count_calls(monkeypatch, name):
 
 def count_pivots(mp):
     """Count the closure pivots ``bounded_paths`` takes, in either closure
-    and over any semiring: the tropical pivot and every pivot that
+    and over any semiring: the packed pivot and every pivot that
     ``_pivot_of`` builds are wrapped."""
     calls = []
 
@@ -210,7 +210,7 @@ def count_pivots(mp):
         return step
 
     pivot_of = matcat._pivot_of
-    mp.setattr(matcat, "_tropical_pivot", counted(matcat._tropical_pivot))
+    mp.setattr(matcat._PackedRows, "pivot", counted(matcat._PackedRows.pivot))
     mp.setattr(matcat, "_pivot_of", lambda *ops: counted(pivot_of(*ops)))
     return calls
 
@@ -921,20 +921,25 @@ def test_relaxation_matches_the_hop_loop_and_the_doubling(graph, spec):
 
 
 # ---------------------------------------------------------------------------
-# The packed closures: from 9 nodes up the pivots run on rows packed into
-# ints, in the narrowest slot width that holds them (matcat._PackedRows).
+# The packed closures: at every size the pivots run on rows packed into
+# ints, in the narrowest slot width that holds them (matcat._PackedRows),
+# and on lists, one add and one mul per entry, where 8 bytes do not.
 
 
 def packed_pivots(mp):
-    """Whether each tropical pivot ran on packed rows, in order."""
+    """Whether each closure pivot ran on packed rows, in order."""
     packed = []
-    pivot = matcat._tropical_pivot
 
-    def step(rows, k):
-        packed.append(isinstance(rows, matcat._PackedRows))
-        return pivot(rows, k)
+    def recorded(pivot, is_packed):
+        def step(rows, k):
+            packed.append(is_packed)
+            return pivot(rows, k)
 
-    mp.setattr(matcat, "_tropical_pivot", step)
+        return step
+
+    pivot_of = matcat._pivot_of
+    mp.setattr(matcat._PackedRows, "pivot", recorded(matcat._PackedRows.pivot, True))
+    mp.setattr(matcat, "_pivot_of", lambda *ops: recorded(pivot_of(*ops), False))
     return packed
 
 
@@ -968,6 +973,65 @@ def test_packed_closure_in_each_slot_width(closures_only, monkeypatch, width, si
     assert layouts == [LAYOUTS[at]]
     assert packed == [LAYOUTS[at] is not None] * n
     assert payloads(got) == min_plus_oracle(weights, n - 1)
+
+
+def potential_weights(rng, n):
+    """n nodes, most pairs joined, and no negative cycle: edge (i, j) costs
+    c + p_i - p_j with c >= 0."""
+    p = [rng.randint(-4, 4) for _ in range(n)]
+    return [
+        [None if rng.random() < 0.3 else rng.randint(0, 9) + p[i] - p[j] for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[[2]], [[None, 3], [-1, None]], [[None, 4, 9], [None, 1, 2], [3, None, None]]]
+    + [potential_weights(random.Random(8), 8)],
+    ids=lambda w: f"{len(w)}-nodes",
+)
+def test_closures_below_9_nodes_pivot_packed(weights):
+    n = len(weights)
+    for hops in sorted({1, n - 2, n - 1, n, 64} - {0, -1}):
+        with pytest.MonkeyPatch.context() as mp:
+            force_closures(mp)
+            packed = packed_pivots(mp)
+            check_against_oracles(tropical_matrix(weights), weights, hops)
+        assert packed == [True] * n, hops
+
+
+def test_a_3_node_negative_cycle_fails_a_packed_pivot_and_squares(closures_only, monkeypatch):
+    weights = [[None, 2, None], [None, None, -1], [-3, None, 4]]
+    packed = packed_pivots(monkeypatch)
+    products = count_calls(monkeypatch, "mat_compose")
+    got = bounded_paths(tropical_matrix(weights), 64)
+    assert packed == [True] * 3  # the cycle shows at the last pivot's diagonal
+    assert products
+    monkeypatch.undo()
+    assert payloads(got) == min_plus_oracle(weights, 64)
+
+
+@pytest.mark.parametrize("shape", ["one-edge", "chain"])
+def test_a_hop_closure_too_wide_to_pack_takes_the_list_pivots(closures_only, shape):
+    # Weights near 2**58 fit the plain closure's 8-byte slots, but their
+    # (distance, hops) codes, weight * 2n + hops, do not. Every cheapest
+    # walk of the first graph is one edge, so the hop closure answers; the
+    # chain's binds at n - 1 hops, so the squaring does.
+    n, rng = 9, random.Random(58)
+    if shape == "one-edge":
+        weights = [[2**58 + rng.randint(0, 99) for _ in range(n)] for _ in range(n)]
+    else:
+        weights = [[x * 2**54 for x in row] for row in chain_weights(n)]
+    a = tropical_matrix(weights)
+    assert matcat._PackedRows.of(closure_rows(a)) is not None
+    for hops in (2, 3, n - 2):
+        with pytest.MonkeyPatch.context() as mp:
+            packed = packed_pivots(mp)
+            (closures, pivots, products), got = route_steps(a, hops)
+        assert (closures, pivots) == (1, n) and packed == [False] * n, hops
+        assert (products > 0) == (shape == "chain"), hops
+        assert payloads(got) == min_plus_oracle(weights, hops)
 
 
 @st.composite
