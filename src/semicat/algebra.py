@@ -29,8 +29,8 @@ slots of ``Fraction`` set directly, without the type dispatch of
 The text grammar and the canonical text of the built-ins are written the
 same way, on bare payloads, in ``_GRAMMARS`` and ``_RENDERERS``:
 :func:`parse_scalar` and :func:`render_scalar` apply them to one scalar,
-and the file readers and writers of :mod:`semicat.matcat` and
-:mod:`semicat.cli` apply them to whole files.
+the file readers of :mod:`semicat.matcat` and :mod:`semicat.cli` to each
+line of a file as it is read, and the writers to whole tables.
 """
 
 from __future__ import annotations

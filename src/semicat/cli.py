@@ -2,12 +2,13 @@
 
 Four subcommands: ``laws`` runs a named law suite, ``matmul`` is a small
 matrix calculator over the built-in semirings, ``shortest-path`` reads a
-graph file, a line at a time, straight into its tropical weight matrix A
-and prints the bounded-hop distance table that
-:func:`semicat.matcat.bounded_paths` computes, and ``roundtrip`` drives
-the adjunction transposes there and back. This module parses arguments
-and input files, prints results and maps errors to exit codes; the
-computing happens in the layers it calls.
+graph file straight into its tropical weight matrix A and prints the
+bounded-hop distance table that :func:`semicat.matcat.bounded_paths`
+computes, and ``roundtrip`` drives the adjunction transposes there and
+back. This module parses arguments and input files, prints results and
+maps errors to exit codes; the computing happens in the layers it calls.
+A ``.mat`` or graph file is read a line at a time by :func:`_parse_file`:
+the first error in file order is reported, and a bad line stops the read.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
@@ -25,8 +26,7 @@ import argparse
 import sys
 from contextlib import closing
 from functools import cache, partial
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .adjunctions import (
     ADJUNCTION_NAMES,
@@ -141,21 +141,13 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     return _matrix(TROPICAL, n, n, values)
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int = 0) -> FormatError:
+def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> FormatError:
     """The error for a byte of ``path`` that is not UTF-8, ``offset`` being
     where the bytes that ``exc`` decoded start in the file."""
     return FormatError(
         f"{path}: not UTF-8 text"
         f" (byte 0x{exc.object[exc.start]:02x} at offset {offset + exc.start})"
     )
-
-
-def _read_input(path: str) -> str:
-    """The text of an input file, which must be UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
 
 
 # The bytes that _input_lines reads at a time.
@@ -197,6 +189,13 @@ def _input_lines(path: str) -> Iterator[str]:
     yield from lines_of(b"".join(head))
 
 
+def _parse_file(path: str, parse: Callable[[Iterator[str]], Matrix]) -> Matrix:
+    """``parse`` applied to the lines of the input file ``path``; the file
+    is closed as soon as ``parse`` returns or raises."""
+    with closing(_input_lines(path)) as lines:
+        return parse(lines)
+
+
 def _cmd_laws(args) -> int:
     if args.cases > MAX_CASES:
         raise SizeLimitExceeded(f"--cases {args.cases} is above the cap of {MAX_CASES}")
@@ -211,17 +210,17 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_matmul(args) -> int:
+    if args.op == "dagger" and args.b is not None:
+        raise FormatError("dagger takes a single matrix; drop -B")
+    if args.op != "dagger" and args.b is None:
+        raise FormatError(f"{args.op} needs a second matrix via -B")
     # Payloads from file to stdout: no Scalar, each tag checked by its header.
-    a = parse_mat_text(_read_input(args.a))
+    a = _parse_file(args.a, parse_mat_text)
     if args.op == "dagger":
-        if args.b is not None:
-            raise FormatError("dagger takes a single matrix; drop -B")
         _check_table_size("the dagger", a.cols, a.rows)
         result = mat_dagger(a)
     else:
-        if args.b is None:
-            raise FormatError(f"{args.op} needs a second matrix via -B")
-        b = parse_mat_text(_read_input(args.b))
+        b = _parse_file(args.b, parse_mat_text)
         if args.op == "compose":
             _check_table_size("the composite", a.rows, b.cols)
             result = mat_compose(a, b)
@@ -233,9 +232,7 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_shortest_path(args) -> int:
-    with closing(_input_lines(args.graph)) as lines:
-        graph = parse_graph_text(lines)
-    table = bounded_paths(graph, args.max_hops)
+    table = bounded_paths(_parse_file(args.graph, parse_graph_text), args.max_hops)
     rows = _render_rows(table.tag, table.values, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0

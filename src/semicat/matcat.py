@@ -72,11 +72,11 @@ packs its right factor (:class:`_PackedRows`), or squares it with
 :func:`mat_compose`.
 
 The ``.mat`` text format reads and writes through the scalar grammar and
-renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` parses each
-distinct literal text and each distinct rational part of a gaussian
-literal once per file, straight to payloads; :func:`render_mat_text`
-writes the stored payloads. The ``matmul`` command runs one operation
-between them and builds no :class:`Scalar`.
+renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` reads a file
+a line at a time and parses each distinct literal text and each distinct
+rational part of a gaussian literal once per file, straight to payloads;
+:func:`render_mat_text` writes the stored payloads. The ``matmul``
+command runs one operation between them and builds no :class:`Scalar`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add, and_, mul
 from struct import Struct
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
     BOOL,
@@ -98,9 +98,8 @@ from .algebra import (
     Scalar,
     SemiringDescriptor,
     _GRAMMARS,
-    _NAT_RE,
     _PAYLOAD_OPS,
-    _decimal,
+    _parse_nat,
     _payload,
     _payloads,
     _quote,
@@ -956,20 +955,21 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def parse_mat_text(text: str) -> Matrix:
-    """Parse the matrix file format.
-
-    Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols ``nat``
-    literals (ASCII digits); each following line holds one row of scalars
-    in the semiring's text grammar. Each distinct literal text is parsed
-    once per call and its value reused for every later copy, and each
-    distinct rational part of a gaussian literal is converted once per call.
-    Errors carry the offending line and column.
+def parse_mat_text(text: str | Iterable[str]) -> Matrix:
+    """Parse the matrix file format from its text, or from its lines as
+    ``str.splitlines`` splits it, read one at a time: a bad line stops the
+    read. Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols
+    ``nat`` literals (ASCII digits); each following line holds one row of
+    scalars in the semiring's text grammar. Each distinct literal text is
+    parsed once per call and its value reused for every later copy, and
+    each distinct rational part of a gaussian literal is converted once per
+    call. Errors carry the offending line and column.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    first = next(lines, None)
+    if first is None:
         raise FormatError("line 1, column 1: empty matrix file")
-    header = _tokens(lines[0])
+    header = _tokens(first)
     if len(header) != 4 or header[0][0] != "semiring":
         raise FormatError("line 1, column 1: expected 'semiring <name> <rows> <cols>'")
     name = header[1][0]
@@ -978,14 +978,11 @@ def parse_mat_text(text: str) -> Matrix:
             f"line 1, column {header[1][1]}: unknown semiring {_quote(name)}"
         )
     S = SEMIRINGS[name]
-    if not all(_NAT_RE.match(tok) for tok, _ in header[2:]):
-        raise FormatError(
-            f"line 1, column {header[2][1]}: rows and cols must be naturals"
-        )
+    parts: dict = {}
     dims = []
     for tok, col in header[2:]:
         try:
-            dims.append(_decimal(tok))
+            dims.append(_parse_nat(tok, parts))
         except FormatError as exc:
             raise FormatError(f"line 1, column {col}: {exc}") from None
     rows, cols = dims
@@ -994,12 +991,11 @@ def parse_mat_text(text: str) -> Matrix:
     values: list = []
     # Literal text -> payload, tested with `in`: tropical inf's payload is None.
     parsed: dict = {}
-    parts: dict = {}
     for i in range(rows):
         lineno = i + 2
-        if lineno - 1 >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise FormatError(f"line {lineno}, column 1: missing row {i}")
-        line = lines[lineno - 1]
         toks = line.split()
         if len(toks) != cols:
             spans = _tokens(line)
@@ -1018,9 +1014,9 @@ def parse_mat_text(text: str) -> Matrix:
                         col = _tokens(line)[j][1]
                         raise FormatError(f"line {lineno}, column {col}: {exc}") from None
         values += map(parsed.__getitem__, toks)
-    for extra in range(rows + 2, len(lines) + 1):
-        if lines[extra - 1].strip():
-            raise FormatError(f"line {extra}, column 1: unexpected trailing content")
+    for lineno, line in enumerate(lines, start=rows + 2):
+        if line.strip():
+            raise FormatError(f"line {lineno}, column 1: unexpected trailing content")
     return _matrix(S, rows, cols, values)
 
 

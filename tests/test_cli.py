@@ -196,6 +196,19 @@ def test_matmul_usage_errors(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["--op", "dagger", "-B", fx("compose_b.mat")], "dagger takes a single matrix; drop -B"),
+        (["--op", "compose"], "compose needs a second matrix via -B"),
+    ],
+    ids=["dagger-with-B", "compose-without-B"],
+)
+def test_matmul_usage_is_checked_before_a_file_is_read(capsys, argv, line):
+    assert main(["matmul", "-A", fx("missing.mat"), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_matmul_mismatches(capsys):
     assert main(["matmul", "--op", "compose", "-A", fx("compose_b.mat"), "-B", fx("compose_a.mat")]) == 2
     assert main(["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("dagger_in.mat")]) == 2
@@ -823,6 +836,22 @@ def test_non_utf8_input_exits_2(capsys, tmp_path, argv):
     assert captured.out == ""
     offset = bad.read_bytes().index(b"\xff")
     assert captured.err == f"error: {bad}: not UTF-8 text (byte 0xff at offset {offset})\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matmul", "--op", "compose", "-A", "{bad}", "-B", fx("compose_b.mat")],
+        ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", "{bad}"],
+    ],
+    ids=["A", "B"],
+)
+def test_a_mat_file_reports_its_first_error_in_file_order(capsys, tmp_path, argv):
+    # The bad literal on line 2 stops the read: the 0xff on line 4 is never reported.
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"semiring nat 3 1\nx\n1\n\xff\n")
+    assert main([str(bad) if arg == "{bad}" else arg for arg in argv]) == 2
+    assert capsys.readouterr() == ("", "error: line 2, column 1: bad natural literal 'x'\n")
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 dagger, and the text format."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,12 @@ def test_parse_errors_carry_positions():
         parse_mat_text("semiring nat 1 1\n1\nextra\n")
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python converts integers of any length"
+)
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -245,11 +252,32 @@ def test_parse_errors_carry_positions():
         # other part is bad.
         ("semiring gaussian 1 3\n1/2+3i 1/2+3/0i 5\n", "line 2, column 8: bad rational literal '1/2+3/0i'"),
         ("semiring gaussian 2 2\n1/2 -3i\n-3 1/2-3/i\n", "line 3, column 4: bad rational literal '1/2-3/i'"),
+        # Header dimensions go through the nat grammar, each at its own column.
+        ("semiring nat 2 x\n", "line 1, column 16: bad natural literal 'x'"),
+        ("semiring nat x 2\n", "line 1, column 14: bad natural literal 'x'"),
+        pytest.param(
+            f"semiring nat 1 {'7' * (DIGIT_LIMIT + 1)}\n",
+            f"line 1, column 16: {DIGIT_LIMIT + 1}-digit literal 777777777777... is above"
+            f" the limit of {DIGIT_LIMIT} digits for a decimal integer",
+            id="long-cols",
+            marks=needs_digit_limit,
+        ),
     ],
 )
 def test_parse_errors_point_at_the_first_bad_token(text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         parse_mat_text(text)
+
+
+def test_a_bad_row_stops_the_read():
+    def lines():
+        yield "semiring nat 3 1"
+        yield "1"
+        yield "x"
+        raise AssertionError("a line after the bad row was asked for")
+
+    with pytest.raises(FormatError, match="^line 3, column 1: bad natural literal 'x'$"):
+        parse_mat_text(lines())
 
 
 def test_each_distinct_literal_is_parsed_once(monkeypatch):
@@ -409,6 +437,18 @@ def test_render_of_parse_is_a_fixed_point(case):
     assert render_mat_text(parse_mat_text(rendered)) == rendered
 
 
+@given(mat_texts())
+@example(_NON_CANONICAL[0])
+@example(_NON_CANONICAL[1])
+@example(("tropical", None, "semiring tropical 2 2\n1 inf\n-2 0\n"))
+@example(("nat", None, "semiring nat 1 1\r\n7\r\n\r\n"))
+def test_parse_mat_text_reads_a_text_and_its_lines_alike(case):
+    _, _, text = case
+    m = parse_mat_text(text)
+    assert parse_mat_text(text.splitlines()) == m
+    assert parse_mat_text(iter(text.splitlines())) == m
+
+
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
 
 scalar_strategies = {
@@ -443,6 +483,11 @@ def small_matrices(draw, like=None):
 @given(small_matrices())
 def test_text_roundtrip_property(m):
     assert parse_mat_text(render_mat_text(m)) == m
+
+
+@given(small_matrices())
+def test_text_roundtrip_through_the_lines(m):
+    assert parse_mat_text(render_mat_text(m).splitlines()) == m
 
 
 @given(small_matrices())
