@@ -7,8 +7,10 @@ bounded-hop distance table that :func:`semicat.matcat.bounded_paths`
 computes, and ``roundtrip`` drives the adjunction transposes there and
 back. This module parses arguments and input files, prints results and
 maps errors to exit codes; the computing happens in the layers it calls.
-A ``.mat`` or graph file is read a line at a time by :func:`_parse_file`:
+A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`:
 the first error in file order is reported, and a bad line stops the read.
+``matmul`` reads the header of each of its files before any row, so a
+result above the table cap stops it before either file is parsed.
 
 Exit codes: 0 all checks passed, 1 a law was violated, 2 usage or parse
 error, an input whose dense table would exceed ``MAX_TABLE_ENTRIES``, or
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import closing
+from contextlib import ExitStack, closing
 from functools import cache, partial
 from typing import Callable, Iterable, Iterator
 
@@ -42,6 +44,7 @@ from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
     _kernel,
+    _mat_header,
     _matrix,
     bounded_paths,
     mat_compose,
@@ -65,9 +68,9 @@ __all__ = [
 MAX_TABLE_ENTRIES = 1_000_000
 
 # The most cases ``laws --cases`` accepts. additivity, the slowest suite,
-# took 5 to 7.6 ms a case at the speed of the benchmark's reference loop
-# (bench/run.py, a 2.1 GHz Xeon), so the longest accepted run takes 20 to
-# 30 s.
+# took 3.4 to 4.0 ms a case at the speed of the benchmark's reference loop
+# (bench/run.py, a 2.1 GHz Xeon), so the longest accepted run takes 14 to
+# 16 s.
 MAX_CASES = 4000
 
 
@@ -215,19 +218,22 @@ def _cmd_matmul(args) -> int:
     if args.op != "dagger" and args.b is None:
         raise FormatError(f"{args.op} needs a second matrix via -B")
     # Payloads from file to stdout: no Scalar, each tag checked by its header.
-    a = _parse_file(args.a, parse_mat_text)
-    if args.op == "dagger":
-        _check_table_size("the dagger", a.cols, a.rows)
-        result = mat_dagger(a)
-    else:
-        b = _parse_file(args.b, parse_mat_text)
-        if args.op == "compose":
-            _check_table_size("the composite", a.rows, b.cols)
-            result = mat_compose(a, b)
+    paths = [args.a] if args.op == "dagger" else [args.a, args.b]
+    with ExitStack() as files:
+        lines = [files.enter_context(closing(_input_lines(path))) for path in paths]
+        heads = [_mat_header(each) for each in lines]
+        (_, n, m), (_, p, q) = heads[0], heads[-1]
+        if args.op == "dagger":
+            _check_table_size("the dagger", m, n)
+            kernel = mat_dagger
+        elif args.op == "compose":
+            _check_table_size("the composite", n, q)
+            kernel = mat_compose
         else:
-            _check_table_size("the tensor", a.rows * b.rows, a.cols * b.cols)
-            result = mat_tensor(a, b)
-    sys.stdout.write(render_mat_text(result))
+            _check_table_size("the tensor", n * p, m * q)
+            kernel = mat_tensor
+        mats = [parse_mat_text(each, head) for each, head in zip(lines, heads)]
+    sys.stdout.write(render_mat_text(kernel(*mats)))
     return 0
 
 

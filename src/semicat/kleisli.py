@@ -101,6 +101,15 @@ class KleisliMap:
         return f"[{rows}]"
 
 
+def _built(T: MonadInstance, dom: int, cod: int, components: tuple) -> KleisliMap:
+    """The map dom -> cod with ``components``, made without the checks of
+    :class:`KleisliMap`: for naturals dom and cod, and components that
+    are values of T over {0..cod-1} by construction."""
+    k = object.__new__(KleisliMap)
+    vars(k).update(monad=T, dom=dom, cod=cod, components=components)
+    return k
+
+
 def _same_monad(f: KleisliMap, g: KleisliMap) -> MonadInstance:
     if f.monad.name != g.monad.name:
         raise MonadMismatch(
@@ -110,11 +119,15 @@ def _same_monad(f: KleisliMap, g: KleisliMap) -> MonadInstance:
 
 
 def kl_id(T: MonadInstance, n: int) -> KleisliMap:
-    return KleisliMap(T, n, n, tuple(T.unit(Atom(i)) for i in range(n)))
+    """The unit at each index: the first coprojection into n + 0."""
+    return kl_coproj(T, 1, n, 0)
 
 
 def kl_compose(f: KleisliMap, g: KleisliMap) -> KleisliMap:
-    """The composite "f then g": component i is mult(fmap(g)(f_i))."""
+    """The composite "f then g": component i is mult(fmap(g)(f_i)). Each
+    f_i is over {0..g.dom-1}, so fmap(g) sends it to a value of values
+    over {0..g.cod-1}, whose flattening is one: the composite needs no
+    check of its own."""
     T = _same_monad(f, g)
     if f.cod != g.dom:
         raise DimensionMismatch(
@@ -123,16 +136,17 @@ def kl_compose(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     comps = tuple(
         T.mult(T.fmap(lambda x: g.components[x.name], c)) for c in f.components
     )
-    return KleisliMap(T, f.dom, g.cod, comps)
+    return _built(T, f.dom, g.cod, comps)
 
 
 def kl_coproj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:
     """Coprojection into n+m: the unit at the (shifted) index."""
-    if side == 1:
-        return KleisliMap(T, n, n + m, tuple(T.unit(Atom(i)) for i in range(n)))
-    if side == 2:
-        return KleisliMap(T, m, n + m, tuple(T.unit(Atom(n + i)) for i in range(m)))
-    raise ValueError(f"side must be 1 or 2, got {side!r}")
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, got {side!r}")
+    if n < 0 or m < 0:
+        raise DimensionMismatch("objects are naturals")
+    shift, width = (0, n) if side == 1 else (n, m)
+    return _built(T, width, n + m, tuple(T.unit(Atom(shift + i)) for i in range(width)))
 
 
 def kl_proj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:

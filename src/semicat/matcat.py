@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add, and_, mul
 from struct import Struct
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import (
     BOOL,
@@ -955,17 +955,9 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def parse_mat_text(text: str | Iterable[str]) -> Matrix:
-    """Parse the matrix file format from its text, or from its lines as
-    ``str.splitlines`` splits it, read one at a time: a bad line stops the
-    read. Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols
-    ``nat`` literals (ASCII digits); each following line holds one row of
-    scalars in the semiring's text grammar. Each distinct literal text is
-    parsed once per call and its value reused for every later copy, and
-    each distinct rational part of a gaussian literal is converted once per
-    call. Errors carry the offending line and column.
-    """
-    lines = iter(text.splitlines() if isinstance(text, str) else text)
+def _mat_header(lines: Iterator[str]) -> tuple[str, int, int]:
+    """The semiring name, rows and cols of a matrix file's line 1, read
+    from its lines; no row is read."""
     first = next(lines, None)
     if first is None:
         raise FormatError("line 1, column 1: empty matrix file")
@@ -977,17 +969,33 @@ def parse_mat_text(text: str | Iterable[str]) -> Matrix:
         raise FormatError(
             f"line 1, column {header[1][1]}: unknown semiring {_quote(name)}"
         )
-    S = SEMIRINGS[name]
-    parts: dict = {}
     dims = []
     for tok, col in header[2:]:
         try:
-            dims.append(_parse_nat(tok, parts))
+            dims.append(_parse_nat(tok, {}))
         except FormatError as exc:
             raise FormatError(f"line 1, column {col}: {exc}") from None
-    rows, cols = dims
+    return name, *dims
 
+
+def parse_mat_text(
+    text: str | Iterable[str], header: tuple[str, int, int] | None = None
+) -> Matrix:
+    """Parse the matrix file format from its text, or from its lines as
+    ``str.splitlines`` splits it, read one at a time: a bad line stops the
+    read. Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols
+    ``nat`` literals (ASCII digits); each following line holds one row of
+    scalars in the semiring's text grammar. Each distinct literal text is
+    parsed once per call and its value reused for every later copy, and
+    each distinct rational part of a gaussian literal is converted once per
+    call. Errors carry the offending line and column. A caller that has
+    already read line 1 from the lines passes what :func:`_mat_header`
+    made of it as ``header``, and the read goes on from line 2.
+    """
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    name, rows, cols = _mat_header(lines) if header is None else header
     grammar = _GRAMMARS[name]
+    parts: dict = {}
     values: list = []
     # Literal text -> payload, tested with `in`: tropical inf's payload is None.
     parsed: dict = {}
@@ -1017,7 +1025,7 @@ def parse_mat_text(text: str | Iterable[str]) -> Matrix:
     for lineno, line in enumerate(lines, start=rows + 2):
         if line.strip():
             raise FormatError(f"line {lineno}, column 1: unexpected trailing content")
-    return _matrix(S, rows, cols, values)
+    return _matrix(SEMIRINGS[name], rows, cols, values)
 
 
 def render_mat_text(m: Matrix) -> str:

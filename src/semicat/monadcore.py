@@ -14,7 +14,10 @@ and the test suites check that they agree with the direct formulas.
 Multisets cost per entry, not per call: :func:`ms_from_pairs` returns at
 once for no pair or one, and ``fmap``, ``mult``, ``bc`` and ``dst`` of an
 empty value return the monad's one empty multiset, each after the same
-checks and with an identical result.
+checks and with an identical result. A multiset is canonical (see
+:class:`Multiset`), so ``bc``, ``bc_inv``, ``dst``, ``involution``, and
+``fmap`` and ``mult`` of a one-entry value, build their results already
+in order, without the merge and the sort of :func:`ms_from_pairs`.
 
 Set elements are encoded by the :class:`Elem` tree, which is totally
 ordered, so nested values like multisets of multisets stay canonical and
@@ -244,9 +247,13 @@ def carrier_map(dom: FiniteCarrier, cod: FiniteCarrier, assign: dict) -> Carrier
 class Multiset(Elem):
     """Finitely supported map from elements to nonzero semiring values.
 
-    Entries are sorted by element key and never contain the zero scalar, so
-    extensional equality of the maps is structural equality of the tuples.
-    A multiset is itself an element, so values of T(T(X)) nest directly.
+    Entries are canonical: sorted by element key, with distinct elements,
+    and never the zero scalar, so extensional equality of the maps is
+    structural equality of the tuples. Every multiset the package builds
+    comes from :func:`ms_from_pairs` or keeps this order by construction,
+    and the monad operations rely on it: they read a run of entries as
+    already sorted. A multiset is itself an element, so values of T(T(X))
+    nest directly.
     """
 
     semiring: SemiringDescriptor
@@ -265,12 +272,12 @@ class Multiset(Elem):
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Multiset)
-            and self.tag == other.tag
+            and self.semiring.name == other.semiring.name
             and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash(("multiset", self.tag, self.entries))
+        return hash(("multiset", self.semiring.name, self.entries))
 
     def __str__(self) -> str:
         return render_multiset(self)
@@ -291,12 +298,16 @@ def _not_a_key(x) -> ElementOutsideCarrier:
 
 def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -> Multiset:
     """Canonicalize (element, value) pairs into a multiset: equal elements
-    are merged with the semiring addition and zero entries are dropped.
+    are merged with the semiring addition, zero entries are dropped, and
+    the rest are sorted by element key.
 
-    Most calls in a law run get no pair or one, and those return at once,
-    with the same key check and zero test and an identical result. The
-    pairs are read one at a time, so a lazy ``pairs`` is consumed, and a
-    bad key is met, in the order the general merge would meet them."""
+    This is the general constructor, for pairs in any order. Most calls
+    get no pair or one, and those return at once, with the same key check
+    and zero test and an identical result. The pairs are read one at a
+    time, so a lazy ``pairs`` is consumed, and a bad key is met, in the
+    order the general merge would meet them. The monad operations whose
+    pairs come out distinct and in key order skip it (see
+    :func:`_canonical`)."""
     it = iter(pairs)
     first = next(it, _END)
     if first is _END:
@@ -318,7 +329,16 @@ def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -
     items = acc.items()
     if len(acc) > 1:
         items = sorted(items, key=lambda kv: kv[0].key())
-    return Multiset(S, tuple((x, s) for x, s in items if s != S.zero))
+    return _canonical(S, items)
+
+
+def _canonical(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -> Multiset:
+    """The multiset of ``pairs`` whose elements are already distinct and in
+    key order: what :func:`ms_from_pairs` makes of them, by dropping the
+    zero entries alone. A product or a star of nonzero scalars can be zero
+    where the semiring has zero divisors, so the test stays."""
+    zero = S.zero
+    return Multiset(S, tuple(p for p in pairs if p[1] != zero))
 
 
 def multiplicity(phi: Multiset, x: Elem):
@@ -416,6 +436,13 @@ class MultisetMonad(MonadInstance):
         self.check_value(u)
         if not u.entries:
             return self._empty
+        if len(u.entries) == 1:
+            # One nonzero entry: nothing to merge, sort or drop.
+            ((x, s),) = u.entries
+            y = f(x)
+            if not isinstance(y, Elem):
+                raise _not_a_key(y)
+            return Multiset(self.semiring, ((y, s),))
         return ms_from_pairs(self.semiring, ((f(x), s) for x, s in u.entries))
 
     def unit(self, x: Elem) -> Multiset:
@@ -432,26 +459,33 @@ class MultisetMonad(MonadInstance):
         for k, s in u.entries:
             if not isinstance(k, Multiset):
                 raise KeyNotMultiset(f"key {render_elem(k)} is not a multiset")
-            if k.tag != u.tag:
+            if k.semiring.name != u.semiring.name:
                 raise TagMismatch(
                     f"inner multiset over {k.tag} inside an outer one over {u.tag}"
                 )
             pairs.extend((x, S.mul(s, t)) for x, t in k.entries)
+        if len(u.entries) == 1:  # one inner value, scaled: still in key order
+            return _canonical(S, pairs)
         return ms_from_pairs(S, pairs)
 
     def dst(self, u: Multiset, v: Multiset) -> Multiset:
-        """Direct double strength: multiplicity at (x, y) is the product."""
+        """Direct double strength: multiplicity at (x, y) is the product.
+        The pairs come in key order, the lexicographic product of two
+        sorted runs, and are distinct."""
         self.check_value(u)
         self.check_value(v)
         if not (u.entries and v.entries):
             return self._empty
         S = self.semiring
-        return ms_from_pairs(
-            S,
-            ((Pair(x, y), S.mul(s, t)) for x, s in u.entries for y, t in v.entries),
+        mul = S.mul
+        return _canonical(
+            S, ((Pair(x, y), mul(s, t)) for x, s in u.entries for y, t in v.entries)
         )
 
     def bc(self, u: Multiset) -> tuple[Multiset, Multiset]:
+        """Split a value over X + Y into its two runs, each already in key
+        order: every Inl sorts before every Inr, and within a run the key
+        of Inl(x) orders as the key of x."""
         self.check_value(u)
         if not u.entries:
             return self._empty, self._empty
@@ -466,14 +500,16 @@ class MultisetMonad(MonadInstance):
                     f"{render_elem(x)} is not an element of a sum carrier"
                 )
         S = self.semiring
-        return ms_from_pairs(S, left), ms_from_pairs(S, right)
+        return Multiset(S, tuple(left)), Multiset(S, tuple(right))
 
     def bc_inv(self, u: Multiset, v: Multiset) -> Multiset:
+        """The value over X + Y with u's run then v's, in key order because
+        ``"suml" < "sumr"``."""
         self.check_value(u)
         self.check_value(v)
         pairs = [(Inl(x), s) for x, s in u.entries]
         pairs += [(Inr(y), s) for y, s in v.entries]
-        return ms_from_pairs(self.semiring, pairs)
+        return Multiset(self.semiring, tuple(pairs))
 
     def initial_value(self) -> Multiset:
         return self._empty
@@ -484,7 +520,7 @@ class MultisetMonad(MonadInstance):
         S = self.semiring
         if S.star is None:
             raise NoInvolution(f"semiring {S.name} has no star")
-        return ms_from_pairs(S, ((x, S.star(s)) for x, s in u.entries))
+        return _canonical(S, ((x, S.star(s)) for x, s in u.entries))
 
 
 class ActionMonad(MonadInstance):
@@ -578,7 +614,7 @@ def tx_add(T: MonadInstance, u, v):
     then apply T of the codiagonal."""
     if not T.additive:
         raise NotAdditive(f"{T.name} is not additive")
-    if isinstance(u, Multiset) and isinstance(v, Multiset) and u.tag != v.tag:
+    if isinstance(u, Multiset) and isinstance(v, Multiset) and u.semiring.name != v.semiring.name:
         raise CarrierMismatch(f"cannot add values over {u.tag} and {v.tag}")
     T.check_value(u)
     T.check_value(v)
@@ -621,11 +657,37 @@ def eval_at_one(T: MonadInstance):
     real check of the construction.
 
     The descriptor is built once per monad instance, on the first call,
-    and stored on the instance; every later call returns that object.
+    and stored on the instance; every later call returns that object. Its
+    addition and multiplication remember their results by argument pair,
+    for as long as the instance lives: a result is still the generic
+    composite, computed once for equal arguments. Monads are built per
+    run, so nothing is remembered from one run to the next.
     """
     if T._eval1 is None:
         T._eval1 = _build_eval_at_one(T)
     return T._eval1
+
+
+def _remembered(op: Callable) -> Callable:
+    """``op`` of two arguments, with each result kept by its argument pair.
+    An unhashable argument goes straight to ``op``, so it raises what
+    ``op`` raises on it; so does any other bad argument, and what raises
+    is never kept."""
+    results: dict = {}
+
+    def remembered(a, b):
+        key = a, b
+        try:
+            out = results.get(key, _END)
+        except TypeError:
+            key = out = _END
+        if out is _END:
+            out = op(a, b)
+            if key is not _END:
+                results[key] = out
+        return out
+
+    return remembered
 
 
 def _build_eval_at_one(T: MonadInstance):
@@ -639,15 +701,15 @@ def _build_eval_at_one(T: MonadInstance):
     if not T.additive:
         return MonoidDescriptor(
             name=f"eval1({T.name})",
-            op=e_mul,
+            op=_remembered(e_mul),
             unit=one,
             commutative=T.commutative,
         )
     return SemiringDescriptor(
         name=f"eval1({T.name})",
-        add=lambda a, b: tx_add(T, a, b),
+        add=_remembered(lambda a, b: tx_add(T, a, b)),
         zero=tx_zero(T),
-        mul=e_mul,
+        mul=_remembered(e_mul),
         one=one,
         star=(lambda a: T.involution(a)) if T.involutive else None,
     )

@@ -1156,3 +1156,27 @@ def test_any_input_file_exits_0_or_2_with_at_most_one_error_line(command, a, b, 
     else:
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("op", ["compose", "tensor", "dagger"])
+def test_matmul_checks_the_cap_on_the_headers_before_any_row(capsys, tmp_path, op):
+    # One entry over the cap, from headers whose rows would not parse: the
+    # cap error comes first, so no row of either file was read.
+    cap = cli.MAX_TABLE_ENTRIES
+    wide = f"semiring nat {cap + 1} 1" if op == "dagger" else f"semiring nat 1 {cap + 1}"
+    files = {"-A": "semiring nat 1 1"} if op != "dagger" else {}
+    files[f"-{'AB'[len(files)]}"] = wide
+    argv = ["matmul", "--op", op]
+    for flag, head in files.items():
+        (tmp_path / flag).write_text(head + "\nnot a row\n")
+        argv += [flag, str(tmp_path / flag)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: the ")
+    assert line.endswith(f"= {cap + 1} entries, above the cap of {cap}")
+    # At the cap, the rows are read, and the first bad one is reported.
+    (tmp_path / flag).write_text(wide.replace(str(cap + 1), str(cap)) + "\nnot a row\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: line 2, column 5: expected 1 entries, got 3\n")

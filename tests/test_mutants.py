@@ -150,6 +150,32 @@ def right_factor_ignored(real):
     return evaluation
 
 
+def keyed_on_first_argument(real):
+    """eval_at_one whose addition and multiplication remember each result
+    by their first argument alone."""
+
+    def evaluation(T):
+        E = real(T)
+
+        def first_only(op):
+            results = {}
+            return lambda a, b: results[a] if a in results else results.setdefault(a, op(a, b))
+
+        return replace(E, add=first_only(E.add), mul=first_only(E.mul))
+
+    return evaluation
+
+
+class OneOuterEntryUnscaled(MultisetMonad):
+    """mult that returns the inner value of a one-entry value unscaled."""
+
+    def mult(self, u):
+        self.check_value(u)
+        if len(u.entries) == 1:
+            return u.entries[0][0]
+        return super().mult(u)
+
+
 def inr_pairs_dropped(real):
     """The strength ``real``, dropping each pair whose left element is an Inr."""
 
@@ -230,6 +256,9 @@ MUTANTS = [
      ("fmap-compose", "fmap-identity", "mult-assoc", "mult-natural", "strength-mult",
       "strength-point"),
      "mult-unit-left"),
+    ("monad-laws", "MultisetMonad",
+     lambda real: OneOuterEntryUnscaled,
+     "multiset(nat)", ("mult-unit-right", "mult-assoc"), "mult-unit-left"),
     ("monad-laws", "MultisetMonad",
      lambda real: UnitRelabelSkipped,
      "multiset(nat)", ("unit-natural", "strength-unit", "mult-natural", "mult-assoc"),
@@ -341,6 +370,9 @@ MUTANTS = [
      lambda real: lambda T, s, u: u,
      "adjunction(nat)", ("srng-e-roundtrip", "srng-e-natural", "srng-e-involutive"),
      "mon-e-roundtrip"),
+    ("adjunction-roundtrips", "eval_at_one", keyed_on_first_argument,
+     "adjunction(nat)", ("srng-e-roundtrip", "srng-e-natural", "mon-e-roundtrip"),
+     "mat-h-roundtrip"),
     ("adjunction-roundtrips", "mat_cotuple",
      lambda real: lambda f, g: real(g, f),
      "adjunction(nat)", ("mat-h-roundtrip", "mat-h-natural", "mat-h-involutive"),
