@@ -93,10 +93,31 @@ class Scalar:
     token), a reduced ``Fraction`` for ``ratnn``, and a pair of reduced
     fractions ``(re, im)`` for ``gaussian``. Use the module constructors
     (:func:`nat`, :func:`tropical`, ...) rather than instantiating directly.
+
+    Equality is the dataclass's, ``(tag, payload)`` tuple equality, with
+    two ``Fraction`` payloads or two gaussian pairs of them compared by
+    their integer ratios: ``Fraction.__eq__`` first asks the
+    ``numbers.Rational`` ABC about its argument, which costs more than the
+    comparison. The hash is the dataclass's.
     """
 
     tag: str
     payload: object
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        x, y = self.payload, other.payload
+        if x.__class__ is Fraction is y.__class__:
+            return self.tag == other.tag and (x._numerator, x._denominator) == (
+                y._numerator, y._denominator)
+        if x.__class__ is tuple is y.__class__ and len(x) == 2 == len(y):
+            (a, b), (c, d) = x, y
+            if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
+                return self.tag == other.tag and (
+                    a._numerator, a._denominator, b._numerator, b._denominator
+                ) == (c._numerator, c._denominator, d._numerator, d._denominator)
+        return (self.tag, x) == (other.tag, y)
 
     def key(self) -> tuple:
         if self.tag == "tropical":

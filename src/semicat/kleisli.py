@@ -6,6 +6,13 @@ is additive the coproduct of objects is a biproduct, and the category is
 isomorphic to the matrix theory of the scalar semiring eval_at_one(T)
 through the functors :func:`xi` and :func:`theta`, built from the m-ary
 bicartesian map :func:`bc_m`.
+
+:class:`KleisliMap` checks every component it is given. The constructors
+of this module, and ``sampling.random_kleisli``, build components that are
+values over their codomain by construction, so they make their maps
+unchecked (:func:`_built`); each still raises ``DimensionMismatch`` on
+objects that are not naturals and ``MonadMismatch`` on maps over two
+monads, with the messages of the checked map.
 """
 
 from __future__ import annotations
@@ -70,8 +77,7 @@ class KleisliMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
-        if self.dom < 0 or self.cod < 0:
-            raise DimensionMismatch("objects are naturals")
+        _naturals(self.dom, self.cod)
         if len(self.components) != self.dom:
             raise DimensionMismatch(
                 f"a map out of {self.dom} needs {self.dom} components,"
@@ -99,6 +105,11 @@ class KleisliMap:
             for i, c in enumerate(self.components)
         )
         return f"[{rows}]"
+
+
+def _naturals(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise DimensionMismatch("objects are naturals")
 
 
 def _built(T: MonadInstance, dom: int, cod: int, components: tuple) -> KleisliMap:
@@ -143,8 +154,7 @@ def kl_coproj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:
     """Coprojection into n+m: the unit at the (shifted) index."""
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
-    if n < 0 or m < 0:
-        raise DimensionMismatch("objects are naturals")
+    _naturals(n, m)
     shift, width = (0, n) if side == 1 else (n, m)
     return _built(T, width, n + m, tuple(T.unit(Atom(shift + i)) for i in range(width)))
 
@@ -153,23 +163,22 @@ def kl_proj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:
     """Projection out of n+m: the unit on its own block, zero on the other."""
     if not T.additive:
         raise NotAdditive(f"{T.name} has no projections")
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, got {side!r}")
+    _naturals(n, m)
+    zero = tx_zero(T)
     if side == 1:
-        comps = tuple(
-            T.unit(Atom(i)) if i < n else tx_zero(T) for i in range(n + m)
-        )
-        return KleisliMap(T, n + m, n, comps)
-    if side == 2:
-        comps = tuple(
-            tx_zero(T) if i < n else T.unit(Atom(i - n)) for i in range(n + m)
-        )
-        return KleisliMap(T, n + m, m, comps)
-    raise ValueError(f"side must be 1 or 2, got {side!r}")
+        comps = tuple(T.unit(Atom(i)) if i < n else zero for i in range(n + m))
+        return _built(T, n + m, n, comps)
+    comps = tuple(zero if i < n else T.unit(Atom(i - n)) for i in range(n + m))
+    return _built(T, n + m, m, comps)
 
 
 def kl_zero(T: MonadInstance, n: int, m: int) -> KleisliMap:
     if not T.additive:
         raise NotAdditive(f"{T.name} has no zero maps")
-    return KleisliMap(T, n, m, tuple(tx_zero(T) for _ in range(n)))
+    _naturals(n, m)
+    return _built(T, n, m, (tx_zero(T),) * n)
 
 
 def kl_cotuple(f: KleisliMap, g: KleisliMap) -> KleisliMap:
@@ -177,7 +186,7 @@ def kl_cotuple(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     T = _same_monad(f, g)
     if f.cod != g.cod:
         raise DimensionMismatch("cotuple needs a common codomain")
-    return KleisliMap(T, f.dom + g.dom, f.cod, f.components + g.components)
+    return _built(T, f.dom + g.dom, f.cod, f.components + g.components)
 
 
 def kl_tuple(f: KleisliMap, g: KleisliMap) -> KleisliMap:
@@ -201,7 +210,7 @@ def kl_tuple(f: KleisliMap, g: KleisliMap) -> KleisliMap:
         T.fmap(canon, T.bc_inv(fc, gc))
         for fc, gc in zip(f.components, g.components)
     )
-    return KleisliMap(T, f.dom, m1 + g.cod, comps)
+    return _built(T, f.dom, m1 + g.cod, comps)
 
 
 def kl_tensor(f: KleisliMap, g: KleisliMap) -> KleisliMap:
@@ -219,7 +228,7 @@ def kl_tensor(f: KleisliMap, g: KleisliMap) -> KleisliMap:
     for c in range(f.dom * g.dom):
         i0, i1 = coord_split(f.dom, g.dom, c)
         comps.append(T.fmap(join, T.dst(f.components[i0], g.components[i1])))
-    return KleisliMap(T, f.dom * g.dom, p * q, tuple(comps))
+    return _built(T, f.dom * g.dom, p * q, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +317,7 @@ def xi(T: MonadInstance, h: Matrix) -> KleisliMap:
     if h.tag != expected:
         raise TagMismatch(f"matrix over {h.tag} is not over {expected}")
     comps = tuple(bc_m_inv(T, h.row(i)) for i in range(h.rows))
-    return KleisliMap(T, h.rows, h.cols, comps)
+    return _built(T, h.rows, h.cols, comps)
 
 
 def kl_dagger(k: KleisliMap) -> KleisliMap:
@@ -325,7 +334,7 @@ def kl_dagger(k: KleisliMap) -> KleisliMap:
             for i in range(k.dom)
         ]
         comps.append(ms_from_pairs(S, pairs))
-    return KleisliMap(T, k.cod, k.dom, tuple(comps))
+    return _built(T, k.cod, k.dom, tuple(comps))
 
 
 def kleisli_homset_semiring(T: MonadInstance) -> SemiringDescriptor:

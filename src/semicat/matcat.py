@@ -31,15 +31,16 @@ operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
 is built from. Compose has its own sum-of-products kernel per built-in:
 any/and for bool, which stops at the first true product, min-plus on
 ints for tropical, and integer dot products for nat, ratnn and gaussian,
-all taken by :func:`_dots`. From ``_PACK_MIN`` (9 * 9 * 9) inner steps
-up, :func:`_dots` packs each row of the right factor into one int with
-a slot per column (Kronecker substitution), so one big-int sum per output
-row holds that whole row, and one ``struct`` unpack splits it. A slot is
-1, 2, 4 or 8 bytes, the smallest width that holds every dot, each at
-most m * max|a| * max|c| for inner dimension m, doubled by the bias that
-lifts signed gaussian parts. A smaller product, or one that would need
-wider slots, takes one ``sum`` per entry. Tropical packs the same way
-from ``_PACK_MIN`` up, when the result has 4 rows and 4 columns: each
+all taken by :func:`_dots`; a product of at most ``_DIRECT_MAX`` inner
+steps skips them (:func:`mat_compose`). From ``_PACK_MIN`` (9 * 9 * 9)
+inner steps up, :func:`_dots` packs each row of the right factor into one
+int with a slot per column (Kronecker substitution), so one big-int sum
+per output row holds that whole row, and one ``struct`` unpack splits it.
+A slot is 1, 2, 4 or 8 bytes, the smallest width that holds every dot,
+each at most m * max|a| * max|c| for inner dimension m, doubled by the
+bias that lifts signed gaussian parts. A smaller product, or one that
+would need wider slots, takes one ``sum`` per entry. Tropical packs the
+same way from ``_PACK_MIN`` up, when the result has 4 rows and 4 columns: each
 finite left entry folds its packed row of the right factor, lifted by
 that entry, into the output row by one slot-wise min (Lamport's packed
 compare, :func:`_packed_min_plus`), with infinity a slot value above
@@ -249,6 +250,13 @@ def _same_theory(g: Matrix, h: Matrix) -> tuple:
 # faster: packing costs about 10 us per product on a 2-core Xeon, which
 # the packed sums win back from about 9 x 9 x 9 on.
 _PACK_MIN = 729
+
+# Up to this many inner steps, a compose over a built-in sums its products
+# one payload operation at a time (:func:`_direct`). Per built-in on a 2-core
+# Xeon (min of 15 x 2000 calls), that took 0.3-0.6 of the kernel's time at 1
+# and 2 steps; at 4, ratnn broke even (9.2 against 9.9 us), and from 6 on its
+# integer dots won.
+_DIRECT_MAX = 4
 
 # Slot widths in bytes, with their little-endian unsigned ``struct`` codes.
 _SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
@@ -496,14 +504,37 @@ def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
     return _indicator(S, n, range(n))
 
 
+def _direct(S: SemiringDescriptor, a: tuple, b: tuple, m: int, p: int) -> list:
+    """Every entry of the composite of the payloads ``a`` (rows of m >= 1)
+    and ``b`` (rows of p) over the built-in S: the sum of its m products,
+    by S's ``_PAYLOAD_OPS``."""
+    add, mul, _ = _PAYLOAD_OPS[S.name]
+    out = []
+    for i in range(0, len(a), m):
+        for k in range(p):
+            acc = mul(a[i], b[k])
+            for j in range(1, m):
+                acc = add(acc, mul(a[i + j], b[j * p + k]))
+            out.append(acc)
+    return out
+
+
 def mat_compose(g: Matrix, h: Matrix) -> Matrix:
-    """The composite "g then h" (g: n -> m, h: m -> p)."""
+    """The composite "g then h" (g: n -> m, h: m -> p).
+
+    Over a built-in, a product of 1 to ``_DIRECT_MAX`` inner steps (n * m *
+    p) is summed directly (:func:`_direct`), which costs less than the
+    kernel's slices, lcm scalings and dots and gives the same reduced
+    values. Every other product, and any other descriptor, takes
+    :func:`_kernel`."""
     S, b = _same_theory(g, h)
     if g.cols != h.rows:
         raise DimensionMismatch(
             f"cannot compose {g.rows}x{g.cols} with {h.rows}x{h.cols}"
         )
     a, m, p = g.values, g.cols, h.cols
+    if 0 < g.rows * m * p <= _DIRECT_MAX and S in _KERNELS:
+        return _matrix(S, g.rows, p, _direct(S, a, b, m, p))
     rows = [a[i * m : (i + 1) * m] for i in range(g.rows)]
     cols = [b[k::p] for k in range(p)]
     return _matrix(S, g.rows, p, _kernel(S).products(rows, cols))

@@ -17,7 +17,8 @@ empty value return the monad's one empty multiset, each after the same
 checks and with an identical result. A multiset is canonical (see
 :class:`Multiset`), so ``bc``, ``bc_inv``, ``dst``, ``involution``, and
 ``fmap`` and ``mult`` of a one-entry value, build their results already
-in order, without the merge and the sort of :func:`ms_from_pairs`.
+in order, without the merge and the sort of :func:`ms_from_pairs`, and
+``unit`` builds its one entry. :func:`tx_add` leaves its checks to ``bc_inv``.
 
 Set elements are encoded by the :class:`Elem` tree, which is totally
 ordered, so nested values like multisets of multisets stay canonical and
@@ -307,7 +308,8 @@ def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -
     time, so a lazy ``pairs`` is consumed, and a bad key is met, in the
     order the general merge would meet them. The monad operations whose
     pairs come out distinct and in key order skip it (see
-    :func:`_canonical`)."""
+    :func:`_canonical`), and so do :meth:`MultisetMonad.unit` and
+    ``sampling.random_multiset``."""
     it = iter(pairs)
     first = next(it, _END)
     if first is _END:
@@ -401,6 +403,8 @@ class MonadInstance(ABC):
         raise NotAdditive(f"{self.name} is not an additive monad")
 
     def bc_inv(self, u, v):
+        """The value over X + Y of u over X and v over Y. An additive monad
+        checks both, as ``check_value`` does: :func:`tx_add` relies on it."""
         raise NotAdditive(f"{self.name} is not an additive monad")
 
     def initial_value(self):
@@ -423,6 +427,8 @@ class MultisetMonad(MonadInstance):
         # multiset over this monad's own semiring, not the argument's, which
         # may be a different descriptor of the same name.
         self._empty = Multiset(semiring, ())
+        # Whether unit has an entry: not where one is zero.
+        self._one_kept = semiring.one != semiring.zero
 
     def check_value(self, u) -> None:
         if not isinstance(u, Multiset) or u.semiring.name != self.semiring.name:
@@ -446,8 +452,12 @@ class MultisetMonad(MonadInstance):
         return ms_from_pairs(self.semiring, ((f(x), s) for x, s in u.entries))
 
     def unit(self, x: Elem) -> Multiset:
-        """The singleton multiset with multiplicity one at x."""
-        return ms_from_pairs(self.semiring, [(x, self.semiring.one)])
+        """The singleton multiset with multiplicity one at x: what
+        :func:`ms_from_pairs` makes of ``(x, one)``, with the same key check."""
+        if not isinstance(x, Elem):
+            raise _not_a_key(x)
+        S = self.semiring
+        return Multiset(S, ((x, S.one),) if self._one_kept else ())
 
     def mult(self, u: Multiset) -> Multiset:
         """Flatten a multiset of multisets: multiplicities distribute inward."""
@@ -611,13 +621,12 @@ def _never(e: Elem) -> Elem:
 
 def tx_add(T: MonadInstance, u, v):
     """Value addition for an additive monad: merge along the inverse of bc,
-    then apply T of the codiagonal."""
+    then apply T of the codiagonal. ``bc_inv`` checks that u and v are
+    values of T, so they are not checked here first."""
     if not T.additive:
         raise NotAdditive(f"{T.name} is not additive")
     if isinstance(u, Multiset) and isinstance(v, Multiset) and u.semiring.name != v.semiring.name:
         raise CarrierMismatch(f"cannot add values over {u.tag} and {v.tag}")
-    T.check_value(u)
-    T.check_value(v)
     return T.fmap(_codiagonal, T.bc_inv(u, v))
 
 

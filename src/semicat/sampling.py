@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .errors import UnknownSemiring
 from .freetheory import FreeTerm
-from .kleisli import KleisliMap
+from .kleisli import KleisliMap, _built, _naturals
 from .matcat import Aleph0Map, Matrix
 from .monadcore import (
     ActionMonad,
@@ -140,10 +140,21 @@ def random_multiset(
     xs: FiniteCarrier,
     max_support: int = 4,
 ) -> Multiset:
-    elems = list(xs)
+    """A value over ``xs`` on at most ``max_support`` elements: k by
+    ``randint``, k positions of the carrier by ``sample``, then a pool
+    scalar per position. ``sample`` draws from ``range(len(xs))`` the
+    positions, and leaves ``rng`` in the state, of sampling the elements.
+    The carrier is in key order, so the drawn pairs in position order, less
+    their zero scalars, are what :func:`ms_from_pairs` would build."""
+    elems = xs.elems
     k = rng.randint(0, min(max_support, len(elems)))
-    chosen = rng.sample(elems, k)
-    return ms_from_pairs(S, [(x, random_scalar(rng, S)) for x in chosen])
+    if not k:
+        return Multiset(S, ())
+    picks = rng.sample(range(len(elems)), k)
+    pool = scalar_pool(S)
+    drawn = sorted(zip(picks, [rng.choice(pool) for _ in picks]))
+    zero = S.zero
+    return Multiset(S, tuple((elems[i], s) for i, s in drawn if s != zero))
 
 
 def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
@@ -187,8 +198,11 @@ def random_aleph0(rng: random.Random, dom: int, cod: int) -> Aleph0Map:
 def random_kleisli(
     rng: random.Random, T: MonadInstance, dom: int, cod: int
 ) -> KleisliMap:
+    """A map dom -> cod with a random value of T over {0..cod-1} per index;
+    each is one by construction, so the map is not checked again."""
+    _naturals(dom, cod)
     xs = index_carrier(cod)
-    return KleisliMap(T, dom, cod, tuple(random_tvalue(rng, T, xs) for _ in range(dom)))
+    return _built(T, dom, cod, tuple(random_tvalue(rng, T, xs) for _ in range(dom)))
 
 
 def random_free_term(

@@ -295,40 +295,68 @@ def test_random_carrier_is_one_object_per_prefix_and_one_draw(max_size, letters)
         assert random_carrier(random.Random(seed), max_size, letters) is xs
 
 
-def test_every_drawn_case_is_pinned(monkeypatch):
-    """The law cases the suites and roundtrips consume, pinned by count and
+# The count and digest of the law cases that drawn_case_digest feeds.
+DRAWN_CASES = (6483, "1c12b52e72cf502f")
+
+
+def drawn_case_digest() -> tuple[int, str]:
+    """The law cases the suites and roundtrips consume, by count and
     digest: every suite at seeds 0-2 with 5 cases over its default
     subjects, and for monad-laws and commutativity also over the nat-mul,
     nat-add and free-words monoids; then every roundtrip over every
     semiring and the two involutive gaussian ones. Each argument tuple
     ``_first_failure`` takes feeds sha256 ``"|".join(map(str, args))`` and
-    a newline, in order. A change that draws other cases on purpose updates
-    the pin and records the new digest in CHANGES.md."""
-    digest, count = hashlib.sha256(), []
+    a newline, in order. The function needs only the standard library and
+    semicat and imports what it uses, so that ``test_interpreters`` runs its
+    source on other interpreters."""
+    import hashlib
+
+    from semicat import adjunctions
+    from semicat.adjunctions import (
+        ADJUNCTION_NAMES,
+        SUITE_NAMES,
+        SuiteConfig,
+        run_roundtrip,
+        run_suite,
+    )
+    from semicat.algebra import SEMIRINGS
+
+    digest, count = hashlib.sha256(), 0
     first_failure = adjunctions._first_failure
 
     def hashed(cases, holds):
         def fed():
+            nonlocal count
             for args in cases:
                 digest.update(("|".join(map(str, args)) + "\n").encode())
-                count.append(None)
+                count += 1
                 yield args
 
         return first_failure(fed(), holds)
 
-    monkeypatch.setattr(adjunctions, "_first_failure", hashed)
-    for seed in range(3):
-        for suite in SUITE_NAMES:
-            run_suite(SuiteConfig(suite, seed=seed, cases=5))
-            if suite in ("monad-laws", "commutativity"):
-                for monoid in ("nat-mul", "nat-add", "free-words"):
-                    run_suite(SuiteConfig(suite, monoid=monoid, seed=seed, cases=5))
-    for adjunction in ADJUNCTION_NAMES:
-        for name in SEMIRINGS:
-            run_roundtrip(adjunction, name)
-    run_roundtrip("srng-e", "gaussian", involutive=True)
-    run_roundtrip("mat-h", "gaussian", involutive=True)
-    assert (len(count), digest.hexdigest()[:16]) == (6483, "1c12b52e72cf502f")
+    adjunctions._first_failure = hashed
+    try:
+        for seed in range(3):
+            for suite in SUITE_NAMES:
+                run_suite(SuiteConfig(suite, seed=seed, cases=5))
+                if suite in ("monad-laws", "commutativity"):
+                    for monoid in ("nat-mul", "nat-add", "free-words"):
+                        run_suite(SuiteConfig(suite, monoid=monoid, seed=seed, cases=5))
+        for adjunction in ADJUNCTION_NAMES:
+            for name in SEMIRINGS:
+                run_roundtrip(adjunction, name)
+        run_roundtrip("srng-e", "gaussian", involutive=True)
+        run_roundtrip("mat-h", "gaussian", involutive=True)
+    finally:
+        adjunctions._first_failure = first_failure
+    return count, digest.hexdigest()[:16]
+
+
+def test_every_drawn_case_is_pinned():
+    """The drawn law cases are pinned by count and digest. A change that
+    draws other cases on purpose updates ``DRAWN_CASES`` and records the
+    new digest in CHANGES.md."""
+    assert drawn_case_digest() == DRAWN_CASES
 
 
 def test_report_rendering():

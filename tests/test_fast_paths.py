@@ -5,31 +5,81 @@ and ``fmap`` of a one-entry value read their canonical arguments as
 already sorted and skip the merge of :func:`ms_from_pairs`. Each must
 equal ``ms_from_pairs`` over the same pairs, also over a twin descriptor
 and over a semiring with zero divisors. ``eval_at_one`` remembers its sums
-and products per monad instance, and ``kl_compose``, ``kl_id`` and
-``kl_coproj`` build their maps without re-checking them.
+and products per monad instance, and the Kleisli constructors build their
+maps without re-checking them, but keep their own checks of objects and
+monads. ``Scalar.__eq__`` compares ``Fraction`` payloads by their integer
+ratios, ``random_multiset`` builds its canonical value from sampled
+positions, and ``mat_compose`` sums tiny products directly: each must
+agree with the general path it skips.
 """
+
+import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semicat.adjunctions as adjunctions
+import semicat.matcat as matcat
 import semicat.monadcore as monadcore
-from semicat.algebra import FREE_WORDS, GAUSSIAN, NAT, SEMIRINGS, SemiringDescriptor, nat
+from semicat.adjunctions import _naive_compose
+from semicat.algebra import (
+    FREE_WORDS,
+    GAUSSIAN,
+    NAT,
+    RATNN,
+    SEMIRINGS,
+    Scalar,
+    SemiringDescriptor,
+    nat,
+)
 from semicat.cli import main
-from semicat.errors import DimensionMismatch, ElementOutsideCarrier, MonoidMismatch, TagMismatch
-from semicat.kleisli import KleisliMap, kl_compose, kl_coproj, kl_id
+from semicat.errors import (
+    CarrierMismatch,
+    DimensionMismatch,
+    ElementOutsideCarrier,
+    MonadMismatch,
+    MonoidMismatch,
+    TagMismatch,
+)
+from semicat.kleisli import (
+    KleisliMap,
+    kl_compose,
+    kl_coproj,
+    kl_cotuple,
+    kl_dagger,
+    kl_id,
+    kl_proj,
+    kl_tensor,
+    kl_tuple,
+    kl_zero,
+    theta,
+    xi,
+)
+from semicat.matcat import mat_compose
 from semicat.monadcore import (
+    STAR,
     ActionMonad,
     Atom,
     Inl,
     Inr,
     MultisetMonad,
     Pair,
+    carrier,
     eval_at_one,
+    index_carrier,
     ms_from_pairs,
+    tx_add,
 )
-from semicat.sampling import scalar_pool
+from semicat.sampling import (
+    random_kleisli,
+    random_matrix,
+    random_multiset,
+    random_scalar,
+    scalar_pool,
+)
 
 # Z/4: 2 * 2 = 0, so a product of two nonzero multiplicities can vanish.
 Z4 = SemiringDescriptor(
@@ -189,22 +239,189 @@ def test_a_bad_argument_raises_as_before(op, args, error, message):
 
 
 def test_unchecked_kleisli_maps_equal_checked_ones():
-    T = MultisetMonad(NAT)
+    T, G = MultisetMonad(NAT), MultisetMonad(GAUSSIAN)
     comps = tuple(ms_from_pairs(NAT, [(Atom(i), nat(i + 1))]) for i in range(2))
     f = KleisliMap(T, 2, 3, comps)
     g = kl_coproj(T, 2, 1, 2)
     built = (kl_compose(f, kl_coproj(T, 1, 3, 1)), kl_compose(g, kl_coproj(T, 2, 1, 3)))
+    rng = random.Random(0)
+    u, v = random_kleisli(rng, G, 2, 3), random_kleisli(rng, G, 2, 2)
+    built += (
+        u, v, random_kleisli(rng, ActionMonad(FREE_WORDS), 3, 2),
+        kl_proj(T, 1, 2, 1), kl_proj(T, 2, 1, 2), kl_zero(T, 2, 3), kl_zero(T, 0, 1),
+        kl_cotuple(f, kl_zero(T, 1, 3)), kl_tuple(u, v), kl_tensor(u, v), kl_dagger(u),
+        xi(G, theta(u)),
+    )
     for k in (*built, kl_id(T, 3), g):
         # The checked constructor accepts what the unchecked one built.
         checked = KleisliMap(k.monad, k.dom, k.cod, k.components)
-        assert type(k) is KleisliMap and (k, hash(k), str(k)) == (checked, hash(checked), str(checked))
+        assert type(k) is KleisliMap and type(k.components) is tuple
+        assert (k, hash(k), str(k)) == (checked, hash(checked), str(checked))
     assert kl_compose(kl_id(T, 2), f).components == f.components
     for bad in (
         lambda: kl_id(T, -1),
         lambda: kl_coproj(T, 1, 2, -1),
         lambda: kl_coproj(T, 2, -1, 2),
+        lambda: kl_proj(T, 1, -1, 2),
+        lambda: kl_proj(T, 2, 2, -1),
+        lambda: kl_proj(T, 1, 2, -1),  # once a map 1 -> 2
+        lambda: kl_zero(T, -1, 1),
+        lambda: kl_zero(T, 1, -1),
+        lambda: random_kleisli(rng, T, -1, 2),
+        lambda: random_kleisli(rng, T, 1, -1),
     ):
         with pytest.raises(DimensionMismatch, match="^objects are naturals$"):
             bad()
-    with pytest.raises(ValueError, match="side must be 1 or 2"):
-        kl_coproj(T, 3, -1, 1)
+    for bad in (lambda: kl_coproj(T, 3, -1, 1), lambda: kl_proj(T, 3, -1, 1)):
+        with pytest.raises(ValueError, match="side must be 1 or 2"):
+            bad()
+    for combine in (kl_cotuple, kl_tuple, kl_tensor, kl_compose):
+        with pytest.raises(
+            MonadMismatch, match=r"^maps over multiset\(nat\) and multiset\(gaussian\) cannot"
+        ):
+            combine(kl_id(T, 1), kl_id(G, 1))
+    with pytest.raises(DimensionMismatch, match="^cotuple needs a common codomain$"):
+        kl_cotuple(kl_id(T, 1), kl_id(T, 2))
+    with pytest.raises(DimensionMismatch, match="^tuple needs a common domain$"):
+        kl_tuple(kl_id(T, 1), kl_id(T, 2))
+
+
+def test_tx_add_and_unit_check_as_before():
+    T = MultisetMonad(NAT)
+    u = T.unit(Atom(0))
+    for args, error, message in (
+        ((nat(1), u), TagMismatch, "the nat scalar 1 is not a value of multiset(nat)"),
+        ((u, [1]), TagMismatch, "an object of type list is not a value of multiset(nat)"),
+        ((ms_from_pairs(GAUSSIAN, []), u), CarrierMismatch,
+         "cannot add values over gaussian and nat"),
+    ):
+        with pytest.raises(error) as info:
+            tx_add(T, *args)
+        assert str(info.value) == message
+    with pytest.raises(ElementOutsideCarrier, match="^multiset key a is not an element$"):
+        T.unit("a")
+    for S in (*SEMIRINGS.values(), Z4, TWIN):
+        for x in ATOMS:
+            assert_built_alike(MultisetMonad(S).unit(x), ms_from_pairs(S, [(x, S.one)]))
+    trivial = SemiringDescriptor("trivial", lambda a, b: 0, 0, lambda a, b: 0, 0)
+    assert MultisetMonad(trivial).unit(STAR).entries == ()
+
+
+# ---------------------------------------------------------------------------
+# Scalar equality by integer ratios
+
+
+def _copy(payload):
+    """An equal payload made of new objects."""
+    if type(payload) is Fraction:
+        return Fraction(payload.numerator, payload.denominator)
+    if type(payload) is tuple:
+        return tuple(_copy(q) for q in payload)
+    return payload
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass: compared as the tuples are."""
+
+
+POOL = [s for S in SEMIRINGS.values() for s in scalar_pool(S)]
+SCALARS = POOL + [Scalar(s.tag, _copy(s.payload)) for s in POOL] + [
+    Scalar("ratnn", 1),
+    Scalar("ratnn", Fraction(1)),
+    Scalar("ratnn", _Ratio(1)),
+    Scalar("ratnn", 1.0),
+    Scalar("nat", Fraction(1)),
+    Scalar("nat", True),
+    Scalar("gaussian", (1, 0)),
+    Scalar("gaussian", (Fraction(1), 0)),
+    Scalar("gaussian", (Fraction(1), Fraction(0), Fraction(0))),
+    Scalar("gaussian", (Fraction(1),)),
+    Scalar("gaussian", [Fraction(1), Fraction(0)]),
+    Scalar("gaussian", Fraction(1)),
+    Scalar("gaussian", (_Ratio(1), Fraction(0))),
+    Scalar("gaussian", ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))),
+    Scalar("tropical", None),
+]
+
+
+def test_scalar_equality_is_tuple_equality():
+    for a, b in itertools.product(SCALARS, repeat=2):
+        want = (a.tag, a.payload) == (b.tag, b.payload)
+        assert (a == b) is want and (a != b) is (not want), (a.tag, a.payload, b.tag, b.payload)
+    for a in SCALARS:
+        for other in (a.payload, (a.tag, a.payload), None):
+            assert a.__eq__(other) is NotImplemented
+        if type(a.payload) is not list:
+            assert hash(a) == hash((a.tag, a.payload))
+
+
+# ---------------------------------------------------------------------------
+# Sampled multisets
+
+
+def _sampled_by_elements(rng, S, xs, max_support=4):
+    """The multiset sampler as it drew from the list of elements."""
+    elems = list(xs)
+    k = rng.randint(0, min(max_support, len(elems)))
+    chosen = rng.sample(elems, k)
+    return ms_from_pairs(S, [(x, random_scalar(rng, S)) for x in chosen])
+
+
+CARRIERS = [index_carrier(n) for n in range(7)] + [
+    carrier([Atom("e"), Atom(3), Pair(Atom(0), STAR), STAR, Inr(Atom(1)), Inl(Atom("a"))]),
+]
+
+
+@pytest.mark.parametrize("S", [*SEMIRINGS.values(), TWIN], ids=lambda S: f"{S.name}-{id(S)}")
+def test_random_multiset_is_the_merge_of_the_pairs_it_drew(S):
+    for seed, xs, support in itertools.product(range(40), CARRIERS, (1, 4, 6)):
+        rng, replay = random.Random(seed), random.Random(seed)
+        got = random_multiset(rng, S, xs, support)
+        want = _sampled_by_elements(replay, S, xs, support)
+        assert got.semiring is want.semiring is S
+        assert len(got.entries) == len(want.entries)
+        assert all(x == y and s is t for (x, s), (y, t) in zip(got.entries, want.entries))
+        assert rng.getstate() == replay.getstate()
+
+
+# ---------------------------------------------------------------------------
+# Tiny composes
+
+
+def _counting_direct(monkeypatch):
+    calls = []
+    real = matcat._direct
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(matcat, "_direct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("S", SEMIRINGS.values(), ids=lambda S: S.name)
+def test_direct_compose_equals_the_naive_compose(monkeypatch, S):
+    calls = _counting_direct(monkeypatch)
+    top = matcat._DIRECT_MAX + 1
+    rng = random.Random(0)
+    for n, m, p in itertools.product(range(top + 1), repeat=3):
+        if n * m * p > top:
+            continue
+        for _ in range(8):
+            g, h = random_matrix(rng, S, n, m), random_matrix(rng, S, m, p)
+            before = len(calls)
+            got, want = mat_compose(g, h), _naive_compose(g, h)
+            assert len(calls) - before == (0 < n * m * p <= matcat._DIRECT_MAX)
+            assert got == want and str(got) == str(want)
+            assert [type(v) for v in got.values] == [type(v) for v in want.values]
+
+
+def test_a_twin_keeps_its_own_operations(monkeypatch):
+    calls = _counting_direct(monkeypatch)
+    twin = SemiringDescriptor(RATNN.name, RATNN.add, RATNN.zero, RATNN.mul, RATNN.one)
+    g = random_matrix(random.Random(0), twin, 1, 2)
+    h = random_matrix(random.Random(1), twin, 2, 1)
+    assert mat_compose(g, h) == _naive_compose(g, h)
+    assert mat_compose(g, h).semiring is twin
+    assert calls == []

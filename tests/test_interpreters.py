@@ -9,11 +9,15 @@ golden and the fourteen CLI fixtures through ``semicat.cli.main``, all in
 one subprocess of another interpreter found on PATH, and compares each
 stdout with the recorded bytes. The same subprocess builds every (n, d) of
 ``RATIOS`` with ``_ratio`` and with ``Fraction`` and reports each pair that
-differs in type, value, hash, integer ratio, text or arithmetic. The
-subprocess needs only the standard library. An interpreter that is not on
-PATH, or does not run, is skipped.
+differs in type, value, hash, integer ratio, text or arithmetic. It also
+computes the count and digest of the drawn law cases
+(``test_adjunctions.drawn_case_digest``, from its source): the samplers
+rely on ``Random.sample`` drawing the same positions from a ``range`` as
+from a list of the same length. The subprocess needs only the standard
+library. An interpreter that is not on PATH, or does not run, is skipped.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from test_adjunctions import DRAWN_CASES, drawn_case_digest
 from test_cli import FIXTURES, LAW_GOLDEN_RUNS, LAW_GOLDENS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,8 +90,9 @@ RATIOS = [
 ]
 
 # Reads {"cases": {name: argv}, "ratios": [[n, d], ...]} as JSON on stdin and
-# writes {"cases": {name: [exit code, stdout]}, "mismatches": [[n, d], ...]}.
-RUNNER = """
+# writes {"cases": {name: [exit code, stdout]}, "mismatches": [[n, d], ...],
+# "drawn_cases": [count, digest]}.
+RUNNER = inspect.getsource(drawn_case_digest) + """
 import io, json, sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -109,7 +115,9 @@ mismatches = [
     [n, d] for n, d in job["ratios"]
     if _ratio(n, d) != Fraction(n, d) or observed(_ratio(n, d)) != observed(Fraction(n, d))
 ]
-json.dump({"cases": results, "mismatches": mismatches}, sys.stdout)
+json.dump(
+    {"cases": results, "mismatches": mismatches, "drawn_cases": drawn_case_digest()}, sys.stdout
+)
 """
 
 
@@ -163,6 +171,7 @@ def test_goldens_are_byte_identical_under(version):
     assert run.returncode == 0, run.stderr
     results = json.loads(run.stdout)
     assert results["mismatches"] == []
+    assert tuple(results["drawn_cases"]) == DRAWN_CASES
     for name, (_, golden) in CASES.items():
         code, out = results["cases"][name]
         assert code == 0, name

@@ -1,16 +1,20 @@
 """The law suites can fail: a table of mutants of the law layer.
 
-Each row replaces one name in the ``semicat.adjunctions`` namespace (a
-function the suites call, or a monad class they instantiate) with a broken
-version, runs one suite at the golden seed and case count, and checks that
-the named laws report FAIL for the named subject while a law the mutant
-cannot touch still passes everywhere, so a mutant cannot pass by crashing
-the suite.
+Each row replaces one name with a broken version, runs one suite at the
+golden seed and case count, and checks that the named laws report FAIL for
+the named subject while a law the mutant cannot touch still passes
+everywhere, so a mutant cannot pass by crashing the suite. A bare name is
+one in the ``semicat.adjunctions`` namespace (a function the suites call, or
+a monad class they instantiate); a dotted name such as ``matcat._direct`` or
+``algebra.Scalar.__eq__`` is an attribute reached from that module of
+``semicat``, so a row can break a kernel or a scalar operation that the
+suites reach only through other modules.
 
 Every (suite, law) pair of the goldens is killed by some row, and a test
 keeps it so: a new law needs a mutant that fails it.
 """
 
+import importlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +22,7 @@ import pytest
 
 import semicat.adjunctions as adjunctions
 from semicat.adjunctions import SUITE_NAMES, SuiteConfig, run_suite
+from semicat.algebra import Scalar
 from semicat.kleisli import KleisliMap
 from semicat.matcat import Aleph0Map, Matrix
 from semicat.monadcore import (
@@ -238,6 +243,40 @@ def homset_without_one(real):
     return homset
 
 
+def last_product_dropped(real):
+    """The direct compose with the last product of each entry left out: the
+    left factor's last column is replaced by zero, which each product with
+    it absorbs."""
+
+    def direct(S, a, b, m, p):
+        zero = S.zero.payload
+        return real(S, [zero if i % m == m - 1 else x for i, x in enumerate(a)], b, m, p)
+
+    return direct
+
+
+def real_part_only(real):
+    """Scalar equality that compares only the real parts of two gaussians,
+    so that i equals zero and an entry of multiplicity i is dropped."""
+
+    def eq(self, other):
+        if isinstance(other, Scalar) and self.tag == other.tag == "gaussian":
+            return self.payload[0] == other.payload[0]
+        return real(self, other)
+
+    return eq
+
+
+def zero_entries_kept(real):
+    """The multiset sampler that keeps the entries whose scalar is zero."""
+
+    def sample(rng, S, xs, max_support=4):
+        never = replace(S, zero=object())
+        return Multiset(S, real(rng, never, xs, max_support).entries)
+
+    return sample
+
+
 # (suite, name patched, mutant of the real function, subject, laws that must
 # FAIL for that subject, a law that must still PASS for every subject)
 MUTANTS = [
@@ -377,16 +416,37 @@ MUTANTS = [
      lambda real: lambda f, g: real(g, f),
      "adjunction(nat)", ("mat-h-roundtrip", "mat-h-natural", "mat-h-involutive"),
      "srng-e-roundtrip"),
+    ("matcat-laws", "matcat._direct", last_product_dropped,
+     "mat(nat)",
+     ("compose-oracle", "identity-neutral", "biproduct-delta", "homset-agrees",
+      "embed-functorial", "tensor-distributes"),
+     "tensor-symmetry"),
+    ("adjunction-roundtrips", "algebra.Scalar.__eq__", real_part_only,
+     "adjunction(gaussian)",
+     ("srng-e-roundtrip", "srng-e-natural", "srng-e-involutive", "mon-e-roundtrip"),
+     "mat-h-roundtrip"),
+    ("additivity", "random_multiset", zero_entries_kept,
+     "multiset(nat)", ("bc-assoc", "bc-rho", "value-add-unit"), "bc-roundtrip-fwd"),
 ]
 
 def _row_id(row):
     return f"{row[0]}-{row[1]}-{'+'.join(row[4])}"
 
 
+def _owner(name: str) -> tuple:
+    """The object that holds the patched name, and the attribute's name."""
+    path = name.split(".") if "." in name else ["adjunctions", name]
+    owner = importlib.import_module(f"semicat.{path[0]}")
+    for part in path[1:-1]:
+        owner = getattr(owner, part)
+    return owner, path[-1]
+
+
 @pytest.mark.parametrize("row", MUTANTS, ids=_row_id)
 def test_mutant_is_killed(monkeypatch, row):
     suite, name, mutant, subject, fails, keeps = row
-    monkeypatch.setattr(adjunctions, name, mutant(getattr(adjunctions, name)))
+    owner, attr = _owner(name)
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
     report = run_suite(SuiteConfig(suite=suite, seed=SEED, cases=CASES))
     verdicts = {(e[0], e[1]): e[2] for e in report.entries}
     for law in fails:
