@@ -7,8 +7,10 @@ bounded-hop distance table that :func:`semicat.matcat.bounded_paths`
 computes, and ``roundtrip`` drives the adjunction transposes there and
 back. This module parses arguments and input files, prints results and
 maps errors to exit codes; the computing happens in the layers it calls.
-A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`:
-the first error in file order is reported, and a bad line stops the read.
+A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`,
+through the standard library's text reader, which splits lines at LF, CR
+and CRLF: the first error in file order is reported, and a bad line stops
+the read.
 ``matmul`` reads the header of each of its files before any row, so a
 result above the table cap stops it before either file is parsed.
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack, closing
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from .adjunctions import (
@@ -144,52 +146,38 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     return _matrix(TROPICAL, n, n, values)
 
 
-def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> FormatError:
-    """The error for a byte of ``path`` that is not UTF-8, ``offset`` being
-    where the bytes that ``exc`` decoded start in the file."""
-    return FormatError(
-        f"{path}: not UTF-8 text"
-        f" (byte 0x{exc.object[exc.start]:02x} at offset {offset + exc.start})"
-    )
-
-
-# The bytes that _input_lines reads at a time.
-_READ_BLOCK = 1 << 16
+# The characters that _input_lines reads at a time before it finishes the
+# line they end in.
+_READ_HINT = 1 << 16
 
 
 def _input_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 input file as ``str.splitlines`` splits its
-    text, read ``_READ_BLOCK`` bytes at a time, so memory stays within a
-    block and the longest line, and a caller that stops early reads no
-    further. Each block is decoded up to its last LF or CR; the rest waits
-    for the next block, and so does a CR that ends a block, which may be
-    the first half of a CRLF. A byte that is not UTF-8 is reported after
+    text, read in batches of ``_READ_HINT`` characters and the rest of the
+    line the batch ends in, so memory stays within a batch and the longest
+    line, and a caller that stops early reads no further. The file is
+    opened with ``newline=""``, so ``readline`` ends that line at its LF,
+    CR or CRLF, never between a CR and its LF. A byte that is not UTF-8
+    decodes to a lone surrogate (``surrogateescape``), which the batch's
+    encoding meets: it is reported, with its offset in the file, after
     every line before its own."""
-    offset = 0  # where the bytes not yet decoded start in the file
-
-    def lines_of(raw: bytes) -> Iterator[str]:
-        nonlocal offset
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            good = max(raw.rfind(b"\n", 0, exc.start), raw.rfind(b"\r", 0, exc.start)) + 1
-            yield from raw[:good].decode("utf-8").splitlines()
-            raise _not_utf8(path, exc, offset) from None
-        offset += len(raw)
-        yield from text.splitlines()
-
-    head: list[bytes] = []  # the bytes after the last line break decoded
-    with open(path, "rb") as f:
-        for block in iter(partial(f.read, _READ_BLOCK), b""):
-            if head and head[-1].endswith(b"\r") and not block.startswith(b"\n"):
-                yield from lines_of(b"".join(head))
-                head = []
-            end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-            if end:
-                yield from lines_of(b"".join([*head, block[:end]]))
-                head = []
-            head.append(block[end:])
-    yield from lines_of(b"".join(head))
+    offset = 0  # the bytes of the batches before this one
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
+        more = True  # a text read returns fewer characters only at the end
+        while more:
+            text = f.read(_READ_HINT)
+            if more := len(text) == _READ_HINT:
+                text += f.readline()
+            try:
+                offset += len(text.encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                head = text[: exc.start]
+                yield from head[: max(head.rfind("\n"), head.rfind("\r")) + 1].splitlines()
+                raise FormatError(
+                    f"{path}: not UTF-8 text (byte 0x{ord(text[exc.start]) - 0xDC00:02x}"
+                    f" at offset {offset + len(head.encode('utf-8'))})"
+                ) from None
+            yield from text.splitlines()
 
 
 def _parse_file(path: str, parse: Callable[[Iterator[str]], Matrix]) -> Matrix:

@@ -32,10 +32,11 @@ is built from. Compose has its own sum-of-products kernel per built-in:
 any/and for bool, which stops at the first true product, min-plus on
 ints for tropical, and integer dot products for nat, ratnn and gaussian,
 all taken by :func:`_dots`; a product of at most ``_DIRECT_MAX`` inner
-steps skips them (:func:`mat_compose`). From ``_PACK_MIN`` (9 * 9 * 9)
-inner steps up, :func:`_dots` packs each row of the right factor into one
-int with a slot per column (Kronecker substitution), so one big-int sum
-per output row holds that whole row, and one ``struct`` unpack splits it.
+steps skips them for :func:`_direct`, the one plain sum-of-products
+loop. From ``_PACK_MIN`` (9 * 9 * 9) inner steps up, :func:`_dots`
+packs each row of the right factor into one int with a slot per column
+(Kronecker substitution), so one big-int sum per output row holds that
+whole row, and one ``struct`` unpack splits it.
 A slot is 1, 2, 4 or 8 bytes, the smallest width that holds every dot,
 each at most m * max|a| * max|c| for inner dimension m, doubled by the
 bias that lifts signed gaussian parts. A smaller product, or one that
@@ -64,8 +65,9 @@ matrix, keeps the integers as small as the denominators one output entry
 combines. Any other descriptor (hom-set and evaluation semirings, or a
 twin that only carries a built-in's name) computes with its own
 ``add``/``mul``/``star``, one call per scalar step, a twin's on its
-payloads boxed as scalars; the ``compose-oracle`` law compares the
-kernels with a triple loop over the descriptor's operations.
+payloads boxed as scalars, and composes by :func:`_direct` at every
+size; the ``compose-oracle`` law compares the kernels with a triple loop
+over the descriptor's operations.
 :func:`bounded_paths`, the distance table of ``shortest-path``, runs
 hop-limited relaxation over the rows of a sparse tropical A, and else
 closes I + A by Lehmann's pivots, over tropical on rows packed as compose
@@ -252,7 +254,8 @@ def _same_theory(g: Matrix, h: Matrix) -> tuple:
 _PACK_MIN = 729
 
 # Up to this many inner steps, a compose over a built-in sums its products
-# one payload operation at a time (:func:`_direct`). Per built-in on a 2-core
+# one payload operation at a time (:func:`_direct`), as a compose over any
+# other descriptor does at every size. Per built-in on a 2-core
 # Xeon (min of 15 x 2000 calls), that took 0.3-0.6 of the kernel's time at 1
 # and 2 steps; at 4, ratnn broke even (9.2 against 9.9 us), and from 6 on its
 # integer dots won.
@@ -428,11 +431,12 @@ class _Kernel(NamedTuple):
     sum of products, row major: over nat, ratnn and gaussian from the
     integer dots of :func:`_dots`, and over tropical from packed min-plus
     rows, a packed output row at a time from ``_PACK_MIN`` inner steps
-    up, and entry by entry below it and over bool and every other
-    descriptor. The rest are the scalar operations and constants, on
+    up, and entry by entry below it and over bool. Any other descriptor
+    has none, and its composes, as tiny ones over a built-in, take
+    :func:`_direct`. The rest are the scalar operations and constants, on
     values as a matrix stores them."""
 
-    products: Callable[[list, list], list]
+    products: Callable[[list, list], list] | None
     add: Callable
     mul: Callable
     star: Callable | None
@@ -457,11 +461,12 @@ _KERNELS: dict[SemiringDescriptor, _Kernel] = {
 
 
 def _generic(S: SemiringDescriptor) -> _Kernel:
-    """S's own operations, one descriptor call per scalar step. A matrix
-    over a twin, a descriptor that only carries a built-in's name, stores
-    payloads, so each of the twin's operations is lifted to them: its
-    arguments are boxed as scalars of that name and its result is
-    unwrapped (else :class:`TagMismatch`)."""
+    """S's own operations, one descriptor call per scalar step, with no
+    ``products``: its composes take :func:`_direct`. A matrix over a twin,
+    a descriptor that only carries a built-in's name, stores payloads, so
+    each of the twin's operations is lifted to them: its arguments are
+    boxed as scalars of that name and its result is unwrapped (else
+    :class:`TagMismatch`)."""
     name, add, mul, star, zero, one = S.name, S.add, S.mul, S.star, S.zero, S.one
     if name in _PAYLOAD_OPS:
 
@@ -470,18 +475,7 @@ def _generic(S: SemiringDescriptor) -> _Kernel:
 
         add, mul, star = lift(add), lift(mul), star and lift(star)
         zero, one = _payload(zero, name), _payload(one, name)
-
-    def products(rows: list, cols: list) -> list:
-        out = []
-        for r in rows:
-            for c in cols:
-                acc = zero
-                for x, y in zip(r, c):
-                    acc = add(acc, mul(x, y))
-                out.append(acc)
-        return out
-
-    return _Kernel(products, add, mul, star, zero, one)
+    return _Kernel(None, add, mul, star, zero, one)
 
 
 def _kernel(S: SemiringDescriptor) -> _Kernel:
@@ -504,17 +498,19 @@ def mat_identity(S: SemiringDescriptor, n: int) -> Matrix:
     return _indicator(S, n, range(n))
 
 
-def _direct(S: SemiringDescriptor, a: tuple, b: tuple, m: int, p: int) -> list:
-    """Every entry of the composite of the payloads ``a`` (rows of m >= 1)
-    and ``b`` (rows of p) over the built-in S: the sum of its m products,
-    by S's ``_PAYLOAD_OPS``."""
-    add, mul, _ = _PAYLOAD_OPS[S.name]
+def _direct(k: _Kernel, a: tuple, b: tuple, n: int, m: int, p: int) -> list:
+    """Every entry of the composite of the values ``a`` (n rows of m) and
+    ``b`` (m rows of p), row major: the sum of its m products by k's
+    ``add`` and ``mul``, or k's ``zero`` when m is 0."""
+    if not m:
+        return [k.zero] * (n * p)
+    add, mul = k.add, k.mul
     out = []
-    for i in range(0, len(a), m):
-        for k in range(p):
-            acc = mul(a[i], b[k])
+    for i in range(0, n * m, m):
+        for q in range(p):
+            acc = mul(a[i], b[q])
             for j in range(1, m):
-                acc = add(acc, mul(a[i + j], b[j * p + k]))
+                acc = add(acc, mul(a[i + j], b[j * p + q]))
             out.append(acc)
     return out
 
@@ -522,22 +518,24 @@ def _direct(S: SemiringDescriptor, a: tuple, b: tuple, m: int, p: int) -> list:
 def mat_compose(g: Matrix, h: Matrix) -> Matrix:
     """The composite "g then h" (g: n -> m, h: m -> p).
 
-    Over a built-in, a product of 1 to ``_DIRECT_MAX`` inner steps (n * m *
-    p) is summed directly (:func:`_direct`), which costs less than the
-    kernel's slices, lcm scalings and dots and gives the same reduced
-    values. Every other product, and any other descriptor, takes
-    :func:`_kernel`."""
+    A product of at most ``_DIRECT_MAX`` inner steps (n * m * p), and any
+    product over a descriptor without a built-in kernel, is summed one
+    scalar operation at a time by :func:`_direct`, with :func:`_kernel`'s
+    operations. Over a built-in that costs less than the kernel's slices,
+    lcm scalings and dots and gives the same reduced values. Every other
+    product takes the built-in kernel's ``products``."""
     S, b = _same_theory(g, h)
     if g.cols != h.rows:
         raise DimensionMismatch(
             f"cannot compose {g.rows}x{g.cols} with {h.rows}x{h.cols}"
         )
-    a, m, p = g.values, g.cols, h.cols
-    if 0 < g.rows * m * p <= _DIRECT_MAX and S in _KERNELS:
-        return _matrix(S, g.rows, p, _direct(S, a, b, m, p))
-    rows = [a[i * m : (i + 1) * m] for i in range(g.rows)]
-    cols = [b[k::p] for k in range(p)]
-    return _matrix(S, g.rows, p, _kernel(S).products(rows, cols))
+    a, n, m, p = g.values, g.rows, g.cols, h.cols
+    k = _kernel(S)
+    if k.products is None or n * m * p <= _DIRECT_MAX:
+        return _matrix(S, n, p, _direct(k, a, b, n, m, p))
+    rows = [a[i * m : (i + 1) * m] for i in range(n)]
+    cols = [b[q::p] for q in range(p)]
+    return _matrix(S, n, p, k.products(rows, cols))
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
@@ -750,7 +748,9 @@ def _relaxes(n: int, m: int, hops: int) -> bool:
 
 def _powering(base: Matrix, hops: int) -> Matrix:
     """B^hops by binary powering of B = ``base``, stopping when a square
-    repeats (see :func:`bounded_paths`)."""
+    repeats (see :func:`bounded_paths`). Over bool, or another idempotent
+    semiring, a square can repeat; over tropical the powering runs only
+    after a negative cycle or a failed hop bound, and B^k keeps changing."""
     acc = base  # B^k, k the bits of hops read so far
     for bit in bin(hops)[3:]:
         square = mat_compose(acc, acc)

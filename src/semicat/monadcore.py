@@ -11,14 +11,14 @@ derived operations (double strength, value addition, the scalar action,
 evaluation at the one-point set) are computed as the abstract composites
 and the test suites check that they agree with the direct formulas.
 
-Multisets cost per entry, not per call: :func:`ms_from_pairs` returns at
-once for no pair or one, and ``fmap``, ``mult``, ``bc`` and ``dst`` of an
-empty value return the monad's one empty multiset, each after the same
-checks and with an identical result. A multiset is canonical (see
-:class:`Multiset`), so ``bc``, ``bc_inv``, ``dst``, ``involution``, and
-``fmap`` and ``mult`` of a one-entry value, build their results already
-in order, without the merge and the sort of :func:`ms_from_pairs`, and
-``unit`` builds its one entry. :func:`tx_add` leaves its checks to ``bc_inv``.
+Multisets cost per entry, not per call: ``fmap``, ``mult``, ``bc`` and
+``dst`` of an empty value return the monad's one empty multiset, each
+after the same checks and with an identical result. A multiset is
+canonical (see :class:`Multiset`), so ``bc``, ``bc_inv``, ``dst``,
+``involution``, and ``fmap`` and ``mult`` of a one-entry value, build
+their results already in order, without the merge and the sort of
+:func:`ms_from_pairs`, and ``unit`` builds its one entry. :func:`tx_add`
+leaves its checks to ``bc_inv``.
 
 Set elements are encoded by the :class:`Elem` tree, which is totally
 ordered, so nested values like multisets of multisets stay canonical and
@@ -30,7 +30,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterable
 
 from .algebra import (
@@ -167,7 +166,7 @@ class ActVal(Elem):
 # Carriers and maps between them
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteCarrier:
     """A finite set: strictly sorted tuple of distinct elements."""
 
@@ -186,12 +185,6 @@ class FiniteCarrier:
 
     def __contains__(self, e: Elem) -> bool:
         return e in self.elems
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteCarrier) and self.elems == other.elems
-
-    def __hash__(self) -> int:
-        return hash(("carrier", self.elems))
 
 
 def carrier(elems: Iterable[Elem]) -> FiniteCarrier:
@@ -302,26 +295,12 @@ def ms_from_pairs(S: SemiringDescriptor, pairs: Iterable[tuple[Elem, object]]) -
     are merged with the semiring addition, zero entries are dropped, and
     the rest are sorted by element key.
 
-    This is the general constructor, for pairs in any order. Most calls
-    get no pair or one, and those return at once, with the same key check
-    and zero test and an identical result. The pairs are read one at a
-    time, so a lazy ``pairs`` is consumed, and a bad key is met, in the
-    order the general merge would meet them. The monad operations whose
-    pairs come out distinct and in key order skip it (see
+    This is the general constructor, for pairs in any order. The monad
+    operations whose pairs come out distinct and in key order skip it (see
     :func:`_canonical`), and so do :meth:`MultisetMonad.unit` and
     ``sampling.random_multiset``."""
-    it = iter(pairs)
-    first = next(it, _END)
-    if first is _END:
-        return Multiset(S, ())
-    x, s = first
-    if not isinstance(x, Elem):
-        raise _not_a_key(x)
-    second = next(it, _END)
-    if second is _END:
-        return Multiset(S, ((x, s),) if s != S.zero else ())
     acc: dict[Elem, object] = {}
-    for x, s in chain((first, second), it):
+    for x, s in pairs:
         if not isinstance(x, Elem):
             raise _not_a_key(x)
         if x in acc:

@@ -38,6 +38,7 @@ from .monadcore import (
     MonadInstance,
     Multiset,
     MultisetMonad,
+    _canonical,
     carrier,
     carrier_map,
     index_carrier,
@@ -144,8 +145,9 @@ def random_multiset(
     ``randint``, k positions of the carrier by ``sample``, then a pool
     scalar per position. ``sample`` draws from ``range(len(xs))`` the
     positions, and leaves ``rng`` in the state, of sampling the elements.
-    The carrier is in key order, so the drawn pairs in position order, less
-    their zero scalars, are what :func:`ms_from_pairs` would build."""
+    The carrier is in key order, so the drawn pairs in position order are
+    distinct and in key order, and ``monadcore._canonical`` builds what
+    :func:`ms_from_pairs` would."""
     elems = xs.elems
     k = rng.randint(0, min(max_support, len(elems)))
     if not k:
@@ -153,8 +155,7 @@ def random_multiset(
     picks = rng.sample(range(len(elems)), k)
     pool = scalar_pool(S)
     drawn = sorted(zip(picks, [rng.choice(pool) for _ in picks]))
-    zero = S.zero
-    return Multiset(S, tuple((elems[i], s) for i, s in drawn if s != zero))
+    return _canonical(S, ((elems[i], s) for i, s in drawn))
 
 
 def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):

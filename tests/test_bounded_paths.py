@@ -245,14 +245,23 @@ def test_negative_cycle_costs_logarithmic_compositions(monkeypatch):
     assert near == min_plus_oracle(weights, 5000)
 
 
+def bool_graph(n, edges):
+    adjacent = [[(i, j) in edges for j in range(n)] for i in range(n)]
+    return adjacent, Matrix(BOOL, n, n, tuple(boolean(v) for row in adjacent for v in row))
+
+
 def test_nonnegative_graph_stops_at_its_fixpoint(monkeypatch):
-    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    # Over tropical the squaring runs only after a negative cycle or a
+    # failed hop bound, where B^k keeps changing; over bool it runs for
+    # hops < n - 1. The chain 0 -> 1 -> 2 -> 3 among 10 nodes is all
+    # reached in 3 hops: at 7 hops B^3 = B^2 B, then B^6 = B^3 stops the
+    # squaring after 3 composes, where all the bits would take 4.
+    adjacent, a = bool_graph(10, {(0, 1), (1, 2), (2, 3)})
+    powerings = count_calls(monkeypatch, "_powering")
     calls = count_composes(monkeypatch)
-    got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
-    assert len(calls) <= 8
-    # The oracle stops at the same fixpoint, so 5000 hops are as many as
-    # 200000 for it.
-    assert got == min_plus_oracle(weights, 5000)
+    got = bounded_paths(a, 7)
+    assert (len(powerings), len(calls)) == (1, 3)
+    assert payloads(got) == reachable_oracle(adjacent, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +280,14 @@ def test_idempotent_squaring_composes_at_most_twice_per_bit(monkeypatch):
 
 
 def test_idempotent_squaring_stops_when_a_square_repeats(monkeypatch):
-    weights = [[None, 4, 9], [None, 1, 2], [3, None, None]]
+    # A 3-cycle among 40 nodes at 37 hops (0b100101): B^4 = B^2, so the
+    # squaring stops after 2 composes, where all the bits would take 7.
+    adjacent, a = bool_graph(40, {(0, 1), (1, 2), (2, 0)})
+    powerings = count_calls(monkeypatch, "_powering")
     calls = count_composes(monkeypatch)
-    got = payloads(bounded_paths(tropical_matrix(weights), 200_000))
-    assert len(calls) <= 3
-    assert got == min_plus_oracle(weights, 5000)
+    got = bounded_paths(a, 37)
+    assert (len(powerings), len(calls)) == (1, 2)
+    assert payloads(got) == reachable_oracle(adjacent, 37)
 
 
 def test_payload_squaring_multiplies_at_most_twice_per_bit(monkeypatch, closures_only):

@@ -446,7 +446,7 @@ def test_input_lines_are_the_texts_splitlines(text, block):
         path = Path(tmp, "g.graph")
         path.write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_READ_BLOCK", block)
+            mp.setattr(cli, "_READ_HINT", block)
             assert list(cli._input_lines(str(path))) == text.splitlines()
 
 
@@ -457,7 +457,7 @@ def test_a_line_that_ends_a_read_in_cr_is_parsed_before_the_next_is_decoded(
     # Read 8 bytes at a time, the first read ends in the CR after "x": the
     # next read does not start with LF, so line 2 is parsed, and fails,
     # before the 0xff on line 3 is decoded.
-    monkeypatch.setattr(cli, "_READ_BLOCK", block)
+    monkeypatch.setattr(cli, "_READ_HINT", block)
     path = tmp_path / "g.graph"
     path.write_bytes(b"3\r0 1 x\r\xff\r")
     assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2

@@ -13,7 +13,10 @@ differs in type, value, hash, integer ratio, text or arithmetic. It also
 computes the count and digest of the drawn law cases
 (``test_adjunctions.drawn_case_digest``, from its source): the samplers
 rely on ``Random.sample`` drawing the same positions from a ``range`` as
-from a list of the same length. The subprocess needs only the standard
+from a list of the same length. And it reads the byte inputs of
+``READER_INPUTS`` through ``cli._input_lines`` at each of ``READ_HINTS``,
+since the reader leaves line splitting and decoding to the interpreter's
+text reader (``io.TextIOWrapper``). The subprocess needs only the standard
 library. An interpreter that is not on PATH, or does not run, is skipped.
 """
 
@@ -89,10 +92,79 @@ RATIOS = [
     for d in (1, 2, 6, 9, 2**64, 3**41, 2 * 5**60)
 ]
 
-# Reads {"cases": {name: argv}, "ratios": [[n, d], ...]} as JSON on stdin and
-# writes {"cases": {name: [exit code, stdout]}, "mismatches": [[n, d], ...],
-# "drawn_cases": [count, digest]}.
-RUNNER = inspect.getsource(drawn_case_digest) + """
+# Byte inputs for ``cli._input_lines``: CRLFs that batches of every hint in
+# READ_HINTS end at or cut; a lone CR; the separators that only
+# ``str.splitlines`` knows; a CRLF and a two-byte character across the text
+# reader's 8192-byte chunks; truncated multibyte sequences, mid-line and at
+# the end; a bad byte after a two-byte character, one after CRLF lines, and
+# one past the first chunk.
+READER_INPUTS = [
+    b"3\r\n0 1 5\r\n\r\n1 2 7\r\n",
+    b"a\rb\r\rc\r",
+    "a\x0bb\u0085c\u2028d\r\ne\x0c".encode(),
+    b"x" * 8191 + b"\r\ny\r\n",
+    b"x" * 8191 + "\u00e9\r\n".encode(),
+    b"ab\r\n\xe2\x82cd\r\n",
+    "ab\r\n\u00e9".encode() + b"\xff\r\n",
+    b"ab\r\ncd\xe2\x82",
+    b"3\r\n0 1 5\r\n\xff\r\n",
+    b"y\r\n" + "\u2028".encode() * 3000 + b"\r\n\x80",
+]
+READ_HINTS = range(1, 10)
+
+
+def read_every_input(inputs: list, hints) -> list:
+    """[lines, error] of ``cli._input_lines`` over each of ``inputs`` (the
+    hex of a file's bytes) at each ``_READ_HINT`` of ``hints``: the lines
+    it yields, and then the text of the ``FormatError`` it raises, with the
+    file's path cut, or None."""
+    import os
+    import tempfile
+
+    from semicat import cli
+    from semicat.errors import FormatError
+
+    out, real = [], cli._READ_HINT
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        try:
+            for data in inputs:
+                with open(path, "wb") as f:
+                    f.write(bytes.fromhex(data))
+                for hint in hints:
+                    cli._READ_HINT = hint
+                    lines, error = [], None
+                    try:
+                        for line in cli._input_lines(path):
+                            lines.append(line)
+                    except FormatError as exc:
+                        error = str(exc).replace(path, "<input>")
+                    out.append([lines, error])
+        finally:
+            cli._READ_HINT = real
+    return out
+
+
+def expected_read(data: bytes) -> list:
+    """[lines, error] that ``_input_lines`` owes ``data``: the ``splitlines``
+    of its text, or, at its first byte that is not UTF-8, the lines before
+    that byte's own and the error that names the byte and its offset."""
+    try:
+        return [data.decode("utf-8").splitlines(), None]
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        good = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        error = f"<input>: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        return [head[:good].decode("utf-8").splitlines(), error]
+
+
+EXPECTED_READS = [expected_read(data) for data in READER_INPUTS for _ in READ_HINTS]
+
+# Reads {"cases": {name: argv}, "ratios": [[n, d], ...], "reader": [hex, ...],
+# "hints": [hint, ...]} as JSON on stdin and writes {"cases": {name: [exit
+# code, stdout]}, "mismatches": [[n, d], ...], "drawn_cases": [count,
+# digest], "reads": [[lines, error], ...]}.
+RUNNER = inspect.getsource(drawn_case_digest) + inspect.getsource(read_every_input) + """
 import io, json, sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -115,8 +187,11 @@ mismatches = [
     [n, d] for n, d in job["ratios"]
     if _ratio(n, d) != Fraction(n, d) or observed(_ratio(n, d)) != observed(Fraction(n, d))
 ]
+reads = read_every_input(job["reader"], job["hints"])
 json.dump(
-    {"cases": results, "mismatches": mismatches, "drawn_cases": drawn_case_digest()}, sys.stdout
+    {"cases": results, "mismatches": mismatches, "drawn_cases": drawn_case_digest(),
+     "reads": reads},
+    sys.stdout,
 )
 """
 
@@ -150,6 +225,12 @@ def test_cases_cover_every_golden_and_cli_fixture():
     }
 
 
+def test_the_reader_reads_every_input_as_its_decoded_text():
+    reads = read_every_input([data.hex() for data in READER_INPUTS], READ_HINTS)
+    assert reads == EXPECTED_READS
+    assert sum(error is not None for _, error in reads) == 5 * len(READ_HINTS)
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
 def test_goldens_are_byte_identical_under(version):
     if version == "%d.%d" % sys.version_info[:2]:
@@ -161,7 +242,12 @@ def test_goldens_are_byte_identical_under(version):
     run = subprocess.run(
         [exe, "-I", "-B", "-c", RUNNER, str(SRC)],
         input=json.dumps(
-            {"cases": {name: argv for name, (argv, _) in CASES.items()}, "ratios": RATIOS}
+            {
+                "cases": {name: argv for name, (argv, _) in CASES.items()},
+                "ratios": RATIOS,
+                "reader": [data.hex() for data in READER_INPUTS],
+                "hints": list(READ_HINTS),
+            }
         ),
         env=env,
         capture_output=True,
@@ -172,6 +258,7 @@ def test_goldens_are_byte_identical_under(version):
     results = json.loads(run.stdout)
     assert results["mismatches"] == []
     assert tuple(results["drawn_cases"]) == DRAWN_CASES
+    assert results["reads"] == EXPECTED_READS
     for name, (_, golden) in CASES.items():
         code, out = results["cases"][name]
         assert code == 0, name

@@ -1,6 +1,8 @@
 """Multiset and action monads: units, multiplication, strength, and the
 generically derived additive and module structure."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,9 @@ from semicat.algebra import (
 )
 from semicat.errors import (
     CarrierMismatch,
+    DimensionMismatch,
     ElementOutsideCarrier,
+    IndexOutOfRange,
     KeyNotMultiset,
     MonoidMismatch,
     NoInvolution,
@@ -32,12 +36,21 @@ from semicat.errors import (
     SemicatError,
     TagMismatch,
 )
-from semicat.freetheory import FreeTerm, term_normalize
-from semicat.matcat import homset_semiring, mat_identity
+from semicat.freetheory import FreeTerm, term_normalize, tl_mult
+from semicat.matcat import (
+    Aleph0Map,
+    Matrix,
+    aleph0_compose,
+    homset_semiring,
+    mat_identity,
+    matrix,
+)
 from semicat.monadcore import (
     ActVal,
     ActionMonad,
     Atom,
+    CarrierMap,
+    FiniteCarrier,
     Inl,
     Inr,
     Multiset,
@@ -59,6 +72,7 @@ from semicat.monadcore import (
     tx_add,
     tx_zero,
 )
+from semicat.sampling import random_tvalue
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 U, V, X, Y = Atom("u"), Atom("v"), Atom("x"), Atom("y")
@@ -274,6 +288,20 @@ def test_commutativity_witness_splits_free_words():
 def test_action_dst_requires_commutativity():
     with pytest.raises(NotCommutative):
         AW.dst(ActVal(word("a"), X), ActVal(word("b"), Y))
+
+
+@pytest.mark.parametrize("name", sorted(MONOIDS))
+def test_action_dst_is_the_generic_composites_of_a_commutative_monoid(name):
+    # No law runs ActionMonad.dst: dst-direct-agrees is a multiset law.
+    T, xs = ActionMonad(MONOIDS[name]), carrier([A, B, C])
+    rng = random.Random(0)
+    for _ in range(40):
+        u, v = random_tvalue(rng, T, xs), random_tvalue(rng, T, xs)
+        if not T.commutative:
+            with pytest.raises(NotCommutative):
+                T.dst(u, v)
+            continue
+        assert T.dst(u, v) == dst_strength_first(T, u, v) == dst_swapped_first(T, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -537,3 +565,56 @@ def test_error_messages_render_values_without_addresses():
     assert messages[5] == "expected a nat scalar, got an object of type function"
     term = FreeTerm(mat_identity(NAT, 1), (A,))
     assert render_elem(term) == str(term) == "k_1([1]; (a))"
+
+
+# ---------------------------------------------------------------------------
+# Input checks, each with its exception and message
+
+AB, T1 = carrier([A, B]), tropical(1)
+TERM_T1 = FreeTerm(matrix(TROPICAL, [[T1]]), (A,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Matrix(NAT, -1, 0, ()), DimensionMismatch, "matrix dimensions must be naturals"),
+        (lambda: Matrix(NAT, 2, 2, (nat(1),) * 3), DimensionMismatch,
+         "2x2 matrix needs 4 entries, got 3"),
+        (lambda: Aleph0Map(2, 3, (0, 1))(2), IndexOutOfRange, "argument 2 not below 2"),
+        (lambda: Aleph0Map(2, 3, (0, 1))(-1), IndexOutOfRange, "argument -1 not below 2"),
+        (lambda: aleph0_compose(Aleph0Map(1, 2, (0,)), Aleph0Map(3, 1, (0, 0, 0))),
+         DimensionMismatch, "functions do not compose"),
+        (lambda: FiniteCarrier((B, A)), ValueError,
+         "carrier elements must be strictly sorted and distinct"),
+        (lambda: FiniteCarrier((A, A)), ValueError,
+         "carrier elements must be strictly sorted and distinct"),
+        (lambda: CarrierMap(AB, AB, ((A, A), (B, B), (C, A))), ElementOutsideCarrier,
+         "table key c not in the domain"),
+        (lambda: CarrierMap(AB, AB, ((A, C), (B, B))), ElementOutsideCarrier,
+         "table value c not in the codomain"),
+        (lambda: CarrierMap(AB, AB, ((A, B),)), ElementOutsideCarrier,
+         "table misses domain element b"),
+        (lambda: MN.mult(ms_from_pairs(NAT, [(ms_from_pairs(TROPICAL, [(A, T1)]), nat(1))])),
+         TagMismatch, "inner multiset over tropical inside an outer one over nat"),
+        (lambda: tl_mult(FreeTerm(matrix(NAT, [[nat(1)]]), (TERM_T1,))),
+         TagMismatch, "inner term over tropical inside one over nat"),
+    ],
+    ids=[
+        "matrix-negative-dimension", "matrix-entry-count", "aleph0-argument-above",
+        "aleph0-argument-below", "aleph0-compose-domain", "carrier-unsorted",
+        "carrier-repeated", "carrier-map-key", "carrier-map-value", "carrier-map-missing",
+        "mult-inner-semiring", "tl-mult-inner-semiring",
+    ],
+)
+def test_an_input_check_raises_its_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_equal_carriers_compare_and_hash_alike():
+    built, listed = carrier([B, A, C]), FiniteCarrier((A, B, C))
+    assert built is not listed
+    assert built == listed and hash(built) == hash(listed)
+    assert built != carrier([A, B]) and built != (A, B, C)

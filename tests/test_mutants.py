@@ -248,9 +248,8 @@ def last_product_dropped(real):
     left factor's last column is replaced by zero, which each product with
     it absorbs."""
 
-    def direct(S, a, b, m, p):
-        zero = S.zero.payload
-        return real(S, [zero if i % m == m - 1 else x for i, x in enumerate(a)], b, m, p)
+    def direct(k, a, b, n, m, p):
+        return real(k, [k.zero if i % m == m - 1 else x for i, x in enumerate(a)], b, n, m, p)
 
     return direct
 
