@@ -65,7 +65,6 @@ from .algebra import (
     NAT,
     MonoidDescriptor,
     SEMIRINGS,
-    Scalar,
     SemiringDescriptor,
     canonical_from_nat,
     monoid_by_name,
@@ -241,6 +240,15 @@ def _check_semiring_map(S: SemiringDescriptor, E, f, samples) -> None:
                 raise NotASemiringMap(f"star not preserved at {a}")
 
 
+def _semiring_map_down(adjunction: str, S: SemiringDescriptor, target, E, point) -> HomWitness:
+    """The srng-e or mat-h down transpose: s |-> point(s), the image of the
+    endomap of 1 that s is ({*: s} or the 1 x 1 matrix (s)), as a semiring
+    map into E over ``target``, checked on S's pool and marked verified."""
+    f, pool = functools.cache(point), scalar_pool(S)
+    _check_semiring_map(S, E, f, pool)
+    return _verified(HomWitness("SemiringMap", S, target, f, pool), adjunction)
+
+
 def _check_monad_map(
     A: MonadInstance, T: MonadInstance, sigma, samples, nested, error
 ) -> None:
@@ -353,14 +361,9 @@ def transpose_srng(w: HomWitness) -> HomWitness:
     if w.kind == "MonadMapSample":
         MS, T, sigma = w.source, w.target, w.apply
         S = MS.semiring
-
-        @functools.cache
-        def f(s: Scalar):
-            return sigma(ms_from_pairs(S, [(STAR, s)]))
-
-        pool = scalar_pool(S)
-        _check_semiring_map(S, eval_at_one(T), f, pool)
-        return _verified(HomWitness("SemiringMap", S, T, f, pool), "srng-e")
+        return _semiring_map_down(
+            "srng-e", S, T, eval_at_one(T), lambda s: sigma(ms_from_pairs(S, [(STAR, s)]))
+        )
     raise ValueError(f"expected a SemiringMap or MonadMapSample witness, got {w.kind}")
 
 
@@ -441,14 +444,9 @@ def transpose_math(w: HomWitness) -> HomWitness:
         return HomWitness("TheoryFunctorSample", S, R, apply_mat, samples)
     if w.kind == "TheoryFunctorSample":
         S, R, F = w.source, w.target, w.apply
-
-        @functools.cache
-        def f(s: Scalar) -> Matrix:
-            return F(Matrix(S, 1, 1, (s,)))
-
-        pool = scalar_pool(S)
-        _check_semiring_map(S, homset_semiring(R), f, pool)
-        return _verified(HomWitness("SemiringMap", S, R, f, pool), "mat-h")
+        return _semiring_map_down(
+            "mat-h", S, R, homset_semiring(R), lambda s: F(Matrix(S, 1, 1, (s,)))
+        )
     raise ValueError(f"expected a SemiringMap or TheoryFunctorSample witness, got {w.kind}")
 
 

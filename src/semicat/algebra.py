@@ -120,15 +120,10 @@ class Scalar:
         return (self.tag, x) == (other.tag, y)
 
     def key(self) -> tuple:
-        if self.tag == "tropical":
-            inner = (1, 0) if self.payload is None else (0, self.payload)
-        elif self.tag == "bool":
-            inner = (int(self.payload),)
-        elif self.tag == "gaussian":
-            inner = self.payload  # (re, im) pair of Fractions
-        else:
-            inner = (self.payload,)
-        return ("scalar", self.tag, inner)
+        """Orders by tag, then payload, with ``None`` (tropical infinity)
+        after every other payload of its tag; equal exactly when the scalars are."""
+        x = self.payload
+        return ("scalar", self.tag, (1, 0) if x is None else (0, x))
 
     def __str__(self) -> str:
         return render_scalar(self)
@@ -375,34 +370,22 @@ FREE_WORDS = MonoidDescriptor(
 )
 
 
-def _scalar_member(desc: SemiringDescriptor) -> Callable[[object], bool] | None:
-    """For a built-in, the check that a value is a :class:`Scalar` tagged
-    with its name. Other semirings carry values of whatever type their
-    construction dictates, so they get no check."""
-    if desc.name not in _PAYLOAD_OPS:
-        return None
-    return lambda m, t=desc.name: isinstance(m, Scalar) and m.tag == t
+def _monoid(desc: SemiringDescriptor, kind: str, op: Callable, unit) -> MonoidDescriptor:
+    """The monoid ``name-kind`` of ``op`` and ``unit`` inside the semiring
+    ``desc``. Over a built-in its members are the :class:`Scalar` values of
+    that tag; other semirings' values, of any type, are not checked."""
+    t = desc.name
+    member = (lambda m: isinstance(m, Scalar) and m.tag == t) if t in _PAYLOAD_OPS else None
+    return MonoidDescriptor(f"{t}-{kind}", op, unit, commutative=True, member=member)
 
 
 def multiplicative_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
     """The multiplicative monoid sitting inside a semiring."""
-    return MonoidDescriptor(
-        name=f"{desc.name}-mul",
-        op=desc.mul,
-        unit=desc.one,
-        commutative=True,
-        member=_scalar_member(desc),
-    )
+    return _monoid(desc, "mul", desc.mul, desc.one)
 
 
 def additive_monoid(desc: SemiringDescriptor) -> MonoidDescriptor:
-    return MonoidDescriptor(
-        name=f"{desc.name}-add",
-        op=desc.add,
-        unit=desc.zero,
-        commutative=True,
-        member=_scalar_member(desc),
-    )
+    return _monoid(desc, "add", desc.add, desc.zero)
 
 
 MONOIDS: dict[str, MonoidDescriptor] = {
@@ -556,9 +539,12 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     """Parse a scalar literal in the named semiring's text grammar.
 
     Grammar per semiring: ``nat`` unsigned integers; ``bool`` ``0``/``1``;
-    ``tropical`` a signed integer or ``inf``; ``ratnn`` ``p`` or ``p/q``;
-    ``gaussian`` ``re``, ``imi``, or ``re+imi`` with rational parts
-    (``i`` alone means the imaginary unit).
+    ``tropical`` an integer or ``inf``; ``ratnn`` ``p`` or ``p/q``;
+    ``gaussian`` ``re``, ``imi``, ``re+imi`` or ``re-imi`` with rational
+    parts, ``im`` unsigned in the last two and optional for 1 (``i``,
+    ``2-i``). A number's only sign is a leading ``-``, save that ``imi``
+    alone may take ``+`` (``+i``, ``+3/4i``): ``+3``, ``+1+i`` and
+    ``1+-2i`` are errors.
     """
     name = desc if isinstance(desc, str) else desc.name
     grammar = _GRAMMARS.get(name)

@@ -30,7 +30,7 @@ import argparse
 import sys
 from contextlib import ExitStack, closing
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .adjunctions import (
     ADJUNCTION_NAMES,
@@ -69,10 +69,10 @@ __all__ = [
 # one, as a 0 x n or n x 0 table still costs n column lists or n lines.
 MAX_TABLE_ENTRIES = 1_000_000
 
-# The most cases ``laws --cases`` accepts. additivity, the slowest suite,
-# took 3.4 to 4.0 ms a case at the speed of the benchmark's reference loop
-# (bench/run.py, a 2.1 GHz Xeon), so the longest accepted run takes 14 to
-# 16 s.
+# The most cases ``laws --cases`` accepts. The longest accepted run, 4000
+# cases of additivity, the slowest suite, took 19.4 to 22.5 s in 3 fresh
+# processes on a shared 2-core Xeon: 12 to 16 s scaled to the speed of the
+# benchmark's reference loop (bench/run.py).
 MAX_CASES = 4000
 
 
@@ -180,13 +180,6 @@ def _input_lines(path: str) -> Iterator[str]:
             yield from text.splitlines()
 
 
-def _parse_file(path: str, parse: Callable[[Iterator[str]], Matrix]) -> Matrix:
-    """``parse`` applied to the lines of the input file ``path``; the file
-    is closed as soon as ``parse`` returns or raises."""
-    with closing(_input_lines(path)) as lines:
-        return parse(lines)
-
-
 def _cmd_laws(args) -> int:
     if args.cases > MAX_CASES:
         raise SizeLimitExceeded(f"--cases {args.cases} is above the cap of {MAX_CASES}")
@@ -226,7 +219,9 @@ def _cmd_matmul(args) -> int:
 
 
 def _cmd_shortest_path(args) -> int:
-    table = bounded_paths(_parse_file(args.graph, parse_graph_text), args.max_hops)
+    with closing(_input_lines(args.graph)) as lines:
+        weights = parse_graph_text(lines)
+    table = bounded_paths(weights, args.max_hops)
     rows = _render_rows(table.tag, table.values, table.rows, table.cols)
     sys.stdout.write("".join(row + "\n" for row in rows))
     return 0

@@ -160,18 +160,17 @@ def kl_coproj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:
 
 
 def kl_proj(T: MonadInstance, side: int, n: int, m: int) -> KleisliMap:
-    """Projection out of n+m: the unit on its own block, zero on the other."""
+    """Projection out of n+m onto the block ``(shift, width)`` that
+    :func:`kl_coproj` injects: the unit on that block, zero on the other."""
     if not T.additive:
         raise NotAdditive(f"{T.name} has no projections")
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
     _naturals(n, m)
-    zero = tx_zero(T)
-    if side == 1:
-        comps = tuple(T.unit(Atom(i)) if i < n else zero for i in range(n + m))
-        return _built(T, n + m, n, comps)
-    comps = tuple(zero if i < n else T.unit(Atom(i - n)) for i in range(n + m))
-    return _built(T, n + m, m, comps)
+    shift, width = (0, n) if side == 1 else (n, m)
+    comps = [tx_zero(T)] * (n + m)
+    comps[shift : shift + width] = [T.unit(Atom(i)) for i in range(width)]
+    return _built(T, n + m, width, tuple(comps))
 
 
 def kl_zero(T: MonadInstance, n: int, m: int) -> KleisliMap:

@@ -31,12 +31,12 @@ operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
 is built from. Compose has its own sum-of-products kernel per built-in:
 any/and for bool, which stops at the first true product, min-plus on
 ints for tropical, and integer dot products for nat, ratnn and gaussian,
-all taken by :func:`_dots`; a product of at most ``_DIRECT_MAX`` inner
-steps skips them for :func:`_direct`, the one plain sum-of-products
-loop. From ``_PACK_MIN`` (9 * 9 * 9) inner steps up, :func:`_dots`
-packs each row of the right factor into one int with a slot per column
-(Kronecker substitution), so one big-int sum per output row holds that
-whole row, and one ``struct`` unpack splits it.
+all taken by :func:`_dots`. A product of at most ``_DIRECT_MAX`` inner
+steps, so every one with an empty dimension, skips them for :func:`_direct`,
+the one plain sum-of-products loop. From ``_PACK_MIN`` (9 * 9 * 9) inner
+steps up, :func:`_dots` packs each row of the right factor into one int
+with a slot per column (Kronecker substitution), so one big-int sum per
+output row holds that whole row, and one ``struct`` unpack splits it.
 A slot is 1, 2, 4 or 8 bytes, the smallest width that holds every dot,
 each at most m * max|a| * max|c| for inner dimension m, doubled by the
 bias that lifts signed gaussian parts. A smaller product, or one that
@@ -270,8 +270,7 @@ def _dots(rows: list, cols: list) -> list:
     output row at a time from ``_PACK_MIN`` inner steps up, in the
     narrowest slots that hold every dot and every packed entry, and else,
     or where 8 bytes would not hold them, one ``sum`` per entry."""
-    n, p = len(rows), len(cols)
-    m = len(rows[0]) if rows else 0
+    n, m, p = len(rows), len(rows[0]), len(cols)
     if n * m * p >= _PACK_MIN:
         alo, ahi = min(map(min, rows)), max(map(max, rows))
         clo, chi = min(map(min, cols)), max(map(max, cols))
@@ -328,8 +327,7 @@ def _guarded_slots(top: int) -> tuple[int, str] | None:
 
 
 def _tropical_products(rows: list, cols: list) -> list:
-    n, p = len(rows), len(cols)
-    m = len(rows[0]) if rows else 0
+    n, m, p = len(rows), len(rows[0]), len(cols)
     # Packed rows win from _PACK_MIN inner steps up once the output has 4
     # rows and 4 columns. With fewer, one packed step per inner index does
     # less than the mins it replaces, or one row pays for packing the right
@@ -353,7 +351,7 @@ def _tropical_products(rows: list, cols: list) -> list:
     big = 3 * bound + 1
     rows = [[big if x is None else x for x in r] for r in rows]
     cols = [[big if x is None else x for x in c] for c in cols]
-    sums = [min(map(add, r, c), default=big) for r in rows for c in cols]
+    sums = [min(map(add, r, c)) for r in rows for c in cols]
     return [None if x > 2 * bound else x for x in sums]
 
 
@@ -396,8 +394,6 @@ def _over_lcm(qs: list) -> tuple[int, list[int]]:
 
 
 def _ratnn_products(rows: list, cols: list) -> list:
-    if not rows or not cols:
-        return []
     row_dens, a = zip(*map(_over_lcm, rows))
     col_dens, c = zip(*map(_over_lcm, cols))
     return list(map(_ratio, _dots(a, c), [rd * cd for rd in row_dens for cd in col_dens]))
@@ -414,8 +410,6 @@ def _gaussian_over_lcm(pairs: list) -> tuple:
 def _gaussian_products(rows: list, cols: list) -> list:
     # Gauss's three products: (a + bi)(c + di) has re = ac - bd and
     # im = (a + b)(c + d) - ac - bd.
-    if not rows or not cols:
-        return []
     row_dens, a, b, a_b = zip(*map(_gaussian_over_lcm, rows))
     col_dens, c, d, c_d = zip(*map(_gaussian_over_lcm, cols))
     dens = [rd * cd for rd in row_dens for cd in col_dens]
@@ -427,14 +421,14 @@ def _gaussian_products(rows: list, cols: list) -> list:
 
 class _Kernel(NamedTuple):
     """What the matrix operations compute with. ``products`` takes the rows
-    of one matrix and the columns of another and returns every row-by-column
-    sum of products, row major: over nat, ratnn and gaussian from the
-    integer dots of :func:`_dots`, and over tropical from packed min-plus
-    rows, a packed output row at a time from ``_PACK_MIN`` inner steps
-    up, and entry by entry below it and over bool. Any other descriptor
-    has none, and its composes, as tiny ones over a built-in, take
-    :func:`_direct`. The rest are the scalar operations and constants, on
-    values as a matrix stores them."""
+    of one matrix and the columns of another, as only :func:`mat_compose`
+    passes them: at least one of each, over ``_DIRECT_MAX`` inner steps.
+    It returns every row-by-column sum of products, row major: over nat,
+    ratnn and gaussian from the integer dots of :func:`_dots`, and over
+    tropical from packed min-plus rows from ``_PACK_MIN`` inner steps up,
+    and entry by entry below it and over bool. Any other descriptor has
+    none; its composes take :func:`_direct`. The rest are the scalar
+    operations and constants, on values as a matrix stores them."""
 
     products: Callable[[list, list], list] | None
     add: Callable

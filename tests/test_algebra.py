@@ -281,6 +281,37 @@ def test_monoid_member_guard():
 
 
 # ---------------------------------------------------------------------------
+# Scalar keys
+
+
+def reference_scalar_key(s) -> tuple:
+    """The sort key of a scalar, written per tag."""
+    if s.tag == "tropical":
+        inner = (1, 0) if s.payload is None else (0, s.payload)
+    elif s.tag == "bool":
+        inner = (int(s.payload),)
+    elif s.tag == "gaussian":
+        inner = s.payload  # (re, im) pair of Fractions
+    else:
+        inner = (s.payload,)
+    return ("scalar", s.tag, inner)
+
+
+KEYED_SCALARS = [
+    *(x for S in SEMIRINGS.values() for x in scalar_pool(S)),
+    tropical(None),
+    *(gaussian(re, im) for re in (1, -1) for im in (-1, 0, Fraction(1, 2), 2, -3)),
+]
+
+
+def test_scalar_keys_compare_as_the_per_tag_reference():
+    for x, y in itertools.product(KEYED_SCALARS, repeat=2):
+        got, want = (x.key(), y.key()), (reference_scalar_key(x), reference_scalar_key(y))
+        assert (got[0] < got[1], got[0] == got[1]) == (want[0] < want[1], want[0] == want[1]), (
+            x, y)
+
+
+# ---------------------------------------------------------------------------
 # Registry lookups
 
 

@@ -438,26 +438,28 @@ LINE_TEXTS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(LINE_TEXTS, st.integers(1, 9))
-@example("3\r\n0 1 5\r\n", 2)  # the CRLF after "3" spans two reads
-@example("ab\r\r\ncd", 3)  # a CR ends the first read, then a CRLF
-@example("\u00e9\r\u00e9", 1)  # two-byte characters split by every read
-def test_input_lines_are_the_texts_splitlines(text, block):
+@example("3\r\n0 1 5\r\n", 2)  # a batch of 2 ends in the CR after "3"; readline adds its LF
+@example("ab\r\r\ncd", 3)  # a batch ends in a lone CR, and readline reads the CRLF line after it
+@example("\u00e9\r\u00e9", 1)  # a batch of 1 is one two-byte character; readline adds the CR
+def test_input_lines_are_the_texts_splitlines(text, hint):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "g.graph")
         path.write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_READ_HINT", block)
+            mp.setattr(cli, "_READ_HINT", hint)
             assert list(cli._input_lines(str(path))) == text.splitlines()
 
 
-@pytest.mark.parametrize("block", [7, 8, 9, 64])
-def test_a_line_that_ends_a_read_in_cr_is_parsed_before_the_next_is_decoded(
-    capsys, monkeypatch, tmp_path, block
+@pytest.mark.parametrize("hint", [7, 8, 9, 64])
+def test_a_line_that_ends_a_read_hint_batch_in_cr_is_parsed_before_the_next_is_decoded(
+    capsys, monkeypatch, tmp_path, hint
 ):
-    # Read 8 bytes at a time, the first read ends in the CR after "x": the
-    # next read does not start with LF, so line 2 is parsed, and fails,
-    # before the 0xff on line 3 is decoded.
-    monkeypatch.setattr(cli, "_READ_HINT", block)
+    # Each batch is _READ_HINT characters plus the rest of the line it ends
+    # in, by readline. At 8 the first batch ends in the CR after "x", and
+    # readline adds line 3 with its 0xff; at 7 readline adds that CR, and
+    # from 9 up the 0xff is in the first batch. At every hint line 2 is
+    # parsed, and fails, before the 0xff on line 3 is reported.
+    monkeypatch.setattr(cli, "_READ_HINT", hint)
     path = tmp_path / "g.graph"
     path.write_bytes(b"3\r0 1 x\r\xff\r")
     assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2

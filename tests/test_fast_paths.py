@@ -403,6 +403,13 @@ def _counting_direct(monkeypatch):
 @pytest.mark.parametrize("S", SEMIRINGS.values(), ids=lambda S: S.name)
 def test_direct_compose_equals_the_naive_compose(monkeypatch, S):
     calls = _counting_direct(monkeypatch)
+    kernel, shapes = matcat._KERNELS[S], []
+
+    def products(rows, cols):
+        shapes.append((len(rows), len(rows[0]) if rows else 0, len(cols)))
+        return kernel.products(rows, cols)
+
+    monkeypatch.setitem(matcat._KERNELS, S, kernel._replace(products=products))
     top = matcat._DIRECT_MAX + 1
     rng = random.Random(0)
     for n, m, p in itertools.product(range(top + 1), repeat=3):
@@ -415,6 +422,8 @@ def test_direct_compose_equals_the_naive_compose(monkeypatch, S):
             assert len(calls) - before == (n * m * p <= matcat._DIRECT_MAX)
             assert got == want and str(got) == str(want)
             assert [type(v) for v in got.values] == [type(v) for v in want.values]
+    # Every kernel call has at least one row, one inner step and one column.
+    assert shapes and all(map(all, shapes))
 
 
 def test_a_twin_keeps_its_own_operations():
