@@ -28,6 +28,16 @@ witness, and the function it builds, once per distinct (hashable)
 argument: results are kept for the life of the returned witness. An
 exception is not kept, so an argument that raises raises on every call.
 
+The operations that the transposes and their checks repeat are pure too,
+and each run (one :func:`run_suite` or :func:`run_roundtrip` call)
+evaluates them once per distinct argument (:func:`_once`): the monad of a
+semiring or monoid; srng-e's ``tx_add`` and ``scalar_action``; each side's
+swap, strength at the point, involution and flattening in a monad-map
+check; and mat-h's hom-set semiring, whose addition and multiplication
+remember their results as eval_at_one's do. Every equation is still
+evaluated by the generic composites; only a second evaluation on equal
+arguments is skipped, and nothing is kept from one run to the next.
+
 :func:`run_suite` drives the eight named law suites from one table: per
 suite, its default subjects, the name format of a subject and the builder
 of a subject's law rows, which takes only that subject. ``run_suite``
@@ -57,6 +67,7 @@ import functools
 import itertools
 import random
 import weakref
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -89,7 +100,7 @@ from .freetheory import (
     tl_unit,
 )
 from .kleisli import (
-    KleisliMap,
+    _built,
     kl_compose,
     kl_coproj,
     kl_cotuple,
@@ -132,6 +143,8 @@ from .monadcore import (
     MultisetMonad,
     Pair,
     STAR,
+    _END,
+    _remembered,
     carrier,
     carrier_map,
     dst_strength_first,
@@ -210,6 +223,31 @@ def _verified(w: HomWitness, adjunction: str) -> HomWitness:
     return w
 
 
+# The memo table of the run in progress in this context, or None between
+# runs: see _once.
+_RUN_TABLE: ContextVar[dict | None] = ContextVar("run_table", default=None)
+
+
+def _once(op: Callable, *args):
+    """``op(*args)``, evaluated once per run (:func:`_run_laws`) for equal
+    arguments: the result is kept by ``op`` and ``args``. Monads and
+    descriptors hash by identity, so a twin never reads another's result,
+    and callers pass ``op`` by its module-level name, so a rebinding of
+    that name gets a table of its own. Outside a run, or for an unhashable
+    argument, ``op`` runs every time; what raises is never kept."""
+    table = _RUN_TABLE.get()
+    if table is None:
+        return op(*args)
+    key = (op, *args)
+    try:
+        out = table.get(key, _END)
+    except TypeError:
+        return op(*args)
+    if out is _END:
+        out = table[key] = op(*args)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The structure checks the three triangles share
 
@@ -249,6 +287,15 @@ def _semiring_map_down(adjunction: str, S: SemiringDescriptor, target, E, point)
     return _verified(HomWitness("SemiringMap", S, target, f, pool), adjunction)
 
 
+_XS = carrier([Atom("a"), Atom("b")])
+_SWAP = carrier_map(_XS, _XS, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
+
+
+def _swapped(T: MonadInstance, u):
+    """T of the swap of a and b, applied to u."""
+    return T.fmap(_SWAP, u)
+
+
 def _check_monad_map(
     A: MonadInstance, T: MonadInstance, sigma, samples, nested, error
 ) -> None:
@@ -256,23 +303,25 @@ def _check_monad_map(
     on the samples: it keeps units, commutes with T of a swap, with the
     strength at the point and, when both monads have one, the involution,
     and sends the flattening of each ``nested`` value of A(A(X)) to the
-    flattening of its image."""
-    xs = carrier([Atom("a"), Atom("b")])
-    swap = carrier_map(xs, xs, {Atom("a"): Atom("b"), Atom("b"): Atom("a")})
-    for x in xs:
+    flattening of its image. Each side's swap, strength, involution and
+    flattening is evaluated once per run for equal arguments (:func:`_once`)."""
+    for x in _XS:
         if sigma(A.unit(x)) != T.unit(x):
             raise error(f"unit law fails at {x}")
     for v in samples:
-        if T.fmap(swap, sigma(v)) != sigma(A.fmap(swap, v)):
+        image = sigma(v)
+        if _once(_swapped, T, image) != sigma(_once(_swapped, A, v)):
             raise error(f"naturality fails at {v}")
-        if generic_strength(T, sigma(v), STAR) != sigma(generic_strength(A, v, STAR)):
+        if _once(generic_strength, T, image, STAR) != sigma(
+            _once(generic_strength, A, v, STAR)
+        ):
             raise error(f"strength square fails at {v}")
         if A.involutive and T.involutive:
-            if sigma(A.involution(v)) != T.involution(sigma(v)):
+            if sigma(_once(A.involution, v)) != _once(T.involution, image):
                 raise error(f"involution square fails at {v}")
     for vv in nested:
-        lhs = sigma(A.mult(vv))
-        rhs = T.mult(T.fmap(sigma, sigma(vv)))
+        lhs = sigma(_once(A.mult, vv))
+        rhs = _once(T.mult, T.fmap(sigma, sigma(vv)))
         if lhs != rhs:
             raise error(f"multiplication square fails at {vv}")
 
@@ -295,7 +344,7 @@ def transpose_mon(w: HomWitness) -> HomWitness:
         def sigma(v: ActVal):
             return T.fmap(lambda p: p.right, generic_strength(T, f(v.m), v.elem))
 
-        A = ActionMonad(M)
+        A = _once(ActionMonad, M)
         samples = tuple(
             ActVal(m, x) for m in w.samples for x in (Atom("a"), Atom("b"))
         )
@@ -339,10 +388,10 @@ def transpose_srng(w: HomWitness) -> HomWitness:
         def sigma(phi: Multiset):
             acc = tx_zero(T)
             for x, s in phi.entries:
-                acc = tx_add(T, acc, scalar_action(T, f(s), T.unit(x)))
+                acc = _once(tx_add, T, acc, _once(scalar_action, T, f(s), T.unit(x)))
             return acc
 
-        MS = MultisetMonad(S)
+        MS = _once(MultisetMonad, S)
         a, b, xs = Atom("a"), Atom("b"), tuple(w.samples)
         samples = (
             (ms_from_pairs(S, []),)
@@ -410,6 +459,13 @@ def _check_theory_functor(
         F(h)
 
 
+def _homset(R: SemiringDescriptor) -> SemiringDescriptor:
+    """homset_semiring(R), with its addition and multiplication remembered
+    by argument pair, as eval_at_one's are."""
+    H = homset_semiring(R)
+    return replace(H, add=_remembered(H.add), mul=_remembered(H.mul))
+
+
 def transpose_math(w: HomWitness) -> HomWitness:
     """The bijection between semiring maps S -> homset_semiring(R) and
     functors of matrix theories Mat(S) -> Mat(R), for witnesses from S to
@@ -417,7 +473,7 @@ def transpose_math(w: HomWitness) -> HomWitness:
     if w.kind == "SemiringMap":
         S, R, f = w.source, w.target, functools.cache(w.apply)
         if _VERIFIED.get(w) != "mat-h":
-            _check_semiring_map(S, homset_semiring(R), f, w.samples)
+            _check_semiring_map(S, _once(_homset, R), f, w.samples)
 
         @functools.cache
         def apply_mat(h: Matrix) -> Matrix:
@@ -445,7 +501,7 @@ def transpose_math(w: HomWitness) -> HomWitness:
     if w.kind == "TheoryFunctorSample":
         S, R, F = w.source, w.target, w.apply
         return _semiring_map_down(
-            "mat-h", S, R, homset_semiring(R), lambda s: F(Matrix(S, 1, 1, (s,)))
+            "mat-h", S, R, _once(_homset, R), lambda s: F(Matrix(S, 1, 1, (s,)))
         )
     raise ValueError(f"expected a SemiringMap or TheoryFunctorSample witness, got {w.kind}")
 
@@ -519,23 +575,30 @@ def _first_failure(cases: Iterable[tuple], holds: Callable) -> tuple:
 
 
 def _run_laws(tables, rng: random.Random | None, draws: int) -> list:
-    """One (subject, law, ok, detail) entry per row of each subject's
-    table; a sampled row is drawn ``draws`` times. An exception in a law's
-    check fails that law alone and the run goes on."""
-    entries = []
-    for subject, rows in tables:
-        for name, cases, holds in rows:
-            if cases is None:
-                try:
-                    ok, detail = holds()
-                except Exception as exc:
-                    ok, detail = False, _error_detail(exc)
-            elif callable(cases):
-                ok, detail = _first_failure((cases(rng) for _ in range(draws)), holds)
-            else:
-                ok, detail = _first_failure(cases, holds)
-            entries.append((subject, name, ok, detail))
-    return entries
+    """One (subject, law, ok, detail) entry per row of each (subject,
+    builder of its rows) in ``tables``; a sampled row is drawn ``draws``
+    times. An exception in a law's check fails that law alone and the run
+    goes on. Each subject's rows are built just before they run, so what
+    they share (an adjunction's transposes) is freed before the next
+    subject's; the run's memo table for :func:`_once` goes when it returns."""
+    token = _RUN_TABLE.set({})
+    try:
+        entries = []
+        for subject, build in tables:
+            for name, cases, holds in build():
+                if cases is None:
+                    try:
+                        ok, detail = holds()
+                    except Exception as exc:
+                        ok, detail = False, _error_detail(exc)
+                elif callable(cases):
+                    ok, detail = _first_failure((cases(rng) for _ in range(draws)), holds)
+                else:
+                    ok, detail = _first_failure(cases, holds)
+                entries.append((subject, name, ok, detail))
+        return entries
+    finally:
+        _RUN_TABLE.reset(token)
 
 
 def _grid(*sizes: int) -> list[tuple]:
@@ -1159,7 +1222,7 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         # E with its addition looked up here at each call, as everywhere in
         # this module, so the law checks whatever tx_add this module sees
         values = replace(E, add=lambda a, b: tx_add(T, a, b))
-        as_map = lambda u: KleisliMap(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
+        as_map = lambda u: _built(T, 1, 1, (T.fmap(lambda e: Atom(0), u),))
         pool = [ms_from_pairs(S, [(STAR, s)]) for s in scalar_pool(S)] + [tx_zero(T)]
         _check_semiring_map(values, kleisli_homset_semiring(T), as_map, pool)
         return True
@@ -1211,7 +1274,7 @@ def _witnesses(adjunction: str, S: SemiringDescriptor) -> list[HomWitness]:
     if adjunction == "mat-h":
         target, point = S, lambda s: Matrix(S, 1, 1, (s,))
     else:
-        target, point = MultisetMonad(S), lambda s: ms_from_pairs(S, [(STAR, s)])
+        target, point = _once(MultisetMonad, S), lambda s: ms_from_pairs(S, [(STAR, s)])
     kind, own, nat = "SemiringMap", S, NAT
     if adjunction == "mon-e":
         kind, own, nat = "MonoidMap", multiplicative_monoid(S), MONOIDS["nat-mul"]
@@ -1345,7 +1408,8 @@ def run_roundtrip(adjunction: str, semiring_name: str, involutive: bool = False)
             raise UnknownSuite(f"{adjunction} has no involutive refinement")
         if S.star is None:
             raise NoInvolution(f"{S.name} has no star operation")
-    table = [(f"adjunction({S.name})", _adjunction_rows(adjunction, S, involutive))]
+    rows = functools.partial(_adjunction_rows, adjunction, S, involutive)
+    table = [(f"adjunction({S.name})", rows)]
     return _report(f"roundtrip({adjunction})", _run_laws(table, None, 0))
 
 
@@ -1392,7 +1456,5 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if over_monads:
         subjects = [MultisetMonad(S) for S in subjects]
         subjects += [ActionMonad(monoid_by_name(name)) for name in monoids]
-    # Each subject's rows are built just before they run, so what they share
-    # (an adjunction's transposes) is freed before the next subject's run.
-    tables = ((subject_name.format(x.name), build(x)) for x in subjects)
+    tables = [(subject_name.format(x.name), functools.partial(build, x)) for x in subjects]
     return _report(config.suite, _run_laws(tables, random.Random(config.seed), config.cases))

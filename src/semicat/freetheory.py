@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import _describe
 from .errors import MalformedTerm, NoInvolution, TagMismatch
-from .kleisli import KleisliMap
+from .kleisli import _built
 from .matcat import Aleph0Map, Matrix, aleph0_embed, mat_compose, mat_identity
 from .monadcore import (
     Atom,
@@ -131,7 +131,8 @@ def tl_involution(t: FreeTerm) -> FreeTerm:
 def law_unit_functor(f: Matrix):
     """A matrix as a multiset-monad Kleisli map: component i is the normal
     form of row i applied to the identity tuple of atoms. Functorial and
-    coproduct preserving."""
+    coproduct preserving. Each component is a value over the map's
+    codomain by construction, so the map is built unchecked."""
     S = f.semiring
     idx = tuple(Atom(j) for j in range(f.cols))
     comps = []
@@ -139,4 +140,4 @@ def law_unit_functor(f: Matrix):
         point = aleph0_embed(Aleph0Map(1, f.rows, (i,)), S)
         row = mat_compose(point, f)
         comps.append(term_normalize(FreeTerm(row, idx)))
-    return KleisliMap(MultisetMonad(S), f.rows, f.cols, tuple(comps))
+    return _built(MultisetMonad(S), f.rows, f.cols, tuple(comps))

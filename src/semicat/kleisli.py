@@ -8,11 +8,13 @@ through the functors :func:`xi` and :func:`theta`, built from the m-ary
 bicartesian map :func:`bc_m`.
 
 :class:`KleisliMap` checks every component it is given. The constructors
-of this module, and ``sampling.random_kleisli``, build components that are
+of this module, ``sampling.random_kleisli``, ``freetheory.law_unit_functor``
+and the ``homset-agrees`` law of ``kleisli-iso`` build components that are
 values over their codomain by construction, so they make their maps
-unchecked (:func:`_built`); each still raises ``DimensionMismatch`` on
-objects that are not naturals and ``MonadMismatch`` on maps over two
-monads, with the messages of the checked map.
+unchecked (:func:`_built`); each constructor still raises
+``DimensionMismatch`` on objects that are not naturals and
+``MonadMismatch`` on maps over two monads, with the messages of the
+checked map.
 """
 
 from __future__ import annotations
@@ -343,7 +345,7 @@ def kleisli_homset_semiring(T: MonadInstance) -> SemiringDescriptor:
     if not T.additive:
         raise NotAdditive(f"{T.name} has no endomap semiring")
     one = kl_id(T, 1)
-    zero = kl_compose(kl_zero(T, 1, 0), KleisliMap(T, 0, 1, ()))
+    zero = kl_compose(kl_zero(T, 1, 0), _built(T, 0, 1, ()))
     diag = kl_tuple(one, one)
     codiag = kl_cotuple(one, one)
 

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from operator import add, and_, mul
 from struct import Struct
@@ -157,7 +158,10 @@ class Matrix:
     such as a hom-set or evaluation semiring, keeps its values as given.
     Equality compares the semiring's name, shape, and values, so a matrix
     over a twin of a built-in equals the built-in one holding the same
-    scalars.
+    scalars. Over ratnn and gaussian it compares two ``Fraction`` values,
+    or two gaussian pairs of them, by their integer ratios, as
+    ``Scalar.__eq__`` does (:func:`_same_payload`); the result is the
+    tuple equality of the values.
     """
 
     semiring: SemiringDescriptor
@@ -200,13 +204,16 @@ class Matrix:
         return self._box(self.values[i * self.cols : (i + 1) * self.cols])
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, Matrix)
             and self.tag == other.tag
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.values == other.values
-        )
+        ):
+            return False
+        if self.tag in _RATIO_TAGS:
+            return all(map(_same_payload, self.values, other.values))
+        return self.values == other.values
 
     def __hash__(self) -> int:
         return hash(("matrix", self.tag, self.rows, self.cols, self.values))
@@ -216,6 +223,27 @@ class Matrix:
             "[" + ",".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)
         )
         return f"[{body}]"
+
+
+# The built-ins whose payloads are Fractions or pairs of them.
+_RATIO_TAGS = frozenset((RATNN.name, GAUSSIAN.name))
+
+
+def _same_payload(x, y) -> bool:
+    """``x == y`` as a tuple compares its items, with two ``Fraction``
+    payloads, or two gaussian pairs of them, compared by their integer
+    ratios: ``Fraction.__eq__`` first asks the ``numbers.Rational`` ABC
+    about its argument, which costs more than the comparison."""
+    if x is y:
+        return True
+    if x.__class__ is Fraction is y.__class__:
+        return x._numerator == y._numerator and x._denominator == y._denominator
+    if x.__class__ is tuple is y.__class__ and len(x) == 2 == len(y):
+        (a, b), (c, d) = x, y
+        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
+            return (a._numerator, a._denominator, b._numerator, b._denominator) == (
+                c._numerator, c._denominator, d._numerator, d._denominator)
+    return x == y
 
 
 def _matrix(S: SemiringDescriptor, rows: int, cols: int, values) -> Matrix:

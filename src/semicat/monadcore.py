@@ -271,7 +271,12 @@ class Multiset(Elem):
         )
 
     def __hash__(self) -> int:
-        return hash(("multiset", self.semiring.name, self.entries))
+        # Kept on first use: hashing the entries is Python-level down to
+        # each Fraction, and memo tables hash one value many times.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(("multiset", self.semiring.name, self.entries))
+        return h
 
     def __str__(self) -> str:
         return render_multiset(self)
@@ -648,8 +653,11 @@ def eval_at_one(T: MonadInstance):
     and stored on the instance; every later call returns that object. Its
     addition and multiplication remember their results by argument pair,
     for as long as the instance lives: a result is still the generic
-    composite, computed once for equal arguments. Monads are built per
-    run, so nothing is remembered from one run to the next.
+    composite, computed once for equal arguments. The law runs build
+    their monads per run (``adjunctions`` keeps one multiset monad per
+    semiring for the length of a run, with its other memo tables, and
+    drops them when the run returns), so nothing is remembered from one
+    run to the next.
     """
     if T._eval1 is None:
         T._eval1 = _build_eval_at_one(T)

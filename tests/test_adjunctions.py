@@ -1,11 +1,13 @@
 """Hom-set transposes, witness validation, and the law-suite runner."""
 
+import gc
 import hashlib
 import importlib
 import pkgutil
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -578,6 +580,26 @@ def test_a_roundtrip_transposes_and_checks_each_witness_once(
     calls = count_calls(monkeypatch)
     assert run_roundtrip(adjunction, "nat", involutive).ok
     assert dict(calls) == ROUNDTRIP_WORK[(adjunction, involutive)]
+
+
+def test_no_memo_outlives_its_run(monkeypatch):
+    """A run's memo tables go when it returns: a second run reads the
+    module's names afresh, and nothing the first run computed is kept."""
+    assert run_roundtrip("srng-e", "nat").ok
+    assert adjunctions._RUN_TABLE.get() is None
+    images = []
+
+    def unscaled(T, s, u):
+        # the mutant row's action, which leaves u unscaled
+        images.append(weakref.ref(u))
+        return u
+
+    monkeypatch.setattr(adjunctions, "scalar_action", unscaled)
+    verdicts = {e[1]: e[2] for e in run_roundtrip("srng-e", "nat").entries}
+    assert verdicts["srng-e-roundtrip"] is False
+    assert adjunctions._RUN_TABLE.get() is None
+    gc.collect()
+    assert images and all(ref() is None for ref in images)
 
 
 ALGEBRAIC_CHECKS = {

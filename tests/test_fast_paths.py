@@ -7,10 +7,11 @@ equal ``ms_from_pairs`` over the same pairs, also over a twin descriptor
 and over a semiring with zero divisors. ``eval_at_one`` remembers its sums
 and products per monad instance, and the Kleisli constructors build their
 maps without re-checking them, but keep their own checks of objects and
-monads. ``Scalar.__eq__`` compares ``Fraction`` payloads by their integer
-ratios, ``random_multiset`` builds its canonical value from sampled
-positions, and ``mat_compose`` sums tiny products directly: each must
-agree with the general path it skips.
+monads. ``Scalar.__eq__`` and ``Matrix.__eq__`` compare ``Fraction``
+payloads by their integer ratios, a multiset keeps its hash,
+``random_multiset`` builds its canonical value from sampled positions,
+and ``mat_compose`` sums tiny products directly: each must agree with the
+general path it skips.
 """
 
 import itertools
@@ -44,6 +45,7 @@ from semicat.errors import (
     MonoidMismatch,
     TagMismatch,
 )
+from semicat.freetheory import law_unit_functor
 from semicat.kleisli import (
     KleisliMap,
     kl_compose,
@@ -55,6 +57,7 @@ from semicat.kleisli import (
     kl_tensor,
     kl_tuple,
     kl_zero,
+    kleisli_homset_semiring,
     theta,
     xi,
 )
@@ -65,6 +68,7 @@ from semicat.monadcore import (
     Atom,
     Inl,
     Inr,
+    Multiset,
     MultisetMonad,
     Pair,
     carrier,
@@ -159,6 +163,16 @@ def test_each_short_path_equals_the_general_merge(subject, data):
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(subjects_and_values())
+def test_a_multiset_keeps_the_hash_of_its_entries(subject):
+    T, value, _ = subject
+    u = value()
+    want = hash(("multiset", u.semiring.name, u.entries))
+    assert hash(u) == want == hash(u)
+    assert hash(u) == hash(Multiset(T.semiring, u.entries))  # the twin's too
+
+
 def test_a_vanishing_product_or_merge_leaves_no_entry():
     T = MultisetMonad(Z4)
     two_a, two_b = ms_from_pairs(Z4, [(Atom("a"), 2)]), ms_from_pairs(Z4, [(Atom("b"), 2)])
@@ -250,7 +264,8 @@ def test_unchecked_kleisli_maps_equal_checked_ones():
         u, v, random_kleisli(rng, ActionMonad(FREE_WORDS), 3, 2),
         kl_proj(T, 1, 2, 1), kl_proj(T, 2, 1, 2), kl_zero(T, 2, 3), kl_zero(T, 0, 1),
         kl_cotuple(f, kl_zero(T, 1, 3)), kl_tuple(u, v), kl_tensor(u, v), kl_dagger(u),
-        xi(G, theta(u)),
+        xi(G, theta(u)), kleisli_homset_semiring(G).zero,
+        *(law_unit_functor(random_matrix(rng, GAUSSIAN, n, m)) for n, m in ((0, 2), (2, 0), (3, 2))),
     )
     for k in (*built, kl_id(T, 3), g):
         # The checked constructor accepts what the unchecked one built.
@@ -341,6 +356,10 @@ SCALARS = POOL + [Scalar(s.tag, _copy(s.payload)) for s in POOL] + [
     Scalar("gaussian", (_Ratio(1), Fraction(0))),
     Scalar("gaussian", ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))),
     Scalar("tropical", None),
+    # each differs from a pool value in one denominator alone
+    Scalar("ratnn", Fraction(7, 2)),
+    Scalar("gaussian", (Fraction(1, 3), Fraction(-3, 4))),
+    Scalar("gaussian", (Fraction(1, 2), Fraction(-3, 5))),
 ]
 
 
@@ -353,6 +372,27 @@ def test_scalar_equality_is_tuple_equality():
             assert a.__eq__(other) is NotImplemented
         if type(a.payload) is not list:
             assert hash(a) == hash((a.tag, a.payload))
+
+
+def test_matrix_equality_is_tuple_equality():
+    """The matrix twin of the test above, over the same payload forms: the
+    second entry is compared after an equal first one, in either shape."""
+
+    def mat(tag, rows, cols, values):
+        return matcat._matrix(SEMIRINGS[tag], rows, cols, values)
+
+    for a, b in itertools.product(SCALARS, repeat=2):
+        g = mat(a.tag, 1, 2, (a.payload, a.payload))
+        for h in (
+            mat(a.tag, 1, 2, (_copy(a.payload), b.payload)),
+            mat(a.tag, 2, 1, (a.payload, b.payload)),
+            mat(b.tag, 1, 2, (a.payload, b.payload)),
+        ):
+            want = (g.tag, g.rows, g.cols, g.values) == (h.tag, h.rows, h.cols, h.values)
+            assert (g == h) is want and (g != h) is (not want), (a, b, h.rows)
+        assert (mat(a.tag, 1, 1, (a.payload,)) == mat(b.tag, 1, 1, (b.payload,))) is (
+            (a.tag, a.payload) == (b.tag, b.payload))
+        assert g != a and g != g.values
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,9 @@ def right_factor_ignored(real):
 
 
 def keyed_on_first_argument(real):
-    """eval_at_one whose addition and multiplication remember each result
-    by their first argument alone."""
+    """``real``, a builder of a semiring or monoid of values (eval_at_one,
+    or mat-h's remembered hom-set semiring), whose addition and
+    multiplication remember each result by their first argument alone."""
 
     def evaluation(T):
         E = real(T)
@@ -169,6 +170,19 @@ def keyed_on_first_argument(real):
         return replace(E, add=first_only(E.add), mul=first_only(E.mul))
 
     return evaluation
+
+
+def keyed_on_first_summand(real):
+    """tx_add that remembers each sum by the monad and its first summand
+    alone."""
+    results = {}
+
+    def add(T, u, v):
+        if (T, u) not in results:
+            results[T, u] = real(T, u, v)
+        return results[T, u]
+
+    return add
 
 
 class OneOuterEntryUnscaled(MultisetMonad):
@@ -410,6 +424,12 @@ MUTANTS = [
      "mon-e-roundtrip"),
     ("adjunction-roundtrips", "eval_at_one", keyed_on_first_argument,
      "adjunction(nat)", ("srng-e-roundtrip", "srng-e-natural", "mon-e-roundtrip"),
+     "mat-h-roundtrip"),
+    ("adjunction-roundtrips", "_homset", keyed_on_first_argument,
+     "adjunction(nat)", ("mat-h-roundtrip", "mat-h-natural", "mat-h-involutive"),
+     "srng-e-roundtrip"),
+    ("adjunction-roundtrips", "tx_add", keyed_on_first_summand,
+     "adjunction(nat)", ("srng-e-roundtrip", "srng-e-natural", "srng-e-involutive"),
      "mat-h-roundtrip"),
     ("adjunction-roundtrips", "mat_cotuple",
      lambda real: lambda f, g: real(g, f),
