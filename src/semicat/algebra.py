@@ -40,9 +40,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     FormatError,
@@ -553,31 +553,31 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     return Scalar(name, grammar(text.strip(), {}))
 
 
-def _render_ratio(n: int, d: int) -> str:
-    return str(n) if d == 1 else f"{n}/{d}"
-
-
 def _render_bool(b: bool) -> str:
     return "1" if b else "0"
 
 
-def _render_fraction(q: Fraction) -> str:
-    return _render_ratio(*q.as_integer_ratio())
+def _render_rationals(vs: Sequence) -> list[str]:
+    # One comprehension over each Fraction's two slots, no call per entry.
+    return [
+        f"{q._numerator}" if q._denominator == 1 else f"{q._numerator}/{q._denominator}"
+        for q in vs
+    ]
 
 
 def _render_gaussian(x: tuple[Fraction, Fraction]) -> str:
-    re_n, re_d = x[0].as_integer_ratio()
-    im_n, im_d = x[1].as_integer_ratio()
+    re_n, re_d = x[0]._numerator, x[0]._denominator
+    im_n, im_d = x[1]._numerator, x[1]._denominator
+    re_text = f"{re_n}" if re_d == 1 else f"{re_n}/{re_d}"
     if im_n == 0:
-        return _render_ratio(re_n, re_d)
-    if im_d == 1 and im_n in (1, -1):
+        return re_text
+    if im_d == 1 and (im_n == 1 or im_n == -1):
         im_text = "i" if im_n == 1 else "-i"
     else:
-        im_text = f"{_render_ratio(im_n, im_d)}i"
+        im_text = f"{im_n}i" if im_d == 1 else f"{im_n}/{im_d}i"
     if re_n == 0:
         return im_text
-    sign = "+" if im_n > 0 else ""
-    return f"{_render_ratio(re_n, re_d)}{sign}{im_text}"
+    return f"{re_text}+{im_text}" if im_n > 0 else re_text + im_text
 
 
 def _render_tropicals(vs: Sequence) -> list[str]:
@@ -585,16 +585,16 @@ def _render_tropicals(vs: Sequence) -> list[str]:
     return ["inf" if v is None else f"{v}" for v in vs]
 
 
-# The canonical texts of a sequence of each built-in's bare payloads, one
-# text per payload; the inverse of ``_GRAMMARS``. A tropical grid, which
-# every ``shortest-path`` run writes, is written without a Python call per
-# entry.
-_RENDERERS: dict[str, Callable[[Sequence], Iterable[str]]] = {
-    "nat": partial(map, str),
-    "bool": partial(map, _render_bool),
+# The canonical texts of a sequence of each built-in's bare payloads, a list
+# of one text per payload; the inverse of ``_GRAMMARS``. A tropical or ratnn grid
+# is written with no Python call per entry, a gaussian grid with one that
+# reads the Fractions' slots; a too-long int raises ValueError in an f-string.
+_RENDERERS: dict[str, Callable[[Sequence], list[str]]] = {
+    "nat": lambda vs: list(map(str, vs)),
+    "bool": lambda vs: list(map(_render_bool, vs)),
     "tropical": _render_tropicals,
-    "ratnn": partial(map, _render_fraction),
-    "gaussian": partial(map, _render_gaussian),
+    "ratnn": _render_rationals,
+    "gaussian": lambda vs: list(map(_render_gaussian, vs)),
 }
 
 
@@ -612,7 +612,7 @@ def _render_rows(tag: str, payloads: Sequence, rows: int, cols: int) -> list[str
     by single spaces. Nothing is checked: callers take the payloads from
     :func:`_payloads` or from the grammar of ``tag``."""
     try:
-        texts = list(_RENDERERS[tag](payloads))
+        texts = _RENDERERS[tag](payloads)
     except ValueError:
         raise FormatError(
             f"a {tag} value has more than {sys.get_int_max_str_digits()} digits,"

@@ -1031,6 +1031,20 @@ def _mat_header(lines: Iterator[str]) -> tuple[str, int, int]:
     return name, *dims
 
 
+class _Literals(dict):
+    """One file's literal text -> bare payload. A miss is parsed by the
+    grammar and stored; a text that fails is not, and tropical inf is None."""
+
+    __slots__ = ("grammar", "parts")
+
+    def __init__(self, grammar: Callable[[str, dict], object]) -> None:
+        self.grammar, self.parts = grammar, {}
+
+    def __missing__(self, tok: str):
+        value = self[tok] = self.grammar(tok, self.parts)
+        return value
+
+
 def parse_mat_text(
     text: str | Iterable[str], header: tuple[str, int, int] | None = None
 ) -> Matrix:
@@ -1038,20 +1052,17 @@ def parse_mat_text(
     ``str.splitlines`` splits it, read one at a time: a bad line stops the
     read. Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols
     ``nat`` literals (ASCII digits); each following line holds one row of
-    scalars in the semiring's text grammar. Each distinct literal text is
-    parsed once per call and its value reused for every later copy, and
-    each distinct rational part of a gaussian literal is converted once per
-    call. Errors carry the offending line and column. A caller that has
-    already read line 1 from the lines passes what :func:`_mat_header`
-    made of it as ``header``, and the read goes on from line 2.
+    scalars in the semiring's text grammar. A row costs one split and one
+    lookup per entry in the call's :class:`_Literals`: each distinct literal
+    text, and each distinct rational part of a gaussian literal, is parsed
+    once per call. Errors carry the offending line and column. A caller that
+    has read line 1 from the lines passes what :func:`_mat_header` made of
+    it as ``header``, and the read goes on from line 2.
     """
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     name, rows, cols = _mat_header(lines) if header is None else header
-    grammar = _GRAMMARS[name]
-    parts: dict = {}
+    table = _Literals(_GRAMMARS[name])
     values: list = []
-    # Literal text -> payload, tested with `in`: tropical inf's payload is None.
-    parsed: dict = {}
     for i in range(rows):
         lineno = i + 2
         line = next(lines, None)
@@ -1064,17 +1075,13 @@ def parse_mat_text(
             raise FormatError(
                 f"line {lineno}, column {col}: expected {cols} entries, got {len(toks)}"
             )
-        if not parsed.keys() >= set(toks):
-            for j, tok in enumerate(toks):
-                if tok not in parsed:
-                    try:
-                        parsed[tok] = grammar(tok, parts)
-                    except FormatError as exc:
-                        # A token that fails is never stored, so this is its
-                        # first copy in the row.
-                        col = _tokens(line)[j][1]
-                        raise FormatError(f"line {lineno}, column {col}: {exc}") from None
-        values += map(parsed.__getitem__, toks)
+        try:
+            values += map(table.__getitem__, toks)
+        except FormatError as exc:
+            # Every token before the failing one was stored, and a token
+            # that fails is not: the first one missing is its first copy.
+            j = next(j for j, tok in enumerate(toks) if tok not in table)
+            raise FormatError(f"line {lineno}, column {_tokens(line)[j][1]}: {exc}") from None
     for lineno, line in enumerate(lines, start=rows + 2):
         if line.strip():
             raise FormatError(f"line {lineno}, column 1: unexpected trailing content")

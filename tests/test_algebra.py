@@ -44,6 +44,7 @@ from semicat.errors import (
 )
 from semicat.sampling import monoid_pool, scalar_pool
 from test_kernels import fractions as wide_fractions
+from test_matcat import _python_calls
 
 
 # ---------------------------------------------------------------------------
@@ -547,3 +548,56 @@ def test_a_tropical_grid_is_written_without_a_call_per_entry():
     if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
         with pytest.raises(FormatError, match="more than"):
             _render_rows("tropical", [10 ** (sys.get_int_max_str_digits() + 1)], 1, 1)
+
+
+@pytest.mark.parametrize(
+    "tag,payloads,most_calls",
+    [
+        ("ratnn", [Fraction(1, 2), Fraction(3), Fraction(0), Fraction(7, 3)] * 225, 10),
+        (
+            "gaussian",
+            [(Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(-1)),
+             (Fraction(3), Fraction(0)), (Fraction(-2), Fraction(-7, 3))] * 225,
+            900 + 10,
+        ),
+    ],
+)
+def test_a_rational_grid_is_written_with_at_most_one_call_per_entry(tag, payloads, most_calls):
+    """A 30 x 30 ratnn grid takes a handful of Python calls, not one per
+    entry, and a gaussian grid at most one call per entry."""
+    lines = []
+    calls = _python_calls(lambda: lines.extend(_render_rows(tag, payloads, 30, 30)))
+    assert len(calls) < most_calls, calls[:10]
+    reference = {"ratnn": str, "gaussian": lambda v: reference_render_gaussian(*v)}[tag]
+    texts = [reference(v) for v in payloads]
+    assert lines == [" ".join(texts[i * 30 : (i + 1) * 30]) for i in range(30)]
+
+
+# Small parts reach d = 1, +-1 and 0; the signed ones reach long ratios.
+rendered_parts = st.one_of(
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)), signed_fractions
+)
+
+
+@given(st.lists(st.tuples(rendered_parts, rendered_parts), min_size=1, max_size=12))
+@example([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)), (Fraction(2), Fraction(1))])
+@example([(Fraction(-1, 2), Fraction(-1)), (Fraction(0), Fraction(0)), (Fraction(-3), Fraction(0))])
+@example([(Fraction(5, 3), Fraction(-7, 2)), (Fraction(0), Fraction(-4)), (Fraction(1), Fraction(2))])
+def test_gaussian_rows_match_the_reference_renderer(pairs):
+    (line,) = _render_rows("gaussian", pairs, 1, len(pairs))
+    assert line == " ".join(reference_render_gaussian(re, im) for re, im in pairs)
+
+
+@given(st.lists(st.one_of(rendered_parts.map(abs), nonneg_fractions), min_size=1, max_size=12))
+@example([Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2), Fraction(10**6, 997)])
+def test_ratnn_rows_match_str_of_fraction(qs):
+    (line,) = _render_rows("ratnn", qs, 1, len(qs))
+    assert line == " ".join(map(str, qs))
+
+
+def test_a_ratnn_value_past_the_digit_limit_is_a_format_error():
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        big = 10 ** (sys.get_int_max_str_digits() + 1)
+        for q in (Fraction(big), Fraction(1, big), Fraction(big + 1, 2)):
+            with pytest.raises(FormatError, match="more than"):
+                _render_rows("ratnn", [Fraction(1, 2), q], 1, 2)

@@ -324,6 +324,86 @@ def test_a_repeated_bad_literal_is_reported_at_its_first_copy_in_its_row():
         parse_mat_text(text)
 
 
+def _python_calls(fn) -> list:
+    """The names of the Python functions that ``fn()`` enters."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,literals",
+    [
+        ("nat", ["3", "0", "12", "7"]),
+        ("bool", ["1", "0"]),
+        ("tropical", ["inf", "-3", "7", "0"]),
+        ("ratnn", ["1/2", "3", "0", "7/3"]),
+        ("gaussian", ["1/2+i", "-i", "3", "2-7/3i"]),
+    ],
+)
+def test_a_file_of_repeated_literals_makes_no_python_call_per_entry(name, literals):
+    """A 30 x 30 file takes exactly the Python calls of a one-row file that
+    holds each of its literals once: a repeated literal, and a row of them,
+    costs none."""
+    k = len(literals)
+    rows = (" ".join(literals[(30 * i + j) % k] for j in range(30)) for i in range(30))
+    grid = f"semiring {name} 30 30\n" + "\n".join(rows) + "\n"
+    once = f"semiring {name} 1 {k}\n" + " ".join(literals) + "\n"
+    big = []
+    calls = _python_calls(lambda: big.append(parse_mat_text(grid)))
+    assert calls == _python_calls(lambda: parse_mat_text(once))
+    assert big[0].entries == tuple(
+        parse_scalar(name, literals[n % k]) for n in range(900)
+    )
+
+
+def test_a_bad_literal_after_new_good_ones_is_reported_at_its_own_column():
+    text = "semiring nat 2 5\n1 2 3 4 5\n1  6 8 x 9\n"
+    with pytest.raises(FormatError, match="^line 3, column 8: bad natural literal 'x'$"):
+        parse_mat_text(text)
+    text = "semiring gaussian 1 4\n1+i 2/3 1+i 1/0i\n"
+    with pytest.raises(FormatError, match="^line 2, column 13: bad rational literal '1/0i'$"):
+        parse_mat_text(text)
+
+
+def test_a_bad_literal_is_reported_before_a_wrong_entry_count_in_a_later_row():
+    text = "semiring nat 3 2\n1 2\n3 y\n4\n"
+    with pytest.raises(FormatError, match="^line 3, column 3: bad natural literal 'y'$"):
+        parse_mat_text(text)
+
+
+def test_a_literal_that_failed_in_one_file_fails_again_in_the_next():
+    for text, where in (
+        ("semiring tropical 1 2\n0 1.5\n", "line 2, column 3"),
+        ("semiring tropical 2 1\n1\n1.5\n", "line 3, column 1"),
+    ):
+        with pytest.raises(FormatError, match=f"^{where}: bad tropical literal '1.5'$"):
+            parse_mat_text(text)
+    for text, where in (
+        ("semiring gaussian 1 1\n1/0+i\n", "line 2, column 1"),
+        ("semiring gaussian 1 2\n2 1/0+i\n", "line 2, column 3"),
+    ):
+        with pytest.raises(FormatError, match=f"^{where}: bad rational literal '1/0\\+i'$"):
+            parse_mat_text(text)
+
+
+def test_inf_repeated_across_rows_reads_as_infinity_everywhere():
+    rows = ["inf 1 inf", "inf inf 2", "0 inf inf"]
+    m = parse_mat_text("semiring tropical 3 3\n" + "\n".join(rows) + "\n")
+    tokens = " ".join(rows).split()
+    assert m.values == tuple(None if tok == "inf" else int(tok) for tok in tokens)
+    assert m.entries == tuple(tropical(None if tok == "inf" else int(tok)) for tok in tokens)
+
+
 def test_each_distinct_gaussian_part_is_converted_once(monkeypatch):
     calls = []
     parse_fraction = algebra._parse_fraction
