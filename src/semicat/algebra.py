@@ -20,12 +20,13 @@ arguments, applies the table's operation and wraps the result, and the
 matrix kernels of :mod:`semicat.matcat` compute with the same table. The
 gaussian product takes each part over the common denominator of the integer
 ratios of the factors' parts: one reduced ``Fraction``, the textbook value.
-That ``Fraction``, the negated part of the gaussian star, each rational the
-grammar reads and each entry of a ratnn or gaussian compose are built by
-:func:`_ratio`: the one gcd that ``Fraction(n, d)`` takes, then the two
-slots of ``Fraction`` set directly, without the type dispatch of
-``Fraction.__new__``. The ratnn sum and product and the gaussian sum are
-``Fraction``'s own operators.
+That ``Fraction``, each rational the grammar reads and each entry of a
+ratnn or gaussian compose are built by :func:`_ratio`: the one gcd that
+``Fraction(n, d)`` takes, then the two slots of ``Fraction`` set directly,
+without the type dispatch of ``Fraction.__new__``. The ratnn sum and
+product and the gaussian sum are ``Fraction``'s own steps, taken on the
+slots by :func:`_rational_add` and :func:`_rational_mul` and set the same
+way, and the gaussian star negates a reduced numerator, which needs no gcd.
 The text grammar and the canonical text of the built-ins are written the
 same way, on bare payloads, in ``_GRAMMARS`` and ``_RENDERERS``:
 :func:`parse_scalar` and :func:`render_scalar` apply them to one scalar,
@@ -162,6 +163,47 @@ def _ratio(n: int, d: int) -> Fraction:
     return q
 
 
+def _rational_add(a: Fraction, b: Fraction) -> Fraction:
+    """``a + b`` by ``Fraction``'s own steps (Knuth, TAOCP 4.5.1) on the
+    slots: where the denominators share a factor g, only a factor of g can
+    divide the sum over their lcm."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n, d = na * (db // g) + nb * s, s * db
+        g2 = gcd(n, g)
+        if g2 != 1:
+            n //= g2
+            d //= g2
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _rational_mul(a: Fraction, b: Fraction) -> Fraction:
+    """``a * b`` by ``Fraction``'s own steps on the slots: each numerator
+    reduced against the other denominator leaves the product reduced."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    q = object.__new__(Fraction)
+    q._numerator = na * nb
+    q._denominator = da * db
+    return q
+
+
 def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
@@ -251,13 +293,14 @@ def _tropical_mul(x, y):
 
 
 def _gaussian_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
+    return (_rational_add(x[0], y[0]), _rational_add(x[1], y[1]))
 
 
 def _gaussian_mul(x, y):
     # (p/q + r/s i)(t/u + v/w i), each part over the denominator q*s*u*w
-    (p, q), (r, s) = x[0].as_integer_ratio(), x[1].as_integer_ratio()
-    (t, u), (v, w) = y[0].as_integer_ratio(), y[1].as_integer_ratio()
+    (xr, xi), (yr, yi) = x, y
+    p, q, r, s = xr._numerator, xr._denominator, xi._numerator, xi._denominator
+    t, u, v, w = yr._numerator, yr._denominator, yi._numerator, yi._denominator
     qu, sw = q * u, s * w
     return (
         _ratio(p * t * sw - r * v * qu, qu * sw),
@@ -266,8 +309,11 @@ def _gaussian_mul(x, y):
 
 
 def _gaussian_star(x):
-    n, d = x[1].as_integer_ratio()
-    return (x[0], _ratio(-n, d))
+    # The conjugate. Negating a reduced numerator keeps it reduced: no gcd.
+    im = object.__new__(Fraction)
+    im._numerator = -x[1]._numerator
+    im._denominator = x[1]._denominator
+    return (x[0], im)
 
 
 def _same(x):
@@ -281,7 +327,7 @@ _PAYLOAD_OPS: dict[str, tuple[Callable, Callable, Callable]] = {
     "nat": (operator.add, operator.mul, _same),
     "bool": (operator.or_, operator.and_, _same),
     "tropical": (_tropical_add, _tropical_mul, _same),
-    "ratnn": (operator.add, operator.mul, _same),
+    "ratnn": (_rational_add, _rational_mul, _same),
     "gaussian": (_gaussian_add, _gaussian_mul, _gaussian_star),
 }
 

@@ -7,6 +7,9 @@ bounded-hop distance table that :func:`semicat.matcat.bounded_paths`
 computes, and ``roundtrip`` drives the adjunction transposes there and
 back. This module parses arguments and input files, prints results and
 maps errors to exit codes; the computing happens in the layers it calls.
+:func:`main` parses an argv that starts with a subcommand's name with
+that subcommand's parser alone, and any other argv, or one with words left
+over, with the whole parser of :func:`build_parser`.
 A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`,
 through the standard library's text reader, which splits lines at LF, CR
 and CRLF: the first error in file order is reported, and a bad line stops
@@ -70,9 +73,9 @@ __all__ = [
 MAX_TABLE_ENTRIES = 1_000_000
 
 # The most cases ``laws --cases`` accepts. The longest accepted run, 4000
-# cases of additivity, the slowest suite, took 19.4 to 22.5 s in 3 fresh
-# processes on a shared 2-core Xeon: 12 to 16 s scaled to the speed of the
-# benchmark's reference loop (bench/run.py).
+# cases of additivity, the slowest suite, took 14.9 to 20.1 s in 3 fresh
+# processes (seeds 0 to 2) on a shared 2-core Xeon: 15 to 16 s scaled to
+# the speed of the benchmark's reference loop (bench/run.py).
 MAX_CASES = 4000
 
 
@@ -311,10 +314,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without the top-level pass
+    where it only picks the subparser: the subcommand that ``argv[0]``
+    names parses the words after it, as that pass would hand them on. An
+    argv that names no subcommand, or has words the subcommand leaves
+    over, goes to the top-level parser, which prints every usage message
+    and help text."""
     parser = build_parser()
+    # The subcommands' parsers by name: the choices of the subparsers
+    # action, the last action that build_parser adds.
+    command = parser._actions[-1].choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

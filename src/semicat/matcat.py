@@ -416,9 +416,8 @@ def _packed_min_plus(
 
 def _over_lcm(qs: list) -> tuple[int, list[int]]:
     """(d, [q * d for q in qs]), d the lcm of the denominators of qs."""
-    ratios = [q.as_integer_ratio() for q in qs]
-    d = lcm(*[b for _, b in ratios])
-    return d, [a * (d // b) for a, b in ratios]
+    d = lcm(*[q._denominator for q in qs])
+    return d, [q._numerator * (d // q._denominator) for q in qs]
 
 
 def _ratnn_products(rows: list, cols: list) -> list:

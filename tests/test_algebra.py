@@ -21,6 +21,8 @@ from semicat.algebra import (
     _PAYLOAD_OPS,
     _parse_fraction,
     _ratio,
+    _rational_add,
+    _rational_mul,
     _render_rows,
     boolean,
     canonical_from_nat,
@@ -124,6 +126,26 @@ def test_ratio_is_the_fraction(n, d):
     assert hash(got) == hash(want)
     assert got.as_integer_ratio() == want.as_integer_ratio()
     assert (str(got), repr(got)) == (str(want), repr(want))
+
+
+@given(wide_fractions, wide_fractions)
+@example(Fraction(1, 6), Fraction(-1, 6))
+@example(Fraction(0), Fraction(-5, 12))
+@example(Fraction(5, 12), Fraction(7, 18))
+@example(Fraction(-(2**70), 2**61 - 1), Fraction(2**70 + 1, 30_030))
+def test_rational_ops_are_fraction_arithmetic(a, b):
+    """The ratnn sum and product, which also add the gaussian parts, and
+    the gaussian star's negated part are what ``Fraction``'s operators
+    give: a ``Fraction``, reduced alike and hashing alike."""
+    cases = [
+        (_rational_add(a, b), a + b),
+        (_rational_mul(a, b), a * b),
+        (_PAYLOAD_OPS["gaussian"][2]((a, b))[1], -b),
+    ]
+    for got, want in cases:
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want)
 
 
 def test_ratnn_arithmetic():

@@ -23,7 +23,7 @@ import semicat.matcat as matcat
 from semicat.adjunctions import ADJUNCTION_NAMES, SUITE_NAMES, SuiteReport
 from semicat.algebra import SEMIRINGS, TROPICAL, Scalar, tropical
 from semicat.cli import bounded_paths, main, parse_graph_text
-from semicat.errors import FormatError, SizeLimitExceeded
+from semicat.errors import FormatError, SemicatError, SizeLimitExceeded
 from semicat.matcat import (
     mat_compose,
     mat_dagger,
@@ -883,6 +883,74 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     finally:
         cli.build_parser.cache_clear()
     assert len(built) == 1
+
+
+def _main_by_the_full_parser(argv) -> int:
+    """``main`` as it was when the top-level parser parsed every argv:
+    ``build_parser().parse_args``, then the subcommand, with ``main``'s
+    mapping of exceptions to exit codes."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    try:
+        return args.func(args)
+    except (SemicatError, OSError) as exc:
+        cli._diagnose(f"error: {exc}")
+        return 2
+    except Exception as exc:
+        cli._diagnose(f"internal error: {type(exc).__name__}: {exc}")
+        return 3
+
+
+SP = ["shortest-path", "--graph", fx("cycle3.graph")]
+DISPATCH_CORPUS = {
+    "laws": ["laws", "--suite", "kleisli-iso", "--seed", "0", "--cases", "5"],
+    "matmul": ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")],
+    "shortest-path": [*SP, "--max-hops", "2"],
+    "roundtrip": ["roundtrip", "--adjunction", "srng-e", "--semiring", "gaussian", "--involutive"],
+    "empty": [],
+    "-h": ["-h"],
+    "--help": ["--help"],
+    **{f"{name} -h": [name, "-h"] for name in ("laws", "matmul", "shortest-path", "roundtrip")},
+    "unknown-subcommand": ["bogus", "--max-hops", "2"],
+    "missing-required": SP,
+    "plus-sign-value": [*SP, "--max-hops", "+3"],
+    "arabic-indic-digit": [*SP, "--max-hops", "\u0663"],
+    "abbreviation": [*SP, "--max-h", "2"],
+    "equals-form": ["shortest-path", f"--graph={fx('cycle3.graph')}", "--max-hops", "2"],
+    "repeated-option": [*SP, "--max-hops", "1", "--max-hops", "2"],
+    "trailing-word": [*SP, "--max-hops", "2", "extra"],
+    "double-dash": [*SP, "--", "--max-hops", "2"],
+    "unknown-option": [*SP, "--max-hops", "2", "--bogus"],
+    "help-after-a-word": [*SP, "extra", "-h"],
+    "option-before-subcommand": ["--max-hops", "2", *SP],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS.values(), ids=DISPATCH_CORPUS.keys())
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    """Parsing by the subcommand's parser alone changes no exit code and
+    no byte of stdout or stderr on any usage, help or error path."""
+    want = _main_by_the_full_parser(list(argv)), *capsys.readouterr()
+    assert (main(list(argv)), *capsys.readouterr()) == want
+
+
+def test_a_named_subcommand_skips_the_top_level_pass(capsys, monkeypatch):
+    """A valid call never reaches the top-level parser's parse; a call with
+    a word left over is still rejected by it."""
+    calls = []
+
+    def refuse(args=None, namespace=None):
+        calls.append(list(args))
+        raise SystemExit(2)
+
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    assert main(DISPATCH_CORPUS["shortest-path"]) == 0
+    assert capsys.readouterr() == (golden("cycle3_k2.out"), "")
+    assert calls == []
+    assert main(DISPATCH_CORPUS["trailing-word"]) == 2
+    assert calls == [DISPATCH_CORPUS["trailing-word"]]
 
 
 # ---------------------------------------------------------------------------
