@@ -469,8 +469,6 @@ def canonical_from_nat(desc: SemiringDescriptor, n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # Scalar text grammar
 
-_NAT_RE = re.compile(r"\d+\Z", re.ASCII)
-_INT_RE = re.compile(r"-?\d+\Z", re.ASCII)
 _RAT_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 
 
@@ -521,7 +519,7 @@ def _part(text: str, original: str, parts: dict) -> Fraction:
 
 
 def _parse_nat(text: str, parts: dict) -> int:
-    if not _NAT_RE.match(text):
+    if not (text.isascii() and text.isdigit()):
         raise FormatError(f"bad natural literal {_quote(text)}")
     return _decimal(text)
 
@@ -535,7 +533,8 @@ def _parse_bool(text: str, parts: dict) -> bool:
 def _parse_tropical(text: str, parts: dict) -> int | None:
     if text == "inf":
         return None
-    if not _INT_RE.match(text):
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise FormatError(f"bad tropical literal {_quote(text)}")
     return _decimal(text)
 

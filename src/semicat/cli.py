@@ -44,11 +44,10 @@ from .adjunctions import (
     run_roundtrip,
     run_suite,
 )
-from .algebra import _GRAMMARS, _NAT_RE, TROPICAL, _decimal, _quote, _render_rows
+from .algebra import _GRAMMARS, TROPICAL, _decimal, _quote, _render_rows
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
-    _kernel,
     _mat_header,
     _matrix,
     bounded_paths,
@@ -93,25 +92,24 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     """The one-hop weight table of a graph in the line-oriented format: a
     node count line, then one ``src dst weight`` line per edge. ``text`` is
     the graph's text, or its lines as ``str.splitlines`` splits it, which
-    are read one at a time. Blank lines are ignored. Node counts and
+    are read one at a time. Each line is split once, at the whitespace that
+    ``str.split`` drops, and blank lines are ignored. Node counts and
     indices are ``nat`` literals (ASCII digits), weights ``tropical``
     literals, each distinct text parsed once per call, and an index text
     is kept only once it is known to be in range. The table is checked
     against ``MAX_TABLE_ENTRIES`` at the count line, before any edge line
-    is read. Parallel edges collapse to their minimum; absent edges are the
-    tropical zero."""
+    is read. Each edge is one step: a parallel edge keeps the minimum, and
+    an ``inf`` edge stores nothing; absent edges are the tropical zero."""
     index, weight_of = _GRAMMARS["nat"], _GRAMMARS["tropical"]
     parts: dict = {}  # neither grammar has rational parts to keep here
-    add = _kernel(TROPICAL).add
     n = values = None
     weights: dict = {}  # tested with `in`: inf parses to None
     nodes: dict = {}  # index text -> index, each in range
     lines = text.splitlines() if isinstance(text, str) else text
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for ln, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if n is None:
             if len(fields) != 1:
                 raise FormatError(f"line {ln}: expected the node count alone")
@@ -124,26 +122,30 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
             continue
         if len(fields) != 3:
             raise FormatError(f"line {ln}: expected 'src dst weight'")
-        src, dst = nodes.get(fields[0]), nodes.get(fields[1])
+        src_text, dst_text, literal = fields
+        src, dst = nodes.get(src_text), nodes.get(dst_text)
         if src is None or dst is None:
             try:
                 if src is None:
-                    src = index(fields[0], parts)
+                    src = index(src_text, parts)
                 if dst is None:
-                    dst = src if fields[1] == fields[0] else index(fields[1], parts)
+                    dst = src if dst_text == src_text else index(dst_text, parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: bad node index: {exc}") from None
             if not 0 <= src < n or not 0 <= dst < n:
                 raise FormatError(f"line {ln}: node index out of range (n = {n})")
-            nodes[fields[0]], nodes[fields[1]] = src, dst
-        literal = fields[2]
+            nodes[src_text], nodes[dst_text] = src, dst
         if literal not in weights:
             try:
                 weights[literal] = weight_of(literal, parts)
             except FormatError as exc:
                 raise FormatError(f"line {ln}: {exc}") from None
-        k = src * n + dst
-        values[k] = add(values[k], weights[literal])
+        w = weights[literal]
+        if w is not None:
+            k = src * n + dst
+            old = values[k]
+            if old is None or w < old:
+                values[k] = w
     if n is None:
         raise FormatError("empty graph file: expected a node count")
     return _matrix(TROPICAL, n, n, values)
@@ -260,7 +262,7 @@ def _print_report(report: SuiteReport) -> int:
 def _nonneg_int(text: str) -> int:
     """An option value in the ``nat`` grammar: ASCII digits only, and no
     more of them than Python converts."""
-    if not _NAT_RE.match(text):
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"{_quote(text)} is not a natural number")
     try:
         return _decimal(text)

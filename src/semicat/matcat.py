@@ -784,15 +784,20 @@ def _powering(base: Matrix, hops: int) -> Matrix:
 def _relaxation(values: list, n: int, hops: int) -> list | None:
     """S_hops over tropical, row major, by hop-limited relaxation from each
     source over the one-hop table ``values`` (see :func:`bounded_paths`);
-    None when hops > n and round n still lowers a distance."""
+    None when hops > n and round n still lowers a distance. One pass over
+    the table builds the out-edge lists and the largest |w| of an edge,
+    and the result is mapped back from ints once, for the whole table."""
     rounds = min(hops, n)
+    edges: list = [[] for _ in range(n)]
+    top = 0
+    for k, w in enumerate(values):
+        if w is not None:
+            edges[k // n].append((k % n, w))
+            if abs(w) > top:
+                top = abs(w)
     # No walk of at most `rounds` edges weighs big or more in absolute
     # value, so big stands in for infinity and every step is on ints.
-    big = rounds * max((abs(w) for w in values if w is not None), default=0) + 1
-    edges = [
-        [(j, w) for j, w in enumerate(values[i * n : (i + 1) * n]) if w is not None]
-        for i in range(n)
-    ]
+    big = rounds * top + 1
     out = []
     for src in range(n):
         dist = [big] * n
@@ -814,8 +819,8 @@ def _relaxation(values: list, n: int, hops: int) -> list | None:
         else:
             if hops > n:
                 return None
-        out += [None if x == big else x for x in dist]
-    return out
+        out += dist
+    return [None if x == big else x for x in out]
 
 
 def _hop_closure(rows: list, hops: int) -> list | None:

@@ -901,6 +901,44 @@ def test_a_negative_cycle_within_n_hops_needs_no_squaring():
         check_against_oracles(a, weights, hops)
 
 
+def chain(n, weight, ring=False):
+    """The chain 0 -> 1 -> ... -> n-1, closed into a ring when ``ring``,
+    every edge of the one ``weight``."""
+    weights = [[None] * n for _ in range(n)]
+    for i in range(n if ring else n - 1):
+        weights[i][(i + 1) % n] = weight
+    return weights
+
+
+@pytest.mark.parametrize(
+    "weights, hops, pair",
+    [
+        (chain(5, 7), 4, (0, 4)),
+        (chain(5, -7), 4, (0, 4)),
+        (chain(4, -3, ring=True), 4, (0, 0)),
+        (chain(4, 0), 3, (0, 3)),
+        ([[None, -5, None], [None] * 3, [None] * 3], 1, (0, 1)),
+    ],
+    ids=["chain", "negative-chain", "negative-ring", "zero-weights", "one-negative-edge"],
+)
+def test_the_infinity_stand_in_sits_just_past_the_extreme_walk(weights, hops, pair):
+    # Relaxation stands rounds * max|w| + 1 in for infinity, rounds =
+    # min(hops, n): the cheapest walk at `pair` weighs exactly +-rounds *
+    # max|w| (all-zero weights: 0, against a stand-in of 1), and must stay
+    # finite, while every pair with no walk must read inf.
+    n = len(weights)
+    top = max((abs(w) for row in weights for w in row if w is not None), default=0)
+    want = min_plus_oracle(weights, hops)
+    assert abs(want[pair[0]][pair[1]]) == min(hops, n) * top
+    steps_taken, got = relax_steps(tropical_matrix(weights), hops)
+    assert steps_taken == (1, 0, 0, 0)
+    table = payloads(got)
+    assert table == want
+    assert table[pair[0]][pair[1]] is not None
+    unreachable = [(i, j) for i in range(n) for j in range(n) if want[i][j] is None]
+    assert all(table[i][j] is None for i, j in unreachable)
+
+
 # Hop bounds around n - 1 and far above it.
 AROUND_AND_FAR = st.one_of(
     st.integers(-3, 3).map(lambda d: ("near", d)),

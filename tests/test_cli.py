@@ -3,6 +3,7 @@ operations, law suites, and exit codes."""
 
 import argparse
 import io
+import itertools
 import math
 import os
 import re
@@ -140,6 +141,69 @@ def test_graph_matrix_merges_parallel_edges():
     assert a.entry(0, 0) == TROPICAL.zero
     # The cheapest edge wins in either order, and inf adds nothing.
     assert parse_graph_text("2\n0 1 2\n0 1 5\n0 1 inf\n").entry(0, 1) == tropical(2)
+
+
+def reference_graph_values(text: str) -> tuple:
+    """The one-hop table by the README's graph grammar, read apart from the
+    reader: whitespace-separated fields, blank lines skipped, a node count,
+    then ``src dst weight`` edges, each pair's least weight kept. An
+    ``inf`` weight adds no edge."""
+    rows = [fields for line in text.splitlines() if (fields := line.strip().split())]
+    n = int(rows[0][0])
+    found: dict = {}
+    for src, dst, weight in rows[1:]:
+        if weight != "inf":
+            found.setdefault((int(src), int(dst)), []).append(int(weight))
+    return tuple(min(found[i, j]) if (i, j) in found else None for i in range(n) for j in range(n))
+
+
+INLINE_SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", "\u3000"])
+EDGE_SPACES = st.sampled_from(["", " ", "\t", "\u3000 "])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def graph_texts(draw):
+    """Graph texts over n <= 4 nodes: parallel edges and self-loops come
+    from the few pairs, inf edges land before and after finite ones, and
+    the lines carry blank lines, tabs and other in-line whitespace, and
+    numerals with leading zeros."""
+    n = draw(st.integers(1, 4))
+    zeros = st.integers(0, 2).map(lambda k: "0" * k)
+
+    def nat(i):
+        return draw(zeros) + str(i)
+
+    def weight(w):
+        if w is None:
+            return "inf"
+        return ("-" if w < 0 or (w == 0 and draw(st.booleans())) else "") + nat(abs(w))
+
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(st.tuples(node, node, st.one_of(st.none(), st.integers(-30, 30))), max_size=14)
+    )
+    lines = [[nat(n)]] + [[nat(s), nat(d), weight(w)] for s, d, w in edges]
+    out = []
+    for fields in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(EDGE_SPACES) + draw(LINE_ENDS))
+        line = fields[0]
+        for field in fields[1:]:
+            line += draw(INLINE_SPACES) + field
+        out.append(draw(EDGE_SPACES) + line + draw(EDGE_SPACES) + draw(LINE_ENDS))
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+@example("2\n0 1 5\n0 1 2\n1 0 2\n1 0 5\n")  # parallel edges in either order
+@example("2\n0 1 inf\n0 1 3\n1 0 3\n1 0 inf\n")  # inf before and after a finite edge
+@example("\n \t\n3\r\n02\t1 -0\n1 1\u3000-07 \n\n2 002 0\r")
+def test_the_graph_reader_matches_the_grammar(text):
+    want = reference_graph_values(text)
+    assert parse_graph_text(text).values == want
+    assert parse_graph_text(text.splitlines()).values == want
 
 
 def test_bounded_paths_zero_hops_is_identity():
@@ -816,6 +880,48 @@ def test_numeric_options_take_ascii_naturals_only(capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {argv[-1]}: {value!r}" in captured.err
+
+
+# Every text of at most 3 characters over these: ASCII digits, signs and
+# separators, and "²" and "٣", for which str.isdigit() holds although
+# neither is an ASCII digit.
+NUMERAL_TEXTS = [
+    "".join(chars) for k in range(4) for chars in itertools.product("09-+_ \t²٣a", repeat=k)
+]
+
+
+def test_the_ascii_numeral_grammar_is_pinned():
+    def outcome(read, text, error):
+        try:
+            value = read(text)
+        except error as exc:
+            return str(exc)
+        return type(value), value
+
+    def nat(text):
+        return algebra._GRAMMARS["nat"](text, {})
+
+    def trop(text):
+        return algebra._GRAMMARS["tropical"](text, {})
+
+    accepted = {"nat": 0, "tropical": 0}
+    for text in NUMERAL_TEXTS:
+        if re.fullmatch("[0-9]+", text):
+            accepted["nat"] += 1
+            assert outcome(nat, text, FormatError) == (int, int(text))
+            assert outcome(cli._nonneg_int, text, argparse.ArgumentTypeError) == (int, int(text))
+        else:
+            assert outcome(nat, text, FormatError) == f"bad natural literal {text!r}"
+            assert outcome(cli._nonneg_int, text, argparse.ArgumentTypeError) == (
+                f"{text!r} is not a natural number"
+            )
+        if re.fullmatch("-?[0-9]+", text):
+            accepted["tropical"] += 1
+            assert outcome(trop, text, FormatError) == (int, int(text))
+        else:
+            assert outcome(trop, text, FormatError) == f"bad tropical literal {text!r}"
+    # 0 and 9 in 1, 2 and 3 places; then a minus sign before 1 or 2 of them.
+    assert accepted == {"nat": 2 + 4 + 8, "tropical": 14 + 2 + 4}
 
 
 @pytest.mark.parametrize(
