@@ -85,6 +85,45 @@ __all__ = [
 # Scalar values
 
 
+def _same_payload(x, y) -> bool:
+    """``x == y`` as a tuple compares its items, with two ``Fraction``
+    payloads, or two pairs of them, compared by their integer ratios:
+    ``Fraction.__eq__`` first asks the ``numbers.Rational`` ABC about its
+    argument, which costs more than the comparison. ``Scalar`` and
+    ``matcat.Matrix`` compare payloads by this rule."""
+    if x is y:
+        return True
+    if x.__class__ is Fraction is y.__class__:
+        return x._numerator == y._numerator and x._denominator == y._denominator
+    if x.__class__ is tuple is y.__class__ and len(x) == 2 == len(y):
+        (a, b), (c, d) = x, y
+        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
+            return (a._numerator, a._denominator, b._numerator, b._denominator) == (
+                c._numerator, c._denominator, d._numerator, d._denominator)
+    return x == y
+
+
+def _payload_key(x):
+    """What ``Scalar`` and ``matcat.Matrix`` hash a payload as, in place of
+    ``Fraction.__hash__``'s modular inverse: a ``Fraction`` n/d as n where
+    d == 1, so like the int it equals, and as (n, d) otherwise; a pair as
+    the pair of its parts' keys; anything else as itself. Two canonical
+    payloads that :func:`_same_payload` calls equal have equal keys."""
+    if x.__class__ is Fraction:
+        n, d = x._numerator, x._denominator
+        return n if d == 1 else (n, d)
+    if x.__class__ is tuple and len(x) == 2:
+        a, b = x
+        if a.__class__ is Fraction:
+            n, d = a._numerator, a._denominator
+            a = n if d == 1 else (n, d)
+        if b.__class__ is Fraction:
+            n, d = b._numerator, b._denominator
+            b = n if d == 1 else (n, d)
+        return a, b
+    return x
+
+
 @dataclass(frozen=True)
 class Scalar:
     """An exact element of a named semiring.
@@ -95,11 +134,11 @@ class Scalar:
     fractions ``(re, im)`` for ``gaussian``. Use the module constructors
     (:func:`nat`, :func:`tropical`, ...) rather than instantiating directly.
 
-    Equality is the dataclass's, ``(tag, payload)`` tuple equality, with
-    two ``Fraction`` payloads or two gaussian pairs of them compared by
-    their integer ratios: ``Fraction.__eq__`` first asks the
-    ``numbers.Rational`` ABC about its argument, which costs more than the
-    comparison. The hash is the dataclass's.
+    Equality is ``(tag, payload)`` tuple equality, and the hash is that of
+    ``(tag, key)``, with the payload compared by :func:`_same_payload` and
+    keyed by :func:`_payload_key`: a ``Fraction``, or each part of a pair,
+    by its integer ratio. Equal scalars hash alike when their payloads are
+    canonical, as the constructors build them.
     """
 
     tag: str
@@ -108,17 +147,10 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:
             return NotImplemented
-        x, y = self.payload, other.payload
-        if x.__class__ is Fraction is y.__class__:
-            return self.tag == other.tag and (x._numerator, x._denominator) == (
-                y._numerator, y._denominator)
-        if x.__class__ is tuple is y.__class__ and len(x) == 2 == len(y):
-            (a, b), (c, d) = x, y
-            if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
-                return self.tag == other.tag and (
-                    a._numerator, a._denominator, b._numerator, b._denominator
-                ) == (c._numerator, c._denominator, d._numerator, d._denominator)
-        return (self.tag, x) == (other.tag, y)
+        return self.tag == other.tag and _same_payload(self.payload, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.tag, _payload_key(self.payload)))
 
     def key(self) -> tuple:
         """Orders by tag, then payload, with ``None`` (tropical infinity)

@@ -348,12 +348,10 @@ def kleisli_homset_semiring(T: MonadInstance) -> SemiringDescriptor:
     zero = kl_compose(kl_zero(T, 1, 0), _built(T, 0, 1, ()))
     diag = kl_tuple(one, one)
     codiag = kl_cotuple(one, one)
+    in1, in2 = kl_coproj(T, 1, 1, 1), kl_coproj(T, 2, 1, 1)
 
     def h_add(a: KleisliMap, b: KleisliMap) -> KleisliMap:
-        blocked = kl_cotuple(
-            kl_compose(a, kl_coproj(T, 1, 1, 1)),
-            kl_compose(b, kl_coproj(T, 2, 1, 1)),
-        )
+        blocked = kl_cotuple(kl_compose(a, in1), kl_compose(b, in2))
         return kl_compose(kl_compose(diag, blocked), codiag)
 
     star = None

@@ -105,10 +105,12 @@ from .algebra import (
     _PAYLOAD_OPS,
     _parse_nat,
     _payload,
+    _payload_key,
     _payloads,
     _quote,
     _ratio,
     _render_rows,
+    _same_payload,
 )
 from .errors import (
     DimensionMismatch,
@@ -158,10 +160,11 @@ class Matrix:
     such as a hom-set or evaluation semiring, keeps its values as given.
     Equality compares the semiring's name, shape, and values, so a matrix
     over a twin of a built-in equals the built-in one holding the same
-    scalars. Over ratnn and gaussian it compares two ``Fraction`` values,
-    or two gaussian pairs of them, by their integer ratios, as
-    ``Scalar.__eq__`` does (:func:`_same_payload`); the result is the
-    tuple equality of the values.
+    scalars. Over ratnn and gaussian it compares and hashes the values as
+    ``Scalar`` compares and hashes its payload, by the integer ratios of
+    each ``Fraction`` (``algebra._same_payload`` and ``_payload_key``): the
+    result is the tuple equality of the values, and equal matrices hash
+    alike when their values are canonical, as the constructors build them.
     """
 
     semiring: SemiringDescriptor
@@ -216,7 +219,10 @@ class Matrix:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash(("matrix", self.tag, self.rows, self.cols, self.values))
+        values = self.values
+        if self.semiring.name in _RATIO_TAGS:
+            values = tuple(map(_payload_key, values))
+        return hash(("matrix", self.tag, self.rows, self.cols, values))
 
     def __str__(self) -> str:
         body = ",".join(
@@ -227,23 +233,6 @@ class Matrix:
 
 # The built-ins whose payloads are Fractions or pairs of them.
 _RATIO_TAGS = frozenset((RATNN.name, GAUSSIAN.name))
-
-
-def _same_payload(x, y) -> bool:
-    """``x == y`` as a tuple compares its items, with two ``Fraction``
-    payloads, or two gaussian pairs of them, compared by their integer
-    ratios: ``Fraction.__eq__`` first asks the ``numbers.Rational`` ABC
-    about its argument, which costs more than the comparison."""
-    if x is y:
-        return True
-    if x.__class__ is Fraction is y.__class__:
-        return x._numerator == y._numerator and x._denominator == y._denominator
-    if x.__class__ is tuple is y.__class__ and len(x) == 2 == len(y):
-        (a, b), (c, d) = x, y
-        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
-            return (a._numerator, a._denominator, b._numerator, b._denominator) == (
-                c._numerator, c._denominator, d._numerator, d._denominator)
-    return x == y
 
 
 def _matrix(S: SemiringDescriptor, rows: int, cols: int, values) -> Matrix:

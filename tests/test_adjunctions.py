@@ -453,6 +453,88 @@ def test_transposes_evaluate_a_structural_witness_once_per_argument(adjunction):
     assert max(calls.values()) == 1
 
 
+def check_pairwise(S, E, f, samples):
+    """The semiring-map check as a plain double loop that takes f(a) and
+    f(b) again at every pair: the reference for the details it reports."""
+    if f(S.zero) != E.zero:
+        raise NotASemiringMap(f"zero of {S.name} is not sent to zero")
+    if f(S.one) != E.one:
+        raise NotASemiringMap(f"one of {S.name} is not sent to one")
+    for a in samples:
+        for b in samples:
+            if f(S.add(a, b)) != E.add(f(a), f(b)):
+                raise NotASemiringMap(f"sum not preserved at {a}, {b}")
+            if f(S.mul(a, b)) != E.mul(f(a), f(b)):
+                raise NotASemiringMap(f"product not preserved at {a}, {b}")
+    if S.star is not None and E.star is not None:
+        for a in samples:
+            if f(S.star(a)) != E.star(f(a)):
+                raise NotASemiringMap(f"star not preserved at {a}")
+
+
+def outcome(check, S, f, samples):
+    try:
+        check(S, S, f, samples)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("S", SEMIRINGS.values(), ids=SEMIRINGS)
+def test_a_semiring_map_check_takes_each_sample_image_once(S):
+    pool = scalar_pool(S)
+    calls = []
+
+    def identity(s):
+        calls.append(s)
+        return s
+
+    adjunctions._check_semiring_map(S, S, identity, pool)
+    # Each sample's image comes after the image of the first sum that needs it.
+    want = [S.zero, S.one]
+    for i, a in enumerate(pool):
+        for b in pool:
+            want += [S.add(a, b), *([b] if i == 0 else []), S.mul(a, b)]
+    if S.star is not None:
+        want += [S.star(a) for a in pool]
+    assert calls == want
+    assert len(calls) == 2 + len(pool) * (1 + 2 * len(pool) + (S.star is not None))
+
+
+def broken(S, moved, raising):
+    """The identity of S, but for ``moved``, sent to another scalar, and
+    ``raising``, whose image raises."""
+
+    def f(s):
+        if s == raising:
+            raise LookupError(f"no image of {s}")
+        if s == moved:
+            return S.one if s == S.zero else S.zero
+        return s
+
+    return f
+
+
+@pytest.mark.parametrize("S", SEMIRINGS.values(), ids=SEMIRINGS)
+def test_a_broken_semiring_map_fails_with_the_pairwise_detail(S):
+    """Wrong at one scalar, raising at one sample, or both: the check fails
+    at the same place, with the same detail, as the double loop. The pool
+    starts at its last sample, not at zero, so that the first row of pairs
+    can fail before it has taken every image."""
+    pool = scalar_pool(S)
+    pool = pool[-1:] + pool[:-1]
+    made = [S.zero, S.one, *pool]
+    made += [op(a, b) for op in (S.add, S.mul) for a in pool for b in pool]
+    made += [S.star(a) for a in pool] if S.star is not None else []
+    made = list(dict.fromkeys(made))
+    maps = [broken(S, u, None) for u in made] + [broken(S, None, v) for v in made]
+    maps += [broken(S, u, v) for u in made for v in pool if u != v]
+    for f in maps:
+        got = outcome(adjunctions._check_semiring_map, S, f, pool)
+        assert got is not None
+        assert got == outcome(check_pairwise, S, f, pool)
+
+
 def test_eval_at_one_is_built_once_per_monad():
     T = MultisetMonad(NAT)
     assert eval_at_one(T) is eval_at_one(T)

@@ -7,8 +7,8 @@ equal ``ms_from_pairs`` over the same pairs, also over a twin descriptor
 and over a semiring with zero divisors. ``eval_at_one`` remembers its sums
 and products per monad instance, and the Kleisli constructors build their
 maps without re-checking them, but keep their own checks of objects and
-monads. ``Scalar.__eq__`` and ``Matrix.__eq__`` compare ``Fraction``
-payloads by their integer ratios, a multiset keeps its hash,
+monads. ``Scalar`` and ``Matrix`` compare and hash ``Fraction`` payloads
+by their integer ratios, a multiset keeps its hash,
 ``random_multiset`` builds its canonical value from sampled positions,
 and ``mat_compose`` sums tiny products directly: each must agree with the
 general path it skips.
@@ -370,8 +370,10 @@ def test_scalar_equality_is_tuple_equality():
     for a in SCALARS:
         for other in (a.payload, (a.tag, a.payload), None):
             assert a.__eq__(other) is NotImplemented
-        if type(a.payload) is not list:
-            assert hash(a) == hash((a.tag, a.payload))
+    hashable = [a for a in SCALARS if type(a.payload) is not list]
+    for a, b in itertools.product(hashable, repeat=2):
+        if a == b:
+            assert hash(a) == hash(b), (a.tag, a.payload, b.tag, b.payload)
 
 
 def test_matrix_equality_is_tuple_equality():
@@ -393,6 +395,11 @@ def test_matrix_equality_is_tuple_equality():
         assert (mat(a.tag, 1, 1, (a.payload,)) == mat(b.tag, 1, 1, (b.payload,))) is (
             (a.tag, a.payload) == (b.tag, b.payload))
         assert g != a and g != g.values
+        if list not in (type(a.payload), type(b.payload)):
+            for h in (mat(a.tag, 1, 2, (_copy(a.payload), b.payload)),
+                      mat(b.tag, 1, 2, (a.payload, b.payload))):
+                if g == h:
+                    assert hash(g) == hash(h), (a, b, h.tag)
 
 
 # ---------------------------------------------------------------------------

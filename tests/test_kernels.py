@@ -13,6 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import semicat.matcat as matcat
+from semicat.adjunctions import _naive_compose
 from semicat.algebra import (
     GAUSSIAN,
     NAT,
@@ -526,6 +527,31 @@ def test_a_matrix_reads_back_the_scalars_it_was_given(data, name, r, c):
     assert m == Matrix(S, r, c, xs) and hash(m) == hash(Matrix(S, r, c, xs))
     if xs == ys:
         assert hash(m) == hash(n)
+
+
+def one_at_a_time(payload):
+    """An equal payload whose every ``Fraction`` comes from ``Fraction(n, d)``."""
+    if type(payload) is Fraction:
+        return Fraction(payload.numerator, payload.denominator)
+    if type(payload) is tuple:
+        return tuple(map(one_at_a_time, payload))
+    return payload
+
+
+@given(st.data(), names, dims, dims, dims)
+def test_kernel_results_hash_as_the_same_values_built_one_at_a_time(data, name, n, m, p):
+    S = SEMIRINGS[name]
+    g, h = draw_matrix(data, name, n, m), draw_matrix(data, name, m, p)
+    for got, want in (
+        (mat_compose(g, h), _naive_compose(g, h)),
+        (mat_tensor(g, h), tensor_oracle(S, g, h)),
+        (mat_dagger(g), dagger_oracle(S, g)),
+    ):
+        rebuilt = Matrix(S, got.rows, got.cols,
+                         [Scalar(name, one_at_a_time(e.payload)) for e in want.entries])
+        assert got == want == rebuilt
+        assert hash(got) == hash(want) == hash(rebuilt)
+        assert list(map(hash, got.entries)) == list(map(hash, rebuilt.entries))
 
 
 @pytest.mark.parametrize("name", sorted(SEMIRINGS))
