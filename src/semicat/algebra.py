@@ -601,8 +601,9 @@ def _parse_gaussian(text: str, parts: dict) -> tuple[Fraction, Fraction]:
 
 # The text grammar of each built-in, from a stripped literal to its bare
 # payload. ``parts`` holds the rational parts of gaussian literals converted
-# so far: :func:`parse_scalar` passes a fresh dict, and
-# :func:`semicat.matcat.parse_mat_text` one dict per file.
+# so far: :func:`parse_scalar` passes a fresh dict, and the ``.mat`` reader
+# of :mod:`semicat.matcat` one dict per literal table: one per file, or one
+# per semiring of a ``matmul`` call.
 _GRAMMARS: dict[str, Callable[[str, dict], object]] = {
     "nat": _parse_nat,
     "bool": _parse_bool,
@@ -628,10 +629,6 @@ def parse_scalar(desc: SemiringDescriptor | str, text: str) -> Scalar:
     if grammar is None:
         raise UnknownSemiring(f"no scalar grammar for semiring {name!r}")
     return Scalar(name, grammar(text.strip(), {}))
-
-
-def _render_bool(b: bool) -> str:
-    return "1" if b else "0"
 
 
 def _render_rationals(vs: Sequence) -> list[str]:
@@ -663,12 +660,13 @@ def _render_tropicals(vs: Sequence) -> list[str]:
 
 
 # The canonical texts of a sequence of each built-in's bare payloads, a list
-# of one text per payload; the inverse of ``_GRAMMARS``. A tropical or ratnn grid
-# is written with no Python call per entry, a gaussian grid with one that
-# reads the Fractions' slots; a too-long int raises ValueError in an f-string.
+# of one text per payload; the inverse of ``_GRAMMARS``. A bool, tropical or
+# ratnn grid is written with no Python call per entry, a gaussian grid with
+# one that reads the Fractions' slots; a too-long int raises ValueError in an
+# f-string.
 _RENDERERS: dict[str, Callable[[Sequence], list[str]]] = {
     "nat": lambda vs: list(map(str, vs)),
-    "bool": lambda vs: list(map(_render_bool, vs)),
+    "bool": lambda vs: ["1" if v else "0" for v in vs],
     "tropical": _render_tropicals,
     "ratnn": _render_rationals,
     "gaussian": lambda vs: list(map(_render_gaussian, vs)),

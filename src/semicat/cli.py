@@ -48,6 +48,7 @@ from .algebra import _GRAMMARS, TROPICAL, _decimal, _quote, _render_rows
 from .errors import FormatError, SemicatError, SizeLimitExceeded
 from .matcat import (
     Matrix,
+    _Literals,
     _mat_header,
     _matrix,
     bounded_paths,
@@ -218,7 +219,9 @@ def _cmd_matmul(args) -> int:
         else:
             _check_table_size("the tensor", n * p, m * q)
             kernel = mat_tensor
-        mats = [parse_mat_text(each, head) for each, head in zip(lines, heads)]
+        # One literal table per semiring named, shared by the files over it.
+        tables = {name: _Literals(name) for name, _, _ in heads}
+        mats = [parse_mat_text(each, head, tables[head[0]]) for each, head in zip(lines, heads)]
     sys.stdout.write(render_mat_text(kernel(*mats)))
     return 0
 

@@ -28,20 +28,26 @@ name, and the first operand's descriptor computes.
 
 Over a built-in, entrywise add, tensor and dagger use its payload
 operations from ``algebra._PAYLOAD_OPS``, the table its scalar descriptor
-is built from. Compose has its own sum-of-products kernel per built-in:
-any/and for bool, which stops at the first true product, min-plus on
-ints for tropical, and integer dot products for nat, ratnn and gaussian,
-all taken by :func:`_dots`. A product of at most ``_DIRECT_MAX`` inner
+is built from. Compose has its own sum-of-products kernel per built-in,
+handed the row-major values of both factors and the shape: OR of packed
+rows for bool, min-plus on ints for tropical, and integer dot products
+for nat, ratnn and gaussian. A product of at most ``_DIRECT_MAX`` inner
 steps, so every one with an empty dimension, skips them for :func:`_direct`,
 the one plain sum-of-products loop. From ``_PACK_MIN`` (9 * 9 * 9) inner
-steps up, :func:`_dots` packs each row of the right factor into one int
-with a slot per column (Kronecker substitution), so one big-int sum per
-output row holds that whole row, and one ``struct`` unpack splits it.
-A slot is 1, 2, 4 or 8 bytes, the smallest width that holds every dot,
-each at most m * max|a| * max|c| for inner dimension m, doubled by the
-bias that lifts signed gaussian parts. A smaller product, or one that
-would need wider slots, takes one ``sum`` per entry. Tropical packs the
-same way from ``_PACK_MIN`` up, when the result has 4 rows and 4 columns: each
+steps up, :func:`_packed_dots` packs each row of the right factor into
+one int with a slot per column (Kronecker substitution), so one big-int
+sum per output row holds that whole row, and one ``struct`` unpack splits
+it. Over nat those rows are slices of the right factor's values, and over
+ratnn and gaussian its scaled columns transposed once. A slot is 1, 2, 4
+or 8 bytes, the smallest width that holds every dot, each at most
+m * max|a| * max|c| for inner dimension m, doubled by the bias that lifts
+signed gaussian parts. A smaller product, or one that would need wider
+slots, takes one ``sum`` per entry. Bool packs each row of the right
+factor into one int of 0/1 bytes from ``_PACK_MIN`` up, and output row i
+is the OR of the rows j where a_ij holds, with no carry at any inner
+dimension; a smaller product takes one ``any`` per entry, which stops at
+the first true product. Tropical packs its right factor's rows from
+``_PACK_MIN`` up, when the result has 4 rows and 4 columns: each
 finite left entry folds its packed row of the right factor, lifted by
 that entry, into the output row by one slot-wise min (Lamport's packed
 compare, :func:`_packed_min_plus`), with infinity a slot value above
@@ -79,7 +85,9 @@ renderers of :mod:`semicat.algebra`. :func:`parse_mat_text` reads a file
 a line at a time and parses each distinct literal text and each distinct
 rational part of a gaussian literal once per file, straight to payloads;
 :func:`render_mat_text` writes the stored payloads. The ``matmul``
-command runs one operation between them and builds no :class:`Scalar`.
+command reads both of its files through one literal table when their
+headers name the same semiring, runs one operation between them and
+builds no :class:`Scalar`.
 """
 
 from __future__ import annotations
@@ -88,7 +96,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, and_, mul
+from functools import reduce
+from itertools import compress
+from operator import add, and_, mul, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -272,35 +282,65 @@ _PACK_MIN = 729
 
 # Up to this many inner steps, a compose over a built-in sums its products
 # one payload operation at a time (:func:`_direct`), as a compose over any
-# other descriptor does at every size. Per built-in on a 2-core
-# Xeon (min of 15 x 2000 calls), that took 0.3-0.6 of the kernel's time at 1
-# and 2 steps; at 4, ratnn broke even (9.2 against 9.9 us), and from 6 on its
-# integer dots won.
-_DIRECT_MAX = 4
+# other descriptor does at every size. Per built-in on a 2-core Xeon (min of
+# 15 x 2000 calls on the law suites' scalar pools), that took at most 0.70
+# (nat), 0.71 (bool), 0.35 (tropical), 0.69 (ratnn) and 0.70 (gaussian) of
+# the kernel's time at 5 steps, and at most 0.95 up to 8; at 10, ratnn's
+# integer dots won. It stops at 5: from 6 on, the bool tensor-symmetry law
+# composes through this loop too, and the mutant table of
+# tests/test_mutants.py breaks the loop while it expects that law to pass.
+_DIRECT_MAX = 5
 
 # Slot widths in bytes, with their little-endian unsigned ``struct`` codes.
 _SLOTS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
+def _dot_slots(m: int, alo: int, ahi: int, clo: int, chi: int) -> tuple | None:
+    """The packed layout (width, code, col_bias, bias) of the dots of m
+    steps between left entries in [alo, ahi] and right entries in
+    [clo, chi]: the narrowest of ``_SLOTS`` that holds every dot and every
+    packed right entry, or None where 8 bytes would not."""
+    cmax = max(chi, -clo)
+    bound = m * max(ahi, -alo) * cmax  # bounds every |dot|
+    # Signed input lifts each dot by the bound, and a negative right
+    # factor lifts each of its entries by cmax, so every slot is >= 0.
+    bias = bound if alo < 0 or clo < 0 else 0
+    col_bias = cmax if clo < 0 else 0
+    bits = max(bound + bias, cmax + col_bias).bit_length()
+    for width, code in _SLOTS:
+        if bits <= 8 * width:
+            return width, code, col_bias, bias
+    return None
+
+
+def _nat_products(a: tuple, b: tuple, n: int, m: int, p: int) -> list:
+    """Every dot of the n x m ints ``a`` and the m x p ints ``b``, row
+    major: from ``_PACK_MIN`` inner steps up by :func:`_packed_dots` on the
+    rows of b as they lie in it, and else, or where 8 bytes would not hold
+    the slots, one ``sum`` per entry. A nat payload built by hand may be
+    negative, so the bounds are read, not assumed."""
+    rows = [a[i * m : (i + 1) * m] for i in range(n)]
+    if n * m * p >= _PACK_MIN:
+        layout = _dot_slots(m, min(a), max(a), min(b), max(b))
+        if layout:
+            return _packed_dots(rows, [b[j : j + p] for j in range(0, m * p, p)], *layout)
+    cols = [b[q::p] for q in range(p)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
 def _dots(rows: list, cols: list) -> list:
-    """Every row-by-column sum of products of ints, row major: a packed
-    output row at a time from ``_PACK_MIN`` inner steps up, in the
-    narrowest slots that hold every dot and every packed entry, and else,
-    or where 8 bytes would not hold them, one ``sum`` per entry."""
+    """Every row-by-column sum of products of the int ``rows`` and
+    ``cols`` that ratnn and gaussian compose scale, row major: from
+    ``_PACK_MIN`` inner steps up by :func:`_packed_dots` on the rows of the
+    right factor, its columns transposed once, and else, or where 8 bytes
+    would not hold the slots, one ``sum`` per entry."""
     n, m, p = len(rows), len(rows[0]), len(cols)
     if n * m * p >= _PACK_MIN:
-        alo, ahi = min(map(min, rows)), max(map(max, rows))
-        clo, chi = min(map(min, cols)), max(map(max, cols))
-        cmax = max(chi, -clo)
-        bound = m * max(ahi, -alo) * cmax  # bounds every |dot|
-        # Signed input lifts each dot by the bound, and a negative right
-        # factor lifts each of its entries by cmax, so every slot is >= 0.
-        bias = bound if alo < 0 or clo < 0 else 0
-        col_bias = cmax if clo < 0 else 0
-        bits = max(bound + bias, cmax + col_bias).bit_length()
-        for width, code in _SLOTS:
-            if bits <= 8 * width:
-                return _packed_dots(rows, cols, width, code, col_bias, bias)
+        layout = _dot_slots(
+            m, min(map(min, rows)), max(map(max, rows)), min(map(min, cols)), max(map(max, cols))
+        )
+        if layout:
+            return _packed_dots(rows, list(zip(*cols)), *layout)
     return [sum(map(mul, r, c)) for r in rows for c in cols]
 
 
@@ -309,20 +349,21 @@ def _ones(width: int, count: int) -> int:
     return int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")
 
 
-def _packed_dots(rows: list, cols: list, width: int, code: str, col_bias: int, bias: int) -> list:
-    """Kronecker substitution: row j of the right factor becomes one int
-    with column k's entry in slot k, ``width`` bytes at bit 8 * width * k,
-    so sum_j a_j * packed_j holds every dot of row a, dot k in slot k. No
-    slot carries into the next, because each holds its dot plus ``bias``
-    below 2 ** (8 * width). Entries are packed plus ``col_bias`` into
-    unsigned slots, and that bias is taken off each packed int again."""
-    p = len(cols)
+def _packed_dots(rows: list, right: list, width: int, code: str, col_bias: int, bias: int) -> list:
+    """Kronecker substitution: row j of the right factor, ``right[j]``,
+    becomes one int with column k's entry in slot k, ``width`` bytes at bit
+    8 * width * k, so sum_j a_j * packed_j holds every dot of row a, dot k
+    in slot k. No slot carries into the next, because each holds its dot
+    plus ``bias`` below 2 ** (8 * width). A negative right factor's entries
+    are packed plus ``col_bias`` into unsigned slots, and that bias is
+    taken off each packed int again."""
+    p = len(right[0])
     slots = Struct(f"<{p}{code}")
     ones = _ones(width, p)
-    packed = [
-        int.from_bytes(slots.pack(*[x + col_bias for x in h]), "little") - col_bias * ones
-        for h in zip(*cols)
-    ]
+    if col_bias:
+        right = [[x + col_bias for x in h] for h in right]
+    unlift = col_bias * ones
+    packed = [int.from_bytes(slots.pack(*h), "little") - unlift for h in right]
     lift, size = bias * ones, width * p
     out = []
     for r in rows:
@@ -330,8 +371,23 @@ def _packed_dots(rows: list, cols: list, width: int, code: str, col_bias: int, b
     return [x - bias for x in out] if bias else out
 
 
-def _bool_products(rows: list, cols: list) -> list:
-    return [any(map(and_, r, c)) for r in rows for c in cols]
+def _bool_products(a: tuple, b: tuple, n: int, m: int, p: int) -> list:
+    """Every entry of the bool composite, row major. From ``_PACK_MIN``
+    inner steps up, each row of the right factor becomes one int of 0/1
+    bytes, and output row i is the OR of the rows j where a_ij holds: an OR
+    never carries, so one byte per slot holds any inner dimension. Below
+    that, one ``any`` per entry stops at its first true product."""
+    if n * m * p < _PACK_MIN:
+        rows = [a[i * m : (i + 1) * m] for i in range(n)]
+        cols = [b[q::p] for q in range(p)]
+        return [any(map(and_, r, c)) for r in rows for c in cols]
+    right = bytes(b)
+    packed = [int.from_bytes(right[j : j + p], "little") for j in range(0, m * p, p)]
+    out = [
+        reduce(or_, compress(packed, a[i : i + m]), 0).to_bytes(p, "little")
+        for i in range(0, n * m, m)
+    ]
+    return list(map(bool, b"".join(out)))
 
 
 def _guarded_slots(top: int) -> tuple[int, str] | None:
@@ -343,24 +399,26 @@ def _guarded_slots(top: int) -> tuple[int, str] | None:
     return None
 
 
-def _tropical_products(rows: list, cols: list) -> list:
-    n, m, p = len(rows), len(rows[0]), len(cols)
+def _tropical_products(a: tuple, b: tuple, n: int, m: int, p: int) -> list:
     # Packed rows win from _PACK_MIN inner steps up once the output has 4
     # rows and 4 columns. With fewer, one packed step per inner index does
     # less than the mins it replaces, or one row pays for packing the right
     # factor: 300 x 300 x 1 and 1 x 300 x 20 ran 1.35 and 1.7 times slower
     # packed.
+    rows = [a[i * m : (i + 1) * m] for i in range(n)]
     if n * m * p >= _PACK_MIN and min(n, p) >= 4:
-        a = [x for r in rows for x in r if x is not None]
-        c = [x for col in cols for x in col if x is not None]
-        alo, ahi = min(a, default=0), max(a, default=0)
-        clo = min(c, default=0)
+        finite_a = [x for x in a if x is not None]
+        finite_b = [x for x in b if x is not None]
+        alo, ahi = min(finite_a, default=0), max(finite_a, default=0)
+        clo = min(finite_b, default=0)
         # A finite sum x + y sits at (x - alo) + (y - clo) <= top, an infinite
         # right entry at top + 1, and no slot ever above top + 1 + ahi - alo.
-        top = ahi - alo + max(c, default=0) - clo
+        top = ahi - alo + max(finite_b, default=0) - clo
         layout = _guarded_slots(top + 1 + ahi - alo)
         if layout:
-            return _packed_min_plus(rows, cols, *layout, alo, clo, top)
+            right = [b[j : j + p] for j in range(0, m * p, p)]
+            return _packed_min_plus(rows, right, *layout, alo, clo, top)
+    cols = [b[q::p] for q in range(p)]
     # Infinity (None) becomes big = 3M + 1, where M bounds every finite
     # |weight|. A sum of two finite weights stays within [-2M, 2M] and a sum
     # with big in it is at least 2M + 1, so min-plus runs on ints alone.
@@ -373,9 +431,10 @@ def _tropical_products(rows: list, cols: list) -> list:
 
 
 def _packed_min_plus(
-    rows: list, cols: list, width: int, code: str, alo: int, clo: int, top: int
+    rows: list, right: list, width: int, code: str, alo: int, clo: int, top: int
 ) -> list:
-    """Every row-by-column min-plus sum, a packed output row at a time
+    """Every min-plus sum of the left factor's ``rows`` with the right
+    factor, whose rows are ``right``, a packed output row at a time
     (Lamport's packed compare). The rows of the right factor become
     :class:`_PackedRows`, entry y at y - clo and infinity at top + 1. A
     finite left entry x adds x - alo to every slot of row j, and one
@@ -384,7 +443,7 @@ def _packed_min_plus(
     clear in every candidate, so one subtraction compares all slots at once
     with no borrow between them: the guard survives where the output slot is
     at least the candidate's, and there the difference is taken off again."""
-    right = _PackedRows(list(zip(*cols)), width, code, -clo, top, top + 1)
+    right = _PackedRows(right, width, code, -clo, top, top + 1)
     shift = 8 * width - 1
     ones, guards = right.ones, right.guards
     packed = [y ^ guards for y in right.ints]
@@ -409,7 +468,9 @@ def _over_lcm(qs: list) -> tuple[int, list[int]]:
     return d, [q._numerator * (d // q._denominator) for q in qs]
 
 
-def _ratnn_products(rows: list, cols: list) -> list:
+def _ratnn_products(a: tuple, b: tuple, n: int, m: int, p: int) -> list:
+    rows = [a[i * m : (i + 1) * m] for i in range(n)]
+    cols = [b[q::p] for q in range(p)]
     row_dens, a = zip(*map(_over_lcm, rows))
     col_dens, c = zip(*map(_over_lcm, cols))
     return list(map(_ratio, _dots(a, c), [rd * cd for rd in row_dens for cd in col_dens]))
@@ -423,9 +484,11 @@ def _gaussian_over_lcm(pairs: list) -> tuple:
     return d, re, im, list(map(add, re, im))
 
 
-def _gaussian_products(rows: list, cols: list) -> list:
+def _gaussian_products(a: tuple, b: tuple, n: int, m: int, p: int) -> list:
     # Gauss's three products: (a + bi)(c + di) has re = ac - bd and
     # im = (a + b)(c + d) - ac - bd.
+    rows = [a[i * m : (i + 1) * m] for i in range(n)]
+    cols = [b[q::p] for q in range(p)]
     row_dens, a, b, a_b = zip(*map(_gaussian_over_lcm, rows))
     col_dens, c, d, c_d = zip(*map(_gaussian_over_lcm, cols))
     dens = [rd * cd for rd in row_dens for cd in col_dens]
@@ -436,17 +499,18 @@ def _gaussian_products(rows: list, cols: list) -> list:
 
 
 class _Kernel(NamedTuple):
-    """What the matrix operations compute with. ``products`` takes the rows
-    of one matrix and the columns of another, as only :func:`mat_compose`
-    passes them: at least one of each, over ``_DIRECT_MAX`` inner steps.
-    It returns every row-by-column sum of products, row major: over nat,
-    ratnn and gaussian from the integer dots of :func:`_dots`, and over
-    tropical from packed min-plus rows from ``_PACK_MIN`` inner steps up,
-    and entry by entry below it and over bool. Any other descriptor has
-    none; its composes take :func:`_direct`. The rest are the scalar
-    operations and constants, on values as a matrix stores them."""
+    """What the matrix operations compute with. ``products(a, b, n, m, p)``
+    takes the row-major values of an n x m and an m x p matrix, as only
+    :func:`mat_compose` passes them: n, m, p >= 1, over ``_DIRECT_MAX``
+    inner steps. Each kernel slices only the layout it computes on. It
+    returns every row-by-column sum of products, row major: over nat,
+    ratnn and gaussian from integer dots, and over bool and tropical from
+    packed rows from ``_PACK_MIN`` inner steps up, and entry by entry
+    below it. Any other descriptor has none; its composes take
+    :func:`_direct`. The rest are the scalar operations and constants, on
+    values as a matrix stores them."""
 
-    products: Callable[[list, list], list] | None
+    products: Callable[[tuple, tuple, int, int, int], list] | None
     add: Callable
     mul: Callable
     star: Callable | None
@@ -461,7 +525,7 @@ class _Kernel(NamedTuple):
 _KERNELS: dict[SemiringDescriptor, _Kernel] = {
     S: _Kernel(products, *_PAYLOAD_OPS[S.name], S.zero.payload, S.one.payload)
     for S, products in (
-        (NAT, _dots),
+        (NAT, _nat_products),
         (BOOL, _bool_products),
         (TROPICAL, _tropical_products),
         (RATNN, _ratnn_products),
@@ -533,7 +597,8 @@ def mat_compose(g: Matrix, h: Matrix) -> Matrix:
     scalar operation at a time by :func:`_direct`, with :func:`_kernel`'s
     operations. Over a built-in that costs less than the kernel's slices,
     lcm scalings and dots and gives the same reduced values. Every other
-    product takes the built-in kernel's ``products``."""
+    product takes the built-in kernel's ``products``, handed both factors'
+    values and the shape."""
     S, b = _same_theory(g, h)
     if g.cols != h.rows:
         raise DimensionMismatch(
@@ -543,9 +608,7 @@ def mat_compose(g: Matrix, h: Matrix) -> Matrix:
     k = _kernel(S)
     if k.products is None or n * m * p <= _DIRECT_MAX:
         return _matrix(S, n, p, _direct(k, a, b, n, m, p))
-    rows = [a[i * m : (i + 1) * m] for i in range(n)]
-    cols = [b[q::p] for q in range(p)]
-    return _matrix(S, n, p, k.products(rows, cols))
+    return _matrix(S, n, p, k.products(a, b, n, m, p))
 
 
 def mat_coproj1(S: SemiringDescriptor, n: int, m: int) -> Matrix:
@@ -1025,13 +1088,15 @@ def _mat_header(lines: Iterator[str]) -> tuple[str, int, int]:
 
 
 class _Literals(dict):
-    """One file's literal text -> bare payload. A miss is parsed by the
-    grammar and stored; a text that fails is not, and tropical inf is None."""
+    """Literal text -> bare payload over the semiring ``name``. A miss is
+    parsed by its grammar and stored; a text that fails is not, and
+    tropical inf is None. ``parts`` holds the rational parts of gaussian
+    literals converted so far."""
 
     __slots__ = ("grammar", "parts")
 
-    def __init__(self, grammar: Callable[[str, dict], object]) -> None:
-        self.grammar, self.parts = grammar, {}
+    def __init__(self, name: str) -> None:
+        self.grammar, self.parts = _GRAMMARS[name], {}
 
     def __missing__(self, tok: str):
         value = self[tok] = self.grammar(tok, self.parts)
@@ -1039,22 +1104,27 @@ class _Literals(dict):
 
 
 def parse_mat_text(
-    text: str | Iterable[str], header: tuple[str, int, int] | None = None
+    text: str | Iterable[str],
+    header: tuple[str, int, int] | None = None,
+    table: _Literals | None = None,
 ) -> Matrix:
     """Parse the matrix file format from its text, or from its lines as
     ``str.splitlines`` splits it, read one at a time: a bad line stops the
     read. Line 1 is ``semiring <name> <rows> <cols>``, with rows and cols
     ``nat`` literals (ASCII digits); each following line holds one row of
     scalars in the semiring's text grammar. A row costs one split and one
-    lookup per entry in the call's :class:`_Literals`: each distinct literal
-    text, and each distinct rational part of a gaussian literal, is parsed
-    once per call. Errors carry the offending line and column. A caller that
-    has read line 1 from the lines passes what :func:`_mat_header` made of
-    it as ``header``, and the read goes on from line 2.
+    lookup per entry in ``table``, a :class:`_Literals` over the file's
+    semiring, by default a new one: each distinct literal text, and each
+    distinct rational part of a gaussian literal, is parsed once per table.
+    ``matmul`` passes one table to both of its files when their headers name
+    the same semiring. Errors carry the offending line and column. A caller
+    that has read line 1 from the lines passes what :func:`_mat_header` made
+    of it as ``header``, and the read goes on from line 2.
     """
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     name, rows, cols = _mat_header(lines) if header is None else header
-    table = _Literals(_GRAMMARS[name])
+    if table is None:
+        table = _Literals(name)
     values: list = []
     for i in range(rows):
         lineno = i + 2

@@ -231,14 +231,18 @@ def test_matmul_compose_golden(capsys):
     assert out == golden("compose_ab.out")
 
 
-@pytest.mark.parametrize("pair", ["compose_wide", "compose_gauss", "compose_trop", "compose_ratnn"])
+@pytest.mark.parametrize(
+    "pair", ["compose_wide", "compose_gauss", "compose_trop", "compose_ratnn", "compose_bool"]
+)
 def test_matmul_packed_compose_golden(capsys, pair):
     """A nat 12 x 12 and a gaussian 10 x 10 product, large enough for the
     packed integer sums, a tropical 24 x 24 one with infinities and
-    negative weights, large enough for the packed min-plus rows, and a
-    ratnn 12 x 10 by 10 x 11 one with numerators and denominators past
-    2**64, whose dots reduce to 0, to integers and to big fractions,
-    against output recorded from one sum or min per entry and one
+    negative weights, large enough for the packed min-plus rows, a ratnn
+    12 x 10 by 10 x 11 one with numerators and denominators past 2**64,
+    whose dots reduce to 0, to integers and to big fractions, and a bool
+    20 x 300 by 300 x 24 one with all-false rows and columns and an entry
+    of 270 true products, past what a byte that counted them would hold,
+    against output recorded from one sum, min or any per entry and one
     ``Fraction(n, d)`` per rational."""
     code = main(["matmul", "--op", "compose", "-A", fx(f"{pair}_a.mat"), "-B", fx(f"{pair}_b.mat")])
     out = capsys.readouterr().out
@@ -960,6 +964,53 @@ def test_a_mat_file_reports_its_first_error_in_file_order(capsys, tmp_path, argv
     bad.write_bytes(b"semiring nat 3 1\nx\n1\n\xff\n")
     assert main([str(bad) if arg == "{bad}" else arg for arg in argv]) == 2
     assert capsys.readouterr() == ("", "error: line 2, column 1: bad natural literal 'x'\n")
+
+
+def test_matmul_parses_each_literal_once_per_call(capsys, tmp_path, monkeypatch):
+    """Two files over one semiring share one literal table: a literal in
+    both is parsed once. A file over another semiring gets its own table,
+    and the product still fails on the mismatch."""
+    parsed = []
+    for name in ("nat", "tropical"):
+        grammar = algebra._GRAMMARS[name]
+        monkeypatch.setitem(
+            algebra._GRAMMARS,
+            name,
+            lambda text, parts, grammar=grammar, name=name: (
+                parsed.append((name, text)) or grammar(text, parts)
+            ),
+        )
+    a, b, t = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "t.mat"
+    a.write_text("semiring nat 2 2\n1 2\n2 3\n")
+    b.write_text("semiring nat 2 2\n3 2\n4 1\n")
+    t.write_text("semiring tropical 2 2\n1 inf\n2 3\n")
+    assert main(["matmul", "--op", "compose", "-A", str(a), "-B", str(b)]) == 0
+    assert capsys.readouterr() == ("semiring nat 2 2\n11 4\n18 7\n", "")
+    assert sorted(parsed) == [("nat", text) for text in "1234"]
+    parsed.clear()
+    assert main(["matmul", "--op", "compose", "-A", str(a), "-B", str(t)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: matrices over nat and tropical cannot be combined\n"
+    )
+    assert sorted(parsed) == [
+        *[("nat", text) for text in "123"], *[("tropical", text) for text in ("1", "2", "3", "inf")]
+    ]
+
+
+@pytest.mark.parametrize(
+    "b, line",
+    [
+        ("semiring nat 1 3\n2 1 x\n", "error: line 2, column 5: bad natural literal 'x'\n"),
+        ("semiring nat 1 3\n1 x 2\n", "error: line 2, column 3: bad natural literal 'x'\n"),
+        ("semiring nat 1 3\n2 1 2 x\n", "error: line 2, column 7: expected 3 entries, got 4\n"),
+    ],
+)
+def test_a_bad_literal_in_b_keeps_its_column_when_a_shares_the_table(capsys, tmp_path, b, line):
+    a, bad = tmp_path / "a.mat", tmp_path / "b.mat"
+    a.write_text("semiring nat 1 1\n1\n")
+    bad.write_text(b)
+    assert main(["matmul", "--op", "compose", "-A", str(a), "-B", str(bad)]) == 2
+    assert capsys.readouterr() == ("", line)
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -452,9 +452,9 @@ def test_direct_compose_equals_the_naive_compose(monkeypatch, S):
     calls = _counting_direct(monkeypatch)
     kernel, shapes = matcat._KERNELS[S], []
 
-    def products(rows, cols):
-        shapes.append((len(rows), len(rows[0]) if rows else 0, len(cols)))
-        return kernel.products(rows, cols)
+    def products(a, b, n, m, p):
+        shapes.append((n, m, p))
+        return kernel.products(a, b, n, m, p)
 
     monkeypatch.setitem(matcat._KERNELS, S, kernel._replace(products=products))
     top = matcat._DIRECT_MAX + 1

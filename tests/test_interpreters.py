@@ -5,7 +5,7 @@ lean on ``Fraction`` reducing to lowest terms, which ``fractions`` has
 reimplemented between versions. They also build most rationals with
 ``algebra._ratio``, which sets ``Fraction``'s two private slots directly
 and so relies on their layout. Each test here runs every law/roundtrip
-golden and the fourteen CLI fixtures through ``semicat.cli.main``, all in
+golden and the fifteen CLI fixtures through ``semicat.cli.main``, all in
 one subprocess of another interpreter found on PATH, and compares each
 stdout with the recorded bytes. The same subprocess builds every (n, d) of
 ``RATIOS`` with ``_ratio`` and with ``Fraction`` and reports each pair that
@@ -52,7 +52,9 @@ CASES.update(
                 ["matmul", "--op", "compose", "-A", _fx(f"{pair}_a.mat"), "-B", _fx(f"{pair}_b.mat")],
                 FIXTURES / f"{pair}_ab.out",
             )
-            for pair in ("compose_wide", "compose_gauss", "compose_trop", "compose_ratnn")
+            for pair in (
+                "compose_wide", "compose_gauss", "compose_trop", "compose_ratnn", "compose_bool"
+            )
         },
         "tensor_gauss_ab": (
             ["matmul", "--op", "tensor", "-A", _fx("tensor_gauss_a.mat"), "-B", _fx("tensor_gauss_b.mat")],
@@ -219,7 +221,7 @@ def find_interpreter(version: str):
 
 
 def test_cases_cover_every_golden_and_cli_fixture():
-    assert len(CASES) == 33 + 14
+    assert len(CASES) == 33 + 15
     assert {golden.name for _, golden in CASES.values()} >= {
         p.name for p in FIXTURES.glob("*.out")
     }

@@ -265,6 +265,106 @@ def test_compose_kernel_with_signed_gaussian_dots_in_each_slot_width(monkeypatch
     assert min(real_parts) < 0 < max(real_parts)
 
 
+def record_dot_widths(monkeypatch) -> list:
+    """The slot widths that the packed integer dots take, one per call."""
+    widths = []
+    real = matcat._packed_dots
+
+    def packed_dots(rows, right, w, code, col_bias, bias):
+        widths.append(w)
+        return real(rows, right, w, code, col_bias, bias)
+
+    monkeypatch.setattr(matcat, "_packed_dots", packed_dots)
+    return widths
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([NAT, RATNN]),
+    st.sampled_from([1, 2, 4, 8, None]),
+    st.integers(0, 2**32),
+)
+def test_nat_and_ratnn_dots_take_the_narrowest_slots(S, width, seed):
+    # 15 divides 2**(8w) - 1, so the largest dot, 15 * (limit // 15), is the
+    # last value a w-byte slot holds; past 8 bytes it is 2**64, 16 steps of
+    # 2**60, and every dot is one sum per entry.
+    m, limit = (15, 2 ** (8 * width) - 1) if width else (16, 2**64)
+    scalar = nat if S is NAT else (lambda v: rational(Fraction(v)))
+    rng = random.Random(seed)
+    g = Matrix(S, 9, m, [scalar(1)] * (9 * m))
+    y = limit // m
+    right = [y if k == 0 else rng.randint(0, y) for _ in range(m) for k in range(9)]
+    h = Matrix(S, m, 9, [scalar(v) for v in right])
+    with pytest.MonkeyPatch.context() as mp:
+        widths = record_dot_widths(mp)
+        got = mat_compose(g, h)
+    assert widths == ([width] if width else [])
+    assert_same(got, compose_oracle(S, g, h))
+    assert max(got.values) == limit
+
+
+# Shrinking a failing example here can take minutes of big-int oracles, so
+# the first failing example is reported as drawn.
+@settings(deadline=None, max_examples=60, phases=[p for p in Phase if p is not Phase.shrink])
+@given(
+    st.data(),
+    st.sampled_from([1, 2, 3, 5, 9, 12]),
+    st.sampled_from([1, 2, 4, 5, 8, 9, 16, 81, 255, 256, 257, 300]),
+    st.sampled_from([1, 2, 3, 5, 9, 12]),
+)
+def test_bool_compose_on_both_sides_of_the_cutoffs(data, n, m, p):
+    """Around ``_DIRECT_MAX`` and ``_PACK_MIN``, and at inner dimensions
+    where a byte that counted the true products would overflow, with an
+    all-false row of g and an all-false column of h. The row of g before
+    the false one is all true, and so is the column of h before the false
+    one: their entry has m true products, so a counting byte would wrap at
+    256 or carry into the false column's byte."""
+    density = data.draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]), label="density")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    left = [rng.random() < density for _ in range(n * m)]
+    right = [rng.random() < density for _ in range(m * p)]
+    row = data.draw(st.integers(0, n - 1), label="false row")
+    col = data.draw(st.integers(0, p - 1), label="false column")
+    left[(row - 1) % n * m : ((row - 1) % n + 1) * m] = [True] * m
+    right[(col - 1) % p :: p] = [True] * m
+    left[row * m : (row + 1) * m] = [False] * m
+    right[col::p] = [False] * m
+    S = SEMIRINGS["bool"]
+    g = Matrix(S, n, m, [boolean(x) for x in left])
+    h = Matrix(S, m, p, [boolean(x) for x in right])
+    got = mat_compose(g, h)
+    assert_same(got, compose_oracle(S, g, h))
+    assert all(type(v) is bool for v in got.values)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["nat", "ratnn"]),
+    st.sampled_from(["left", "right", "both"]),
+    st.sampled_from([(2, 2, 2), (9, 9, 9), (12, 10, 11)]),
+    st.integers(0, 2**32),
+)
+def test_a_negative_payload_built_by_hand_is_summed_exactly(name, where, shape, seed):
+    """``Scalar("nat", -1)`` passes the constructor, which checks only the
+    tag, so the packed dots read the signs of both factors rather than
+    assume none is negative."""
+    S = SEMIRINGS[name]
+    rng = random.Random(seed)
+    value = (lambda v: v) if name == "nat" else (lambda v: Fraction(v, rng.randint(1, 6)))
+    n, m, p = shape
+
+    def entries(k, negative):
+        xs = [Scalar(name, value(rng.randint(0, 40))) for _ in range(k)]
+        if negative:
+            for i in rng.sample(range(k), 1 + k // 4):
+                xs[i] = Scalar(name, value(-rng.randint(1, 40)))
+        return xs
+
+    g = Matrix(S, n, m, entries(n * m, where != "right"))
+    h = Matrix(S, m, p, entries(m * p, where != "left"))
+    assert_same(mat_compose(g, h), compose_oracle(S, g, h))
+
+
 @pytest.mark.parametrize(
     "S, scalar",
     [
@@ -291,16 +391,17 @@ def test_compose_kernel_with_an_all_zero_left_factor(S, scalar):
         ("nat", 4, "sum", 4 * 4),
         ("ratnn", 4, "sum", 4 * 4),
         ("gaussian", 4, "sum", 3 * 4 * 4),
-        ("bool", 32, "any", 32 * 32),
+        ("bool", 32, "any", 0),
+        ("bool", 4, "any", 4 * 4),
         ("tropical", 32, "min", 3),
         ("tropical", 4, "min", 4 * 4),
     ],
 )
 def test_which_compose_path_runs(monkeypatch, name, n, fn, calls):
     """32 x 32 products over nat, ratnn and gaussian take one sum per output
-    row and integer product, and over tropical three mins in all (the packed
-    rows' bounds) and none per entry; 4 x 4 ones, and bool ones of any size,
-    take one sum, any or min per entry."""
+    row and integer product, over tropical three mins in all (the packed
+    rows' bounds) and none per entry, and over bool no any (packed OR
+    rows); 4 x 4 ones take one sum, any or min per entry."""
     S = SEMIRINGS[name]
     rng = random.Random(n)
     g = Matrix(S, n, n, [rng.choice((S.zero, S.one, S.add(S.one, S.one))) for _ in range(n * n)])
