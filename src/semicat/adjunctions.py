@@ -158,6 +158,7 @@ from .monadcore import (
     tx_zero,
 )
 from .sampling import (
+    _below,
     random_carrier,
     random_carrier_fn,
     random_elem,
@@ -626,7 +627,7 @@ def _chain(make: Callable, hi: int, k: int) -> Callable:
     codomain is map i + 1's domain."""
 
     def sample(rng: random.Random) -> tuple:
-        dims = [rng.randint(0, hi) for _ in range(k + 1)]
+        dims = [_below(rng, hi + 1) for _ in range(k + 1)]
         return tuple(make(rng, dom, cod) for dom, cod in zip(dims, dims[1:]))
 
     return sample
@@ -810,7 +811,7 @@ def _additivity_laws(S: SemiringDescriptor) -> list:
     def s_wt(rng):
         X, Y = _carriers(rng, 3, "abc", "pqr")
         pairs = []
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(_below(rng, 4)):
             if rng.random() < 0.5:
                 key = Inl(random_multiset(rng, S, X))
             else:
@@ -964,7 +965,7 @@ def _zeros(S: SemiringDescriptor, n: int, m: int) -> Matrix:
 
 def _matcat_laws(S: SemiringDescriptor) -> list:
     def dims(rng, lo=0, hi=4):
-        return rng.randint(lo, hi)
+        return lo + _below(rng, hi - lo + 1)
 
     def mat(rng, n, m):
         return random_matrix(rng, S, n, m)
@@ -1117,8 +1118,8 @@ def _freetheory_laws(S: SemiringDescriptor) -> list:
     T = MultisetMonad(S)
 
     def s_rel(rng):
-        i = rng.randint(0, 4)
-        m = rng.randint(1, 4)
+        i = _below(rng, 5)
+        m = 1 + _below(rng, 4)
         X = random_carrier(rng, 4, "abcd")
         f = random_aleph0(rng, i, m)
         g = random_matrix(rng, S, 1, i)
@@ -1130,7 +1131,7 @@ def _freetheory_laws(S: SemiringDescriptor) -> list:
 
     def s_outer(rng):
         X = random_carrier(rng, 4, "abcd")
-        k = rng.randint(0, 3)
+        k = _below(rng, 4)
         inners = tuple(random_free_term(rng, S, X, 3) for _ in range(k))
         return (FreeTerm(random_matrix(rng, S, 1, k), inners),)
 
@@ -1192,7 +1193,7 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         return random_kleisli(rng, T, n, m)
 
     def s_emat(rng):
-        n, m = rng.randint(0, 3), rng.randint(0, 3)
+        n, m = _below(rng, 4), _below(rng, 4)
         return (
             Matrix(
                 E, n, m,
@@ -1210,15 +1211,15 @@ def _kleisli_iso_laws(S: SemiringDescriptor) -> list:
         )
 
     def s_parallel(rng):
-        n, m, p = (rng.randint(0, 3) for _ in range(3))
+        n, m, p = (_below(rng, 4) for _ in range(3))
         return (random_kleisli(rng, T, n, m), random_kleisli(rng, T, n, p))
 
     def s_coparallel(rng):
-        n, m, p = (rng.randint(0, 3) for _ in range(3))
+        n, m, p = (_below(rng, 4) for _ in range(3))
         return (random_kleisli(rng, T, n, p), random_kleisli(rng, T, m, p))
 
     def s_small2(rng):
-        dims = [rng.randint(0, 2) for _ in range(4)]
+        dims = [_below(rng, 3) for _ in range(4)]
         return (
             random_kleisli(rng, T, dims[0], dims[1]),
             random_kleisli(rng, T, dims[2], dims[3]),

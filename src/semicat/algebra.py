@@ -150,7 +150,10 @@ class Scalar:
         return self.tag == other.tag and _same_payload(self.payload, other.payload)
 
     def __hash__(self) -> int:
-        return hash((self.tag, _payload_key(self.payload)))
+        x = self.payload
+        if x.__class__ is Fraction or x.__class__ is tuple:
+            x = _payload_key(x)
+        return hash((self.tag, x))
 
     def key(self) -> tuple:
         """Orders by tag, then payload, with ``None`` (tropical infinity)

@@ -73,9 +73,9 @@ __all__ = [
 MAX_TABLE_ENTRIES = 1_000_000
 
 # The most cases ``laws --cases`` accepts. The longest accepted run, 4000
-# cases of additivity, the slowest suite, took 14.9 to 20.1 s in 3 fresh
-# processes (seeds 0 to 2) on a shared 2-core Xeon: 15 to 16 s scaled to
-# the speed of the benchmark's reference loop (bench/run.py).
+# cases of additivity, the slowest suite, took 9.4 to 9.9 s in 3 fresh
+# processes (seeds 0 to 2) on a shared 2-core Xeon: 11.6 to 12.2 s scaled
+# to the speed of the benchmark's reference loop (bench/run.py).
 MAX_CASES = 4000
 
 

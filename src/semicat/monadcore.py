@@ -233,6 +233,15 @@ def carrier_map(dom: FiniteCarrier, cod: FiniteCarrier, assign: dict) -> Carrier
     return CarrierMap(dom, cod, tuple(assign.items()))
 
 
+def _built_map(dom: FiniteCarrier, cod: FiniteCarrier, lookup: dict) -> CarrierMap:
+    """:func:`carrier_map` of ``lookup`` made without the checks of
+    :class:`CarrierMap`: for a dict from each element of ``dom``, in order,
+    to an element of ``cod``."""
+    f = object.__new__(CarrierMap)
+    vars(f).update(dom=dom, cod=cod, table=tuple(lookup.items()), _lookup=lookup)
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Multisets
 

@@ -4,6 +4,17 @@ Everything takes an explicit random.Random so that suites are
 reproducible from a seed. Pools deliberately contain the absorbing and
 neutral elements (zero, one, the tropical infinity, the imaginary unit)
 because those are where law violations hide.
+
+Every draw reads ``rng.getrandbits`` directly, by the rule of
+``random.Random._randbelow``: an int below n takes ``n.bit_length()``
+bits, and a value of n or more is drawn again. ``randint(a, b)`` is
+``a + below(b - a + 1)``, ``choice(seq)`` is ``seq[below(len(seq))]``,
+and ``sample(range(n), k)`` is, for n <= 21, a swap from a pool of the n
+positions with ``below(n - i)`` for pick i. So each sampler draws the
+values, and leaves ``rng`` in the state, that those methods would, on
+Python 3.10 to 3.13 alike, without their Python-level wrappers.
+Multisets, matrices and carrier maps are built from pool or carrier
+parts without their constructors' checks.
 """
 
 from __future__ import annotations
@@ -13,10 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
+    BOOL,
+    GAUSSIAN,
+    NAT,
+    RATNN,
+    TROPICAL,
     MonoidDescriptor,
     Scalar,
     SemiringDescriptor,
-    boolean,
     gaussian,
     nat,
     rational,
@@ -24,10 +39,10 @@ from .algebra import (
     tropical,
     word,
 )
-from .errors import UnknownSemiring
+from .errors import DimensionMismatch, UnknownSemiring
 from .freetheory import FreeTerm
 from .kleisli import KleisliMap, _built, _naturals
-from .matcat import Aleph0Map, Matrix
+from .matcat import Aleph0Map, Matrix, _matrix
 from .monadcore import (
     ActionMonad,
     ActVal,
@@ -38,9 +53,8 @@ from .monadcore import (
     MonadInstance,
     Multiset,
     MultisetMonad,
-    _canonical,
+    _built_map,
     carrier,
-    carrier_map,
     index_carrier,
     ms_from_pairs,
 )
@@ -61,11 +75,13 @@ __all__ = [
     "random_free_term",
 ]
 
+# Each pool starts with its semiring's zero object, which random_multiset
+# recognizes by identity.
 _SCALAR_POOLS: dict[str, tuple[Scalar, ...]] = {
-    "nat": (nat(0), nat(1), nat(2), nat(3), nat(7)),
-    "bool": (boolean(False), boolean(True)),
+    "nat": (NAT.zero, nat(1), nat(2), nat(3), nat(7)),
+    "bool": (BOOL.zero, BOOL.one),
     "tropical": (
-        tropical(None),
+        TROPICAL.zero,
         tropical(0),
         tropical(1),
         tropical(4),
@@ -73,7 +89,7 @@ _SCALAR_POOLS: dict[str, tuple[Scalar, ...]] = {
         tropical(3),
     ),
     "ratnn": (
-        rational(0),
+        RATNN.zero,
         rational(1),
         rational(Fraction(1, 2)),
         rational(Fraction(3, 4)),
@@ -81,7 +97,7 @@ _SCALAR_POOLS: dict[str, tuple[Scalar, ...]] = {
         rational(Fraction(7, 3)),
     ),
     "gaussian": (
-        gaussian(0),
+        GAUSSIAN.zero,
         gaussian(1),
         gaussian(0, 1),
         gaussian(-1),
@@ -89,24 +105,72 @@ _SCALAR_POOLS: dict[str, tuple[Scalar, ...]] = {
         gaussian(Fraction(1, 2), Fraction(-3, 4)),
     ),
 }
+# The payloads of each pool, in order: what a Matrix over it stores.
+_PAYLOAD_POOLS = {
+    name: tuple(s.payload for s in pool) for name, pool in _SCALAR_POOLS.items()
+}
+_FREE_WORDS_POOL = (word(""), word("a"), word("b"), word("ab"), word("cd"), word("ba"))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``: an int in [0, n) by the rule of the module
+    docstring."""
+    if n <= 0:
+        raise ValueError(f"empty range [0, {n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _choice(rng: random.Random, seq):
+    """``rng.choice(seq)``, by the rule of the module docstring."""
+    if not seq:
+        raise IndexError("cannot choose from an empty sequence")
+    return seq[_below(rng, len(seq))]
+
+
+def _sample(rng: random.Random, n: int, k: int) -> list[int]:
+    """``rng.sample(range(n), k)``: for k of at most 21 positions by the
+    pool swap of the module docstring, else by ``sample`` itself, whose
+    method there depends on k (and which rejects a k outside [0, n])."""
+    if n > 21 or not 0 <= k <= n:
+        return rng.sample(range(n), k)
+    bits = rng.getrandbits
+    left = list(range(n))
+    picks = []
+    for i in range(n, n - k, -1):
+        w = i.bit_length()
+        j = bits(w)
+        while j >= i:
+            j = bits(w)
+        picks.append(left[j])
+        left[j] = left[i - 1]
+    return picks
 
 
 def scalar_pool(S: SemiringDescriptor) -> tuple[Scalar, ...]:
-    if S.name not in _SCALAR_POOLS:
-        raise UnknownSemiring(f"no curated pool for {S.name}")
-    return _SCALAR_POOLS[S.name]
+    return _pool(_SCALAR_POOLS, S)
+
+
+def _pool(pools: dict, S: SemiringDescriptor) -> tuple:
+    try:
+        return pools[S.name]
+    except KeyError:
+        raise UnknownSemiring(f"no curated pool for {S.name}") from None
 
 
 def monoid_pool(M: MonoidDescriptor) -> tuple:
     if M.name == "free-words":
-        return (word(""), word("a"), word("b"), word("ab"), word("cd"), word("ba"))
+        return _FREE_WORDS_POOL
     if M.name.endswith("-mul") or M.name.endswith("-add"):
         return scalar_pool(semiring_by_name(M.name.rsplit("-", 1)[0]))
     raise UnknownSemiring(f"no curated pool for monoid {M.name}")
 
 
 def random_scalar(rng: random.Random, S: SemiringDescriptor) -> Scalar:
-    return rng.choice(scalar_pool(S))
+    return _choice(rng, scalar_pool(S))
 
 
 def random_carrier(
@@ -115,7 +179,7 @@ def random_carrier(
     """The carrier of the first k letters, k drawn from 1 to the smaller of
     ``max_size`` and the number of letters. Each prefix's carrier is built
     once and cached (carriers are frozen); the draw is one ``randint``."""
-    k = rng.randint(1, min(max_size, len(letters)))
+    k = 1 + _below(rng, min(max_size, len(letters)))
     return _prefix_carrier(letters[:k])
 
 
@@ -125,14 +189,34 @@ def _prefix_carrier(letters: str) -> FiniteCarrier:
 
 
 def random_elem(rng: random.Random, xs: FiniteCarrier) -> Elem:
-    return rng.choice(list(xs))
+    return _choice(rng, xs.elems)
 
 
 def random_carrier_fn(
     rng: random.Random, dom: FiniteCarrier, cod: FiniteCarrier
 ) -> CarrierMap:
-    targets = list(cod)
-    return carrier_map(dom, cod, {x: rng.choice(targets) for x in dom})
+    """A ``choice`` of ``cod`` for each element of ``dom`` in order."""
+    targets = cod.elems
+    n = len(targets)
+    lookup = {}
+    if dom.elems:
+        if not n:
+            raise IndexError("cannot choose from an empty sequence")
+        bits, w = rng.getrandbits, n.bit_length()
+        for x in dom.elems:
+            r = bits(w)
+            while r >= n:
+                r = bits(w)
+            lookup[x] = targets[r]
+    return _built_map(dom, cod, lookup)
+
+
+def _pool_zero(pool: tuple, zero):
+    """The member of ``pool`` equal to ``zero``, or None: the one scalar
+    that ``monadcore._canonical`` would drop."""
+    if pool[0] is zero:
+        return zero
+    return next((s for s in pool if s == zero), None)
 
 
 def random_multiset(
@@ -143,19 +227,38 @@ def random_multiset(
 ) -> Multiset:
     """A value over ``xs`` on at most ``max_support`` elements: k by
     ``randint``, k positions of the carrier by ``sample``, then a pool
-    scalar per position. ``sample`` draws from ``range(len(xs))`` the
-    positions, and leaves ``rng`` in the state, of sampling the elements.
-    The carrier is in key order, so the drawn pairs in position order are
-    distinct and in key order, and ``monadcore._canonical`` builds what
-    :func:`ms_from_pairs` would."""
+    scalar per position, each drawn by the rule of the module docstring,
+    which holds on Python 3.10 to 3.13. ``sample`` draws from
+    ``range(len(xs))`` the positions, and leaves ``rng`` in the state, of
+    sampling the elements. The carrier is in key order, so the drawn pairs
+    in position order are distinct and in key order, and dropping the ones
+    whose scalar is the pool's zero builds what :func:`ms_from_pairs`
+    would."""
     elems = xs.elems
-    k = rng.randint(0, min(max_support, len(elems)))
+    m = min(max_support, len(elems)) + 1
+    if m <= 0:
+        raise ValueError(f"empty range [0, {m})")
+    bits, w = rng.getrandbits, m.bit_length()
+    k = bits(w)
+    while k >= m:
+        k = bits(w)
     if not k:
         return Multiset(S, ())
-    picks = rng.sample(range(len(elems)), k)
+    picks = _sample(rng, len(elems), k)
     pool = scalar_pool(S)
-    drawn = sorted(zip(picks, [rng.choice(pool) for _ in picks]))
-    return _canonical(S, ((elems[i], s) for i, s in drawn))
+    zero = _pool_zero(pool, S.zero)
+    n = len(pool)
+    w = n.bit_length()
+    drawn = []
+    for i in picks:
+        r = bits(w)
+        while r >= n:
+            r = bits(w)
+        s = pool[r]
+        if s is not zero:
+            drawn.append((i, s))
+    drawn.sort()
+    return Multiset(S, tuple([(elems[i], s) for i, s in drawn]))
 
 
 def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
@@ -163,7 +266,7 @@ def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
     if isinstance(T, MultisetMonad):
         return random_multiset(rng, T.semiring, xs)
     if isinstance(T, ActionMonad):
-        return ActVal(rng.choice(monoid_pool(T.monoid)), random_elem(rng, xs))
+        return ActVal(_choice(rng, monoid_pool(T.monoid)), random_elem(rng, xs))
     raise UnknownSemiring(f"no sampler for {T.name}")
 
 
@@ -173,14 +276,21 @@ def random_nested(rng: random.Random, T: MonadInstance, xs: FiniteCarrier, depth
     if depth <= 1:
         return random_tvalue(rng, T, xs)
     if isinstance(T, MultisetMonad):
-        vals = [random_nested(rng, T, xs, depth - 1) for _ in range(rng.randint(0, 3))]
-        return ms_from_pairs(
-            T.semiring,
-            [(v, random_scalar(rng, T.semiring)) for v in vals],
-        )
+        vals = [random_nested(rng, T, xs, depth - 1) for _ in range(_below(rng, 4))]
+        S = T.semiring
+        pool = scalar_pool(S)
+        bits, n = rng.getrandbits, len(pool)
+        w = n.bit_length()
+        pairs = []
+        for v in vals:
+            r = bits(w)
+            while r >= n:
+                r = bits(w)
+            pairs.append((v, pool[r]))
+        return ms_from_pairs(S, pairs)
     if isinstance(T, ActionMonad):
         return ActVal(
-            rng.choice(monoid_pool(T.monoid)), random_nested(rng, T, xs, depth - 1)
+            _choice(rng, monoid_pool(T.monoid)), random_nested(rng, T, xs, depth - 1)
         )
     raise UnknownSemiring(f"no sampler for {T.name}")
 
@@ -188,12 +298,24 @@ def random_nested(rng: random.Random, T: MonadInstance, xs: FiniteCarrier, depth
 def random_matrix(
     rng: random.Random, S: SemiringDescriptor, rows: int, cols: int
 ) -> Matrix:
-    pool = scalar_pool(S)
-    return Matrix(S, rows, cols, tuple(rng.choice(pool) for _ in range(rows * cols)))
+    """A ``choice`` of the pool per entry, in row-major order, stored as
+    the payloads that ``Matrix`` would unwrap from those scalars."""
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch("matrix dimensions must be naturals")
+    pool = _pool(_PAYLOAD_POOLS, S)
+    bits, n = rng.getrandbits, len(pool)
+    w = n.bit_length()
+    values = []
+    for _ in range(rows * cols):
+        r = bits(w)
+        while r >= n:
+            r = bits(w)
+        values.append(pool[r])
+    return _matrix(S, rows, cols, values)
 
 
 def random_aleph0(rng: random.Random, dom: int, cod: int) -> Aleph0Map:
-    return Aleph0Map(dom, cod, tuple(rng.randrange(cod) for _ in range(dom)))
+    return Aleph0Map(dom, cod, tuple(_below(rng, cod) for _ in range(dom)))
 
 
 def random_kleisli(
@@ -203,7 +325,12 @@ def random_kleisli(
     each is one by construction, so the map is not checked again."""
     _naturals(dom, cod)
     xs = index_carrier(cod)
-    return _built(T, dom, cod, tuple(random_tvalue(rng, T, xs) for _ in range(dom)))
+    if isinstance(T, MultisetMonad):
+        S = T.semiring
+        values = tuple([random_multiset(rng, S, xs) for _ in range(dom)])
+    else:
+        values = tuple([random_tvalue(rng, T, xs) for _ in range(dom)])
+    return _built(T, dom, cod, values)
 
 
 def random_free_term(
@@ -212,6 +339,6 @@ def random_free_term(
     xs: FiniteCarrier,
     max_arity: int = 4,
 ) -> FreeTerm:
-    k = rng.randint(0, max_arity)
+    k = _below(rng, max_arity + 1)
     row = random_matrix(rng, S, 1, k)
     return FreeTerm(row, tuple(random_elem(rng, xs) for _ in range(k)))

@@ -361,6 +361,22 @@ def test_every_drawn_case_is_pinned():
     assert drawn_case_digest() == DRAWN_CASES
 
 
+def test_no_sampler_calls_a_python_level_random_method(monkeypatch):
+    """The samplers read ``getrandbits`` alone: with ``random.Random``'s
+    Python-level draws made to raise, every suite still passes at 5
+    cases and the pinned cases are drawn."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sampler called a Python-level Random method")
+
+    for name in ("randint", "randrange", "choice", "sample", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refused)
+    for suite in SUITE_NAMES:
+        report = run_suite(SuiteConfig(suite, cases=5))
+        assert report.ok, report.render()
+    assert drawn_case_digest() == DRAWN_CASES
+
+
 def test_report_rendering():
     report = SuiteReport(
         "demo",

@@ -9,13 +9,14 @@ and products per monad instance, and the Kleisli constructors build their
 maps without re-checking them, but keep their own checks of objects and
 monads. ``Scalar`` and ``Matrix`` compare and hash ``Fraction`` payloads
 by their integer ratios, a multiset keeps its hash,
-``random_multiset`` builds its canonical value from sampled positions,
-and ``mat_compose`` sums tiny products directly: each must agree with the
-general path it skips.
+the samplers draw with ``getrandbits`` what ``random.Random``'s methods
+draw and build their values unchecked, and ``mat_compose`` sums tiny
+products directly: each must agree with the general path it skips.
 """
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import semicat.adjunctions as adjunctions
 import semicat.matcat as matcat
 import semicat.monadcore as monadcore
+import semicat.sampling as sampling
 from semicat.adjunctions import _naive_compose
 from semicat.algebra import (
     FREE_WORDS,
@@ -61,7 +63,7 @@ from semicat.kleisli import (
     theta,
     xi,
 )
-from semicat.matcat import mat_compose
+from semicat.matcat import Matrix, mat_compose
 from semicat.monadcore import (
     STAR,
     ActionMonad,
@@ -72,12 +74,14 @@ from semicat.monadcore import (
     MultisetMonad,
     Pair,
     carrier,
+    carrier_map,
     eval_at_one,
     index_carrier,
     ms_from_pairs,
     tx_add,
 )
 from semicat.sampling import (
+    random_carrier_fn,
     random_kleisli,
     random_matrix,
     random_multiset,
@@ -403,7 +407,36 @@ def test_matrix_equality_is_tuple_equality():
 
 
 # ---------------------------------------------------------------------------
-# Sampled multisets
+# Draws and sampled values
+
+
+def test_the_draw_helpers_draw_what_random_draws():
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            assert sampling._below(rng, n) == ref.randrange(n)
+            assert -3 + sampling._below(rng, n) == ref.randint(-3, n - 4)
+            seq = tuple(range(100, 100 + n))
+            assert sampling._choice(rng, seq) == ref.choice(seq)
+            for k in range(min(n, 21) + 1):
+                assert sampling._sample(rng, n, k) == ref.sample(range(n), k)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_an_empty_draw_raises_as_random_does():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        sampling._below(rng, 0)
+    with pytest.raises(IndexError):
+        sampling._choice(rng, ())
+    with pytest.raises(ValueError):
+        sampling._sample(rng, 3, 4)
+    with pytest.raises(IndexError):
+        random_carrier_fn(rng, index_carrier(2), index_carrier(0))
+    with pytest.raises(ValueError):
+        random_multiset(rng, NAT, index_carrier(2), -1)
+    with pytest.raises(DimensionMismatch):
+        random_matrix(rng, NAT, -1, 2)
 
 
 def _sampled_by_elements(rng, S, xs, max_support=4):
@@ -429,6 +462,37 @@ def test_random_multiset_is_the_merge_of_the_pairs_it_drew(S):
         assert len(got.entries) == len(want.entries)
         assert all(x == y and s is t for (x, s), (y, t) in zip(got.entries, want.entries))
         assert rng.getstate() == replay.getstate()
+
+
+# Each built-in, the gaussian twin, a twin whose zero is another object equal
+# to the built-in's, and one whose zero no pool scalar equals.
+DRAWN_OVER = [
+    *SEMIRINGS.values(), TWIN, replace(NAT, zero=nat(0)), replace(RATNN, zero=object()),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(DRAWN_OVER),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(CARRIERS),
+    st.sampled_from(CARRIERS[1:]),
+)
+def test_each_sampler_builds_what_its_checked_constructor_builds(S, seed, rows, cols, xs, ys):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = random_matrix(rng, S, rows, cols)
+    want = Matrix(S, rows, cols, [ref.choice(scalar_pool(S)) for _ in range(rows * cols)])
+    assert got.semiring is want.semiring is S
+    assert got == want and got.values == want.values and hash(got) == hash(want)
+    got = random_carrier_fn(rng, xs, ys)
+    want = carrier_map(xs, ys, {x: ref.choice(ys.elems) for x in xs})
+    assert vars(got) == vars(want)
+    got, want = random_multiset(rng, S, xs), _sampled_by_elements(ref, S, xs)
+    assert got.semiring is want.semiring is S
+    assert got.entries == want.entries
+    assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ stdout with the recorded bytes. The same subprocess builds every (n, d) of
 differs in type, value, hash, integer ratio, text or arithmetic. It also
 computes the count and digest of the drawn law cases
 (``test_adjunctions.drawn_case_digest``, from its source): the samplers
-rely on ``Random.sample`` drawing the same positions from a ``range`` as
-from a list of the same length. And it reads the byte inputs of
+read ``Random.getrandbits`` directly and restate the rules of
+``Random._randbelow`` and of ``sample``'s pool swap, so the digest shows
+that those rules hold on each interpreter. And it reads the byte inputs of
 ``READER_INPUTS`` through ``cli._input_lines`` at each of ``READ_HINTS``,
 since the reader leaves line splitting and decoding to the interpreter's
 text reader (``io.TextIOWrapper``). The subprocess needs only the standard
