@@ -150,10 +150,7 @@ class Scalar:
         return self.tag == other.tag and _same_payload(self.payload, other.payload)
 
     def __hash__(self) -> int:
-        x = self.payload
-        if x.__class__ is Fraction or x.__class__ is tuple:
-            x = _payload_key(x)
-        return hash((self.tag, x))
+        return hash((self.tag, _payload_key(self.payload)))
 
     def key(self) -> tuple:
         """Orders by tag, then payload, with ``None`` (tropical infinity)

@@ -124,6 +124,21 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
+def _indices(rng: random.Random, n: int, count: int) -> list[int]:
+    """``count`` draws of ``_below(rng, n)``, in one call: the samplers
+    that draw one pool or carrier index per entry take them all here."""
+    if count and n <= 0:
+        raise IndexError("cannot choose from an empty sequence")
+    bits, w = rng.getrandbits, n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(w)
+        while r >= n:
+            r = bits(w)
+        out.append(r)
+    return out
+
+
 def _choice(rng: random.Random, seq):
     """``rng.choice(seq)``, by the rule of the module docstring."""
     if not seq:
@@ -197,18 +212,8 @@ def random_carrier_fn(
 ) -> CarrierMap:
     """A ``choice`` of ``cod`` for each element of ``dom`` in order."""
     targets = cod.elems
-    n = len(targets)
-    lookup = {}
-    if dom.elems:
-        if not n:
-            raise IndexError("cannot choose from an empty sequence")
-        bits, w = rng.getrandbits, n.bit_length()
-        for x in dom.elems:
-            r = bits(w)
-            while r >= n:
-                r = bits(w)
-            lookup[x] = targets[r]
-    return _built_map(dom, cod, lookup)
+    picks = _indices(rng, len(targets), len(dom.elems))
+    return _built_map(dom, cod, {x: targets[r] for x, r in zip(dom.elems, picks)})
 
 
 def _pool_zero(pool: tuple, zero):
@@ -235,28 +240,16 @@ def random_multiset(
     whose scalar is the pool's zero builds what :func:`ms_from_pairs`
     would."""
     elems = xs.elems
-    m = min(max_support, len(elems)) + 1
-    if m <= 0:
-        raise ValueError(f"empty range [0, {m})")
-    bits, w = rng.getrandbits, m.bit_length()
-    k = bits(w)
-    while k >= m:
-        k = bits(w)
+    k = _below(rng, min(max_support, len(elems)) + 1)
     if not k:
         return Multiset(S, ())
     picks = _sample(rng, len(elems), k)
     pool = scalar_pool(S)
     zero = _pool_zero(pool, S.zero)
-    n = len(pool)
-    w = n.bit_length()
-    drawn = []
-    for i in picks:
-        r = bits(w)
-        while r >= n:
-            r = bits(w)
-        s = pool[r]
-        if s is not zero:
-            drawn.append((i, s))
+    drawn = [
+        (i, pool[r]) for i, r in zip(picks, _indices(rng, len(pool), k))
+        if pool[r] is not zero
+    ]
     drawn.sort()
     return Multiset(S, tuple([(elems[i], s) for i, s in drawn]))
 
@@ -277,17 +270,9 @@ def random_nested(rng: random.Random, T: MonadInstance, xs: FiniteCarrier, depth
         return random_tvalue(rng, T, xs)
     if isinstance(T, MultisetMonad):
         vals = [random_nested(rng, T, xs, depth - 1) for _ in range(_below(rng, 4))]
-        S = T.semiring
-        pool = scalar_pool(S)
-        bits, n = rng.getrandbits, len(pool)
-        w = n.bit_length()
-        pairs = []
-        for v in vals:
-            r = bits(w)
-            while r >= n:
-                r = bits(w)
-            pairs.append((v, pool[r]))
-        return ms_from_pairs(S, pairs)
+        pool = scalar_pool(T.semiring)
+        picks = _indices(rng, len(pool), len(vals))
+        return ms_from_pairs(T.semiring, [(v, pool[r]) for v, r in zip(vals, picks)])
     if isinstance(T, ActionMonad):
         return ActVal(
             _choice(rng, monoid_pool(T.monoid)), random_nested(rng, T, xs, depth - 1)
@@ -303,15 +288,8 @@ def random_matrix(
     if rows < 0 or cols < 0:
         raise DimensionMismatch("matrix dimensions must be naturals")
     pool = _pool(_PAYLOAD_POOLS, S)
-    bits, n = rng.getrandbits, len(pool)
-    w = n.bit_length()
-    values = []
-    for _ in range(rows * cols):
-        r = bits(w)
-        while r >= n:
-            r = bits(w)
-        values.append(pool[r])
-    return _matrix(S, rows, cols, values)
+    picks = _indices(rng, len(pool), rows * cols)
+    return _matrix(S, rows, cols, [pool[r] for r in picks])
 
 
 def random_aleph0(rng: random.Random, dom: int, cod: int) -> Aleph0Map:
@@ -325,11 +303,7 @@ def random_kleisli(
     each is one by construction, so the map is not checked again."""
     _naturals(dom, cod)
     xs = index_carrier(cod)
-    if isinstance(T, MultisetMonad):
-        S = T.semiring
-        values = tuple([random_multiset(rng, S, xs) for _ in range(dom)])
-    else:
-        values = tuple([random_tvalue(rng, T, xs) for _ in range(dom)])
+    values = tuple([random_tvalue(rng, T, xs) for _ in range(dom)])
     return _built(T, dom, cod, values)
 
 
