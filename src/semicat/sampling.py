@@ -124,10 +124,11 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _indices(rng: random.Random, n: int, count: int) -> list[int]:
-    """``count`` draws of ``_below(rng, n)``, in one call: the samplers
-    that draw one pool or carrier index per entry take them all here."""
-    if count and n <= 0:
+def _choose(rng: random.Random, seq, count: int) -> list:
+    """``count`` draws of ``_choice(rng, seq)``, in one call: the samplers
+    that draw one pool or carrier member per entry take them all here."""
+    n = len(seq)
+    if count and not n:
         raise IndexError("cannot choose from an empty sequence")
     bits, w = rng.getrandbits, n.bit_length()
     out = []
@@ -135,7 +136,7 @@ def _indices(rng: random.Random, n: int, count: int) -> list[int]:
         r = bits(w)
         while r >= n:
             r = bits(w)
-        out.append(r)
+        out.append(seq[r])
     return out
 
 
@@ -211,9 +212,8 @@ def random_carrier_fn(
     rng: random.Random, dom: FiniteCarrier, cod: FiniteCarrier
 ) -> CarrierMap:
     """A ``choice`` of ``cod`` for each element of ``dom`` in order."""
-    targets = cod.elems
-    picks = _indices(rng, len(targets), len(dom.elems))
-    return _built_map(dom, cod, {x: targets[r] for x, r in zip(dom.elems, picks)})
+    targets = _choose(rng, cod.elems, len(dom.elems))
+    return _built_map(dom, cod, dict(zip(dom.elems, targets)))
 
 
 def _pool_zero(pool: tuple, zero):
@@ -246,12 +246,8 @@ def random_multiset(
     picks = _sample(rng, len(elems), k)
     pool = scalar_pool(S)
     zero = _pool_zero(pool, S.zero)
-    drawn = [
-        (i, pool[r]) for i, r in zip(picks, _indices(rng, len(pool), k))
-        if pool[r] is not zero
-    ]
-    drawn.sort()
-    return Multiset(S, tuple([(elems[i], s) for i, s in drawn]))
+    drawn = sorted(zip(picks, _choose(rng, pool, k)))
+    return Multiset(S, tuple([(elems[i], s) for i, s in drawn if s is not zero]))
 
 
 def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
@@ -270,9 +266,8 @@ def random_nested(rng: random.Random, T: MonadInstance, xs: FiniteCarrier, depth
         return random_tvalue(rng, T, xs)
     if isinstance(T, MultisetMonad):
         vals = [random_nested(rng, T, xs, depth - 1) for _ in range(_below(rng, 4))]
-        pool = scalar_pool(T.semiring)
-        picks = _indices(rng, len(pool), len(vals))
-        return ms_from_pairs(T.semiring, [(v, pool[r]) for v, r in zip(vals, picks)])
+        scalars = _choose(rng, scalar_pool(T.semiring), len(vals))
+        return ms_from_pairs(T.semiring, list(zip(vals, scalars)))
     if isinstance(T, ActionMonad):
         return ActVal(
             _choice(rng, monoid_pool(T.monoid)), random_nested(rng, T, xs, depth - 1)
@@ -287,9 +282,7 @@ def random_matrix(
     the payloads that ``Matrix`` would unwrap from those scalars."""
     if rows < 0 or cols < 0:
         raise DimensionMismatch("matrix dimensions must be naturals")
-    pool = _pool(_PAYLOAD_POOLS, S)
-    picks = _indices(rng, len(pool), rows * cols)
-    return _matrix(S, rows, cols, [pool[r] for r in picks])
+    return _matrix(S, rows, cols, _choose(rng, _pool(_PAYLOAD_POOLS, S), rows * cols))
 
 
 def random_aleph0(rng: random.Random, dom: int, cod: int) -> Aleph0Map:

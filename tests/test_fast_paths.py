@@ -418,7 +418,7 @@ def test_the_draw_helpers_draw_what_random_draws():
             assert -3 + sampling._below(rng, n) == ref.randint(-3, n - 4)
             seq = tuple(range(100, 100 + n))
             assert sampling._choice(rng, seq) == ref.choice(seq)
-            assert sampling._indices(rng, n, 3) == [ref.randrange(n) for _ in "abc"]
+            assert sampling._choose(rng, seq, 3) == [ref.choice(seq) for _ in "abc"]
             for k in range(min(n, 21) + 1):
                 assert sampling._sample(rng, n, k) == ref.sample(range(n), k)
             assert rng.getstate() == ref.getstate()
@@ -431,8 +431,8 @@ def test_an_empty_draw_raises_as_random_does():
     with pytest.raises(IndexError):
         sampling._choice(rng, ())
     with pytest.raises(IndexError):
-        sampling._indices(rng, 0, 1)
-    assert sampling._indices(rng, 0, 0) == []
+        sampling._choose(rng, (), 1)
+    assert sampling._choose(rng, (), 0) == []
     with pytest.raises(ValueError):
         sampling._sample(rng, 3, 4)
     with pytest.raises(IndexError):
