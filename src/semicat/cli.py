@@ -73,8 +73,8 @@ __all__ = [
 MAX_TABLE_ENTRIES = 1_000_000
 
 # The most cases ``laws --cases`` accepts. The longest accepted run, 4000
-# cases of additivity, the slowest suite, took 9.4 to 9.9 s in 3 fresh
-# processes (seeds 0 to 2) on a shared 2-core Xeon: 11.6 to 12.2 s scaled
+# cases of additivity, the slowest suite, took 10.5 to 10.8 s in 3 fresh
+# processes (seeds 0 to 2) on a shared 2-core Xeon: 12.6 to 13.1 s scaled
 # to the speed of the benchmark's reference loop (bench/run.py).
 MAX_CASES = 4000
 
