@@ -7,13 +7,16 @@ bounded-hop distance table that :func:`semicat.matcat.bounded_paths`
 computes, and ``roundtrip`` drives the adjunction transposes there and
 back. This module parses arguments and input files, prints results and
 maps errors to exit codes; the computing happens in the layers it calls.
-:func:`main` parses an argv that starts with a subcommand's name with
-that subcommand's parser alone, and any other argv, or one with words left
-over, with the whole parser of :func:`build_parser`.
+:func:`main` parses the words after a subcommand's name by a table of
+that subcommand's options when each is an exact option word, given once
+and followed by a value it takes; any other words after a name by that
+subcommand's parser; and any other argv, or one with words left over, by
+the whole parser of :func:`build_parser`, which prints every usage, help
+and error text.
 A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`,
-through the standard library's text reader, which splits lines at LF, CR
-and CRLF: the first error in file order is reported, and a bad line stops
-the read.
+which reads it in binary batches cut at a line break and decodes each as
+UTF-8: lines end where ``str.splitlines`` ends them, the first error in
+file order is reported, and a bad line stops the read.
 ``matmul`` reads the header of each of its files before any row, so a
 result above the table cap stops it before either file is parsed.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack, closing
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator
 
 from .adjunctions import (
@@ -152,37 +155,45 @@ def parse_graph_text(text: str | Iterable[str]) -> Matrix:
     return _matrix(TROPICAL, n, n, values)
 
 
-# The characters that _input_lines reads at a time before it finishes the
-# line they end in.
+# The bytes that _input_lines reads at a time.
 _READ_HINT = 1 << 16
 
 
 def _input_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 input file as ``str.splitlines`` splits its
-    text, read in batches of ``_READ_HINT`` characters and the rest of the
-    line the batch ends in, so memory stays within a batch and the longest
-    line, and a caller that stops early reads no further. The file is
-    opened with ``newline=""``, so ``readline`` ends that line at its LF,
-    CR or CRLF, never between a CR and its LF. A byte that is not UTF-8
-    decodes to a lone surrogate (``surrogateescape``), which the batch's
-    encoding meets: it is reported, with its offset in the file, after
-    every line before its own."""
-    offset = 0  # the bytes of the batches before this one
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as f:
-        more = True  # a text read returns fewer characters only at the end
+    text. The file is read in binary, ``_READ_HINT`` bytes at a time, and
+    each batch is cut after its last LF, or after its last CR when that CR
+    is not the batch's final byte (an LF may follow it), so no cut falls
+    between a CR and its LF or inside a character; the bytes after the cut
+    carry into the next batch. Each cut decodes strictly as UTF-8, so
+    memory stays within a batch and the longest line, and a caller that
+    stops early reads no further. At a byte that is not UTF-8 the lines of
+    the cut before that byte's own are yielded, then it is reported with
+    its offset in the file."""
+    offset = 0  # the bytes of the cuts before this one
+    held = bytearray()  # the bytes after the last cut: no LF, a CR only last
+    with open(path, "rb", buffering=0) as f:
+        more = True
         while more:
-            text = f.read(_READ_HINT)
-            if more := len(text) == _READ_HINT:
-                text += f.readline()
+            start = max(len(held) - 1, 0)  # where the next cut's break can be
+            data = f.read(_READ_HINT)
+            held += data
+            if more := bool(data):
+                cut = max(held.rfind(b"\n", start), held.rfind(b"\r", start, -1)) + 1
+            else:
+                cut = len(held)
             try:
-                offset += len(text.encode("utf-8"))
-            except UnicodeEncodeError as exc:
-                head = text[: exc.start]
-                yield from head[: max(head.rfind("\n"), head.rfind("\r")) + 1].splitlines()
+                text = held[:cut].decode()
+            except UnicodeDecodeError as exc:
+                head = held[: exc.start]
+                head = head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+                yield from head.decode().splitlines()
                 raise FormatError(
-                    f"{path}: not UTF-8 text (byte 0x{ord(text[exc.start]) - 0xDC00:02x}"
-                    f" at offset {offset + len(head.encode('utf-8'))})"
+                    f"{path}: not UTF-8 text (byte 0x{held[exc.start]:02x}"
+                    f" at offset {offset + exc.start})"
                 ) from None
+            del held[:cut]
+            offset += cut
             yield from text.splitlines()
 
 
@@ -319,18 +330,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _option_tables(parser: argparse.ArgumentParser) -> dict:
+    """For each subcommand of ``parser``, by name: its parser, the table
+    from each option word of its store and ``store_true`` actions to the
+    action, the values of an empty parse (the actions' defaults, and the
+    ``set_defaults`` of other dests), and the dests it requires. Built once
+    for each parser that :func:`build_parser` returns."""
+    tables = {}
+    # The subparsers action is the last action that build_parser adds.
+    for name, command in parser._actions[-1].choices.items():
+        stored = [
+            a for a in command._actions
+            if isinstance(a, (argparse._StoreAction, argparse._StoreTrueAction))
+        ]
+        table = {word: a for a in stored for word in a.option_strings}
+        empty = {**command._defaults, **{a.dest: a.default for a in stored}}
+        required = [a.dest for a in command._actions if a.required]
+        tables[name] = command, table, empty, required
+    return tables
+
+
+def _by_table(words, table: dict, empty: dict, required: list):
+    """The namespace that the subcommand's parser returns for ``words``,
+    or None if the table does not take them. It takes only exact option
+    words, each given once and, but for a ``store_true`` flag, followed by
+    a value that does not start with ``-`` and that the action's ``type``
+    and ``choices`` accept; and it needs every required option."""
+    values = {}
+    words = iter(words)
+    for word in words:
+        action = table.get(word)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(words, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for dest in required:
+        if dest not in values:
+            return None
+    return argparse.Namespace(**{**empty, **values})
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, without the top-level pass
-    where it only picks the subparser: the subcommand that ``argv[0]``
-    names parses the words after it, as that pass would hand them on. An
-    argv that names no subcommand, or has words the subcommand leaves
-    over, goes to the top-level parser, which prints every usage message
-    and help text."""
+    where it only picks the subparser. The words after a subcommand's name
+    are parsed by that subcommand's table (:func:`_by_table`) when it takes
+    them; else by that subcommand's parser, as the top-level pass would
+    hand them on. An argv that names no subcommand, or has words the
+    subcommand's parser leaves over, goes to the top-level parser. So
+    every usage message, help text and error comes from argparse."""
     parser = build_parser()
-    # The subcommands' parsers by name: the choices of the subparsers
-    # action, the last action that build_parser adds.
-    command = parser._actions[-1].choices.get(argv[0]) if argv else None
-    if command is not None:
+    entry = _option_tables(parser).get(argv[0]) if argv else None
+    if entry is not None:
+        command, *table = entry
+        args = _by_table(argv[1:], *table)
+        if args is not None:
+            return args
         args, rest = command.parse_known_args(argv[1:])
         if not rest:
             return args

@@ -293,8 +293,14 @@ def random_kleisli(
     rng: random.Random, T: MonadInstance, dom: int, cod: int
 ) -> KleisliMap:
     """A map dom -> cod with a random value of T over {0..cod-1} per index;
-    each is one by construction, so the map is not checked again."""
+    each is one by construction, so the map is not checked again. An
+    action monad has no value over the empty carrier, so no map n -> 0
+    for n > 0."""
     _naturals(dom, cod)
+    if dom and not cod and isinstance(T, ActionMonad):
+        raise DimensionMismatch(
+            f"{T.name} has no value over the empty codomain 0, so no map {dom} -> 0"
+        )
     xs = index_carrier(cod)
     values = tuple([random_tvalue(rng, T, xs) for _ in range(dom)])
     return _built(T, dom, cod, values)

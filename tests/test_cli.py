@@ -506,9 +506,9 @@ LINE_TEXTS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(LINE_TEXTS, st.integers(1, 9))
-@example("3\r\n0 1 5\r\n", 2)  # a batch of 2 ends in the CR after "3"; readline adds its LF
-@example("ab\r\r\ncd", 3)  # a batch ends in a lone CR, and readline reads the CRLF line after it
-@example("\u00e9\r\u00e9", 1)  # a batch of 1 is one two-byte character; readline adds the CR
+@example("3\r\n0 1 5\r\n", 2)  # a batch of 2 ends in the CR after "3"; the next starts with its LF
+@example("ab\r\r\ncd", 3)  # a batch ends in a lone CR, and the next starts with a CRLF
+@example("\u00e9\r\u00e9", 1)  # a batch of 1 is half a two-byte character
 def test_input_lines_are_the_texts_splitlines(text, hint):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "g.graph")
@@ -518,20 +518,59 @@ def test_input_lines_are_the_texts_splitlines(text, hint):
             assert list(cli._input_lines(str(path))) == text.splitlines()
 
 
+# Pieces of UTF-8 and not: line breaks, ASCII, two- to four-byte
+# characters, line separators that only str.splitlines knows, a lone
+# continuation byte, bytes never in UTF-8, and truncated sequences.
+BYTE_PIECES = [
+    b"\n", b"\r", b"\r\n", b"0 1 5", b" ", b"\x0b",
+    *(c.encode() for c in "\u00e9\u20ac\U0001f600\u2028\x85"),
+    b"\x80", b"\xff", b"\xc0\xaf", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(BYTE_PIECES), max_size=24).map(b"".join), st.integers(1, 9))
+@example(b"ab\r\ncd", 3)  # a batch ends in a CR, and the next starts with its LF
+@example(b"ab\rcd\r", 3)  # a batch ends in a lone CR
+@example("a\u00e9\r\n".encode(), 2)  # a two-byte character across two batches
+@example("\u20ac\r\n\U0001f600".encode() + b"\xff", 4)  # four-byte, then a bad byte
+@example(b"ab\r\n\xe2\x82cd", 5)  # a truncated character across a batch end
+def test_input_lines_yield_and_raise_as_the_bytes_decode(data, hint):
+    # test_interpreters imports this module, so its oracle is imported here.
+    from test_interpreters import expected_read, read_every_input
+
+    assert read_every_input([data.hex()], [hint]) == [expected_read(data)]
+
+
 @pytest.mark.parametrize("hint", [7, 8, 9, 64])
 def test_a_line_that_ends_a_read_hint_batch_in_cr_is_parsed_before_the_next_is_decoded(
     capsys, monkeypatch, tmp_path, hint
 ):
-    # Each batch is _READ_HINT characters plus the rest of the line it ends
-    # in, by readline. At 8 the first batch ends in the CR after "x", and
-    # readline adds line 3 with its 0xff; at 7 readline adds that CR, and
-    # from 9 up the 0xff is in the first batch. At every hint line 2 is
-    # parsed, and fails, before the 0xff on line 3 is reported.
+    # Each batch is _READ_HINT bytes, cut after its last line break. At 7
+    # and 8 the 0xff comes in a later batch than line 2 (at 8 the first
+    # batch ends in the CR after "x", which waits for the next byte); from 9
+    # up it is in the first batch, and at 64 that batch's decoding fails at
+    # it after yielding the lines before. At every hint line 2 is parsed,
+    # and fails, before the 0xff on line 3 is reported.
     monkeypatch.setattr(cli, "_READ_HINT", hint)
     path = tmp_path / "g.graph"
     path.write_bytes(b"3\r0 1 x\r\xff\r")
     assert main(["shortest-path", "--graph", str(path), "--max-hops", "1"]) == 2
     assert capsys.readouterr().err == "error: line 2: bad tropical literal 'x'\n"
+
+
+def test_the_ci_fixtures_of_a_cr_only_and_a_non_utf8_graph(capsys, monkeypatch):
+    # The installed command's CI step diffs these two runs against the same
+    # fixtures, from the repository root.
+    monkeypatch.chdir(FIXTURES.parent.parent)
+    cr = FIXTURES / "cycle3_cr.graph"
+    assert b"\n" not in cr.read_bytes()
+    assert cr.read_bytes().replace(b"\r", b"\n") == (FIXTURES / "cycle3.graph").read_bytes()
+    assert main(["shortest-path", "--graph", "tests/fixtures/cycle3_cr.graph", "--max-hops", "2"]) == 0
+    assert capsys.readouterr() == (golden("cycle3_k2.out"), "")
+    argv = ["shortest-path", "--graph", "tests/fixtures/latin1.graph", "--max-hops", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", golden("latin1_k2.err"))
 
 
 def test_a_cr_only_over_cap_graph_exits_2_within_a_block_of_memory(tmp_path):
@@ -1024,6 +1063,8 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     compose = ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")]
+    shortest = ["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops", "2"]
+    tables = cli._option_tables.cache_info().misses
     cli.build_parser.cache_clear()
     try:
         assert main(compose) == 0
@@ -1035,11 +1076,21 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         assert capsys.readouterr().out == golden("compose_ab.out")
         assert main(["matmul", "--op", "dagger", "-A", fx("dagger_in.mat")]) == 0
         assert capsys.readouterr().out == golden("dagger.out")
-        assert main(["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops", "2"]) == 0
+        assert main(shortest) == 0
         assert capsys.readouterr().out == golden("cycle3_k2.out")
+        # One option table per parser, built at the first call that names
+        # a subcommand, and built again for the parser built after a clear.
+        assert (len(built), cli._option_tables.cache_info().misses) == (1, tables + 1)
+        cli.build_parser.cache_clear()
+        assert main(shortest) == 0
+        assert main(shortest) == 0
+        assert capsys.readouterr().out == golden("cycle3_k2.out") * 2
+        assert (len(built), cli._option_tables.cache_info().misses) == (2, tables + 2)
+        command = built[1]._actions[-1].choices["shortest-path"]
+        assert cli._option_tables(built[1])["shortest-path"][0] is command
     finally:
         cli.build_parser.cache_clear()
-    assert len(built) == 1
+    assert len(built) == 2
 
 
 def _main_by_the_full_parser(argv) -> int:
@@ -1061,6 +1112,7 @@ def _main_by_the_full_parser(argv) -> int:
 
 
 SP = ["shortest-path", "--graph", fx("cycle3.graph")]
+DISPATCH_RT = ["roundtrip", "--adjunction", "srng-e", "--semiring", "nat"]
 DISPATCH_CORPUS = {
     "laws": ["laws", "--suite", "kleisli-iso", "--seed", "0", "--cases", "5"],
     "matmul": ["matmul", "--op", "compose", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")],
@@ -1082,7 +1134,19 @@ DISPATCH_CORPUS = {
     "unknown-option": [*SP, "--max-hops", "2", "--bogus"],
     "help-after-a-word": [*SP, "extra", "-h"],
     "option-before-subcommand": ["--max-hops", "2", *SP],
+    "minus-sign-value": [*SP, "--max-hops", "-1"],
+    "dash-value": ["shortest-path", "--graph", "-", "--max-hops", "2"],
+    "empty-value": [*SP, "--max-hops", ""],
+    "missing-value": [*SP, "--max-hops"],
+    "option-as-value": ["matmul", "--op", "dagger", "-A", "--op", fx("dagger_in.mat")],
+    "attached-short-value": ["matmul", "--op", "dagger", f"-A{fx('dagger_in.mat')}"],
+    "bad-choice": ["matmul", "--op", "bogus", "-A", fx("dagger_in.mat")],
+    "flag-with-a-value": [*DISPATCH_RT, "--involutive", "yes"],
+    "repeated-flag": [*DISPATCH_RT, "--involutive", "--involutive"],
+    "another-subcommands-option": [*SP, "--max-hops", "2", "--suite", "dagger"],
 }
+# The corpus argvs that the option table parses; argparse parses the rest.
+TABLE_PARSED = {"laws", "matmul", "shortest-path", "roundtrip"}
 
 
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS.values(), ids=DISPATCH_CORPUS.keys())
@@ -1108,6 +1172,111 @@ def test_a_named_subcommand_skips_the_top_level_pass(capsys, monkeypatch):
     assert calls == []
     assert main(DISPATCH_CORPUS["trailing-word"]) == 2
     assert calls == [DISPATCH_CORPUS["trailing-word"]]
+
+
+@pytest.mark.parametrize("name", DISPATCH_CORPUS)
+def test_the_option_table_parses_only_well_formed_argvs(capsys, monkeypatch, name):
+    """The argvs of ``TABLE_PARSED`` reach no argparse parse at all; every
+    other corpus argv is parsed by argparse."""
+    parses = []
+
+    def recording(parse):
+        def parse_known_args(args=None, namespace=None):
+            parses.append(args)
+            return parse(args, namespace)
+
+        return parse_known_args
+
+    top = cli.build_parser()
+    for parser in (top, *top._actions[-1].choices.values()):
+        monkeypatch.setattr(parser, "parse_known_args", recording(parser.parse_known_args))
+    main(list(DISPATCH_CORPUS[name]))
+    capsys.readouterr()
+    assert (parses == []) == (name in TABLE_PARSED)
+
+
+# The option words of every subcommand (the help words too), and values:
+# the ones each option takes, and ones that start with "-" or "+", are
+# empty, are not ASCII digits or name nothing.
+SUBCOMMANDS = cli.build_parser()._actions[-1].choices
+OPTION_WORDS = sorted(
+    {word for command in SUBCOMMANDS.values() for word in command._option_string_actions}
+)
+ODD_VALUES = ["-", "-1", "+3", "", "\u0663", "--", "bogus"]
+VALUES = {
+    "--suite": ["commutativity", "dagger"],
+    "--semiring": ["nat", "gaussian"],
+    "--monoid": ["free-words"],
+    "--seed": ["0", "7"],
+    "--cases": ["1", "2"],
+    "--op": ["compose", "tensor", "dagger"],
+    "-A": [fx("compose_a.mat"), fx("dagger_in.mat")],
+    "-B": [fx("compose_b.mat")],
+    "--graph": [fx("cycle3.graph"), fx("line4.graph")],
+    "--max-hops": ["0", "2", "3"],
+    "--adjunction": ["srng-e", "mat-h"],
+}
+ANY_VALUE = st.sampled_from(sorted({v for vs in VALUES.values() for v in vs}) + ODD_VALUES)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's name and a well-formed argv of it (each of its
+    options given at most once, each with a value it takes), in any order;
+    then up to three changes: a value swapped for any value, a pair
+    repeated, a word abbreviated or joined to its value by ``=``, or a
+    word, value or ``=`` form of any subcommand inserted."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    _, table, _, required = cli._option_tables(cli.build_parser())[name]
+    pairs = []
+    for word, action in table.items():
+        if action.dest in required or draw(st.booleans()):
+            pairs.append([word] if action.nargs == 0 else [word, draw(st.sampled_from(VALUES[word]))])
+    pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(pairs)))
+        word = draw(st.sampled_from(OPTION_WORDS))
+        value = draw(ANY_VALUE)
+        change = draw(st.sampled_from(["value", "repeat", "abbreviate", "join", "insert"]))
+        if change == "insert":
+            pairs.insert(i, draw(st.sampled_from([[word], [value], [f"{word}={value}"]])))
+        elif i < len(pairs):
+            pair = list(pairs[i])
+            if change == "value" and len(pair) == 2:
+                pair[1] = value
+            elif change == "repeat":
+                pairs.insert(i, pair)
+            elif change == "abbreviate" and pair[0].startswith("--") and len(pair[0]) > 3:
+                pair[0] = pair[0][: draw(st.integers(3, len(pair[0]) - 1))]
+            elif change == "join" and len(pair) == 2:
+                pair = [f"{pair[0]}={pair[1]}"]
+            pairs[i] = pair
+    return [name, *(word for pair in pairs for word in pair)]
+
+
+def _captured(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(argvs())
+@example(["shortest-path", "--graph", fx("cycle3.graph"), "--max-hops", "2"])
+@example(["matmul", "--op", "tensor", "-A", fx("compose_a.mat"), "-B", fx("compose_b.mat")])
+@example(["roundtrip", "--involutive", "--semiring", "gaussian", "--adjunction", "mat-h"])
+@example(["laws", "--cases", "1", "--suite", "dagger", "--seed", "7", "--semiring", "nat"])
+@example(["laws", "--suite", "commutativity", "--monoid", "", "--cases", "2"])
+def test_main_parses_any_argv_as_the_full_parser_does(argv):
+    """The same exit code, stdout and stderr as the full parser; and where
+    the option table takes the words after the name, the namespace that
+    the subcommand's parser returns for them."""
+    assert _captured(main, argv) == _captured(_main_by_the_full_parser, argv)
+    command, *table = cli._option_tables(cli.build_parser())[argv[0]]
+    args = cli._by_table(argv[1:], *table)
+    if args is not None:
+        assert args == command.parse_known_args(argv[1:])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,21 @@ def test_unchecked_kleisli_maps_equal_checked_ones():
         kl_tuple(kl_id(T, 1), kl_id(T, 2))
 
 
+def test_random_kleisli_into_the_empty_codomain():
+    # The empty multiset is a value over the empty carrier; no action
+    # monad value is, so only the empty map goes into 0 there.
+    rng = random.Random(0)
+    for T in (MultisetMonad(NAT), MultisetMonad(GAUSSIAN)):
+        assert str(random_kleisli(rng, T, 2, 0)) == "[0 -> {}; 1 -> {}]"
+    A = ActionMonad(FREE_WORDS)
+    assert random_kleisli(rng, A, 0, 0) == KleisliMap(A, 0, 0, ())
+    with pytest.raises(
+        DimensionMismatch,
+        match=r"^action\(free-words\) has no value over the empty codomain 0, so no map 2 -> 0$",
+    ):
+        random_kleisli(rng, A, 2, 0)
+
+
 def test_tx_add_and_unit_check_as_before():
     T = MultisetMonad(NAT)
     u = T.unit(Atom(0))

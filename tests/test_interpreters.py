@@ -16,9 +16,9 @@ read ``Random.getrandbits`` directly and restate the rules of
 ``Random._randbelow`` and of ``sample``'s pool swap, so the digest shows
 that those rules hold on each interpreter. And it reads the byte inputs of
 ``READER_INPUTS`` through ``cli._input_lines`` at each of ``READ_HINTS``,
-since the reader leaves line splitting and decoding to the interpreter's
-text reader (``io.TextIOWrapper``). The subprocess needs only the standard
-library. An interpreter that is not on PATH, or does not run, is skipped.
+since the reader leaves decoding to the interpreter's UTF-8 codec and
+line splitting to its ``str.splitlines``. The subprocess needs only the
+standard library. An interpreter that is not on PATH, or does not run, is skipped.
 """
 
 import inspect
@@ -97,10 +97,10 @@ RATIOS = [
 
 # Byte inputs for ``cli._input_lines``: CRLFs that batches of every hint in
 # READ_HINTS end at or cut; a lone CR; the separators that only
-# ``str.splitlines`` knows; a CRLF and a two-byte character across the text
-# reader's 8192-byte chunks; truncated multibyte sequences, mid-line and at
-# the end; a bad byte after a two-byte character, one after CRLF lines, and
-# one past the first chunk.
+# ``str.splitlines`` knows; a CRLF and a two-byte character after a line
+# of 8191 bytes; truncated multibyte sequences, mid-line and at the end; a
+# bad byte after a two-byte character, one after CRLF lines, and one past
+# the first 8192 bytes.
 READER_INPUTS = [
     b"3\r\n0 1 5\r\n\r\n1 2 7\r\n",
     b"a\rb\r\rc\r",
