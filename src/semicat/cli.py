@@ -9,10 +9,9 @@ back. This module parses arguments and input files, prints results and
 maps errors to exit codes; the computing happens in the layers it calls.
 :func:`main` parses the words after a subcommand's name by a table of
 that subcommand's options when each is an exact option word, given once
-and followed by a value it takes; any other words after a name by that
-subcommand's parser; and any other argv, or one with words left over, by
-the whole parser of :func:`build_parser`, which prints every usage, help
-and error text.
+and followed by a value it takes, and every other argv by the whole
+parser of :func:`build_parser`, which prints every usage, help and error
+text.
 A ``.mat`` or graph file is read a line at a time by :func:`_input_lines`,
 which reads it in binary batches cut at a line break and decodes each as
 UTF-8: lines end where ``str.splitlines`` ends them, the first error in
@@ -332,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=1)
 def _option_tables(parser: argparse.ArgumentParser) -> dict:
-    """For each subcommand of ``parser``, by name: its parser, the table
-    from each option word of its store and ``store_true`` actions to the
-    action, the values of an empty parse (the actions' defaults, and the
+    """For each subcommand of ``parser``, by name: the table from each
+    option word of its store and ``store_true`` actions to the action, the
+    values of an empty parse (the actions' defaults, and the
     ``set_defaults`` of other dests), and the dests it requires. Built once
     for each parser that :func:`build_parser` returns."""
     tables = {}
@@ -347,7 +346,7 @@ def _option_tables(parser: argparse.ArgumentParser) -> dict:
         table = {word: a for a in stored for word in a.option_strings}
         empty = {**command._defaults, **{a.dest: a.default for a in stored}}
         required = [a.dest for a in command._actions if a.required]
-        tables[name] = command, table, empty, required
+        tables[name] = table, empty, required
     return tables
 
 
@@ -383,22 +382,15 @@ def _by_table(words, table: dict, empty: dict, required: list):
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, without the top-level pass
-    where it only picks the subparser. The words after a subcommand's name
-    are parsed by that subcommand's table (:func:`_by_table`) when it takes
-    them; else by that subcommand's parser, as the top-level pass would
-    hand them on. An argv that names no subcommand, or has words the
-    subcommand's parser leaves over, goes to the top-level parser. So
-    every usage message, help text and error comes from argparse."""
+    """``build_parser().parse_args(argv)``. The words after a subcommand's
+    name are parsed by that subcommand's table (:func:`_by_table`) when it
+    takes them; every other argv goes to the top-level parser. So every
+    usage message, help text and error comes from argparse."""
     parser = build_parser()
-    entry = _option_tables(parser).get(argv[0]) if argv else None
-    if entry is not None:
-        command, *table = entry
+    table = _option_tables(parser).get(argv[0]) if argv else None
+    if table is not None:
         args = _by_table(argv[1:], *table)
         if args is not None:
-            return args
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
             return args
     return parser.parse_args(argv)
 

@@ -251,10 +251,16 @@ def random_multiset(
 
 
 def random_tvalue(rng: random.Random, T: MonadInstance, xs: FiniteCarrier):
-    """A monad value over the carrier, of whichever shape T uses."""
+    """A monad value over the carrier, of whichever shape T uses. An action
+    monad has no value over the empty carrier, so :func:`random_kleisli`
+    and :func:`random_nested` have none into it either."""
     if isinstance(T, MultisetMonad):
         return random_multiset(rng, T.semiring, xs)
     if isinstance(T, ActionMonad):
+        if not xs.elems:
+            raise DimensionMismatch(
+                f"{T.name} has no value over the empty carrier, so no map n -> 0 for n > 0"
+            )
         return ActVal(_choice(rng, monoid_pool(T.monoid)), random_elem(rng, xs))
     raise UnknownSemiring(f"no sampler for {T.name}")
 
@@ -293,14 +299,8 @@ def random_kleisli(
     rng: random.Random, T: MonadInstance, dom: int, cod: int
 ) -> KleisliMap:
     """A map dom -> cod with a random value of T over {0..cod-1} per index;
-    each is one by construction, so the map is not checked again. An
-    action monad has no value over the empty carrier, so no map n -> 0
-    for n > 0."""
+    each is one by construction, so the map is not checked again."""
     _naturals(dom, cod)
-    if dom and not cod and isinstance(T, ActionMonad):
-        raise DimensionMismatch(
-            f"{T.name} has no value over the empty codomain 0, so no map {dom} -> 0"
-        )
     xs = index_carrier(cod)
     values = tuple([random_tvalue(rng, T, xs) for _ in range(dom)])
     return _built(T, dom, cod, values)

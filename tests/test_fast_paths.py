@@ -307,17 +307,22 @@ def test_unchecked_kleisli_maps_equal_checked_ones():
 
 def test_random_kleisli_into_the_empty_codomain():
     # The empty multiset is a value over the empty carrier; no action
-    # monad value is, so only the empty map goes into 0 there.
+    # monad value is, so only the empty map goes into 0 there, and no
+    # action value or nested value is drawn over the empty carrier.
     rng = random.Random(0)
     for T in (MultisetMonad(NAT), MultisetMonad(GAUSSIAN)):
         assert str(random_kleisli(rng, T, 2, 0)) == "[0 -> {}; 1 -> {}]"
     A = ActionMonad(FREE_WORDS)
     assert random_kleisli(rng, A, 0, 0) == KleisliMap(A, 0, 0, ())
-    with pytest.raises(
-        DimensionMismatch,
-        match=r"^action\(free-words\) has no value over the empty codomain 0, so no map 2 -> 0$",
+    message = r"^action\(free-words\) has no value over the empty carrier, so no map n -> 0 for n > 0$"
+    empty = index_carrier(0)
+    for draw in (
+        lambda: random_kleisli(rng, A, 2, 0),
+        lambda: sampling.random_tvalue(rng, A, empty),
+        lambda: sampling.random_nested(rng, A, empty, 2),
     ):
-        random_kleisli(rng, A, 2, 0)
+        with pytest.raises(DimensionMismatch, match=message):
+            draw()
 
 
 def test_tx_add_and_unit_check_as_before():
