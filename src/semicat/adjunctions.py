@@ -23,20 +23,19 @@ Their laws share one witness builder and one roundtrip, naturality and
 involution check each; a mat-h witness goes between the semirings of two
 matrix theories.
 
-Witness functions are pure, so each transpose evaluates its input
+What is memoized here is pure, and is kept for one of two lifetimes.
+Per witness, by ``functools.cache``: each transpose evaluates its input
 witness, and the function it builds, once per distinct (hashable)
-argument: results are kept for the life of the returned witness. An
-exception is not kept, so an argument that raises raises on every call.
-
-The operations that the transposes and their checks repeat are pure too,
-and each run (one :func:`run_suite` or :func:`run_roundtrip` call)
-evaluates them once per distinct argument (:func:`_once`): the monad of a
-semiring or monoid; srng-e's ``tx_add`` and ``scalar_action``; each side's
-swap, strength at the point, involution and flattening in a monad-map
-check; and mat-h's hom-set semiring, whose addition and multiplication
-remember their results as eval_at_one's do. Every equation is still
-evaluated by the generic composites; only a second evaluation on equal
-arguments is skipped, and nothing is kept from one run to the next.
+argument, for the life of the returned witness. Per run, by
+:func:`monadcore._once`: each run (one :func:`run_suite` or
+:func:`run_roundtrip` call) evaluates the operations that the transposes
+and their checks repeat once per distinct argument: the monad of a
+semiring or monoid; srng-e's ``tx_add`` and ``scalar_action``; each
+side's swap, strength at the point, involution and flattening in a
+monad-map check; and the addition and multiplication of eval_at_one and
+of mat-h's hom-set semiring. Nothing is kept across runs, and what raises
+is never kept. Every equation is still evaluated by the generic
+composites; only a second evaluation on equal arguments is skipped.
 
 :func:`run_suite` drives the eight named law suites from one table: per
 suite, its default subjects, the name format of a subject and the builder
@@ -67,7 +66,6 @@ import functools
 import itertools
 import random
 import weakref
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -143,8 +141,8 @@ from .monadcore import (
     MultisetMonad,
     Pair,
     STAR,
-    _END,
-    _remembered,
+    _RUN_TABLE,
+    _once,
     carrier,
     carrier_map,
     dst_strength_first,
@@ -224,31 +222,6 @@ def _verified(w: HomWitness, adjunction: str) -> HomWitness:
     return w
 
 
-# The memo table of the run in progress in this context, or None between
-# runs: see _once.
-_RUN_TABLE: ContextVar[dict | None] = ContextVar("run_table", default=None)
-
-
-def _once(op: Callable, *args):
-    """``op(*args)``, evaluated once per run (:func:`_run_laws`) for equal
-    arguments: the result is kept by ``op`` and ``args``. Monads and
-    descriptors hash by identity, so a twin never reads another's result,
-    and callers pass ``op`` by its module-level name, so a rebinding of
-    that name gets a table of its own. Outside a run, or for an unhashable
-    argument, ``op`` runs every time; what raises is never kept."""
-    table = _RUN_TABLE.get()
-    if table is None:
-        return op(*args)
-    key = (op, *args)
-    try:
-        out = table.get(key, _END)
-    except TypeError:
-        return op(*args)
-    if out is _END:
-        out = table[key] = op(*args)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The structure checks the three triangles share
 
@@ -305,30 +278,30 @@ def _swapped(T: MonadInstance, u):
 
 
 def _check_monad_map(
-    A: MonadInstance, T: MonadInstance, sigma, samples, nested, error
+    A: MonadInstance, T: MonadInstance, sigma, samples, nested, error, once=_once
 ) -> None:
     """Raise ``error`` unless sigma: A -> T acts as a map of strong monads
-    on the samples: it keeps units, commutes with T of a swap, with the
-    strength at the point and, when both monads have one, the involution,
-    and sends the flattening of each ``nested`` value of A(A(X)) to the
-    flattening of its image. Each side's swap, strength, involution and
-    flattening is evaluated once per run for equal arguments (:func:`_once`)."""
+    on the samples: it keeps units and commutes with T of a swap, the
+    strength at the point, the involution (when both monads have one) and
+    the flattening of each ``nested`` value of A(A(X)). T's side is memoized
+    per run (:func:`_once`), A's by ``once``: a plain call for mon-e, whose
+    action monad builds each value by one constructor call."""
     for x in _XS:
         if sigma(A.unit(x)) != T.unit(x):
             raise error(f"unit law fails at {x}")
     for v in samples:
         image = sigma(v)
-        if _once(_swapped, T, image) != sigma(_once(_swapped, A, v)):
+        if _once(_swapped, T, image) != sigma(once(_swapped, A, v)):
             raise error(f"naturality fails at {v}")
         if _once(generic_strength, T, image, STAR) != sigma(
-            _once(generic_strength, A, v, STAR)
+            once(generic_strength, A, v, STAR)
         ):
             raise error(f"strength square fails at {v}")
         if A.involutive and T.involutive:
-            if sigma(_once(A.involution, v)) != _once(T.involution, image):
+            if sigma(once(A.involution, v)) != _once(T.involution, image):
                 raise error(f"involution square fails at {v}")
     for vv in nested:
-        lhs = sigma(_once(A.mult, vv))
+        lhs = sigma(once(A.mult, vv))
         rhs = _once(T.mult, T.fmap(sigma, sigma(vv)))
         if lhs != rhs:
             raise error(f"multiplication square fails at {vv}")
@@ -359,7 +332,7 @@ def transpose_mon(w: HomWitness) -> HomWitness:
         nested = tuple(
             ActVal(m1, ActVal(m2, Atom("a"))) for m1 in w.samples for m2 in w.samples
         )
-        _check_monad_map(A, T, sigma, samples, nested, NotAMonoidMap)
+        _check_monad_map(A, T, sigma, samples, nested, NotAMonoidMap, lambda op, *a: op(*a))
         return HomWitness("MonadMapSample", A, T, sigma, samples)
     if w.kind == "MonadMapSample":
         A, T, sigma = w.source, w.target, w.apply
@@ -480,10 +453,10 @@ def _check_theory_functor(
 
 
 def _homset(R: SemiringDescriptor) -> SemiringDescriptor:
-    """homset_semiring(R), with its addition and multiplication remembered
-    by argument pair, as eval_at_one's are."""
+    """homset_semiring(R), with its addition and multiplication evaluated
+    once per run for equal arguments (:func:`_once`), as eval_at_one's are."""
     H = homset_semiring(R)
-    return replace(H, add=_remembered(H.add), mul=_remembered(H.mul))
+    return replace(H, add=functools.partial(_once, H.add), mul=functools.partial(_once, H.mul))
 
 
 def transpose_math(w: HomWitness) -> HomWitness:

@@ -28,8 +28,9 @@ usable as association keys.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .algebra import (
@@ -295,9 +296,6 @@ def _scalar_key(s) -> tuple:
     if hasattr(s, "key"):
         return s.key()
     return ("opaque", repr(s))
-
-
-_END = object()
 
 
 def _not_a_key(x) -> ElementOutsideCarrier:
@@ -660,39 +658,45 @@ def eval_at_one(T: MonadInstance):
 
     The descriptor is built once per monad instance, on the first call,
     and stored on the instance; every later call returns that object. Its
-    addition and multiplication remember their results by argument pair,
-    for as long as the instance lives: a result is still the generic
-    composite, computed once for equal arguments. The law runs build
-    their monads per run (``adjunctions`` keeps one multiset monad per
-    semiring for the length of a run, with its other memo tables, and
-    drops them when the run returns), so nothing is remembered from one
-    run to the next.
+    addition and multiplication go through :func:`_once`: inside a law
+    run, each is evaluated once per argument pair, and outside a run every
+    call evaluates. The package's callers that repeat a pair (the law
+    rows, and the transposes and Kleisli maps that they call) all call it
+    inside a run.
     """
     if T._eval1 is None:
         T._eval1 = _build_eval_at_one(T)
     return T._eval1
 
 
-def _remembered(op: Callable) -> Callable:
-    """``op`` of two arguments, with each result kept by its argument pair.
-    An unhashable argument goes straight to ``op``, so it raises what
-    ``op`` raises on it; so does any other bad argument, and what raises
-    is never kept."""
-    results: dict = {}
+_END = object()
 
-    def remembered(a, b):
-        key = a, b
-        try:
-            out = results.get(key, _END)
-        except TypeError:
-            key = out = _END
-        if out is _END:
-            out = op(a, b)
-            if key is not _END:
-                results[key] = out
-        return out
+# The memo table of the law run in progress in this context, or None
+# between runs: see _once.
+_RUN_TABLE: ContextVar[dict | None] = ContextVar("run_table", default=None)
 
-    return remembered
+
+def _once(op: Callable, *args):
+    """``op(*args)``, evaluated once per law run for equal arguments: the
+    one memo rule of the package. A run (``adjunctions._run_laws``) sets
+    ``_RUN_TABLE`` to a fresh dict, where each result is kept by ``op`` and
+    ``args``, and drops it when the run returns, so nothing is kept from
+    one run to the next. Monads, descriptors and functions hash by
+    identity, so a twin never reads another's result, and callers pass
+    ``op`` by its module-level name, so a rebinding of that name gets keys
+    of its own. Outside a run, or for an unhashable argument, ``op`` runs
+    every time; what raises is never kept."""
+    table = _RUN_TABLE.get()
+    if table is None:
+        return op(*args)
+    key = (op, *args)
+    try:
+        out = table.get(key, _END)
+    except TypeError:
+        return op(*args)
+    if out is _END:
+        out = table[key] = op(*args)
+    return out
 
 
 def _build_eval_at_one(T: MonadInstance):
@@ -706,15 +710,15 @@ def _build_eval_at_one(T: MonadInstance):
     if not T.additive:
         return MonoidDescriptor(
             name=f"eval1({T.name})",
-            op=_remembered(e_mul),
+            op=partial(_once, e_mul),
             unit=one,
             commutative=T.commutative,
         )
     return SemiringDescriptor(
         name=f"eval1({T.name})",
-        add=_remembered(lambda a, b: tx_add(T, a, b)),
+        add=lambda a, b: _once(tx_add, T, a, b),
         zero=tx_zero(T),
-        mul=_remembered(e_mul),
+        mul=partial(_once, e_mul),
         one=one,
         star=(lambda a: T.involution(a)) if T.involutive else None,
     )

@@ -1158,21 +1158,48 @@ def test_main_parses_as_the_full_parser_does(capsys, argv):
     assert (main(list(argv)), *capsys.readouterr()) == want
 
 
+def _patch_parses(monkeypatch, wrap):
+    """Patch ``parse_known_args`` on ``ArgumentParser`` itself, as ``wrap(parser,
+    parse, args, namespace)`` with ``parse`` the parser's real method. A patch
+    on a cached parser would be undone by setting the bound method back on
+    it, where it would hide every later class patch from that parser."""
+    real = argparse.ArgumentParser.parse_known_args
+
+    def parse_known_args(self, args=None, namespace=None):
+        return wrap(self, real.__get__(self), args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
+
+
+def _cached_parsers() -> tuple:
+    top = cli.build_parser()
+    return (top, *top._actions[-1].choices.values())
+
+
+def _assert_the_cached_parsers_are_unpatched(monkeypatch):
+    monkeypatch.undo()
+    assert all("parse_known_args" not in vars(parser) for parser in _cached_parsers())
+
+
 def test_a_named_subcommand_skips_the_top_level_pass(capsys, monkeypatch):
     """A valid call never reaches the top-level parser's parse; a call with
     a word left over is still rejected by it."""
     calls = []
+    top = cli.build_parser()
 
-    def refuse(args=None, namespace=None):
+    def refuse(parser, parse, args, namespace):
+        if parser is not top:
+            return parse(args, namespace)
         calls.append(list(args))
         raise SystemExit(2)
 
-    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    _patch_parses(monkeypatch, refuse)
     assert main(DISPATCH_CORPUS["shortest-path"]) == 0
     assert capsys.readouterr() == (golden("cycle3_k2.out"), "")
     assert calls == []
     assert main(DISPATCH_CORPUS["trailing-word"]) == 2
     assert calls == [DISPATCH_CORPUS["trailing-word"]]
+    _assert_the_cached_parsers_are_unpatched(monkeypatch)
 
 
 @pytest.mark.parametrize("name", DISPATCH_CORPUS)
@@ -1180,20 +1207,18 @@ def test_the_option_table_parses_only_well_formed_argvs(capsys, monkeypatch, nam
     """The argvs of ``TABLE_PARSED`` reach no argparse parse at all; every
     other corpus argv is parsed by argparse."""
     parses = []
+    parsers = _cached_parsers()
 
-    def recording(parse):
-        def parse_known_args(args=None, namespace=None):
+    def recording(parser, parse, args, namespace):
+        if parser in parsers:
             parses.append(args)
-            return parse(args, namespace)
+        return parse(args, namespace)
 
-        return parse_known_args
-
-    top = cli.build_parser()
-    for parser in (top, *top._actions[-1].choices.values()):
-        monkeypatch.setattr(parser, "parse_known_args", recording(parser.parse_known_args))
+    _patch_parses(monkeypatch, recording)
     main(list(DISPATCH_CORPUS[name]))
     capsys.readouterr()
     assert (parses == []) == (name in TABLE_PARSED)
+    _assert_the_cached_parsers_are_unpatched(monkeypatch)
 
 
 # The option words of every subcommand (the help words too), and values:

@@ -5,10 +5,10 @@ and ``fmap`` of a one-entry value read their canonical arguments as
 already sorted and skip the merge of :func:`ms_from_pairs`. Each must
 equal ``ms_from_pairs`` over the same pairs, also over a twin descriptor
 and over a semiring with zero divisors. ``eval_at_one`` remembers its sums
-and products per monad instance, and the Kleisli constructors build their
-maps without re-checking them, but keep their own checks of objects and
-monads. ``Scalar`` and ``Matrix`` compare and hash ``Fraction`` payloads
-by their integer ratios, a multiset keeps its hash,
+and products for the length of a law run, and the Kleisli constructors
+build their maps without re-checking them, but keep their own checks of
+objects and monads. ``Scalar`` and ``Matrix`` compare and hash
+``Fraction`` payloads by their integer ratios, a multiset keeps its hash,
 the samplers draw with ``getrandbits`` what ``random.Random``'s methods
 draw and build their values unchecked, and ``mat_compose`` sums tiny
 products directly: each must agree with the general path it skips.
@@ -208,16 +208,48 @@ def _counting_tx_add(monkeypatch):
     return calls
 
 
-def test_eval_at_one_remembers_per_instance(monkeypatch):
-    calls = _counting_tx_add(monkeypatch)
-    a = ms_from_pairs(NAT, [(monadcore.STAR, nat(2))])
-    b = ms_from_pairs(NAT, [(monadcore.STAR, nat(3))])
-    first, second = eval_at_one(MultisetMonad(NAT)), eval_at_one(MultisetMonad(NAT))
-    assert first.add(a, b) == ms_from_pairs(NAT, [(monadcore.STAR, nat(5))])
-    assert first.add(a, b) == second.add(a, b)
-    assert len(calls) == 2  # once for first, once for second: nothing shared
-    first.add(b, a)
-    assert len(calls) == 3  # the pair is ordered
+def _point(s):
+    return ms_from_pairs(NAT, [(monadcore.STAR, nat(s))])
+
+
+# A builder of a semiring of values whose addition and multiplication go
+# through the run's memo, whether a twin's shares none of its results, and
+# two values of it.
+RUN_MEMO_INPUTS = {
+    "eval_at_one": (lambda: eval_at_one(MultisetMonad(NAT)), True, _point(2), _point(3)),
+    "_homset": (
+        lambda: adjunctions._homset(NAT),
+        False,  # a twin's matrices compare equal, over the same two functions
+        Matrix(NAT, 1, 1, (nat(2),)),
+        Matrix(NAT, 1, 1, (nat(3),)),
+    ),
+}
+
+
+def test_eval_at_one_remembers_per_run():
+    """Inside a run each ordered pair is evaluated once, into the run's
+    table, and a twin monad's descriptor reads none of it; outside a run
+    every call evaluates. Each evaluation builds a new value, so a result
+    that is the same object was kept."""
+    for name, (build, twin_apart, a, b) in RUN_MEMO_INPUTS.items():
+        E, twin = build(), build()
+        for op in (E.add, E.mul):
+            assert op(a, b) == op(a, b) and op(a, b) is not op(a, b), name
+        token = monadcore._RUN_TABLE.set({})
+        try:
+            table = monadcore._RUN_TABLE.get()
+            for op, twin_op in ((E.add, twin.add), (E.mul, twin.mul)):
+                size = len(table)
+                first = op(a, b)
+                assert op(a, b) is first and len(table) == size + 1, name
+                assert (twin_op(a, b) is not first) == twin_apart, name
+                assert twin_op(a, b) == first and len(table) == size + 1 + twin_apart, name
+                swapped = op(b, a)  # the pair is ordered
+                assert swapped is not first and op(b, a) is swapped, name
+                assert len(table) == size + 2 + twin_apart, name
+        finally:
+            monadcore._RUN_TABLE.reset(token)
+        assert E.add(a, b) is not E.add(a, b), name  # and nothing after it
 
 
 def test_a_second_identical_run_remembers_nothing_from_the_first(monkeypatch, capsys):
