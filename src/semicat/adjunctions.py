@@ -115,6 +115,7 @@ from .kleisli import (
 from .matcat import (
     Aleph0Map,
     Matrix,
+    _matrix,
     aleph0_compose,
     aleph0_embed,
     homset_semiring,
@@ -355,7 +356,15 @@ def transpose_mon(w: HomWitness) -> HomWitness:
 def transpose_srng(w: HomWitness) -> HomWitness:
     """The bijection between semiring maps into eval_at_one(T) and monad
     maps out of the multiset monad: a SemiringMap goes up, a
-    MonadMapSample down."""
+    MonadMapSample down.
+
+    The up side's samples are the empty multiset, {a: s} for each sample s
+    of the witness and {a: s, b: t} for each s and the t after it, cycling;
+    its nested values pair each two of the first four samples. A zero
+    multiplicity leaves no entry, so when the witness's samples hold zero,
+    as every scalar pool does first, {a: 0} is the empty multiset and
+    {a: s, b: 0} is {a: s}: the samples and the nested values repeat. Each
+    is checked once, where it first occurs."""
     if w.kind == "SemiringMap":
         S, T, f = w.source, w.target, functools.cache(w.apply)
         if not T.additive:
@@ -386,6 +395,7 @@ def transpose_srng(w: HomWitness) -> HomWitness:
             for p1 in samples[:4]
             for p2 in samples[:4]
         )
+        samples, nested = tuple(dict.fromkeys(samples)), tuple(dict.fromkeys(nested))
         _check_monad_map(MS, T, sigma, samples, nested, NotASemiringMap)
         return HomWitness("MonadMapSample", MS, T, sigma, samples)
     if w.kind == "MonadMapSample":
@@ -468,12 +478,22 @@ def transpose_math(w: HomWitness) -> HomWitness:
         if _VERIFIED.get(w) != "mat-h":
             _check_semiring_map(S, _once(_homset, R), f, w.samples)
 
+        def one_by_one(m) -> bool:
+            return type(m) is Matrix and m.rows == m.cols == 1 and m.tag == R.name
+
         @functools.cache
         def apply_mat(h: Matrix) -> Matrix:
             out = Matrix(R, 0, h.cols, ())
             for i in range(h.rows):
-                row = [x for s in h.row(i) for x in f(s).entries]
-                out = mat_cotuple(out, Matrix(R, 1, h.cols, row))
+                scalars = h.row(i)
+                images = [m.values[0] for m in itertools.takewhile(one_by_one, map(f, scalars))]
+                if len(images) == h.cols:
+                    row = _matrix(R, 1, h.cols, images)
+                else:
+                    # Some image is no 1x1 matrix over R: the row goes
+                    # through Matrix's checks of the images' boxed entries.
+                    row = Matrix(R, 1, h.cols, [x for s in scalars for x in f(s).entries])
+                out = mat_cotuple(out, row)
             return out
 
         samples = (

@@ -175,6 +175,7 @@ class Matrix:
     each ``Fraction`` (``algebra._same_payload`` and ``_payload_key``): the
     result is the tuple equality of the values, and equal matrices hash
     alike when their values are canonical, as the constructors build them.
+    The hash is kept on first use, as ``Multiset`` keeps its own.
     """
 
     semiring: SemiringDescriptor
@@ -229,10 +230,15 @@ class Matrix:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        values = self.values
-        if self.semiring.name in _RATIO_TAGS:
-            values = tuple(map(_payload_key, values))
-        return hash(("matrix", self.tag, self.rows, self.cols, values))
+        # Kept on first use, as Multiset's: memo tables hash one matrix
+        # many times, and over ratnn and gaussian each hash keys every value.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            values = self.values
+            if self.semiring.name in _RATIO_TAGS:
+                values = tuple(map(_payload_key, values))
+            h = self.__dict__["_hash"] = hash(("matrix", self.tag, self.rows, self.cols, values))
+        return h
 
     def __str__(self) -> str:
         body = ",".join(

@@ -32,14 +32,17 @@ from semicat.algebra import (
     MONOIDS,
     NAT,
     SEMIRINGS,
+    TROPICAL,
     canonical_from_nat,
     multiplicative_monoid,
     nat,
 )
 from semicat.errors import (
+    DimensionMismatch,
     NotAMonoidMap,
     NotASemiringMap,
     NotAdditive,
+    TagMismatch,
     UnknownSemiring,
     UnknownSuite,
 )
@@ -135,6 +138,49 @@ def test_srng_up_rejects_a_broken_map():
         transpose_srng(w)
 
 
+def distinct(values) -> list:
+    """The values that equal no earlier one, in order, by ``==`` alone."""
+    return [v for i, v in enumerate(values) if v not in values[:i]]
+
+
+@pytest.mark.parametrize("name", sorted(SEMIRINGS))
+def test_srng_up_checks_each_distinct_sample_once(monkeypatch, name):
+    """The up side's samples are the empty multiset, one singleton per
+    witness sample and one pair per cyclic neighbour pair, and its nested
+    values pair each two of the first four; zero multiplicities make some
+    equal. It checks each distinct one once, in first-occurrence order,
+    and the target's mult flattens each nested image once."""
+    S = SEMIRINGS[name]
+    real_check = adjunctions._check_monad_map
+    checked, mults = [], []
+
+    def recording_check(A, T, sigma, samples, nested, error, *rest):
+        checked.append((samples, nested))
+        mults.clear()
+        T.mult = lambda u, mult=T.mult: mults.append(u) or mult(u)
+        try:
+            real_check(A, T, sigma, samples, nested, error, *rest)
+        finally:
+            del T.mult
+        assert mults == [T.fmap(sigma, sigma(vv)) for vv in nested]
+
+    monkeypatch.setattr(adjunctions, "_check_monad_map", recording_check)
+    for w in adjunctions._witnesses("srng-e", S):
+        a, b, xs, R = Atom("a"), Atom("b"), list(w.samples), w.source
+        built = (
+            [ms_from_pairs(R, [])]
+            + [ms_from_pairs(R, [(a, s)]) for s in xs]
+            + [ms_from_pairs(R, [(a, s), (b, t)]) for s, t in zip(xs, xs[1:] + xs[:1])]
+        )
+        nested = [
+            ms_from_pairs(R, [(p, R.one), (q, R.one)]) for p in built[:4] for q in built[:4]
+        ]
+        up = transpose_srng(w)
+        assert checked.pop() == (tuple(distinct(built)), tuple(distinct(nested)))
+        assert up.samples == tuple(distinct(built))
+        assert len(up.samples) < len(built) and len(distinct(nested)) < len(nested)
+
+
 def bool_box(n):
     return Matrix(BOOL, 1, 1, (canonical_from_nat(BOOL, n.payload),))
 
@@ -165,6 +211,48 @@ def test_math_up_rejects_a_broken_map():
     )
     with pytest.raises(NotASemiringMap):
         transpose_math(w)
+
+
+# Images of the scalars above 1 that are no 1x1 matrix over bool, with the
+# error the up functor raises at the first probe holding one.
+BAD_IMAGES = {
+    "1x2 matrix": (
+        lambda n: Matrix(BOOL, 1, 2, (BOOL.one, BOOL.one)),
+        DimensionMismatch,
+        "1x2 matrix needs 2 entries, got 4",
+    ),
+    "matrix over nat": (
+        lambda n: Matrix(NAT, 1, 1, (n,)),
+        TagMismatch,
+        "expected a bool scalar, got the nat scalar 19",
+    ),
+    "matrix over tropical": (
+        lambda n: Matrix(TROPICAL, 1, 1, (TROPICAL.one,)),
+        TagMismatch,
+        "expected a bool scalar, got the tropical scalar 0",
+    ),
+    "scalar": (
+        lambda n: BOOL.one,
+        AttributeError,
+        "'Scalar' object has no attribute 'entries'",
+    ),
+    "None": (lambda n: None, AttributeError, "'NoneType' object has no attribute 'entries'"),
+}
+
+
+@pytest.mark.parametrize("image", sorted(BAD_IMAGES))
+def test_math_up_raises_at_an_image_that_is_no_1x1_matrix(image):
+    """The witness checks only zero and one, which it sends to bool's, so
+    its bad images first show when the up functor builds a probe's rows."""
+    bad, error, message = BAD_IMAGES[image]
+
+    def apply(n):
+        return bool_box(n) if n.payload < 2 else bad(n)
+
+    with pytest.raises(error) as raised:
+        transpose_math(HomWitness("SemiringMap", NAT, BOOL, apply, ()))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 # One witness of each kind, and the two kinds each transpose takes.

@@ -8,10 +8,11 @@ and over a semiring with zero divisors. ``eval_at_one`` remembers its sums
 and products for the length of a law run, and the Kleisli constructors
 build their maps without re-checking them, but keep their own checks of
 objects and monads. ``Scalar`` and ``Matrix`` compare and hash
-``Fraction`` payloads by their integer ratios, a multiset keeps its hash,
-the samplers draw with ``getrandbits`` what ``random.Random``'s methods
-draw and build their values unchecked, and ``mat_compose`` sums tiny
-products directly: each must agree with the general path it skips.
+``Fraction`` payloads by their integer ratios, a multiset and a matrix
+keep their hash, the samplers draw with ``getrandbits`` what
+``random.Random``'s methods draw and build their values unchecked, and
+``mat_compose`` sums tiny products directly: each must agree with the
+general path it skips.
 """
 
 import itertools
@@ -175,6 +176,26 @@ def test_a_multiset_keeps_the_hash_of_its_entries(subject):
     want = hash(("multiset", u.semiring.name, u.entries))
     assert hash(u) == want == hash(u)
     assert hash(u) == hash(Multiset(T.semiring, u.entries))  # the twin's too
+
+
+@pytest.mark.parametrize("S", [RATNN, GAUSSIAN], ids=lambda S: S.name)
+def test_a_matrix_keeps_the_hash_of_its_values(monkeypatch, S):
+    """Over ratnn and gaussian a matrix keys its values by ``_payload_key``
+    on its first hash only. The checked matrix and its unchecked twin from
+    the same payloads, with each Fraction a fresh copy, hash alike."""
+    pool = sampling.scalar_pool(S)
+    keyed = []
+    real = matcat._payload_key
+    monkeypatch.setattr(matcat, "_payload_key", lambda x: keyed.append(x) or real(x))
+    checked = Matrix(S, 2, 3, pool)
+    unchecked = matcat._matrix(S, 2, 3, [_copy(s.payload) for s in pool])
+    assert checked == unchecked and checked.values is not unchecked.values
+    want = hash(("matrix", S.name, 2, 3, tuple(map(real, checked.values))))
+    assert keyed == []
+    assert hash(checked) == want and len(keyed) == 6
+    assert hash(checked) == want and len(keyed) == 6
+    assert hash(unchecked) == want and len(keyed) == 12
+    assert hash(unchecked) == want and len(keyed) == 12
 
 
 def test_a_vanishing_product_or_merge_leaves_no_entry():
