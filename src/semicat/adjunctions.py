@@ -490,8 +490,10 @@ def transpose_math(w: HomWitness) -> HomWitness:
                 if len(images) == h.cols:
                     row = _matrix(R, 1, h.cols, images)
                 else:
-                    # Some image is no 1x1 matrix over R: the row goes
-                    # through Matrix's checks of the images' boxed entries.
+                    # takewhile stopped at the first image that is no 1x1
+                    # matrix over R, so f meets the later scalars only here,
+                    # in order, as the row of boxed entries goes through
+                    # Matrix's checks.
                     row = Matrix(R, 1, h.cols, [x for s in scalars for x in f(s).entries])
                 out = mat_cotuple(out, row)
             return out
